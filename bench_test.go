@@ -287,15 +287,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := newBenchRng(7)
-	cands := make([][]float64, 512)
-	for i := range cands {
-		x := make([]float64, 9)
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		cands[i] = x
-	}
+	cands := benchPoints(512, 9)
 	b.Run("PerCandidate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -313,6 +305,103 @@ func BenchmarkPredictBatch(b *testing.B) {
 			g.PredictBatch(cands, &ws)
 		}
 	})
+}
+
+// benchPoints draws m candidate points uniformly from the d-dimensional unit
+// cube.
+func benchPoints(m, d int) [][]float64 {
+	rng := newBenchRng(7)
+	pts := make([][]float64, m)
+	for i := range pts {
+		x := make([]float64, d)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		pts[i] = x
+	}
+	return pts
+}
+
+// BenchmarkScoreEI measures one EI-MCMC acquisition round at the shape the
+// tuner runs it: 6 posterior-sample models over one training set, a pool of
+// 576 candidates (512 stratified + 64 around the incumbent) with the
+// data-size context appended, on a warm workspace. n=60 is where a cold
+// session ends, n=128 a warm-started one. One distance pass serves all six
+// models; allocs/op is the closures of the row-parallel passes and nothing
+// per candidate.
+func BenchmarkScoreEI(b *testing.B) {
+	for _, n := range []int{60, 128} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			xs, ys := surrogateTrainingSet(n, 9)
+			ts, err := gp.NewTrainSet(xs, ys, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var models []*gp.GP
+			for i := 0; i < 6; i++ {
+				h := gp.DefaultHyper()
+				h.LogLen += 0.15 * float64(i)
+				m, err := ts.Fit(h)
+				if err != nil {
+					b.Fatal(err)
+				}
+				models = append(models, m)
+			}
+			cands := benchPoints(576, 8)
+			ctx := []float64{0.3}
+			var ws bo.EIWorkspace
+			bo.ScoreEI(models, cands, ctx, 0, &ws) // warm the workspace buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bo.ScoreEI(models, cands, ctx, 0, &ws)
+			}
+		})
+	}
+}
+
+// BenchmarkSolveLowerBatch measures the variance solve of one model's share
+// of that round — 576 forward substitutions against an n×n factor — one row
+// at a time (SolveLowerVecInto, the pre-batch loop) and four rows per sweep
+// of L (SolveLowerBatch). Both are in place and allocate nothing.
+func BenchmarkSolveLowerBatch(b *testing.B) {
+	for _, n := range []int{60, 128} {
+		rng := newBenchRng(9)
+		a := mat.NewDense(n, n, nil)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				v := math.Exp(-2 * math.Abs(float64(i-j)) / float64(n))
+				a.Set(i, j, v)
+				a.Set(j, i, v)
+			}
+		}
+		a.AddDiag(0.01)
+		chol, err := mat.NewCholesky(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := make([]float64, 576*n)
+		for i := range src {
+			src[i] = rng.Float64()
+		}
+		rows := make([]float64, len(src))
+		b.Run(fmt.Sprintf("PerRow/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(rows, src)
+				for r := 0; r < len(rows); r += n {
+					chol.SolveLowerVecInto(rows[r:r+n], rows[r:r+n])
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("Batched/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(rows, src)
+				chol.SolveLowerBatch(rows)
+			}
+		})
+	}
 }
 
 // --- Amortized hyperparameter inference benches (ISSUE 5) ---

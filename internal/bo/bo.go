@@ -228,7 +228,7 @@ func Minimize(p Problem, opts Options) Result {
 		xs        [][]float64 // training inputs the live models hold
 		ys        []float64   // training targets the live models hold
 		modelMark int         // len(res.History) already folded into models
-		predWS    gp.PredictWorkspace
+		eiWS      EIWorkspace
 	)
 	iterSinceSample := 0
 	for res.Evals < opts.MaxIter && !stopped() {
@@ -275,7 +275,7 @@ func Minimize(p Problem, opts Options) Result {
 		var bestCand []float64
 		bestEI := math.Inf(-1)
 		if len(models) > 0 {
-			bestCand, bestEI = proposeEI(models, res, p.Dim, ctx, opts, rng, &predWS)
+			bestCand, bestEI = proposeEI(models, res, p.Dim, ctx, opts, rng, &eiWS)
 		}
 		if bestCand == nil {
 			// Model failure: fall back to random search for this step.
@@ -337,7 +337,7 @@ func modelData(hist []Step) (xs [][]float64, ys []float64) {
 
 // proposeEI scores a candidate pool by EI averaged over the hyperparameter
 // posterior samples (EI-MCMC) and returns the best candidate and its EI.
-func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options, rng *rand.Rand, ws *gp.PredictWorkspace) ([]float64, float64) {
+func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options, rng *rand.Rand, ws *EIWorkspace) ([]float64, float64) {
 	// The exploration pool is stratified (Latin Hypercube) rather than iid
 	// uniform: every dimension's range is covered evenly at identical cost
 	// and rng discipline, so the EI argmax never misses a whole stratum the
@@ -359,7 +359,7 @@ func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options
 		}
 	}
 
-	eis := scoreEI(models, cands, dim, ctx, res.BestY, ws)
+	eis := ScoreEI(models, cands, ctx, res.BestY, ws)
 	var bestX []float64
 	bestEI := math.Inf(-1)
 	for i, ei := range eis {
@@ -371,28 +371,45 @@ func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options
 	return append([]float64(nil), bestX...), bestEI
 }
 
-// scoreEI evaluates the EI-MCMC acquisition (EI averaged over the
-// hyperparameter posterior samples) for every candidate through the batched
-// prediction path: per model, one gp.PredictBatch call assembles the
-// cross-kernel matrix once and produces all means and variances with
-// row-parallel batch math and zero per-candidate allocations (the workspace
-// is reused across models and iterations). Candidate order is preserved and
-// every floating-point reduction matches the per-candidate Predict loop, so
-// the scores — and therefore the argmax and the optimizer trajectory — are
-// identical to the serial scan this replaces.
-func scoreEI(models []*gp.GP, cands [][]float64, dim int, ctx []float64, best float64, ws *gp.PredictWorkspace) []float64 {
-	out := make([]float64, len(cands))
-	xin := ws.Inputs(len(cands), dim+len(ctx))
+// EIWorkspace holds the grow-only buffers ScoreEI works in — the batch
+// prediction workspace and the score vector — so scoring a pool allocates
+// nothing per candidate or per model once the buffers have grown. The zero
+// value is ready to use; a workspace must not be shared by concurrent calls.
+type EIWorkspace struct {
+	pred gp.PredictWorkspace
+	ei   []float64
+}
+
+// ScoreEI evaluates the EI-MCMC acquisition (EI averaged over the
+// hyperparameter posterior samples) for every candidate, with ctx appended
+// to each, through the batched prediction path: the candidate×train squared
+// distances are measured once for the round and every model maps them
+// through its own kernel, α and factor (gp.PredictBatchShared — which gives
+// a model holding different training rows a distance pass of its own).
+// Candidate order is preserved and every floating-point reduction matches
+// the per-candidate Predict loop, so the scores — and therefore the argmax
+// and the optimizer trajectory — are identical to a serial scan. The
+// returned slice belongs to ws and is valid until its next use.
+func ScoreEI(models []*gp.GP, cands [][]float64, ctx []float64, best float64, ws *EIWorkspace) []float64 {
+	if cap(ws.ei) < len(cands) {
+		ws.ei = make([]float64, len(cands))
+	}
+	out := ws.ei[:len(cands)]
+	clear(out)
+	if len(cands) == 0 {
+		return out
+	}
+	dim := len(cands[0])
+	xin := ws.pred.Inputs(len(cands), dim+len(ctx))
 	for i, c := range cands {
 		copy(xin[i], c)
 		copy(xin[i][dim:], ctx)
 	}
-	for _, m := range models {
-		mus, vars := m.PredictBatch(xin, ws)
+	gp.PredictBatchShared(models, xin, &ws.pred, func(mus, vars []float64) {
 		for i := range out {
 			out[i] += expectedImprovement(mus[i], vars[i], best)
 		}
-	}
+	})
 	for i := range out {
 		out[i] /= float64(len(models))
 	}

@@ -2,7 +2,10 @@ package bo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"locat/internal/gp"
 )
 
 // sphere has its minimum 0 at the given center.
@@ -430,5 +433,88 @@ func TestSeedTrajectoryPinned(t *testing.T) {
 	}
 	if math.Abs(res.BestY-wantBestY) > 1e-12 {
 		t.Fatalf("pinned trajectory moved: BestY = %.17g, want %.17g", res.BestY, wantBestY)
+	}
+}
+
+// eiRound builds one EI round's inputs: k models fitted on one TrainSet under
+// different hyperparameters (the posterior samples of a resample), a
+// candidate pool and a context.
+func eiRound(t *testing.T, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float64, []float64) {
+	t.Helper()
+	const dim = 8
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = append(randomPoint(dim, rng), 0.3)
+		ys[i] = sphere(make([]float64, dim))(xs[i][:dim], nil) + rng.NormFloat64()*0.01
+	}
+	ts, err := gp.NewTrainSet(xs, ys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models []*gp.GP
+	for i := 0; i < k; i++ {
+		h := gp.DefaultHyper()
+		h.LogLen += 0.2 * float64(i)
+		h.LogSignal -= 0.1 * float64(i)
+		m, err := ts.Fit(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	pool := make([][]float64, cands)
+	for i := range pool {
+		pool[i] = randomPoint(dim, rng)
+	}
+	return models, pool, []float64{0.3}
+}
+
+// TestScoreEIMismatchedModelMatchesPerModel: ScoreEI shares one distance
+// pass across the round's models only where their training rows really are
+// the same. With a model fitted on different rows dropped into the middle of
+// the round, every score must still equal the average of per-model
+// PredictBatch EIs exactly — the stranger measured on its own rows, and the
+// models after it back on theirs.
+func TestScoreEIMismatchedModelMatchesPerModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	models, pool, ctx := eiRound(t, 40, 4, 130, rng)
+	strangers, _, _ := eiRound(t, 40, 1, 0, rng) // same size, other rows
+	models = []*gp.GP{models[0], models[1], strangers[0], models[2], models[3]}
+
+	best := 1.1
+	var ws EIWorkspace
+	got := ScoreEI(models, pool, ctx, best, &ws)
+
+	in := make([][]float64, len(pool))
+	for i, c := range pool {
+		in[i] = append(append([]float64(nil), c...), ctx...)
+	}
+	want := make([]float64, len(pool))
+	for _, m := range models {
+		mus, vars := m.PredictBatch(in, nil)
+		for i := range want {
+			want[i] += expectedImprovement(mus[i], vars[i], best)
+		}
+	}
+	for i := range want {
+		want[i] /= float64(len(models))
+		if got[i] != want[i] {
+			t.Fatalf("candidate %d: ScoreEI %v, per-model PredictBatch %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestScoreEISteadyStateAllocs pins a full-size EI round (6 models, 576
+// candidates) on a warm workspace: one closure per model's kernel pass, one
+// for the round's distance pass, and no score vector per call (the
+// per-model-assembly path cost 25).
+func TestScoreEISteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	models, pool, ctx := eiRound(t, 60, 6, 576, rng)
+	var ws EIWorkspace
+	ScoreEI(models, pool, ctx, 1.1, &ws) // grow the buffers
+	if allocs := testing.AllocsPerRun(10, func() { ScoreEI(models, pool, ctx, 1.1, &ws) }); allocs > 7 {
+		t.Fatalf("ScoreEI allocates %.0f objects per round on a warm workspace; want ≤ 7", allocs)
 	}
 }

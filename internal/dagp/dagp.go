@@ -210,11 +210,11 @@ func (m *Model) Predict(x []float64, dataGB float64) (mean, variance float64) {
 }
 
 // PredictBatch returns the posterior mean latency of every encoded
-// configuration at the given data size through gp.PredictBatch — one
-// cross-kernel assembly and row-parallel batch math instead of a fresh
-// prediction per point. Numerically identical to looping Predict. ws may be
-// nil; when provided its buffers are reused and the returned slice is valid
-// until the workspace's next use.
+// configuration at the given data size through gp.PredictMeans — row-parallel
+// batch math with no variance solve, since only the means are wanted.
+// Numerically identical to looping Predict. ws may be nil; when provided its
+// buffers are reused and the returned slice is valid until the workspace's
+// next use.
 func (m *Model) PredictBatch(xs [][]float64, dataGB float64, ws *gp.PredictWorkspace) []float64 {
 	if ws == nil {
 		ws = &gp.PredictWorkspace{}
@@ -227,6 +227,5 @@ func (m *Model) PredictBatch(xs [][]float64, dataGB float64, ws *gp.PredictWorks
 		copy(in[i], x)
 		in[i][len(x)] = dataGB / ScaleGB
 	}
-	means, _ := m.g.PredictBatch(in, ws)
-	return means
+	return m.g.PredictMeans(in, ws)
 }

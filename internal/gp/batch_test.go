@@ -93,3 +93,121 @@ func TestPredictWorkspaceReuseAcrossSizes(t *testing.T) {
 		}
 	}
 }
+
+// sharedShapes are the batch sizes and training-set sizes the distance-shared
+// path is pinned on: empty and single batches, every remainder of the
+// four-row solve and the four-row distance pass, one ParRange block boundary
+// (577 = 72 blocks of 8 and one row), and training sets on either side of 64.
+var (
+	sharedBatchSizes = []int{0, 1, 3, 4, 5, 577}
+	sharedTrainSizes = []int{1, 2, 63, 64, 65}
+)
+
+// TestPredictBatchSharedMatchesPredictOracle: every model of a
+// distance-shared round must reproduce the per-candidate Predict oracle
+// exactly — the same bits, not a tolerance — whether it reused the round's
+// distance pass (models 1 and 2 hold model 0's rows, model 2 grown by
+// appends) or measured its own (model 3 holds different rows of equal count).
+func TestPredictBatchSharedMatchesPredictOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	hypers := []Hyper{
+		DefaultHyper(),
+		{LogLen: math.Log(0.9), LogSignal: 0.4, LogNoise: math.Log(0.03)},
+		{LogLen: math.Log(0.15), LogSignal: -0.3, LogNoise: math.Log(0.3)},
+	}
+	var ws PredictWorkspace // one workspace across every shape, as bo holds it
+	for _, n := range sharedTrainSizes {
+		xs, ys := batchTrainingSet(n, 7, rng)
+		other, otherYs := batchTrainingSet(n, 7, rng)
+		ts, err := NewTrainSet(xs, ys, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var models []*GP
+		for _, h := range hypers[:2] {
+			m, err := ts.Fit(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, m)
+		}
+		grown, err := Fit(xs[:(n+1)/2], ys[:(n+1)/2], hypers[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grown.AppendBatch(xs[(n+1)/2:], ys[(n+1)/2:]); err != nil {
+			t.Fatal(err)
+		}
+		mismatched, err := Fit(other, otherYs, hypers[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, grown, mismatched, models[0])
+
+		for _, m := range sharedBatchSizes {
+			cands, _ := batchTrainingSet(m, 7, rng)
+			k := 0
+			PredictBatchShared(models, cands, &ws, func(mus, vars []float64) {
+				if len(mus) != m || len(vars) != m {
+					t.Fatalf("n=%d m=%d model %d: %d/%d outputs", n, m, k, len(mus), len(vars))
+				}
+				for i, c := range cands {
+					mu, v := models[k].Predict(c)
+					if mu != mus[i] || v != vars[i] {
+						t.Fatalf("n=%d m=%d model %d point %d: shared (%v,%v) vs Predict (%v,%v)",
+							n, m, k, i, mus[i], vars[i], mu, v)
+					}
+				}
+				k++
+			})
+			if k != len(models) {
+				t.Fatalf("n=%d m=%d: visited %d of %d models", n, m, k, len(models))
+			}
+		}
+	}
+}
+
+// TestPredictMeansMatchesPredictBatch: the means-only path must return
+// PredictBatch's means exactly, at every shape, through a shared workspace.
+func TestPredictMeansMatchesPredictBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var ws PredictWorkspace
+	for _, n := range sharedTrainSizes {
+		xs, ys := batchTrainingSet(n, 6, rng)
+		g, err := Fit(xs, ys, DefaultHyper())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range sharedBatchSizes {
+			cands, _ := batchTrainingSet(m, 6, rng)
+			want, _ := g.PredictBatch(cands, nil)
+			got := g.PredictMeans(cands, &ws)
+			if len(got) != m {
+				t.Fatalf("n=%d m=%d: %d means", n, m, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d m=%d point %d: means-only %v vs batch %v", n, m, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPredictBatchSteadyStateAllocs pins the batch path's per-call
+// allocations once the workspace has grown: the two row-parallel closures
+// and nothing per candidate (the pre-shared-distance path cost 4).
+func TestPredictBatchSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	xs, ys := batchTrainingSet(60, 9, rng)
+	g, err := Fit(xs, ys, DefaultHyper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, _ := batchTrainingSet(576, 9, rng)
+	var ws PredictWorkspace
+	g.PredictBatch(cands, &ws) // grow the buffers
+	if allocs := testing.AllocsPerRun(10, func() { g.PredictBatch(cands, &ws) }); allocs > 2 {
+		t.Fatalf("PredictBatch allocates %.0f objects per call on a warm workspace; want ≤ 2", allocs)
+	}
+}

@@ -26,6 +26,7 @@ type GP struct {
 	yMean float64
 	yStd  float64
 	hyp   Hyper
+	kern  seKernel // hyp's σ_f² and 2ℓ², evaluated once at fit time
 	chol  *mat.Cholesky
 	alpha []float64 // (K + σ_n² I)⁻¹ · y (standardized)
 }
@@ -44,15 +45,16 @@ func Fit(x [][]float64, y []float64, h Hyper) (*GP, error) {
 		}
 	}
 	g := &GP{
-		x:   append([][]float64(nil), x...),
-		y:   append([]float64(nil), y...),
-		hyp: h,
+		x:    append([][]float64(nil), x...),
+		y:    append([]float64(nil), y...),
+		hyp:  h,
+		kern: h.kernel(),
 	}
 
 	k := mat.NewDense(n, n, nil)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			v := kernelEval(h, x[i], x[j])
+			v := g.kern.of(sqDist(x[i], x[j]))
 			k.Set(i, j, v)
 			k.Set(j, i, v)
 		}
@@ -119,9 +121,9 @@ func (g *GP) AppendBatch(xs [][]float64, ys []float64) error {
 	for i, xi := range xs {
 		col := make([]float64, len(x2))
 		for j, xj := range x2 {
-			col[j] = kernelEval(g.hyp, xj, xi)
+			col[j] = g.kern.of(sqDist(xj, xi))
 		}
-		diag := kernelEval(g.hyp, xi, xi) + g.hyp.Noise2() + 1e-8
+		diag := g.kern.of(0) + g.hyp.Noise2() + 1e-8
 		if err := chol.Extend(col, diag); err != nil {
 			return fmt.Errorf("gp: append point %d: %w", i, err)
 		}
@@ -143,6 +145,7 @@ func (g *GP) Clone() *GP {
 		yMean: g.yMean,
 		yStd:  g.yStd,
 		hyp:   g.hyp,
+		kern:  g.kern,
 		chol:  g.chol.Clone(),
 		alpha: append([]float64(nil), g.alpha...),
 	}
@@ -159,12 +162,12 @@ func (g *GP) Hyper() Hyper { return g.hyp }
 func (g *GP) Predict(xs []float64) (mean, variance float64) {
 	n := len(g.x)
 	ks := make([]float64, n)
-	for i := range g.x {
-		ks[i] = kernelEval(g.hyp, g.x[i], xs)
+	for i, xi := range g.x {
+		ks[i] = g.kern.of(sqDist(xi, xs))
 	}
 	m := mat.Dot(ks, g.alpha)
 	v := g.chol.SolveLowerVec(ks)
-	variance = kernelEval(g.hyp, xs, xs) - mat.Dot(v, v)
+	variance = g.kern.of(0) - mat.Dot(v, v)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
@@ -172,15 +175,18 @@ func (g *GP) Predict(xs []float64) (mean, variance float64) {
 	return m*g.yStd + g.yMean, variance * g.yStd * g.yStd
 }
 
-// PredictWorkspace holds the grow-only scratch buffers PredictBatch works
-// in: the cross-kernel matrix, the mean/variance outputs, and a reusable
-// input-row matrix for callers that assemble model inputs per batch. One
-// workspace serves any sequence of batches (buffers grow to the largest
-// batch seen and are then reused), which is what makes the EI scoring loop
-// allocation-free per candidate. A workspace must not be shared by
-// concurrent PredictBatch calls; PredictBatch parallelizes internally.
+// PredictWorkspace holds the grow-only scratch buffers batch prediction
+// works in: the candidate×train squared distances, the cross-kernel matrix,
+// the mean/variance outputs, and a reusable input-row matrix for callers that
+// assemble model inputs per batch. One workspace serves any sequence of
+// batches (buffers grow to the largest batch seen and are then reused), which
+// is what makes the EI scoring loop allocation-free per candidate. A
+// workspace must not be shared by concurrent calls; batch prediction
+// parallelizes internally.
 type PredictWorkspace struct {
-	ks         []float64 // m×n cross-kernel K(X*,X), row-major, overwritten by the variance solve
+	d2         []float64   // m×n squared distances |x*_i - x_j|², row-major; no hyperparameter enters
+	d2Rows     [][]float64 // the training rows d2 was measured against
+	ks         []float64   // m×n cross-kernel K(X*,X), row-major, overwritten by the variance solve
 	mean, vari []float64
 	inFlat     []float64
 	inRows     [][]float64
@@ -190,76 +196,155 @@ type PredictWorkspace struct {
 // with model inputs (decision point + context) and pass it to PredictBatch;
 // the rows stay valid until the next Inputs call.
 func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
-	if cap(w.inFlat) < m*d {
-		w.inFlat = make([]float64, m*d)
-	}
+	w.inFlat = growFloats(w.inFlat, m*d)
 	if cap(w.inRows) < m {
 		w.inRows = make([][]float64, m)
 	}
 	rows := w.inRows[:m]
-	flat := w.inFlat[:m*d]
 	for i := range rows {
-		rows[i] = flat[i*d : (i+1)*d]
+		rows[i] = w.inFlat[i*d : (i+1)*d]
 	}
 	return rows
 }
 
+// growFloats returns buf resliced to n, reallocating with half as much again
+// in reserve when it is too small: the BO loop's batches grow by one training
+// row per iteration, and an exact-fit buffer would be thrown away every time.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/2)
 	}
 	return buf[:n]
 }
 
 // PredictBatch returns the posterior means and variances at every row of xs
-// — numerically identical to calling Predict per row, but batched: the
-// cross-kernel matrix K(X*,X) is assembled once (row-parallel), the means
-// come from one row-parallel matrix-vector product against α, and the
-// variance forward-substitutions overwrite the cross-kernel rows in place,
-// so no per-candidate scratch is ever allocated. ws supplies the reusable
-// buffers (nil allocates a private workspace for the call); the returned
-// slices belong to the workspace and are valid until its next use.
+// — identical, bit for bit, to calling Predict per row, but batched: one
+// row-parallel pass measures the squared distances to the training rows, a
+// second maps them through the kernel (one exp per pair), takes the means
+// against α and runs the variance forward-substitutions four rows at a time
+// in place over the cross-kernel rows, so no per-candidate scratch is ever
+// allocated. ws supplies the reusable buffers (nil allocates a private
+// workspace for the call); the returned slices belong to the workspace and
+// are valid until its next use.
 func (g *GP) PredictBatch(xs [][]float64, ws *PredictWorkspace) (means, vars []float64) {
 	if ws == nil {
 		ws = &PredictWorkspace{}
 	}
-	m, n := len(xs), len(g.x)
+	g.crossDistances(xs, ws)
+	return g.predictFromDistances(len(xs), ws)
+}
+
+// PredictBatchShared runs PredictBatch on xs for every model and hands each
+// model's means and variances to visit (in model order; the slices are valid
+// only during the call). The squared distances do not depend on the
+// hyperparameters, so models that hold the same training rows — the
+// posterior samples of one EI-MCMC round — share a single distance pass and
+// differ only in the kernel map and the solve. Sharing is decided by
+// comparing the rows, not by trusting the caller: a model that does not hold
+// the rows of the pass in the workspace gets a distance pass of its own, so
+// every model's output equals its own PredictBatch.
+func PredictBatchShared(models []*GP, xs [][]float64, ws *PredictWorkspace, visit func(means, vars []float64)) {
+	for i, g := range models {
+		if i == 0 || !sameRows(g.x, ws.d2Rows) {
+			g.crossDistances(xs, ws)
+		}
+		visit(g.predictFromDistances(len(xs), ws))
+	}
+}
+
+// sameRows reports whether a and b hold the same points in the same order:
+// equally many rows, each sharing its storage with its counterpart. That is
+// how the models of one round hold them — fitted on one TrainSet (or refitted
+// from bo's own row slices) and grown by the same appends — and rows are
+// never written, so shared storage is equality with no need to read it.
+func sameRows(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, ra := range a {
+		rb := b[i]
+		if len(ra) != len(rb) || (len(ra) > 0 && &ra[0] != &rb[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// crossDistances fills ws.d2 with the squared distance from every row of xs
+// to every training row (row-parallel) and records which training rows they
+// were measured against.
+func (g *GP) crossDistances(xs [][]float64, ws *PredictWorkspace) {
+	n := len(g.x)
+	ws.d2 = growFloats(ws.d2, len(xs)*n)
+	ws.d2Rows = g.x
+	d2, train := ws.d2, g.x
+	mat.ParRange(len(xs), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := d2[i*n : (i+1)*n]
+			xi := xs[i]
+			j := 0
+			for ; j+3 < n; j += 4 {
+				row[j], row[j+1], row[j+2], row[j+3] = sqDist4(train[j], train[j+1], train[j+2], train[j+3], xi)
+			}
+			for ; j < n; j++ {
+				row[j] = sqDist(train[j], xi)
+			}
+		}
+	})
+}
+
+// predictFromDistances turns the first m rows of ws.d2 into posterior means
+// and variances under g's hyperparameters, factor and α.
+func (g *GP) predictFromDistances(m int, ws *PredictWorkspace) (means, vars []float64) {
+	n := len(g.x)
 	ws.ks = growFloats(ws.ks, m*n)
 	ws.mean = growFloats(ws.mean, m)
 	ws.vari = growFloats(ws.vari, m)
-	if m == 0 {
-		return ws.mean, ws.vari
-	}
-	ksm := mat.NewDense(m, n, ws.ks)
-	// Cross-kernel rows and the candidates' self-covariances.
+	d2, ks, mean, vari := ws.d2, ws.ks, ws.mean, ws.vari
+	k, alpha, chol, yMean, yStd := g.kern, g.alpha, g.chol, g.yMean, g.yStd
+	self := k.of(0) // every candidate's prior variance
 	mat.ParRange(m, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := ws.ks[i*n : (i+1)*n]
-			xi := xs[i]
-			for j, xj := range g.x {
-				row[j] = kernelEval(g.hyp, xj, xi)
+			row := ks[i*n : (i+1)*n]
+			for j, v := range d2[i*n : (i+1)*n] {
+				row[j] = k.of(v)
 			}
-			ws.vari[i] = kernelEval(g.hyp, xi, xi)
+			mean[i] = mat.Dot(row, alpha)*yStd + yMean
 		}
-	})
-	// Means: one row-parallel mat-vec against α, then de-standardize.
-	mat.ParMulVecInto(ksm, g.alpha, ws.mean, 0)
-	// Variances: v_i = L⁻¹·k*_i in place over each cross-kernel row.
-	mat.ParRange(m, 0, func(lo, hi int) {
+		// Variances: v_i = L⁻¹·k*_i in place over each cross-kernel row.
+		chol.SolveLowerBatch(ks[lo*n : hi*n])
 		for i := lo; i < hi; i++ {
-			row := ws.ks[i*n : (i+1)*n]
-			g.chol.SolveLowerVecInto(row, row)
-			v := ws.vari[i] - mat.Dot(row, row)
+			row := ks[i*n : (i+1)*n]
+			v := self - mat.Dot(row, row)
 			if v < 1e-12 {
 				v = 1e-12
 			}
-			ws.vari[i] = v * g.yStd * g.yStd
+			vari[i] = v * yStd * yStd
 		}
 	})
-	for i := range ws.mean {
-		ws.mean[i] = ws.mean[i]*g.yStd + g.yMean
-	}
-	return ws.mean, ws.vari
+	return mean, vari
+}
+
+// PredictMeans returns the posterior means at every row of xs — PredictBatch
+// without the variances and therefore without the forward solve per point,
+// which is most of PredictBatch's cost. The means are bit-identical to
+// PredictBatch's. The returned slice belongs to ws and is valid until its
+// next use.
+func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
+	ws.mean = growFloats(ws.mean, len(xs))
+	mean, train := ws.mean, g.x
+	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
+	mat.ParRange(len(xs), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xi := xs[i]
+			var s float64
+			for j, xj := range train {
+				s += k.of(sqDist(xj, xi)) * alpha[j]
+			}
+			mean[i] = s*yStd + yMean
+		}
+	})
+	return mean
 }
 
 // LogMarginalLikelihood returns the log evidence of the standardized

@@ -100,9 +100,10 @@ func TestKernelProperties(t *testing.T) {
 			a[i] = rng.Float64()
 			b[i] = rng.Float64()
 		}
-		kab := kernelEval(h, a, b)
-		kba := kernelEval(h, b, a)
-		kaa := kernelEval(h, a, a)
+		k := h.kernel()
+		kab := k.of(sqDist(a, b))
+		kba := k.of(sqDist(b, a))
+		kaa := k.of(sqDist(a, a))
 		// Symmetry, boundedness by the diagonal, positivity.
 		return kab == kba && kab > 0 && kab <= kaa+1e-12 &&
 			math.Abs(kaa-h.Signal2()) < 1e-12

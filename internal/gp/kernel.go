@@ -40,16 +40,51 @@ func (h Hyper) Signal2() float64 { return math.Exp(2 * h.LogSignal) }
 // Noise2 returns the noise variance σ_n².
 func (h Hyper) Noise2() float64 { return math.Exp(2 * h.LogNoise) }
 
-// kernelEval is the squared-exponential covariance
-// k(a,b) = σ_f² · exp(-|a-b|² / (2ℓ²)).
-func kernelEval(h Hyper, a, b []float64) float64 {
+// seKernel is the squared-exponential covariance
+// k(a,b) = σ_f² · exp(-|a-b|² / (2ℓ²)) with its two hyperparameter-dependent
+// constants evaluated once per Hyper, so a kernel value costs one exp — the
+// one that depends on the pair — instead of three.
+type seKernel struct {
+	s2  float64 // σ_f²
+	tl2 float64 // 2ℓ²
+}
+
+func (h Hyper) kernel() seKernel {
+	l := h.Len()
+	return seKernel{s2: h.Signal2(), tl2: 2 * l * l}
+}
+
+// of returns the covariance of two points at squared distance d2. of(0) is
+// exactly σ_f² (exp(-0) = 1).
+func (k seKernel) of(d2 float64) float64 { return k.s2 * math.Exp(-d2/k.tl2) }
+
+// sqDist is |a-b|², summed in feature order. Every distance in the package
+// — Fit, Predict, the batched cross pass, TrainSet's cache — goes through
+// this one loop, which is what keeps those paths bit-identical to each other.
+func sqDist(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	l := h.Len()
-	return h.Signal2() * math.Exp(-d2/(2*l*l))
+	return d2
+}
+
+// sqDist4 is sqDist from each of four points to b in one sweep of the
+// features: four independent sums where sqDist has one chain of dependent
+// additions. Each sum adds its terms in feature order, so every result is
+// sqDist's, bit for bit.
+func sqDist4(a0, a1, a2, a3, b []float64) (d0, d1, d2, d3 float64) {
+	a1, a2, a3, b = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)], b[:len(a0)]
+	for i := range a0 {
+		v := b[i]
+		e0, e1, e2, e3 := a0[i]-v, a1[i]-v, a2[i]-v, a3[i]-v
+		d0 += e0 * e0
+		d1 += e1 * e1
+		d2 += e2 * e2
+		d3 += e3 * e3
+	}
+	return d0, d1, d2, d3
 }
 
 // logPrior is a weakly-informative Gaussian prior over the log

@@ -15,8 +15,10 @@ import (
 // the pairwise squared-distance matrix (the only input-dependent part of the
 // squared-exponential kernel) and the standardized targets. With it, one
 // logPosterior evaluation is an elementwise exp map over the cached
-// distances plus an in-place Cholesky refactorization in a caller-supplied
-// workspace — no kernel reassembly from the raw inputs and no allocations —
+// distances (or, while the length-scale stands still, a rescale of the map
+// the workspace kept) plus an in-place Cholesky refactorization in a
+// caller-supplied workspace — no kernel reassembly from the raw inputs and
+// no allocations —
 // where the Fit-per-step path pays an O(n²·d) assembly and ~2n² fresh floats
 // every slice-sampling step. The slice sampler evaluates the posterior
 // hundreds of times per MCMC run, which is why this is the training-side hot
@@ -60,21 +62,15 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 	// (writes are disjoint by row, so the parallel result is deterministic).
 	// Only the strict lower triangle is filled — the kernel assembly never
 	// reads the diagonal (always σ_f²+σ_n²+jitter) or the upper triangle —
-	// which halves the O(n²·d) assembly work. The feature loop matches
-	// kernelEval's summation order exactly, so the cached distances — and
-	// everything derived from them — are bit-identical to the per-pair
-	// recomputation they replace.
+	// which halves the O(n²·d) assembly work. sqDist is the loop Fit runs
+	// per pair, so the cached distances — and everything derived from them —
+	// are bit-identical to the per-pair recomputation they replace.
 	mat.ParRange(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := ts.d2[i*n : i*n+i]
 			xi := ts.x[i]
 			for j, xj := range ts.x[:i] {
-				var s float64
-				for k := range xi {
-					dk := xi[k] - xj[k]
-					s += dk * dk
-				}
-				row[j] = s
+				row[j] = sqDist(xi, xj)
 			}
 		}
 	})
@@ -99,12 +95,26 @@ func (ts *TrainSet) N() int { return ts.n }
 // whole MCMC chain runs with zero per-step allocations. A workspace must not
 // be shared by concurrent LogPosterior calls — the multi-chain sampler gives
 // every worker its own.
+//
+// The workspace also keeps the correlation matrix exp(-d²/2ℓ²) of the last
+// evaluation. It depends on the training set and the length-scale only, and
+// a slice-sampling update moves one coordinate: every evaluation along
+// LogSignal or LogNoise — two updates in three, with all their step-out and
+// shrink probes — finds the length-scale it left and rescales the cached
+// matrix instead of taking n²/2 exponentials again.
 type FitWorkspace struct {
 	kern  []float64  // n×n kernel matrix, refactored in place each evaluation
 	kmat  *mat.Dense // wraps kern; rebuilt only when the size changes
 	alpha []float64
 	w     []float64
 	chol  mat.Cholesky
+
+	// corr is exp(-d²/2ℓ²) (n×n, strict lower triangle) of corrTS at
+	// corrLogLen; a nil corrTS means it holds nothing. Keeping the pointer
+	// keeps that set alive, so no later TrainSet can be mistaken for it.
+	corr       []float64
+	corrTS     *TrainSet
+	corrLogLen float64
 }
 
 // dims reports the current kernel-buffer shape (0,0 before first use).
@@ -127,6 +137,7 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 	if r, _ := ws.dims(); r != n {
 		ws.kern = make([]float64, n*n)
 		ws.kmat = mat.NewDense(n, n, ws.kern)
+		ws.corr = make([]float64, n*n) // of another set's size, so corrTS != ts below
 	}
 	ws.alpha = growFloats(ws.alpha, n)
 	ws.w = growFloats(ws.w, n)
@@ -134,14 +145,20 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// The cached correlations are good for this set at this length-scale and
+	// nothing else: a workspace that last served another TrainSet — of the
+	// same size or not — or another LogLen takes the exponentials afresh.
+	fresh := ws.corrTS != ts || ws.corrLogLen != h.LogLen
+	ws.corrTS, ws.corrLogLen = ts, h.LogLen
+
 	// The serial case maps the rows with a direct call: the parallel
 	// branch's closure escapes to ParRange's workers, and the chain hot path
 	// (one chain per worker, serial map) must not allocate at all.
-	kern := ws.kern
+	kern, corr := ws.kern, ws.corr
 	if workers == 1 {
-		ts.assembleRows(kern, h, 0, n)
+		ts.assembleRows(kern, corr, fresh, h, 0, n)
 	} else {
-		mat.ParRange(n, workers, func(lo, hi int) { ts.assembleRows(kern, h, lo, hi) })
+		mat.ParRange(n, workers, func(lo, hi int) { ts.assembleRows(kern, corr, fresh, h, lo, hi) })
 	}
 
 	if err := ws.chol.FactorInPlace(ws.kmat); err != nil {
@@ -160,12 +177,13 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 func (ts *TrainSet) Fit(h Hyper) (*GP, error) {
 	n := ts.n
 	g := &GP{
-		x:   append([][]float64(nil), ts.x...),
-		y:   append([]float64(nil), ts.y...),
-		hyp: h,
+		x:    append([][]float64(nil), ts.x...),
+		y:    append([]float64(nil), ts.y...),
+		hyp:  h,
+		kern: h.kernel(),
 	}
 	kern := make([]float64, n*n)
-	ts.assembleRows(kern, h, 0, n)
+	ts.assembleRows(kern, kern, true, h, 0, n) // correlations scaled where they stand
 	var chol mat.Cholesky
 	if err := chol.FactorInPlace(mat.NewDense(n, n, kern)); err != nil {
 		return nil, fmt.Errorf("gp: covariance not PD: %w", err)
@@ -176,40 +194,49 @@ func (ts *TrainSet) Fit(h Hyper) (*GP, error) {
 }
 
 // assembleRows writes rows [lo,hi) of the kernel matrix
-// K = σ_f²·exp(-d²/(2ℓ²)) + (σ_n² + jitter)·I into kern (n×n row-major)
-// from the cached distances. Only the lower triangle and diagonal are
-// written: the factorization and the triangular solves never read above the
-// diagonal. The expression shapes (division by 2ℓ², the diagonal's addition
-// order) mirror kernelEval and Fit's AddDiag exactly, so the assembled
-// matrix — and therefore the factor, α and the evidence — is bit-identical
-// to the Fit-based path; LogPosterior and TrainSet.Fit both build on this
-// one helper so the two paths cannot drift apart.
-func (ts *TrainSet) assembleRows(kern []float64, h Hyper, lo, hi int) {
+// K = σ_f²·exp(-d²/(2ℓ²)) + (σ_n² + jitter)·I into kern (n×n row-major).
+// The exponentials go through corr: with fresh set they are taken from the
+// cached distances and stored there first, otherwise corr already holds them
+// for h's length-scale and the rows are only rescaled. corr may be kern
+// itself. Only the lower triangle and diagonal are written: the
+// factorization and the triangular solves never read above the diagonal.
+// The expression shapes (division by 2ℓ², the product with σ_f², the
+// diagonal's addition order) are seKernel.of's and Fit's AddDiag, so the
+// assembled matrix — and therefore the factor, α and the evidence — is
+// bit-identical to the Fit-based path whether or not the exponentials were
+// reused; LogPosterior and TrainSet.Fit both build on this one helper so the
+// two paths cannot drift apart.
+func (ts *TrainSet) assembleRows(kern, corr []float64, fresh bool, h Hyper, lo, hi int) {
 	n := ts.n
-	l := h.Len()
-	tl2 := 2 * l * l
-	s2 := h.Signal2()
-	diag := s2 + (h.Noise2() + 1e-8)
+	k := h.kernel()
+	diag := k.s2 + (h.Noise2() + 1e-8)
 	for i := lo; i < hi; i++ {
+		crow := corr[i*n : i*n+i]
+		if fresh {
+			for j, v := range ts.d2[i*n : i*n+i] {
+				crow[j] = math.Exp(-v / k.tl2)
+			}
+		}
 		row := kern[i*n : i*n+i]
-		for j, v := range ts.d2[i*n : i*n+i] {
-			row[j] = s2 * math.Exp(-v/tl2)
+		for j, c := range crow {
+			row[j] = k.s2 * c
 		}
 		kern[i*n+i] = diag
 	}
 }
 
 // logMLInto is logML with a caller-supplied buffer for w = Lᵀ·α, so the
-// evidence computation allocates nothing.
+// evidence computation allocates nothing. L is walked the way it is stored,
+// row by row; w[i] still receives its terms L[k][i]·α[k] in ascending k, as
+// a column-wise reduction would add them.
 func logMLInto(chol *mat.Cholesky, alpha, w []float64) float64 {
 	n := len(alpha)
-	l := chol.L()
-	for i := 0; i < n; i++ {
-		var s float64
-		for k := i; k < n; k++ {
-			s += l.At(k, i) * alpha[k]
+	clear(w)
+	for k, ak := range alpha {
+		wk := w[:k+1]
+		for i, l := range chol.L().RowView(k)[:k+1] {
+			wk[i] += l * ak
 		}
-		w[i] = s
 	}
 	quad := mat.Dot(w, w)
 	return -0.5*quad - 0.5*chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)

@@ -95,6 +95,94 @@ func TestTrainSetLogPosteriorZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLogPosteriorCorrelationCacheExact: a workspace that keeps its
+// correlation matrix between evaluations must return, at every step of any
+// sequence, exactly what a fresh workspace returns — along runs that hold
+// LogLen (cache hits), across LogLen moves and returns (misses), when the
+// same workspace then serves a different TrainSet of equal size at the very
+// LogLen it last cached (the stale-cache guard: same n, same key, other
+// distances), across a size change, and at 1, 2 and 4 workers.
+func TestLogPosteriorCorrelationCacheExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	xa, ya := trainSet(40, 5, rng)
+	xb, yb := trainSet(40, 5, rng)
+	xc, yc := trainSet(23, 5, rng)
+	var sets []*TrainSet
+	for _, d := range []struct {
+		x [][]float64
+		y []float64
+	}{{xa, ya}, {xb, yb}, {xc, yc}} {
+		ts, err := NewTrainSet(d.x, d.y, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, ts)
+	}
+	// A slice-sampler-shaped walk: one coordinate moves per step, so LogLen
+	// stands still for runs of steps and sometimes comes back to an old value.
+	lens := []float64{math.Log(0.4), math.Log(0.15), math.Log(1.3)}
+	var walk []Hyper
+	h := DefaultHyper()
+	for i := 0; i < 60; i++ {
+		switch i % 5 {
+		case 0:
+			h.LogLen = lens[rng.Intn(len(lens))]
+		case 1, 2:
+			h.LogSignal = rng.NormFloat64() * 0.7
+		default:
+			h.LogNoise = math.Log(0.1) + rng.NormFloat64()*0.7
+		}
+		walk = append(walk, h)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var cached FitWorkspace
+		hits := 0
+		for i, h := range walk {
+			// Sets A and B alternate in blocks, so a block often opens at
+			// the LogLen the other set just cached; C changes the size.
+			ts := sets[(i/7)%3]
+			if cached.corrTS == ts && cached.corrLogLen == h.LogLen {
+				hits++
+			}
+			var fresh FitWorkspace
+			want := ts.LogPosterior(h, &fresh, 1)
+			if got := ts.LogPosterior(h, &cached, workers); got != want {
+				t.Fatalf("workers=%d step %d set %d h=%+v: cached workspace %v, fresh %v", workers, i, (i/7)%3, h, got, want)
+			}
+		}
+		if hits < len(walk)/3 {
+			t.Fatalf("walk reused the correlations on %d of %d steps; the cache is not being exercised", hits, len(walk))
+		}
+	}
+}
+
+// TestLogMLMatchesColumnwiseReduction: the row-major accumulation of Lᵀα
+// must give the evidence of the column-at-a-time reduction it replaced,
+// exactly.
+func TestLogMLMatchesColumnwiseReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{1, 2, 17, 64} {
+		xs, ys := trainSet(n, 4, rng)
+		g, err := Fit(xs, ys, DefaultHyper())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := g.chol.L()
+		var quad float64
+		for i := 0; i < n; i++ {
+			var s float64
+			for k := i; k < n; k++ {
+				s += l.At(k, i) * g.alpha[k]
+			}
+			quad += s * s
+		}
+		want := -0.5*quad - 0.5*g.chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
+		if got := g.LogMarginalLikelihood(); got != want {
+			t.Fatalf("n=%d: row-major evidence %v, column-wise %v", n, got, want)
+		}
+	}
+}
+
 // TestTrainSetFitMatchesFit: a GP materialized from the cached distances
 // must be indistinguishable from gp.Fit on the same data — and must stay an
 // independent model (appending to it does not corrupt the TrainSet).

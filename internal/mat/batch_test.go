@@ -191,24 +191,78 @@ func TestParRangeCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestParMulVecMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := NewDense(37, 21, nil)
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 21; j++ {
-			a.Set(i, j, rng.NormFloat64())
+// TestSolveLowerBatchMatchesVec: the four-rows-per-sweep solve must return,
+// for every row, exactly what SolveLowerVecInto returns for that row alone —
+// at every remainder of the four-row grouping, on either side of n = 64, and
+// however ParRange cuts the rows into blocks across 1, 2 or 4 workers (a
+// block boundary moves rows between the grouped and the row-at-a-time loop).
+func TestSolveLowerBatchMatchesVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 63, 64, 65} {
+		c, err := NewCholesky(randomSPD(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{0, 1, 3, 4, 5, 577} {
+			b := make([]float64, m*n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want := make([]float64, m*n)
+			for r := 0; r < m; r++ {
+				c.SolveLowerVecInto(b[r*n:(r+1)*n], want[r*n:(r+1)*n])
+			}
+			for _, workers := range []int{1, 2, 4} {
+				got := append([]float64(nil), b...)
+				ParRange(m, workers, func(lo, hi int) { c.SolveLowerBatch(got[lo*n : hi*n]) })
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d m=%d workers=%d: row %d col %d: batch %v vs vec %v",
+							n, m, workers, i/n, i%n, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
-	x := make([]float64, 21)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := MulVec(a, x)
-	got := make([]float64, 37)
-	ParMulVecInto(a, x, got, 4)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("row %d: parallel %v != serial %v", i, got[i], want[i])
+	c, _ := NewCholesky(randomSPD(3, rng))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ragged batch did not panic")
+		}
+	}()
+	c.SolveLowerBatch(make([]float64, 7))
+}
+
+// TestFactorLowerMatchesRowAtATime pins the four-row column sweep of
+// factorLower to the textbook recurrence it regroups: same factor, bit for
+// bit, at every remainder of the grouping.
+func TestFactorLowerMatchesRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 1; n <= 70; n++ {
+		a := randomSPD(n, rng)
+		want := a.Clone()
+		for j := 0; j < n; j++ {
+			for i := j; i < n; i++ {
+				s := want.At(i, j)
+				for k := 0; k < j; k++ {
+					s -= want.At(i, k) * want.At(j, k)
+				}
+				if i == j {
+					want.Set(j, j, math.Sqrt(s))
+				} else {
+					want.Set(i, j, s/want.At(j, j))
+				}
+			}
+		}
+		if err := factorLower(a); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				if a.At(i, j) != want.At(i, j) {
+					t.Fatalf("n=%d: L[%d][%d] = %v, row-at-a-time %v", n, i, j, a.At(i, j), want.At(i, j))
+				}
+			}
 		}
 	}
 }

@@ -54,8 +54,28 @@ func factorLower(l *Dense) error {
 		}
 		dj := math.Sqrt(d)
 		lrowj[j] = dj
-		lj := lrowj[:j]              // explicit length match with the i-row prefix: lets
-		for i := j + 1; i < n; i++ { // the compiler drop the lj[k] bounds check
+		// Column j below the diagonal, four rows per sweep of row j: each
+		// row's dot product is a chain of dependent subtractions, and four
+		// independent chains keep the floating-point unit busy where one
+		// waits on itself. Every element still subtracts its own terms in
+		// ascending k, so the factor is the one a row-at-a-time loop gives.
+		// The prefixes of explicit length j let the compiler drop the bounds
+		// checks in the inner loops.
+		lj := lrowj[:j]
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			r0, r1, r2, r3 := ld[i*n:i*n+j+1], ld[(i+1)*n:(i+1)*n+j+1], ld[(i+2)*n:(i+2)*n+j+1], ld[(i+3)*n:(i+3)*n+j+1]
+			p0, p1, p2, p3 := r0[:j], r1[:j], r2[:j], r3[:j]
+			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+			for k, v := range lj {
+				s0 -= p0[k] * v
+				s1 -= p1[k] * v
+				s2 -= p2[k] * v
+				s3 -= p3[k] * v
+			}
+			r0[j], r1[j], r2[j], r3[j] = s0/dj, s1/dj, s2/dj, s3/dj
+		}
+		for ; i < n; i++ {
 			lrowi := ld[i*n : i*n+j+1]
 			s := lrowi[j]
 			for k, v := range lrowi[:j] {
@@ -201,6 +221,44 @@ func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 		dst[i] = s / lrow[i]
 	}
 	return dst
+}
+
+// SolveLowerBatch solves L·y = b in place for every length-n row of the
+// row-major matrix b — the multi-right-hand-side form of SolveLowerVecInto
+// that batch prediction runs over its cross-kernel rows. Four rows are
+// solved per sweep of L: each L element is loaded once for four independent
+// dependency chains, which is what a lone forward substitution (one
+// subtract waiting on the last) cannot offer the processor. Every row still
+// subtracts its own terms in ascending k, so each row's result is
+// bit-identical to SolveLowerVecInto's wherever the row falls in b — the
+// output cannot depend on how callers chunk rows across workers.
+func (c *Cholesky) SolveLowerBatch(b []float64) {
+	n, _ := c.l.Dims()
+	if len(b)%n != 0 {
+		panic("mat: Cholesky.SolveLowerBatch length is not a multiple of n")
+	}
+	ld := c.l.data
+	for ; len(b) >= 4*n; b = b[4*n:] {
+		b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+		for i := 0; i < n; i++ {
+			lrow := ld[i*n : i*n+i+1]
+			s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+			// Prefixes of explicit length i: lets the compiler drop the
+			// p*[k] bounds checks in the inner loop.
+			p0, p1, p2, p3 := b0[:i], b1[:i], b2[:i], b3[:i]
+			for k, l := range lrow[:i] {
+				s0 -= l * p0[k]
+				s1 -= l * p1[k]
+				s2 -= l * p2[k]
+				s3 -= l * p3[k]
+			}
+			d := lrow[i]
+			b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; len(b) > 0; b = b[n:] {
+		c.SolveLowerVecInto(b[:n], b[:n])
+	}
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

@@ -149,8 +149,7 @@ func MulVec(a *Dense, x []float64) []float64 {
 	return MulVecInto(a, x, make([]float64, a.rows))
 }
 
-// MulVecInto computes a·x into dst (length rows) and returns dst —
-// the allocation-free form batch prediction builds on.
+// MulVecInto computes a·x into dst (length rows) and returns dst.
 func MulVecInto(a *Dense, x, dst []float64) []float64 {
 	if a.cols != len(x) {
 		panic(fmt.Sprintf("mat: MulVec shape mismatch %d×%d · %d", a.rows, a.cols, len(x)))
@@ -158,13 +157,7 @@ func MulVecInto(a *Dense, x, dst []float64) []float64 {
 	if len(dst) != a.rows {
 		panic(fmt.Sprintf("mat: MulVecInto dst length %d, want %d", len(dst), a.rows))
 	}
-	mulVecRange(a, x, dst, 0, a.rows)
-	return dst
-}
-
-// mulVecRange computes rows [lo,hi) of a·x into dst.
-func mulVecRange(a *Dense, x, dst []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		var s float64
 		for j, v := range row {
@@ -172,6 +165,7 @@ func mulVecRange(a *Dense, x, dst []float64, lo, hi int) {
 		}
 		dst[i] = s
 	}
+	return dst
 }
 
 // Add returns a+b.

@@ -53,17 +53,3 @@ func ParRange(n, workers int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ParMulVecInto computes a·x into dst like MulVecInto, fanning row blocks
-// over ParRange. Each row is reduced serially by one worker, so the result
-// is bit-identical to the serial product.
-func ParMulVecInto(a *Dense, x, dst []float64, workers int) []float64 {
-	if a.cols != len(x) {
-		panic("mat: ParMulVecInto shape mismatch")
-	}
-	if len(dst) != a.rows {
-		panic("mat: ParMulVecInto dst length mismatch")
-	}
-	ParRange(a.rows, workers, func(lo, hi int) { mulVecRange(a, x, dst, lo, hi) })
-	return dst
-}

@@ -74,8 +74,12 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 	if err := model.Fit(xs, ys); err != nil {
 		return nil, err
 	}
+	// One model row serves every GA candidate of the session.
+	row := make([]float64, space.Dim()+1)
+	row[space.Dim()] = targetGB / 1024
 	predict := func(c conf.Config) float64 {
-		return model.Predict(append(space.Encode(c), targetGB/1024))
+		space.EncodeInto(row[:space.Dim()], c)
+		return model.Predict(row)
 	}
 
 	// Genetic search over the model (no cluster time consumed). Genomes are

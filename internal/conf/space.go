@@ -122,10 +122,17 @@ func (s *Space) LHS(n int, rng *rand.Rand) []Config {
 
 // Encode maps a configuration to the unit cube [0,1]^38 for model input.
 func (s *Space) Encode(c Config) []float64 {
-	if len(c) != NumParams {
-		panic(fmt.Sprintf("conf: Encode config length %d", len(c)))
-	}
 	u := make([]float64, NumParams)
+	s.EncodeInto(u, c)
+	return u
+}
+
+// EncodeInto is Encode writing into u, which must have length 38: for
+// callers that encode many configurations into one buffer.
+func (s *Space) EncodeInto(u []float64, c Config) {
+	if len(c) != NumParams || len(u) != NumParams {
+		panic(fmt.Sprintf("conf: Encode config length %d into %d", len(c), len(u)))
+	}
 	for i := range c {
 		r := s.ranges[i]
 		if r.Width() == 0 {
@@ -134,7 +141,6 @@ func (s *Space) Encode(c Config) []float64 {
 		}
 		u[i] = (c[i] - r.Lo) / r.Width()
 	}
-	return u
 }
 
 // Decode maps a unit-cube point back to a valid configuration (rounding

@@ -5,6 +5,12 @@
 // (0,1)), and K-Nearest-Neighbor regression (KNNAR). GBRT additionally
 // exposes split-gain feature importances, which is how the GBRT-based
 // important-parameter identification baseline of Figure 17 works.
+//
+// A GBRT fit is a function of its inputs alone. Wherever the tree builder
+// orders rows by a feature, rows of equal value are ordered by row index, so
+// no prediction or importance depends on how a sort algorithm happens to
+// leave ties — and ties are the common case here, since most Spark
+// parameters are boolean, categorical or integer.
 package ml
 
 import (

@@ -142,3 +142,60 @@ func TestSeedEquivalenceAcrossDrivers(t *testing.T) {
 		}
 	}
 }
+
+// Runs draw from pooled, re-seeded generators. Every result must equal the
+// one a freshly allocated source of the same seed gives, at any worker count
+// (workers share the pool), and a run must no longer allocate its source.
+func TestPooledRNGMatchesFreshSource(t *testing.T) {
+	cl := X86()
+	app := testApp()
+	space := cl.Space()
+	rng := rand.New(rand.NewSource(23))
+	cs := make([]conf.Config, 40)
+	for i := range cs {
+		cs[i] = space.Random(rng)
+	}
+	sizes := func(i int) float64 { return 100 + 50*float64(i%3) }
+	const seed = 41
+	fresh := func(idx uint64) *rand.Rand { return rand.New(rand.NewSource(runSeed(seed, idx))) }
+
+	oracle := New(cl, seed)
+	wantApp := make([]AppResult, len(cs))
+	wantQuery := make([]QueryResult, len(cs))
+	for i, c := range cs {
+		wantApp[i] = oracle.runApp(fresh(uint64(i)), app, c, sizes(i))
+		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), joinQuery(), c, sizes(i))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		s := New(cl, seed)
+		got, done := s.RunBatch(app, cs, sizes, workers, nil)
+		if done != len(cs) || !reflect.DeepEqual(got, wantApp) {
+			t.Fatalf("workers=%d: RunAppAt over pooled generators diverges from fresh sources", workers)
+		}
+		var wg sync.WaitGroup
+		gotQuery := make([]QueryResult, len(cs))
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(cs); i += workers {
+					gotQuery[i] = s.RunQueryAt(uint64(i), joinQuery(), cs[i], sizes(i))
+				}
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(gotQuery, wantQuery) {
+			t.Fatalf("workers=%d: RunQueryAt over pooled generators diverges from fresh sources", workers)
+		}
+	}
+
+	// What is left is the result's query slice (the fresh-source run made
+	// two more: the source and its rand.Rand).
+	s := New(cl, seed)
+	if allocs := testing.AllocsPerRun(100, func() { s.RunAppAt(3, app, cs[3], 100) }); allocs > 1 {
+		t.Fatalf("RunAppAt allocates %v times per run, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.RunQueryAt(3, joinQuery(), cs[3], 100) }); allocs > 0 {
+		t.Fatalf("RunQueryAt allocates %v times per run, want 0", allocs)
+	}
+}

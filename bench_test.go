@@ -23,6 +23,7 @@ import (
 	"locat/internal/mat"
 	"locat/internal/ml"
 	"locat/internal/qcsa"
+	"locat/internal/service"
 	"locat/internal/sparksim"
 	"locat/internal/stat"
 	"locat/internal/workloads"
@@ -601,6 +602,116 @@ func BenchmarkCVConvergence(b *testing.B) {
 	}
 	_ = stat.CV // keep the import honest if the metric below changes
 	b.ReportMetric(mean, "meanCV")
+}
+
+// historyEntry is a finished session the size benchmark/serve.go seeds its
+// store with: 16 observations of 38 parameters and 100 per-query latencies.
+// Key i of a store is one cluster, benchmark, technique set and size bucket.
+func historyEntry(key int) service.Entry {
+	e := service.Entry{
+		Fingerprint: service.Fingerprint{
+			Cluster: Clusters()[key%2], Benchmark: Benchmarks()[key/2%5],
+			Techniques: []string{"qid", "qi"}[key/10%2], SizeBucket: key / 20,
+		},
+		CreatedUnix: 1_600_000_000, TargetGB: 128, TunedSec: 321.5, OverheadSec: 9876.5,
+		BestParams: map[string]float64{}, Sensitive: []string{"q3", "q7"},
+	}
+	for _, p := range conf.Params() {
+		e.BestParams[p.Name] = 4
+	}
+	for i := 0; i < 16; i++ {
+		o := service.Observation{Params: make([]float64, len(conf.Params())), DataGB: 128, Sec: 400 + float64(i), QuerySecs: map[string]float64{}}
+		for q := 0; q < 100; q++ {
+			o.QuerySecs[fmt.Sprintf("q%d", q+1)] = 1.25 * float64(q+i+1)
+		}
+		e.Obs = append(e.Obs, o)
+	}
+	return e
+}
+
+// historyEntries is one session per key; session stamps a copy as the
+// serial-th session written, later than every one before it.
+func historyEntries(keys int) []service.Entry {
+	out := make([]service.Entry, keys)
+	for k := range out {
+		out[k] = historyEntry(k)
+	}
+	return out
+}
+
+func session(entries []service.Entry, serial int) service.Entry {
+	e := entries[serial%len(entries)]
+	e.JobID = fmt.Sprintf("job-%06d", serial)
+	e.CreatedUnix += int64(serial)
+	return e
+}
+
+// historyStore fills a fresh FileStore with three sessions under each key
+// and sets the key cap, as a running service does.
+func historyStore(b *testing.B, entries []service.Entry) *service.FileStore {
+	fs, err := service.NewFileStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3*len(entries); i++ {
+		if err := fs.Put(session(entries, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fs.SetMaxKeys(2 * len(entries))
+	return fs
+}
+
+// historyAppends is how many sessions a benchmark adds under one key before
+// it starts over on a fresh store: with the three seeded it stays below the
+// 32-entry cap, where a write decodes and re-encodes the whole shard.
+const historyAppends = 24
+
+// BenchmarkFileStorePut measures what persisting one finished session costs
+// the history store at 200 and 1000 keys: the write appends to a shard of
+// three or more entries and evicts from the key cap without listing the
+// directory, so neither the shard's size nor the key count should show.
+func BenchmarkFileStorePut(b *testing.B) {
+	for _, keys := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("Keys%d", keys), func(b *testing.B) {
+			entries := historyEntries(keys)
+			fs := historyStore(b, entries)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%(keys*historyAppends) == 0 {
+					b.StopTimer()
+					fs = historyStore(b, entries)
+					b.StartTimer()
+				}
+				if err := fs.Put(session(entries, 3*keys+i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPersistIndex measures the index half of persisting a session at
+// 600 indexed items: featurize the entry, upsert it and append one record to
+// the index file, with the snapshot rewrites that compaction adds averaged in.
+func BenchmarkPersistIndex(b *testing.B) {
+	const keys = 200
+	entries := historyEntries(keys)
+	rc := service.NewRecommender(historyStore(b, entries))
+	if rc.Len() != 3*keys {
+		b.Fatalf("index holds %d items, want %d", rc.Len(), 3*keys)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%(keys*historyAppends) == 0 {
+			b.StopTimer()
+			rc = service.NewRecommender(historyStore(b, entries))
+			b.StartTimer()
+		}
+		rc.Add(session(entries, 3*keys+i))
+	}
 }
 
 // newBenchRng returns a seeded RNG for benchmark workload generation.

@@ -186,7 +186,7 @@ func main() {
 		handler = mux
 	}
 
-	srv := &http.Server{Addr: c.addr, Handler: handler}
+	srv := newServer(c.addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "locat-serve: listening on %s (workers=%d, store=%s)\n",
@@ -212,6 +212,19 @@ func main() {
 		_ = srv.Shutdown(ctx)
 		cancel()
 	}
+}
+
+// A client gets readHeaderTimeout to send its request headers and an idle
+// keep-alive connection is closed after idleTimeout, so a stalled or
+// forgotten client cannot hold a connection for ever. Bodies and responses
+// carry no deadline: a result can be large and a client slow to read it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func storeDesc(dir string) string {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"io"
+	"net"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"locat"
 )
@@ -101,5 +104,45 @@ func TestChaosSpecRejectedAtStartup(t *testing.T) {
 	}
 	if _, err := locat.NewService(c.opts); err == nil || !strings.Contains(err.Error(), "chaos") {
 		t.Fatalf("NewService error = %v; want chaos-spec rejection", err)
+	}
+}
+
+// TestStalledClientIsDisconnected: the server main builds sets the header and
+// idle deadlines, and a client that stops half-way through its headers has
+// its connection closed instead of holding it.
+func TestStalledClientIsDisconnected(t *testing.T) {
+	srv := newServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 ||
+		srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("server deadlines: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 50 * time.Millisecond // the test does not wait out the real one
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: stalled\r\nX-Half")); err != nil {
+		t.Fatal(err)
+	}
+	// Far longer than the deadline: a server without one fails here.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, err := io.ReadAll(conn) // returns once the server closes its side
+	if err != nil {
+		t.Fatalf("the server kept a stalled connection open: %v", err)
+	}
+	if strings.HasPrefix(string(reply), "HTTP/1.1 2") {
+		t.Fatalf("half a request was served: %q", reply)
 	}
 }

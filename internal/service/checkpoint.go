@@ -108,14 +108,11 @@ func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("service: encode checkpoint: %w", err)
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("service: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("service: commit checkpoint: %w", err)
-	}
-	return nil
+	_, err = writeAtomic(p, "checkpoint", func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	return err
 }
 
 // GetCheckpoint implements CheckpointStore.

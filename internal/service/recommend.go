@@ -111,6 +111,10 @@ type Recommendation struct {
 // store's persistent index file (when the store has one) and synced against
 // the store's actual contents; entries evicted from the store afterwards are
 // compacted out lazily when retrieval finds them gone.
+//
+// The index file is a log: construction writes a snapshot of the live items,
+// every later change appends one record, and once the appended records
+// outnumber the live items the snapshot is written again.
 type Recommender struct {
 	store Store
 	path  string // index file ("" = in-memory only)
@@ -120,8 +124,9 @@ type Recommender struct {
 	// (mirrors Config.MaxPriorObs).
 	maxPriorObs int
 
-	mu sync.Mutex // serializes index mutation + persistence
-	ix *retrieve.Index
+	mu       sync.Mutex // serializes index mutation + persistence
+	ix       *retrieve.Index
+	appended int // records in the index file after its snapshot
 }
 
 // NewRecommender builds a recommender over the store, loading the persisted
@@ -234,7 +239,7 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 // rebuild syncs the index with the store: featurize entries the index does
 // not know (preserving already-persisted vectors, which is the point of the
 // index file), compact out entries the store no longer holds, and persist
-// the result.
+// the result as a fresh snapshot, whatever the file held before.
 func (rc *Recommender) rebuild() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -244,7 +249,6 @@ func (rc *Recommender) rebuild() {
 		return
 	}
 	alive := map[string]bool{}
-	changed := false
 	for _, k := range keys {
 		entries, err := rc.store.Get(k)
 		if err != nil {
@@ -259,23 +263,39 @@ func (rc *Recommender) rebuild() {
 			}
 			if it, ok := indexItem(e); ok {
 				rc.ix.Upsert(it)
-				changed = true
 			}
 		}
 	}
-	if rc.ix.Compact(func(it retrieve.Item) bool { return alive[it.ID] }) > 0 {
-		changed = true
+	rc.ix.Compact(func(it retrieve.Item) bool { return alive[it.ID] })
+	rc.saveLocked()
+}
+
+// Add indexes the entry the store has just been given — the post-persist
+// hook. While the index holds fewer items under the entry's key than a shard
+// may hold entries, the store cannot have dropped one to make room, so the
+// entry is all that changed; from there on Sync reconciles the key.
+func (rc *Recommender) Add(e Entry) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if key := e.Fingerprint.Key(); rc.ix.KeyLen(key) >= maxEntriesPerKey {
+		rc.syncLocked(key)
+		return
 	}
-	if changed {
-		rc.saveLocked()
+	if it, ok := indexItem(e); ok {
+		rc.ix.Upsert(it)
+		rc.appendLocked(retrieve.Record{Item: it})
 	}
 }
 
-// Sync refreshes the index for one store key — the post-persist hook: newly
-// written entries are indexed, entries the per-key cap evicted are dropped.
+// Sync refreshes the index for one store key from the store: entries it does
+// not know are indexed, entries the per-key cap evicted are dropped.
 func (rc *Recommender) Sync(key string) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	rc.syncLocked(key)
+}
+
+func (rc *Recommender) syncLocked(key string) {
 	entries, err := rc.store.Get(key)
 	if err != nil {
 		progress.F(rc.logf, "recommender: index sync %s: %v", key, err)
@@ -296,7 +316,7 @@ func (rc *Recommender) Sync(key string) {
 	rc.saveLocked()
 }
 
-// saveLocked persists the index when the store keeps one.
+// saveLocked persists the index as a snapshot when the store keeps one.
 func (rc *Recommender) saveLocked() {
 	if rc.path == "" {
 		return
@@ -304,6 +324,26 @@ func (rc *Recommender) saveLocked() {
 	if err := rc.ix.Save(rc.path); err != nil {
 		progress.F(rc.logf, "recommender: index save: %v", err)
 	}
+	rc.appended = 0
+}
+
+// appendLocked persists changes already made to the index by appending their
+// records to the index file. When that would leave more appended records than
+// live items, or the append fails, the snapshot is rewritten instead.
+func (rc *Recommender) appendLocked(recs ...retrieve.Record) {
+	if rc.path == "" {
+		return
+	}
+	if rc.appended+len(recs) > rc.ix.Len() {
+		rc.saveLocked()
+		return
+	}
+	if err := retrieve.Append(rc.path, recs...); err != nil {
+		progress.F(rc.logf, "recommender: index append: %v", err)
+		rc.saveLocked()
+		return
+	}
+	rc.appended += len(recs)
 }
 
 // Recommend retrieves the k nearest history entries for the spec,
@@ -352,10 +392,12 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	}
 	if len(stale) > 0 {
 		rc.mu.Lock()
-		for _, id := range stale {
+		gone := make([]retrieve.Record, len(stale))
+		for i, id := range stale {
 			rc.ix.Remove(id)
+			gone[i] = retrieve.Record{Item: retrieve.Item{ID: id}, Del: true}
 		}
-		rc.saveLocked()
+		rc.appendLocked(gone...)
 		rc.mu.Unlock()
 	}
 

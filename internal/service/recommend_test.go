@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -298,6 +299,147 @@ func TestRecommendIndexPersistence(t *testing.T) {
 	}
 	if rc = NewRecommender(fs2); rc.Len() != 0 {
 		t.Fatalf("index kept %d items after shard delete", rc.Len())
+	}
+}
+
+// indexLines counts the lines of the index file: its header and one per
+// record.
+func indexLines(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(data, []byte("\n"))
+}
+
+// TestRecommenderIndexLog follows the index file through a recommender's
+// life: a file of an older schema is replaced by a rebuilt snapshot, each
+// added entry costs one appended line, the snapshot is rewritten once the
+// appended lines outnumber the live items, a key at the per-key cap is
+// reconciled against the store, stale matches are logged as removals — and
+// at every point the file replays to exactly what the recommender holds.
+func TestRecommenderIndexLog(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := fs.IndexPath()
+	for b := 5; b < 8; b++ {
+		if err := fs.Put(bucketEntry("seed", 1000, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema1 := `{
+ "schema": 1,
+ "items": [
+  {
+   "id": "stale",
+   "key": "k",
+   "vec": [
+    1
+   ]
+  }
+ ]
+}`
+	if err := os.WriteFile(path, []byte(schema1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rc := NewRecommender(fs)
+	inStep := func(when string) {
+		t.Helper()
+		if got, want := retrieve.Load(path).Items(), rc.ix.Items(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the index file replays to %d items, the recommender holds %d", when, len(got), len(want))
+		}
+	}
+	if rc.Len() != 3 || rc.ix.Has("stale") {
+		t.Fatalf("index over an old-schema file has %d items, want the store's 3", rc.Len())
+	}
+	inStep("rebuilt from the store")
+	if n := indexLines(t, path); n != 1+3 {
+		t.Fatalf("rebuilt index file has %d lines, want a header and 3", n)
+	}
+
+	put := func(e Entry) {
+		t.Helper()
+		if err := fs.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		rc.Add(e)
+	}
+	for i := 0; i < 3; i++ {
+		put(bucketEntry("added", int64(2000+i), 5))
+		if n := indexLines(t, path); n != 1+3+i+1 {
+			t.Fatalf("add %d: index file has %d lines, want %d", i, n, 1+3+i+1)
+		}
+		inStep("after an add")
+	}
+
+	// The same session persisted again replaces its item: the log grows, the
+	// index does not, and the snapshot is rewritten when the log is more than
+	// twice the items.
+	live, compacted := rc.Len(), false
+	for i := 0; i < 2*live && !compacted; i++ {
+		before := indexLines(t, path)
+		rc.Add(bucketEntry("added", 2000, 5))
+		inStep("after a repeated add")
+		n := indexLines(t, path)
+		if n > 1+2*live {
+			t.Fatalf("index file grew to %d lines over %d items", n, live)
+		}
+		compacted = n < before
+		if compacted && n != 1+live {
+			t.Fatalf("compacted index file has %d lines, want a header and %d", n, live)
+		}
+	}
+	if !compacted || rc.Len() != live {
+		t.Fatalf("the log was never compacted (%d items, %d lines)", rc.Len(), indexLines(t, path))
+	}
+
+	// Across the per-key cap the index follows the store's evictions.
+	key := bucketEntry("", 0, 7).Fingerprint.Key()
+	for i := 0; i < maxEntriesPerKey+5; i++ {
+		put(bucketEntry(fmt.Sprintf("capped-%02d", i), int64(3000+i), 7))
+		entries, err := fs.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rc.ix.KeyLen(key); n != len(entries) {
+			t.Fatalf("put %d: %d items under %s, the shard holds %d", i, n, key, len(entries))
+		}
+		for _, e := range entries {
+			if !rc.ix.Has(entryID(e)) {
+				t.Fatalf("put %d: %s is in the shard and not in the index", i, entryID(e))
+			}
+		}
+		inStep("across the cap")
+	}
+
+	// A shard that vanished is found out by retrieval, and the removals are
+	// logged.
+	before := rc.Len()
+	if err := os.Remove(filepath.Join(dir, key+".json")); err != nil {
+		t.Fatal(err)
+	}
+	// Every entry here has the same target size, so the first ten matches
+	// are decided on ID order: four under bucket 5, one under 6, five under 7.
+	if _, _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{K: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if rc.Len() != before-5 {
+		t.Fatalf("retrieval over a vanished shard left %d of %d items, want 5 fewer", rc.Len(), before)
+	}
+	inStep("after lazy compaction")
+
+	// A restart loads the log and reconciles the rest of the vanished shard.
+	rc = NewRecommender(fs)
+	if rc.ix.KeyLen(key) != 0 || rc.Len() != 5 {
+		t.Fatalf("reopened index has %d items (%d under the vanished key), want 5", rc.Len(), rc.ix.KeyLen(key))
+	}
+	inStep("after a restart")
+	if n := indexLines(t, path); n != 1+rc.Len() {
+		t.Fatalf("index file after a restart has %d lines, want a header and %d", n, rc.Len())
 	}
 }
 

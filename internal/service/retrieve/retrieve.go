@@ -15,6 +15,7 @@
 package retrieve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -123,8 +124,8 @@ func Distance(a, b []float64) float64 {
 // entry lives under, and its feature vector.
 type Item struct {
 	ID  string    `json:"id"`
-	Key string    `json:"key"`
-	Vec []float64 `json:"vec"`
+	Key string    `json:"key,omitempty"`
+	Vec []float64 `json:"vec,omitempty"`
 }
 
 // Match is one retrieval result.
@@ -134,9 +135,10 @@ type Match struct {
 }
 
 // Index is the k-NN index: an exact-scan set of feature-vector items, safe
-// for concurrent use. It persists to a single JSON file (Save/Load); every
-// Save writes only the live items, so the on-disk index compacts itself —
-// tombstones never accumulate.
+// for concurrent use. It persists to a single log file (Save/Append/Load):
+// Append records one change, Save rewrites the file with only the live
+// items, so the caller decides when tombstones have piled up enough to
+// compact.
 type Index struct {
 	mu    sync.RWMutex
 	items map[string]Item
@@ -174,6 +176,19 @@ func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return len(ix.items)
+}
+
+// KeyLen returns the number of indexed items under the history-store key.
+func (ix *Index) KeyLen(key string) int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	n := 0
+	for _, it := range ix.items {
+		if it.Key == key {
+			n++
+		}
+	}
+	return n
 }
 
 // Items returns the indexed items sorted by ID.
@@ -235,53 +250,122 @@ func (ix *Index) Nearest(vec []float64, k int, maxDist float64) []Match {
 }
 
 // IndexSchema versions the persisted index file. Bump it when the feature
-// weights or the Workload layout change: Load discards files written under
-// a different schema, and the caller rebuilds from the store.
-const IndexSchema = 1
+// weights, the Workload layout or the file format change: Load discards
+// files written under a different schema, and the caller rebuilds from the
+// store.
+const IndexSchema = 2
 
-// indexFile is the on-disk shape.
-type indexFile struct {
-	Schema int    `json:"schema"`
-	Items  []Item `json:"items"`
+// The index file is a log. Its first line is the header {"schema":N}; every
+// further line is one Record. Save writes a snapshot, one upsert per live
+// item; Append adds records to the end, so keeping the file in step with the
+// index costs one line per change. Load replays the lines in order.
+
+// logHeader is the first line of the index file.
+type logHeader struct {
+	Schema int `json:"schema"`
+}
+
+// Record is one line of the index log: the upsert of Item or, with Del set,
+// the removal of the item with that ID.
+type Record struct {
+	Item
+	Del bool `json:"del,omitempty"`
+}
+
+// encodeLog renders the lines of an index file: the header when it is a
+// snapshot, then one line per record.
+func encodeLog(snapshot bool, recs []Record) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // one value per line
+	if snapshot {
+		_ = enc.Encode(logHeader{Schema: IndexSchema}) // an int into a buffer cannot fail
+	}
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil { // a vector holding NaN or Inf
+			return nil, fmt.Errorf("retrieve: encode index: %w", err)
+		}
+	}
+	return buf.Bytes(), nil
 }
 
 // Save writes the index to path atomically (temp file + rename). The file
-// holds exactly the live items — removed entries vanish on the next Save,
-// which is the index's compaction.
+// holds exactly the live items — removed entries and superseded vectors
+// vanish on the next Save, which is the log's compaction.
 func (ix *Index) Save(path string) error {
-	data, err := json.MarshalIndent(indexFile{Schema: IndexSchema, Items: ix.Items()}, "", " ")
+	items := ix.Items()
+	recs := make([]Record, len(items))
+	for i, it := range items {
+		recs[i].Item = it
+	}
+	data, err := encodeLog(true, recs)
 	if err != nil {
-		return fmt.Errorf("retrieve: encode index: %w", err)
+		return err
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		_ = os.Remove(tmp) // the write error is the one to report
 		return fmt.Errorf("retrieve: write index: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp) // likewise
 		return fmt.Errorf("retrieve: commit index: %w", err)
 	}
 	return nil
 }
 
-// Load reads a persisted index. A missing file, a corrupt file or a schema
-// mismatch all yield an empty index and no error: the index is a cache of
-// the store, so the correct recovery is always a rebuild, never a failure.
+// Append adds the records to the end of the index file at path, which a Save
+// must have written before: a file without a header loads as empty. A crash
+// part-way leaves an unterminated last line, which Load drops.
+func Append(path string, recs ...Record) error {
+	data, err := encodeLog(false, recs)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("retrieve: append index: %w", err)
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("retrieve: append index: %w", err)
+	}
+	return nil
+}
+
+// Load reads a persisted index by replaying its records: the last record for
+// an ID wins. A missing file, a corrupt header or a schema mismatch all yield
+// an empty index and no error: the index is a cache of the store, so the
+// correct recovery is always a rebuild, never a failure. For the same reason
+// replay stops without an error at the first line that is not a record, and
+// ignores a last line with no newline, which is a write that did not finish.
 func Load(path string) *Index {
 	ix := NewIndex()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return ix
 	}
-	var f indexFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Schema != IndexSchema {
+	nl := []byte{'\n'}
+	header, data, ok := bytes.Cut(data, nl)
+	var h logHeader
+	if !ok || json.Unmarshal(header, &h) != nil || h.Schema != IndexSchema {
 		return ix
 	}
-	for _, it := range f.Items {
-		if it.ID != "" {
-			ix.items[it.ID] = it
+	for {
+		line, rest, ok := bytes.Cut(data, nl)
+		var r Record
+		if !ok || json.Unmarshal(line, &r) != nil || r.ID == "" {
+			return ix
+		}
+		data = rest
+		if r.Del {
+			delete(ix.items, r.ID)
+		} else {
+			ix.items[r.ID] = r.Item
 		}
 	}
-	return ix
 }
 
 // Weights converts neighbor distances to normalized inverse-distance

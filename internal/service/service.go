@@ -1313,7 +1313,7 @@ func (s *Service) persist(j *job, rep *core.Report, res *JobResult) error {
 	}
 	// Index the fresh entry (and drop whatever the per-key cap evicted) so
 	// the recommendation tier sees it immediately.
-	s.rec.Sync(e.Fingerprint.Key())
+	s.rec.Add(e)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -142,10 +143,43 @@ func (s *MemStore) Keys() ([]string, error) {
 // FileStore persists the history as one JSON file per fingerprint key in a
 // directory, written atomically (temp file + rename), so a service restart
 // resumes with everything past sessions learned.
+//
+// A directory has one writer: one FileStore in one process. Under that
+// assumption the store remembers what it last wrote or read of each shard and
+// a Put appends to the shard's bytes instead of decoding and re-encoding
+// them. A shard that anyone else changed is still noticed — its size or
+// modification time no longer match what the store remembers — and is read
+// again in full, so a hand-edited or restored file costs one slow Put, never
+// a wrong one. Temporary files found when the directory is opened are what a
+// dead writer left behind and are removed.
 type FileStore struct {
 	dir     string
 	mu      sync.Mutex
 	maxKeys int
+	// shards is what the store knows of each shard it wrote or read.
+	shards map[string]shardState
+	// mtimes orders every shard in the directory for key eviction, by
+	// modification time. SetMaxKeys lists the directory to build it and Put
+	// keeps it current; nil while no cap is set.
+	mtimes map[string]int64
+}
+
+// shardState describes a shard file as the store last wrote or read it.
+type shardState struct {
+	entries int   // how many entries the file holds
+	newest  int64 // the last (and largest) CreatedUnix
+	size    int64
+	mtime   int64 // modification time, Unix nanoseconds
+}
+
+// stateOf describes the file fi, which holds the given entries.
+func stateOf(fi os.FileInfo, entries int, newest int64) shardState {
+	return shardState{entries: entries, newest: newest, size: fi.Size(), mtime: fi.ModTime().UnixNano()}
+}
+
+// matches reports whether the file still is the one the state describes.
+func (st shardState) matches(fi os.FileInfo) bool {
+	return fi.Size() == st.size && fi.ModTime().UnixNano() == st.mtime
 }
 
 // NewFileStore opens (creating if needed) a file-backed store in dir.
@@ -153,7 +187,13 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: history dir: %w", err)
 	}
-	return &FileStore{dir: dir}, nil
+	for _, pattern := range []string{"*.json.tmp", filepath.Join("checkpoints", "*.json.tmp")} {
+		stale, _ := filepath.Glob(filepath.Join(dir, pattern)) // the pattern is well-formed
+		for _, tmp := range stale {
+			_ = os.Remove(tmp) // a leftover that cannot be removed is overwritten by the next write
+		}
+	}
+	return &FileStore{dir: dir, shards: map[string]shardState{}}, nil
 }
 
 // path maps a key to its shard file, refusing any key that could name a
@@ -167,6 +207,34 @@ func (s *FileStore) path(key string) (string, error) {
 	return filepath.Join(s.dir, key+".json"), nil
 }
 
+// writeAtomic replaces the file at p with what write produces: into p.tmp,
+// then renamed over p. No error return leaves p.tmp behind. what names the
+// kind of file in errors. The FileInfo is that of the new file.
+func writeAtomic(p, what string, write func(f *os.File) error) (os.FileInfo, error) {
+	tmp := p + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("service: write %s: %w", what, err)
+	}
+	err = write(f)
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = f.Stat()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // the write error is the one to report
+		return nil, fmt.Errorf("service: write %s: %w", what, err)
+	}
+	if err := os.Rename(tmp, p); err != nil {
+		_ = os.Remove(tmp) // likewise
+		return nil, fmt.Errorf("service: commit %s: %w", what, err)
+	}
+	return fi, nil
+}
+
 // Put implements Store.
 func (s *FileStore) Put(e Entry) error {
 	s.mu.Lock()
@@ -176,33 +244,117 @@ func (s *FileStore) Put(e Entry) error {
 	if err != nil {
 		return err
 	}
+	st, appended, err := s.appendShard(p, s.shards[key], e)
+	if err == nil && !appended {
+		st, err = s.rewriteShard(p, key, e)
+	}
+	if err != nil {
+		// Whatever is on disk now, the next Put reads it before it writes.
+		delete(s.shards, key)
+		return err
+	}
+	s.shards[key] = st
+	if s.mtimes != nil {
+		s.mtimes[key] = st.mtime
+		s.evictLocked()
+	}
+	return nil
+}
+
+// shardTail is how every shard this store writes ends: the closing brace of
+// the last entry, indented one space, then the closing bracket of the list.
+const shardTail = "\n }\n]"
+
+// appendShard writes the shard with e added by copying the file's bytes up to
+// the closing bracket and encoding only e — the same bytes rewriteShard
+// produces, without decoding the entries already there. That holds only when
+// the file still is the one st describes, in this store's own layout, below
+// the per-key cap, and e is not older than its newest entry; in every other
+// case appendShard reports false and has written nothing.
+func (s *FileStore) appendShard(p string, st shardState, e Entry) (shardState, bool, error) {
+	if st.entries == 0 || st.entries >= maxEntriesPerKey || e.CreatedUnix < st.newest {
+		return shardState{}, false, nil
+	}
+	src, err := os.Open(p)
+	if err != nil {
+		return shardState{}, false, nil
+	}
+	defer src.Close()
+	if fi, err := src.Stat(); err != nil || !st.matches(fi) {
+		return shardState{}, false, nil
+	}
+	var tail [len(shardTail)]byte
+	if _, err := src.ReadAt(tail[:], st.size-int64(len(tail))); err != nil || string(tail[:]) != shardTail {
+		return shardState{}, false, nil
+	}
+	enc, err := json.MarshalIndent(e, " ", " ")
+	if err != nil {
+		return shardState{}, false, fmt.Errorf("service: encode history: %w", err)
+	}
+	fi, err := writeAtomic(p, "history", func(dst *os.File) error {
+		if _, err := io.CopyN(dst, src, st.size-int64(len("\n]"))); err != nil {
+			return err
+		}
+		for _, part := range [][]byte{[]byte(",\n "), enc, []byte("\n]")} {
+			if _, err := dst.Write(part); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return shardState{}, false, err
+	}
+	return stateOf(fi, st.entries+1, e.CreatedUnix), true, nil
+}
+
+// rewriteShard decodes the shard, adds e, sorts, caps and encodes it again.
+func (s *FileStore) rewriteShard(p, key string, e Entry) (shardState, error) {
 	entries, err := s.load(key)
 	if err != nil {
-		return err
+		return shardState{}, err
 	}
 	entries = capEntries(append(entries, e))
 	data, err := json.MarshalIndent(entries, "", " ")
 	if err != nil {
-		return fmt.Errorf("service: encode history: %w", err)
+		return shardState{}, fmt.Errorf("service: encode history: %w", err)
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("service: write history: %w", err)
+	fi, err := writeAtomic(p, "history", func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	if err != nil {
+		return shardState{}, err
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("service: commit history: %w", err)
-	}
-	s.evictLocked()
-	return nil
+	return stateOf(fi, len(entries), entries[len(entries)-1].CreatedUnix), nil
 }
 
 // SetMaxKeys caps the number of shard files (0 or negative: unbounded),
 // evicting whole keys least-recently-written first — the FileStore analogue
-// of MemStore.SetMaxKeys, ordered by shard modification time.
+// of MemStore.SetMaxKeys, ordered by shard modification time. Every call
+// lists the directory, so it also picks up what changed there since.
 func (s *FileStore) SetMaxKeys(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxKeys = n
+	s.mtimes = nil
+	if n <= 0 {
+		return
+	}
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	s.mtimes = map[string]int64{}
+	for _, de := range des {
+		key, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok || !ValidKey(key) {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			s.mtimes[key] = info.ModTime().UnixNano()
+		}
+	}
 	s.evictLocked()
 }
 
@@ -213,40 +365,25 @@ func (s *FileStore) IndexPath() string { return filepath.Join(s.dir, "knn.index"
 
 // evictLocked enforces the key cap by deleting the oldest shard files.
 func (s *FileStore) evictLocked() {
-	if s.maxKeys <= 0 {
+	if s.maxKeys <= 0 || len(s.mtimes) <= s.maxKeys {
 		return
 	}
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
+	keys := make([]string, 0, len(s.mtimes))
+	for k := range s.mtimes {
+		keys = append(keys, k)
 	}
-	type shard struct {
-		key string
-		mod int64
-	}
-	var shards []shard
-	for _, de := range des {
-		n := de.Name()
-		if !strings.HasSuffix(n, ".json") || !ValidKey(strings.TrimSuffix(n, ".json")) {
-			continue
+	sort.Slice(keys, func(a, b int) bool {
+		if ma, mb := s.mtimes[keys[a]], s.mtimes[keys[b]]; ma != mb {
+			return ma < mb
 		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		shards = append(shards, shard{key: strings.TrimSuffix(n, ".json"), mod: info.ModTime().UnixNano()})
-	}
-	if len(shards) <= s.maxKeys {
-		return
-	}
-	sort.Slice(shards, func(a, b int) bool {
-		if shards[a].mod != shards[b].mod {
-			return shards[a].mod < shards[b].mod
-		}
-		return shards[a].key < shards[b].key
+		return keys[a] < keys[b]
 	})
-	for _, sh := range shards[:len(shards)-s.maxKeys] {
-		_ = os.Remove(filepath.Join(s.dir, sh.key+".json"))
+	for _, k := range keys[:len(keys)-s.maxKeys] {
+		if err := os.Remove(filepath.Join(s.dir, k+".json")); err != nil && !os.IsNotExist(err) {
+			continue // still there: the next Put tries again
+		}
+		delete(s.mtimes, k)
+		delete(s.shards, k)
 	}
 }
 
@@ -257,21 +394,41 @@ func (s *FileStore) Get(key string) ([]Entry, error) {
 	return s.load(key)
 }
 
+// load reads and decodes a shard and remembers its state for the next Put.
 func (s *FileStore) load(key string) ([]Entry, error) {
 	p, err := s.path(key)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(p)
+	delete(s.shards, key)
+	f, err := os.Open(p)
 	if os.IsNotExist(err) {
+		delete(s.mtimes, key)
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("service: read history: %w", err)
 	}
+	defer f.Close()
+	// Size, time and bytes all come from the one open file, so the state
+	// describes exactly what was decoded even if the path is replaced now.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("service: read history: %w", err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("service: read history: %w", err)
+	}
 	var entries []Entry
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return nil, fmt.Errorf("service: decode history %s: %w", key, err)
+	}
+	sorted := sort.SliceIsSorted(entries, func(a, b int) bool {
+		return entries[a].CreatedUnix < entries[b].CreatedUnix
+	})
+	if n := len(entries); n > 0 && sorted {
+		s.shards[key] = stateOf(fi, n, entries[n-1].CreatedUnix)
 	}
 	return entries, nil
 }

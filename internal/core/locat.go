@@ -305,6 +305,25 @@ func (t *Tuner) overBudget(rep *Report) error {
 	return nil
 }
 
+// halted reports why the session cannot go past an evaluation boundary, or
+// nil to carry on: a backend gone sticky-faulty (tripped circuit breaker,
+// dead gateway), an exhausted deadline or cluster-second budget, or the
+// caller's cancellation hook (ErrStopped) — in that order, so a session that
+// already paid for sample runs degrades to its best observation instead of
+// discarding them.
+func (t *Tuner) halted(rep *Report) error {
+	if err := runner.BackendErr(t.run); err != nil {
+		return err
+	}
+	if cause := t.overBudget(rep); cause != nil {
+		return cause
+	}
+	if t.stopped() {
+		return ErrStopped
+	}
+	return nil
+}
+
 // warmPrior returns the usable prior, or nil when the session must run cold.
 func (t *Tuner) warmPrior() *Prior {
 	p := t.opts.Prior
@@ -379,16 +398,10 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 		ds := sizeOf(rep.Evaluations())
 		return recordFull(c, ds, t.run.RunApp(t.app, c, ds))
 	}
-	// sessionStop halts the search between evaluations for any reason: the
-	// caller's cancellation hook, an exhausted deadline or cluster-second
-	// budget, or a backend gone sticky-faulty (tripped circuit breaker, dead
-	// gateway). Consulting BackendErr and the budget here — not only after
-	// the search returns — is what stops a session from burning its
-	// remaining iteration budget on runs it cannot afford or that can only
-	// fail.
-	sessionStop := func() bool {
-		return runner.BackendErr(t.run) != nil || t.overBudget(rep) != nil || t.stopped()
-	}
+	// sessionStop polls halted between evaluations, not only after a search
+	// returns: a session must not burn its remaining iteration budget on
+	// runs it cannot afford or that can only fail.
+	sessionStop := func() bool { return t.halted(rep) != nil }
 	// runFullBatch fans independent full-application runs over the worker
 	// pool (Options.Workers simulated cluster slots) and reduces the results
 	// in index order, so the recorded history matches a serial runFull loop
@@ -461,13 +474,11 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 		_, complete := runFullBatch(space.LHS(fresh, rng))
 		phaseSpan.End()
 		if !complete {
-			if err := runner.BackendErr(t.run); err != nil {
-				return t.degrade(rep, space, targetGB, err)
+			cause := t.halted(rep)
+			if cause == nil {
+				cause = ErrStopped // the hook that cut the batch short has let go since
 			}
-			if cause := t.overBudget(rep); cause != nil {
-				return t.degrade(rep, space, targetGB, cause)
-			}
-			return nil, ErrStopped
+			return t.degrade(rep, space, targetGB, cause)
 		}
 		// Prior observations and the fresh anchors together form the
 		// phase-1 history the DAGP base selection and the phase-2 warm
@@ -494,17 +505,8 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 			}
 		}
 	}
-	// Backend death and budget exhaustion are checked before user
-	// cancellation: a session that already paid for sample runs degrades to
-	// its best observation instead of discarding them.
-	if err := runner.BackendErr(t.run); err != nil {
-		return t.degrade(rep, space, targetGB, err)
-	}
-	if cause := t.overBudget(rep); cause != nil {
+	if cause := t.halted(rep); cause != nil {
 		return t.degrade(rep, space, targetGB, cause)
-	}
-	if t.stopped() {
-		return nil, ErrStopped
 	}
 
 	// ---- QCSA: build the reduced query application. ----
@@ -677,14 +679,8 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 		Tracer:      t.opts.Tracer,
 	})
 	phaseSpan.End()
-	if err := runner.BackendErr(t.run); err != nil {
-		return t.degrade(rep, space, targetGB, err)
-	}
-	if cause := t.overBudget(rep); cause != nil {
+	if cause := t.halted(rep); cause != nil {
 		return t.degrade(rep, space, targetGB, cause)
-	}
-	if t.stopped() {
-		return nil, ErrStopped
 	}
 
 	// ---- Final selection. ----
@@ -710,8 +706,12 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 // full-application configuration actually observed (prior observations
 // included for warm sessions) rather than failing — cluster time already
 // paid for those samples. A session cut short before any successful run
-// leaves nothing to recommend and fails with the cause.
+// leaves nothing to recommend and fails with the cause; one the caller
+// cancelled (ErrStopped) is discarded, not degraded.
 func (t *Tuner) degrade(rep *Report, space *conf.Space, targetGB float64, cause error) (*Report, error) {
+	if errors.Is(cause, ErrStopped) {
+		return nil, ErrStopped
+	}
 	var best conf.Config
 	bestSec := math.Inf(1)
 	if prior := t.warmPrior(); prior != nil {

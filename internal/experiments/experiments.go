@@ -138,7 +138,7 @@ func (s *Session) runnerSeeded(clusterName string, seed int64, stream string, op
 	if err != nil {
 		return nil, err
 	}
-	return runner.Metered(r, &s.tally), nil
+	return runner.Observe(r, &s.tally), nil
 }
 
 // SetCounter publishes one exact deterministic counter for the current

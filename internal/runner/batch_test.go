@@ -57,11 +57,6 @@ func (f *fakeBackend) RunAppAt(idx uint64, app *Application, c conf.Config, data
 	return res
 }
 
-func (f *fakeBackend) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	idx := f.ReserveRuns(1)
-	return QueryResult{Name: q.Name, Sec: float64(idx+1) + c[0]}
-}
-
 func (f *fakeBackend) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
 	return c[0] + dataGB
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"locat/internal/conf"
@@ -22,33 +21,27 @@ import (
 // under the Runner contract) are not reported: a checkpoint must only hold
 // results worth not re-paying.
 type Cache struct {
-	inner Runner
+	forward
 	onRun func(TraceEntry)
 
-	hits atomic.Int64
-
-	mu        sync.Mutex
-	byKey     map[string][]*cacheEntry
-	noiseless map[string]bool // noiseless keys already reported to onRun
-}
-
-type cacheEntry struct {
-	TraceEntry
-	used bool
+	hits      atomic.Int64
+	prior     traceTable    // the checkpoint, looked up like a Replayer's trace
+	noiseless noiselessOnce // noiseless keys already reported to onRun
 }
 
 // NewCache wraps inner, serving lookups from prior entries first and
 // reporting fresh executions to onRun (nil disables reporting). Entries of
 // kinds the cache does not serve are ignored.
 func NewCache(inner Runner, prior []TraceEntry, onRun func(TraceEntry)) *Cache {
-	c := &Cache{inner: inner, onRun: onRun, byKey: map[string][]*cacheEntry{}, noiseless: map[string]bool{}}
+	if onRun == nil {
+		onRun = func(TraceEntry) {}
+	}
+	c := &Cache{forward: forward{inner, "checkpoint"}, onRun: onRun}
 	for _, e := range prior {
-		ce := &cacheEntry{TraceEntry: e}
-		k := e.key()
-		c.byKey[k] = append(c.byKey[k], ce)
+		c.prior.add(e)
 		if e.Kind == TraceNoiseless {
 			// Already persisted; do not re-report it on a cache miss replay.
-			c.noiseless[k] = true
+			c.noiseless.mark(e.key())
 		}
 	}
 	return c
@@ -58,120 +51,24 @@ func NewCache(inner Runner, prior []TraceEntry, onRun func(TraceEntry)) *Cache {
 // instead of re-executed.
 func (c *Cache) ResumedRuns() int64 { return c.hits.Load() }
 
-// lookup finds an unconsumed prior entry for e, preferring the one paid at
-// run index idx, then file order — the Replayer's exact-match policy.
-// Non-consuming lookups (noiseless) may reuse a served entry.
-func (c *Cache) lookup(e *TraceEntry, idx uint64, consume bool) *TraceEntry {
-	k := e.key()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cands := c.byKey[k]
-	if len(cands) == 0 {
-		return nil
-	}
-	var pick *cacheEntry
-	for _, ce := range cands {
-		if !ce.used && ce.Idx == idx {
-			pick = ce
-			break
-		}
-	}
-	if pick == nil {
-		for _, ce := range cands {
-			if !ce.used {
-				pick = ce
-				break
-			}
-		}
-	}
-	if pick == nil && !consume {
-		pick = cands[0]
-	}
-	if pick == nil {
-		return nil
-	}
-	if consume {
-		pick.used = true
-	}
-	return &pick.TraceEntry
-}
-
-// report feeds one fresh execution to the checkpoint writer.
-func (c *Cache) report(e TraceEntry) {
-	if c.onRun != nil {
-		c.onRun(e)
-	}
-}
-
-// Capabilities mask the inner native batch so every run is individually
-// addressable by index — cache hits must intercept before the backend.
-func (c *Cache) Capabilities() Capabilities {
-	caps := CapsOf(c.inner)
-	return Capabilities{
-		Name:          "checkpoint(" + caps.Name + ")",
-		NativeBatch:   false,
-		MaxParallel:   caps.MaxParallel,
-		Stoppable:     true,
-		Deterministic: caps.Deterministic,
-	}
-}
-
-// Space returns the inner backend's configuration space.
-func (c *Cache) Space() *conf.Space { return c.inner.Space() }
-
-// ReserveRuns delegates index accounting: cached and fresh runs share the
-// index sequence the original session used.
-func (c *Cache) ReserveRuns(n int) uint64 { return c.inner.ReserveRuns(n) }
-
-// RunApp claims the next index and resolves it through the cache.
+// RunApp claims the next index and resolves it through the cache: cached
+// and fresh runs share the index sequence the original session used.
 func (c *Cache) RunApp(app *Application, cf conf.Config, dataGB float64) AppResult {
 	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
 }
 
-// RunAppAt serves run idx from the checkpoint when it was already paid,
-// executing (and reporting) it otherwise.
+// RunAppAt serves run idx from the checkpoint when it was already paid —
+// cache hits intercept before the backend, which is why the native batch is
+// masked — executing (and reporting) it otherwise.
 func (c *Cache) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) AppResult {
-	q := TraceEntry{Kind: TraceApp, App: app.Name, NQ: len(app.Queries), Conf: cf, DataGB: dataGB}
-	if hit := c.lookup(&q, idx, true); hit != nil && hit.Result != nil {
+	q := entryOf(TraceApp, app, cf, dataGB)
+	if hit := c.prior.lookup(q.key(), idx, true); hit != nil && hit.Result != nil {
 		c.hits.Add(1)
-		res := *hit.Result
-		res.Queries = append([]QueryResult(nil), hit.Result.Queries...)
-		return res
+		return cloneResult(*hit.Result)
 	}
 	res := c.inner.RunAppAt(idx, app, cf, dataGB)
 	if res.Sec > 0 {
-		cp := res
-		cp.Queries = append([]QueryResult(nil), res.Queries...)
-		c.report(TraceEntry{
-			Stream: "", Kind: TraceApp, Idx: idx,
-			App: app.Name, NQ: len(app.Queries),
-			Conf: append([]float64(nil), cf...), DataGB: dataGB, Result: &cp,
-		})
-	}
-	return res
-}
-
-// RunQuery resolves one single-query execution through the cache, pinning
-// the run index when the inner backend supports that.
-func (c *Cache) RunQuery(q Query, cf conf.Config, dataGB float64) QueryResult {
-	idx := c.inner.ReserveRuns(1)
-	e := TraceEntry{Kind: TraceQuery, QueryName: q.Name, Conf: cf, DataGB: dataGB}
-	if hit := c.lookup(&e, idx, true); hit != nil && hit.QueryRes != nil {
-		c.hits.Add(1)
-		return *hit.QueryRes
-	}
-	var res QueryResult
-	if qr, ok := c.inner.(queryRunner); ok {
-		res = qr.RunQueryAt(idx, q, cf, dataGB)
-	} else {
-		res = c.inner.RunQuery(q, cf, dataGB)
-	}
-	if res.Sec > 0 {
-		cp := res
-		c.report(TraceEntry{
-			Kind: TraceQuery, Idx: idx, QueryName: q.Name,
-			Conf: append([]float64(nil), cf...), DataGB: dataGB, QueryRes: &cp,
-		})
+		c.onRun(q.stored("", idx).withResult(res))
 	}
 	return res
 }
@@ -179,28 +76,12 @@ func (c *Cache) RunQuery(q Query, cf conf.Config, dataGB float64) QueryResult {
 // NoiselessAppTime serves checkpointed deterministic evaluations without
 // consuming them (they are pure and may repeat), reporting fresh ones once.
 func (c *Cache) NoiselessAppTime(app *Application, cf conf.Config, dataGB float64) float64 {
-	q := TraceEntry{Kind: TraceNoiseless, App: app.Name, NQ: len(app.Queries), Conf: cf, DataGB: dataGB}
-	if hit := c.lookup(&q, 0, false); hit != nil {
+	q := entryOf(TraceNoiseless, app, cf, dataGB)
+	if hit := c.prior.lookup(q.key(), 0, false); hit != nil {
 		return hit.Sec
 	}
-	sec := c.inner.NoiselessAppTime(app, cf, dataGB)
-	e := TraceEntry{
-		Kind: TraceNoiseless, App: app.Name, NQ: len(app.Queries),
-		Conf: append([]float64(nil), cf...), DataGB: dataGB, Sec: sec,
-	}
-	k := e.key()
-	c.mu.Lock()
-	seen := c.noiseless[k]
-	c.noiseless[k] = true
-	c.mu.Unlock()
-	if !seen {
-		c.report(e)
-	}
-	return sec
+	return c.noiseless.eval(c.inner, "", app, cf, dataGB, c.onRun)
 }
-
-// Err surfaces the inner backend's sticky failure through the cache layer.
-func (c *Cache) Err() error { return BackendErr(c.inner) }
 
 var (
 	_ Runner   = (*Cache)(nil)

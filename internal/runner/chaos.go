@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,12 +28,18 @@ import (
 // once and the replayed trajectory stays bit-identical to the fault-free
 // run.
 //
-// Chaos masks the inner backend's native batch so every run is individually
-// addressable by index (the same trick Recorder uses); wrap it in Retrying
+// Like every decorator but Observed, Chaos masks the inner backend's native
+// batch so every run is individually addressable by index — faults are
+// per-index, so every run must route through RunAppAt. Wrap it in Retrying
 // to heal transient drops, and in Observed to meter only what executed.
+//
+// NoiselessAppTime is never faulted: deterministic evaluations model no
+// execution, and the degradation guardrail depends on them to compare a
+// best-observed configuration against the default even after the chaotic
+// backend died.
 type Chaos struct {
-	inner Runner
-	opts  ChaosOptions
+	forward
+	opts ChaosOptions
 
 	mu       sync.Mutex
 	attempts map[uint64]int // per-index attempt counters
@@ -115,7 +122,7 @@ func ParseChaosSpec(spec string) (*ChaosOptions, error) {
 		switch k {
 		case "drop", "delay":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // also rejects NaN
 				return nil, bad()
 			}
 			if k == "drop" {
@@ -125,7 +132,7 @@ func ParseChaosSpec(spec string) (*ChaosOptions, error) {
 			}
 		case "maxfail", "failafter", "killafter", "delayms":
 			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || (k == "delayms" && int64(n) > math.MaxInt64/int64(time.Millisecond)) {
 				return nil, bad()
 			}
 			switch k {
@@ -159,7 +166,7 @@ func NewChaos(inner Runner, opts ChaosOptions) *Chaos {
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
 	}
-	return &Chaos{inner: inner, opts: opts, attempts: map[uint64]int{}}
+	return &Chaos{forward: forward{inner, "chaos"}, opts: opts, attempts: map[uint64]int{}}
 }
 
 // chaosMix is the splitmix64 finalizer (the simulator's runSeed pattern),
@@ -215,26 +222,6 @@ func (c *Chaos) noteExecuted() {
 	}
 }
 
-// Capabilities mask the inner native batch (faults are per-index, so every
-// run must route through RunAppAt) and inherit determinism: the fault
-// schedule itself is deterministic.
-func (c *Chaos) Capabilities() Capabilities {
-	caps := CapsOf(c.inner)
-	return Capabilities{
-		Name:          "chaos(" + caps.Name + ")",
-		NativeBatch:   false,
-		MaxParallel:   caps.MaxParallel,
-		Stoppable:     true,
-		Deterministic: caps.Deterministic,
-	}
-}
-
-// Space returns the inner backend's configuration space.
-func (c *Chaos) Space() *conf.Space { return c.inner.Space() }
-
-// ReserveRuns delegates index accounting.
-func (c *Chaos) ReserveRuns(n int) uint64 { return c.inner.ReserveRuns(n) }
-
 // TryRunAppAt executes run idx unless the schedule faults it, reporting the
 // fault as an error (transient for drops, sticky after FailAfter).
 func (c *Chaos) TryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) (AppResult, error) {
@@ -249,44 +236,13 @@ func (c *Chaos) TryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB
 // RunApp claims the next index and executes it through the fault schedule;
 // faulted runs report a zero result (the error surface is TryRunAppAt).
 func (c *Chaos) RunApp(app *Application, cf conf.Config, dataGB float64) AppResult {
-	res, _ := c.TryRunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
-	return res
+	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
 }
 
 // RunAppAt executes run idx; faulted runs report a zero result.
 func (c *Chaos) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) AppResult {
 	res, _ := c.TryRunAppAt(idx, app, cf, dataGB)
 	return res
-}
-
-// TryRunQueryAt executes a single query at a pinned index through the fault
-// schedule, when the inner backend can pin query indices.
-func (c *Chaos) TryRunQueryAt(idx uint64, q Query, cf conf.Config, dataGB float64) (QueryResult, error) {
-	if err := c.step(idx); err != nil {
-		return QueryResult{}, err
-	}
-	var res QueryResult
-	if qr, ok := c.inner.(queryRunner); ok {
-		res = qr.RunQueryAt(idx, q, cf, dataGB)
-	} else {
-		res = c.inner.RunQuery(q, cf, dataGB)
-	}
-	c.noteExecuted()
-	return res, nil
-}
-
-// RunQuery executes a single query through the fault schedule.
-func (c *Chaos) RunQuery(q Query, cf conf.Config, dataGB float64) QueryResult {
-	res, _ := c.TryRunQueryAt(c.inner.ReserveRuns(1), q, cf, dataGB)
-	return res
-}
-
-// NoiselessAppTime is never faulted: deterministic evaluations model no
-// execution, and the degradation guardrail depends on them to compare a
-// best-observed configuration against the default even after the chaotic
-// backend died.
-func (c *Chaos) NoiselessAppTime(app *Application, cf conf.Config, dataGB float64) float64 {
-	return c.inner.NoiselessAppTime(app, cf, dataGB)
 }
 
 // Err reports the sticky injected failure, or the inner backend's.
@@ -297,7 +253,7 @@ func (c *Chaos) Err() error {
 	if err != nil {
 		return err
 	}
-	return BackendErr(c.inner)
+	return c.forward.Err()
 }
 
 var (

@@ -1,0 +1,328 @@
+package runner
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"locat/internal/conf"
+	"locat/internal/sparksim"
+)
+
+// The conformance table: every backend under every wrapper stack must hand
+// a caller exactly what the bare backend hands it — results, run-index
+// consumption, noiseless semantics, capabilities — so the forwarding the
+// decorators share can be rewritten without any stack moving.
+
+// probe sits between a stack and the backend and counts what reaches the
+// backend, reporting the backend's own capabilities so stack names and
+// flags are the production ones.
+type probe struct {
+	Runner
+	runs, noiseless atomic.Int64
+}
+
+func (p *probe) Capabilities() Capabilities { return CapsOf(p.Runner) }
+
+func (p *probe) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
+	p.runs.Add(1)
+	return p.Runner.RunApp(app, c, dataGB)
+}
+
+func (p *probe) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+	p.runs.Add(1)
+	return p.Runner.RunAppAt(idx, app, c, dataGB)
+}
+
+func (p *probe) RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) ([]AppResult, int) {
+	results, done := RunBatch(p.Runner, app, cs, dataGB, workers, stop)
+	p.runs.Add(int64(done))
+	return results, done
+}
+
+func (p *probe) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
+	p.noiseless.Add(1)
+	return p.Runner.NoiselessAppTime(app, c, dataGB)
+}
+
+// rig is one stack under test plus the taps the checks read.
+type rig struct {
+	probe   *probe
+	top     Runner
+	tally   Tally // fed by the stack's Observed layer, if it has one
+	retries atomic.Int64
+	sink    *TraceSink
+	sinkBuf *bytes.Buffer
+
+	mu       sync.Mutex
+	reported []TraceEntry // the Cache layer's onRun feed
+}
+
+func (g *rig) report(e TraceEntry) {
+	g.mu.Lock()
+	g.reported = append(g.reported, e)
+	g.mu.Unlock()
+}
+
+// production assembles the service's order: cache(observe(retry(chaos(b)))).
+func production(b Runner, g *rig, co ChaosOptions) Runner {
+	return NewCache(Observe(
+		NewRetrying(NewChaos(b, co), RetryOptions{MaxAttempts: 3, Sleep: noSleep, OnRetry: func() { g.retries.Add(1) }}),
+		&g.tally), nil, g.report)
+}
+
+var conformanceBackends = []struct {
+	name string
+	make func() Runner
+}{
+	{"fake", func() Runner { return newFakeBackend(Capabilities{Name: "fake", MaxParallel: 3, Deterministic: true}) }},
+	{"sim", func() Runner { return NewSim(sparksim.New(sparksim.ARM(), 7)) }},
+}
+
+var conformanceStacks = []struct {
+	name     string
+	observed bool // the stack holds an Observed layer feeding rig.tally
+	build    func(b Runner, g *rig) Runner
+}{
+	{"bare", false, func(b Runner, g *rig) Runner { return b }},
+	{"observed", true, func(b Runner, g *rig) Runner { return Observe(b, &g.tally) }},
+	{"chaos", false, func(b Runner, g *rig) Runner { return NewChaos(b, ChaosOptions{Seed: 1}) }},
+	{"retry", false, func(b Runner, g *rig) Runner { return NewRetrying(b, RetryOptions{Sleep: noSleep}) }},
+	{"cache", false, func(b Runner, g *rig) Runner { return NewCache(b, nil, g.report) }},
+	{"record", false, func(b Runner, g *rig) Runner { return NewRecorder(b, g.sink, "s") }},
+	{"production", true, func(b Runner, g *rig) Runner { return production(b, g, ChaosOptions{Seed: 1}) }},
+	{"production-healed", true, func(b Runner, g *rig) Runner {
+		return production(b, g, ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9})
+	}},
+}
+
+// conformanceCaps are the capabilities of every backend/stack pair as
+// literals: a change to how capabilities forward shows up as an edited line
+// here, not as a silently different negotiation.
+var conformanceCaps = map[string]Capabilities{
+	"fake/bare":              {Name: "fake", MaxParallel: 3, Deterministic: true},
+	"fake/observed":          {Name: "observed(fake)", NativeBatch: true, MaxParallel: 3, Deterministic: true},
+	"fake/chaos":             {Name: "chaos(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"fake/retry":             {Name: "retry(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"fake/cache":             {Name: "checkpoint(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"fake/record":            {Name: "trace-record(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"fake/production":        {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"fake/production-healed": {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Stoppable: true, Deterministic: true},
+	"sim/bare":               {Name: "sparksim", NativeBatch: true, Stoppable: true, Deterministic: true},
+	"sim/observed":           {Name: "observed(sparksim)", NativeBatch: true, Stoppable: true, Deterministic: true},
+	"sim/chaos":              {Name: "chaos(sparksim)", Stoppable: true, Deterministic: true},
+	"sim/retry":              {Name: "retry(sparksim)", Stoppable: true, Deterministic: true},
+	"sim/cache":              {Name: "checkpoint(sparksim)", Stoppable: true, Deterministic: true},
+	"sim/record":             {Name: "trace-record(sparksim)", Stoppable: true, Deterministic: true},
+	"sim/production":         {Name: "checkpoint(observed(retry(chaos(sparksim))))", Stoppable: true, Deterministic: true},
+	"sim/production-healed":  {Name: "checkpoint(observed(retry(chaos(sparksim))))", Stoppable: true, Deterministic: true},
+}
+
+func newRig(backend func() Runner, build func(Runner, *rig) Runner) *rig {
+	g := &rig{probe: &probe{Runner: backend()}}
+	g.sink, g.sinkBuf = memSink()
+	g.top = build(g.probe, g)
+	return g
+}
+
+// conformanceDrive is the call script every stack answers: serial runs,
+// runs at reserved indices claimed out of order, one batch, and the run
+// index the backend hands out next.
+type conformanceResult struct {
+	Apps  []AppResult
+	Batch []AppResult
+	Next  uint64
+}
+
+func conformanceDrive(t *testing.T, r Runner, workers int) conformanceResult {
+	t.Helper()
+	app := batchApp()
+	cs := randomConfigs(r.Space(), 9, 21)
+	var out conformanceResult
+	for _, c := range cs[:2] {
+		out.Apps = append(out.Apps, r.RunApp(app, c, 100))
+	}
+	first := r.ReserveRuns(2)
+	out.Apps = append(out.Apps, r.RunAppAt(first+1, app, cs[2], 120))
+	out.Apps = append(out.Apps, r.RunAppAt(first, app, cs[3], 140))
+	batch, done := RunBatch(r, app, cs[4:], func(i int) float64 { return 100 + float64(i)*20 }, workers, nil)
+	if done != len(cs[4:]) {
+		t.Fatalf("batch incomplete: %d of %d", done, len(cs[4:]))
+	}
+	out.Batch = batch
+	out.Next = r.ReserveRuns(1)
+	return out
+}
+
+// decodeTrace reads back what a rig's Recorder layer wrote.
+func decodeTrace(t *testing.T, g *rig) []TraceEntry {
+	t.Helper()
+	if err := g.sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out []TraceEntry
+	dec := json.NewDecoder(g.sinkBuf)
+	for {
+		var e TraceEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+}
+
+func countKind(entries []TraceEntry, kind TraceKind) int {
+	n := 0
+	for _, e := range entries {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+func TestConformance(t *testing.T) {
+	for _, be := range conformanceBackends {
+		for _, st := range conformanceStacks {
+			id := be.name + "/" + st.name
+			t.Run(id, func(t *testing.T) {
+				want, ok := conformanceCaps[id]
+				if !ok {
+					t.Fatalf("no recorded capabilities for %s", id)
+				}
+				if got := CapsOf(newRig(be.make, st.build).top); got != want {
+					t.Fatalf("capabilities\n got %+v\nwant %+v", got, want)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					bare := conformanceDrive(t, be.make(), workers)
+					g := newRig(be.make, st.build)
+					got := conformanceDrive(t, g.top, workers)
+					if !reflect.DeepEqual(got, bare) {
+						t.Fatalf("workers=%d: stack diverged from the bare backend\n got %+v\nwant %+v", workers, got, bare)
+					}
+					// Every run reached the backend exactly once: drops and
+					// retries above the probe never touch it.
+					nRuns := int64(len(bare.Apps) + len(bare.Batch))
+					if n := g.probe.runs.Load(); n != nRuns {
+						t.Fatalf("workers=%d: backend executed %d runs, want %d", workers, n, nRuns)
+					}
+					if st.name == "production-healed" && g.retries.Load() == 0 {
+						t.Fatal("healed-drop schedule dropped nothing")
+					}
+					if err := BackendErr(g.top); err != nil {
+						t.Fatalf("healthy stack reports %v", err)
+					}
+					conformanceNoiseless(t, g, st.observed, nRuns)
+				}
+			})
+		}
+	}
+}
+
+// conformanceNoiseless pins the deterministic-evaluation contract through a
+// driven stack: the bare value, no run index reserved, no observer reached,
+// one report/record per key.
+func conformanceNoiseless(t *testing.T, g *rig, observed bool, nRuns int64) {
+	t.Helper()
+	app := batchApp()
+	space := g.top.Space()
+	keys := []conf.Config{space.Default(), randomConfigs(space, 1, 5)[0]}
+	before := g.top.ReserveRuns(1)
+	for rep := 0; rep < 3; rep++ {
+		for _, c := range keys {
+			if got, want := g.top.NoiselessAppTime(app, c, 100), g.probe.Runner.NoiselessAppTime(app, c, 100); got != want {
+				t.Fatalf("NoiselessAppTime %v through the stack, %v bare", got, want)
+			}
+		}
+	}
+	if after := g.top.ReserveRuns(1); after != before+1 {
+		t.Fatalf("NoiselessAppTime reserved run indices: %d -> %d", before, after)
+	}
+	if n := g.probe.runs.Load(); n != nRuns {
+		t.Fatalf("NoiselessAppTime executed runs: %d, want %d", n, nRuns)
+	}
+	if observed {
+		if n, _ := g.tally.Snapshot(); n != nRuns {
+			t.Fatalf("observer saw %d executions, want %d (noiseless must not be observed)", n, nRuns)
+		}
+	}
+	g.mu.Lock()
+	reported := append([]TraceEntry(nil), g.reported...)
+	g.mu.Unlock()
+	if len(reported) > 0 {
+		if n := countKind(reported, TraceNoiseless); n != len(keys) {
+			t.Fatalf("cache reported %d noiseless entries, want one per key (%d)", n, len(keys))
+		}
+		if n := countKind(reported, TraceApp); int64(n) != nRuns {
+			t.Fatalf("cache reported %d app entries, want %d", n, nRuns)
+		}
+	}
+	if recorded := decodeTrace(t, g); len(recorded) > 0 {
+		if n := countKind(recorded, TraceNoiseless); n != len(keys) {
+			t.Fatalf("recorder wrote %d noiseless entries, want one per key (%d)", n, len(keys))
+		}
+		if n := countKind(recorded, TraceApp); int64(n) != nRuns {
+			t.Fatalf("recorder wrote %d app entries, want %d", n, nRuns)
+		}
+	}
+}
+
+// A dropped attempt never reaches the backend, and a backend gone sticky
+// after FailAfter still answers noiseless evaluations — alone and through
+// the production order.
+func TestConformanceFaults(t *testing.T) {
+	for _, be := range conformanceBackends {
+		t.Run(be.name, func(t *testing.T) {
+			app := batchApp()
+
+			p := &probe{Runner: be.make()}
+			chaos := NewChaos(p, ChaosOptions{DropRate: 1, MaxConsecutive: 1, Seed: 3})
+			c := chaos.Space().Default()
+			idx := chaos.ReserveRuns(1)
+			if res, err := chaos.TryRunAppAt(idx, app, c, 100); err == nil || !IsTransient(err) || res.Sec != 0 {
+				t.Fatalf("first attempt: got %+v, %v; want a transient drop", res, err)
+			}
+			if n := p.runs.Load(); n != 0 {
+				t.Fatalf("dropped attempt reached the backend %d times", n)
+			}
+			want := be.make().RunApp(app, c, 100)
+			if res, err := chaos.TryRunAppAt(idx, app, c, 100); err != nil || !reflect.DeepEqual(res, want) {
+				t.Fatalf("healed attempt: got %+v, %v; want the bare result", res, err)
+			}
+			if n := p.runs.Load(); n != 1 {
+				t.Fatalf("healed attempt executed %d runs, want 1", n)
+			}
+
+			for _, stack := range []string{"chaos", "production"} {
+				g := newRig(be.make, func(b Runner, g *rig) Runner {
+					if stack == "chaos" {
+						return NewChaos(b, ChaosOptions{FailAfter: 1, Seed: 1})
+					}
+					return production(b, g, ChaosOptions{FailAfter: 1, Seed: 1})
+				})
+				if res := g.top.RunApp(app, c, 100); res.Sec == 0 {
+					t.Fatalf("%s: run before FailAfter failed", stack)
+				}
+				if err := BackendErr(g.top); !errors.Is(err, ErrChaosFailed) {
+					t.Fatalf("%s: err = %v, want ErrChaosFailed", stack, err)
+				}
+				if res := g.top.RunApp(app, c, 100); res.Sec != 0 {
+					t.Fatalf("%s: run after the sticky failure returned a result", stack)
+				}
+				if n := g.probe.runs.Load(); n != 1 {
+					t.Fatalf("%s: backend executed %d runs, want 1", stack, n)
+				}
+				if got, want := g.top.NoiselessAppTime(app, c, 100), g.probe.Runner.NoiselessAppTime(app, c, 100); got != want || got == 0 {
+					t.Fatalf("%s: NoiselessAppTime after FailAfter = %v, want %v", stack, got, want)
+				}
+			}
+		})
+	}
+}

@@ -1,11 +1,7 @@
 package runner
 
 import (
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,7 +69,7 @@ func ParseSpec(spec string) (*Factory, error) {
 				f.ropt.Miss = MissNearest
 			case strings.HasPrefix(p, "tol="):
 				tol, err := strconv.ParseFloat(strings.TrimPrefix(p, "tol="), 64)
-				if err != nil || tol < 0 {
+				if err != nil || !(tol >= 0) { // also rejects NaN
 					return nil, fmt.Errorf("runner: backend spec %q: bad tolerance %q", spec, p)
 				}
 				f.ropt.Tolerance = tol
@@ -164,35 +160,4 @@ func (f *Factory) Close() error {
 		return sink.Close()
 	}
 	return nil
-}
-
-// TraceEntries reads every entry of a trace file (a debugging/tooling
-// helper; replay goes through OpenReplayer).
-func TraceEntries(path string) ([]TraceEntry, error) {
-	fp, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fp.Close()
-	var r io.Reader = fp
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(fp)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		r = zr
-	}
-	dec := json.NewDecoder(r)
-	var out []TraceEntry
-	for {
-		var e TraceEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

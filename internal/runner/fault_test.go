@@ -10,15 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"locat/internal/conf"
 	"locat/internal/sparksim"
 )
-
-// RunQueryAt pins fakeBackend query runs to an explicit index, so the fault
-// wrappers keep chaotic query sessions index-aligned with fault-free ones.
-func (f *fakeBackend) RunQueryAt(idx uint64, q Query, c conf.Config, dataGB float64) QueryResult {
-	return QueryResult{Name: q.Name, Sec: float64(idx+1) + c[0]}
-}
 
 func noSleep(time.Duration) {}
 
@@ -49,14 +42,14 @@ func TestParseChaosSpec(t *testing.T) {
 // retry budget, so every drop heals and the same results come back in the
 // same order.
 func TestChaosWithRetryMatchesFaultFree(t *testing.T) {
-	want, _, wantNoiseless := driveSession(t, newFakeBackend(Capabilities{}))
+	want, wantNoiseless := driveSession(t, newFakeBackend(Capabilities{}))
 
 	var retries atomic.Int64
 	chain := NewRetrying(
 		NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9}),
 		RetryOptions{MaxAttempts: 3, Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
 	)
-	got, _, gotNoiseless := driveSession(t, chain)
+	got, gotNoiseless := driveSession(t, chain)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("chaotic session diverged from fault-free results")
 	}
@@ -94,7 +87,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // touched it would desynchronize the replay.
 func TestChaosDropNeverTouchesInner(t *testing.T) {
 	var tally Tally
-	inner := Metered(newFakeBackend(Capabilities{}), &tally)
+	inner := Observe(newFakeBackend(Capabilities{}), &tally)
 	chaos := NewChaos(inner, ChaosOptions{DropRate: 1, MaxConsecutive: 1, Seed: 3})
 	app := batchApp()
 	c := inner.Space().Default()
@@ -195,7 +188,7 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	var tally Tally
-	inner := Metered(newFakeBackend(Capabilities{}), &tally)
+	inner := Observe(newFakeBackend(Capabilities{}), &tally)
 	var opened atomic.Int64
 	chain := NewRetrying(
 		// Every attempt drops and maxfail exceeds the retry budget, so every
@@ -254,6 +247,14 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	if err := BackendErr(chain); err == nil || err.Error() != "gateway dead" {
 		t.Fatalf("innermost error not forwarded: %v", err)
 	}
+	// Cache and Recorder forward it as well: a wrapper that hid it would
+	// report a dead backend as healthy.
+	recSink, _ := memSink()
+	for _, w := range []Runner{NewCache(bottom, nil, nil), NewRecorder(bottom, recSink, "s")} {
+		if err := BackendErr(w); err == nil || err.Error() != "gateway dead" {
+			t.Fatalf("%s: innermost error not forwarded: %v", CapsOf(w).Name, err)
+		}
+	}
 
 	// Chaos-layer sticky failure surfaces through Retrying and Observed.
 	chaos := NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{FailAfter: 1, Seed: 1})
@@ -267,7 +268,7 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	cl := sparksim.ARM()
 	sink, buf := memSink()
 	rec := NewRecorder(NewSim(sparksim.New(cl, 7)), sink, "s1")
-	wantApps, wantQueries, wantNoiseless := driveSession(t, rec)
+	wantApps, wantNoiseless := driveSession(t, rec)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +281,8 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	if name := CapsOf(full).Name; name != "observed(retry(chaos(trace-replay)))" {
 		t.Fatalf("capability names do not nest: %q", name)
 	}
-	gotApps, gotQueries, gotNoiseless := driveSession(t, full)
-	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotQueries, wantQueries) ||
-		!reflect.DeepEqual(gotNoiseless, wantNoiseless) {
+	gotApps, gotNoiseless := driveSession(t, full)
+	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("chaotic replay diverged from the recorded session")
 	}
 	if err := BackendErr(full); err != nil {
@@ -297,22 +297,21 @@ func TestCacheServesCheckpointedRuns(t *testing.T) {
 	var entries []TraceEntry
 	var mu sync.Mutex
 	var payTally Tally
-	paying := NewCache(Metered(newFakeBackend(Capabilities{}), &payTally), nil, func(e TraceEntry) {
+	paying := NewCache(Observe(newFakeBackend(Capabilities{}), &payTally), nil, func(e TraceEntry) {
 		mu.Lock()
 		entries = append(entries, e)
 		mu.Unlock()
 	})
-	wantApps, wantQueries, wantNoiseless := driveSession(t, paying)
+	wantApps, wantNoiseless := driveSession(t, paying)
 	paidRuns, _ := payTally.Snapshot()
 	if paidRuns == 0 || paying.ResumedRuns() != 0 {
 		t.Fatalf("first drive: %d paid runs, %d resumed", paidRuns, paying.ResumedRuns())
 	}
 
 	var resumeTally Tally
-	resumed := NewCache(Metered(newFakeBackend(Capabilities{}), &resumeTally), entries, nil)
-	gotApps, gotQueries, gotNoiseless := driveSession(t, resumed)
-	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotQueries, wantQueries) ||
-		!reflect.DeepEqual(gotNoiseless, wantNoiseless) {
+	resumed := NewCache(Observe(newFakeBackend(Capabilities{}), &resumeTally), entries, nil)
+	gotApps, gotNoiseless := driveSession(t, resumed)
+	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("resumed session diverged from the original")
 	}
 	if runs, _ := resumeTally.Snapshot(); runs != 0 {
@@ -329,12 +328,12 @@ func TestCachePartialCheckpointPaysOnlySuffix(t *testing.T) {
 	var entries []TraceEntry
 	var mu sync.Mutex
 	var tally0 Tally
-	first := NewCache(Metered(newFakeBackend(Capabilities{}), &tally0), nil, func(e TraceEntry) {
+	first := NewCache(Observe(newFakeBackend(Capabilities{}), &tally0), nil, func(e TraceEntry) {
 		mu.Lock()
 		entries = append(entries, e)
 		mu.Unlock()
 	})
-	wantApps, _, _ := driveSession(t, first)
+	wantApps, _ := driveSession(t, first)
 	total, _ := tally0.Snapshot()
 
 	// Keep only the app runs at the first three indices — the "killed after
@@ -350,8 +349,8 @@ func TestCachePartialCheckpointPaysOnlySuffix(t *testing.T) {
 	}
 
 	var tally Tally
-	resumed := NewCache(Metered(newFakeBackend(Capabilities{}), &tally), prefix, nil)
-	gotApps, _, _ := driveSession(t, resumed)
+	resumed := NewCache(Observe(newFakeBackend(Capabilities{}), &tally), prefix, nil)
+	gotApps, _ := driveSession(t, resumed)
 	if !reflect.DeepEqual(gotApps, wantApps) {
 		t.Fatal("partially resumed session diverged")
 	}

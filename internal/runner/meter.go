@@ -12,8 +12,6 @@ import (
 const (
 	// KindApp is a direct full-application execution.
 	KindApp = "app"
-	// KindQuery is a single-query execution.
-	KindQuery = "query"
 	// KindBatch marks executions completed inside a RunBatch; their wall
 	// time is the batch wall amortized over its completed runs (per-run
 	// wall is not observable through a native batch path).
@@ -57,26 +55,22 @@ func (t *Tally) Snapshot() (runs int64, clusterSec float64) {
 	return t.runs.Load(), math.Float64frombits(t.secBits.Load())
 }
 
-// Observed wraps a backend and reports every execution (app and query
-// runs; not noiseless evaluations, which consume no cluster time) to a set
-// of RunObservers — a Tally for totals, a metrics sink for labeled
+// Observed wraps a backend and reports every execution (application runs;
+// not noiseless evaluations, which consume no cluster time) to a set of
+// RunObservers — a Tally for totals, a metrics sink for labeled
 // counters and duration histograms, or both. Batches dispatch through the
 // package RunBatch on the inner backend, so native batch paths stay
 // native. The wrapper adds no allocations per run beyond what the
 // observers themselves do (pinned by TestObservedZeroExtraAllocs).
 type Observed struct {
-	inner Runner
-	obs   []RunObserver
+	forward
+	obs []RunObserver
 }
 
 // Observe wraps r, reporting executions to every observer in obs.
 func Observe(r Runner, obs ...RunObserver) *Observed {
-	return &Observed{inner: r, obs: obs}
+	return &Observed{forward: forward{inner: r}, obs: obs}
 }
-
-// Metered wraps r, charging executions to t — the common single-observer
-// case of Observe.
-func Metered(r Runner, t *Tally) *Observed { return Observe(r, t) }
 
 func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 	for _, o := range m.obs {
@@ -85,7 +79,8 @@ func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 }
 
 // Capabilities advertise a native batch (Observed's own RunBatch negotiates
-// on the inner backend), inheriting everything else.
+// on the inner backend) where the other decorators mask it, inheriting
+// everything else.
 func (m *Observed) Capabilities() Capabilities {
 	caps := CapsOf(m.inner)
 	caps.Name = "observed(" + caps.Name + ")"
@@ -93,18 +88,9 @@ func (m *Observed) Capabilities() Capabilities {
 	return caps
 }
 
-// Space returns the inner backend's configuration space.
-func (m *Observed) Space() *conf.Space { return m.inner.Space() }
-
-// ReserveRuns delegates index accounting.
-func (m *Observed) ReserveRuns(n int) uint64 { return m.inner.ReserveRuns(n) }
-
-// RunApp executes and reports one application run.
+// RunApp claims the next index and executes it observed.
 func (m *Observed) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	start := time.Now()
-	res := m.inner.RunApp(app, c, dataGB)
-	m.observe(KindApp, time.Since(start).Seconds(), res.Sec)
-	return res
+	return m.RunAppAt(m.inner.ReserveRuns(1), app, c, dataGB)
 }
 
 // RunAppAt executes and reports one application run at a pinned index.
@@ -112,14 +98,6 @@ func (m *Observed) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB 
 	start := time.Now()
 	res := m.inner.RunAppAt(idx, app, c, dataGB)
 	m.observe(KindApp, time.Since(start).Seconds(), res.Sec)
-	return res
-}
-
-// RunQuery executes and reports one single-query run.
-func (m *Observed) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	start := time.Now()
-	res := m.inner.RunQuery(q, c, dataGB)
-	m.observe(KindQuery, time.Since(start).Seconds(), res.Sec)
 	return res
 }
 
@@ -138,16 +116,6 @@ func (m *Observed) RunBatch(app *Application, cs []conf.Config, dataGB func(i in
 	}
 	return results, done
 }
-
-// NoiselessAppTime delegates without reporting: deterministic evaluations
-// consume no cluster time.
-func (m *Observed) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	return m.inner.NoiselessAppTime(app, c, dataGB)
-}
-
-// Err surfaces the inner backend's sticky out-of-band failure, so BackendErr
-// sees through the wrapper.
-func (m *Observed) Err() error { return BackendErr(m.inner) }
 
 var (
 	_ BatchRunner = (*Observed)(nil)

@@ -11,9 +11,10 @@ import (
 )
 
 // TryRunner is the per-run error surface fault-aware backends expose on top
-// of Runner: the same executions, but with the failure visible per attempt
-// instead of collapsed into a zero result. Chaos implements it; Retrying
-// consumes it to know when (and whether) to retry.
+// of Runner — the package's one error-returning primitive: the same
+// executions, but with the failure visible per attempt instead of collapsed
+// into a zero result. Chaos implements it; Retrying consumes it to know
+// when (and whether) to retry.
 type TryRunner interface {
 	TryRunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) (AppResult, error)
 }
@@ -88,9 +89,9 @@ type RetryOptions struct {
 // failure, so Retrying forwards their runs untouched (the breaker then only
 // relays the inner backend's sticky Faulty state).
 type Retrying struct {
-	inner Runner
-	try   TryRunner // nil when inner has no per-run error surface
-	opts  RetryOptions
+	forward
+	try  TryRunner // nil when inner has no per-run error surface
+	opts RetryOptions
 
 	mu          sync.Mutex
 	consecutive int
@@ -115,7 +116,7 @@ func NewRetrying(inner Runner, opts RetryOptions) *Retrying {
 		opts.Sleep = time.Sleep
 	}
 	try, _ := inner.(TryRunner)
-	return &Retrying{inner: inner, try: try, opts: opts}
+	return &Retrying{forward: forward{inner, "retry"}, try: try, opts: opts}
 }
 
 // backoff returns the pre-attempt delay: capped exponential in the attempt
@@ -160,9 +161,17 @@ func (r *Retrying) noteRun(err error) {
 	}
 }
 
-// runApp executes run idx with retries; returns a zero result for runs that
-// exhaust their attempts (the Runner contract: failed runs report zero).
-func (r *Retrying) runApp(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+// RunApp claims the next index and executes it with retries.
+func (r *Retrying) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
+	return r.RunAppAt(r.inner.ReserveRuns(1), app, c, dataGB)
+}
+
+// RunAppAt executes run idx with retries — the package's one retry loop;
+// it returns a zero result for runs that exhaust their attempts (the Runner
+// contract: failed runs report zero). The deterministic backoff jitter
+// keeps chaotic-but-deterministic inner backends deterministic through the
+// retry layer.
+func (r *Retrying) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
 	if r.try == nil {
 		return r.inner.RunAppAt(idx, app, c, dataGB)
 	}
@@ -191,77 +200,6 @@ func (r *Retrying) runApp(idx uint64, app *Application, c conf.Config, dataGB fl
 	return AppResult{}
 }
 
-// Capabilities mask the inner native batch (retries are per-index) and
-// inherit the rest; the deterministic jitter keeps chaotic-but-deterministic
-// inner backends deterministic through the retry layer.
-func (r *Retrying) Capabilities() Capabilities {
-	caps := CapsOf(r.inner)
-	return Capabilities{
-		Name:          "retry(" + caps.Name + ")",
-		NativeBatch:   false,
-		MaxParallel:   caps.MaxParallel,
-		Stoppable:     true,
-		Deterministic: caps.Deterministic,
-	}
-}
-
-// Space returns the inner backend's configuration space.
-func (r *Retrying) Space() *conf.Space { return r.inner.Space() }
-
-// ReserveRuns delegates index accounting.
-func (r *Retrying) ReserveRuns(n int) uint64 { return r.inner.ReserveRuns(n) }
-
-// RunApp claims the next index and executes it with retries.
-func (r *Retrying) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return r.runApp(r.inner.ReserveRuns(1), app, c, dataGB)
-}
-
-// RunAppAt executes run idx with retries.
-func (r *Retrying) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
-	return r.runApp(idx, app, c, dataGB)
-}
-
-// RunQuery executes a single query with retries when the inner backend
-// exposes a per-query error surface.
-func (r *Retrying) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	tq, ok := r.inner.(interface {
-		TryRunQueryAt(idx uint64, q Query, c conf.Config, dataGB float64) (QueryResult, error)
-	})
-	if !ok {
-		return r.inner.RunQuery(q, c, dataGB)
-	}
-	if r.open() {
-		return QueryResult{}
-	}
-	idx := r.inner.ReserveRuns(1)
-	var lastErr error
-	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.opts.Sleep(r.backoff(idx, attempt))
-			if r.opts.OnRetry != nil {
-				r.opts.OnRetry()
-			}
-		}
-		res, err := tq.TryRunQueryAt(idx, q, c, dataGB)
-		if err == nil {
-			r.noteRun(nil)
-			return res
-		}
-		lastErr = err
-		if !IsTransient(err) {
-			break
-		}
-	}
-	r.noteRun(lastErr)
-	return QueryResult{}
-}
-
-// NoiselessAppTime delegates: deterministic evaluations are never faulted,
-// so there is nothing to retry.
-func (r *Retrying) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	return r.inner.NoiselessAppTime(app, c, dataGB)
-}
-
 // Err reports the tripped breaker, or the inner backend's sticky failure.
 func (r *Retrying) Err() error {
 	r.mu.Lock()
@@ -270,7 +208,7 @@ func (r *Retrying) Err() error {
 	if err != nil {
 		return err
 	}
-	return BackendErr(r.inner)
+	return r.forward.Err()
 }
 
 var (

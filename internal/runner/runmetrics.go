@@ -6,11 +6,11 @@ import (
 
 // RunMetrics is a RunObserver charging every execution to an obs.Registry:
 // a run counter, a simulated-cluster-seconds counter, and wall/cluster
-// duration histograms, all labeled by run kind. The per-kind series are
-// resolved once at construction, so the per-run path is a few atomic adds
-// with zero allocations.
+// duration histograms, all labeled by run kind ("app", "batch"). The
+// per-kind series are resolved once at construction, so the per-run path is
+// a few atomic adds with zero allocations.
 type RunMetrics struct {
-	app, query, batch kindMetrics
+	app, batch kindMetrics
 }
 
 type kindMetrics struct {
@@ -39,7 +39,6 @@ func newKindMetrics(r *obs.Registry, kind string) kindMetrics {
 func NewRunMetrics(r *obs.Registry) *RunMetrics {
 	return &RunMetrics{
 		app:   newKindMetrics(r, KindApp),
-		query: newKindMetrics(r, KindQuery),
 		batch: newKindMetrics(r, KindBatch),
 	}
 }
@@ -47,10 +46,7 @@ func NewRunMetrics(r *obs.Registry) *RunMetrics {
 // ObserveRun charges one execution.
 func (m *RunMetrics) ObserveRun(kind string, wallSec, clusterSec float64) {
 	km := &m.app
-	switch kind {
-	case KindQuery:
-		km = &m.query
-	case KindBatch:
+	if kind == KindBatch {
 		km = &m.batch
 	}
 	km.runs.Inc()

@@ -3,11 +3,17 @@
 // baselines, experiments, service) and whatever actually executes a Spark
 // SQL application under a candidate configuration.
 //
-// The paper tunes against live ARM and x86 clusters; this reproduction
-// historically called the analytical simulator (internal/sparksim)
-// concretely from every layer. Runner breaks that coupling: the tuner only
-// needs something that can execute an application under a configuration at
-// a data size and report per-query latencies. Three backends ship:
+// The contract is three things. An application run: execute an Application
+// under a configuration at a data size as one run index and report
+// per-query latencies (RunApp claims the next index, RunAppAt is handed
+// one). A noiseless evaluation: the backend's deterministic estimate of the
+// same latency, which consumes no run index and no cluster time. A batch:
+// many application runs over one reserved index block (the package-level
+// RunBatch). There is no single-query run: QCSA reads per-query latencies
+// out of full-application results, and a reduced query application — down
+// to one query — is an Application like any other.
+//
+// Three backends ship:
 //
 //   - Sim wraps *sparksim.Simulator bit-for-bit (the default).
 //   - Recorder / Replayer persist every (config, context) → result pair of
@@ -24,6 +30,14 @@
 // implementation are called directly, everything else is transparently
 // wrapped by a bounded worker pool that reproduces serial results exactly
 // (see batch.go).
+//
+// Decorators (Observed, Chaos, Retrying, Cache, Recorder) change one thing
+// about an inner backend and forward the rest. The forwarding is written
+// once, on the embedded forward struct below: a decorator declares its own
+// state, RunAppAt, and a one-line RunApp that claims the next index for it.
+// Failure has one per-run surface, TryRunner.TryRunAppAt (Chaos exposes it,
+// Retrying consumes it); everything else reports a failed run as a zero
+// result and the cause through the sticky Err.
 package runner
 
 import (
@@ -71,8 +85,6 @@ type Runner interface {
 	// RunAppAt executes the application as run index idx without touching
 	// the run counter.
 	RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult
-	// RunQuery executes a single query under c, claiming the next run index.
-	RunQuery(q Query, c conf.Config, dataGB float64) QueryResult
 	// NoiselessAppTime returns the backend's best deterministic estimate of
 	// the application latency under c — the quantity tuned-vs-default
 	// comparisons report. The simulator evaluates its cost model noise-free;
@@ -133,6 +145,56 @@ func BackendErr(r Runner) error {
 		return f.Err()
 	}
 	return nil
+}
+
+// forward is what a decorator does not change, written once. Index
+// accounting, the configuration space and noiseless evaluations belong to
+// the inner backend; its sticky failure shows through (Chaos and Retrying
+// report their own first); and its native batch is masked, so the pool
+// routes every run of a batch through the decorator's RunAppAt by index.
+// A decorator embeds forward and adds the two run methods:
+//
+//	type Logged struct{ forward }
+//
+//	func (l *Logged) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+//		log.Printf("run %d", idx)
+//		return l.inner.RunAppAt(idx, app, c, dataGB)
+//	}
+//
+//	func (l *Logged) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
+//		return l.RunAppAt(l.inner.ReserveRuns(1), app, c, dataGB)
+//	}
+type forward struct {
+	inner Runner
+	// name prefixes the inner backend's in Capabilities: "chaos(sparksim)".
+	name string
+}
+
+// Space returns the inner backend's configuration space.
+func (f forward) Space() *conf.Space { return f.inner.Space() }
+
+// ReserveRuns delegates index accounting, so every layer of a stack hands
+// out the backend's own index sequence.
+func (f forward) ReserveRuns(n int) uint64 { return f.inner.ReserveRuns(n) }
+
+// NoiselessAppTime passes through: a deterministic evaluation models no
+// execution, so it is never observed, faulted or retried.
+func (f forward) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
+	return f.inner.NoiselessAppTime(app, c, dataGB)
+}
+
+// Err surfaces the inner backend's sticky failure, so BackendErr sees
+// through any depth of wrapping.
+func (f forward) Err() error { return BackendErr(f.inner) }
+
+// Capabilities mask the inner native batch and inherit the rest; the pool
+// that takes the batch over polls stop for every backend.
+func (f forward) Capabilities() Capabilities {
+	caps := CapsOf(f.inner)
+	caps.Name = f.name + "(" + caps.Name + ")"
+	caps.NativeBatch = false
+	caps.Stoppable = true
+	return caps
 }
 
 // CapsOf returns a backend's capabilities. Backends without a Reporter get

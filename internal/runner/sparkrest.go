@@ -253,16 +253,6 @@ func (s *SparkRest) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB f
 	return res
 }
 
-// RunQuery submits a single-query application.
-func (s *SparkRest) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	app := &Application{Name: "query:" + q.Name, Queries: []Query{q}}
-	res := s.RunApp(app, c, dataGB)
-	if len(res.Queries) == 1 {
-		return res.Queries[0]
-	}
-	return QueryResult{Name: q.Name, Sec: res.Sec, GCSec: res.GCSec}
-}
-
 // NoiselessAppTime requests the gateway's deterministic estimate (a
 // model-based dry run; gateways without one execute a validation run).
 func (s *SparkRest) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {

@@ -38,8 +38,6 @@ type TraceKind string
 const (
 	// TraceApp is one application execution (RunApp / RunAppAt / batch).
 	TraceApp TraceKind = "app"
-	// TraceQuery is one single-query execution.
-	TraceQuery TraceKind = "query"
 	// TraceNoiseless is one deterministic NoiselessAppTime evaluation.
 	TraceNoiseless TraceKind = "noiseless"
 )
@@ -50,22 +48,18 @@ type TraceEntry struct {
 	Stream string `json:"stream,omitempty"`
 	// Kind is the entry kind.
 	Kind TraceKind `json:"kind"`
-	// Idx is the run index the execution was performed at (Kind app/query).
+	// Idx is the run index the execution was performed at (Kind app).
 	Idx uint64 `json:"idx,omitempty"`
 	// App is the application name and NQ its query count (app identity —
 	// a session's reduced query application is distinct from the full one).
 	App string `json:"app,omitempty"`
 	NQ  int    `json:"nq,omitempty"`
-	// QueryName identifies the query of a TraceQuery entry.
-	QueryName string `json:"query,omitempty"`
 	// Conf is the executed configuration (natural units).
 	Conf []float64 `json:"conf"`
 	// DataGB is the input size of the run.
 	DataGB float64 `json:"data_gb"`
-	// Result holds the outcome of app-shaped entries.
+	// Result holds the outcome of a TraceApp entry.
 	Result *AppResult `json:"result,omitempty"`
-	// QueryRes holds the outcome of a TraceQuery entry.
-	QueryRes *QueryResult `json:"query_res,omitempty"`
 	// Sec holds the scalar outcome of a TraceNoiseless entry.
 	Sec float64 `json:"sec,omitempty"`
 }
@@ -83,14 +77,177 @@ func (e *TraceEntry) key() string {
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(e.NQ))
 	b.WriteByte('|')
-	b.WriteString(e.QueryName)
-	b.WriteByte('|')
 	b.WriteString(strconv.FormatFloat(e.DataGB, 'g', -1, 64))
 	for _, v := range e.Conf {
 		b.WriteByte(',')
 		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	return b.String()
+}
+
+// entryOf describes one evaluation of app under c at dataGB: the identity a
+// Replayer or Cache looks up and, completed by stored, the entry a sink or
+// a checkpoint keeps. It borrows c.
+func entryOf(kind TraceKind, app *Application, c conf.Config, dataGB float64) TraceEntry {
+	return TraceEntry{Kind: kind, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: dataGB}
+}
+
+// stored completes e for keeping under stream at run index idx: the
+// configuration is copied, so the entry outlives the caller's slice.
+func (e TraceEntry) stored(stream string, idx uint64) TraceEntry {
+	e.Stream, e.Idx = stream, idx
+	e.Conf = append([]float64(nil), e.Conf...)
+	return e
+}
+
+// withResult attaches a private copy of an application run's outcome.
+func (e TraceEntry) withResult(res AppResult) TraceEntry {
+	cp := cloneResult(res)
+	e.Result = &cp
+	return e
+}
+
+// cloneResult copies res down to its per-query slice, so a stored result
+// and the one handed to the caller never share memory.
+func cloneResult(res AppResult) AppResult {
+	res.Queries = append([]QueryResult(nil), res.Queries...)
+	return res
+}
+
+// noiselessOnce evaluates deterministic latencies on an inner backend and
+// hands each distinct evaluation to emit once: they are pure, so a repeat
+// is neither recorded nor reported again.
+type noiselessOnce struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+// mark notes key k as emitted and reports whether it was new.
+func (n *noiselessOnce) mark(k string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.seen[k] {
+		return false
+	}
+	if n.seen == nil {
+		n.seen = map[string]bool{}
+	}
+	n.seen[k] = true
+	return true
+}
+
+func (n *noiselessOnce) eval(inner Runner, stream string, app *Application, c conf.Config, dataGB float64, emit func(TraceEntry)) float64 {
+	sec := inner.NoiselessAppTime(app, c, dataGB)
+	e := entryOf(TraceNoiseless, app, c, dataGB)
+	if n.mark(e.key()) {
+		e = e.stored(stream, 0)
+		e.Sec = sec
+		emit(e)
+	}
+	return sec
+}
+
+// traceTable serves executions out of trace entries by exact identity — the
+// one lookup under both Replayer and Cache. Only application runs and
+// noiseless evaluations are indexed; anything else a file holds (older
+// versions wrote "query" lines) loads but can never match.
+type traceTable struct {
+	mu    sync.Mutex
+	byKey map[string][]*tableEntry
+}
+
+// tableEntry is one indexed entry plus its consumption flag and, for a
+// Replayer, the configuration pre-encoded onto the unit cube (nearest
+// lookups scan all entries; encoding once at load keeps the scan a plain
+// distance loop).
+type tableEntry struct {
+	TraceEntry
+	enc  []float64
+	used bool
+}
+
+// add indexes e, or returns nil for a kind the table does not serve.
+func (t *traceTable) add(e TraceEntry) *tableEntry {
+	if e.Kind != TraceApp && e.Kind != TraceNoiseless {
+		return nil
+	}
+	if t.byKey == nil {
+		t.byKey = map[string][]*tableEntry{}
+	}
+	te := &tableEntry{TraceEntry: e}
+	k := e.key()
+	t.byKey[k] = append(t.byKey[k], te)
+	return te
+}
+
+// lookup finds an unconsumed entry under key k, preferring the one paid at
+// run index idx, then file order. A non-consuming lookup (noiseless
+// evaluations are pure and may repeat) may reuse an already-served entry.
+func (t *traceTable) lookup(k string, idx uint64, consume bool) *TraceEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cands := t.byKey[k]
+	var pick *tableEntry
+	for _, c := range cands {
+		if !c.used && c.Idx == idx {
+			pick = c
+			break
+		}
+	}
+	if pick == nil {
+		for _, c := range cands {
+			if !c.used {
+				pick = c
+				break
+			}
+		}
+	}
+	if pick == nil && !consume && len(cands) > 0 {
+		pick = cands[0]
+	}
+	if pick == nil {
+		return nil
+	}
+	if consume {
+		pick.used = true
+	}
+	return &pick.TraceEntry
+}
+
+// readTrace decodes a JSON-lines trace, gzip-compressed when gz is set —
+// the one decoder behind TraceEntries, NewReplayer, OpenReplayer and the
+// replay Factory.
+func readTrace(r io.Reader, gz bool) ([]TraceEntry, error) {
+	if gz {
+		zr, err := gzip.NewReader(r)
+		if err != nil {
+			return nil, err
+		}
+		defer zr.Close()
+		r = zr
+	}
+	var entries []TraceEntry
+	dec := json.NewDecoder(r)
+	for {
+		var e TraceEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return entries, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("runner: bad trace entry: %w", err)
+		}
+		entries = append(entries, e)
+	}
+}
+
+// TraceEntries reads every entry of the trace file at path (".gz" traces
+// are decompressed transparently).
+func TraceEntries(path string) ([]TraceEntry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readTrace(f, strings.HasSuffix(path, ".gz"))
 }
 
 // TraceSink collects the entries of one or more recorders and writes them
@@ -190,37 +347,16 @@ func (s *TraceSink) Close() error {
 // index — which is also what keeps recorded parallel sessions identical to
 // serial ones on index-deterministic backends.
 type Recorder struct {
-	inner  Runner
-	sink   *TraceSink
-	stream string
-
-	mu        sync.Mutex
-	noiseless map[string]bool // keys already recorded (deterministic, dedup)
+	forward
+	sink      *TraceSink
+	stream    string
+	noiseless noiselessOnce
 }
 
 // NewRecorder wraps inner, appending entries to sink under stream.
 func NewRecorder(inner Runner, sink *TraceSink, stream string) *Recorder {
-	return &Recorder{inner: inner, sink: sink, stream: stream, noiseless: map[string]bool{}}
+	return &Recorder{forward: forward{inner, "trace-record"}, sink: sink, stream: stream}
 }
-
-// Capabilities inherit the inner backend's determinism but mask its native
-// batch so each run is individually observed.
-func (r *Recorder) Capabilities() Capabilities {
-	caps := CapsOf(r.inner)
-	return Capabilities{
-		Name:          "trace-record(" + caps.Name + ")",
-		NativeBatch:   false,
-		MaxParallel:   caps.MaxParallel,
-		Stoppable:     true,
-		Deterministic: caps.Deterministic,
-	}
-}
-
-// Space returns the inner backend's configuration space.
-func (r *Recorder) Space() *conf.Space { return r.inner.Space() }
-
-// ReserveRuns delegates index accounting to the inner backend.
-func (r *Recorder) ReserveRuns(n int) uint64 { return r.inner.ReserveRuns(n) }
 
 // RunApp claims the next index and records the execution.
 func (r *Recorder) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
@@ -230,61 +366,14 @@ func (r *Recorder) RunApp(app *Application, c conf.Config, dataGB float64) AppRe
 // RunAppAt executes and records one application run.
 func (r *Recorder) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
 	res := r.inner.RunAppAt(idx, app, c, dataGB)
-	cp := res
-	cp.Queries = append([]QueryResult(nil), res.Queries...)
-	r.sink.add(TraceEntry{
-		Stream: r.stream, Kind: TraceApp, Idx: idx,
-		App: app.Name, NQ: len(app.Queries),
-		Conf: append([]float64(nil), c...), DataGB: dataGB, Result: &cp,
-	})
-	return res
-}
-
-// RunQuery executes and records one single-query run, pinning it to an
-// explicit index when the inner backend supports that.
-func (r *Recorder) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	var idx uint64
-	var res QueryResult
-	if qr, ok := r.inner.(queryRunner); ok {
-		idx = r.inner.ReserveRuns(1)
-		res = qr.RunQueryAt(idx, q, c, dataGB)
-	} else {
-		res = r.inner.RunQuery(q, c, dataGB)
-	}
-	cp := res
-	r.sink.add(TraceEntry{
-		Stream: r.stream, Kind: TraceQuery, Idx: idx,
-		QueryName: q.Name,
-		Conf:      append([]float64(nil), c...), DataGB: dataGB, QueryRes: &cp,
-	})
+	r.sink.add(entryOf(TraceApp, app, c, dataGB).stored(r.stream, idx).withResult(res))
 	return res
 }
 
 // NoiselessAppTime evaluates and records the deterministic latency
 // (deduplicated: repeated evaluations of the same point record once).
 func (r *Recorder) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	sec := r.inner.NoiselessAppTime(app, c, dataGB)
-	e := TraceEntry{
-		Stream: r.stream, Kind: TraceNoiseless,
-		App: app.Name, NQ: len(app.Queries),
-		Conf: append([]float64(nil), c...), DataGB: dataGB, Sec: sec,
-	}
-	k := e.key()
-	r.mu.Lock()
-	seen := r.noiseless[k]
-	r.noiseless[k] = true
-	r.mu.Unlock()
-	if !seen {
-		r.sink.add(e)
-	}
-	return sec
-}
-
-// queryRunner is the narrow interface Recorder needs beyond Runner to pin a
-// single-query run to an explicit index; backends without it fall back to
-// order-dependent recording.
-type queryRunner interface {
-	RunQueryAt(idx uint64, q Query, c conf.Config, dataGB float64) QueryResult
+	return r.noiseless.eval(r.inner, r.stream, app, c, dataGB, r.sink.add)
 }
 
 // MissPolicy selects what a Replayer does when a lookup finds no recorded
@@ -323,16 +412,6 @@ func (e *ErrTraceMiss) Error() string {
 	return fmt.Sprintf("runner: trace replay miss in stream %q: no recorded execution for %s", e.Stream, e.Key)
 }
 
-// replayEntry is one loaded trace entry plus its consumption flag and the
-// configuration pre-encoded onto the unit cube (nearest-neighbor lookups
-// scan all entries; encoding once at load keeps the scan a plain distance
-// loop).
-type replayEntry struct {
-	TraceEntry
-	enc  []float64
-	used bool
-}
-
 // Replayer replays one stream of a recorded trace as a Runner, with the
 // original backend fully detached. Lookup is exact-match first — preferring
 // the entry recorded at the requested run index, then FIFO among equal
@@ -346,9 +425,8 @@ type Replayer struct {
 
 	runs atomic.Uint64
 
-	mu      sync.Mutex
-	byKey   map[string][]*replayEntry
-	entries []*replayEntry
+	table   traceTable
+	entries []*tableEntry // every indexed entry, for the nearest scan
 
 	misses atomic.Int64
 }
@@ -357,16 +435,9 @@ type Replayer struct {
 // trace holds a single stream and stream is ""). space must be the
 // configuration space the trace was recorded over.
 func NewReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptions) (*Replayer, error) {
-	var entries []TraceEntry
-	dec := json.NewDecoder(r)
-	for {
-		var e TraceEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("runner: bad trace entry: %w", err)
-		}
-		entries = append(entries, e)
+	entries, err := readTrace(r, false)
+	if err != nil {
+		return nil, err
 	}
 	return NewReplayerFromEntries(space, entries, stream, opts)
 }
@@ -376,15 +447,15 @@ func NewReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptio
 // file once. The entries slice is not mutated (per-replayer consumption
 // state lives in private wrappers).
 func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream string, opts ReplayOptions) (*Replayer, error) {
-	rp := &Replayer{space: space, stream: stream, opts: opts, byKey: map[string][]*replayEntry{}}
+	rp := &Replayer{space: space, stream: stream, opts: opts}
 	for _, e := range entries {
 		if stream != "" && e.Stream != stream {
 			continue
 		}
-		re := &replayEntry{TraceEntry: e, enc: space.Encode(conf.Config(e.Conf))}
-		rp.entries = append(rp.entries, re)
-		k := e.key()
-		rp.byKey[k] = append(rp.byKey[k], re)
+		if te := rp.table.add(e); te != nil {
+			te.enc = space.Encode(conf.Config(e.Conf))
+			rp.entries = append(rp.entries, te)
+		}
 	}
 	if len(rp.entries) == 0 {
 		return nil, fmt.Errorf("runner: trace holds no entries for stream %q", stream)
@@ -395,21 +466,11 @@ func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream stri
 // OpenReplayer loads stream from the trace file at path (".gz" traces are
 // decompressed transparently).
 func OpenReplayer(space *conf.Space, path, stream string, opts ReplayOptions) (*Replayer, error) {
-	f, err := os.Open(path)
+	entries, err := TraceEntries(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		r = zr
-	}
-	return NewReplayer(space, r, stream, opts)
+	return NewReplayerFromEntries(space, entries, stream, opts)
 }
 
 // Capabilities: replay is deterministic, has no native batch (the generic
@@ -433,44 +494,16 @@ func (rp *Replayer) ReserveRuns(n int) uint64 {
 // fallback — 0 after an exact replay of the recorded session.
 func (rp *Replayer) Misses() int64 { return rp.misses.Load() }
 
-// lookup resolves one execution. Exact key match first (preferring the
-// entry recorded at run index idx, then the first unconsumed in file
-// order); nearest-neighbor within tolerance when allowed; otherwise the
+// lookup resolves one execution. Exact key match first (the shared table's
+// policy); nearest-neighbor within tolerance when allowed; otherwise the
 // miss policy fires.
 func (rp *Replayer) lookup(e *TraceEntry, idx uint64, consume bool) *TraceEntry {
 	k := e.key()
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if cands := rp.byKey[k]; len(cands) > 0 {
-		var pick *replayEntry
-		for _, c := range cands {
-			if !c.used && c.Idx == idx {
-				pick = c
-				break
-			}
-		}
-		if pick == nil {
-			for _, c := range cands {
-				if !c.used {
-					pick = c
-					break
-				}
-			}
-		}
-		if pick == nil && !consume {
-			// Non-consuming lookups (noiseless evaluations) may reuse an
-			// already-served deterministic entry.
-			pick = cands[0]
-		}
-		if pick != nil {
-			if consume {
-				pick.used = true
-			}
-			return &pick.TraceEntry
-		}
+	if hit := rp.table.lookup(k, idx, consume); hit != nil {
+		return hit
 	}
 	if rp.opts.Miss == MissNearest {
-		if pick := rp.nearestLocked(e); pick != nil {
+		if pick := rp.nearest(e); pick != nil {
 			rp.misses.Add(1)
 			return pick
 		}
@@ -478,13 +511,14 @@ func (rp *Replayer) lookup(e *TraceEntry, idx uint64, consume bool) *TraceEntry 
 	panic(&ErrTraceMiss{Stream: rp.stream, Key: k})
 }
 
-// nearestLocked scans for the closest same-kind, same-application entry.
-func (rp *Replayer) nearestLocked(e *TraceEntry) *TraceEntry {
+// nearest scans for the closest same-kind, same-application entry. It reads
+// only what is fixed at load, so it needs no lock.
+func (rp *Replayer) nearest(e *TraceEntry) *TraceEntry {
 	want := rp.space.Encode(conf.Config(e.Conf))
 	bestD := math.Inf(1)
-	var best *replayEntry
+	var best *tableEntry
 	for _, c := range rp.entries {
-		if c.Kind != e.Kind || c.App != e.App || c.NQ != e.NQ || c.QueryName != e.QueryName {
+		if c.Kind != e.Kind || c.App != e.App || c.NQ != e.NQ {
 			continue
 		}
 		have := c.enc
@@ -521,7 +555,7 @@ func (rp *Replayer) RunApp(app *Application, c conf.Config, dataGB float64) AppR
 // RunAppAt replays the application execution recorded for (app, c, dataGB),
 // preferring the entry recorded at run index idx.
 func (rp *Replayer) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
-	q := TraceEntry{Kind: TraceApp, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: dataGB}
+	q := entryOf(TraceApp, app, c, dataGB)
 	hit := rp.lookup(&q, idx, true)
 	if hit.Result == nil {
 		// A key-matched entry without its payload is a corrupted fixture;
@@ -529,26 +563,13 @@ func (rp *Replayer) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB
 		// replayed session.
 		panic(&ErrTraceMiss{Stream: rp.stream, Key: q.key() + " (entry has no result payload)"})
 	}
-	res := *hit.Result
-	res.Queries = append([]QueryResult(nil), hit.Result.Queries...)
-	return res
-}
-
-// RunQuery replays one single-query execution.
-func (rp *Replayer) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	idx := rp.ReserveRuns(1)
-	e := TraceEntry{Kind: TraceQuery, QueryName: q.Name, Conf: c, DataGB: dataGB}
-	hit := rp.lookup(&e, idx, true)
-	if hit.QueryRes == nil {
-		panic(&ErrTraceMiss{Stream: rp.stream, Key: e.key() + " (entry has no query payload)"})
-	}
-	return *hit.QueryRes
+	return cloneResult(*hit.Result)
 }
 
 // NoiselessAppTime replays the recorded deterministic latency. The lookup
 // does not consume: noiseless evaluations are pure and may repeat.
 func (rp *Replayer) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	q := TraceEntry{Kind: TraceNoiseless, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: dataGB}
+	q := entryOf(TraceNoiseless, app, c, dataGB)
 	return rp.lookup(&q, 0, false).Sec
 }
 
@@ -557,4 +578,5 @@ var (
 	_ Runner   = (*Replayer)(nil)
 	_ Reporter = (*Recorder)(nil)
 	_ Reporter = (*Replayer)(nil)
+	_ Faulty   = (*Recorder)(nil)
 )

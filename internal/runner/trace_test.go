@@ -21,9 +21,9 @@ type nopCloser struct{ *bytes.Buffer }
 func (nopCloser) Close() error { return nil }
 
 // driveSession executes a deterministic mixed workload (serial runs, a
-// parallel batch, single queries, noiseless evaluations) against r and
-// returns everything observed.
-func driveSession(t *testing.T, r Runner) (apps []AppResult, queries []QueryResult, noiseless []float64) {
+// parallel batch, noiseless evaluations) against r and returns everything
+// observed.
+func driveSession(t *testing.T, r Runner) (apps []AppResult, noiseless []float64) {
 	t.Helper()
 	app := batchApp()
 	space := r.Space()
@@ -36,15 +36,12 @@ func driveSession(t *testing.T, r Runner) (apps []AppResult, queries []QueryResu
 		t.Fatalf("batch incomplete: %d", done)
 	}
 	apps = append(apps, batch...)
-	for _, c := range cs[:2] {
-		queries = append(queries, r.RunQuery(app.Queries[1], c, 100))
-	}
 	noiseless = append(noiseless,
 		r.NoiselessAppTime(app, space.Default(), 100),
 		r.NoiselessAppTime(app, cs[0], 100),
 		r.NoiselessAppTime(app, space.Default(), 100), // repeat: deduped on record, replayable twice
 	)
-	return apps, queries, noiseless
+	return apps, noiseless
 }
 
 // Recording a session and replaying the trace with the simulator detached
@@ -53,7 +50,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	cl := sparksim.ARM()
 	sink, buf := memSink()
 	rec := NewRecorder(NewSim(sparksim.New(cl, 7)), sink, "s1")
-	wantApps, wantQueries, wantNoiseless := driveSession(t, rec)
+	wantApps, wantNoiseless := driveSession(t, rec)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +59,9 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotApps, gotQueries, gotNoiseless := driveSession(t, rp)
+	gotApps, gotNoiseless := driveSession(t, rp)
 	if !reflect.DeepEqual(gotApps, wantApps) {
 		t.Fatal("replayed app results differ from recording")
-	}
-	if !reflect.DeepEqual(gotQueries, wantQueries) {
-		t.Fatal("replayed query results differ from recording")
 	}
 	if !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("replayed noiseless results differ from recording")
@@ -240,7 +234,7 @@ func TestTraceGzipFile(t *testing.T) {
 func TestMeterAccounting(t *testing.T) {
 	cl := sparksim.ARM()
 	var tally Tally
-	m := Metered(NewSim(sparksim.New(cl, 5)), &tally)
+	m := Observe(NewSim(sparksim.New(cl, 5)), &tally)
 	app := batchApp()
 	cs := randomConfigs(cl.Space(), 4, 8)
 	var want float64

@@ -19,8 +19,8 @@
 // IICP, the subspace search and the GP hyperparameter resamples.
 // -baseline compares the report against a previous one
 // and exits with status 3 when any deterministic metric regresses by more
-// than -max-regress (default 20%). Wall time is reported but only gated
-// with -gate-wall, since it depends on the machine.
+// than -max-regress (default 20%). Wall time is reported but never gated,
+// since it depends on the machine.
 //
 // Execution backends (-backend) select what actually runs the samples:
 // "sim" (default), "record=PATH" to capture a trace, "replay=PATH" to
@@ -65,8 +65,8 @@ type report struct {
 // experiment is one figure/table's accounting.
 type experiment struct {
 	ID string `json:"id"`
-	// WallSec is the host wall-clock time (machine-dependent; gated only
-	// with -gate-wall).
+	// WallSec is the host wall-clock time (machine-dependent; reported,
+	// never gated).
 	WallSec float64 `json:"wall_sec"`
 	// ClusterSec is the simulated cluster time the experiment's tuning runs
 	// consumed — deterministic for a given seed, so a >20% change is a real
@@ -113,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut    = fs.String("json", "", "write the machine-readable perf report to this file")
 		baseline   = fs.String("baseline", "", "compare the report against this baseline file; exit 3 on regression")
 		maxRegress = fs.Float64("max-regress", 0.20, "maximum allowed fractional regression vs the baseline")
-		gateWall   = fs.Bool("gate-wall", false, "also gate wall time (off by default: machine-dependent)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after the runs) to this file")
 	)
@@ -234,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *baseline != "" {
-		regressions, err := compareReports(*baseline, &rep, *maxRegress, *gateWall, *all)
+		regressions, err := compareReports(*baseline, &rep, *maxRegress, *all)
 		if err != nil {
 			fmt.Fprintln(stderr, "locat-bench:", err)
 			return 1
@@ -263,11 +262,11 @@ func writeReport(path string, rep *report) error {
 
 // compareReports diffs the current report against a baseline file and
 // returns one line per metric regressing by more than maxRegress.
-// Deterministic metrics (cluster seconds, final cost) are always gated;
-// wall time only when gateWall is set. When the current run covers the
-// full suite (checkMissing), baseline experiments absent from it are
-// reported too: a silently dropped experiment must not pass the gate.
-func compareReports(baselinePath string, cur *report, maxRegress float64, gateWall, checkMissing bool) ([]string, error) {
+// Deterministic metrics (cluster seconds, final cost) are gated; wall time
+// is not. When the current run covers the full suite (checkMissing),
+// baseline experiments absent from it are reported too: a silently dropped
+// experiment must not pass the gate.
+func compareReports(baselinePath string, cur *report, maxRegress float64, checkMissing bool) ([]string, error) {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return nil, err
@@ -305,10 +304,6 @@ func compareReports(baselinePath string, cur *report, maxRegress float64, gateWa
 		if exceeds(b.FinalCost, e.FinalCost) {
 			out = append(out, fmt.Sprintf("%s: final_cost %.1f → %.1f (+%.1f%%)",
 				e.ID, b.FinalCost, e.FinalCost, pct(b.FinalCost, e.FinalCost)))
-		}
-		if gateWall && exceeds(b.WallSec, e.WallSec) {
-			out = append(out, fmt.Sprintf("%s: wall_sec %.2f → %.2f (+%.1f%%)",
-				e.ID, b.WallSec, e.WallSec, pct(b.WallSec, e.WallSec)))
 		}
 		// Counters are exact admission/outcome counts: any drift, in either
 		// direction, is a behavioral change the baseline must acknowledge.

@@ -161,14 +161,14 @@ func TestCompareMissingExperiments(t *testing.T) {
 	cur := report{Schema: 1, Seed: 1, Quick: true, Experiments: []experiment{
 		{ID: "fig8", ClusterSec: 10, FinalCost: 5},
 	}}
-	regs, err := compareReports(path, &cur, 0.2, false, true)
+	regs, err := compareReports(path, &cur, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regs) != 1 || !strings.Contains(regs[0], "fig9") {
 		t.Fatalf("missing experiment not flagged: %v", regs)
 	}
-	regs, err = compareReports(path, &cur, 0.2, false, false)
+	regs, err = compareReports(path, &cur, 0.2, false)
 	if err != nil || len(regs) != 0 {
 		t.Fatalf("single-fig run flagged missing experiments: %v, %v", regs, err)
 	}

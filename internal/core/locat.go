@@ -45,10 +45,23 @@ import (
 // between evaluations.
 var ErrStopped = errors.New("core: tuning stopped")
 
-// minWarmObs is the smallest prior-observation count that activates the
-// warm-start path; below it the prior cannot support a trustworthy
-// surrogate and the session runs cold.
-const minWarmObs = 5
+const (
+	// minWarmObs is the smallest prior-observation count that activates the
+	// warm-start path; below it the prior cannot support a trustworthy
+	// surrogate and the session runs cold.
+	minWarmObs = 5
+	// warmFreshRuns is the number of fresh full-application anchor runs a
+	// warm-started session still executes. They ground the surrogate in the
+	// session's current cluster conditions.
+	warmFreshRuns = 4
+	// hyperEvery re-samples the GP hyperparameters every k-th BO iteration.
+	// In between, the surrogate keeps one live GP per posterior sample and
+	// appends new observations with an O(n²) incremental Cholesky extension
+	// instead of the O(n³) refit — the hot-path saving that lets warm-started
+	// sessions carry dozens of prior observations without blowing the
+	// tuning-overhead budget.
+	hyperEvery = 3
+)
 
 // PriorObs is one observation retrieved from a past tuning session.
 type PriorObs struct {
@@ -87,8 +100,6 @@ type Options struct {
 	// NIICP is the number of those samples used for IICP (paper: 20,
 	// Section 5.3).
 	NIICP int
-	// SCCCutoff is the CPS Spearman threshold (paper: 0.2).
-	SCCCutoff float64
 	// MinIter, MaxIter and EIStopFrac control the phase-2 BO loop
 	// (paper: ≥10 iterations, EI < 10%).
 	MinIter    int
@@ -96,14 +107,6 @@ type Options struct {
 	EIStopFrac float64
 	// MCMCSamples is the EI-MCMC hyperparameter sample count.
 	MCMCSamples int
-	// HyperEvery re-samples the GP hyperparameters every k-th BO iteration
-	// (default 3). In between, the surrogate keeps one live GP per posterior
-	// sample and appends new observations with an O(n²) incremental
-	// Cholesky extension instead of the O(n³) refit — the hot-path saving
-	// that lets warm-started sessions carry dozens of prior observations
-	// without blowing the tuning-overhead budget. 1 restores a resample
-	// (and full refit) on every iteration.
-	HyperEvery int
 	// UseQCSA, UseIICP and UseDAGP toggle the three techniques
 	// (all true under DefaultOptions; the ablations of Figures 15/21
 	// disable them selectively).
@@ -116,15 +119,11 @@ type Options struct {
 	DataSchedule func(run int) float64
 	// Prior, if non-nil and holding at least minWarmObs observations,
 	// warm-starts the session: phase-1 sample collection shrinks to
-	// WarmFreshRuns anchor executions and QCSA / IICP reuse the prior
+	// warmFreshRuns anchor executions and QCSA / IICP reuse the prior
 	// artifacts (re-analysing only what the prior lacks). Requires UseDAGP —
 	// transferring observations taken at other data sizes is exactly what
 	// the datasize feature is for — and is ignored otherwise.
 	Prior *Prior
-	// WarmFreshRuns is the number of fresh full-application anchor runs a
-	// warm-started session still executes (default 4). They ground the
-	// surrogate in the session's current cluster conditions.
-	WarmFreshRuns int
 	// Workers bounds the goroutines used for the session's parallel work:
 	// the simulated cluster slots that execute independent sample-collection
 	// runs concurrently (the phase-1 LHS block of a cold session, the anchor
@@ -171,12 +170,10 @@ func DefaultOptions() Options {
 	return Options{
 		NQCSA:       30,
 		NIICP:       20,
-		SCCCutoff:   0.2,
 		MinIter:     10,
 		MaxIter:     60,
 		EIStopFrac:  0.10,
 		MCMCSamples: 5,
-		HyperEvery:  3,
 		UseQCSA:     true,
 		UseIICP:     true,
 		UseDAGP:     true,
@@ -274,12 +271,6 @@ func New(run runner.Runner, app *sparksim.Application, opts Options) *Tuner {
 	}
 	if opts.MCMCSamples <= 0 {
 		opts.MCMCSamples = 5
-	}
-	if opts.HyperEvery <= 0 {
-		opts.HyperEvery = 3
-	}
-	if opts.WarmFreshRuns <= 0 {
-		opts.WarmFreshRuns = 4
 	}
 	return &Tuner{run: run, app: app, opts: opts}
 }
@@ -447,7 +438,7 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 			MaxIter:     t.opts.NQCSA,
 			EIStopFrac:  0, // no early stop while collecting samples
 			MCMCSamples: t.opts.MCMCSamples,
-			HyperEvery:  t.opts.HyperEvery,
+			HyperEvery:  hyperEvery,
 			Candidates:  400,
 			Workers:     t.opts.Workers,
 			Seed:        t.opts.Seed,
@@ -466,7 +457,7 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	} else {
 		rep.WarmStarted = true
 		rep.PriorObsUsed = len(prior.Obs)
-		fresh := min(t.opts.WarmFreshRuns, t.opts.NQCSA)
+		fresh := min(warmFreshRuns, t.opts.NQCSA)
 		t.logf("phase 1: warm start from %d prior observations, %d fresh anchor runs",
 			len(prior.Obs), fresh)
 		phaseSpan = tr.Start("phase1/warm-anchors")
@@ -593,13 +584,12 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 					isamples = append(isamples, iicp.Sample{Conf: ob.Conf, Sec: ob.Sec})
 				}
 			}
-			iopts := iicp.DefaultOptions()
-			iopts.SCCCutoff = t.opts.SCCCutoff
 			n := t.opts.NIICP
 			if prior != nil {
 				n = len(isamples)
 			}
-			ires, err := iicp.Analyze(space, isamples[:min(n, len(isamples))], iopts)
+			// iicp's defaults carry the paper's CPS Spearman threshold, 0.2.
+			ires, err := iicp.Analyze(space, isamples[:min(n, len(isamples))], iicp.DefaultOptions())
 			if err != nil {
 				is.End()
 				return nil, err
@@ -670,7 +660,7 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 		MaxIter:     t.opts.MaxIter,
 		EIStopFrac:  t.opts.EIStopFrac,
 		MCMCSamples: t.opts.MCMCSamples,
-		HyperEvery:  t.opts.HyperEvery,
+		HyperEvery:  hyperEvery,
 		Candidates:  800,
 		Workers:     t.opts.Workers,
 		Init:        init,

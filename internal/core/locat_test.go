@@ -187,7 +187,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestDefaultOptionsMatchPaper(t *testing.T) {
 	o := DefaultOptions()
-	if o.NQCSA != 30 || o.NIICP != 20 || o.SCCCutoff != 0.2 ||
+	if o.NQCSA != 30 || o.NIICP != 20 ||
 		o.MinIter != 10 || o.EIStopFrac != 0.10 {
 		t.Fatalf("defaults diverge from the paper: %+v", o)
 	}

@@ -8,7 +8,7 @@
 // operations, in which order, for which tenants) is a pure function of
 // MixOptions — bit-identical for a given seed. The execution (how fast
 // responses come back) is wall-clock and load-dependent; it feeds the
-// latency quantiles, which gate only under the bench harness's -gate-wall.
+// latency quantiles, which the bench harness reports and never gates.
 // With Config.SequentialSubmit, the admission decisions themselves (who is
 // accepted, rejected, shed) also become a pure function of the workload
 // order, which is what the benchmark gate pins.

@@ -71,10 +71,15 @@ func canonical(t *testing.T, entries []TraceEntry) []string {
 	return out
 }
 
+// shortConfLine is an application run whose configuration is not 38 long: it
+// decodes, and NewReplayerFromEntries used to panic on it in space.Encode.
+const shortConfLine = `{"stream":"s","kind":"app","idx":0,"app":"a","nq":1,"conf":[1,2,3],"data_gb":100,"result":{"Sec":9}}` + "\n"
+
 // FuzzReadTrace drives the one trace decoder, plain and gzip: it never
-// panics, whatever it accepts survives TraceSink → readTrace unchanged, and
-// the lookup table built from it serves only application runs and noiseless
-// evaluations, each under exactly the identity asked for.
+// panics, whatever it accepts survives TraceSink → readTrace unchanged,
+// NewReplayerFromEntries never panics on it, and the lookup table built from
+// it serves only application runs and noiseless evaluations, each under
+// exactly the identity asked for.
 func FuzzReadTrace(f *testing.F) {
 	for _, head := range fixtureLines(f) {
 		f.Add(head, false)
@@ -82,16 +87,20 @@ func FuzzReadTrace(f *testing.F) {
 		f.Add(append([]byte(oldQueryLine), head...), false)
 	}
 	f.Add([]byte(oldQueryLine), false)
+	f.Add([]byte(shortConfLine), false)
 	f.Add([]byte(`{"kind":"noiseless","app":"a","nq":1,"conf":[],"data_gb":1,"sec":2}`), false)
 	f.Add([]byte(`{"kind":"app|a","app":"b","conf":null,"data_gb":0,"result":{}}`), false)
 	f.Add([]byte("{"), false)
 	f.Add([]byte("\x1f\x8b"), true)
 
+	space := sparksim.ARM().Space()
 	f.Fuzz(func(t *testing.T, data []byte, gz bool) {
 		entries, err := readTrace(bytes.NewReader(data), gz)
 		if err != nil {
 			return
 		}
+		// A configuration of the wrong length is an error, never a panic.
+		_, _ = NewReplayerFromEntries(space, entries, "", ReplayOptions{})
 		sink, buf := memSink()
 		for _, e := range entries {
 			sink.add(e)

@@ -445,7 +445,9 @@ func NewReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptio
 // NewReplayerFromEntries builds a replayer over an already-decoded trace —
 // the sharing path a Factory uses so a multi-runner replay decodes the
 // file once. The entries slice is not mutated (per-replayer consumption
-// state lives in private wrappers).
+// state lives in private wrappers). A served entry whose configuration is not
+// of the space's dimension is an error: the trace was recorded over another
+// parameter table, or is not a trace.
 func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream string, opts ReplayOptions) (*Replayer, error) {
 	rp := &Replayer{space: space, stream: stream, opts: opts}
 	for _, e := range entries {
@@ -453,6 +455,10 @@ func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream stri
 			continue
 		}
 		if te := rp.table.add(e); te != nil {
+			if len(e.Conf) != space.Dim() {
+				return nil, fmt.Errorf("runner: trace entry %s %d of stream %q holds %d configuration values, want %d",
+					e.Kind, e.Idx, e.Stream, len(e.Conf), space.Dim())
+			}
 			te.enc = space.Encode(conf.Config(e.Conf))
 			rp.entries = append(rp.entries, te)
 		}

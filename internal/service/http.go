@@ -168,7 +168,7 @@ func (s *Service) Handler() http.Handler {
 				fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
 			return
 		}
-		writeJSON(w, http.StatusOK, resultAPI(st.Result))
+		writeJSON(w, http.StatusOK, apiResult{Schema: resultSchema, JobResult: st.Result})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/conf", func(w http.ResponseWriter, r *http.Request) {
@@ -417,57 +417,11 @@ func window[T any](w http.ResponseWriter, list []T, limit, offset int) []T {
 // resultSchema versions the apiResult wire shape.
 const resultSchema = 1
 
-// apiResult is the versioned wire shape of GET /v1/jobs/{id}/result — the
-// one place the internal JobResult is mapped to JSON, so the response
-// contract survives internal refactors. Field tags mirror JobResult's
-// historical names; Schema announces the shape's version to clients.
+// apiResult is the versioned wire shape of GET /v1/jobs/{id}/result: the
+// JobResult as GET /v1/jobs/{id} embeds it, behind a Schema field that
+// announces the shape's version to clients. JobResult's JSON tags are the
+// contract of both endpoints.
 type apiResult struct {
-	Schema           int                `json:"schema"`
-	BestConfig       []float64          `json:"best_config"`
-	BestParams       map[string]float64 `json:"best_params"`
-	TunedSec         float64            `json:"tuned_sec"`
-	DefaultSec       float64            `json:"default_sec"`
-	OverheadSec      float64            `json:"overhead_sec"`
-	SamplingSec      float64            `json:"sampling_sec"`
-	SearchSec        float64            `json:"search_sec"`
-	FullRuns         int                `json:"full_runs"`
-	RQARuns          int                `json:"rqa_runs"`
-	WarmStarted      bool               `json:"warm_started"`
-	PriorObsUsed     int                `json:"prior_obs_used"`
-	SensitiveQueries []string           `json:"sensitive_queries,omitempty"`
-	ImportantParams  []string           `json:"important_params,omitempty"`
-	SparkConf        string             `json:"spark_conf"`
-	Runs             int64              `json:"runs"`
-	ClusterSec       float64            `json:"cluster_sec"`
-	ResumedRuns      int64              `json:"resumed_runs,omitempty"`
-	Degraded         string             `json:"degraded,omitempty"`
-	FellBack         bool               `json:"fell_back,omitempty"`
-	SeededFrom       []Neighbor         `json:"seeded_from,omitempty"`
-}
-
-// resultAPI renders a JobResult onto the wire shape.
-func resultAPI(res *JobResult) apiResult {
-	return apiResult{
-		Schema:           resultSchema,
-		BestConfig:       res.BestConfig,
-		BestParams:       res.BestParams,
-		TunedSec:         res.TunedSec,
-		DefaultSec:       res.DefaultSec,
-		OverheadSec:      res.OverheadSec,
-		SamplingSec:      res.SamplingSec,
-		SearchSec:        res.SearchSec,
-		FullRuns:         res.FullRuns,
-		RQARuns:          res.RQARuns,
-		WarmStarted:      res.WarmStarted,
-		PriorObsUsed:     res.PriorObsUsed,
-		SensitiveQueries: res.SensitiveQueries,
-		ImportantParams:  res.ImportantParams,
-		SparkConf:        res.SparkConf,
-		Runs:             res.Runs,
-		ClusterSec:       res.ClusterSec,
-		ResumedRuns:      res.ResumedRuns,
-		Degraded:         res.Degraded,
-		FellBack:         res.FellBack,
-		SeededFrom:       res.SeededFrom,
-	}
+	Schema int `json:"schema"`
+	*JobResult
 }

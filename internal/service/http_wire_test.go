@@ -1,0 +1,207 @@
+package service
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"locat/internal/conf"
+)
+
+// finishedJob plants a succeeded job holding res in the service, as if a
+// session had just produced it, so the result endpoints can be read for a
+// result the test controls field by field.
+func finishedJob(t *testing.T, s *Service, id string, res *JobResult) {
+	t.Helper()
+	spec := JobSpec{Benchmark: "TPC-H"}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	done := make(chan struct{})
+	close(done)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs[id] = &job{
+		id: id, spec: spec, fp: NewFingerprint(spec), state: StateSucceeded, result: res,
+		submitted: at, started: at.Add(time.Second), finished: at.Add(time.Minute), done: done,
+	}
+	s.order = append(s.order, id)
+}
+
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, body)
+	}
+	return body
+}
+
+// fullJobResult sets every JobResult field to a value its zero would not
+// encode as.
+func fullJobResult() *JobResult {
+	return &JobResult{
+		BestConfig:       conf.Config{1, 2.5, 0, 4096},
+		BestParams:       map[string]float64{"spark.executor.cores": 4, "spark.executor.memory": 4096},
+		TunedSec:         123.5,
+		DefaultSec:       987.25,
+		OverheadSec:      5000,
+		SamplingSec:      3200,
+		SearchSec:        1800,
+		FullRuns:         10,
+		RQARuns:          18,
+		WarmStarted:      true,
+		PriorObsUsed:     48,
+		SensitiveQueries: []string{"q3", "q9"},
+		ImportantParams:  []string{"spark.executor.cores", "spark.sql.shuffle.partitions"},
+		SparkConf:        "spark.executor.cores 4\nspark.executor.memory 4096m\n",
+		Runs:             28,
+		ClusterSec:       5000.5,
+		ResumedRuns:      7,
+		Degraded:         "core: deadline exceeded",
+		FellBack:         true,
+		SeededFrom: []Neighbor{{
+			JobID: "job-000001", Key: "arm_TPC-H_b7_qid", Distance: 0.125, Weight: 0.75,
+			TunedSec: 130, TargetGB: 100, Obs: 18,
+		}},
+	}
+}
+
+// wireFull and wireMinimal are the bodies GET /v1/jobs/{id}/result returned
+// for fullJobResult() and for a zero JobResult before apiResult embedded
+// JobResult instead of repeating its fields. The shape is a contract with
+// clients: byte for byte.
+const wireFull = `{
+ "schema": 1,
+ "best_config": [
+  1,
+  2.5,
+  0,
+  4096
+ ],
+ "best_params": {
+  "spark.executor.cores": 4,
+  "spark.executor.memory": 4096
+ },
+ "tuned_sec": 123.5,
+ "default_sec": 987.25,
+ "overhead_sec": 5000,
+ "sampling_sec": 3200,
+ "search_sec": 1800,
+ "full_runs": 10,
+ "rqa_runs": 18,
+ "warm_started": true,
+ "prior_obs_used": 48,
+ "sensitive_queries": [
+  "q3",
+  "q9"
+ ],
+ "important_params": [
+  "spark.executor.cores",
+  "spark.sql.shuffle.partitions"
+ ],
+ "spark_conf": "spark.executor.cores 4\nspark.executor.memory 4096m\n",
+ "runs": 28,
+ "cluster_sec": 5000.5,
+ "resumed_runs": 7,
+ "degraded": "core: deadline exceeded",
+ "fell_back": true,
+ "seeded_from": [
+  {
+   "job_id": "job-000001",
+   "key": "arm_TPC-H_b7_qid",
+   "distance": 0.125,
+   "weight": 0.75,
+   "tuned_sec": 130,
+   "target_gb": 100,
+   "obs": 18
+  }
+ ]
+}
+`
+
+const wireMinimal = `{
+ "schema": 1,
+ "best_config": null,
+ "best_params": null,
+ "tuned_sec": 0,
+ "default_sec": 0,
+ "overhead_sec": 0,
+ "sampling_sec": 0,
+ "search_sec": 0,
+ "full_runs": 0,
+ "rqa_runs": 0,
+ "warm_started": false,
+ "prior_obs_used": 0,
+ "spark_conf": "",
+ "runs": 0,
+ "cluster_sec": 0
+}
+`
+
+// TestResultWireShape pins the two result endpoints: /result byte for byte,
+// and the result embedded in the status document key for key.
+func TestResultWireShape(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	finishedJob(t, s, "job-000001", fullJobResult())
+	finishedJob(t, s, "job-000002", &JobResult{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	for id, want := range map[string]string{"job-000001": wireFull, "job-000002": wireMinimal} {
+		got := getBody(t, srv.URL+"/v1/jobs/"+id+"/result")
+		if string(got) != want {
+			t.Errorf("GET /v1/jobs/%s/result =\n%s\nwant\n%s", id, got, want)
+		}
+
+		// The status document embeds the same result under "result": every
+		// key of the result endpoint but the schema version, same values.
+		var result map[string]json.RawMessage
+		if err := json.Unmarshal(got, &result); err != nil {
+			t.Fatal(err)
+		}
+		var status struct {
+			Result map[string]json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(getBody(t, srv.URL+"/v1/jobs/"+id), &status); err != nil {
+			t.Fatal(err)
+		}
+		if string(result["schema"]) != "1" {
+			t.Errorf("%s: schema = %s, want 1", id, result["schema"])
+		}
+		delete(result, "schema")
+		if !reflect.DeepEqual(keysOf(result), keysOf(status.Result)) {
+			t.Errorf("%s: /result carries %v, the status document's result %v", id, keysOf(result), keysOf(status.Result))
+		}
+		for k, v := range result {
+			var a, b any
+			if json.Unmarshal(v, &a) != nil || json.Unmarshal(status.Result[k], &b) != nil || !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: %q is %s on /result and %s in the status document", id, k, v, status.Result[k])
+			}
+		}
+	}
+}
+
+func keysOf(m map[string]json.RawMessage) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"locat/internal/conf"
 	"locat/internal/core"
-	"locat/internal/dagp"
 	"locat/internal/progress"
 	"locat/internal/service/retrieve"
 	"locat/internal/sparksim"
@@ -121,7 +121,7 @@ type Recommender struct {
 	logf  progress.Logf
 
 	// maxPriorObs caps the warm-start prior built from retrieved neighbors
-	// (mirrors Config.MaxPriorObs).
+	// (the service sets it to Config.MaxPriorObs).
 	maxPriorObs int
 
 	mu       sync.Mutex // serializes index mutation + persistence
@@ -364,9 +364,14 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	}
 	matches := rc.ix.Nearest(w.Vector(), o.K, o.MaxDistance)
 
-	// Resolve matches to store entries. A match whose entry is gone is
-	// stale — the store evicted it — and is compacted out here, lazily.
-	var hits []neighborHit
+	// Resolve matches to store entries, nearest first. A match whose entry
+	// is gone is stale — the store evicted it — and is compacted out below,
+	// lazily; one persisted under a different parameter table (entryConfig
+	// fails) cannot be blended and is not a neighbor.
+	space := spec.cluster().Space()
+	var used []Entry
+	var encs [][]float64
+	var dists []float64
 	var stale []string
 	byKey := map[string][]Entry{}
 	for _, m := range matches {
@@ -378,16 +383,13 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 			}
 			byKey[m.Key] = entries
 		}
-		found := false
-		for _, e := range entries {
-			if entryID(e) == m.ID {
-				hits = append(hits, neighborHit{e: e, d: m.Dist})
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(entries, func(e Entry) bool { return entryID(e) == m.ID })
+		if i < 0 {
 			stale = append(stale, m.ID)
+		} else if c, ok := entryConfig(entries[i]); ok {
+			used = append(used, entries[i])
+			encs = append(encs, space.Encode(c))
+			dists = append(dists, m.Dist)
 		}
 	}
 	if len(stale) > 0 {
@@ -401,94 +403,36 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 		rc.mu.Unlock()
 	}
 
+	rec := &Recommendation{Outcome: "miss", Neighbors: []Neighbor{}}
+	if len(used) == 0 {
+		return rec, nil, nil
+	}
 	// Blend the neighbors' best configs in the unit encoding and snap the
 	// result back onto the knob space (Decode rounds integer knobs and
 	// repairs resource constraints).
-	space := spec.cluster().Space()
-	rec := &Recommendation{Outcome: "miss", Neighbors: []Neighbor{}}
-	var encs [][]float64
-	var dists []float64
-	var used []neighborHit
-	for _, h := range hits {
-		c, ok := entryConfig(h.e)
-		if !ok {
-			continue
-		}
-		encs = append(encs, space.Encode(c))
-		dists = append(dists, h.d)
-		used = append(used, h)
-	}
-	prior := rc.neighborsPrior(used, spec, space)
-	if len(used) == 0 {
-		return rec, prior, nil
-	}
 	weights := retrieve.Weights(dists)
 	rec.BestConfig = space.Decode(retrieve.Blend(encs, weights))
 	rec.BestParams = paramsToMap(rec.BestConfig)
 	rec.SparkConf = sparkConfString(rec.BestConfig)
 	rec.Confidence = retrieve.Confidence(dists, o.K, o.MaxDistance)
-	for i, h := range used {
+	for i, e := range used {
 		rec.Neighbors = append(rec.Neighbors, Neighbor{
-			JobID:    h.e.JobID,
-			Key:      h.e.Fingerprint.Key(),
-			Distance: h.d,
+			JobID:    e.JobID,
+			Key:      e.Fingerprint.Key(),
+			Distance: dists[i],
 			Weight:   weights[i],
-			TunedSec: h.e.TunedSec,
-			TargetGB: h.e.TargetGB,
-			Obs:      len(h.e.Obs),
+			TunedSec: e.TunedSec,
+			TargetGB: e.TargetGB,
+			Obs:      len(e.Obs),
 		})
-		rec.EstimatedSec += weights[i] * h.e.TunedSec
+		rec.EstimatedSec += weights[i] * e.TunedSec
 	}
 	if rec.Confidence >= o.MinConfidence {
 		rec.Outcome = "hit"
 	}
-	return rec, prior, nil
-}
-
-// neighborHit pairs a resolved history entry with its retrieval distance.
-type neighborHit struct {
-	e Entry
-	d float64
-}
-
-// neighborsPrior assembles the warm-start prior of a refine/fallback
-// session from the retrieved entries: observations ranked and capped by
-// dagp.SelectTransfer against the target size, QCSA/IICP artifacts from the
-// nearest entry that has them.
-func (rc *Recommender) neighborsPrior(used []neighborHit, spec JobSpec, space *conf.Space) *core.Prior {
-	var obs []core.PriorObs
-	var samples []dagp.Sample
-	for _, h := range used {
-		for _, o := range h.e.Obs {
-			if len(o.Params) != space.Dim() {
-				continue
-			}
-			c := conf.Config(o.Params)
-			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
-			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
-		}
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, spec.DataSizeGB, rc.maxPriorObs) {
-		prior.Obs = append(prior.Obs, obs[i])
-	}
-	// used arrives nearest-first; the closest workload's artifacts win.
-	for _, h := range used {
-		if prior.Sensitive == nil && len(h.e.Sensitive) > 0 {
-			prior.Sensitive = append([]string(nil), h.e.Sensitive...)
-		}
-		if prior.Important == nil && len(h.e.Important) > 0 {
-			for _, name := range h.e.Important {
-				if _, idx, ok := conf.ParamByName(name); ok {
-					prior.Important = append(prior.Important, idx)
-				}
-			}
-		}
-	}
-	return prior
+	// The warm-start prior of a refine or fallback session: the nearest
+	// workload's artifacts win.
+	return rec, buildPrior(used, used, space, spec.DataSizeGB, rc.maxPriorObs), nil
 }
 
 // entryConfig reconstructs an entry's best configuration from its

@@ -32,8 +32,10 @@ const (
 	PriorityBatch       Priority = "batch"
 )
 
-// JobSpec describes one tuning job. It mirrors the tunable subset of the
-// public locat.Options and is the wire format of the HTTP submit endpoint.
+// JobSpec describes one tuning job: the wire format of the HTTP submit
+// endpoint and the one spec RunSession turns into core.Options. The public
+// locat.Options renames its fields (locat.specOf) and adds what only a direct
+// Tune call takes.
 type JobSpec struct {
 	// Tenant attributes the job to a tenant for per-tenant budget
 	// enforcement (Config.Tenants). Empty is the anonymous tenant; tenants
@@ -154,7 +156,10 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// JobResult is the outcome of a finished tuning job.
+// JobResult is the outcome of a finished tuning session, as RunSession maps
+// it from the core.Report, and the wire shape of both result endpoints:
+// GET /v1/jobs/{id} embeds it, GET /v1/jobs/{id}/result serves it behind a
+// schema version. The JSON tags are a contract with clients.
 type JobResult struct {
 	// BestConfig is the tuned configuration vector (natural units).
 	BestConfig conf.Config `json:"best_config"`
@@ -1014,11 +1019,6 @@ func (s *Service) runJobSafe(j *job) (res *JobResult, err error) {
 // store, run the core pipeline, persist the outcome.
 func (s *Service) runJob(j *job) (*JobResult, error) {
 	spec := j.spec
-	cl := spec.cluster()
-	app, err := workloads.ByName(spec.Benchmark)
-	if err != nil {
-		return nil, err
-	}
 	f, err := s.factory(spec.Backend)
 	if err != nil {
 		return nil, err
@@ -1026,7 +1026,7 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	// The stream key is the job ID: deterministic for a deterministic
 	// submission sequence, which is what record/replay of a whole service
 	// run requires.
-	raw, err := f.New(cl, spec.Seed, j.id)
+	raw, err := f.New(spec.cluster(), spec.Seed, j.id)
 	if err != nil {
 		return nil, err
 	}
@@ -1078,6 +1078,90 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	}
 	space := run.Space()
 
+	// The deadline clock starts before prior retrieval: reading history is
+	// part of the session the caller is waiting on.
+	var expired func() bool
+	if spec.DeadlineSec > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(),
+			time.Duration(spec.DeadlineSec*float64(time.Second)))
+		defer cancel()
+		expired = func() bool { return ctx.Err() != nil }
+	}
+
+	var prior *core.Prior
+	if !spec.ColdStart && !spec.DisableDAGP {
+		if j.seed != nil {
+			// Refine/fallback jobs are seeded with the recommendation
+			// engine's k-NN retrieval, which supersedes the fingerprint
+			// lookup (its neighbor set is a superset of the bucket walk).
+			prior = j.seed
+			s.logf("[%s] seeded with %d neighbor observations from retrieval", j.id, len(j.seed.Obs))
+		} else if p, n := s.retrievePrior(j, space); p != nil {
+			s.logf("[%s] retrieved %d prior observations from history", j.id, n)
+			prior = p
+		}
+	}
+	if j.resume != nil && !runner.CapsOf(raw).Deterministic && !spec.DisableDAGP {
+		// A non-deterministic backend (a live cluster) cannot replay its
+		// trajectory, so the checkpoint's paid observations re-enter as a
+		// warm-start prior instead of through the cache.
+		if p := checkpointPrior(j.resume, space); p != nil {
+			if prior == nil {
+				prior = p
+			} else {
+				prior.Obs = append(prior.Obs, p.Obs...)
+			}
+			s.logf("[%s] warm-starting from %d checkpointed observations", j.id, len(p.Obs))
+		}
+	}
+
+	res, rep, err := RunSession(run, spec, func(opts *core.Options) {
+		// Stop covers both user cancellation and the graceful-drain suspend
+		// signal — the worker disambiguates on the way out.
+		opts.Stop = func() bool { return j.cancelled.Load() || j.suspend.Load() }
+		opts.Expired = expired
+		opts.Logf = progress.Prefixed(s.cfg.Logf, "["+j.id+"] ")
+		opts.Tracer = j.timeline
+		opts.Prior = prior
+	})
+	if err != nil {
+		if errors.Is(err, core.ErrStopped) && j.suspend.Load() && !j.cancelled.Load() && ckp != nil {
+			// Parked by a drain: persist the tail of the trajectory so the
+			// next incarnation resumes from the exact stop point, not the
+			// last periodic flush.
+			ckp.flush()
+		}
+		return nil, err
+	}
+	if rep.Degraded != "" {
+		s.logf("[%s] degraded: %s; recommending best observed", j.id, rep.Degraded)
+	}
+	res.SeededFrom = j.seededFrom
+	res.Runs, res.ClusterSec = tally.Snapshot()
+	if cache != nil {
+		res.ResumedRuns = cache.ResumedRuns()
+	}
+	if err := s.persist(j, rep, res); err != nil {
+		// The tuning result is still valid; losing the history entry only
+		// costs future warm starts.
+		s.logf("[%s] history store write failed: %v", j.id, err)
+	}
+	return res, nil
+}
+
+// RunSession is the session spine, shared by the service's workers and the
+// locat.Tune facade: the one place a JobSpec becomes core.Options, a backend
+// that failed without degrading the session becomes an error, and a
+// core.Report becomes a JobResult. adjust, when non-nil, runs after the spec
+// has been applied and sets what only the caller knows — stop and deadline
+// hooks, logger, tracer, warm-start prior, data schedule, worker count — so
+// nothing here depends on who called. Runs, ClusterSec, ResumedRuns and
+// SeededFrom describe the caller's backend stack and retrieval; it fills them.
+func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*JobResult, *core.Report, error) {
+	app, err := workloads.ByName(spec.Benchmark)
+	if err != nil {
+		return nil, nil, err
+	}
 	opts := core.DefaultOptions()
 	opts.Seed = spec.Seed
 	if spec.NQCSA > 0 {
@@ -1092,68 +1176,28 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	opts.UseQCSA = !spec.DisableQCSA
 	opts.UseIICP = !spec.DisableIICP
 	opts.UseDAGP = !spec.DisableDAGP
-	// Stop covers both user cancellation and the graceful-drain suspend
-	// signal — the worker disambiguates on the way out.
-	opts.Stop = func() bool { return j.cancelled.Load() || j.suspend.Load() }
-	opts.Logf = progress.Prefixed(s.cfg.Logf, "["+j.id+"] ")
-	opts.Tracer = j.timeline
 	opts.MaxClusterSec = spec.MaxClusterSec
-	if spec.DeadlineSec > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(),
-			time.Duration(spec.DeadlineSec*float64(time.Second)))
-		defer cancel()
-		opts.Expired = func() bool { return ctx.Err() != nil }
-	}
-
-	if !spec.ColdStart && opts.UseDAGP {
-		if j.seed != nil {
-			// Refine/fallback jobs are seeded with the recommendation
-			// engine's k-NN retrieval, which supersedes the fingerprint
-			// lookup (its neighbor set is a superset of the bucket walk).
-			opts.Prior = j.seed
-			s.logf("[%s] seeded with %d neighbor observations from retrieval", j.id, len(j.seed.Obs))
-		} else if prior, n := s.retrievePrior(j, space); prior != nil {
-			s.logf("[%s] retrieved %d prior observations from history", j.id, n)
-			opts.Prior = prior
-		}
-	}
-	if j.resume != nil && !runner.CapsOf(raw).Deterministic && opts.UseDAGP {
-		// A non-deterministic backend (a live cluster) cannot replay its
-		// trajectory, so the checkpoint's paid observations re-enter as a
-		// warm-start prior instead of through the cache.
-		if p := checkpointPrior(j.resume); p != nil {
-			if opts.Prior == nil {
-				opts.Prior = p
-			} else {
-				opts.Prior.Obs = append(opts.Prior.Obs, p.Obs...)
-			}
-			s.logf("[%s] warm-starting from %d checkpointed observations", j.id, len(p.Obs))
-		}
+	if adjust != nil {
+		adjust(&opts)
 	}
 
 	rep, err := core.New(run, app, opts).Tune(spec.DataSizeGB)
 	if err != nil {
-		if errors.Is(err, core.ErrStopped) && j.suspend.Load() && !j.cancelled.Load() && ckp != nil {
-			// Parked by a drain: persist the tail of the trajectory so the
-			// next incarnation resumes from the exact stop point, not the
-			// last periodic flush.
-			ckp.flush()
-		}
-		return nil, err
+		return nil, nil, err
 	}
+	// A degraded report already accounts for the backend failure — the
+	// session recommends the best configuration observed before death
+	// instead of erroring out.
 	if rep.Degraded == "" {
 		if err := runner.BackendErr(run); err != nil {
-			return nil, fmt.Errorf("service: execution backend failed: %w", err)
+			return nil, nil, fmt.Errorf("service: execution backend failed: %w", err)
 		}
-	} else {
-		s.logf("[%s] degraded: %s; recommending best observed", j.id, rep.Degraded)
 	}
-
 	res := &JobResult{
 		BestConfig:   rep.Best.Clone(),
 		BestParams:   paramsToMap(rep.Best),
 		TunedSec:     rep.TunedSec,
-		DefaultSec:   run.NoiselessAppTime(app, space.Default(), spec.DataSizeGB),
+		DefaultSec:   run.NoiselessAppTime(app, run.Space().Default(), spec.DataSizeGB),
 		OverheadSec:  rep.OverheadSec,
 		SamplingSec:  rep.SamplingSec,
 		SearchSec:    rep.SearchSec,
@@ -1164,11 +1208,6 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 		SparkConf:    sparkConfString(rep.Best),
 		Degraded:     rep.Degraded,
 		FellBack:     rep.FellBack,
-		SeededFrom:   j.seededFrom,
-	}
-	res.Runs, res.ClusterSec = tally.Snapshot()
-	if cache != nil {
-		res.ResumedRuns = cache.ResumedRuns()
 	}
 	if rep.QCSA != nil {
 		res.SensitiveQueries = append([]string(nil), rep.QCSA.Sensitive...)
@@ -1176,22 +1215,20 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	if rep.IICP != nil {
 		res.ImportantParams = importantNames(rep.IICP.Important)
 	}
-	if err := s.persist(j, rep, res); err != nil {
-		// The tuning result is still valid; losing the history entry only
-		// costs future warm starts.
-		s.logf("[%s] history store write failed: %v", j.id, err)
-	}
-	return res, nil
+	return res, rep, nil
 }
 
 // checkpointPrior converts a checkpoint's successful full-application
 // executions into a warm-start prior — the resume path for backends whose
-// runs cannot be re-driven deterministically. Returns nil when the
-// checkpoint holds no usable observation.
-func checkpointPrior(cp *Checkpoint) *core.Prior {
+// runs cannot be re-driven deterministically. Entries whose configuration is
+// not of the space's dimension are skipped, the rule history observations
+// follow: a checkpoint is read off disk, and a short vector would panic in
+// the session's Encode on every resume. Returns nil when the checkpoint holds
+// no usable observation.
+func checkpointPrior(cp *Checkpoint, space *conf.Space) *core.Prior {
 	p := &core.Prior{}
 	for _, e := range cp.Entries {
-		if e.Kind != runner.TraceApp || e.Result == nil || e.Result.Sec <= 0 {
+		if e.Kind != runner.TraceApp || e.Result == nil || e.Result.Sec <= 0 || len(e.Conf) != space.Dim() {
 			continue
 		}
 		var qs map[string]float64
@@ -1215,13 +1252,12 @@ func checkpointPrior(cp *Checkpoint) *core.Prior {
 }
 
 // retrievePrior assembles a core.Prior from history entries under the job's
-// fingerprint and its neighboring size buckets. Observations are ranked and
-// capped by dagp.SelectTransfer; the QCSA / IICP artifacts come from the
-// newest same-bucket entry (falling back to neighbors).
+// fingerprint and its neighboring size buckets: observations in the order the
+// walk reads them, the QCSA / IICP artifacts from the newest same-bucket
+// entry (falling back to neighbors).
 func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
-	fps := append([]Fingerprint{j.fp}, j.fp.Neighbors()...)
 	var entries []Entry
-	for _, fp := range fps {
+	for _, fp := range append([]Fingerprint{j.fp}, j.fp.Neighbors()...) {
 		es, err := s.store.Get(fp.Key())
 		if err != nil {
 			s.logf("[%s] history read %s failed: %v", j.id, fp.Key(), err)
@@ -1229,10 +1265,30 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 		}
 		entries = append(entries, es...)
 	}
-	if len(entries) == 0 {
+	trusted := append([]Entry(nil), entries...)
+	sort.SliceStable(trusted, func(a, b int) bool {
+		sa, sb := trusted[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
+			trusted[b].Fingerprint.SizeBucket == j.fp.SizeBucket
+		if sa != sb {
+			return sa
+		}
+		return trusted[a].CreatedUnix > trusted[b].CreatedUnix
+	})
+	prior := buildPrior(entries, trusted, space, j.spec.DataSizeGB, s.cfg.MaxPriorObs)
+	if prior == nil {
 		return nil, 0
 	}
+	return prior, len(prior.Obs)
+}
 
+// buildPrior is the one rule that turns history entries into a warm-start
+// prior. Every observation of the space's dimension, in the order entries
+// gives them, is offered to dagp.SelectTransfer, which ranks them against the
+// target size and keeps at most maxObs; the QCSA and IICP artifacts are each
+// taken from the first entry of trusted that has one — the caller's order of
+// preference (newest same-bucket entry for the fingerprint walk, nearest
+// workload for k-NN retrieval). Nil when no entry holds a usable observation.
+func buildPrior(entries, trusted []Entry, space *conf.Space, targetGB float64, maxObs int) *core.Prior {
 	var obs []core.PriorObs
 	var samples []dagp.Sample
 	for _, e := range entries {
@@ -1241,37 +1297,24 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 				continue // stored under a different parameter table
 			}
 			c := conf.Config(o.Params)
-			obs = append(obs, core.PriorObs{
-				Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs,
-			})
-			samples = append(samples, dagp.Sample{
-				X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec,
-			})
+			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
+			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
 		}
 	}
 	if len(obs) == 0 {
-		return nil, 0
+		return nil
 	}
 	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, j.spec.DataSizeGB, s.cfg.MaxPriorObs) {
+	for _, i := range dagp.SelectTransfer(samples, targetGB, maxObs) {
 		prior.Obs = append(prior.Obs, obs[i])
 	}
-
-	// Newest entry wins for the analysis artifacts; same-bucket entries are
-	// preferred over neighbors.
-	sort.SliceStable(entries, func(a, b int) bool {
-		sa, sb := entries[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
-			entries[b].Fingerprint.SizeBucket == j.fp.SizeBucket
-		if sa != sb {
-			return sa
-		}
-		return entries[a].CreatedUnix > entries[b].CreatedUnix
-	})
-	for _, e := range entries {
+	for _, e := range trusted {
 		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
 			prior.Sensitive = append([]string(nil), e.Sensitive...)
 		}
 		if prior.Important == nil && len(e.Important) > 0 {
+			// Names this build's parameter table does not know are dropped; an
+			// entry naming none it knows leaves the choice to the next.
 			for _, name := range e.Important {
 				if _, idx, ok := conf.ParamByName(name); ok {
 					prior.Important = append(prior.Important, idx)
@@ -1279,7 +1322,7 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 			}
 		}
 	}
-	return prior, len(prior.Obs)
+	return prior
 }
 
 // persist writes the finished session into the history store.

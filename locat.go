@@ -44,6 +44,7 @@ import (
 	"locat/internal/obs"
 	"locat/internal/progress"
 	"locat/internal/runner"
+	"locat/internal/service"
 	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
@@ -134,7 +135,9 @@ type Options struct {
 	Chaos string
 }
 
-// Result is the outcome of a tuning session.
+// Result is the outcome of a tuning session, from Tune or from a Service
+// job: the session's service.JobResult under Go-facing names (resultOf), plus
+// the wall-clock Elapsed and the phase timeline.
 type Result struct {
 	// BestParams maps Spark property names to the tuned values. Boolean
 	// properties use 1 (true) / 0 (false).
@@ -254,8 +257,8 @@ func Tune(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	app, err := workloads.ByName(o.Benchmark)
-	if err != nil {
+	// Checked before a backend is opened: a recording one creates its file.
+	if _, err := workloads.ByName(o.Benchmark); err != nil {
 		return nil, err
 	}
 	factory, err := runner.ParseSpec(o.Backend)
@@ -281,70 +284,47 @@ func Tune(o Options) (*Result, error) {
 		run = runner.NewRetrying(runner.NewChaos(run, *chaos), runner.RetryOptions{Seed: o.Seed})
 	}
 
-	opts := core.DefaultOptions()
-	opts.Seed = o.Seed
-	if o.NQCSA > 0 {
-		opts.NQCSA = o.NQCSA
-	}
-	if o.NIICP > 0 {
-		opts.NIICP = o.NIICP
-	}
-	if o.MaxIterations > 0 {
-		opts.MaxIter = o.MaxIterations
-	}
-	opts.UseQCSA = !o.DisableQCSA
-	opts.UseIICP = !o.DisableIICP
-	opts.UseDAGP = !o.DisableDAGP
-	opts.DataSchedule = o.Schedule
-	opts.Workers = o.Parallelism
-	if !o.Quiet {
-		opts.Logf = progress.New(os.Stderr, "locat:")
-	}
 	timeline := obs.NewTimeline()
-	opts.Tracer = timeline
-
 	start := time.Now()
-	rep, err := core.New(run, app, opts).Tune(o.DataSizeGB)
+	jr, _, err := service.RunSession(run, specOf(o), func(opts *core.Options) {
+		opts.MaxClusterSec = 0 // a Service budget; Tune ignores it
+		opts.DataSchedule = o.Schedule
+		opts.Workers = o.Parallelism
+		if !o.Quiet {
+			opts.Logf = progress.New(os.Stderr, "locat:")
+		}
+		opts.Tracer = timeline
+	})
 	if err != nil {
 		return nil, err
 	}
-	// A degraded report already accounts for the backend failure — the
-	// session recommends the best configuration observed before death
-	// instead of erroring out.
-	if rep.Degraded == "" {
-		if err := runner.BackendErr(run); err != nil {
-			return nil, fmt.Errorf("locat: execution backend failed: %w", err)
-		}
-	}
-
-	res := &Result{
-		best:            rep.Best,
-		BestParams:      paramsToMap(rep.Best),
-		TunedSeconds:    rep.TunedSec,
-		DefaultSeconds:  run.NoiselessAppTime(app, cl.Space().Default(), o.DataSizeGB),
-		OverheadSeconds: rep.OverheadSec,
-		SamplingSeconds: rep.SamplingSec,
-		SearchSeconds:   rep.SearchSec,
-		WarmStarted:     rep.WarmStarted,
-		Degraded:        rep.Degraded,
-		FellBack:        rep.FellBack,
-		Runs:            rep.Evaluations(),
-		Elapsed:         time.Since(start),
-		Phases:          phasesOf(timeline.Snapshot()),
-	}
-	if rep.QCSA != nil {
-		res.SensitiveQueries = append([]string(nil), rep.QCSA.Sensitive...)
-	}
-	if rep.IICP != nil {
-		params := conf.Params()
-		for _, j := range rep.IICP.Important {
-			res.ImportantParams = append(res.ImportantParams, params[j].Name)
-		}
-	}
+	res := resultOf(jr)
+	res.Elapsed = time.Since(start)
+	res.Phases = phasesOf(timeline.Snapshot())
 	if err := factory.Close(); err != nil {
 		return nil, fmt.Errorf("locat: closing backend: %w", err)
 	}
 	return res, nil
+}
+
+// resultOf renames a session result onto the public Result. Elapsed and
+// Phases come from the caller's clock and timeline.
+func resultOf(jr *service.JobResult) *Result {
+	return &Result{
+		best:             jr.BestConfig,
+		BestParams:       jr.BestParams,
+		TunedSeconds:     jr.TunedSec,
+		DefaultSeconds:   jr.DefaultSec,
+		OverheadSeconds:  jr.OverheadSec,
+		SamplingSeconds:  jr.SamplingSec,
+		SearchSeconds:    jr.SearchSec,
+		WarmStarted:      jr.WarmStarted,
+		Degraded:         jr.Degraded,
+		FellBack:         jr.FellBack,
+		Runs:             jr.FullRuns + jr.RQARuns,
+		SensitiveQueries: jr.SensitiveQueries,
+		ImportantParams:  jr.ImportantParams,
+	}
 }
 
 // BaselineResult is one SOTA tuner's outcome on the same problem.
@@ -415,15 +395,6 @@ func phasesOf(spans []obs.SpanRecord) []Phase {
 			ClusterSeconds: sp.ClusterSec,
 			Runs:           sp.Runs,
 		})
-	}
-	return out
-}
-
-// paramsToMap converts a configuration vector to a name→value map.
-func paramsToMap(c conf.Config) map[string]float64 {
-	out := make(map[string]float64, len(c))
-	for i, p := range conf.Params() {
-		out[p.Name] = c[i]
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package locat
 
 import (
-	"fmt"
+	"errors"
 	"net/http"
 	"os"
 	"time"
@@ -63,29 +63,18 @@ type ServiceOptions struct {
 	Tenants map[string]TenantBudget
 }
 
-// TenantBudget bounds one tenant's admission. Zero fields are unlimited.
-type TenantBudget struct {
-	// MaxInFlight caps the tenant's queued-plus-running jobs.
-	MaxInFlight int
-	// SubmitRate and SubmitBurst are a token bucket on submissions:
-	// sustained jobs per second and the bucket depth above it (depth
-	// defaults to max(1, ceil(SubmitRate)) when a rate is set).
-	SubmitRate  float64
-	SubmitBurst int
-	// MaxClusterSec caps the tenant's cumulative simulated cluster seconds
-	// across all completed jobs; once exhausted, new submissions are
-	// refused until the operator raises the budget.
-	MaxClusterSec float64
-}
+// TenantBudget bounds one tenant's admission; zero fields are unlimited.
+// MaxInFlight caps queued-plus-running jobs, SubmitRate and SubmitBurst are a
+// token bucket on submissions, and MaxClusterSec caps the cumulative
+// simulated cluster seconds of the tenant's completed jobs.
+type TenantBudget = service.TenantBudget
 
 // JobState is a job's lifecycle position: "queued", "running", "succeeded",
 // "failed", "cancelled", "shed" (a queued batch job displaced by
 // interactive work under overload) or "suspended" (parked by a graceful
-// drain; a restart with Resume requeues it under the same ID).
-type JobState string
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return service.State(s).Terminal() }
+// drain; a restart with Resume requeues it under the same ID). Terminal
+// reports whether the state is final.
+type JobState = service.State
 
 // JobStatus is a snapshot of a submitted job.
 type JobStatus struct {
@@ -139,17 +128,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 		RecommendMaxDistance: o.RecommendMaxDistance,
 		RecommendConfidence:  o.RecommendConfidence,
 		MaxHistoryKeys:       o.MaxHistoryKeys,
-	}
-	if len(o.Tenants) > 0 {
-		cfg.Tenants = make(map[string]service.TenantBudget, len(o.Tenants))
-		for name, b := range o.Tenants {
-			cfg.Tenants[name] = service.TenantBudget{
-				MaxInFlight:   b.MaxInFlight,
-				SubmitRate:    b.SubmitRate,
-				SubmitBurst:   b.SubmitBurst,
-				MaxClusterSec: b.MaxClusterSec,
-			}
-		}
+		Tenants:              o.Tenants,
 	}
 	if o.HistoryDir != "" {
 		fs, err := service.NewFileStore(o.HistoryDir)
@@ -164,11 +143,13 @@ func NewService(o ServiceOptions) (*Service, error) {
 	return &Service{svc: service.New(cfg)}, nil
 }
 
-// specOf maps the public Options onto a service job spec.
-func specOf(o Options) (service.JobSpec, error) {
-	if o.Schedule != nil {
-		return service.JobSpec{}, fmt.Errorf("locat: service jobs do not support Schedule; tune with a fixed target size (warm starts cover the size-change scenario)")
-	}
+// errSchedule rejects Options.Schedule at the service entry points.
+var errSchedule = errors.New("locat: service jobs do not support Schedule; tune with a fixed target size (warm starts cover the size-change scenario)")
+
+// specOf renames the public Options onto the session spec — every field the
+// service and the session spine read. Schedule, Parallelism, Quiet and Chaos
+// have no place in a spec; Tune hands them to the session itself.
+func specOf(o Options) service.JobSpec {
 	return service.JobSpec{
 		Tenant:        o.Tenant,
 		Priority:      service.Priority(o.Priority),
@@ -186,27 +167,22 @@ func specOf(o Options) (service.JobSpec, error) {
 		DisableDAGP:   o.DisableDAGP,
 		ColdStart:     o.ColdStart,
 		Backend:       o.Backend,
-	}, nil
+	}
 }
 
 // Submit enqueues a tuning job and returns its ID without blocking.
 func (s *Service) Submit(o Options) (string, error) {
-	spec, err := specOf(o)
-	if err != nil {
-		return "", err
+	if o.Schedule != nil {
+		return "", errSchedule
 	}
-	return s.svc.Submit(spec)
+	return s.svc.Submit(specOf(o))
 }
 
-// Status returns the job's current snapshot.
-func (s *Service) Status(id string) (JobStatus, error) {
-	st, err := s.svc.Status(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
+// statusOf renames a service job snapshot onto the public JobStatus.
+func statusOf(st service.JobStatus) JobStatus {
 	out := JobStatus{
 		ID:          st.ID,
-		State:       JobState(st.State),
+		State:       st.State,
 		Err:         st.Error,
 		Fingerprint: st.Fingerprint,
 		Submitted:   st.Submitted,
@@ -217,7 +193,13 @@ func (s *Service) Status(id string) (JobStatus, error) {
 	if st.Finished != nil {
 		out.Finished = *st.Finished
 	}
-	return out, nil
+	return out
+}
+
+// Status returns the job's current snapshot.
+func (s *Service) Status(id string) (JobStatus, error) {
+	st, err := s.svc.Status(id)
+	return statusOf(st), err
 }
 
 // Result blocks until the job finishes and returns its tuning result; a
@@ -231,21 +213,7 @@ func (s *Service) Result(id string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		best:             jr.BestConfig,
-		BestParams:       jr.BestParams,
-		TunedSeconds:     jr.TunedSec,
-		DefaultSeconds:   jr.DefaultSec,
-		OverheadSeconds:  jr.OverheadSec,
-		SamplingSeconds:  jr.SamplingSec,
-		SearchSeconds:    jr.SearchSec,
-		WarmStarted:      jr.WarmStarted,
-		Degraded:         jr.Degraded,
-		FellBack:         jr.FellBack,
-		Runs:             jr.FullRuns + jr.RQARuns,
-		SensitiveQueries: jr.SensitiveQueries,
-		ImportantParams:  jr.ImportantParams,
-	}
+	res := resultOf(jr)
 	if st.Started != nil && st.Finished != nil {
 		res.Elapsed = st.Finished.Sub(*st.Started)
 	}
@@ -264,20 +232,7 @@ func (s *Service) Jobs() []JobStatus {
 	sts := s.svc.Jobs()
 	out := make([]JobStatus, 0, len(sts))
 	for _, st := range sts {
-		j := JobStatus{
-			ID:          st.ID,
-			State:       JobState(st.State),
-			Err:         st.Error,
-			Fingerprint: st.Fingerprint,
-			Submitted:   st.Submitted,
-		}
-		if st.Started != nil {
-			j.Started = *st.Started
-		}
-		if st.Finished != nil {
-			j.Finished = *st.Finished
-		}
-		out = append(out, j)
+		out = append(out, statusOf(st))
 	}
 	return out
 }
@@ -405,12 +360,11 @@ func recommendationOf(rec *service.Recommendation) *Recommendation {
 // confident hit returns in microseconds; a low-confidence one submits a
 // normal tuning job as the fallback (unless NoFallback is set).
 func (s *Service) Recommend(o Options, ro RecommendOptions) (*Recommendation, error) {
-	spec, err := specOf(o)
-	if err != nil {
-		return nil, err
+	if o.Schedule != nil {
+		return nil, errSchedule
 	}
 	rec, err := s.svc.Recommend(service.RecommendRequest{
-		JobSpec: spec,
+		JobSpec: specOf(o),
 		RecommendOptions: service.RecommendOptions{
 			K:             ro.K,
 			MaxDistance:   ro.MaxDistance,
@@ -430,15 +384,14 @@ func (s *Service) Recommend(o Options, ro RecommendOptions) (*Recommendation, er
 // build) its k-NN index, retrieve and blend. Fallback submission is not
 // available on this path — a low-confidence result reports outcome "miss".
 func RecommendFromHistory(dir string, o Options, ro RecommendOptions) (*Recommendation, error) {
-	spec, err := specOf(o)
-	if err != nil {
-		return nil, err
+	if o.Schedule != nil {
+		return nil, errSchedule
 	}
 	fs, err := service.NewFileStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := service.NewRecommender(fs).Recommend(spec, service.RecommendOptions{
+	rec, _, err := service.NewRecommender(fs).Recommend(specOf(o), service.RecommendOptions{
 		K:             ro.K,
 		MaxDistance:   ro.MaxDistance,
 		MinConfidence: ro.MinConfidence,

@@ -23,6 +23,7 @@ import (
 	"locat/internal/mat"
 	"locat/internal/ml"
 	"locat/internal/qcsa"
+	"locat/internal/runner"
 	"locat/internal/service"
 	"locat/internal/sparksim"
 	"locat/internal/stat"
@@ -412,9 +413,10 @@ func BenchmarkSolveLowerBatch(b *testing.B) {
 // dominant training-side cost of the surrogate: 6 posterior samples (the
 // EI-MCMC marginalization width) at each training-set scale.
 //
-//   - Serial is the pre-PR reference path: one slice-sampling chain whose
-//     every posterior evaluation runs a fresh gp.Fit (O(n²·d) kernel
-//     assembly + freshly allocated O(n³) Cholesky).
+//   - Serial, the reference path (one slice-sampling chain whose every
+//     posterior evaluation runs a fresh gp.Fit: O(n²·d) kernel assembly +
+//     freshly allocated O(n³) Cholesky), is the benchmark of the same name
+//     in internal/gp, where the reference sampler lives as a test helper.
 //   - Amortized is the production path end to end: build the distance cache
 //     (gp.NewTrainSet), then run 6 independent chains over it on the worker
 //     pool — each slice step an allocation-free in-place refit. The
@@ -428,14 +430,6 @@ func BenchmarkSampleHyper(b *testing.B) {
 	const samples = 6
 	for _, n := range surrogateSizes {
 		xs, ys := surrogateTrainingSet(n, 9)
-		b.Run(fmt.Sprintf("Serial/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := gp.SampleHyperSerial(xs, ys, samples, newBenchRng(17)); len(got) != samples {
-					b.Fatal("short sample")
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("Amortized/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -465,8 +459,9 @@ func BenchmarkSampleHyper(b *testing.B) {
 
 // BenchmarkKPCAFit measures the CPE hot path: a full kernel-PCA fit over an
 // IICP-scale sample matrix (parallel Gram assembly, in-place centering, QL
-// eigensolver), plus the eigensolver swap in isolation — implicit-shift QL
-// versus the cyclic Jacobi reference it replaced as the default.
+// eigensolver), plus the eigensolver in isolation — implicit-shift QL; the
+// cyclic Jacobi reference it replaced is the EigenJacobi row of the
+// benchmark of the same name in internal/mat.
 func BenchmarkKPCAFit(b *testing.B) {
 	rng := newBenchRng(5)
 	n, d := 160, 38
@@ -498,13 +493,6 @@ func BenchmarkKPCAFit(b *testing.B) {
 	b.Run("EigenQL", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := mat.SymEigen(gram); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("EigenJacobi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mat.SymEigenJacobi(gram); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -558,7 +546,7 @@ func BenchmarkParallelSampling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sim := sparksim.New(cl, 1)
 			for i := 0; i < b.N; i++ {
-				if _, done := sim.RunBatch(app, cs, gb, workers, nil); done != len(cs) {
+				if _, done := runner.RunBatch(runner.NewSim(sim), app, cs, gb, workers, nil); done != len(cs) {
 					b.Fatal("incomplete batch")
 				}
 			}

@@ -134,16 +134,18 @@ type Options struct {
 	// tuning trajectory — identical for every worker count; the knob only
 	// changes wall-clock time.
 	Workers int
-	// Stop, if non-nil, is polled between evaluations; returning true
-	// aborts the session and Tune returns ErrStopped. The tuning service
-	// uses it for cooperative job cancellation.
+	// Stop, if non-nil, is polled before every evaluation and before every
+	// stage after the first (one input of the session's halt check, see
+	// halted); once it returns true the session is discarded and Tune returns
+	// ErrStopped. The tuning service uses it for cooperative job cancellation
+	// and for drain.
 	Stop func() bool
-	// Expired, if non-nil, is polled between evaluations like Stop, but an
-	// expired session degrades instead of aborting: Tune returns the best
-	// configuration observed so far with Report.Degraded explaining the
-	// deadline. The service wires a context deadline here. Wall-clock-based,
-	// so where exactly the cutoff lands is not reproducible — use
-	// MaxClusterSec for a deterministic budget.
+	// Expired, if non-nil, is polled like Stop, but an expired session
+	// degrades instead of aborting: Tune returns the best configuration
+	// observed so far with Report.Degraded explaining the deadline. The
+	// service wires a context deadline here. Wall-clock-based, so where
+	// exactly the cutoff lands is not reproducible — use MaxClusterSec for a
+	// deterministic budget.
 	Expired func() bool
 	// MaxClusterSec, when positive, bounds the simulated cluster seconds the
 	// session may spend; past the budget it degrades like an expired
@@ -277,39 +279,26 @@ func New(run runner.Runner, app *sparksim.Application, opts Options) *Tuner {
 
 func (t *Tuner) logf(format string, args ...any) { progress.F(t.opts.Logf, format, args...) }
 
-func (t *Tuner) stopped() bool { return t.opts.Stop != nil && t.opts.Stop() }
-
-// overBudget reports why the session must degrade to best-so-far: the
-// cluster-second budget is exhausted or the wall-clock deadline passed. Nil
-// means keep searching. The budget check reads rep.OverheadSec, which only
-// the session goroutine mutates between evaluation batches, so a budget
-// cutoff is deterministic across worker counts; the deadline is wall-clock
-// and is not.
-func (t *Tuner) overBudget(rep *Report) error {
-	if t.opts.MaxClusterSec > 0 && rep.OverheadSec >= t.opts.MaxClusterSec {
-		return fmt.Errorf("core: cluster-second budget exhausted (%.0f s of %.0f s)",
-			rep.OverheadSec, t.opts.MaxClusterSec)
-	}
-	if t.opts.Expired != nil && t.opts.Expired() {
-		return errors.New("core: deadline exceeded")
-	}
-	return nil
-}
-
 // halted reports why the session cannot go past an evaluation boundary, or
-// nil to carry on: a backend gone sticky-faulty (tripped circuit breaker,
-// dead gateway), an exhausted deadline or cluster-second budget, or the
-// caller's cancellation hook (ErrStopped) — in that order, so a session that
-// already paid for sample runs degrades to its best observation instead of
-// discarding them.
+// nil to carry on. Four producers feed it — the backend's sticky failure
+// (tripped circuit breaker, dead gateway), the deterministic cluster-second
+// budget, the wall-clock deadline and the caller's cancellation hook
+// (ErrStopped) — checked in that order, so a session that already paid for
+// sample runs degrades to its best observation instead of discarding them.
+// The budget check reads rep.OverheadSec, which only the session goroutine
+// mutates between evaluation batches, so a budget cutoff is deterministic
+// across worker counts; the deadline is wall-clock and is not.
 func (t *Tuner) halted(rep *Report) error {
-	if err := runner.BackendErr(t.run); err != nil {
+	o := &t.opts
+	switch err := runner.BackendErr(t.run); {
+	case err != nil:
 		return err
-	}
-	if cause := t.overBudget(rep); cause != nil {
-		return cause
-	}
-	if t.stopped() {
+	case o.MaxClusterSec > 0 && rep.OverheadSec >= o.MaxClusterSec:
+		return fmt.Errorf("core: cluster-second budget exhausted (%.0f s of %.0f s)",
+			rep.OverheadSec, o.MaxClusterSec)
+	case o.Expired != nil && o.Expired():
+		return errors.New("core: deadline exceeded")
+	case o.Stop != nil && o.Stop():
 		return ErrStopped
 	}
 	return nil
@@ -335,359 +324,405 @@ func querySecs(run sparksim.AppResult) map[string]float64 {
 }
 
 // Tune searches for the configuration minimizing the application latency at
-// targetGB and reports the outcome.
+// targetGB and reports the outcome. A session is five stages over one session
+// record — sample, reduce, restrict, search, finish — and this loop is the
+// only place it can end early: before every stage but the first it asks
+// halted whether the backend, the deadline, the cluster-second budget or the
+// caller still allow another one, and degrades to the best observation on a
+// cause.
 func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	if targetGB <= 0 {
 		return nil, errors.New("core: target data size must be positive")
 	}
-	space := t.run.Space()
-	rep := &Report{}
-	// Every phase below opens a span on the injected tracer; the no-op
-	// default makes this free. phaseSpan is the span sample-collection
-	// charges run costs to — recordFull and the phase-2 evaluator run on
-	// the session goroutine, so swapping it per phase is race-free.
-	tr := obs.OrNop(t.opts.Tracer)
-	phaseSpan := obs.Nop.Start("")
-	sizeOf := func(run int) float64 {
-		if t.opts.DataSchedule != nil {
-			return t.opts.DataSchedule(run)
-		}
-		return targetGB
+	s := &session{
+		Tuner: t, space: t.run.Space(), targetGB: targetGB, rep: &Report{},
+		// Every stage opens a span on the injected tracer; the no-op default
+		// makes this free.
+		tr: obs.OrNop(t.opts.Tracer), prior: t.warmPrior(), target: t.app,
 	}
-	ctxOf := func(run int) []float64 {
-		if !t.opts.UseDAGP {
-			return nil
+	for i, stage := range []func() error{s.sample, s.reduce, s.restrict, s.search, s.finish} {
+		if i > 0 {
+			cause := t.halted(s.rep)
+			if cause == nil && s.cut {
+				cause = ErrStopped // the hook that cut the batch short has let go since
+			}
+			if cause != nil {
+				return s.degrade(cause)
+			}
 		}
-		return dagp.Ctx(sizeOf(run))
-	}
-	priorCtx := func(dataGB float64) []float64 {
-		if !t.opts.UseDAGP {
-			return nil
+		if err := stage(); err != nil {
+			return nil, err
 		}
-		return dagp.Ctx(dataGB)
 	}
+	return s.rep, nil
+}
 
-	// ---- Phase 1: collect full-application samples. ----
-	// Cold sessions run the paper's N_QCSA-iteration BO-with-DAGP loop.
-	// Warm sessions inherit prior observations and run only a few fresh
-	// anchor executions — the overhead reduction the history store buys.
-	var phase1Runs []sparksim.AppResult
-	var samples []iicp.Sample
-	recordFull := func(c conf.Config, ds float64, run sparksim.AppResult) float64 {
-		rep.OverheadSec += run.Sec
+// session is one Tune call in flight: what the stages hand to each other.
+// Everything runs on the session goroutine (batch workers only execute runs;
+// their results are recorded after the batch returns), so no field is
+// synchronized.
+type session struct {
+	*Tuner
+	space    *conf.Space
+	targetGB float64
+	rep      *Report
+	tr       obs.Tracer
+	// span is the current stage's span, the one record charges runs to.
+	span obs.Span
+	// prior is the usable warm-start prior, nil in a cold session.
+	prior *Prior
+	// fullRuns are the full-application sample runs — QCSA's input.
+	fullRuns []sparksim.AppResult
+	// cut reports that stop ended the warm anchor batch short of its runs.
+	cut bool
+	// p1 is the phase-1 search result: the cold BO history, or the prior
+	// observations followed by the warm anchors.
+	p1 bo.Result
+	// target is the application phase 2 runs (the RQA once reduce built it)
+	// and keep its query names; a nil keep keeps every query.
+	target *sparksim.Application
+	keep   map[string]bool
+	// sub is the important-parameter subspace phase 2 searches and init the
+	// observations it starts from; p2 is its result.
+	sub  *conf.Subspace
+	init []bo.Step
+	p2   bo.Result
+}
+
+// begin opens the stage span the session charges runs to; the caller defers
+// its End, which covers every return of the stage.
+func (s *session) begin(name string) obs.Span {
+	s.span = s.tr.Start(name)
+	return s.span
+}
+
+// halt is the session's one stop hook, handed to bo.Minimize and to
+// runner.RunBatch alike: it polls halted between evaluations, not only at
+// stage boundaries — a session must not burn its remaining iteration budget
+// on runs it cannot afford or that can only fail.
+func (s *session) halt() bool { return s.halted(s.rep) != nil }
+
+// sizeOf is the input size of the session's run-th tuning run.
+func (s *session) sizeOf(run int) float64 {
+	if s.opts.DataSchedule != nil {
+		return s.opts.DataSchedule(run)
+	}
+	return s.targetGB
+}
+
+// ctx is the surrogate's context for an observation taken at dataGB.
+func (s *session) ctx(dataGB float64) []float64 {
+	if !s.opts.UseDAGP {
+		return nil
+	}
+	return dagp.Ctx(dataGB)
+}
+
+func (s *session) ctxOf(run int) []float64 { return s.ctx(s.sizeOf(run)) }
+
+// record books one executed run and returns its latency. It is the only
+// place overhead, run counts, the history and the stage span are charged;
+// sampling marks a phase-1 full-application sample run, as opposed to a
+// phase-2 search run on the reduced application.
+func (s *session) record(c conf.Config, dataGB float64, run sparksim.AppResult, sampling bool) float64 {
+	rep := s.rep
+	rep.OverheadSec += run.Sec
+	s.span.Add(1, run.Sec)
+	if sampling {
 		rep.SamplingSec += run.Sec
+		s.fullRuns = append(s.fullRuns, run)
+	} else {
+		rep.SearchSec += run.Sec
+	}
+	fullApp := sampling || !s.opts.UseQCSA
+	if fullApp {
 		rep.FullRuns++
-		phaseSpan.Add(1, run.Sec)
-		rep.History = append(rep.History, Eval{
-			Conf: c, DataGB: ds, Sec: run.Sec, FullApp: true, QuerySecs: querySecs(run),
-		})
-		phase1Runs = append(phase1Runs, run)
-		samples = append(samples, iicp.Sample{Conf: c, Sec: run.Sec})
-		return run.Sec
+	} else {
+		rep.RQARuns++
 	}
-	runFull := func(c conf.Config) float64 {
-		ds := sizeOf(rep.Evaluations())
-		return recordFull(c, ds, t.run.RunApp(t.app, c, ds))
-	}
-	// sessionStop polls halted between evaluations, not only after a search
-	// returns: a session must not burn its remaining iteration budget on
-	// runs it cannot afford or that can only fail.
-	sessionStop := func() bool { return t.halted(rep) != nil }
-	// runFullBatch fans independent full-application runs over the worker
-	// pool (Options.Workers simulated cluster slots) and reduces the results
-	// in index order, so the recorded history matches a serial runFull loop
-	// exactly. Run sizes are resolved against the evaluation counter before
-	// the batch starts, just as the serial loop would see them. complete is
-	// false when Stop cut the batch short after a prefix.
-	runFullBatch := func(cs []conf.Config) (ys []float64, complete bool) {
-		evalBase := rep.Evaluations()
-		sizes := make([]float64, len(cs))
-		for i := range cs {
-			sizes[i] = sizeOf(evalBase + i)
-		}
-		runs, done := runner.RunBatch(t.run, t.app, cs, func(i int) float64 { return sizes[i] }, t.opts.Workers, sessionStop)
-		ys = make([]float64, done)
-		for i := 0; i < done; i++ {
-			ys[i] = recordFull(cs[i], sizes[i], runs[i])
-		}
-		return ys, done == len(cs)
-	}
+	rep.History = append(rep.History, Eval{
+		Conf: c, DataGB: dataGB, Sec: run.Sec, FullApp: fullApp, QuerySecs: querySecs(run),
+	})
+	return run.Sec
+}
 
-	prior := t.warmPrior()
-	var p1res bo.Result
-	if prior == nil {
-		t.logf("phase 1: collecting %d full-application samples (cold start)", t.opts.NQCSA)
-		phaseSpan = tr.Start("phase1/sampling")
+// runNext executes app under c as the session's next run and records it.
+func (s *session) runNext(app *sparksim.Application, c conf.Config, sampling bool) float64 {
+	dataGB := s.sizeOf(s.rep.Evaluations())
+	return s.record(c, dataGB, s.run.RunApp(app, c, dataGB), sampling)
+}
+
+// sampleBatch fans independent full-application runs over the worker pool
+// (Options.Workers simulated cluster slots) and reduces the results in index
+// order, so the recorded history matches a serial runNext loop exactly. Run
+// sizes are resolved against the evaluation counter before the batch starts,
+// just as the serial loop would see them. complete is false when halt cut
+// the batch short after a prefix.
+func (s *session) sampleBatch(cs []conf.Config) (ys []float64, complete bool) {
+	evalBase := s.rep.Evaluations()
+	sizes := make([]float64, len(cs))
+	for i := range cs {
+		sizes[i] = s.sizeOf(evalBase + i)
+	}
+	runs, done := runner.RunBatch(s.run, s.app, cs, func(i int) float64 { return sizes[i] }, s.opts.Workers, s.halt)
+	ys = make([]float64, done)
+	for i := 0; i < done; i++ {
+		ys[i] = s.record(cs[i], sizes[i], runs[i], true)
+	}
+	return ys, done == len(cs)
+}
+
+// steps turns everything the session knows — the prior observations, then
+// its own history — into BO steps. encode maps a configuration into the
+// decision space; scale re-expresses a run's latency from its per-query
+// latencies and total, or drops the observation.
+func (s *session) steps(encode func(conf.Config) []float64, scale func(qs map[string]float64, total float64) (float64, bool)) []bo.Step {
+	var out []bo.Step
+	add := func(c conf.Config, dataGB, sec float64, qs map[string]float64) {
+		if y, ok := scale(qs, sec); ok {
+			out = append(out, bo.Step{X: encode(c), Ctx: s.ctx(dataGB), Y: y})
+		}
+	}
+	if s.prior != nil {
+		for _, ob := range s.prior.Obs {
+			add(ob.Conf, ob.DataGB, ob.Sec, ob.QuerySecs)
+		}
+	}
+	for _, e := range s.rep.History {
+		add(e.Conf, e.DataGB, e.Sec, e.QuerySecs)
+	}
+	return out
+}
+
+// sample is phase 1: collect full-application samples. Cold sessions run
+// the paper's N_QCSA-iteration BO-with-DAGP loop. Warm sessions inherit prior
+// observations and run only a few fresh anchor executions — the overhead
+// reduction the history store buys.
+func (s *session) sample() error {
+	if s.prior == nil {
+		s.logf("phase 1: collecting %d full-application samples (cold start)", s.opts.NQCSA)
+		defer s.begin("phase1/sampling").End()
 		p1 := bo.Problem{
-			Dim:  space.Dim(),
-			Eval: func(x, ctx []float64) float64 { return runFull(space.Decode(x)) },
+			Dim:  s.space.Dim(),
+			Eval: func(x, ctx []float64) float64 { return s.runNext(s.app, s.space.Decode(x), true) },
 			// Phase 1 injects no Init steps, so bo's iteration index is the
 			// session run index. Context must be a function of it — the batch
 			// evaluator precomputes contexts before any run executes, when the
 			// live evaluation counter still points at the batch start.
-			Context: func(it int) []float64 { return ctxOf(it) },
+			Context: s.ctxOf,
 		}
 		// A third of the sample-collection budget goes to space-filling LHS
 		// so the QCSA/IICP statistics see uncorrelated coverage; the rest is
 		// EI-guided ("BO with DAGP", Figure 4) and begins improving the
 		// incumbent early. The LHS block's points are independent, so the
 		// batch evaluator runs them on concurrent simulated cluster slots.
-		p1res = bo.Minimize(p1, bo.Options{
-			InitPoints:  t.opts.NQCSA / 3,
-			MinIter:     t.opts.NQCSA, // phase 1 always collects the full sample set
-			MaxIter:     t.opts.NQCSA,
+		s.p1 = bo.Minimize(p1, bo.Options{
+			InitPoints:  s.opts.NQCSA / 3,
+			MinIter:     s.opts.NQCSA, // phase 1 always collects the full sample set
+			MaxIter:     s.opts.NQCSA,
 			EIStopFrac:  0, // no early stop while collecting samples
-			MCMCSamples: t.opts.MCMCSamples,
+			MCMCSamples: s.opts.MCMCSamples,
 			HyperEvery:  hyperEvery,
 			Candidates:  400,
-			Workers:     t.opts.Workers,
-			Seed:        t.opts.Seed,
-			Stop:        sessionStop,
-			Tracer:      t.opts.Tracer,
+			Workers:     s.opts.Workers,
+			Seed:        s.opts.Seed,
+			Stop:        s.halt,
+			Tracer:      s.opts.Tracer,
 			EvalBatch: func(xs, ctxs [][]float64) []float64 {
 				cs := make([]conf.Config, len(xs))
 				for i, x := range xs {
-					cs[i] = space.Decode(x)
+					cs[i] = s.space.Decode(x)
 				}
-				ys, _ := runFullBatch(cs)
+				ys, _ := s.sampleBatch(cs)
 				return ys
 			},
 		})
-		phaseSpan.End()
-	} else {
-		rep.WarmStarted = true
-		rep.PriorObsUsed = len(prior.Obs)
-		fresh := min(warmFreshRuns, t.opts.NQCSA)
-		t.logf("phase 1: warm start from %d prior observations, %d fresh anchor runs",
-			len(prior.Obs), fresh)
-		phaseSpan = tr.Start("phase1/warm-anchors")
-		rng := rand.New(rand.NewSource(t.opts.Seed))
-		_, complete := runFullBatch(space.LHS(fresh, rng))
-		phaseSpan.End()
-		if !complete {
-			cause := t.halted(rep)
-			if cause == nil {
-				cause = ErrStopped // the hook that cut the batch short has let go since
-			}
-			return t.degrade(rep, space, targetGB, cause)
-		}
-		// Prior observations and the fresh anchors together form the
-		// phase-1 history the DAGP base selection and the phase-2 warm
-		// start consume.
-		p1res.BestY = math.Inf(1)
-		for _, ob := range prior.Obs {
-			p1res.History = append(p1res.History, bo.Step{
-				X:   space.Encode(ob.Conf),
-				Ctx: priorCtx(ob.DataGB),
-				Y:   ob.Sec,
-			})
-		}
-		for _, e := range rep.History {
-			p1res.History = append(p1res.History, bo.Step{
-				X:   space.Encode(e.Conf),
-				Ctx: priorCtx(e.DataGB),
-				Y:   e.Sec,
-			})
-		}
-		for _, s := range p1res.History {
-			if s.Y < p1res.BestY {
-				p1res.BestY = s.Y
-				p1res.BestX = s.X
-			}
+		return nil
+	}
+	s.rep.WarmStarted = true
+	s.rep.PriorObsUsed = len(s.prior.Obs)
+	fresh := min(warmFreshRuns, s.opts.NQCSA)
+	s.logf("phase 1: warm start from %d prior observations, %d fresh anchor runs",
+		len(s.prior.Obs), fresh)
+	defer s.begin("phase1/warm-anchors").End()
+	rng := rand.New(rand.NewSource(s.opts.Seed))
+	if _, complete := s.sampleBatch(s.space.LHS(fresh, rng)); !complete {
+		s.cut = true
+		return nil
+	}
+	// Prior observations and the fresh anchors together form the phase-1
+	// history the DAGP base selection and the phase-2 warm start consume.
+	s.p1.History = s.steps(s.space.Encode, func(_ map[string]float64, total float64) (float64, bool) { return total, true })
+	s.p1.BestY = math.Inf(1)
+	for _, st := range s.p1.History {
+		if st.Y < s.p1.BestY {
+			s.p1.BestY = st.Y
+			s.p1.BestX = st.X
 		}
 	}
-	if cause := t.halted(rep); cause != nil {
-		return t.degrade(rep, space, targetGB, cause)
-	}
+	return nil
+}
 
-	// ---- QCSA: build the reduced query application. ----
-	target := t.app
-	keepAll := map[string]bool{}
-	for _, q := range t.app.Queries {
-		keepAll[q.Name] = true
+// reduce is QCSA: build the reduced query application, from the prior's
+// sensitivity analysis when there is one, else from the phase-1 runs.
+func (s *session) reduce() error {
+	if !s.opts.UseQCSA {
+		return nil
 	}
-	keep := keepAll
-	if t.opts.UseQCSA {
-		qs := tr.Start("qcsa/reduce")
-		if prior != nil && len(prior.Sensitive) > 0 {
-			// Reuse the past session's sensitivity analysis verbatim.
-			keep = map[string]bool{}
-			for _, n := range prior.Sensitive {
-				keep[n] = true
-			}
-			rqa := t.app.Subset(keep)
-			rep.QCSA = &qcsa.Result{
-				Sensitive: append([]string(nil), prior.Sensitive...),
-				RQA:       rqa,
-			}
-			target = rqa
-			t.logf("qcsa: reusing %d sensitive queries from prior session", len(prior.Sensitive))
-		} else {
-			qres, err := qcsa.Analyze(t.app, phase1Runs)
-			if err != nil {
-				qs.End()
-				return nil, err
-			}
-			rep.QCSA = qres
-			target = qres.RQA
-			keep = map[string]bool{}
-			for _, n := range qres.Sensitive {
-				keep[n] = true
-			}
-			t.logf("qcsa: kept %d/%d configuration-sensitive queries",
-				len(qres.Sensitive), len(t.app.Queries))
+	defer s.begin("qcsa/reduce").End()
+	s.keep = map[string]bool{}
+	if s.prior != nil && len(s.prior.Sensitive) > 0 {
+		// Reuse the past session's sensitivity analysis verbatim.
+		for _, n := range s.prior.Sensitive {
+			s.keep[n] = true
 		}
-		qs.End()
+		s.target = s.app.Subset(s.keep)
+		s.rep.QCSA = &qcsa.Result{
+			Sensitive: append([]string(nil), s.prior.Sensitive...),
+			RQA:       s.target,
+		}
+		s.logf("qcsa: reusing %d sensitive queries from prior session", len(s.prior.Sensitive))
+		return nil
 	}
-	rqaSec := func(qs map[string]float64, total float64) (float64, bool) {
-		if !t.opts.UseQCSA {
-			return total, true
-		}
-		if qs == nil {
-			return 0, false
-		}
-		var s float64
-		for n, sec := range qs {
-			if keep[n] {
-				s += sec
-			}
-		}
-		return s, true
+	qres, err := qcsa.Analyze(s.app, s.fullRuns)
+	if err != nil {
+		return err
 	}
+	s.rep.QCSA, s.target = qres, qres.RQA
+	for _, n := range qres.Sensitive {
+		s.keep[n] = true
+	}
+	s.logf("qcsa: kept %d/%d configuration-sensitive queries",
+		len(qres.Sensitive), len(s.app.Queries))
+	return nil
+}
 
-	// ---- IICP: restrict the search space to important parameters. ----
-	// The phase-2 base (which pins every non-important parameter) is chosen
-	// by DAGP posterior mean over the phase-1 observations rather than by
-	// the noisy observed minimum.
-	// In the warm path p1res.History leads with the prior observations —
-	// exactly the FitTransfer base.
-	warmN := 0
-	if prior != nil {
-		warmN = len(prior.Obs)
+// rqaSec re-expresses a run on the scale of the reduced query application:
+// per-query latencies are recorded, so the RQA portion of a full run is
+// known exactly; a run lacking them cannot be re-expressed.
+func (s *session) rqaSec(qs map[string]float64, total float64) (float64, bool) {
+	if s.keep == nil {
+		return total, true
 	}
-	dspan := tr.Start("dagp/select-base")
-	bestPhase1 := space.Decode(t.bestOfHistory(p1res, warmN, targetGB))
-	dspan.End()
-	tuneIdx := allIndices(space.Dim())
-	if t.opts.UseIICP {
-		is := tr.Start("iicp/select")
-		if prior != nil && len(prior.Important) > 0 {
-			tuneIdx = append([]int(nil), prior.Important...)
-			rep.IICP = &iicp.Result{Important: append([]int(nil), prior.Important...)}
-			t.logf("iicp: reusing %d important parameters from prior session", len(tuneIdx))
-		} else {
-			isamples := samples
-			if prior != nil {
-				// A warm session's few anchors are not enough for stable
-				// parameter statistics; fold the prior observations in.
-				for _, ob := range prior.Obs {
-					isamples = append(isamples, iicp.Sample{Conf: ob.Conf, Sec: ob.Sec})
-				}
-			}
-			n := t.opts.NIICP
-			if prior != nil {
-				n = len(isamples)
-			}
-			// iicp's defaults carry the paper's CPS Spearman threshold, 0.2.
-			ires, err := iicp.Analyze(space, isamples[:min(n, len(isamples))], iicp.DefaultOptions())
-			if err != nil {
-				is.End()
-				return nil, err
-			}
-			rep.IICP = ires
-			if len(ires.Important) > 0 {
-				tuneIdx = ires.Important
-			}
-			t.logf("iicp: selected %d important parameters", len(tuneIdx))
+	if qs == nil {
+		return 0, false
+	}
+	var sec float64
+	for n, q := range qs {
+		if s.keep[n] {
+			sec += q
 		}
-		is.End()
 	}
-	sub, err := conf.NewSubspace(space, bestPhase1, tuneIdx)
+	return sec, true
+}
+
+// restrict is IICP: restrict the search space to the important parameters
+// around the phase-1 base, and re-express every known observation in it.
+func (s *session) restrict() error {
+	base := s.selectBase()
+	tuneIdx, err := s.important()
+	if err != nil {
+		return err
+	}
+	if s.sub, err = conf.NewSubspace(s.space, base, tuneIdx); err != nil {
+		return err
+	}
+	// Warm-start phase 2 with every known observation re-expressed on the
+	// RQA scale; prior observations lacking per-query data are dropped
+	// rather than mis-scaled.
+	s.init = s.steps(s.sub.Encode, s.rqaSec)
+	return nil
+}
+
+// selectBase chooses the phase-2 base, which pins every non-important
+// parameter, by DAGP posterior mean over the phase-1 observations rather
+// than by the noisy observed minimum. In the warm path p1.History leads with
+// the prior observations — exactly the FitTransfer base.
+func (s *session) selectBase() conf.Config {
+	defer s.begin("dagp/select-base").End()
+	return s.space.Decode(s.rank(s.p1, s.rep.PriorObsUsed, 3))
+}
+
+// important returns the parameter indices phase 2 tunes: the prior's IICP
+// result, a fresh analysis of the samples, or every parameter.
+func (s *session) important() ([]int, error) {
+	if !s.opts.UseIICP {
+		return allIndices(s.space.Dim()), nil
+	}
+	defer s.begin("iicp/select").End()
+	if s.prior != nil && len(s.prior.Important) > 0 {
+		s.rep.IICP = &iicp.Result{Important: append([]int(nil), s.prior.Important...)}
+		s.logf("iicp: reusing %d important parameters from prior session", len(s.prior.Important))
+		return append([]int(nil), s.prior.Important...), nil
+	}
+	var samples []iicp.Sample
+	for _, e := range s.rep.History {
+		samples = append(samples, iicp.Sample{Conf: e.Conf, Sec: e.Sec})
+	}
+	n := s.opts.NIICP
+	if s.prior != nil {
+		// A warm session's few anchors are not enough for stable parameter
+		// statistics; fold the prior observations in.
+		for _, ob := range s.prior.Obs {
+			samples = append(samples, iicp.Sample{Conf: ob.Conf, Sec: ob.Sec})
+		}
+		n = len(samples)
+	}
+	// iicp's defaults carry the paper's CPS Spearman threshold, 0.2.
+	ires, err := iicp.Analyze(s.space, samples[:min(n, len(samples))], iicp.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-
-	// Warm-start phase 2 with every known observation re-expressed on the
-	// RQA scale (per-query latencies are recorded, so the RQA portion of a
-	// full run is known exactly; prior observations lacking per-query data
-	// are dropped rather than mis-scaled).
-	var init []bo.Step
-	if prior != nil {
-		for _, ob := range prior.Obs {
-			if y, ok := rqaSec(ob.QuerySecs, ob.Sec); ok {
-				init = append(init, bo.Step{X: sub.Encode(ob.Conf), Ctx: priorCtx(ob.DataGB), Y: y})
-			}
-		}
+	s.rep.IICP = ires
+	tuneIdx := ires.Important
+	if len(tuneIdx) == 0 {
+		tuneIdx = allIndices(s.space.Dim())
 	}
-	for _, e := range rep.History {
-		if y, ok := rqaSec(e.QuerySecs, e.Sec); ok {
-			init = append(init, bo.Step{X: sub.Encode(e.Conf), Ctx: priorCtx(e.DataGB), Y: y})
-		}
-	}
+	s.logf("iicp: selected %d important parameters", len(tuneIdx))
+	return tuneIdx, nil
+}
 
-	// ---- Phase 2: BO over the important-parameter subspace on the RQA. ----
-	t.logf("phase 2: subspace BO over %d parameters (%d warm observations)", sub.Dim(), len(init))
-	phaseSpan = tr.Start("phase2/search")
+// search is phase 2: BO over the important-parameter subspace on the RQA.
+func (s *session) search() error {
+	s.logf("phase 2: subspace BO over %d parameters (%d warm observations)", s.sub.Dim(), len(s.init))
+	defer s.begin("phase2/search").End()
 	p2 := bo.Problem{
-		Dim: sub.Dim(),
-		Eval: func(x, ctx []float64) float64 {
-			c := sub.Decode(x)
-			ds := sizeOf(rep.Evaluations())
-			run := t.run.RunApp(target, c, ds)
-			rep.OverheadSec += run.Sec
-			rep.SearchSec += run.Sec
-			phaseSpan.Add(1, run.Sec)
-			if t.opts.UseQCSA {
-				rep.RQARuns++
-			} else {
-				rep.FullRuns++
-			}
-			rep.History = append(rep.History, Eval{
-				Conf: c, DataGB: ds, Sec: run.Sec, FullApp: !t.opts.UseQCSA, QuerySecs: querySecs(run),
-			})
-			return run.Sec
-		},
+		Dim:  s.sub.Dim(),
+		Eval: func(x, ctx []float64) float64 { return s.runNext(s.target, s.sub.Decode(x), false) },
 		// Phase 2 evaluates serially (no EvalBatch), so Context is called
 		// immediately before each Eval and the live counter is the session
 		// run index the data schedule expects. bo's own iteration index would
 		// be wrong here: it counts the injected Init steps (prior
 		// observations included), not this session's executed runs.
-		Context: func(it int) []float64 { return ctxOf(rep.Evaluations()) },
+		Context: func(it int) []float64 { return s.ctxOf(s.rep.Evaluations()) },
 	}
-	p2res := bo.Minimize(p2, bo.Options{
+	s.p2 = bo.Minimize(p2, bo.Options{
 		InitPoints:  3,
-		MinIter:     t.opts.MinIter,
-		MaxIter:     t.opts.MaxIter,
-		EIStopFrac:  t.opts.EIStopFrac,
-		MCMCSamples: t.opts.MCMCSamples,
+		MinIter:     s.opts.MinIter,
+		MaxIter:     s.opts.MaxIter,
+		EIStopFrac:  s.opts.EIStopFrac,
+		MCMCSamples: s.opts.MCMCSamples,
 		HyperEvery:  hyperEvery,
 		Candidates:  800,
-		Workers:     t.opts.Workers,
-		Init:        init,
-		Seed:        t.opts.Seed + 1,
-		Stop:        sessionStop,
-		Tracer:      t.opts.Tracer,
+		Workers:     s.opts.Workers,
+		Init:        s.init,
+		Seed:        s.opts.Seed + 1,
+		Stop:        s.halt,
+		Tracer:      s.opts.Tracer,
 	})
-	phaseSpan.End()
-	if cause := t.halted(rep); cause != nil {
-		return t.degrade(rep, space, targetGB, cause)
-	}
+	return nil
+}
 
-	// ---- Final selection. ----
-	// For a warm session the init steps (prior observations re-expressed on
-	// the RQA scale plus the phase-1 anchors) are the transfer base.
-	p2warm := 0
-	if prior != nil {
-		p2warm = len(init)
-	}
-	fs := tr.Start("final/select")
-	rep.Best = t.pickBest(sub, p2res, p2warm, targetGB)
-	rep.TunedSec = t.run.NoiselessAppTime(t.app, rep.Best, targetGB)
-	t.applyGuardrail(rep, space, targetGB)
-	fs.End()
-	t.logf("done: %d runs, %.0f s overhead (%.0f sampling + %.0f search), tuned latency %.0f s",
+// finish is the final selection. For a warm session the init steps (prior
+// observations re-expressed on the RQA scale plus the phase-1 anchors) are
+// the transfer base.
+func (s *session) finish() error {
+	defer s.begin("final/select").End()
+	s.conclude(s.sub.Decode(s.rank(s.p2, len(s.init), 2)))
+	rep := s.rep
+	s.logf("done: %d runs, %.0f s overhead (%.0f sampling + %.0f search), tuned latency %.0f s",
 		rep.Evaluations(), rep.OverheadSec, rep.SamplingSec, rep.SearchSec, rep.TunedSec)
-	return rep, nil
+	return nil
 }
 
 // degrade finishes a session cut short mid-way — backend gone
@@ -698,14 +733,14 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 // paid for those samples. A session cut short before any successful run
 // leaves nothing to recommend and fails with the cause; one the caller
 // cancelled (ErrStopped) is discarded, not degraded.
-func (t *Tuner) degrade(rep *Report, space *conf.Space, targetGB float64, cause error) (*Report, error) {
+func (s *session) degrade(cause error) (*Report, error) {
 	if errors.Is(cause, ErrStopped) {
 		return nil, ErrStopped
 	}
 	var best conf.Config
 	bestSec := math.Inf(1)
-	if prior := t.warmPrior(); prior != nil {
-		for _, ob := range prior.Obs {
+	if s.prior != nil {
+		for _, ob := range s.prior.Obs {
 			if ob.Sec > 0 && ob.Sec < bestSec {
 				best, bestSec = ob.Conf, ob.Sec
 			}
@@ -714,7 +749,7 @@ func (t *Tuner) degrade(rep *Report, space *conf.Space, targetGB float64, cause 
 	// Failed runs report zero seconds; they are observations of nothing and
 	// must not win. Only full-application runs qualify — an RQA latency is
 	// on a different scale.
-	for _, e := range rep.History {
+	for _, e := range s.rep.History {
 		if e.FullApp && e.Sec > 0 && e.Sec < bestSec {
 			best, bestSec = e.Conf, e.Sec
 		}
@@ -722,30 +757,30 @@ func (t *Tuner) degrade(rep *Report, space *conf.Space, targetGB float64, cause 
 	if best == nil {
 		return nil, fmt.Errorf("core: session ended before any successful sample run: %w", cause)
 	}
-	rep.Best = best
-	rep.Degraded = cause.Error()
-	// NoiselessAppTime models execution without touching the (dead) backend,
-	// so the degraded recommendation still gets an evaluated latency and the
-	// guardrail below still applies.
-	rep.TunedSec = t.run.NoiselessAppTime(t.app, rep.Best, targetGB)
-	t.applyGuardrail(rep, space, targetGB)
-	t.logf("degraded: %v; returning best of %d observed runs (%.0f s observed)",
-		cause, rep.Evaluations(), bestSec)
-	return rep, nil
+	s.rep.Degraded = cause.Error()
+	s.conclude(best)
+	s.logf("degraded: %v; returning best of %d observed runs (%.0f s observed)",
+		cause, s.rep.Evaluations(), bestSec)
+	return s.rep, nil
 }
 
-// applyGuardrail pins the session's floor: the recommendation is never
-// worse than the default configuration it started from. When the selected
-// configuration evaluates slower than the default at the target size, the
-// default wins and the report says so — "tuned" must never mean "worse".
-func (t *Tuner) applyGuardrail(rep *Report, space *conf.Space, targetGB float64) {
-	rep.BaselineSec = t.run.NoiselessAppTime(t.app, space.Default(), targetGB)
+// conclude evaluates the recommendation and pins the session's floor: it is
+// never worse than the default configuration the session started from. When
+// best evaluates slower than the default at the target size, the default
+// wins and the report says so — "tuned" must never mean "worse".
+// NoiselessAppTime models execution without touching the backend, so a
+// session degraded by a dead one still gets an evaluated latency and the
+// same guardrail.
+func (s *session) conclude(best conf.Config) {
+	rep := s.rep
+	rep.Best = best
+	rep.TunedSec = s.run.NoiselessAppTime(s.app, best, s.targetGB)
+	def := s.space.Default()
+	rep.BaselineSec = s.run.NoiselessAppTime(s.app, def, s.targetGB)
 	if rep.BaselineSec > 0 && rep.TunedSec > rep.BaselineSec {
-		rep.Best = space.Default()
-		rep.TunedSec = rep.BaselineSec
-		rep.FellBack = true
-		t.logf("guardrail: selected configuration (%.0f s) loses to the default (%.0f s); recommending the default",
+		s.logf("guardrail: selected configuration (%.0f s) loses to the default (%.0f s); recommending the default",
 			rep.TunedSec, rep.BaselineSec)
+		rep.Best, rep.TunedSec, rep.FellBack = def, rep.BaselineSec, true
 	}
 }
 
@@ -795,31 +830,24 @@ func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers i
 	return best, best != nil
 }
 
-// pickBest chooses the final configuration. Without DAGP the best observed
-// RQA point wins; with DAGP the surrogate's posterior mean at the target
-// size ranks every evaluated point, which both de-noises the selection
-// (single runs are noisy; the GP pools information across neighbours) and
-// transfers observations taken at other data sizes to the target size
-// (Section 3.4's online adaptation).
-func (t *Tuner) pickBest(sub *conf.Subspace, res bo.Result, warmN int, targetGB float64) conf.Config {
-	if !t.opts.UseDAGP {
-		return sub.Decode(res.BestX)
+// rank returns the decision point of res the session trusts most. Without
+// DAGP that is the best observed point; with DAGP the surrogate's posterior
+// mean at the target size ranks every evaluated point, which both de-noises
+// the selection (single runs are noisy; the GP pools information across
+// neighbours) and transfers observations taken at other data sizes to the
+// target size (Section 3.4's online adaptation) — falling back to the
+// observed best when the model cannot be fitted. warmN is the number of
+// leading steps a warm session inherited (see dagpRank); in a cold one every
+// step is the session's own. seedOffset keeps the rng streams of the two
+// selections apart: 3 for the phase-2 base, 2 for the final configuration.
+func (s *session) rank(res bo.Result, warmN int, seedOffset int64) []float64 {
+	if s.prior == nil {
+		warmN = 0
 	}
-	if x, ok := dagpRank(res.History, warmN, targetGB, t.opts.Seed+2, t.opts.Workers); ok {
-		return sub.Decode(x)
-	}
-	return sub.Decode(res.BestX)
-}
-
-// bestOfHistory returns the decision point of res with the lowest DAGP
-// posterior mean at targetGB (falling back to the observed best when the
-// model cannot be fitted or DAGP is disabled).
-func (t *Tuner) bestOfHistory(res bo.Result, warmN int, targetGB float64) []float64 {
-	if !t.opts.UseDAGP {
-		return res.BestX
-	}
-	if x, ok := dagpRank(res.History, warmN, targetGB, t.opts.Seed+3, t.opts.Workers); ok {
-		return x
+	if s.opts.UseDAGP {
+		if x, ok := dagpRank(res.History, warmN, s.targetGB, s.opts.Seed+seedOffset, s.opts.Workers); ok {
+			return x
+		}
 	}
 	return res.BestX
 }
@@ -830,11 +858,4 @@ func allIndices(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

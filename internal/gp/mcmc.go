@@ -8,12 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// Slice-sampler settings shared by the serial reference and the multi-chain
-// sampler: burn-in iterations before a state is trusted, the serial
-// sampler's thinning stride, and the initial bracket width.
+// Slice-sampler settings: the initial bracket width and the multi-chain
+// schedule.
 const (
-	sliceBurn  = 5
-	sliceThin  = 2
 	sliceWidth = 0.8
 	// Multi-chain schedule: a short shared pilot walk first moves the start
 	// point from the prior default toward the posterior bulk (the serial
@@ -25,24 +22,6 @@ const (
 	pilotIters = 4
 	chainBurn  = 3
 )
-
-// logPosterior is the unnormalized log posterior of hyperparameters h given
-// the data: log marginal likelihood + log prior. Returns -Inf when the
-// covariance matrix is not positive definite.
-//
-// This is the Fit-per-evaluation reference path — a fresh O(n²·d) kernel
-// assembly, a freshly allocated O(n³) factorization and a full GP per call.
-// The hot path is TrainSet.LogPosterior, which produces the same value (the
-// equivalence is test-pinned) from the cached distance matrix with zero
-// allocations; this function remains as the oracle that equivalence test and
-// the serial reference sampler evaluate.
-func logPosterior(x [][]float64, y []float64, h Hyper) float64 {
-	g, err := Fit(x, y, h)
-	if err != nil {
-		return math.Inf(-1)
-	}
-	return g.LogMarginalLikelihood() + logPrior(h)
-}
 
 // SampleHyper draws n hyperparameter samples from the posterior using
 // univariate slice sampling (Neal 2003) cycled over the three
@@ -168,41 +147,6 @@ func chainSeed(seed int64, chain int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// SampleHyperSerial is the single-chain reference sampler: one chain,
-// Fit-per-evaluation posterior, burn-in then thinned emission — the exact
-// pre-amortization implementation, kept for the statistical cross-check of
-// the multi-chain sampler (and as the baseline of BenchmarkSampleHyper).
-func SampleHyperSerial(x [][]float64, y []float64, n int, rng *rand.Rand) []Hyper {
-	if n <= 0 {
-		return nil
-	}
-	logPost := func(h Hyper) float64 { return logPosterior(x, y, h) }
-	cur := DefaultHyper()
-	curLP := logPost(cur)
-	if math.IsInf(curLP, -1) {
-		// Degenerate data; fall back to the prior default.
-		out := make([]Hyper, n)
-		for i := range out {
-			out[i] = cur
-		}
-		return out
-	}
-	var out []Hyper
-	total := sliceBurn + n*sliceThin
-	for it := 0; it < total; it++ {
-		for coord := 0; coord < 3; coord++ {
-			cur, curLP = sliceStep(logPost, cur, curLP, coord, sliceWidth, rng)
-		}
-		if it >= sliceBurn && (it-sliceBurn)%sliceThin == 0 {
-			out = append(out, cur)
-		}
-	}
-	for len(out) < n {
-		out = append(out, cur)
-	}
-	return out[:n]
 }
 
 // sliceStep performs one univariate slice-sampling update of coordinate

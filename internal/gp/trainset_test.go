@@ -312,7 +312,7 @@ func TestSampleHyperCrossCheckSerial(t *testing.T) {
 	}
 	const n = 48
 	multi := ts.SampleHyper(n, rand.New(rand.NewSource(7)), 0)
-	serial := SampleHyperSerial(xs, ys, n, rand.New(rand.NewSource(7)))
+	serial := sampleHyperSerial(xs, ys, n, rand.New(rand.NewSource(7)))
 	if len(multi) != n || len(serial) != n {
 		t.Fatalf("sample counts %d / %d", len(multi), len(serial))
 	}
@@ -362,7 +362,7 @@ func TestSampleHyperCrossCheckSerial(t *testing.T) {
 func TestSampleHyperSerialUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	xs, ys := trainSet(15, 2, rng)
-	hs := SampleHyperSerial(xs, ys, 5, rand.New(rand.NewSource(1)))
+	hs := sampleHyperSerial(xs, ys, 5, rand.New(rand.NewSource(1)))
 	if len(hs) != 5 {
 		t.Fatalf("got %d samples", len(hs))
 	}
@@ -371,7 +371,7 @@ func TestSampleHyperSerialUnchanged(t *testing.T) {
 			t.Fatalf("sample %d unusable: %v", i, err)
 		}
 	}
-	if got := SampleHyperSerial(xs, ys, 0, rand.New(rand.NewSource(1))); got != nil {
+	if got := sampleHyperSerial(xs, ys, 0, rand.New(rand.NewSource(1))); got != nil {
 		t.Fatal("n=0 should return nil")
 	}
 	// Both samplers fall back to DefaultHyper on degenerate (non-PD) data.

@@ -50,7 +50,7 @@ func TestSymEigenQLvsJacobi(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: QL: %v", n, err)
 		}
-		jac, err := SymEigenJacobi(a)
+		jac, err := symEigenJacobi(a)
 		if err != nil {
 			t.Fatalf("n=%d: Jacobi: %v", n, err)
 		}
@@ -74,7 +74,7 @@ func TestSymEigenRepeatedEigenvalues(t *testing.T) {
 	n := 6
 	a := Identity(n)
 	a.Set(3, 3, 5)
-	for _, solve := range []func(*Dense) (*Eigen, error){SymEigen, SymEigenJacobi} {
+	for _, solve := range []func(*Dense) (*Eigen, error){SymEigen, symEigenJacobi} {
 		e, err := solve(a)
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSymEigenScaleInvariance(t *testing.T) {
 	for _, scale := range []float64{1e-12, 1e-6, 1, 1e6, 1e12} {
 		scaled := Scale(scale, base)
 		for name, solve := range map[string]func(*Dense) (*Eigen, error){
-			"QL": SymEigen, "Jacobi": SymEigenJacobi,
+			"QL": SymEigen, "Jacobi": symEigenJacobi,
 		} {
 			e, err := solve(scaled)
 			if err != nil {
@@ -124,7 +124,7 @@ func TestSymEigenScaleInvariance(t *testing.T) {
 
 func TestSymEigenZeroMatrix(t *testing.T) {
 	z := NewDense(4, 4, nil)
-	for _, solve := range []func(*Dense) (*Eigen, error){SymEigen, SymEigenJacobi} {
+	for _, solve := range []func(*Dense) (*Eigen, error){SymEigen, symEigenJacobi} {
 		e, err := solve(z)
 		if err != nil {
 			t.Fatal(err)

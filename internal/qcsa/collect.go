@@ -10,13 +10,11 @@ import (
 
 // Collect executes the application once per configuration on the execution
 // backend — the sample-collection runs QCSA's CV statistics are computed
-// from — and returns the results in configuration order. Backends with a
-// native batch path (the simulator's bounded worker pool) are used
-// directly; any other backend is transparently wrapped by runner.RunBatch's
-// pool. On index-deterministic backends the results are identical to a
-// serial loop for any worker count (workers ≤ 0 selects GOMAXPROCS), so
-// the calibration experiments can saturate the hardware without changing
-// their figures.
+// from — and returns the results in configuration order, through
+// runner.RunBatch's bounded worker pool. On index-deterministic backends
+// the results are identical to a serial loop for any worker count
+// (workers ≤ 0 selects GOMAXPROCS), so the calibration experiments can
+// saturate the hardware without changing their figures.
 func Collect(r runner.Runner, app *sparksim.Application, cs []conf.Config, dataGB float64, workers int) []sparksim.AppResult {
 	runs, _ := runner.RunBatch(r, app, cs, func(int) float64 { return dataGB }, workers, nil)
 	return runs

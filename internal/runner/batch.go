@@ -11,16 +11,21 @@ import (
 // RunBatch executes the application once per configuration and returns the
 // results in configuration order plus the completed prefix length.
 //
-// Backends advertising a native batch implementation (Capabilities
-// NativeBatch + the BatchRunner interface) are called directly. Everything
-// else is transparently wrapped by a bounded worker pool over ReserveRuns /
+// Every backend runs through one bounded worker pool over ReserveRuns /
 // RunAppAt: the pool reserves one contiguous index block up front so item i
 // always executes as run index first+i regardless of which worker claims
 // it, reproducing a serial RunApp loop bit-for-bit on index-deterministic
-// backends. The pool clamps its worker count to the backend's MaxParallel.
+// backends — the simulator included, whose concurrent cluster slots these
+// workers model. The pool clamps its worker count to the backend's
+// MaxParallel. A wrapper that has to see the batch as a whole (Observed,
+// which reports its members under KindBatch) advertises NativeBatch and
+// the BatchRunner interface and is handed the call; it dispatches on its
+// inner backend and so ends up here as well.
 //
-// workers ≤ 0 selects GOMAXPROCS. stop, if non-nil, is polled before each
-// item is claimed; polls are serialized, so stop keeps the single-caller
+// workers ≤ 0 selects GOMAXPROCS. dataGB(i) supplies the input size of item
+// i and must be safe for concurrent calls (pure functions are). stop, if
+// non-nil, is polled before each item is claimed; once it returns true no
+// new items start. Polls are serialized, so stop keeps the single-caller
 // contract it has everywhere else. results[0:done] are valid; done <
 // len(cs) only when stop cut the batch short.
 func RunBatch(r Runner, app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) (results []AppResult, done int) {
@@ -49,8 +54,7 @@ func clampWorkers(workers, items, maxParallel int) int {
 	return workers
 }
 
-// poolBatch is the generic bounded worker pool, mirroring the simulator's
-// native implementation so wrapped backends keep its exact semantics.
+// poolBatch is the bounded worker pool behind every batch.
 func poolBatch(r Runner, app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) (results []AppResult, done int) {
 	n := len(cs)
 	results = make([]AppResult, n)

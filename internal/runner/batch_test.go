@@ -79,7 +79,7 @@ func randomConfigs(space *conf.Space, n int, seed int64) []conf.Config {
 
 // A backend without native batch support must be transparently wrapped by
 // the bounded worker pool and reproduce serial results bit-for-bit at any
-// worker count — the runner-level mirror of sparksim's parallel contract.
+// worker count.
 func TestGenericPoolReproducesSerial(t *testing.T) {
 	app := batchApp()
 	mkSerial := func() []AppResult {
@@ -158,8 +158,7 @@ func TestPoolHonorsMaxParallel(t *testing.T) {
 	}
 }
 
-// Stop must cut the batch to a valid completed prefix, mirroring the
-// simulator's native semantics.
+// Stop must cut the batch to a valid completed prefix.
 func TestPoolStopPrefix(t *testing.T) {
 	f := newFakeBackend(Capabilities{Name: "fake"})
 	app := batchApp()
@@ -177,33 +176,73 @@ func TestPoolStopPrefix(t *testing.T) {
 	}
 }
 
-// The Sim adapter must preserve the simulator's native batch behavior
-// bit-for-bit: RunBatch through the adapter equals the simulator's own.
-func TestSimAdapterDelegatesNativeBatch(t *testing.T) {
+// A batch on the simulator must reproduce a serial RunApp loop bit-for-bit
+// at any worker count, including the run-counter state it leaves behind.
+func TestSimBatchMatchesSerial(t *testing.T) {
 	cl := sparksim.ARM()
 	app := batchApp()
-	cs := randomConfigs(cl.Space(), 9, 11)
-	gb := func(int) float64 { return 100 }
+	space := cl.Space()
+	cs := randomConfigs(space, 12, 17)
+	sizes := func(i int) float64 { return 100 + 50*float64(i%3) }
 
-	direct, _ := sparksim.New(cl, 42).RunBatch(app, cs, gb, 3, nil)
-	viaRunner, _ := RunBatch(NewSim(sparksim.New(cl, 42)), app, cs, gb, 3, nil)
-	if !reflect.DeepEqual(direct, viaRunner) {
-		t.Fatal("Sim adapter batch differs from the simulator's native batch")
+	serialSim := sparksim.New(cl, 99)
+	serialSim.RunApp(app, space.Default(), 100) // offset the counter
+	serial := make([]AppResult, len(cs))
+	for i, c := range cs {
+		serial[i] = serialSim.RunApp(app, c, sizes(i))
 	}
-	if caps := CapsOf(NewSim(sparksim.New(cl, 1))); !caps.NativeBatch || caps.Name != "sparksim" {
-		t.Fatalf("unexpected sim capabilities: %+v", caps)
+	after := serialSim.RunApp(app, space.Default(), 100)
+
+	for _, workers := range []int{1, 3, 8} {
+		parSim := sparksim.New(cl, 99)
+		parSim.RunApp(app, space.Default(), 100)
+		got, done := RunBatch(NewSim(parSim), app, cs, sizes, workers, nil)
+		if done != len(cs) {
+			t.Fatalf("workers=%d: done=%d, want %d", workers, done, len(cs))
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Fatalf("workers=%d: batch results diverge from serial loop", workers)
+		}
+		if next := parSim.RunApp(app, space.Default(), 100); !reflect.DeepEqual(next, after) {
+			t.Fatalf("workers=%d: run counter diverged after batch", workers)
+		}
 	}
 }
 
-// CapsOf must derive NativeBatch for Reporter-less backends from the
-// BatchRunner interface.
-func TestCapsOfDefaults(t *testing.T) {
-	if caps := CapsOf(sparksim.New(sparksim.ARM(), 1)); !caps.NativeBatch {
-		t.Fatal("bare simulator should derive NativeBatch from its method set")
+// Stop cuts a simulator batch short: a valid completed prefix is reported
+// and no new items start after stop fires.
+func TestSimBatchHonorsStop(t *testing.T) {
+	cl := sparksim.ARM()
+	app := batchApp()
+	space := cl.Space()
+	cs := make([]conf.Config, 16)
+	for i := range cs {
+		cs[i] = space.Default()
 	}
+	calls := 0
+	stop := func() bool { calls++; return calls > 4 }
+	got, done := RunBatch(NewSim(sparksim.New(cl, 5)), app, cs, func(int) float64 { return 100 }, 1, stop)
+	if done >= len(cs) {
+		t.Fatalf("stop did not cut the batch: done=%d", done)
+	}
+	ref := sparksim.New(cl, 5)
+	for i := 0; i < done; i++ {
+		want := ref.RunAppAt(uint64(i), app, cs[i], 100)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("prefix item %d invalid after stop", i)
+		}
+	}
+}
+
+// CapsOf must give a Reporter-less backend without a RunBatch of its own
+// conservative defaults, and name the simulator adapter.
+func TestCapsOfDefaults(t *testing.T) {
 	type plain struct{ Runner }
 	if caps := CapsOf(plain{newFakeBackend(Capabilities{})}); caps.NativeBatch {
 		t.Fatal("plain runner must not report NativeBatch")
+	}
+	if caps := CapsOf(NewSim(sparksim.New(sparksim.ARM(), 1))); caps.NativeBatch || caps.Name != "sparksim" {
+		t.Fatalf("unexpected sim capabilities: %+v", caps)
 	}
 }
 

@@ -107,20 +107,20 @@ var conformanceStacks = []struct {
 var conformanceCaps = map[string]Capabilities{
 	"fake/bare":              {Name: "fake", MaxParallel: 3, Deterministic: true},
 	"fake/observed":          {Name: "observed(fake)", NativeBatch: true, MaxParallel: 3, Deterministic: true},
-	"fake/chaos":             {Name: "chaos(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"fake/retry":             {Name: "retry(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"fake/cache":             {Name: "checkpoint(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"fake/record":            {Name: "trace-record(fake)", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"fake/production":        {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"fake/production-healed": {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Stoppable: true, Deterministic: true},
-	"sim/bare":               {Name: "sparksim", NativeBatch: true, Stoppable: true, Deterministic: true},
-	"sim/observed":           {Name: "observed(sparksim)", NativeBatch: true, Stoppable: true, Deterministic: true},
-	"sim/chaos":              {Name: "chaos(sparksim)", Stoppable: true, Deterministic: true},
-	"sim/retry":              {Name: "retry(sparksim)", Stoppable: true, Deterministic: true},
-	"sim/cache":              {Name: "checkpoint(sparksim)", Stoppable: true, Deterministic: true},
-	"sim/record":             {Name: "trace-record(sparksim)", Stoppable: true, Deterministic: true},
-	"sim/production":         {Name: "checkpoint(observed(retry(chaos(sparksim))))", Stoppable: true, Deterministic: true},
-	"sim/production-healed":  {Name: "checkpoint(observed(retry(chaos(sparksim))))", Stoppable: true, Deterministic: true},
+	"fake/chaos":             {Name: "chaos(fake)", MaxParallel: 3, Deterministic: true},
+	"fake/retry":             {Name: "retry(fake)", MaxParallel: 3, Deterministic: true},
+	"fake/cache":             {Name: "checkpoint(fake)", MaxParallel: 3, Deterministic: true},
+	"fake/record":            {Name: "trace-record(fake)", MaxParallel: 3, Deterministic: true},
+	"fake/production":        {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Deterministic: true},
+	"fake/production-healed": {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Deterministic: true},
+	"sim/bare":               {Name: "sparksim", Deterministic: true},
+	"sim/observed":           {Name: "observed(sparksim)", NativeBatch: true, Deterministic: true},
+	"sim/chaos":              {Name: "chaos(sparksim)", Deterministic: true},
+	"sim/retry":              {Name: "retry(sparksim)", Deterministic: true},
+	"sim/cache":              {Name: "checkpoint(sparksim)", Deterministic: true},
+	"sim/record":             {Name: "trace-record(sparksim)", Deterministic: true},
+	"sim/production":         {Name: "checkpoint(observed(retry(chaos(sparksim))))", Deterministic: true},
+	"sim/production-healed":  {Name: "checkpoint(observed(retry(chaos(sparksim))))", Deterministic: true},
 }
 
 func newRig(backend func() Runner, build func(Runner, *rig) Runner) *rig {

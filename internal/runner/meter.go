@@ -13,8 +13,7 @@ const (
 	// KindApp is a direct full-application execution.
 	KindApp = "app"
 	// KindBatch marks executions completed inside a RunBatch; their wall
-	// time is the batch wall amortized over its completed runs (per-run
-	// wall is not observable through a native batch path).
+	// time is the batch wall amortized over its completed runs.
 	KindBatch = "batch"
 )
 
@@ -59,8 +58,8 @@ func (t *Tally) Snapshot() (runs int64, clusterSec float64) {
 // not noiseless evaluations, which consume no cluster time) to a set of
 // RunObservers — a Tally for totals, a metrics sink for labeled
 // counters and duration histograms, or both. Batches dispatch through the
-// package RunBatch on the inner backend, so native batch paths stay
-// native. The wrapper adds no allocations per run beyond what the
+// package RunBatch on the inner backend and are reported member by member
+// afterwards. The wrapper adds no allocations per run beyond what the
 // observers themselves do (pinned by TestObservedZeroExtraAllocs).
 type Observed struct {
 	forward
@@ -78,7 +77,7 @@ func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 	}
 }
 
-// Capabilities advertise a native batch (Observed's own RunBatch negotiates
+// Capabilities advertise a batch of its own (Observed's RunBatch dispatches
 // on the inner backend) where the other decorators mask it, inheriting
 // everything else.
 func (m *Observed) Capabilities() Capabilities {
@@ -101,9 +100,9 @@ func (m *Observed) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB 
 	return res
 }
 
-// RunBatch dispatches on the inner backend (native where available) and
-// reports the completed prefix, one observation per run under KindBatch
-// with the batch wall amortized across them.
+// RunBatch dispatches on the inner backend and reports the completed
+// prefix, one observation per run under KindBatch with the batch wall
+// amortized across them.
 func (m *Observed) RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) ([]AppResult, int) {
 	start := time.Now()
 	results, done := RunBatch(m.inner, app, cs, dataGB, workers, stop)

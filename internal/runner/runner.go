@@ -24,12 +24,10 @@
 //     parses event-log-shaped responses — the production path to a real
 //     cluster, exercised in tests against httptest (see sparkrest.go).
 //
-// Backends differ in what they can do natively (concurrent slots,
-// cooperative stop, determinism); Capabilities reports that, and the
-// package-level RunBatch negotiates: backends with a native batch
-// implementation are called directly, everything else is transparently
-// wrapped by a bounded worker pool that reproduces serial results exactly
-// (see batch.go).
+// Backends differ in what they can absorb (concurrent slots, determinism);
+// Capabilities reports that. A batch on any of them is the package-level
+// RunBatch: one bounded worker pool over ReserveRuns / RunAppAt that
+// reproduces serial results exactly (see batch.go).
 //
 // Decorators (Observed, Chaos, Retrying, Cache, Recorder) change one thing
 // about an inner backend and forward the rest. The forwarding is written
@@ -93,12 +91,14 @@ type Runner interface {
 	NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64
 }
 
-// BatchRunner is implemented by backends with a native concurrent batch
-// path. RunBatch executes the application once per configuration and
-// returns the results in configuration order together with the completed
-// prefix length (done < len(cs) only when stop cut the batch short).
-// Use the package-level RunBatch to dispatch; it falls back to a bounded
-// worker pool over RunAppAt for backends without this interface.
+// BatchRunner is implemented by a backend or wrapper that takes a batch as
+// a whole rather than run by run (Observed does, to report the members as
+// batch members). RunBatch executes the application once per configuration
+// and returns the results in configuration order together with the
+// completed prefix length (done < len(cs) only when stop cut the batch
+// short). Use the package-level RunBatch to dispatch; everything without
+// this interface — every shipped backend — runs on its worker pool over
+// RunAppAt.
 type BatchRunner interface {
 	Runner
 	RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) (results []AppResult, done int)
@@ -110,15 +110,13 @@ type Capabilities struct {
 	// Name identifies the backend ("sparksim", "trace-record",
 	// "trace-replay", "sparkrest").
 	Name string
-	// NativeBatch reports a native concurrent RunBatch; without it the
-	// package-level RunBatch wraps the backend in the generic worker pool.
+	// NativeBatch reports a RunBatch of the backend's own (BatchRunner);
+	// without it the package-level RunBatch runs the batch on its worker
+	// pool.
 	NativeBatch bool
 	// MaxParallel bounds the concurrent runs the backend can absorb
 	// (0 = unbounded). The batch pool clamps its worker count to it.
 	MaxParallel int
-	// Stoppable reports that batch execution polls a stop hook between
-	// runs. The generic pool provides this for every wrapped backend.
-	Stoppable bool
 	// Deterministic reports that an identical call sequence produces
 	// identical results (replay traces, noise-free simulators) — what makes
 	// a backend usable as a hermetic CI fixture.
@@ -187,13 +185,12 @@ func (f forward) NoiselessAppTime(app *Application, c conf.Config, dataGB float6
 // through any depth of wrapping.
 func (f forward) Err() error { return BackendErr(f.inner) }
 
-// Capabilities mask the inner native batch and inherit the rest; the pool
-// that takes the batch over polls stop for every backend.
+// Capabilities mask the inner native batch, so the pool routes the batch
+// through the decorator, and inherit the rest.
 func (f forward) Capabilities() Capabilities {
 	caps := CapsOf(f.inner)
 	caps.Name = f.name + "(" + caps.Name + ")"
 	caps.NativeBatch = false
-	caps.Stoppable = true
 	return caps
 }
 

@@ -5,9 +5,8 @@ import (
 )
 
 // Sim adapts *sparksim.Simulator to the Runner contract, preserving the
-// simulator's behavior bit-for-bit: every method delegates, including the
-// native RunBatch, so a Sim-backed session is byte-identical to the
-// pre-abstraction code path.
+// simulator's behavior bit-for-bit: every method delegates, so a Sim-backed
+// session is byte-identical to driving the simulator directly.
 //
 // The bare *sparksim.Simulator also satisfies Runner (its method set is the
 // contract's origin); the adapter only adds explicit capability reporting.
@@ -18,25 +17,19 @@ type Sim struct {
 // NewSim wraps a simulator.
 func NewSim(s *sparksim.Simulator) Sim { return Sim{Simulator: s} }
 
-// Capabilities report the simulator's native batch path and per-run-index
-// noise streams (stop polling is honored inside Simulator.RunBatch).
+// Capabilities report the simulator's per-run-index noise streams.
 // Deterministic holds because results are pure functions of (run index,
 // configuration, size) — the invariant the whole run-index scheme rests on
 // — which lets a checkpoint-resumed session re-drive the identical
 // trajectory and serve paid runs from the checkpoint verbatim.
 func (s Sim) Capabilities() Capabilities {
-	return Capabilities{
-		Name:          "sparksim",
-		NativeBatch:   true,
-		Stoppable:     true,
-		Deterministic: true,
-	}
+	return Capabilities{Name: "sparksim", Deterministic: true}
 }
 
 // Compile-time checks: the adapter and the bare simulator both satisfy the
-// batch contract.
+// run contract.
 var (
-	_ BatchRunner = Sim{}
-	_ BatchRunner = (*sparksim.Simulator)(nil)
-	_ Reporter    = Sim{}
+	_ Runner   = Sim{}
+	_ Runner   = (*sparksim.Simulator)(nil)
+	_ Reporter = Sim{}
 )

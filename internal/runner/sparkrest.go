@@ -37,7 +37,8 @@ type SparkRest struct {
 	base   string
 	space  *conf.Space
 	client *http.Client
-	// maxParallel caps concurrent submissions (cluster queue slots).
+	// maxParallel caps concurrent submissions (cluster queue slots); the
+	// batch pool honors it through Capabilities.
 	maxParallel int
 
 	runs atomic.Uint64
@@ -53,12 +54,6 @@ type SparkRestOption func(*SparkRest)
 // server's).
 func WithHTTPClient(c *http.Client) SparkRestOption {
 	return func(s *SparkRest) { s.client = c }
-}
-
-// WithMaxParallel caps concurrent submissions; the batch pool honors it
-// through capability negotiation (default 4; 0 = unbounded).
-func WithMaxParallel(n int) SparkRestOption {
-	return func(s *SparkRest) { s.maxParallel = n }
 }
 
 // NewSparkRest returns a backend submitting to the gateway at base
@@ -167,7 +162,7 @@ func (s *SparkRest) fail(err error) {
 // Capabilities: no native batch (the pool provides concurrency, clamped to
 // the submission cap); live clusters are not deterministic.
 func (s *SparkRest) Capabilities() Capabilities {
-	return Capabilities{Name: "sparkrest", MaxParallel: s.maxParallel, Stoppable: true}
+	return Capabilities{Name: "sparkrest", MaxParallel: s.maxParallel}
 }
 
 // Space returns the configuration space submissions are validated against.

@@ -482,7 +482,7 @@ func OpenReplayer(space *conf.Space, path, stream string, opts ReplayOptions) (*
 // Capabilities: replay is deterministic, has no native batch (the generic
 // pool exercises the exact-index lookup), and tolerates any parallelism.
 func (rp *Replayer) Capabilities() Capabilities {
-	return Capabilities{Name: "trace-replay", Stoppable: true, Deterministic: true}
+	return Capabilities{Name: "trace-replay", Deterministic: true}
 }
 
 // Space returns the configuration space the trace was recorded over.

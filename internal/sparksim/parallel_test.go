@@ -63,69 +63,6 @@ func TestRunAppAtIsOrderIndependent(t *testing.T) {
 	}
 }
 
-// RunBatch over many workers must reproduce a serial RunApp loop bit-for-bit,
-// including the run-counter state it leaves behind.
-func TestRunBatchMatchesSerial(t *testing.T) {
-	cl := ARM()
-	app := testApp()
-	space := cl.Space()
-	rng := rand.New(rand.NewSource(17))
-	cs := make([]conf.Config, 12)
-	for i := range cs {
-		cs[i] = space.Random(rng)
-	}
-	sizes := func(i int) float64 { return 100 + 50*float64(i%3) }
-
-	serialSim := New(cl, 99)
-	serialSim.RunApp(app, space.Default(), 100) // offset the counter
-	serial := make([]AppResult, len(cs))
-	for i, c := range cs {
-		serial[i] = serialSim.RunApp(app, c, sizes(i))
-	}
-	after := serialSim.RunApp(app, space.Default(), 100)
-
-	for _, workers := range []int{1, 3, 8} {
-		parSim := New(cl, 99)
-		parSim.RunApp(app, space.Default(), 100)
-		got, done := parSim.RunBatch(app, cs, sizes, workers, nil)
-		if done != len(cs) {
-			t.Fatalf("workers=%d: done=%d, want %d", workers, done, len(cs))
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: batch results diverge from serial loop", workers)
-		}
-		if next := parSim.RunApp(app, space.Default(), 100); !reflect.DeepEqual(next, after) {
-			t.Fatalf("workers=%d: run counter diverged after batch", workers)
-		}
-	}
-}
-
-// Stop cuts the batch short: a valid completed prefix is reported and no new
-// items start after stop fires.
-func TestRunBatchHonorsStop(t *testing.T) {
-	cl := ARM()
-	app := testApp()
-	space := cl.Space()
-	cs := make([]conf.Config, 16)
-	for i := range cs {
-		cs[i] = space.Default()
-	}
-	s := New(cl, 5)
-	calls := 0
-	stop := func() bool { calls++; return calls > 4 }
-	got, done := s.RunBatch(app, cs, func(int) float64 { return 100 }, 1, stop)
-	if done >= len(cs) {
-		t.Fatalf("stop did not cut the batch: done=%d", done)
-	}
-	ref := New(cl, 5)
-	for i := 0; i < done; i++ {
-		want := ref.RunAppAt(uint64(i), app, cs[i], 100)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("prefix item %d invalid after stop", i)
-		}
-	}
-}
-
 // Two simulators with the same seed must still agree when one is driven by
 // batches and the other serially — the documented equivalence contract.
 func TestSeedEquivalenceAcrossDrivers(t *testing.T) {
@@ -168,22 +105,24 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		s := New(cl, seed)
-		got, done := s.RunBatch(app, cs, sizes, workers, nil)
-		if done != len(cs) || !reflect.DeepEqual(got, wantApp) {
-			t.Fatalf("workers=%d: RunAppAt over pooled generators diverges from fresh sources", workers)
-		}
+		first := s.ReserveRuns(len(cs))
 		var wg sync.WaitGroup
+		gotApp := make([]AppResult, len(cs))
 		gotQuery := make([]QueryResult, len(cs))
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := w; i < len(cs); i += workers {
+					gotApp[i] = s.RunAppAt(first+uint64(i), app, cs[i], sizes(i))
 					gotQuery[i] = s.RunQueryAt(uint64(i), joinQuery(), cs[i], sizes(i))
 				}
 			}()
 		}
 		wg.Wait()
+		if !reflect.DeepEqual(gotApp, wantApp) {
+			t.Fatalf("workers=%d: RunAppAt over pooled generators diverges from fresh sources", workers)
+		}
 		if !reflect.DeepEqual(gotQuery, wantQuery) {
 			t.Fatalf("workers=%d: RunQueryAt over pooled generators diverges from fresh sources", workers)
 		}

@@ -554,16 +554,21 @@ func BenchmarkParallelSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: full TPC-DS
-// executions per second — the substrate cost every tuner pays.
+// BenchmarkSimulatorThroughput measures raw simulator speed: full
+// application executions per second — the substrate cost every tuner pays.
+// The short applications are where a run's fixed costs (seeding its noise
+// stream, deriving the environment) show.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	cl := sparksim.ARM()
-	sim := sparksim.New(cl, 1)
-	app := workloads.TPCDS()
 	c := cl.Space().Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RunApp(app, c, 300)
+	for _, app := range []*sparksim.Application{workloads.TPCDS(), workloads.TPCH(), workloads.HiBenchJoin()} {
+		b.Run(app.Name, func(b *testing.B) {
+			sim := sparksim.New(cl, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim.RunApp(app, c, 300)
+			}
+		})
 	}
 }
 

@@ -378,10 +378,8 @@ type session struct {
 	// p1 is the phase-1 search result: the cold BO history, or the prior
 	// observations followed by the warm anchors.
 	p1 bo.Result
-	// target is the application phase 2 runs (the RQA once reduce built it)
-	// and keep its query names; a nil keep keeps every query.
+	// target is the application phase 2 runs: the RQA once reduce built it.
 	target *sparksim.Application
-	keep   map[string]bool
 	// sub is the important-parameter subspace phase 2 searches and init the
 	// observations it starts from; p2 is its result.
 	sub  *conf.Subspace
@@ -570,13 +568,13 @@ func (s *session) reduce() error {
 		return nil
 	}
 	defer s.begin("qcsa/reduce").End()
-	s.keep = map[string]bool{}
 	if s.prior != nil && len(s.prior.Sensitive) > 0 {
 		// Reuse the past session's sensitivity analysis verbatim.
+		keep := map[string]bool{}
 		for _, n := range s.prior.Sensitive {
-			s.keep[n] = true
+			keep[n] = true
 		}
-		s.target = s.app.Subset(s.keep)
+		s.target = s.app.Subset(keep)
 		s.rep.QCSA = &qcsa.Result{
 			Sensitive: append([]string(nil), s.prior.Sensitive...),
 			RQA:       s.target,
@@ -589,9 +587,6 @@ func (s *session) reduce() error {
 		return err
 	}
 	s.rep.QCSA, s.target = qres, qres.RQA
-	for _, n := range qres.Sensitive {
-		s.keep[n] = true
-	}
 	s.logf("qcsa: kept %d/%d configuration-sensitive queries",
 		len(qres.Sensitive), len(s.app.Queries))
 	return nil
@@ -599,19 +594,19 @@ func (s *session) reduce() error {
 
 // rqaSec re-expresses a run on the scale of the reduced query application:
 // per-query latencies are recorded, so the RQA portion of a full run is
-// known exactly; a run lacking them cannot be re-expressed.
+// known exactly; a run lacking them cannot be re-expressed. The sum runs in
+// application order: float addition does not commute to the last bit, and a
+// map's order changes from run to run.
 func (s *session) rqaSec(qs map[string]float64, total float64) (float64, bool) {
-	if s.keep == nil {
+	if !s.opts.UseQCSA {
 		return total, true
 	}
 	if qs == nil {
 		return 0, false
 	}
 	var sec float64
-	for n, q := range qs {
-		if s.keep[n] {
-			sec += q
-		}
+	for _, q := range s.target.Queries {
+		sec += qs[q.Name]
 	}
 	return sec, true
 }

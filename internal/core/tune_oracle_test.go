@@ -221,10 +221,8 @@ func oracleTune(t *Tuner, targetGB float64, mut oracleMutation) (*Report, error)
 			return 0, false
 		}
 		var s float64
-		for n, sec := range qs {
-			if keep[n] {
-				s += sec
-			}
+		for _, q := range target.Queries {
+			s += qs[q.Name]
 		}
 		return s, true
 	}

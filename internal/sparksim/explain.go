@@ -3,7 +3,6 @@ package sparksim
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"locat/internal/conf"
 )
@@ -41,7 +40,9 @@ type Breakdown struct {
 	Stages []StageCost
 	// GCSec is the JVM garbage-collection stall.
 	GCSec float64
-	// FixedSec is the configuration-independent planning/driver cost.
+	// FixedSec is what belongs to no stage: the query's planning cost, the
+	// driver's per-query overhead and, for a broadcast join, shipping the
+	// small table to the executors.
 	FixedSec float64
 	// TotalSec is the end-to-end noiseless latency.
 	TotalSec float64
@@ -51,54 +52,14 @@ type Breakdown struct {
 
 // Explain returns the noiseless per-stage cost breakdown of one query under
 // configuration c at the given data size — the tool for understanding *why*
-// a configuration is slow (spilling? waves? GC? network?).
+// a configuration is slow (spilling? waves? GC? network?). It is the cost
+// model's own stage walk with the components kept, so Σ stage Sec + GCSec +
+// FixedSec is TotalSec and TotalSec is NoiselessQueryTime; a broadcast
+// join's table transfer is booked under FixedSec.
 func (s *Simulator) Explain(q Query, c conf.Config, dataGB float64) Breakdown {
 	e := deriveEnv(s.cluster, c)
-	scanMB := dataGB * 1024 * q.InputFrac
-	maxFieldsPenalty := 1.0
-	if c[conf.PCodegenMaxFields] < 100*q.CPUWeight {
-		maxFieldsPenalty = 1.06
-	}
-
-	bd := Breakdown{Query: q.Name}
-	var cpuWall, maxPressure float64
-
-	sc := scanStage(e, q, scanMB, maxFieldsPenalty)
-	bd.Stages = append(bd.Stages, toStageCost("scan", sc))
-	cpuWall += sc.cpuWallSec
-
-	broadcast := false
-	if q.Class == Join && q.SmallTableMB > 0 {
-		smallMB := q.SmallTableMB
-		if !q.DimSmall {
-			smallMB *= dataGB / 100
-		}
-		broadcast = smallMB*1024 <= e.broadcastKB
-	}
-	bd.Broadcast = broadcast
-
-	const stageDecay = 0.45
-	shufMB := scanMB * q.ShuffleFrac
-	for st := 1; st < q.Stages; st++ {
-		mb := shufMB * math.Pow(stageDecay, float64(st-1))
-		if st == 1 && broadcast {
-			mb *= 0.12
-		}
-		cost := shuffleStage(e, q, mb)
-		bd.Stages = append(bd.Stages, toStageCost("shuffle", cost))
-		cpuWall += cost.cpuWallSec
-		if cost.pressure > maxPressure {
-			maxPressure = cost.pressure
-		}
-	}
-
-	effPressure := maxPressure * e.heapShare
-	gcFrac := 0.03 + 0.11*math.Pow(math.Min(effPressure, 4), 1.8) + e.gcHeapPauseFactor
-	bd.GCSec = cpuWall * gcFrac
-	bd.FixedSec = q.FixedSec + e.fixedPerQuery
-	// Total mirrors simulateQuery (including the broadcast transfer cost,
-	// folded into FixedSec here for the breakdown view).
-	bd.TotalSec = s.NoiselessQueryTime(q, c, dataGB)
+	var bd Breakdown
+	simulateQuery(&e, q, c, dataGB, &bd)
 	return bd
 }
 

@@ -10,40 +10,61 @@ import (
 )
 
 func TestExplainComponentsConsistent(t *testing.T) {
-	cl := ARM()
-	s := New(cl, 1, WithNoise(0), WithRunNoise(0))
-	c := cl.Space().Default()
-	q := joinQuery()
-	bd := s.Explain(q, c, 200)
-	if bd.Query != q.Name {
-		t.Fatalf("query name %q", bd.Query)
+	// heavyjoin's small table is 9 GB at 100 GB: it broadcasts only when the
+	// data is small and the threshold at its largest. dimjoin's is 4 MB.
+	cases := []struct {
+		q           Query
+		dataGB      float64
+		thresholdKB float64
+		broadcast   bool
+	}{
+		{joinQuery(), 200, 1024, false},
+		{joinQuery(), 0.05, 8192, true},
+		{dimJoinQuery(), 100, 1024, false},
+		{dimJoinQuery(), 100, 8192, true},
 	}
-	if len(bd.Stages) != q.Stages {
-		t.Fatalf("got %d stages; want %d", len(bd.Stages), q.Stages)
-	}
-	if bd.Stages[0].Kind != "scan" || bd.Stages[1].Kind != "shuffle" {
-		t.Fatal("stage kinds wrong")
-	}
-	// The breakdown total matches the simulator's noiseless time exactly.
-	if want := s.NoiselessQueryTime(q, c, 200); bd.TotalSec != want {
-		t.Fatalf("TotalSec %v != NoiselessQueryTime %v", bd.TotalSec, want)
-	}
-	// Stage seconds plus GC plus fixed reconstruct the total (broadcast
-	// cost is zero for this fact-fact join).
-	var sum float64
-	for _, st := range bd.Stages {
-		sum += st.Sec
-		if st.Sec <= 0 || st.ThrashFactor < 1 || st.Waves < 1 {
-			t.Fatalf("bad stage %+v", st)
+	for _, cl := range []*Cluster{ARM(), X86()} {
+		s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+		for _, tc := range cases {
+			q := tc.q
+			c := cl.Space().Default()
+			c[conf.PAutoBroadcastJoinThreshold] = tc.thresholdKB
+			c = cl.Space().Repair(c)
+			bd := s.Explain(q, c, tc.dataGB)
+			if bd.Query != q.Name {
+				t.Fatalf("query name %q", bd.Query)
+			}
+			if bd.Broadcast != tc.broadcast {
+				t.Fatalf("%s %s at threshold %v: Broadcast = %v", cl.Name, q.Name, tc.thresholdKB, bd.Broadcast)
+			}
+			if len(bd.Stages) != q.Stages {
+				t.Fatalf("got %d stages; want %d", len(bd.Stages), q.Stages)
+			}
+			if bd.Stages[0].Kind != "scan" || bd.Stages[1].Kind != "shuffle" {
+				t.Fatal("stage kinds wrong")
+			}
+			// The breakdown total matches the simulator's noiseless time exactly.
+			if want := s.NoiselessQueryTime(q, c, tc.dataGB); bd.TotalSec != want {
+				t.Fatalf("TotalSec %v != NoiselessQueryTime %v", bd.TotalSec, want)
+			}
+			// Stage seconds plus GC plus fixed reconstruct the total, the
+			// broadcast transfer being booked under fixed.
+			var sum float64
+			for _, st := range bd.Stages {
+				sum += st.Sec
+				if st.Sec <= 0 || st.ThrashFactor < 1 || st.Waves < 1 {
+					t.Fatalf("bad stage %+v", st)
+				}
+				// The stage is bound by one of its components.
+				bound := math.Max(st.DiskSec, math.Max(st.NetSec, st.CPUSec))
+				if st.Sec+1e-9 < bound {
+					t.Fatalf("stage %v below its binding component %v", st.Sec, bound)
+				}
+			}
+			if got := sum + bd.GCSec + bd.FixedSec; math.Abs(got-bd.TotalSec) > 1e-9*bd.TotalSec {
+				t.Fatalf("%s %s broadcast=%v: components %v do not reconstruct total %v", cl.Name, q.Name, tc.broadcast, got, bd.TotalSec)
+			}
 		}
-		// The stage is bound by one of its components.
-		bound := math.Max(st.DiskSec, math.Max(st.NetSec, st.CPUSec))
-		if st.Sec+1e-9 < bound {
-			t.Fatalf("stage %v below its binding component %v", st.Sec, bound)
-		}
-	}
-	if math.Abs(sum+bd.GCSec+bd.FixedSec-bd.TotalSec) > 1e-6 {
-		t.Fatalf("components %v do not reconstruct total %v", sum+bd.GCSec+bd.FixedSec, bd.TotalSec)
 	}
 }
 

@@ -157,9 +157,8 @@ func deriveEnv(cl *Cluster, c conf.Config) env {
 	e.batchCPUFactor = 1 + 0.015*math.Pow((batch-12000)/8000, 2)
 
 	// Codegen falls back to interpreted mode for very wide plans when
-	// maxFields is small; modeled as a mild scan-CPU penalty below (per
-	// query, depends on CPUWeight).
-	_ = c[conf.PCodegenMaxFields]
+	// maxFields is small; that penalty depends on the query's CPUWeight, so
+	// it lives in simulateQuery.
 
 	// Very large heaps lengthen individual stop-the-world pauses
 	// superlinearly (full-GC cost scales with live-set size): the optimal
@@ -186,7 +185,7 @@ type stageCost struct {
 // scanStage models the leaf stage: columnar scan + filter + project.
 // Selections are bounded below by aggregate disk bandwidth, which is why
 // they are configuration-insensitive (Section 5.11).
-func scanStage(e env, q Query, scanMB float64, maxFieldsPenalty float64) stageCost {
+func scanStage(e *env, q Query, scanMB float64, maxFieldsPenalty float64) stageCost {
 	readMB := scanMB * e.columnarScanFactor
 	tasks := math.Max(math.Ceil(readMB/128), 1)
 	if q.Class != Selection {
@@ -220,7 +219,7 @@ func scanStage(e env, q Query, scanMB float64, maxFieldsPenalty float64) stageCo
 // shuffleStage models one wide stage: map-side sort/compress/write, network
 // fetch, and reduce-side join/aggregate, with spill and memory thrash when
 // the per-task working set exceeds its execution-memory share.
-func shuffleStage(e env, q Query, shufMB float64) stageCost {
+func shuffleStage(e *env, q Query, shufMB float64) stageCost {
 	parts := e.shufflePartitions
 	taskMB := shufMB / parts
 

@@ -101,7 +101,8 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	wantQuery := make([]QueryResult, len(cs))
 	for i, c := range cs {
 		wantApp[i] = oracle.runApp(fresh(uint64(i)), app, c, sizes(i))
-		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), joinQuery(), c, sizes(i))
+		e := deriveEnv(cl, c)
+		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), &e, joinQuery(), c, sizes(i))
 	}
 	for _, workers := range []int{1, 2, 4} {
 		s := New(cl, seed)

@@ -1,7 +1,6 @@
 package sparksim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -43,14 +42,19 @@ type AppResult struct {
 // warmth, co-located load) that shifts an entire application execution.
 //
 // Every run draws its noise from a private deterministic stream seeded by
-// (simulator seed, run index); the run index is claimed from an atomic
-// counter (RunQuery / RunApp) or fixed explicitly (RunQueryAt / RunAppAt
-// against a ReserveRuns block). The i-th run of a simulator is therefore
-// fully determined by the seed and i, independent of execution order or
-// interleaving: two simulators with the same seed driven identically
-// produce identical results, concurrent RunApp calls are race-free, and a
-// parallel driver that reserves a block of indices reproduces the serial
-// call sequence bit-for-bit.
+// (simulator seed, run index) — the stream of a fresh
+// rand.NewSource(runSeed(seed, idx)), produced by a pooled runSource that
+// computes a seed word only when a draw reads it; the run index is claimed
+// from an atomic counter (RunQuery / RunApp) or fixed explicitly (RunQueryAt
+// / RunAppAt against a ReserveRuns block). The i-th run of a simulator is
+// therefore fully determined by the seed and i, independent of execution
+// order or interleaving: two simulators with the same seed driven
+// identically produce identical results, concurrent RunApp calls are
+// race-free, and a parallel driver that reserves a block of indices
+// reproduces the serial call sequence bit-for-bit.
+//
+// A run costs its arithmetic: the hardware model (deriveEnv) is evaluated
+// once per run and shared by every query, and seeding is O(1).
 type Simulator struct {
 	cluster  *Cluster
 	space    *conf.Space
@@ -109,13 +113,14 @@ func (s *Simulator) ReserveRuns(n int) uint64 {
 	return s.runs.Add(uint64(n)) - uint64(n)
 }
 
-// rngPool recycles the generators runs draw their noise from: a fresh source
-// is 4.9 KB, and a run would otherwise allocate one.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the generators runs draw their noise from: a source is
+// 7.3 KB, and a run would otherwise allocate one.
+var rngPool = sync.Pool{New: func() any { return rand.New(newRunSource(0)) }}
 
 // runRNG returns the private noise stream of run index idx, for the caller
-// to put back in rngPool once the run has drawn from it. Seeding resets the
-// generator's whole state, so the stream is that of a fresh source.
+// to put back in rngPool once the run has drawn from it. Seeding a runSource
+// invalidates every word the previous run left, so the stream is that of a
+// fresh rand.NewSource(runSeed(seed, idx)) at the cost of the words read.
 func (s *Simulator) runRNG(idx uint64) *rand.Rand {
 	rng := rngPool.Get().(*rand.Rand)
 	rng.Seed(runSeed(s.seed, idx))
@@ -143,13 +148,14 @@ func (s *Simulator) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult
 func (s *Simulator) RunQueryAt(idx uint64, q Query, c conf.Config, dataGB float64) QueryResult {
 	rng := s.runRNG(idx)
 	defer rngPool.Put(rng)
-	return s.runQuery(rng, q, c, dataGB)
+	e := deriveEnv(s.cluster, c)
+	return s.runQuery(rng, &e, q, c, dataGB)
 }
 
-// runQuery executes one query drawing task-level noise from rng.
-func (s *Simulator) runQuery(rng *rand.Rand, q Query, c conf.Config, dataGB float64) QueryResult {
-	e := deriveEnv(s.cluster, c)
-	r := simulateQuery(e, q, c, dataGB)
+// runQuery executes one query in environment e, drawing task-level noise
+// from rng.
+func (s *Simulator) runQuery(rng *rand.Rand, e *env, q Query, c conf.Config, dataGB float64) QueryResult {
+	r := simulateQuery(e, q, c, dataGB, nil)
 	if s.noise > 0 {
 		f := math.Exp(rng.NormFloat64() * s.noise)
 		r.Sec *= f
@@ -175,15 +181,17 @@ func (s *Simulator) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB
 	return s.runApp(rng, app, c, dataGB)
 }
 
-// runApp executes the application drawing all of its noise from rng.
+// runApp executes the application drawing all of its noise from rng. The
+// environment depends on the cluster and c only, so every query shares one.
 func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, dataGB float64) AppResult {
+	e := deriveEnv(s.cluster, c)
 	runFactor := 1.0
 	if s.runNoise > 0 {
 		runFactor = math.Exp(rng.NormFloat64() * s.runNoise)
 	}
 	out := AppResult{Queries: make([]QueryResult, 0, len(app.Queries))}
 	for _, q := range app.Queries {
-		r := s.runQuery(rng, q, c, dataGB)
+		r := s.runQuery(rng, &e, q, c, dataGB)
 		r.Sec *= runFactor
 		r.GCSec *= runFactor
 		out.Sec += r.Sec
@@ -198,7 +206,7 @@ func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, data
 // experiment harness when comparing tuned configurations.
 func (s *Simulator) NoiselessQueryTime(q Query, c conf.Config, dataGB float64) float64 {
 	e := deriveEnv(s.cluster, c)
-	return simulateQuery(e, q, c, dataGB).Sec
+	return simulateQuery(&e, q, c, dataGB, nil).Sec
 }
 
 // NoiselessAppTime returns the deterministic total application latency.
@@ -206,13 +214,15 @@ func (s *Simulator) NoiselessAppTime(app *Application, c conf.Config, dataGB flo
 	e := deriveEnv(s.cluster, c)
 	var t float64
 	for _, q := range app.Queries {
-		t += simulateQuery(e, q, c, dataGB).Sec
+		t += simulateQuery(&e, q, c, dataGB, nil).Sec
 	}
 	return t
 }
 
-// simulateQuery runs the analytical cost model for one query.
-func simulateQuery(e env, q Query, c conf.Config, dataGB float64) QueryResult {
+// simulateQuery runs the analytical cost model for one query: the one walk
+// over its stages. A non-nil bd also receives the per-stage components
+// (Explain); runs pass nil.
+func simulateQuery(e *env, q Query, c conf.Config, dataGB float64, bd *Breakdown) QueryResult {
 	scanMB := dataGB * 1024 * q.InputFrac
 
 	// Codegen fallback penalty for wide plans with a small maxFields cap.
@@ -222,11 +232,14 @@ func simulateQuery(e env, q Query, c conf.Config, dataGB float64) QueryResult {
 	}
 
 	res := QueryResult{Name: q.Name}
-	var totalSec, cpuWall, maxPressure float64
+	var totalSec, cpuWall, maxPressure, bcT float64
 
 	sc := scanStage(e, q, scanMB, maxFieldsPenalty)
 	totalSec += sc.sec
 	cpuWall += sc.cpuWallSec
+	if bd != nil {
+		bd.Stages = append(bd.Stages, toStageCost("scan", sc))
+	}
 
 	// Broadcast-join decision: the (scaled) small table must fit under
 	// spark.sql.autoBroadcastJoinThreshold (KB).
@@ -243,7 +256,7 @@ func simulateQuery(e env, q Query, c conf.Config, dataGB float64) QueryResult {
 			if e.broadcastCompress {
 				bcMB *= 0.5
 			}
-			bcT := bcMB * e.instances / e.aggNetMBps
+			bcT = bcMB * e.instances / e.aggNetMBps
 			bcT += (bcMB / e.broadcastBlockMB) * 0.0004 // per-block handling
 			totalSec += bcT
 		}
@@ -265,6 +278,9 @@ func simulateQuery(e env, q Query, c conf.Config, dataGB float64) QueryResult {
 		if cost.pressure > maxPressure {
 			maxPressure = cost.pressure
 		}
+		if bd != nil {
+			bd.Stages = append(bd.Stages, toStageCost("shuffle", cost))
+		}
 	}
 
 	// JVM GC stall: grows superlinearly with heap pressure, plus a pause
@@ -277,13 +293,11 @@ func simulateQuery(e env, q Query, c conf.Config, dataGB float64) QueryResult {
 	res.Sec = totalSec + gc + q.FixedSec + e.fixedPerQuery
 	res.GCSec = gc
 	res.MaxPressure = maxPressure
+	if bd != nil {
+		// The broadcast transfer is no stage; the breakdown books it with
+		// the fixed cost so that stages + GC + fixed make the total.
+		bd.Query, bd.Broadcast = q.Name, broadcast
+		bd.GCSec, bd.FixedSec, bd.TotalSec = gc, q.FixedSec+e.fixedPerQuery+bcT, res.Sec
+	}
 	return res
-}
-
-// querySeed derives a stable per-query seed (used by tests that need
-// reproducible noise independent of call order).
-func querySeed(name string, seed int64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return seed ^ int64(h.Sum64())
 }

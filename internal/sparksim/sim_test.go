@@ -335,15 +335,6 @@ func TestQueryClassString(t *testing.T) {
 	}
 }
 
-func TestQuerySeedStable(t *testing.T) {
-	if querySeed("Q72", 7) != querySeed("Q72", 7) {
-		t.Fatal("querySeed not stable")
-	}
-	if querySeed("Q72", 7) == querySeed("Q73", 7) {
-		t.Fatal("querySeed does not separate names")
-	}
-}
-
 // Property: every valid configuration yields positive, finite times, GC no
 // larger than total time, and non-negative shuffle/spill accounting.
 func TestSimulatorInvariants(t *testing.T) {

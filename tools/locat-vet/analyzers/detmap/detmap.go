@@ -2,11 +2,13 @@
 // a deterministic package.
 //
 // Go randomizes map iteration order per run. Inside the deterministic
-// packages that is fine for commutative folds (sums, max, set building),
-// but the moment iteration order reaches an appended slice that is not
-// subsequently sorted, a channel send, or a value returned from inside the
-// loop, the package's output depends on the runtime's hash seed and the
-// bit-for-bit replay contract is broken.
+// packages that is fine for order-insensitive folds (integer sums, max, set
+// building), but the moment iteration order reaches an appended slice that
+// is not subsequently sorted, a channel send, a value returned from inside
+// the loop, or a floating-point accumulator (float addition rounds, so the
+// sum's last bits depend on the order of its terms), the package's output
+// depends on the runtime's hash seed and the bit-for-bit replay contract is
+// broken.
 package detmap
 
 import (
@@ -20,7 +22,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detmap",
 	Doc: "flags range-over-map whose iteration order can reach an appended slice (without a later sort), " +
-		"a channel send, or a returned value in deterministic packages",
+		"a channel send, a returned value, or a floating-point += / -= accumulator in deterministic packages",
 	Run: run,
 }
 
@@ -99,6 +101,12 @@ func checkRange(pass *analysis.Pass, body *ast.BlockStmt, rng *ast.RangeStmt) {
 				}
 			}
 		case *ast.AssignStmt:
+			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && isFloat(pass.TypesInfo, n.Lhs[0]) &&
+				!declaredWithin(pass.TypesInfo, n.Lhs[0], rng.Body) {
+				pass.Reportf(n.Pos(),
+					"floating-point %s on %s inside range over map rounds in randomized iteration order; iterate sorted keys or a slice instead",
+					n.Tok, analysis.ExprString(n.Lhs[0]))
+			}
 			for i, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok || !isBuiltinAppend(pass.TypesInfo, call) {
@@ -206,6 +214,38 @@ func usesAnyObject(info *types.Info, e ast.Expr, objs map[types.Object]bool) boo
 		return !used
 	})
 	return used
+}
+
+// isFloat reports whether e has a floating-point or complex type, whose
+// addition is not associative.
+func isFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
+}
+
+// declaredWithin reports whether the variable at the root of e (x in x,
+// x.f or x[i]) is declared inside block: an accumulator that lives for one
+// iteration sees its terms in an order the iteration fixes.
+func declaredWithin(info *types.Info, e ast.Expr, block *ast.BlockStmt) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			obj := info.Uses[x]
+			return obj != nil && block.Pos() <= obj.Pos() && obj.Pos() < block.End()
+		default:
+			return false
+		}
+	}
 }
 
 func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {

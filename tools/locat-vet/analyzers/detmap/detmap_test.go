@@ -21,4 +21,5 @@ func TestAllowDirective(t *testing.T) {
 
 func TestCatchesSeededViolation(t *testing.T) {
 	analysistest.MustFail(t, detmap.Analyzer, "qcsa")
+	analysistest.MustFail(t, detmap.Analyzer, "core")
 }

@@ -48,13 +48,26 @@ func anyValue(m map[string]int) int {
 	return 0
 }
 
-// Commutative folds over maps are fine.
-func total(m map[string]float64) float64 {
-	var sum float64
+// Integer folds over maps are order-insensitive.
+func total(m map[string]int) int {
+	var sum int
 	for _, v := range m {
 		sum += v
 	}
 	return sum
+}
+
+// A float accumulator that lives for one iteration sees a fixed order.
+func rowSums(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, row := range m {
+		var sum float64
+		for _, v := range row {
+			sum += v
+		}
+		out[k] = sum
+	}
+	return out
 }
 
 // Building another map is order-insensitive.

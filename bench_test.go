@@ -325,46 +325,8 @@ func benchPoints(m, d int) [][]float64 {
 	return pts
 }
 
-// BenchmarkScoreEI measures one EI-MCMC acquisition round at the shape the
-// tuner runs it: 6 posterior-sample models over one training set, a pool of
-// 576 candidates (512 stratified + 64 around the incumbent) with the
-// data-size context appended, on a warm workspace. n=60 is where a cold
-// session ends, n=128 a warm-started one. One distance pass serves all six
-// models; allocs/op is the closures of the row-parallel passes and nothing
-// per candidate.
-func BenchmarkScoreEI(b *testing.B) {
-	for _, n := range []int{60, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			xs, ys := surrogateTrainingSet(n, 9)
-			ts, err := gp.NewTrainSet(xs, ys, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var models []*gp.GP
-			for i := 0; i < 6; i++ {
-				h := gp.DefaultHyper()
-				h.LogLen += 0.15 * float64(i)
-				m, err := ts.Fit(h)
-				if err != nil {
-					b.Fatal(err)
-				}
-				models = append(models, m)
-			}
-			cands := benchPoints(576, 8)
-			ctx := []float64{0.3}
-			var ws bo.EIWorkspace
-			bo.ScoreEI(models, cands, ctx, 0, &ws) // warm the workspace buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bo.ScoreEI(models, cands, ctx, 0, &ws)
-			}
-		})
-	}
-}
-
 // BenchmarkSolveLowerBatch measures the variance solve of one model's share
-// of that round — 576 forward substitutions against an n×n factor — one row
+// of an EI round (BenchmarkScoreEI in internal/bo) — 576 forward substitutions against an n×n factor — one row
 // at a time (SolveLowerVecInto, the pre-batch loop) and four rows per sweep
 // of L (SolveLowerBatch). Both are in place and allocate nothing.
 func BenchmarkSolveLowerBatch(b *testing.B) {

@@ -10,6 +10,13 @@
 // context vector can be appended to every model input — LOCAT's DAGP passes
 // the input data size this way, so observations taken at different data
 // sizes share one surrogate (Section 3.4).
+//
+// Buffers: a Minimize call owns an EI workspace, a hyperparameter-sampling
+// workspace and its live models, and an iteration runs inside them: the
+// candidate pool is drawn into the workspace's model-input rows (valid until
+// the next round), a resample refits in the storage of the models it
+// discards, an append grows each factor into its reserve. What leaves the
+// loop is a copy: Result.BestX and every History step own their slices.
 package bo
 
 import (
@@ -225,11 +232,20 @@ func Minimize(p Problem, opts Options) Result {
 	// refit, amortized over HyperEvery iterations.
 	var (
 		models    []*gp.GP    // live surrogates, one per usable hyper sample
+		retired   []*gp.GP    // the previous resample's models, refitted in place by the next
 		xs        [][]float64 // training inputs the live models hold
 		ys        []float64   // training targets the live models hold
 		modelMark int         // len(res.History) already folded into models
-		eiWS      EIWorkspace
+		fitWS     gp.FitWorkspace
+		eiWS      = eiWorkspace{perm: make([]int, opts.Candidates)}
 	)
+	// The training set outgrows neither the history nor the cap by more than
+	// the appends between two trims: size the pool×train buffers once.
+	maxTrain := len(opts.Init) + opts.MaxIter
+	if opts.MaxModelPoints > 0 {
+		maxTrain = min(maxTrain, opts.MaxModelPoints+max(opts.HyperEvery-1, 0))
+	}
+	eiWS.pred.Reserve(opts.Candidates+refinePoints, maxTrain)
 	iterSinceSample := 0
 	for res.Evals < opts.MaxIter && !stopped() {
 		if len(models) == 0 || opts.HyperEvery <= 1 || iterSinceSample >= opts.HyperEvery {
@@ -240,10 +256,14 @@ func Minimize(p Problem, opts Options) Result {
 			hs := tr.Start("gp/hyper-resample")
 			xs, ys = modelData(trimHistory(res.History, opts.MaxModelPoints))
 			iterSinceSample = 0
-			models = models[:0]
+			models, retired = retired[:0], models
 			if ts, err := gp.NewTrainSet(xs, ys, opts.Workers); err == nil {
-				for _, h := range ts.SampleHyper(opts.MCMCSamples, rng, opts.Workers) {
-					if m, err := ts.Fit(h); err == nil {
+				for i, h := range ts.SampleHyperIn(&fitWS, opts.MCMCSamples, rng, opts.Workers) {
+					var old *gp.GP
+					if i < len(retired) {
+						old = retired[i]
+					}
+					if m, err := ts.Fit(h, old); err == nil {
 						models = append(models, m)
 					}
 				}
@@ -278,14 +298,13 @@ func Minimize(p Problem, opts Options) Result {
 			bestCand, bestEI = proposeEI(models, res, p.Dim, ctx, opts, rng, &eiWS)
 		}
 		if bestCand == nil {
-			// Model failure: fall back to random search for this step.
-			bestCand = randomPoint(p.Dim, rng)
-			bestEI = 0
-		}
-		// Stop condition (paper Section 3.4): at least MinIter iterations
-		// and expected improvement below EIStopFrac of the incumbent.
-		if res.Evals >= opts.MinIter && opts.EIStopFrac > 0 &&
+			// Model failure: fall back to random search for this step. It
+			// says nothing about convergence, so the stop rule is not asked.
+			bestCand, bestEI = randomPoint(p.Dim, rng), 0
+		} else if res.Evals >= opts.MinIter && opts.EIStopFrac > 0 &&
 			bestEI < opts.EIStopFrac*math.Abs(res.BestY) {
+			// Stop condition (paper Section 3.4): at least MinIter iterations
+			// and expected improvement below EIStopFrac of the incumbent.
 			res.StoppedEarly = true
 			break
 		}
@@ -335,76 +354,76 @@ func modelData(hist []Step) (xs [][]float64, ys []float64) {
 	return xs, ys
 }
 
-// proposeEI scores a candidate pool by EI averaged over the hyperparameter
-// posterior samples (EI-MCMC) and returns the best candidate and its EI.
-func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options, rng *rand.Rand, ws *EIWorkspace) ([]float64, float64) {
-	// The exploration pool is stratified (Latin Hypercube) rather than iid
-	// uniform: every dimension's range is covered evenly at identical cost
-	// and rng discipline, so the EI argmax never misses a whole stratum the
-	// way an unlucky uniform draw can.
-	cands := make([][]float64, 0, opts.Candidates+64)
-	cands = append(cands, stat.LatinHypercube(opts.Candidates, dim, rng)...)
-	// Local refinement around the incumbent.
-	if res.BestX != nil {
-		for i := 0; i < 64; i++ {
-			x := make([]float64, dim)
-			scale := 0.05
-			if i%2 == 1 {
-				scale = 0.15
-			}
-			for j := range x {
-				x[j] = clamp01(res.BestX[j] + rng.NormFloat64()*scale)
-			}
-			cands = append(cands, x)
-		}
-	}
+const refinePoints = 64 // local-refinement candidates around the incumbent, per round
 
-	eis := ScoreEI(models, cands, ctx, res.BestY, ws)
+// proposeEI scores a candidate pool by EI averaged over the hyperparameter
+// posterior samples (EI-MCMC) and returns a copy of the best candidate and
+// its EI — the one allocation of a round on a warm workspace.
+func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options, rng *rand.Rand, ws *eiWorkspace) ([]float64, float64) {
+	pool := fillPool(res.BestX, dim, ctx, opts.Candidates, rng, ws)
 	var bestX []float64
 	bestEI := math.Inf(-1)
-	for i, ei := range eis {
+	for i, ei := range scoreEI(models, pool, res.BestY, ws) {
 		if ei > bestEI {
 			bestEI = ei
-			bestX = cands[i]
+			bestX = pool[i][:dim]
 		}
 	}
 	return append([]float64(nil), bestX...), bestEI
 }
 
-// EIWorkspace holds the grow-only buffers ScoreEI works in — the batch
-// prediction workspace and the score vector — so scoring a pool allocates
-// nothing per candidate or per model once the buffers have grown. The zero
-// value is ready to use; a workspace must not be shared by concurrent calls.
-type EIWorkspace struct {
-	pred gp.PredictWorkspace
-	ei   []float64
+// fillPool draws a round's candidates straight into the model-input rows of
+// ws (decision point, then ctx), where they stay valid until the next round.
+func fillPool(incumbent []float64, dim int, ctx []float64, cands int, rng *rand.Rand, ws *eiWorkspace) [][]float64 {
+	n := cands
+	if incumbent != nil {
+		n += refinePoints
+	}
+	pool := ws.pred.Inputs(n, dim+len(ctx))
+	// The exploration pool is stratified (Latin Hypercube) rather than iid
+	// uniform: every dimension's range is covered evenly at identical cost
+	// and rng discipline, so the EI argmax never misses a whole stratum the
+	// way an unlucky uniform draw can.
+	stat.LatinHypercubeInto(pool[:cands], dim, ws.perm, rng)
+	// Local refinement around the incumbent.
+	for i, x := range pool[cands:] {
+		scale := 0.05
+		if i%2 == 1 {
+			scale = 0.15
+		}
+		for j, b := range incumbent {
+			x[j] = clamp01(b + rng.NormFloat64()*scale)
+		}
+	}
+	for _, x := range pool {
+		copy(x[dim:], ctx)
+	}
+	return pool
 }
 
-// ScoreEI evaluates the EI-MCMC acquisition (EI averaged over the
-// hyperparameter posterior samples) for every candidate, with ctx appended
-// to each, through the batched prediction path: the candidate×train squared
-// distances are measured once for the round and every model maps them
-// through its own kernel, α and factor (gp.PredictBatchShared — which gives
-// a model holding different training rows a distance pass of its own).
-// Candidate order is preserved and every floating-point reduction matches
-// the per-candidate Predict loop, so the scores — and therefore the argmax
-// and the optimizer trajectory — are identical to a serial scan. The
-// returned slice belongs to ws and is valid until its next use.
-func ScoreEI(models []*gp.GP, cands [][]float64, ctx []float64, best float64, ws *EIWorkspace) []float64 {
-	if cap(ws.ei) < len(cands) {
-		ws.ei = make([]float64, len(cands))
+// eiWorkspace holds the buffers of an EI round — the batch prediction
+// workspace, whose input rows are the candidate pool, the score vector and
+// the stratification scratch — so a round allocates nothing per candidate or
+// per model. A workspace must not be shared by concurrent calls.
+type eiWorkspace struct {
+	pred gp.PredictWorkspace
+	ei   []float64
+	perm []int
+}
+
+// scoreEI evaluates the EI-MCMC acquisition (EI averaged over the
+// hyperparameter posterior samples) for every model input — a candidate with
+// its context appended — through gp.PredictBatchShared: one candidate×train
+// distance pass per round, mapped by every model through its own kernel, α
+// and factor. Candidate order and every floating-point reduction are those of
+// a per-candidate Predict scan, and so are the scores, the argmax and the
+// trajectory. The returned slice belongs to ws until its next use.
+func scoreEI(models []*gp.GP, xin [][]float64, best float64, ws *eiWorkspace) []float64 {
+	if cap(ws.ei) < len(xin) {
+		ws.ei = make([]float64, len(xin))
 	}
-	out := ws.ei[:len(cands)]
+	out := ws.ei[:len(xin)]
 	clear(out)
-	if len(cands) == 0 {
-		return out
-	}
-	dim := len(cands[0])
-	xin := ws.pred.Inputs(len(cands), dim+len(ctx))
-	for i, c := range cands {
-		copy(xin[i], c)
-		copy(xin[i][dim:], ctx)
-	}
 	gp.PredictBatchShared(models, xin, &ws.pred, func(mus, vars []float64) {
 		for i := range out {
 			out[i] += expectedImprovement(mus[i], vars[i], best)

@@ -437,9 +437,9 @@ func TestSeedTrajectoryPinned(t *testing.T) {
 }
 
 // eiRound builds one EI round's inputs: k models fitted on one TrainSet under
-// different hyperparameters (the posterior samples of a resample), a
-// candidate pool and a context.
-func eiRound(t *testing.T, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float64, []float64) {
+// different hyperparameters (the posterior samples of a resample) and a
+// candidate pool with the context column appended.
+func eiRound(t testing.TB, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float64) {
 	t.Helper()
 	const dim = 8
 	xs := make([][]float64, n)
@@ -457,7 +457,7 @@ func eiRound(t *testing.T, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float
 		h := gp.DefaultHyper()
 		h.LogLen += 0.2 * float64(i)
 		h.LogSignal -= 0.1 * float64(i)
-		m, err := ts.Fit(h)
+		m, err := ts.Fit(h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,12 +465,12 @@ func eiRound(t *testing.T, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float
 	}
 	pool := make([][]float64, cands)
 	for i := range pool {
-		pool[i] = randomPoint(dim, rng)
+		pool[i] = append(randomPoint(dim, rng), 0.3)
 	}
-	return models, pool, []float64{0.3}
+	return models, pool
 }
 
-// TestScoreEIMismatchedModelMatchesPerModel: ScoreEI shares one distance
+// TestScoreEIMismatchedModelMatchesPerModel: scoreEI shares one distance
 // pass across the round's models only where their training rows really are
 // the same. With a model fitted on different rows dropped into the middle of
 // the round, every score must still equal the average of per-model
@@ -478,21 +478,17 @@ func eiRound(t *testing.T, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float
 // models after it back on theirs.
 func TestScoreEIMismatchedModelMatchesPerModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	models, pool, ctx := eiRound(t, 40, 4, 130, rng)
-	strangers, _, _ := eiRound(t, 40, 1, 0, rng) // same size, other rows
+	models, pool := eiRound(t, 40, 4, 130, rng)
+	strangers, _ := eiRound(t, 40, 1, 0, rng) // same size, other rows
 	models = []*gp.GP{models[0], models[1], strangers[0], models[2], models[3]}
 
 	best := 1.1
-	var ws EIWorkspace
-	got := ScoreEI(models, pool, ctx, best, &ws)
+	var ws eiWorkspace
+	got := scoreEI(models, pool, best, &ws)
 
-	in := make([][]float64, len(pool))
-	for i, c := range pool {
-		in[i] = append(append([]float64(nil), c...), ctx...)
-	}
 	want := make([]float64, len(pool))
 	for _, m := range models {
-		mus, vars := m.PredictBatch(in, nil)
+		mus, vars := m.PredictBatch(pool, nil)
 		for i := range want {
 			want[i] += expectedImprovement(mus[i], vars[i], best)
 		}
@@ -500,21 +496,21 @@ func TestScoreEIMismatchedModelMatchesPerModel(t *testing.T) {
 	for i := range want {
 		want[i] /= float64(len(models))
 		if got[i] != want[i] {
-			t.Fatalf("candidate %d: ScoreEI %v, per-model PredictBatch %v", i, got[i], want[i])
+			t.Fatalf("candidate %d: scoreEI %v, per-model PredictBatch %v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestScoreEISteadyStateAllocs pins a full-size EI round (6 models, 576
-// candidates) on a warm workspace: one closure per model's kernel pass, one
-// for the round's distance pass, and no score vector per call (the
-// per-model-assembly path cost 25).
+// candidates) on a warm workspace: nothing is allocated — no score vector,
+// no input assembly, and on the one processor AllocsPerRun measures at no
+// closure for the distance and kernel passes (the parent's cost 7).
 func TestScoreEISteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	models, pool, ctx := eiRound(t, 60, 6, 576, rng)
-	var ws EIWorkspace
-	ScoreEI(models, pool, ctx, 1.1, &ws) // grow the buffers
-	if allocs := testing.AllocsPerRun(10, func() { ScoreEI(models, pool, ctx, 1.1, &ws) }); allocs > 7 {
-		t.Fatalf("ScoreEI allocates %.0f objects per round on a warm workspace; want ≤ 7", allocs)
+	models, pool := eiRound(t, 60, 6, 576, rng)
+	var ws eiWorkspace
+	scoreEI(models, pool, 1.1, &ws) // grow the buffers
+	if allocs := testing.AllocsPerRun(10, func() { scoreEI(models, pool, 1.1, &ws) }); allocs != 0 {
+		t.Fatalf("scoreEI allocates %.0f objects per round on a warm workspace; want 0", allocs)
 	}
 }

@@ -80,15 +80,18 @@ func FitWorkers(samples []Sample, rng *rand.Rand, workers int) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var best *gp.GP
+	var best, loser *gp.GP // the loser of each comparison is refitted in place
 	bestML := 0.0
 	for _, h := range ts.SampleHyper(5, rng, workers) {
-		m, err := ts.Fit(h)
+		m, err := ts.Fit(h, loser) // consumes loser, even when it fails
+		loser = nil
 		if err != nil {
 			continue
 		}
 		if ml := m.LogMarginalLikelihood(); best == nil || ml > bestML {
-			best, bestML = m, ml
+			best, bestML, loser = m, ml, best
+		} else {
+			loser = m
 		}
 	}
 	if best == nil {

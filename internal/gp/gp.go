@@ -3,6 +3,7 @@ package gp
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"locat/internal/mat"
 	"locat/internal/stat"
@@ -29,6 +30,7 @@ type GP struct {
 	kern  seKernel // hyp's σ_f² and 2ℓ², evaluated once at fit time
 	chol  *mat.Cholesky
 	alpha []float64 // (K + σ_n² I)⁻¹ · y (standardized)
+	col   []float64 // AppendBatch's kernel column, reused across appends
 }
 
 // Fit trains an exact GP on inputs x (rows, all the same length) and targets
@@ -71,18 +73,19 @@ func Fit(x [][]float64, y []float64, h Hyper) (*GP, error) {
 }
 
 // refreshAlpha recomputes the output standardization and α = (K+σ_n²I)⁻¹·y
-// from the current factor and raw targets — an O(n²) triangular solve.
+// from the current factor and raw targets — an O(n²) triangular solve, run
+// in place over the standardized targets in the α buffer the model keeps.
 func (g *GP) refreshAlpha() {
 	g.yMean = stat.Mean(g.y)
 	g.yStd = stat.StdDev(g.y)
 	if g.yStd < 1e-12 {
 		g.yStd = 1
 	}
-	ys := make([]float64, len(g.y))
+	g.alpha = growFloats(g.alpha, len(g.y))
 	for i, v := range g.y {
-		ys[i] = (v - g.yMean) / g.yStd
+		g.alpha[i] = (v - g.yMean) / g.yStd
 	}
-	g.alpha = g.chol.SolveVec(ys)
+	g.chol.SolveVecInto(g.alpha, g.alpha)
 }
 
 // Append extends the GP with one observation in O(n²) by border-extending
@@ -119,12 +122,12 @@ func (g *GP) AppendBatch(xs [][]float64, ys []float64) error {
 	}
 	x2 := g.x
 	for i, xi := range xs {
-		col := make([]float64, len(x2))
+		g.col = growFloats(g.col, len(x2))
 		for j, xj := range x2 {
-			col[j] = g.kern.of(sqDist(xj, xi))
+			g.col[j] = g.kern.of(sqDist(xj, xi))
 		}
 		diag := g.kern.of(0) + g.hyp.Noise2() + 1e-8
-		if err := chol.Extend(col, diag); err != nil {
+		if err := chol.Extend(g.col, diag); err != nil {
 			return fmt.Errorf("gp: append point %d: %w", i, err)
 		}
 		x2 = append(x2, xi)
@@ -166,7 +169,7 @@ func (g *GP) Predict(xs []float64) (mean, variance float64) {
 		ks[i] = g.kern.of(sqDist(xi, xs))
 	}
 	m := mat.Dot(ks, g.alpha)
-	v := g.chol.SolveLowerVec(ks)
+	v := g.chol.SolveLowerVecInto(ks, ks)
 	variance = g.kern.of(0) - mat.Dot(v, v)
 	if variance < 1e-12 {
 		variance = 1e-12
@@ -196,7 +199,9 @@ type PredictWorkspace struct {
 // with model inputs (decision point + context) and pass it to PredictBatch;
 // the rows stay valid until the next Inputs call.
 func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
-	w.inFlat = growFloats(w.inFlat, m*d)
+	if cap(w.inFlat) < m*d { // exact: a caller's batches keep their shape
+		w.inFlat = make([]float64, m*d)
+	}
 	if cap(w.inRows) < m {
 		w.inRows = make([][]float64, m)
 	}
@@ -205,6 +210,15 @@ func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
 		rows[i] = w.inFlat[i*d : (i+1)*d]
 	}
 	return rows
+}
+
+// Reserve sizes the distance and cross-kernel buffers exactly for batches of
+// up to m rows against up to n training rows: a caller that knows how far its
+// training set will grow (bo.Minimize does) pays for them once.
+func (w *PredictWorkspace) Reserve(m, n int) {
+	if cap(w.d2) < m*n {
+		w.d2, w.ks = make([]float64, m*n), make([]float64, m*n)
+	}
 }
 
 // growFloats returns buf resliced to n, reallocating with half as much again
@@ -277,20 +291,28 @@ func (g *GP) crossDistances(xs [][]float64, ws *PredictWorkspace) {
 	n := len(g.x)
 	ws.d2 = growFloats(ws.d2, len(xs)*n)
 	ws.d2Rows = g.x
-	d2, train := ws.d2, g.x
-	mat.ParRange(len(xs), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := d2[i*n : (i+1)*n]
-			xi := xs[i]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				row[j], row[j+1], row[j+2], row[j+3] = sqDist4(train[j], train[j+1], train[j+2], train[j+3], xi)
-			}
-			for ; j < n; j++ {
-				row[j] = sqDist(train[j], xi)
-			}
+	// One processor takes the rows with a direct call: the parallel branch's
+	// closure escapes to ParRange's workers, and a serial round must not allocate.
+	if runtime.GOMAXPROCS(0) == 1 {
+		g.crossRows(xs, ws.d2, 0, len(xs))
+		return
+	}
+	mat.ParRange(len(xs), 0, func(lo, hi int) { g.crossRows(xs, ws.d2, lo, hi) })
+}
+
+func (g *GP) crossRows(xs [][]float64, d2 []float64, lo, hi int) {
+	n, train := len(g.x), g.x
+	for i := lo; i < hi; i++ {
+		row := d2[i*n : (i+1)*n]
+		xi := xs[i]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			row[j], row[j+1], row[j+2], row[j+3] = sqDist4(train[j], train[j+1], train[j+2], train[j+3], xi)
 		}
-	})
+		for ; j < n; j++ {
+			row[j] = sqDist(train[j], xi)
+		}
+	}
 }
 
 // predictFromDistances turns the first m rows of ws.d2 into posterior means
@@ -300,29 +322,36 @@ func (g *GP) predictFromDistances(m int, ws *PredictWorkspace) (means, vars []fl
 	ws.ks = growFloats(ws.ks, m*n)
 	ws.mean = growFloats(ws.mean, m)
 	ws.vari = growFloats(ws.vari, m)
+	if runtime.GOMAXPROCS(0) == 1 { // as in crossDistances
+		g.predictRows(ws, 0, m)
+	} else {
+		mat.ParRange(m, 0, func(lo, hi int) { g.predictRows(ws, lo, hi) })
+	}
+	return ws.mean, ws.vari
+}
+
+func (g *GP) predictRows(ws *PredictWorkspace, lo, hi int) {
+	n := len(g.x)
 	d2, ks, mean, vari := ws.d2, ws.ks, ws.mean, ws.vari
-	k, alpha, chol, yMean, yStd := g.kern, g.alpha, g.chol, g.yMean, g.yStd
+	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
 	self := k.of(0) // every candidate's prior variance
-	mat.ParRange(m, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := ks[i*n : (i+1)*n]
-			for j, v := range d2[i*n : (i+1)*n] {
-				row[j] = k.of(v)
-			}
-			mean[i] = mat.Dot(row, alpha)*yStd + yMean
+	for i := lo; i < hi; i++ {
+		row := ks[i*n : (i+1)*n]
+		for j, v := range d2[i*n : (i+1)*n] {
+			row[j] = k.of(v)
 		}
-		// Variances: v_i = L⁻¹·k*_i in place over each cross-kernel row.
-		chol.SolveLowerBatch(ks[lo*n : hi*n])
-		for i := lo; i < hi; i++ {
-			row := ks[i*n : (i+1)*n]
-			v := self - mat.Dot(row, row)
-			if v < 1e-12 {
-				v = 1e-12
-			}
-			vari[i] = v * yStd * yStd
+		mean[i] = mat.Dot(row, alpha)*yStd + yMean
+	}
+	// Variances: v_i = L⁻¹·k*_i in place over each cross-kernel row.
+	g.chol.SolveLowerBatch(ks[lo*n : hi*n])
+	for i := lo; i < hi; i++ {
+		row := ks[i*n : (i+1)*n]
+		v := self - mat.Dot(row, row)
+		if v < 1e-12 {
+			v = 1e-12
 		}
-	})
-	return mean, vari
+		vari[i] = v * yStd * yStd
+	}
 }
 
 // PredictMeans returns the posterior means at every row of xs — PredictBatch
@@ -351,11 +380,5 @@ func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
 // training targets under the GP prior — the quantity the slice sampler
 // explores.
 func (g *GP) LogMarginalLikelihood() float64 {
-	return logML(g.chol, g.alpha)
-}
-
-// logML computes -½·yᵀα - ½·log|K| - n/2·log 2π given the Cholesky factor
-// and α = K⁻¹y. yᵀα is recovered as αᵀKα = |Lᵀα|².
-func logML(chol *mat.Cholesky, alpha []float64) float64 {
-	return logMLInto(chol, alpha, make([]float64, len(alpha)))
+	return logMLInto(g.chol, g.alpha, make([]float64, len(g.alpha)))
 }

@@ -149,7 +149,11 @@ func TestSampleHyper(t *testing.T) {
 		xs = append(xs, []float64{v})
 		ys = append(ys, math.Sin(4*v)+rng.NormFloat64()*0.05)
 	}
-	hs := SampleHyper(xs, ys, 6, rng)
+	ts, err := NewTrainSet(xs, ys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := ts.SampleHyper(6, rng, 0)
 	if len(hs) != 6 {
 		t.Fatalf("got %d samples", len(hs))
 	}
@@ -166,7 +170,7 @@ func TestSampleHyper(t *testing.T) {
 	if !moved {
 		t.Fatal("slice sampler never moved")
 	}
-	if got := SampleHyper(xs, ys, 0, rng); got != nil {
+	if got := ts.SampleHyper(0, rng, 0); got != nil {
 		t.Fatal("n=0 should return nil")
 	}
 }

@@ -10,6 +10,14 @@
 //   - the log marginal likelihood and a univariate slice sampler over the
 //     log-hyperparameters, which powers the EI-MCMC acquisition of
 //     Snoek et al. used by the paper.
+//
+// Buffers: a GP owns its factor, α and kernel-column scratch and grows them
+// in place; handing a GP to TrainSet.Fit gives all of it to the model that
+// comes back. Training rows are shared between models and never written. A
+// PredictWorkspace owns the rows Inputs hands out (valid until the next
+// Inputs) and a batch's outputs (valid until its next use), a FitWorkspace
+// one chain's kernel matrix, correlation cache and generator; neither may be
+// shared by concurrent calls.
 package gp
 
 import "math"

@@ -23,36 +23,16 @@ const (
 	chainBurn  = 3
 )
 
-// SampleHyper draws n hyperparameter samples from the posterior using
-// univariate slice sampling (Neal 2003) cycled over the three
-// log-hyperparameters — the MCMC marginalization step of the EI-MCMC
-// acquisition (Snoek et al. 2012) that the paper adopts (Section 3.4,
-// "Acquisition function").
-//
-// Sampling runs n independent chains over the cached training set (see
-// TrainSet.SampleHyper) on up to GOMAXPROCS workers. rng seeds the chain
-// streams (one draw); results depend only on that seed, never on the worker
-// count or scheduling. Callers that already hold a TrainSet — or want to
-// bound the parallelism — use TrainSet.SampleHyper directly.
-func SampleHyper(x [][]float64, y []float64, n int, rng *rand.Rand) []Hyper {
-	if n <= 0 {
-		return nil
-	}
-	ts, err := NewTrainSet(x, y, 0)
-	if err != nil {
-		// Degenerate data; fall back to the prior default, like a chain whose
-		// starting posterior is -Inf.
-		out := make([]Hyper, n)
-		for i := range out {
-			out[i] = DefaultHyper()
-		}
-		return out
-	}
-	return ts.SampleHyper(n, rng, 0)
+// SampleHyper is SampleHyperIn on a workspace of its own: the MCMC
+// marginalization step of the EI-MCMC acquisition (Snoek et al. 2012) that
+// the paper adopts (Section 3.4, "Acquisition function").
+func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
+	return ts.SampleHyperIn(new(FitWorkspace), n, rng, workers)
 }
 
-// SampleHyper draws n posterior samples by running n independent
-// slice-sampling chains over the cached training set, fanned over a bounded
+// SampleHyperIn draws n posterior samples by running n independent chains of
+// univariate slice sampling (Neal 2003), cycled over the three
+// log-hyperparameters, over the cached training set, fanned over a bounded
 // worker pool (workers ≤ 0 selects GOMAXPROCS). Chain c's randomness comes
 // from its own splitmix64-derived stream — the same per-run determinism
 // pattern sparksim uses — seeded by a single draw from rng, so for a fixed
@@ -61,7 +41,11 @@ func SampleHyper(x [][]float64, y []float64, n int, rng *rand.Rand) []Hyper {
 // independently and contributes one sample, so the marginalized samples are
 // genuinely independent draws rather than the thinned, serially correlated
 // states a single chain emits.
-func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
+//
+// pws serves the pilot walk and, on one worker, every chain: a caller that
+// resamples over growing training sets (bo.Minimize) keeps one across calls
+// and the sampler stops allocating kernel buffers and generators.
+func (ts *TrainSet) SampleHyperIn(pws *FitWorkspace, n int, rng *rand.Rand, workers int) []Hyper {
 	if n <= 0 {
 		return nil
 	}
@@ -76,9 +60,8 @@ func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
 	// (tag n — one past the chain indices). Every chain then forks from the
 	// pilot state. The exp map may use the full worker budget here: no chain
 	// runs yet.
-	var pws FitWorkspace
-	pilotRng := rand.New(rand.NewSource(chainSeed(base, n)))
-	pilotPost := func(h Hyper) float64 { return ts.LogPosterior(h, &pws, workers) }
+	pilotRng := pws.seeded(chainSeed(base, n))
+	pilotPost := func(h Hyper) float64 { return ts.LogPosterior(h, pws, workers) }
 	start := DefaultHyper()
 	startLP := pilotPost(start)
 	if math.IsInf(startLP, -1) {
@@ -100,7 +83,7 @@ func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
 	}
 	if workers == 1 {
 		for c := range out {
-			out[c] = ts.sampleChain(chainSeed(base, c), start, startLP, &pws, 1)
+			out[c] = ts.sampleChain(chainSeed(base, c), start, startLP, pws, 1)
 		}
 		return out
 	}
@@ -128,7 +111,7 @@ func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
 // state through its own burn-in and returns its final state. All posterior
 // evaluations happen in ws with zero allocations per step.
 func (ts *TrainSet) sampleChain(seed int64, start Hyper, startLP float64, ws *FitWorkspace, workers int) Hyper {
-	rng := rand.New(rand.NewSource(seed))
+	rng := ws.seeded(seed)
 	logPost := func(h Hyper) float64 { return ts.LogPosterior(h, ws, workers) }
 	cur, curLP := start, startLP
 	for it := 0; it <= chainBurn; it++ {

@@ -1,0 +1,165 @@
+package gp
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// modelState is everything a fitted GP computes, with the factor read as its
+// lower triangle (its storage layout is not part of the model).
+type modelState struct {
+	X           [][]float64
+	Y, Alpha    []float64
+	L           [][]float64
+	YMean, YStd float64
+	Hyp         Hyper
+}
+
+func stateOf(g *GP) modelState {
+	s := modelState{X: g.x, Y: g.y, Alpha: g.alpha, YMean: g.yMean, YStd: g.yStd, Hyp: g.hyp}
+	for i := range g.x {
+		s.L = append(s.L, append([]float64(nil), g.chol.L().RowView(i)[:i+1]...))
+	}
+	return s
+}
+
+// TestRecycledFitMatchesFresh: TrainSet.Fit into the storage of a discarded
+// model — one fitted on fewer points, one on more, one that had been appended
+// to — yields the factor and α of a fit into fresh storage, and goes on
+// matching it through the appends that follow.
+func TestRecycledFitMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	xs, ys := trainSet(40, 5, rng)
+	h := Hyper{LogLen: math.Log(0.3), LogSignal: 0.2, LogNoise: math.Log(0.08)}
+	for _, predecessor := range []int{8, 24, 25, 40} {
+		old, err := NewTrainSet(xs[:predecessor], ys[:predecessor], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		discarded, err := old.Fit(DefaultHyper(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if predecessor == 24 { // grown past its fit, as a live BO model is
+			if err := discarded.Append(xs[24], ys[24]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts, err := NewTrainSet(xs[:25], ys[:25], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ts.Fit(h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ts.Fit(h, discarded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != discarded {
+			t.Fatal("the recycled model is not the one handed in")
+		}
+		for n := 25; ; n++ {
+			if w, g := stateOf(want), stateOf(got); !reflect.DeepEqual(w, g) {
+				t.Fatalf("predecessor of %d points, %d points: recycled fit differs from fresh\n got %+v\nwant %+v", predecessor, n, g, w)
+			}
+			if n == 32 {
+				break
+			}
+			if err := want.Append(xs[n], ys[n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Append(xs[n], ys[n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// oldSampleHyper is the serial SampleHyper before generators and workspaces
+// were kept: a fresh workspace per call and a fresh rand.New(rand.NewSource)
+// for the pilot and for every chain.
+func oldSampleHyper(ts *TrainSet, n int, rng *rand.Rand) []Hyper {
+	base := rng.Int63()
+	out := make([]Hyper, n)
+	var pws FitWorkspace
+	pilotRng := rand.New(rand.NewSource(chainSeed(base, n)))
+	pilotPost := func(h Hyper) float64 { return ts.LogPosterior(h, &pws, 1) }
+	start := DefaultHyper()
+	startLP := pilotPost(start)
+	for it := 0; it < pilotIters; it++ {
+		for coord := 0; coord < 3; coord++ {
+			start, startLP = sliceStep(pilotPost, start, startLP, coord, sliceWidth, pilotRng)
+		}
+	}
+	for c := range out {
+		rng := rand.New(rand.NewSource(chainSeed(base, c)))
+		logPost := func(h Hyper) float64 { return ts.LogPosterior(h, &pws, 1) }
+		cur, curLP := start, startLP
+		for it := 0; it <= chainBurn; it++ {
+			for coord := 0; coord < 3; coord++ {
+				cur, curLP = sliceStep(logPost, cur, curLP, coord, sliceWidth, rng)
+			}
+		}
+		out[c] = cur
+	}
+	return out
+}
+
+// TestSampleHyperInKeptWorkspaceMatchesFresh: one workspace carried through
+// resamples over a growing, then a smaller, training set — its generator
+// re-seeded for every pilot and chain, its buffers regrown or reused — gives
+// the samples of the old sampler, at every worker count, and leaves the
+// caller's generator where the old one did.
+func TestSampleHyperInKeptWorkspaceMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	xs, ys := trainSet(45, 6, rng)
+	for _, workers := range []int{1, 2, 4} {
+		var ws FitWorkspace
+		oldRng, newRng := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		for _, n := range []int{12, 15, 18, 45, 20} {
+			ts, err := NewTrainSet(xs[:n], ys[:n], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oldSampleHyper(ts, 6, oldRng)
+			got := ts.SampleHyperIn(&ws, 6, newRng, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d n=%d: kept workspace %+v\nfresh %+v", workers, n, got, want)
+			}
+		}
+		if oldRng.Int63() != newRng.Int63() {
+			t.Fatalf("workers=%d: the caller's generator diverged", workers)
+		}
+	}
+}
+
+// TestAppendWithinReserveAllocs: a point appended to a model whose factor
+// holds reserve costs at most the growth of its row list — no kernel column,
+// no standardized targets, no α, no factor copy.
+func TestAppendWithinReserveAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	xs, ys := trainSet(60, 9, rng)
+	ts, err := NewTrainSet(xs[:40], ys[:40], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ts.Fit(DefaultHyper(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 40
+	add := func() {
+		if err := g.AppendBatch(xs[n:n+1], ys[n:n+1]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	add() // an exact first fit has no reserve: this append regrows the factor
+	if allocs := testing.AllocsPerRun(10, add); allocs > 1 {
+		t.Fatalf("AppendBatch of one point within reserve allocates %.0f objects; want ≤ 1", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 
 	"locat/internal/mat"
@@ -103,11 +104,10 @@ func (ts *TrainSet) N() int { return ts.n }
 // shrink probes — finds the length-scale it left and rescales the cached
 // matrix instead of taking n²/2 exponentials again.
 type FitWorkspace struct {
-	kern  []float64  // n×n kernel matrix, refactored in place each evaluation
-	kmat  *mat.Dense // wraps kern; rebuilt only when the size changes
+	chol  mat.Cholesky // its reserved storage is the kernel matrix, refactored in place each evaluation
 	alpha []float64
 	w     []float64
-	chol  mat.Cholesky
+	rng   *rand.Rand // the chain stream, re-seeded for each chain the workspace runs
 
 	// corr is exp(-d²/2ℓ²) (n×n, strict lower triangle) of corrTS at
 	// corrLogLen; a nil corrTS means it holds nothing. Keeping the pointer
@@ -117,12 +117,16 @@ type FitWorkspace struct {
 	corrLogLen float64
 }
 
-// dims reports the current kernel-buffer shape (0,0 before first use).
-func (ws *FitWorkspace) dims() (r, c int) {
-	if ws.kmat == nil {
-		return 0, 0
+// seeded returns the workspace's generator at the start of the stream
+// rand.New(rand.NewSource(seed)) yields: Seed rewrites the whole source
+// state, so one generator serves every chain a workspace runs.
+func (ws *FitWorkspace) seeded(seed int64) *rand.Rand {
+	if ws.rng == nil {
+		ws.rng = rand.New(rand.NewSource(seed))
+	} else {
+		ws.rng.Seed(seed)
 	}
-	return ws.kmat.Dims()
+	return ws.rng
 }
 
 // LogPosterior evaluates the unnormalized log posterior (log marginal
@@ -134,11 +138,8 @@ func (ws *FitWorkspace) dims() (r, c int) {
 // Fit-per-step evaluation this replaces exactly.
 func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64 {
 	n := ts.n
-	if r, _ := ws.dims(); r != n {
-		ws.kern = make([]float64, n*n)
-		ws.kmat = mat.NewDense(n, n, ws.kern)
-		ws.corr = make([]float64, n*n) // of another set's size, so corrTS != ts below
-	}
+	kern := ws.chol.Reserve(n)
+	ws.corr = growFloats(ws.corr, n*n) // regrown only for a larger set, so corrTS != ts below
 	ws.alpha = growFloats(ws.alpha, n)
 	ws.w = growFloats(ws.w, n)
 	if workers <= 0 {
@@ -154,14 +155,14 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 	// The serial case maps the rows with a direct call: the parallel
 	// branch's closure escapes to ParRange's workers, and the chain hot path
 	// (one chain per worker, serial map) must not allocate at all.
-	kern, corr := ws.kern, ws.corr
+	corr := ws.corr
 	if workers == 1 {
 		ts.assembleRows(kern, corr, fresh, h, 0, n)
 	} else {
 		mat.ParRange(n, workers, func(lo, hi int) { ts.assembleRows(kern, corr, fresh, h, lo, hi) })
 	}
 
-	if err := ws.chol.FactorInPlace(ws.kmat); err != nil {
+	if err := ws.chol.FactorInPlace(kern); err != nil {
 		return math.Inf(-1)
 	}
 	ws.chol.SolveVecInto(ts.ys, ws.alpha)
@@ -174,31 +175,34 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 // same factor, same α — and independent of the TrainSet's internals (safe to
 // Append to). bo.Minimize uses it to materialize the per-hyper-sample models
 // right after an MCMC resample, reusing the distance cache one more time.
-func (ts *TrainSet) Fit(h Hyper) (*GP, error) {
-	n := ts.n
-	g := &GP{
-		x:    append([][]float64(nil), ts.x...),
-		y:    append([]float64(nil), ts.y...),
-		hyp:  h,
-		kern: h.kernel(),
+//
+// g, if non-nil, is a model the caller is done with: it is consumed — its
+// factor, α and row storage back the returned model (which is g itself), on
+// failure they are lost — so a resample refits in the buffers, reserve
+// included, of the models it discards.
+func (ts *TrainSet) Fit(h Hyper, g *GP) (*GP, error) {
+	if g == nil {
+		g = &GP{chol: &mat.Cholesky{}}
 	}
-	kern := make([]float64, n*n)
-	ts.assembleRows(kern, kern, true, h, 0, n) // correlations scaled where they stand
-	var chol mat.Cholesky
-	if err := chol.FactorInPlace(mat.NewDense(n, n, kern)); err != nil {
+	g.x = append(g.x[:0], ts.x...)
+	g.y = append(g.y[:0], ts.y...)
+	g.hyp, g.kern = h, h.kernel()
+	kern := g.chol.Reserve(ts.n)
+	ts.assembleRows(kern, nil, true, h, 0, ts.n)
+	if err := g.chol.FactorInPlace(kern); err != nil {
 		return nil, fmt.Errorf("gp: covariance not PD: %w", err)
 	}
-	g.chol = &chol
 	g.refreshAlpha()
 	return g, nil
 }
 
 // assembleRows writes rows [lo,hi) of the kernel matrix
-// K = σ_f²·exp(-d²/(2ℓ²)) + (σ_n² + jitter)·I into kern (n×n row-major).
-// The exponentials go through corr: with fresh set they are taken from the
-// cached distances and stored there first, otherwise corr already holds them
-// for h's length-scale and the rows are only rescaled. corr may be kern
-// itself. Only the lower triangle and diagonal are written: the
+// K = σ_f²·exp(-d²/(2ℓ²)) + (σ_n² + jitter)·I into kern (n rows of any
+// stride). The exponentials go through corr (n×n row-major): with fresh set
+// they are taken from the cached distances and stored there first, otherwise
+// corr already holds them for h's length-scale and the rows are only
+// rescaled. A nil corr takes them in kern's own rows and scales them where
+// they stand. Only the lower triangle and diagonal are written: the
 // factorization and the triangular solves never read above the diagonal.
 // The expression shapes (division by 2ℓ², the product with σ_f², the
 // diagonal's addition order) are seKernel.of's and Fit's AddDiag, so the
@@ -206,27 +210,32 @@ func (ts *TrainSet) Fit(h Hyper) (*GP, error) {
 // bit-identical to the Fit-based path whether or not the exponentials were
 // reused; LogPosterior and TrainSet.Fit both build on this one helper so the
 // two paths cannot drift apart.
-func (ts *TrainSet) assembleRows(kern, corr []float64, fresh bool, h Hyper, lo, hi int) {
+func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h Hyper, lo, hi int) {
 	n := ts.n
 	k := h.kernel()
 	diag := k.s2 + (h.Noise2() + 1e-8)
 	for i := lo; i < hi; i++ {
-		crow := corr[i*n : i*n+i]
+		row := kern.RowView(i)
+		crow := row[:i]
+		if corr != nil {
+			crow = corr[i*n : i*n+i]
+		}
 		if fresh {
 			for j, v := range ts.d2[i*n : i*n+i] {
 				crow[j] = math.Exp(-v / k.tl2)
 			}
 		}
-		row := kern[i*n : i*n+i]
+		dst := row[:len(crow)]
 		for j, c := range crow {
-			row[j] = k.s2 * c
+			dst[j] = k.s2 * c
 		}
-		kern[i*n+i] = diag
+		row[i] = diag
 	}
 }
 
-// logMLInto is logML with a caller-supplied buffer for w = Lᵀ·α, so the
-// evidence computation allocates nothing. L is walked the way it is stored,
+// logMLInto computes the log evidence -½·yᵀα - ½·log|K| - n/2·log 2π from the
+// Cholesky factor and α = K⁻¹y, recovering yᵀα as αᵀKα = |Lᵀα|² in the
+// caller's buffer w, so it allocates nothing. L is walked the way it is stored,
 // row by row; w[i] still receives its terms L[k][i]·α[k] in ascending k, as
 // a column-wise reduction would add them.
 func logMLInto(chol *mat.Cholesky, alpha, w []float64) float64 {

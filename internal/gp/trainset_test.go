@@ -198,7 +198,7 @@ func TestTrainSetFitMatchesFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ts.Fit(h)
+		got, err := ts.Fit(h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,14 +263,6 @@ func TestSampleHyperDeterministicAcrossWorkers(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d sample %d: %+v != %+v", workers, i, got[i], want[i])
 			}
-		}
-	}
-	// The convenience wrapper is the workers=GOMAXPROCS path over a fresh
-	// TrainSet of the same data — same samples.
-	viaWrapper := SampleHyper(xs, ys, n, rand.New(rand.NewSource(9)))
-	for i := range want {
-		if viaWrapper[i] != want[i] {
-			t.Fatalf("wrapper sample %d: %+v != %+v", i, viaWrapper[i], want[i])
 		}
 	}
 }

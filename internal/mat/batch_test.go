@@ -165,7 +165,7 @@ func TestSolveLowerVecIntoAliasing(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want := c.SolveLowerVec(b)
+	want := c.SolveLowerVecInto(b, make([]float64, 15))
 	got := append([]float64(nil), b...)
 	c.SolveLowerVecInto(got, got) // in place
 	for i := range want {

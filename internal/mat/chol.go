@@ -10,9 +10,13 @@ import (
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L of a symmetric positive
-// definite matrix A = L·Lᵀ.
+// definite matrix A = L·Lᵀ, as the lower triangle of an n×stride row-major
+// matrix with stride ≥ n. A factor may hold more storage than n²: spare
+// columns, and spare capacity behind the last row, are the reserve Extend
+// writes the next row into without copying the factor. The storage belongs
+// to the factor from FactorInPlace or Reserve until the next Reserve.
 type Cholesky struct {
-	l *Dense // lower triangular, n×n
+	l *Dense // n rows of stride l.cols ≥ n; the lower triangle of the leading n×n block is L
 }
 
 // NewCholesky factors the symmetric positive definite matrix a.
@@ -41,10 +45,10 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 // lower triangle only). Inner loops run over row slices, which is what makes
 // the zero-allocation refit path of gp's hyperparameter sampler cheap.
 func factorLower(l *Dense) error {
-	n := l.rows
+	n, st := l.rows, l.cols
 	ld := l.data
 	for j := 0; j < n; j++ {
-		lrowj := ld[j*n : j*n+j+1]
+		lrowj := ld[j*st : j*st+j+1]
 		d := lrowj[j]
 		for _, v := range lrowj[:j] {
 			d -= v * v
@@ -64,7 +68,7 @@ func factorLower(l *Dense) error {
 		lj := lrowj[:j]
 		i := j + 1
 		for ; i+3 < n; i += 4 {
-			r0, r1, r2, r3 := ld[i*n:i*n+j+1], ld[(i+1)*n:(i+1)*n+j+1], ld[(i+2)*n:(i+2)*n+j+1], ld[(i+3)*n:(i+3)*n+j+1]
+			r0, r1, r2, r3 := ld[i*st:i*st+j+1], ld[(i+1)*st:(i+1)*st+j+1], ld[(i+2)*st:(i+2)*st+j+1], ld[(i+3)*st:(i+3)*st+j+1]
 			p0, p1, p2, p3 := r0[:j], r1[:j], r2[:j], r3[:j]
 			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
 			for k, v := range lj {
@@ -76,7 +80,7 @@ func factorLower(l *Dense) error {
 			r0[j], r1[j], r2[j], r3[j] = s0/dj, s1/dj, s2/dj, s3/dj
 		}
 		for ; i < n; i++ {
-			lrowi := ld[i*n : i*n+j+1]
+			lrowi := ld[i*st : i*st+j+1]
 			s := lrowi[j]
 			for k, v := range lrowi[:j] {
 				s -= v * lj[k]
@@ -91,7 +95,8 @@ func factorLower(l *Dense) error {
 // the lower triangle of a is overwritten with L, no fresh storage — and
 // points the receiver at it. On error the receiver is left unchanged (a's
 // lower triangle is partially overwritten and must be reassembled before
-// retrying). a must be square and is owned by the receiver afterwards.
+// retrying). a holds the matrix in its leading rows×rows block (columns past
+// it are reserve, see Reserve) and is owned by the receiver afterwards.
 //
 // This is the refit primitive of gp's amortized hyperparameter inference:
 // every slice-sampling step reassembles the kernel matrix into one reusable
@@ -100,8 +105,8 @@ func factorLower(l *Dense) error {
 // disappears.
 func (c *Cholesky) FactorInPlace(a *Dense) error {
 	n, cols := a.Dims()
-	if n != cols {
-		return errors.New("mat: Cholesky of non-square matrix")
+	if n > cols {
+		return errors.New("mat: Cholesky of a matrix with fewer columns than rows")
 	}
 	if err := factorLower(a); err != nil {
 		return err
@@ -110,13 +115,35 @@ func (c *Cholesky) FactorInPlace(a *Dense) error {
 	return nil
 }
 
-// L returns the lower-triangular factor (not a copy).
+// Reserve gives up the current factor and returns the receiver's storage as
+// an n×stride matrix for the caller to assemble the next matrix's lower
+// triangle in and hand to FactorInPlace. A first reservation is exact; later
+// ones keep the storage while its stride covers n and otherwise reallocate
+// with half as much again, so a factor refitted at growing sizes, or extended
+// after the fit, rarely allocates.
+func (c *Cholesky) Reserve(n int) *Dense {
+	if c.l == nil {
+		c.l = &Dense{cols: n, data: make([]float64, 0, n*n)}
+	} else if c.l.cols < n || cap(c.l.data) < n*c.l.cols {
+		st := n + n/2
+		c.l.cols, c.l.data = st, make([]float64, 0, st*st)
+	}
+	c.l.rows, c.l.data = n, c.l.data[:n*c.l.cols]
+	return c.l
+}
+
+// L returns the factor's own storage (not a copy): an n×stride matrix whose
+// leading n×n lower triangle is L. Entries above the diagonal and columns
+// past n are unspecified.
 func (c *Cholesky) L() *Dense { return c.l }
 
-// Clone returns an independent copy of the factorization. Extending the
-// clone leaves the original untouched, which is how GP.AppendBatch keeps a
-// model consistent when a mid-batch extension fails.
-func (c *Cholesky) Clone() *Cholesky { return &Cholesky{l: c.l.Clone()} }
+// Clone returns an independent copy of the factorization, reserve included.
+// Extending the clone leaves the original untouched, which is how
+// GP.AppendBatch keeps a model consistent when a mid-batch extension fails.
+func (c *Cholesky) Clone() *Cholesky {
+	d := append(make([]float64, 0, cap(c.l.data)), c.l.data...)
+	return &Cholesky{l: &Dense{rows: c.l.rows, cols: c.l.cols, data: d}}
+}
 
 // Extend appends one row/column to the factored matrix in O(n²) — the
 // rank-1 border update that makes incremental GP training cheap. Given the
@@ -137,31 +164,32 @@ func (c *Cholesky) Clone() *Cholesky { return &Cholesky{l: c.l.Clone()} }
 // matches a from-scratch factorization to rounding error.
 //
 // col is the new off-diagonal column (length n) and diag the new diagonal
-// element. On ErrNotPositiveDefinite the receiver is left unchanged.
+// element. The row is written into the reserve behind row n-1 (a factor
+// without reserve is first copied to storage with half as much again) and
+// joins the factor only once complete: on ErrNotPositiveDefinite the
+// receiver — reserve included — is unchanged.
 func (c *Cholesky) Extend(col []float64, diag float64) error {
-	n, _ := c.l.Dims()
+	n, st := c.l.Dims()
 	if len(col) != n {
 		panic("mat: Cholesky.Extend column length mismatch")
 	}
-	l21 := c.SolveLowerVec(col)
+	data := c.l.data
+	if n == st || cap(data) < (n+1)*st {
+		st = n + 1 + (n+1)/2
+		data = make([]float64, n*st, st*st)
+		for i := 0; i < n; i++ {
+			copy(data[i*st:i*st+i+1], c.l.RowView(i))
+		}
+	}
+	data = data[:(n+1)*st]
+	l21 := c.SolveLowerVecInto(col, data[n*st:n*st+n])
 	d := diag - Dot(l21, l21)
 	if d <= 0 || math.IsNaN(d) {
 		return ErrNotPositiveDefinite
 	}
-	nl := NewDense(n+1, n+1, nil)
-	for i := 0; i < n; i++ {
-		copy(nl.data[i*nl.cols:i*nl.cols+n], c.l.data[i*c.l.cols:i*c.l.cols+n])
-	}
-	copy(nl.data[n*nl.cols:n*nl.cols+n], l21)
-	nl.data[n*nl.cols+n] = math.Sqrt(d)
-	c.l = nl
+	data[n*st+n] = math.Sqrt(d)
+	c.l.rows, c.l.cols, c.l.data = n+1, st, data
 	return nil
-}
-
-// SolveVec solves A·x = b in place-free fashion and returns x.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	n, _ := c.l.Dims()
-	return c.SolveVecInto(b, make([]float64, n))
 }
 
 // SolveVecInto solves A·x = b into dst and returns dst. dst may alias b:
@@ -170,7 +198,7 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 // already produced. No scratch vector is allocated, which is what keeps the
 // per-step cost of gp's slice sampler allocation-free.
 func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
-	n, _ := c.l.Dims()
+	n, st := c.l.Dims()
 	if len(b) != n || len(dst) != n {
 		panic("mat: Cholesky.SolveVecInto length mismatch")
 	}
@@ -178,7 +206,7 @@ func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
 	// Forward substitution: L·y = b (y lands in dst).
 	for i := 0; i < n; i++ {
 		s := b[i]
-		lrow := ld[i*n : i*n+i+1]
+		lrow := ld[i*st : i*st+i+1]
 		for k := 0; k < i; k++ {
 			s -= lrow[k] * dst[k]
 		}
@@ -188,33 +216,27 @@ func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := dst[i]
 		for k := i + 1; k < n; k++ {
-			s -= ld[k*n+i] * dst[k]
+			s -= ld[k*st+i] * dst[k]
 		}
-		dst[i] = s / ld[i*n+i]
+		dst[i] = s / ld[i*st+i]
 	}
 	return dst
 }
 
-// SolveLowerVec solves L·y = b (forward substitution only) and returns y.
-// Used for computing predictive variances: v = L⁻¹·k*.
-func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
-	n, _ := c.l.Dims()
-	return c.SolveLowerVecInto(b, make([]float64, n))
-}
-
-// SolveLowerVecInto solves L·y = b into dst and returns dst. dst may alias
-// b (the substitution only reads b[i] before writing dst[i]), which is what
-// lets batch prediction overwrite cross-kernel rows in place instead of
+// SolveLowerVecInto solves L·y = b (forward substitution only, the
+// predictive-variance solve v = L⁻¹·k*) into dst and returns dst. dst may
+// alias b (the substitution only reads b[i] before writing dst[i]), which is
+// what lets batch prediction overwrite cross-kernel rows in place instead of
 // allocating a scratch vector per candidate.
 func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
-	n, _ := c.l.Dims()
+	n, st := c.l.Dims()
 	if len(b) != n || len(dst) != n {
 		panic("mat: Cholesky.SolveLowerVecInto length mismatch")
 	}
 	ld := c.l.data
 	for i := 0; i < n; i++ {
 		s := b[i]
-		lrow := ld[i*n : i*n+i+1]
+		lrow := ld[i*st : i*st+i+1]
 		for k := 0; k < i; k++ {
 			s -= lrow[k] * dst[k]
 		}
@@ -233,7 +255,7 @@ func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 // bit-identical to SolveLowerVecInto's wherever the row falls in b — the
 // output cannot depend on how callers chunk rows across workers.
 func (c *Cholesky) SolveLowerBatch(b []float64) {
-	n, _ := c.l.Dims()
+	n, st := c.l.Dims()
 	if len(b)%n != 0 {
 		panic("mat: Cholesky.SolveLowerBatch length is not a multiple of n")
 	}
@@ -241,7 +263,7 @@ func (c *Cholesky) SolveLowerBatch(b []float64) {
 	for ; len(b) >= 4*n; b = b[4*n:] {
 		b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
 		for i := 0; i < n; i++ {
-			lrow := ld[i*n : i*n+i+1]
+			lrow := ld[i*st : i*st+i+1]
 			s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
 			// Prefixes of explicit length i: lets the compiler drop the
 			// p*[k] bounds checks in the inner loop.

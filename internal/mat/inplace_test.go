@@ -37,7 +37,7 @@ func TestFactorInPlaceMatchesNewCholesky(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x1, x2 := want.SolveVec(b), c.SolveVec(b)
+		x1, x2 := solveVec(want, b), solveVec(&c, b)
 		for i := range x1 {
 			if x1[i] != x2[i] {
 				t.Fatalf("n=%d solve diverged at %d: %v vs %v", n, i, x1[i], x2[i])
@@ -80,7 +80,7 @@ func TestSolveVecIntoAliasing(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want := c.SolveVec(b)
+	want := solveVec(c, b)
 	inPlace := append([]float64(nil), b...)
 	got := c.SolveVecInto(inPlace, inPlace)
 	for i := range want {

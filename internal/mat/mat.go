@@ -6,6 +6,9 @@
 // The package is deliberately minimal — it implements exactly the operations
 // the tuner needs, with defensive dimension checks that panic on programmer
 // error (mismatched shapes are bugs, not runtime conditions).
+//
+// Buffers: …Into functions write into storage the caller owns; a Cholesky
+// owns its storage, may hold more of it than n², and L returns it uncopied.
 package mat
 
 import (

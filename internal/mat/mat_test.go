@@ -202,7 +202,7 @@ func TestCholeskySolve(t *testing.T) {
 	}
 	xTrue := []float64{1, -2, 0.5}
 	b := MulVec(a, xTrue)
-	x := ch.SolveVec(b)
+	x := solveVec(ch, b)
 	for i := range x {
 		if !almostEqual(x[i], xTrue[i], 1e-8) {
 			t.Fatalf("SolveVec[%d] = %v; want %v", i, x[i], xTrue[i])
@@ -220,6 +220,11 @@ func TestCholeskyNotPD(t *testing.T) {
 	}
 }
 
+// solveVec solves A·x = b into a fresh vector.
+func solveVec(c *Cholesky, b []float64) []float64 {
+	return c.SolveVecInto(b, make([]float64, len(b)))
+}
+
 func TestCholeskySolveLowerVec(t *testing.T) {
 	a := NewDense(2, 2, []float64{4, 2, 2, 3})
 	ch, err := NewCholesky(a)
@@ -227,7 +232,7 @@ func TestCholeskySolveLowerVec(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{2, 5}
-	y := ch.SolveLowerVec(b)
+	y := ch.SolveLowerVecInto(b, make([]float64, 2))
 	// Verify L·y = b.
 	got := MulVec(ch.L(), y)
 	for i := range b {
@@ -268,7 +273,7 @@ func TestCholeskyProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := ch.SolveVec(MulVec(a, x))
+		got := solveVec(ch, MulVec(a, x))
 		for i := range x {
 			if !almostEqual(got[i], x[i], 1e-6) {
 				return false
@@ -427,7 +432,7 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := ch.SolveVec(MulVec(a, x))
+		got := solveVec(ch, MulVec(a, x))
 		for i := range x {
 			if !almostEqual(got[i], x[i], 1e-6) {
 				return false

@@ -45,13 +45,13 @@ func (l *Linear) Fit(x [][]float64, y []float64) error {
 		for lam := 1e-4; lam <= 1; lam *= 10 {
 			g2 := mat.Mul(xt, xa).AddDiag(lam * float64(n))
 			if ch2, err2 := mat.NewCholesky(g2); err2 == nil {
-				l.w = ch2.SolveVec(rhs)
+				l.w = ch2.SolveVecInto(rhs, rhs)
 				return nil
 			}
 		}
 		return err
 	}
-	l.w = ch.SolveVec(rhs)
+	l.w = ch.SolveVecInto(rhs, rhs)
 	return nil
 }
 

@@ -11,11 +11,21 @@ func LatinHypercube(n, d int, rng *rand.Rand) [][]float64 {
 	if n <= 0 || d <= 0 {
 		panic("stat: LatinHypercube requires n > 0 and d > 0")
 	}
+	flat := make([]float64, n*d)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = make([]float64, d)
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
-	perm := make([]int, n)
+	LatinHypercubeInto(out, d, make([]int, n), rng)
+	return out
+}
+
+// LatinHypercubeInto is LatinHypercube drawn into storage the caller owns:
+// the first d columns of every row of out receive the len(out) samples (rows
+// may be longer; the rest is left alone) and perm, of length len(out), is
+// scratch. The draws and their order are LatinHypercube's.
+func LatinHypercubeInto(out [][]float64, d int, perm []int, rng *rand.Rand) {
+	n, strata := len(out), float64(len(out))
 	for j := 0; j < d; j++ {
 		for i := range perm {
 			perm[i] = i
@@ -23,8 +33,7 @@ func LatinHypercube(n, d int, rng *rand.Rand) [][]float64 {
 		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 		for i := 0; i < n; i++ {
 			// Jittered position inside stratum perm[i].
-			out[i][j] = (float64(perm[i]) + rng.Float64()) / float64(n)
+			out[i][j] = (float64(perm[i]) + rng.Float64()) / strata
 		}
 	}
-	return out
 }

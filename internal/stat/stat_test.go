@@ -319,3 +319,58 @@ func TestLHSMarginalUniformity(t *testing.T) {
 		}
 	}
 }
+
+// oldLatinHypercube is LatinHypercube before it became the allocating wrapper
+// over LatinHypercubeInto.
+func oldLatinHypercube(n, d int, rng *rand.Rand) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, d)
+	}
+	perm := make([]int, n)
+	for j := 0; j < d; j++ {
+		for i := range perm {
+			perm[i] = i
+		}
+		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		for i := 0; i < n; i++ {
+			out[i][j] = (float64(perm[i]) + rng.Float64()) / float64(n)
+		}
+	}
+	return out
+}
+
+// TestLatinHypercubeIntoMatchesOldBody: the wrapper and the fill into longer,
+// caller-owned rows draw the old points from the old number of rng values,
+// and the fill leaves the columns past d alone.
+func TestLatinHypercubeIntoMatchesOldBody(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		for _, d := range []int{1, 5, 38} {
+			n := 1 + int(seed)*7%53
+			oldRng, newRng, intoRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			want := oldLatinHypercube(n, d, oldRng)
+			got := LatinHypercube(n, d, newRng)
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = make([]float64, d+2)
+				rows[i][d], rows[i][d+1] = -1, -2
+			}
+			perm := make([]int, n)
+			perm[0] = 99 // scratch from an earlier round
+			LatinHypercubeInto(rows, d, perm, intoRng)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] || rows[i][j] != want[i][j] {
+						t.Fatalf("seed %d n=%d d=%d point %d[%d]: wrapper %v, into %v, want %v", seed, n, d, i, j, got[i][j], rows[i][j], want[i][j])
+					}
+				}
+				if len(got[i]) != d || rows[i][d] != -1 || rows[i][d+1] != -2 {
+					t.Fatalf("seed %d: row %d shape or tail disturbed", seed, i)
+				}
+			}
+			if a, b, c := oldRng.Int63(), newRng.Int63(), intoRng.Int63(); a != b || a != c {
+				t.Fatalf("seed %d n=%d d=%d: generator state diverged", seed, n, d)
+			}
+		}
+	}
+}

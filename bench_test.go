@@ -653,7 +653,7 @@ func BenchmarkFileStorePut(b *testing.B) {
 func BenchmarkPersistIndex(b *testing.B) {
 	const keys = 200
 	entries := historyEntries(keys)
-	rc := service.NewRecommender(historyStore(b, entries))
+	rc := service.NewRecommender(historyStore(b, entries), nil)
 	if rc.Len() != 3*keys {
 		b.Fatalf("index holds %d items, want %d", rc.Len(), 3*keys)
 	}
@@ -662,7 +662,7 @@ func BenchmarkPersistIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%(keys*historyAppends) == 0 {
 			b.StopTimer()
-			rc = service.NewRecommender(historyStore(b, entries))
+			rc = service.NewRecommender(historyStore(b, entries), nil)
 			b.StartTimer()
 		}
 		rc.Add(session(entries, 3*keys+i))

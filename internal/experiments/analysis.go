@@ -172,9 +172,8 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 		gb = 100
 		prepN = 12
 	}
-	cl := Cluster("arm")
 	app := workloads.TPCDS()
-	space := cl.Space()
+	space := sparksim.ARM().Space()
 
 	// Preparation artifacts, shared by all hybrids: the QCSA classification
 	// and the IICP important-parameter subspace. Their collection cost

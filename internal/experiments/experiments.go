@@ -134,7 +134,11 @@ func (s *Session) runner(clusterName, stream string, opts ...sparksim.Option) (r
 
 // runnerSeeded is runner with an explicit seed (probe stages that vary it).
 func (s *Session) runnerSeeded(clusterName string, seed int64, stream string, opts ...sparksim.Option) (runner.Runner, error) {
-	r, err := s.factory.New(Cluster(clusterName), seed, stream, opts...)
+	cl, err := sparksim.ClusterByName(clusterName)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.factory.New(cl, seed, stream, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -246,14 +250,6 @@ func (s *Session) baselineTuners() []baselines.Tuner {
 	return baselines.All()
 }
 
-// cluster returns the named cluster ("arm" or "x86").
-func Cluster(name string) *sparksim.Cluster {
-	if name == "x86" {
-		return sparksim.X86()
-	}
-	return sparksim.ARM()
-}
-
 // Tune returns the memoized outcome of running the named tuner on the
 // benchmark at the given size and cluster.
 func (s *Session) Tune(clusterName, benchName, tuner string, gb float64) (*Outcome, error) {
@@ -319,7 +315,6 @@ func (s *Session) canonicalQCSA(clusterName, benchName string, gb float64, n int
 // fanned over concurrent execution slots (qcsa.Collect); per-run noise
 // streams keep the results identical to the serial loop this was.
 func (s *Session) randomRuns(clusterName, benchName string, gb float64, n int) ([]sparksim.AppResult, error) {
-	cl := Cluster(clusterName)
 	app, err := workloads.ByName(benchName)
 	if err != nil {
 		return nil, err
@@ -328,7 +323,7 @@ func (s *Session) randomRuns(clusterName, benchName string, gb float64, n int) (
 	if err != nil {
 		return nil, err
 	}
-	return qcsa.CollectRandom(r, app, cl.Space(), n, gb, 0, newRng(s.Seed+11)), nil
+	return qcsa.CollectRandom(r, app, r.Space(), n, gb, 0, newRng(s.Seed+11)), nil
 }
 
 // Registry maps figure/table IDs to drivers.

@@ -122,15 +122,6 @@ func TestFig8ShapeFull(t *testing.T) {
 	}
 }
 
-func TestClusterLookup(t *testing.T) {
-	if Cluster("x86").Name != "x86" || Cluster("arm").Name != "arm" {
-		t.Fatal("cluster lookup wrong")
-	}
-	if Cluster("anything-else").Name != "arm" {
-		t.Fatal("default cluster should be ARM")
-	}
-}
-
 func TestTableRenderAlignment(t *testing.T) {
 	tab := Table{ID: "x", Title: "t", Header: []string{"a", "long-header"},
 		Rows: [][]string{{"wide-cell-content", "1"}}}

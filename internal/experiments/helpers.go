@@ -23,7 +23,6 @@ func hours(sec float64) string { return fmt.Sprintf("%.1f", sec/3600) }
 // iicpSamples collects n random-configuration samples of the benchmark over
 // concurrent execution slots (qcsa.Collect).
 func (s *Session) iicpSamples(clusterName, benchName string, gb float64, n int) ([]iicp.Sample, error) {
-	cl := Cluster(clusterName)
 	app, err := workloads.ByName(benchName)
 	if err != nil {
 		return nil, err
@@ -32,7 +31,7 @@ func (s *Session) iicpSamples(clusterName, benchName string, gb float64, n int) 
 	if err != nil {
 		return nil, err
 	}
-	space := cl.Space()
+	space := r.Space()
 	rng := newRng(s.Seed + 13)
 	cs := make([]conf.Config, n)
 	for i := range cs {

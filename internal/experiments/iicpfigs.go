@@ -9,6 +9,7 @@ import (
 	"locat/internal/iicp"
 	"locat/internal/kpca"
 	"locat/internal/ml"
+	"locat/internal/sparksim"
 	"locat/internal/stat"
 	"locat/internal/workloads"
 )
@@ -19,7 +20,6 @@ import (
 // parameter set": more important sets produce a larger spread (Figures 6
 // and 17).
 func (s *Session) varyParams(clusterName, benchName string, gb float64, idx []int, n int, seed int64) ([]float64, error) {
-	cl := Cluster(clusterName)
 	app, err := workloads.ByName(benchName)
 	if err != nil {
 		return nil, err
@@ -29,7 +29,7 @@ func (s *Session) varyParams(clusterName, benchName string, gb float64, idx []in
 	if err != nil {
 		return nil, err
 	}
-	space := cl.Space()
+	space := r.Space()
 	sub, err := conf.NewSubspace(space, space.Default(), idx)
 	if err != nil {
 		return nil, err
@@ -81,7 +81,7 @@ func Fig6KernelComparison(s *Session) ([]Table, error) {
 		for _, k := range kernels {
 			opts := iicp.DefaultOptions()
 			opts.Kernel = k
-			res, err := iicp.Analyze(Cluster("arm").Space(), samples, opts)
+			res, err := iicp.Analyze(sparksim.ARM().Space(), samples, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -110,7 +110,7 @@ func Fig9NIICP(s *Session) ([]Table, error) {
 		Header: append([]string{"samples"}, benches...),
 	}
 	max := counts[len(counts)-1]
-	space := Cluster("arm").Space()
+	space := sparksim.ARM().Space()
 	perBench := map[string][]int{}
 	for _, bn := range benches {
 		samples, err := s.iicpSamples("arm", bn, 100, max)
@@ -147,7 +147,7 @@ func Fig10CPSCPE(s *Session) ([]Table, error) {
 		Title:  "Parameter counts: original vs CPS-selected vs CPE-extracted (N_IICP samples)",
 		Header: []string{"benchmark", "original", "CPS", "CPE"},
 	}
-	space := Cluster("arm").Space()
+	space := sparksim.ARM().Space()
 	for _, bn := range s.benchNames() {
 		samples, err := s.iicpSamples("arm", bn, 100, n)
 		if err != nil {
@@ -181,7 +181,7 @@ func Table3TopParams(s *Session) ([]Table, error) {
 		Title:  "Top-5 important parameters by CPS, TPC-DS",
 		Header: []string{"rank"},
 	}
-	space := Cluster("arm").Space()
+	space := sparksim.ARM().Space()
 	tops := make([][]string, 0, len(sizes))
 	for _, gb := range sizes {
 		t.Header = append(t.Header, fmt.Sprintf("%.0fGB", gb))
@@ -218,7 +218,7 @@ func Fig16ModelMSE(s *Session) ([]Table, error) {
 		Title:  "Performance-model MSE by learning algorithm (100 GB, ARM)",
 		Header: []string{"benchmark", "GBRT", "SVR", "LinearR", "LR", "KNNAR"},
 	}
-	space := Cluster("arm").Space()
+	space := sparksim.ARM().Space()
 	sums := make([]float64, 5)
 	benches := s.benchNames()
 	for _, bn := range benches {
@@ -286,7 +286,7 @@ func Fig17IICPvsGBRT(s *Session) ([]Table, error) {
 		runCounts = []int{5, 10}
 		nSamples = 10
 	}
-	space := Cluster("arm").Space()
+	space := sparksim.ARM().Space()
 	var tables []Table
 	for _, bn := range benches {
 		samples, err := s.iicpSamples("arm", bn, 100, nSamples)

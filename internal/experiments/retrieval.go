@@ -33,7 +33,6 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	space := Cluster(clusterName).Space()
 
 	// tierUsage snapshots the metered tally around one tier.
 	tierUsage := func() func() (int64, float64) {
@@ -92,7 +91,7 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 
 	// Zero: retrieve, blend, serve — and verify not a single run was paid.
 	done = tierUsage()
-	rec, knnPrior, err := service.NewRecommender(store).Recommend(spec, service.RecommendOptions{})
+	rec, knnPrior, err := service.NewRecommender(store, nil).Recommend(spec, service.RecommendOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +134,7 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 		row(tier, sec, runs, rep.TunedSec, fmt.Sprintf("%d prior obs", rep.PriorObsUsed))
 		return rep, sec, nil
 	}
-	warmRep, _, err := warm("warm", exactPrior(seedReps, space, targetGB))
+	warmRep, _, err := warm("warm", exactPrior(seedReps, rZero.Space(), targetGB))
 	if err != nil {
 		return nil, err
 	}

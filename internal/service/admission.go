@@ -83,7 +83,8 @@ func (e *BudgetError) Error() string {
 // fields are guarded by the service mutex.
 type tenantState struct {
 	budget TenantBudget
-	// inFlight counts the tenant's queued + running jobs.
+	// inFlight counts the tenant's queued + running jobs: charged on
+	// admission, returned by settleLocked however the job leaves the system.
 	inFlight int
 	// tokens / last implement the submit-rate bucket.
 	tokens float64
@@ -154,15 +155,4 @@ func (ts *tenantState) chargeLocked() {
 		ts.tokens--
 	}
 	ts.inFlight++
-}
-
-// releaseTenantLocked returns a job's in-flight slot to its tenant exactly
-// once, no matter how the job leaves the system (finished, cancelled while
-// queued, shed, or suspended by drain). Callers hold the service mutex.
-func (s *Service) releaseTenantLocked(j *job) {
-	if j.released {
-		return
-	}
-	j.released = true
-	s.tenantLocked(j.spec.Tenant).inFlight--
 }

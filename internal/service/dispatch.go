@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // dispatcher is the priority-aware job queue between Submit and the worker
 // pool. Two FIFO lanes — interactive ahead of batch — share one capacity
@@ -15,10 +18,11 @@ import "sync"
 // the backlog atomically instead of cancelling whatever happens to still be
 // buffered.
 //
-// Locking: enqueue and drain are called with the service mutex held (they
-// read job fields the service mutex guards); dequeue is called bare by the
-// workers. Nothing under d.mu ever takes the service mutex, so the order
-// s.mu → d.mu is acyclic.
+// Locking: enqueue, remove and drain are called with the service mutex held,
+// which is what lets the service keep a job in a lane exactly while its state
+// is queued (see the package doc); dequeue is called bare by the workers.
+// Nothing under d.mu ever takes the service mutex, so the order s.mu → d.mu
+// is acyclic.
 type dispatcher struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -35,30 +39,33 @@ func newDispatcher(capacity int) *dispatcher {
 	return d
 }
 
-// enqueue admits j into its priority lane. When the queue is full and j is
-// interactive, the youngest queued batch job is evicted and returned as
-// shed — the caller settles its lifecycle (the evicted job may already be
-// terminal if it was cancelled while queued; eviction then just frees the
-// slot). ok is false when the dispatcher is closed or the submission must
-// be refused.
-func (d *dispatcher) enqueue(j *job) (shed *job, ok bool) {
+// lane is the FIFO j's priority class waits in.
+func (d *dispatcher) lane(j *job) *[]*job {
+	if j.spec.Priority == PriorityInteractive {
+		return &d.inter
+	}
+	return &d.batch
+}
+
+// enqueue admits j into its priority lane. When the queue is full, j is
+// interactive and the caller lets it evict, the youngest queued batch job is
+// evicted and returned as shed — the caller settles its lifecycle. ok is
+// false when the dispatcher is closed or the submission must be refused.
+func (d *dispatcher) enqueue(j *job, evict bool) (shed *job, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, false
 	}
 	if len(d.inter)+len(d.batch) >= d.cap {
-		if j.spec.Priority != PriorityInteractive || len(d.batch) == 0 {
+		if !evict || j.spec.Priority != PriorityInteractive || len(d.batch) == 0 {
 			return nil, false
 		}
 		shed = d.batch[len(d.batch)-1]
 		d.batch = d.batch[:len(d.batch)-1]
 	}
-	if j.spec.Priority == PriorityInteractive {
-		d.inter = append(d.inter, j)
-	} else {
-		d.batch = append(d.batch, j)
-	}
+	l := d.lane(j)
+	*l = append(*l, j)
 	d.cond.Signal()
 	return shed, true
 }
@@ -73,15 +80,11 @@ func (d *dispatcher) dequeue() (j *job, ok bool) {
 	defer d.mu.Unlock()
 	for {
 		if d.closed || !d.held {
-			if len(d.inter) > 0 {
-				j = d.inter[0]
-				d.inter = d.inter[1:]
-				return j, true
-			}
-			if len(d.batch) > 0 {
-				j = d.batch[0]
-				d.batch = d.batch[1:]
-				return j, true
+			for _, l := range []*[]*job{&d.inter, &d.batch} {
+				if len(*l) > 0 {
+					j, *l = (*l)[0], (*l)[1:]
+					return j, true
+				}
 			}
 		}
 		if d.closed {
@@ -91,21 +94,16 @@ func (d *dispatcher) dequeue() (j *job, ok bool) {
 	}
 }
 
-// requeue re-admits a retried job into its lane without ever evicting:
-// false when the dispatcher is closed or full.
-func (d *dispatcher) requeue(j *job) bool {
+// remove takes a job cancelled while queued out of its lane, so its slot is
+// free at once. A job a worker has just dequeued is in no lane any more;
+// removing it is a no-op and the worker's own state check skips it.
+func (d *dispatcher) remove(j *job) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed || len(d.inter)+len(d.batch) >= d.cap {
-		return false
+	l := d.lane(j)
+	if i := slices.Index(*l, j); i >= 0 {
+		*l = slices.Delete(*l, i, i+1)
 	}
-	if j.spec.Priority == PriorityInteractive {
-		d.inter = append(d.inter, j)
-	} else {
-		d.batch = append(d.batch, j)
-	}
-	d.cond.Signal()
-	return true
 }
 
 // drain removes and returns every queued job (interactive first, each lane

@@ -3,7 +3,6 @@ package service
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // Graceful drain conserves the backlog: Close checkpoints queued jobs
@@ -23,7 +22,22 @@ func TestDrainConservesQueuedJobs(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// A job the user cancels while queued is out of its lane: the drain
+	// neither suspends nor checkpoints it, and the restart does not see it.
+	dropped, err := s1.Submit(quickSpec(200, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Cancel(dropped); err != nil {
+		t.Fatal(err)
+	}
 	s1.Close()
+	if st, _ := s1.Status(dropped); st.State != StateCancelled {
+		t.Fatalf("cancelled job state after drain = %s, want %s", st.State, StateCancelled)
+	}
+	if cps, _ := store.ListCheckpoints(); len(cps) != len(ids) {
+		t.Fatalf("checkpoints after drain = %v; want one per suspended job", cps)
+	}
 
 	for _, id := range ids {
 		st, err := s1.Status(id)
@@ -57,8 +71,8 @@ func TestDrainConservesQueuedJobs(t *testing.T) {
 		}
 	}
 	// Conservation: submitted == succeeded after restart, zero lost.
-	if stats := s2.Stats(); stats.Succeeded != len(ids) {
-		t.Fatalf("stats after resume = %+v; want %d succeeded", stats, len(ids))
+	if stats := s2.Stats(); stats.Succeeded != len(ids) || stats.Finished() != len(ids) {
+		t.Fatalf("stats after resume = %+v; want exactly %d jobs, all succeeded", stats, len(ids))
 	}
 }
 
@@ -75,20 +89,12 @@ func TestDrainSuspendsRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := s1.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started", id)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Close only once the session has paid for a run: a drain that lands
+	// before the first one legitimately leaves an empty checkpoint.
+	waitFor(t, "the session's first paid run", func() bool {
+		cp, _ := store.GetCheckpoint(id)
+		return cp != nil && len(cp.Entries) >= 1
+	})
 	s1.Close()
 
 	st, err := s1.Status(id)

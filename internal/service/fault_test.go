@@ -246,24 +246,14 @@ func TestJobRetryResumesAcrossAttempts(t *testing.T) {
 	}
 }
 
-// gatedStore blocks history reads until the gate opens, pinning the single
-// worker inside its session so the queue state is deterministic.
-type gatedStore struct {
-	Store
-	gate chan struct{}
-}
-
-func (g *gatedStore) Get(key string) ([]Entry, error) {
-	<-g.gate
-	return g.Store.Get(key)
-}
-
 // Admission control: a full queue refuses submissions with ErrQueueFull
 // (429 over HTTP) without burning job IDs; a closed service answers
 // ErrClosed (503).
 func TestQueueFullAdmissionControl(t *testing.T) {
-	gate := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 1, Store: &gatedStore{Store: NewMemStore(), gate: gate}})
+	// The gated store pins the single worker inside its session, so the
+	// queue state is deterministic.
+	store := newGatedMem()
+	s := New(Config{Workers: 1, QueueCap: 1, Store: store})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -297,7 +287,7 @@ func TestQueueFullAdmissionControl(t *testing.T) {
 		t.Fatalf("full-queue submit = %d; want 429", resp.StatusCode)
 	}
 
-	close(gate) // release the worker; the backlog drains
+	store.open() // release the worker; the backlog drains
 	for _, id := range []string{id1, id2} {
 		if _, err := s.Result(id); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,3 @@
-// Package service implements the LOCAT tuning service: a long-running
-// session manager with a bounded worker pool, a history store of finished
-// sessions keyed by workload fingerprint, and a warm-start path that seeds
-// new sessions with observations retrieved from similar past workloads —
-// the cross-session generalization of the paper's datasize-aware Gaussian
-// process. The locat.Service facade and the locat-serve HTTP binary are
-// thin wrappers around this package.
 package service
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -124,21 +125,13 @@ func (s *Service) Handler() http.Handler {
 		}
 		jobs := s.Jobs() // submission order: deterministic
 		if v := r.URL.Query().Get("state"); v != "" {
-			switch st := State(v); st {
-			case StateQueued, StateRunning, StateSucceeded, StateFailed,
-				StateCancelled, StateShed, StateSuspended:
-				kept := jobs[:0]
-				for _, j := range jobs {
-					if j.State == st {
-						kept = append(kept, j)
-					}
-				}
-				jobs = kept
-			default:
+			st := State(v)
+			if st.info().state != st {
 				httpError(w, http.StatusUnprocessableEntity,
 					fmt.Errorf("unknown state %q", v))
 				return
 			}
+			jobs = slices.DeleteFunc(jobs, func(j JobStatus) bool { return j.State != st })
 		}
 		writeJSON(w, http.StatusOK, window(w, jobs, limit, offset))
 	})
@@ -244,13 +237,12 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ok", "queued": st.Queued, "running": st.Running,
-			"finished": st.Finished(), "succeeded": st.Succeeded,
-			"failed": st.Failed, "cancelled": st.Cancelled,
-			"shed": st.Shed, "suspended": st.Suspended,
-		})
+		census := s.Stats()
+		body := map[string]any{"status": "ok", "finished": census.Finished()}
+		for _, l := range lifecycle {
+			body[string(l.state)] = *l.count(&census)
+		}
+		writeJSON(w, http.StatusOK, body)
 	})
 
 	// Readiness is distinct from liveness: a draining or still-resuming

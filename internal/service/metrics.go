@@ -11,10 +11,9 @@ import (
 // every observed session backend reports into.
 type serviceMetrics struct {
 	queueWait *obs.Histogram
-	succeeded *obs.Histogram
-	failed    *obs.Histogram
-	cancelled *obs.Histogram
-	runs      *runner.RunMetrics
+	// jobSeconds holds one duration histogram per state a session can end in.
+	jobSeconds map[State]*obs.Histogram
+	runs       *runner.RunMetrics
 	// Fault-tolerance series: per-run retries issued by the retry wrapper,
 	// currently-open circuit breakers, jobs requeued from checkpoints on
 	// startup, and checkpoint-write latency.
@@ -31,7 +30,6 @@ type serviceMetrics struct {
 	// (accepted, or the refusal/eviction reason), pre-registered like the
 	// recommendation outcomes.
 	admissions map[string]*obs.Counter
-	suspended  *obs.Histogram
 }
 
 // recommendOutcomes are the label values of locat_recommend_total.
@@ -47,26 +45,18 @@ var admissionOutcomes = []string{
 }
 
 func newServiceMetrics(r *obs.Registry, s *Service) *serviceMetrics {
-	for _, st := range []struct {
-		name string
-		get  func(Stats) int
-	}{
-		{string(StateQueued), func(st Stats) int { return st.Queued }},
-		{string(StateRunning), func(st Stats) int { return st.Running }},
-		{string(StateSucceeded), func(st Stats) int { return st.Succeeded }},
-		{string(StateFailed), func(st Stats) int { return st.Failed }},
-		{string(StateCancelled), func(st Stats) int { return st.Cancelled }},
-		{string(StateShed), func(st Stats) int { return st.Shed }},
-		{string(StateSuspended), func(st Stats) int { return st.Suspended }},
-	} {
-		get := st.get
-		r.GaugeFunc("locat_jobs", "Jobs by lifecycle state.",
-			func() float64 { return float64(get(s.Stats())) }, "state", st.name)
-	}
-	jobSec := func(state string) *obs.Histogram {
-		return r.Histogram("locat_job_seconds",
-			"Wall-clock session duration of finished jobs.",
-			obs.DurationBuckets, "state", state)
+	jobSeconds := map[State]*obs.Histogram{}
+	for _, l := range lifecycle {
+		r.GaugeFunc("locat_jobs", "Jobs by lifecycle state.", func() float64 {
+			census := s.Stats()
+			return float64(*l.count(&census))
+		}, "state", string(l.state))
+		// A job is shed only while it waits: it has no session to time.
+		if l.state.Terminal() && l.state != StateShed {
+			jobSeconds[l.state] = r.Histogram("locat_job_seconds",
+				"Wall-clock session duration of finished jobs.",
+				obs.DurationBuckets, "state", string(l.state))
+		}
 	}
 	recommend := make(map[string]*obs.Counter, len(recommendOutcomes))
 	for _, oc := range recommendOutcomes {
@@ -87,11 +77,8 @@ func newServiceMetrics(r *obs.Registry, s *Service) *serviceMetrics {
 		queueWait: r.Histogram("locat_job_queue_wait_seconds",
 			"Wall-clock time jobs spent queued before a worker picked them up.",
 			obs.DurationBuckets),
-		succeeded: jobSec(string(StateSucceeded)),
-		failed:    jobSec(string(StateFailed)),
-		cancelled: jobSec(string(StateCancelled)),
-		suspended: jobSec(string(StateSuspended)),
-		runs:      runner.NewRunMetrics(r),
+		jobSeconds: jobSeconds,
+		runs:       runner.NewRunMetrics(r),
 		retries: r.Counter("locat_run_retries_total",
 			"Execution attempts retried after a transient backend fault."),
 		breakerOpen: r.Gauge("locat_breaker_open",
@@ -110,20 +97,6 @@ func (m *serviceMetrics) recommendOutcome(oc string) *obs.Counter {
 		return c
 	}
 	return m.recommend["error"]
-}
-
-// jobSeconds returns the duration histogram for a terminal state.
-func (m *serviceMetrics) jobSeconds(st State) *obs.Histogram {
-	switch st {
-	case StateFailed:
-		return m.failed
-	case StateCancelled:
-		return m.cancelled
-	case StateSuspended:
-		return m.suspended
-	default:
-		return m.succeeded
-	}
 }
 
 // admission returns the counter for an admission outcome.

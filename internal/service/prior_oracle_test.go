@@ -128,12 +128,17 @@ func oracleNeighborsPrior(used []Entry, targetGB float64, space *conf.Space, max
 // assert on their shape.
 func checkPriorsAgainstOracle(t *testing.T, store Store, spec JobSpec, maxPriorObs int) (walk, knn *core.Prior) {
 	t.Helper()
-	s := New(Config{Store: store, Workers: 1, MaxPriorObs: maxPriorObs})
+	s := New(Config{Store: store, Workers: 1})
 	defer s.Close()
+	s.rec.maxPriorObs = maxPriorObs
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	space := spec.cluster().Space()
+	cl, err := sparksim.ClusterByName(spec.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := cl.Space()
 	j := &job{id: "job-oracle", spec: spec, fp: NewFingerprint(spec)}
 
 	walk, n := s.retrievePrior(j, space)

@@ -36,15 +36,16 @@ type RecommendOptions struct {
 	MinConfidence float64 `json:"min_confidence,omitempty"`
 }
 
-func (o RecommendOptions) withDefaults() RecommendOptions {
+// or fills the fields o leaves unset (zero or negative) from d.
+func (o RecommendOptions) or(d RecommendOptions) RecommendOptions {
 	if o.K <= 0 {
-		o.K = DefaultRecommendK
+		o.K = d.K
 	}
 	if o.MaxDistance <= 0 {
-		o.MaxDistance = DefaultRecommendMaxDistance
+		o.MaxDistance = d.MaxDistance
 	}
 	if o.MinConfidence <= 0 {
-		o.MinConfidence = DefaultRecommendConfidence
+		o.MinConfidence = d.MinConfidence
 	}
 	return o
 }
@@ -120,8 +121,13 @@ type Recommender struct {
 	path  string // index file ("" = in-memory only)
 	logf  progress.Logf
 
-	// maxPriorObs caps the warm-start prior built from retrieved neighbors
-	// (the service sets it to Config.MaxPriorObs).
+	// defaults fill what a request's options leave unset (the service
+	// replaces them with its Config.Recommend* values).
+	defaults RecommendOptions
+	// maxPriorObs caps the observations of a warm-start prior — the one
+	// built here from retrieved neighbors and the one the service builds from
+	// its fingerprint walk — keeping the GP fitting cost bounded no matter
+	// how much history accumulates.
 	maxPriorObs int
 
 	mu       sync.Mutex // serializes index mutation + persistence
@@ -132,16 +138,25 @@ type Recommender struct {
 // NewRecommender builds a recommender over the store, loading the persisted
 // index when the store keeps one (FileStore) and syncing it with the store's
 // contents — vectors survive restarts, and entries added or evicted while
-// the index was offline are reconciled here.
-func NewRecommender(store Store) *Recommender {
-	rc := &Recommender{store: store, maxPriorObs: 48}
+// the index was offline are reconciled here. logf, if non-nil, receives what
+// goes wrong with the index, from that first reconciliation on.
+func NewRecommender(store Store, logf progress.Logf) *Recommender {
+	rc := &Recommender{store: store, logf: logf, maxPriorObs: 48, defaults: RecommendOptions{
+		DefaultRecommendK, DefaultRecommendMaxDistance, DefaultRecommendConfidence}}
 	if ip, ok := store.(interface{ IndexPath() string }); ok {
 		rc.path = ip.IndexPath()
 		rc.ix = retrieve.Load(rc.path)
 	} else {
 		rc.ix = retrieve.NewIndex()
 	}
-	rc.rebuild()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	keys, err := store.Keys()
+	if err != nil {
+		progress.F(logf, "recommender: index rebuild: %v", err)
+		return rc
+	}
+	rc.reconcileLocked("rebuild read", keys, true)
 	return rc
 }
 
@@ -185,7 +200,10 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 	if err != nil {
 		return retrieve.Workload{}, err
 	}
-	cl := JobSpec{Cluster: cluster}.cluster()
+	cl, err := sparksim.ClusterByName(cluster)
+	if err != nil {
+		return retrieve.Workload{}, err
+	}
 	w := retrieve.Workload{TotalCores: float64(cl.TotalCores())}
 	if cluster == "x86" {
 		w.ClusterCode = 1
@@ -236,23 +254,22 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 	return w, nil
 }
 
-// rebuild syncs the index with the store: featurize entries the index does
-// not know (preserving already-persisted vectors, which is the point of the
-// index file), compact out entries the store no longer holds, and persist
-// the result as a fresh snapshot, whatever the file held before.
-func (rc *Recommender) rebuild() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	keys, err := rc.store.Keys()
-	if err != nil {
-		progress.F(rc.logf, "recommender: index rebuild: %v", err)
-		return
-	}
-	alive := map[string]bool{}
+// reconcileLocked syncs the index with what the store holds under keys:
+// featurize entries the index does not know (preserving already-persisted
+// vectors, which is the point of the index file), compact out items under
+// those keys that the store no longer holds, and persist the result as a
+// fresh snapshot, whatever the file held before. With all set — the start-up
+// rebuild over every key of the store — items under any other key are
+// compacted out too: the store evicted those keys wholesale while the index
+// was offline. A key that cannot be read (logged as "index <verb> <key>")
+// keeps its items.
+func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) {
+	alive, unread := map[string]bool{}, map[string]bool{}
 	for _, k := range keys {
 		entries, err := rc.store.Get(k)
 		if err != nil {
-			progress.F(rc.logf, "recommender: index rebuild read %s: %v", k, err)
+			progress.F(rc.logf, "recommender: index %s %s: %v", verb, k, err)
+			unread[k] = true
 			continue
 		}
 		for _, e := range entries {
@@ -266,7 +283,9 @@ func (rc *Recommender) rebuild() {
 			}
 		}
 	}
-	rc.ix.Compact(func(it retrieve.Item) bool { return alive[it.ID] })
+	rc.ix.Compact(func(it retrieve.Item) bool {
+		return alive[it.ID] || unread[it.Key] || !all && !slices.Contains(keys, it.Key)
+	})
 	rc.saveLocked()
 }
 
@@ -278,7 +297,7 @@ func (rc *Recommender) Add(e Entry) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if key := e.Fingerprint.Key(); rc.ix.KeyLen(key) >= maxEntriesPerKey {
-		rc.syncLocked(key)
+		rc.reconcileLocked("sync", []string{key}, false)
 		return
 	}
 	if it, ok := indexItem(e); ok {
@@ -292,28 +311,7 @@ func (rc *Recommender) Add(e Entry) {
 func (rc *Recommender) Sync(key string) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.syncLocked(key)
-}
-
-func (rc *Recommender) syncLocked(key string) {
-	entries, err := rc.store.Get(key)
-	if err != nil {
-		progress.F(rc.logf, "recommender: index sync %s: %v", key, err)
-		return
-	}
-	alive := map[string]bool{}
-	for _, e := range entries {
-		id := entryID(e)
-		alive[id] = true
-		if rc.ix.Has(id) {
-			continue
-		}
-		if it, ok := indexItem(e); ok {
-			rc.ix.Upsert(it)
-		}
-	}
-	rc.ix.Compact(func(it retrieve.Item) bool { return it.Key != key || alive[it.ID] })
-	rc.saveLocked()
+	rc.reconcileLocked("sync", []string{key}, false)
 }
 
 // saveLocked persists the index as a snapshot when the store keeps one.
@@ -357,7 +355,7 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	if err := spec.normalize(); err != nil {
 		return nil, nil, err
 	}
-	o = o.withDefaults()
+	o = o.or(rc.defaults)
 	w, err := specWorkload(spec)
 	if err != nil {
 		return nil, nil, err
@@ -368,7 +366,11 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	// is gone is stale — the store evicted it — and is compacted out below,
 	// lazily; one persisted under a different parameter table (entryConfig
 	// fails) cannot be blended and is not a neighbor.
-	space := spec.cluster().Space()
+	cl, err := sparksim.ClusterByName(spec.Cluster)
+	if err != nil {
+		return nil, nil, err
+	}
+	space := cl.Space()
 	var used []Entry
 	var encs [][]float64
 	var dists []float64
@@ -457,22 +459,12 @@ func entryConfig(e Entry) (conf.Config, bool) {
 // or fallback path. The retrieval itself never executes a sample run.
 func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 	start := time.Now()
-	o := req.RecommendOptions
-	if o.K <= 0 {
-		o.K = s.cfg.RecommendK
-	}
-	if o.MaxDistance <= 0 {
-		o.MaxDistance = s.cfg.RecommendMaxDistance
-	}
-	if o.MinConfidence <= 0 {
-		o.MinConfidence = s.cfg.RecommendConfidence
-	}
 	// Refine and fallback jobs are work a user is waiting on: they default
 	// to the interactive priority class unless the caller says otherwise.
 	if req.JobSpec.Priority == "" {
 		req.JobSpec.Priority = PriorityInteractive
 	}
-	rec, prior, err := s.rec.Recommend(req.JobSpec, o)
+	rec, prior, err := s.rec.Recommend(req.JobSpec, req.RecommendOptions)
 	if err != nil {
 		s.metrics.recommendOutcome("error").Inc()
 		return nil, err

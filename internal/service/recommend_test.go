@@ -264,7 +264,7 @@ func TestRecommendIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewRecommender(fs2)
+	rc := NewRecommender(fs2, nil)
 	if rc.Len() != 1 {
 		t.Fatalf("reopened index has %d items, want 1", rc.Len())
 	}
@@ -284,7 +284,7 @@ func TestRecommendIndexPersistence(t *testing.T) {
 	if err := far.Save(fs2.IndexPath()); err != nil {
 		t.Fatal(err)
 	}
-	rc = NewRecommender(fs2)
+	rc = NewRecommender(fs2, nil)
 	rec, _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestRecommendIndexPersistence(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, keys[0]+".json")); err != nil {
 		t.Fatal(err)
 	}
-	if rc = NewRecommender(fs2); rc.Len() != 0 {
+	if rc = NewRecommender(fs2, nil); rc.Len() != 0 {
 		t.Fatalf("index kept %d items after shard delete", rc.Len())
 	}
 }
@@ -346,7 +346,7 @@ func TestRecommenderIndexLog(t *testing.T) {
 	if err := os.WriteFile(path, []byte(schema1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rc := NewRecommender(fs)
+	rc := NewRecommender(fs, nil)
 	inStep := func(when string) {
 		t.Helper()
 		if got, want := retrieve.Load(path).Items(), rc.ix.Items(); !reflect.DeepEqual(got, want) {
@@ -433,7 +433,7 @@ func TestRecommenderIndexLog(t *testing.T) {
 	inStep("after lazy compaction")
 
 	// A restart loads the log and reconciles the rest of the vanished shard.
-	rc = NewRecommender(fs)
+	rc = NewRecommender(fs, nil)
 	if rc.ix.KeyLen(key) != 0 || rc.Len() != 5 {
 		t.Fatalf("reopened index has %d items (%d under the vanished key), want 5", rc.Len(), rc.ix.KeyLen(key))
 	}

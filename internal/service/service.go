@@ -1,3 +1,34 @@
+// Package service implements the LOCAT tuning service: a long-running
+// session manager with a bounded worker pool, a history store of finished
+// sessions keyed by workload fingerprint, and a warm-start path that seeds
+// new sessions with observations retrieved from similar past workloads —
+// the cross-session generalization of the paper's datasize-aware Gaussian
+// process. The locat.Service facade and the locat-serve HTTP binary are
+// thin wrappers around this package.
+//
+// # Job lifecycle
+//
+//	           ┌──────── retry (Config.JobRetries) ────────┐
+//	           ▼                                           │
+//	Submit ► queued ────── a worker ──────► running ───────┴► succeeded | failed
+//	           ├─ Cancel ───────────► cancelled ◄─ Cancel ──┤  (at the next
+//	           ├─ Close ────────────► suspended ◄─ Close ───┘  evaluation boundary)
+//	           └─ interactive work into a full queue ► shed
+//
+// Two invariants, both held under the service mutex, carry it. (1) A job is
+// in a dispatcher lane iff its state is queued: Cancel, eviction and Close's
+// drain take it out of its lane in the critical section that settles it, so
+// the queue bound counts waiting jobs only. The one gap is a worker between
+// dequeue and the mutex; its state check covers it. (2) settleLocked is the
+// only writer of a terminal state and runs once per job: it owns the finish
+// time, result, error text, the tenant's in-flight slot and a success's
+// cluster seconds. publish then, outside the mutex, owns the duration
+// histogram, the shed counter, the checkpoint, the log line and done, in that
+// order. The checkpoint is retired in every terminal state but two:
+// suspended, which the next Config.Resume restart continues from, and shed,
+// where a job that had one (resumed, or awaiting a retry) is deferred to
+// that restart, not lost. So cancelling a queued job frees its queue slot,
+// its tenant slot and its checkpoint at once.
 package service
 
 import (
@@ -92,12 +123,11 @@ func (s *JobSpec) normalize() error {
 	if s.MaxClusterSec < 0 {
 		return errors.New("service: negative cluster-second budget")
 	}
-	if s.Cluster == "" {
-		s.Cluster = "arm"
+	cl, err := sparksim.ClusterByName(s.Cluster)
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
-	if s.Cluster != "arm" && s.Cluster != "x86" {
-		return fmt.Errorf("service: unknown cluster %q (want arm or x86)", s.Cluster)
-	}
+	s.Cluster = cl.Name
 	if s.Benchmark == "" {
 		s.Benchmark = "TPC-DS"
 	}
@@ -117,13 +147,6 @@ func (s *JobSpec) normalize() error {
 		return err
 	}
 	return nil
-}
-
-func (s JobSpec) cluster() *sparksim.Cluster {
-	if s.Cluster == "x86" {
-		return sparksim.X86()
-	}
-	return sparksim.ARM()
 }
 
 // State is a job's lifecycle position.
@@ -154,6 +177,39 @@ func (s State) Terminal() bool {
 		return true
 	}
 	return false
+}
+
+// stateInfo is one row of lifecycle.
+type stateInfo struct {
+	state State
+	// count addresses the state's field of a census.
+	count func(*Stats) *int
+	// verdict is how Result explains a job that ended here without a result.
+	verdict string
+}
+
+// lifecycle lists the seven states once, in the order a census presents them.
+// The Stats census, the locat_jobs gauges, the locat_job_seconds histograms,
+// the state= filter, /healthz and Result's error are all read off this table.
+var lifecycle = []stateInfo{
+	{StateQueued, func(c *Stats) *int { return &c.Queued }, ""},
+	{StateRunning, func(c *Stats) *int { return &c.Running }, ""},
+	{StateSucceeded, func(c *Stats) *int { return &c.Succeeded }, ""},
+	{StateFailed, func(c *Stats) *int { return &c.Failed }, "failed: "}, // followed by the error text
+	{StateCancelled, func(c *Stats) *int { return &c.Cancelled }, "cancelled"},
+	{StateShed, func(c *Stats) *int { return &c.Shed }, "shed under overload; resubmit"},
+	{StateSuspended, func(c *Stats) *int { return &c.Suspended }, "suspended by drain; resumes on restart"},
+}
+
+// info returns the state's lifecycle row (the zero row for a string that
+// names no state).
+func (s State) info() stateInfo {
+	for i := range lifecycle {
+		if lifecycle[i].state == s {
+			return lifecycle[i]
+		}
+	}
+	return stateInfo{}
 }
 
 // JobResult is the outcome of a finished tuning session, as RunSession maps
@@ -237,14 +293,8 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancelled atomic.Bool
-	// suspend asks the running session to park at the next evaluation
-	// boundary with its checkpoint intact — the graceful-drain signal, as
-	// opposed to cancellation (which discards the job).
-	suspend atomic.Bool
-	// released records that the job's in-flight slot went back to its
-	// tenant (guarded by the service mutex; set exactly once).
-	released bool
-	done     chan struct{}
+	// done is closed by publish, once, after the job settled.
+	done chan struct{}
 	// resume is the checkpoint the job restarts from (nil for fresh jobs):
 	// set at startup for jobs interrupted by a process death, and refreshed
 	// between in-process retry attempts.
@@ -274,10 +324,6 @@ type Config struct {
 	QueueCap int
 	// Store is the history store (default: a fresh in-memory store).
 	Store Store
-	// MaxPriorObs caps the observations injected into a warm-started
-	// session (default 48), keeping the GP fitting cost bounded no matter
-	// how much history accumulates.
-	MaxPriorObs int
 	// Backend is the default execution backend of tuning sessions (an
 	// internal/runner spec; empty selects the simulator). Jobs may override
 	// it per submission. Record-mode backends share one trace sink across
@@ -363,6 +409,10 @@ type Service struct {
 	// ready gates /readyz: false until startup resume has requeued the
 	// backlog, false again the moment a drain begins.
 	ready atomic.Bool
+	// draining asks every session to park at its next evaluation boundary
+	// with its checkpoint intact — the graceful-drain signal, as opposed to
+	// a job's cancellation (which discards the job).
+	draining atomic.Bool
 	// now is the admission clock (swapped by rate-limit tests).
 	now func() time.Time
 
@@ -388,9 +438,6 @@ func New(cfg Config) *Service {
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	if cfg.MaxPriorObs <= 0 {
-		cfg.MaxPriorObs = 48
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -412,9 +459,8 @@ func New(cfg Config) *Service {
 		now:       time.Now,
 	}
 	s.metrics = newServiceMetrics(cfg.Metrics, s)
-	s.rec = NewRecommender(cfg.Store)
-	s.rec.logf = cfg.Logf
-	s.rec.maxPriorObs = cfg.MaxPriorObs
+	s.rec = NewRecommender(cfg.Store, cfg.Logf)
+	s.rec.defaults = RecommendOptions{cfg.RecommendK, cfg.RecommendMaxDistance, cfg.RecommendConfidence}.or(s.rec.defaults)
 	switch {
 	case cfg.CheckpointEvery == 0:
 		s.checkpointEvery = 8
@@ -489,20 +535,18 @@ func (s *Service) resumeCheckpointed() {
 		}
 		// Resumed jobs re-enter admission accounting (they occupy queue and
 		// tenant capacity) but pay no rate token — they were admitted once.
-		shed, ok := s.disp.enqueue(j)
+		shed, ok := s.disp.enqueue(j, true)
 		if !ok {
 			s.logf("resume: queue full; leaving checkpointed job %s for the next restart", id)
 			continue
 		}
 		s.tenantLocked(j.spec.Tenant).inFlight++
-		if shed != nil && shed.state == StateQueued {
+		if shed != nil {
 			// An interactive resume displaced an earlier-resumed batch job.
 			// Its checkpoint stays behind, so the next restart retries it —
 			// shed here means deferred, not lost.
-			s.shedLocked(shed)
-			close(shed.done)
-			s.metrics.admission("shed").Inc()
-			s.logf("[%s] shed: displaced by resumed %s", shed.id, j.id)
+			s.settleLocked(shed, StateShed, nil, nil)
+			s.publish(shed, "[%s] shed: displaced by resumed %s", shed.id, j.id)
 		}
 		// Keep the ID sequence monotonic past every resumed job, so fresh
 		// submissions never collide with resumed IDs.
@@ -584,7 +628,7 @@ func (s *Service) submit(spec JobSpec, seed *core.Prior, from []Neighbor) (strin
 	}
 	s.seq++
 	j.id = fmt.Sprintf("job-%06d", s.seq)
-	shed, ok := s.disp.enqueue(j)
+	shed, ok := s.disp.enqueue(j, true)
 	if !ok {
 		s.seq-- // admission refused; do not burn the ID
 		s.mu.Unlock()
@@ -592,22 +636,15 @@ func (s *Service) submit(spec JobSpec, seed *core.Prior, from []Neighbor) (strin
 		return "", fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueCap)
 	}
 	ts.chargeLocked()
-	if shed != nil && shed.state != StateQueued {
-		// The evicted slot held a job already cancelled while queued; its
-		// lifecycle is settled, nothing to account.
-		shed = nil
-	}
 	if shed != nil {
-		s.shedLocked(shed)
+		s.settleLocked(shed, StateShed, nil, nil)
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.metrics.admission("accepted").Inc()
 	if shed != nil {
-		close(shed.done)
-		s.metrics.admission("shed").Inc()
-		s.logf("[%s] shed: displaced by interactive %s under overload", shed.id, j.id)
+		s.publish(shed, "[%s] shed: displaced by interactive %s under overload", shed.id, j.id)
 	}
 	s.logf("[%s] queued: %s %s %.0f GB %s/%s (fingerprint %s)",
 		j.id, spec.Cluster, spec.Benchmark, spec.DataSizeGB,
@@ -621,18 +658,6 @@ func tenantName(t string) string {
 		return "default"
 	}
 	return t
-}
-
-// shedLocked settles a batch job evicted from the queue by an interactive
-// submission under overload. The caller closes shed.done outside the
-// service mutex. The job's checkpoint (if it was a resumed job) is left in
-// place deliberately: a shed resumed job is deferred to the next restart,
-// not lost.
-func (s *Service) shedLocked(shed *job) {
-	shed.state = StateShed
-	shed.finished = time.Now()
-	shed.err = "shed: displaced by interactive work under overload"
-	s.releaseTenantLocked(shed)
 }
 
 // Status returns a job's current snapshot.
@@ -694,18 +719,14 @@ func (s *Service) Result(id string) (*JobResult, error) {
 	<-j.done
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	switch j.state {
-	case StateSucceeded:
+	if j.state == StateSucceeded {
 		return j.result, nil
-	case StateCancelled:
-		return nil, fmt.Errorf("service: job %s cancelled", id)
-	case StateShed:
-		return nil, fmt.Errorf("service: job %s shed under overload; resubmit", id)
-	case StateSuspended:
-		return nil, fmt.Errorf("service: job %s suspended by drain; resumes on restart", id)
-	default:
-		return nil, fmt.Errorf("service: job %s failed: %s", id, j.err)
 	}
+	verdict := j.state.info().verdict
+	if j.state == StateFailed {
+		verdict += j.err
+	}
+	return nil, fmt.Errorf("service: job %s %s", id, verdict)
 }
 
 // Cancel requests cancellation: queued jobs are cancelled immediately and
@@ -719,17 +740,15 @@ func (s *Service) Cancel(id string) error {
 		return fmt.Errorf("service: unknown job %q", id)
 	}
 	j.cancelled.Store(true)
-	if j.state == StateQueued {
-		j.state = StateCancelled
-		j.finished = time.Now()
-		s.releaseTenantLocked(j)
+	if j.state != StateQueued {
 		s.mu.Unlock()
-		close(j.done)
-		s.logf("[%s] cancelled while queued", id)
+		s.logf("[%s] cancellation requested", id)
 		return nil
 	}
+	s.disp.remove(j)
+	s.settleLocked(j, StateCancelled, nil, nil)
 	s.mu.Unlock()
-	s.logf("[%s] cancellation requested", id)
+	s.publish(j, "[%s] cancelled while queued", id)
 	return nil
 }
 
@@ -746,7 +765,13 @@ type Stats struct {
 
 // Finished is the number of jobs in any terminal state.
 func (st Stats) Finished() int {
-	return st.Succeeded + st.Failed + st.Cancelled + st.Shed + st.Suspended
+	n := 0
+	for _, l := range lifecycle {
+		if l.state.Terminal() {
+			n += *l.count(&st)
+		}
+	}
+	return n
 }
 
 // Stats reports the queue and pool occupancy and the terminal-state
@@ -756,22 +781,7 @@ func (s *Service) Stats() Stats {
 	defer s.mu.RUnlock()
 	var st Stats
 	for _, j := range s.jobs {
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateSucceeded:
-			st.Succeeded++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		case StateShed:
-			st.Shed++
-		case StateSuspended:
-			st.Suspended++
-		}
+		*j.state.info().count(&st)++
 	}
 	return st
 }
@@ -820,11 +830,9 @@ func (s *Service) Close() {
 	// Pull the backlog out of the dispatcher atomically: workers never see
 	// these jobs, so each is either suspended (checkpointed for the next
 	// incarnation) or cancelled, but never half-run.
-	var settle []*job
-	for _, j := range s.disp.drain() {
-		if j.state != StateQueued {
-			continue // cancelled while queued; already settled
-		}
+	drained := s.disp.drain()
+	for _, j := range drained {
+		st := StateCancelled
 		if canCkpt {
 			cp := j.resume
 			if cp == nil {
@@ -833,35 +841,20 @@ func (s *Service) Close() {
 			}
 			if err := cs.PutCheckpoint(*cp); err != nil {
 				s.logf("[%s] drain checkpoint failed: %v; cancelling instead", j.id, err)
-				j.cancelled.Store(true)
-				j.state = StateCancelled
 			} else {
-				j.state = StateSuspended
-				j.err = "suspended: service drained; resume with Config.Resume"
-			}
-		} else {
-			j.cancelled.Store(true)
-			j.state = StateCancelled
-		}
-		j.finished = time.Now()
-		s.releaseTenantLocked(j)
-		settle = append(settle, j)
-	}
-	if canCkpt {
-		// Running sessions park at the next evaluation boundary and flush
-		// their checkpoints; without a checkpoint store they simply run to
-		// completion as before.
-		for _, j := range s.jobs {
-			if j.state == StateRunning {
-				j.suspend.Store(true)
+				st = StateSuspended
 			}
 		}
+		s.settleLocked(j, st, nil, nil)
 	}
+	// Running sessions park at the next evaluation boundary and flush their
+	// checkpoints; without a checkpoint store they simply run to completion
+	// as before.
+	s.draining.Store(canCkpt)
 	s.disp.close()
 	s.mu.Unlock()
-	for _, j := range settle {
-		close(j.done)
-		s.logf("[%s] %s on drain", j.id, j.state)
+	for _, j := range drained {
+		s.publish(j, "[%s] %s on drain", j.id, j.state)
 	}
 	s.wg.Wait()
 	// Flush backend factories (trace sinks of recording backends) once no
@@ -886,7 +879,8 @@ func (s *Service) worker() {
 		}
 		s.mu.Lock()
 		if j.state != StateQueued {
-			// Cancelled while waiting in the queue; already settled.
+			// Cancelled in the window between dequeue and this lock — the
+			// one moment a queued job is in no lane. Already settled.
 			s.mu.Unlock()
 			continue
 		}
@@ -897,28 +891,30 @@ func (s *Service) worker() {
 		s.metrics.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
 		res, err := s.runJobSafe(j)
 		switch {
-		case errors.Is(err, core.ErrStopped) && j.suspend.Load() && !j.cancelled.Load():
-			// Parked by a graceful drain: the session flushed its checkpoint
-			// on the way out, so the next incarnation resumes it. Keep the
-			// checkpoint — this is the one non-terminal "terminal" state.
-			s.finish(j, StateSuspended, nil, nil)
-			continue
+		case s.parked(j, err):
+			// The session flushed its checkpoint on the way out, so the next
+			// incarnation resumes it.
+			s.finish(j, StateSuspended, nil, nil, "[%s] suspended mid-session; checkpoint holds its progress", j.id)
 		case errors.Is(err, core.ErrStopped):
-			s.finish(j, StateCancelled, nil, nil)
+			s.finish(j, StateCancelled, nil, nil, "[%s] cancelled", j.id)
 		case err != nil:
-			if s.requeueForRetry(j, err) {
-				continue
+			if !s.requeueForRetry(j, err) {
+				s.finish(j, StateFailed, nil, err, "[%s] failed: %v", j.id, err)
 			}
-			s.finish(j, StateFailed, nil, err)
 		default:
 			// A cancellation that lands after the last Stop poll loses the
 			// race: the session completed, so its result stands.
-			s.finish(j, StateSucceeded, res, nil)
+			s.finish(j, StateSucceeded, res, nil, "[%s] succeeded: tuned %.0f s (default %.0f s), overhead %.0f s, warm=%v",
+				j.id, res.TunedSec, res.DefaultSec, res.OverheadSec, res.WarmStarted)
 		}
-		// Terminal states retire the checkpoint: only jobs interrupted by a
-		// process death or parked by a drain leave one behind for Resume.
-		s.dropCheckpoint(j.id)
 	}
+}
+
+// parked reports whether a session that ended with err was stopped by a
+// graceful drain rather than by the user: the drain signal is up and no
+// cancellation overrides it.
+func (s *Service) parked(j *job, err error) bool {
+	return errors.Is(err, core.ErrStopped) && s.draining.Load() && !j.cancelled.Load()
 }
 
 // requeueForRetry puts a failed job back on the queue when the retry budget
@@ -935,18 +931,15 @@ func (s *Service) requeueForRetry(j *job, cause error) bool {
 		}
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	requeued := false
 	// Retries re-enter the job's own priority lane but never evict anyone:
-	// a flapping job must not displace healthy queued work.
-	if s.disp.requeue(j) {
+	// a flapping job must not displace healthy queued work. A closing
+	// service has closed its dispatcher under this mutex, which refuses.
+	_, requeued := s.disp.enqueue(j, false)
+	if requeued {
 		j.attempts++
 		j.state = StateQueued
-		j.submitted = time.Now()
-		requeued = true
+		// The retry's queue wait starts now, and it has not started running.
+		j.submitted, j.started = time.Now(), time.Time{}
 	}
 	s.mu.Unlock()
 	if requeued {
@@ -955,52 +948,57 @@ func (s *Service) requeueForRetry(j *job, cause error) bool {
 	return requeued
 }
 
-// dropCheckpoint removes a finished job's checkpoint, if any.
-func (s *Service) dropCheckpoint(id string) {
-	if s.checkpointEvery <= 0 {
-		return
-	}
-	if cs, ok := s.store.(CheckpointStore); ok {
-		if err := cs.DeleteCheckpoint(id); err != nil {
-			s.logf("[%s] checkpoint delete failed: %v", id, err)
-		}
-	}
-}
-
-func (s *Service) finish(j *job, st State, res *JobResult, err error) {
-	s.mu.Lock()
+// settleLocked moves a job into a terminal state, under the service mutex:
+// the only writer of one, run exactly once per job (invariant 2 of the
+// package doc). The caller publishes the job once the mutex is released.
+func (s *Service) settleLocked(j *job, st State, res *JobResult, cause error) {
 	j.state = st
 	j.finished = time.Now()
 	j.result = res
-	if err != nil {
-		j.err = err.Error()
-	}
-	if st == StateSuspended {
+	switch {
+	case cause != nil:
+		j.err = cause.Error()
+	case st == StateShed:
+		j.err = "shed: displaced by interactive work under overload"
+	case st == StateSuspended:
 		j.err = "suspended: service drained; resume with Config.Resume"
 	}
-	s.releaseTenantLocked(j)
-	if st == StateSucceeded && res != nil {
+	ts := s.tenantLocked(j.spec.Tenant)
+	ts.inFlight--
+	if res != nil {
 		// Cluster time is charged when it is known, not when the job is
 		// admitted: the budget meters what the tenant actually consumed.
-		s.tenantLocked(j.spec.Tenant).clusterSec += res.ClusterSec
+		ts.clusterSec += res.ClusterSec
 	}
-	started := j.started
-	s.mu.Unlock()
-	if !started.IsZero() {
-		s.metrics.jobSeconds(st).Observe(j.finished.Sub(started).Seconds())
+}
+
+// publish announces a settled job, outside the service mutex (it writes to
+// the store and wakes Result callers). done comes last, so whoever waits on
+// the job finds its metrics, checkpoint and log line in place.
+func (s *Service) publish(j *job, format string, args ...any) {
+	if !j.started.IsZero() {
+		s.metrics.jobSeconds[j.state].Observe(j.finished.Sub(j.started).Seconds())
 	}
+	if j.state == StateShed {
+		s.metrics.admission("shed").Inc()
+	}
+	// The two states a Config.Resume restart picks up again (package doc).
+	keep := j.state == StateSuspended || j.state == StateShed
+	if cs, ok := s.store.(CheckpointStore); ok && s.checkpointEvery > 0 && !keep {
+		if err := cs.DeleteCheckpoint(j.id); err != nil {
+			s.logf("[%s] checkpoint delete failed: %v", j.id, err)
+		}
+	}
+	s.logf(format, args...)
 	close(j.done)
-	switch st {
-	case StateSucceeded:
-		s.logf("[%s] succeeded: tuned %.0f s (default %.0f s), overhead %.0f s, warm=%v",
-			j.id, res.TunedSec, res.DefaultSec, res.OverheadSec, res.WarmStarted)
-	case StateFailed:
-		s.logf("[%s] failed: %v", j.id, err)
-	case StateCancelled:
-		s.logf("[%s] cancelled", j.id)
-	case StateSuspended:
-		s.logf("[%s] suspended mid-session; checkpoint holds its progress", j.id)
-	}
+}
+
+// finish settles and publishes a job its worker is done with.
+func (s *Service) finish(j *job, st State, res *JobResult, err error, format string, args ...any) {
+	s.mu.Lock()
+	s.settleLocked(j, st, res, err)
+	s.mu.Unlock()
+	s.publish(j, format, args...)
 }
 
 // runJobSafe contains session panics: an execution backend may fail hard
@@ -1026,7 +1024,11 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	// The stream key is the job ID: deterministic for a deterministic
 	// submission sequence, which is what record/replay of a whole service
 	// run requires.
-	raw, err := f.New(spec.cluster(), spec.Seed, j.id)
+	cl, err := sparksim.ClusterByName(spec.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := f.New(cl, spec.Seed, j.id)
 	if err != nil {
 		return nil, err
 	}
@@ -1116,19 +1118,18 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	}
 
 	res, rep, err := RunSession(run, spec, func(opts *core.Options) {
-		// Stop covers both user cancellation and the graceful-drain suspend
-		// signal — the worker disambiguates on the way out.
-		opts.Stop = func() bool { return j.cancelled.Load() || j.suspend.Load() }
+		// Stop covers both user cancellation and the graceful-drain signal —
+		// the worker disambiguates on the way out.
+		opts.Stop = func() bool { return j.cancelled.Load() || s.draining.Load() }
 		opts.Expired = expired
 		opts.Logf = progress.Prefixed(s.cfg.Logf, "["+j.id+"] ")
 		opts.Tracer = j.timeline
 		opts.Prior = prior
 	})
 	if err != nil {
-		if errors.Is(err, core.ErrStopped) && j.suspend.Load() && !j.cancelled.Load() && ckp != nil {
-			// Parked by a drain: persist the tail of the trajectory so the
-			// next incarnation resumes from the exact stop point, not the
-			// last periodic flush.
+		if s.parked(j, err) && ckp != nil {
+			// Persist the tail of the trajectory so the next incarnation
+			// resumes from the exact stop point, not the last periodic flush.
 			ckp.flush()
 		}
 		return nil, err
@@ -1274,7 +1275,7 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 		}
 		return trusted[a].CreatedUnix > trusted[b].CreatedUnix
 	})
-	prior := buildPrior(entries, trusted, space, j.spec.DataSizeGB, s.cfg.MaxPriorObs)
+	prior := buildPrior(entries, trusted, space, j.spec.DataSizeGB, s.rec.maxPriorObs)
 	if prior == nil {
 		return nil, 0
 	}

@@ -182,6 +182,13 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.State != StateCancelled {
 		t.Fatalf("state right after cancel = %s, want cancelled", st.State)
 	}
+	// It left the queue with that, and cancelling it again changes nothing.
+	if err := s.Cancel(idB); err != nil {
+		t.Fatal(err)
+	}
+	if stats := s.Stats(); stats.Queued+stats.Running != 1 || stats.Cancelled != 1 {
+		t.Fatalf("stats after cancel = %+v; want the first job in flight, 1 cancelled", stats)
+	}
 	if _, err := s.Result(idB); err == nil {
 		t.Fatal("cancelled job returned a result")
 	}

@@ -15,7 +15,11 @@
 // grows with heap pressure.
 package sparksim
 
-import "locat/internal/conf"
+import (
+	"fmt"
+
+	"locat/internal/conf"
+)
 
 // Cluster describes the hardware LOCAT tunes for. Only slave (worker) nodes
 // run executors; the master runs the driver.
@@ -75,6 +79,29 @@ func X86() *Cluster {
 		ContainerCores: 16,
 		ContainerMemMB: 56 * 1024,
 	}
+}
+
+// clusters are the paper's two clusters, the default one first.
+var clusters = []func() *Cluster{ARM, X86}
+
+// ClusterNames returns the names ClusterByName resolves, the default first.
+func ClusterNames() []string {
+	var names []string
+	for _, newCluster := range clusters {
+		names = append(names, newCluster().Name)
+	}
+	return names
+}
+
+// ClusterByName returns the named cluster; the empty name is the default.
+// The error carries no package prefix: every caller reports it under its own.
+func ClusterByName(name string) (*Cluster, error) {
+	for i, newCluster := range clusters {
+		if cl := newCluster(); cl.Name == name || (name == "" && i == 0) {
+			return cl, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown cluster %q (want arm or x86)", name)
 }
 
 // TotalCores returns the executor-usable core total.

@@ -48,6 +48,26 @@ func TestClusters(t *testing.T) {
 	}
 }
 
+// Every listed name resolves to the cluster of that name, the empty name to
+// the first (ARM), and anything else is an error — no silent default.
+func TestClusterByName(t *testing.T) {
+	names := ClusterNames()
+	if len(names) != 2 || names[0] != "arm" || names[1] != "x86" {
+		t.Fatalf("ClusterNames() = %v", names)
+	}
+	for _, name := range names {
+		if cl, err := ClusterByName(name); err != nil || cl.Name != name {
+			t.Fatalf("ClusterByName(%q) = %+v, %v", name, cl, err)
+		}
+	}
+	if cl, err := ClusterByName(""); err != nil || cl.Name != "arm" {
+		t.Fatalf(`ClusterByName("") = %+v, %v; want ARM`, cl, err)
+	}
+	if _, err := ClusterByName("sparc"); err == nil || err.Error() != `unknown cluster "sparc" (want arm or x86)` {
+		t.Fatalf("unknown cluster error = %v", err)
+	}
+}
+
 func TestDeterminismAcrossSimulators(t *testing.T) {
 	for _, cl := range []*Cluster{ARM(), X86()} {
 		s1 := New(cl, 42)

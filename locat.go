@@ -218,18 +218,7 @@ func Benchmarks() []string {
 }
 
 // Clusters returns the supported cluster names.
-func Clusters() []string { return []string{"arm", "x86"} }
-
-// clusterByName resolves a cluster name.
-func clusterByName(name string) (*sparksim.Cluster, error) {
-	switch name {
-	case "", "arm":
-		return sparksim.ARM(), nil
-	case "x86":
-		return sparksim.X86(), nil
-	}
-	return nil, fmt.Errorf("locat: unknown cluster %q (want arm or x86)", name)
-}
+func Clusters() []string { return sparksim.ClusterNames() }
 
 func (o *Options) normalize() error {
 	if o.Benchmark == "" {
@@ -253,9 +242,9 @@ func Tune(o Options) (*Result, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	cl, err := clusterByName(o.Cluster)
+	cl, err := sparksim.ClusterByName(o.Cluster)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("locat: %w", err)
 	}
 	// Checked before a backend is opened: a recording one creates its file.
 	if _, err := workloads.ByName(o.Benchmark); err != nil {
@@ -344,9 +333,9 @@ func CompareBaselines(o Options) ([]BaselineResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	cl, err := clusterByName(o.Cluster)
+	cl, err := sparksim.ClusterByName(o.Cluster)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("locat: %w", err)
 	}
 	app, err := workloads.ByName(o.Benchmark)
 	if err != nil {

@@ -391,7 +391,7 @@ func RecommendFromHistory(dir string, o Options, ro RecommendOptions) (*Recommen
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := service.NewRecommender(fs).Recommend(specOf(o), service.RecommendOptions{
+	rec, _, err := service.NewRecommender(fs, nil).Recommend(specOf(o), service.RecommendOptions{
 		K:             ro.K,
 		MaxDistance:   ro.MaxDistance,
 		MinConfidence: ro.MinConfidence,

@@ -1,0 +1,516 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"locat/internal/conf"
+	"locat/internal/core"
+	"locat/internal/obs"
+	"locat/internal/runner"
+	"locat/internal/sparksim"
+	"locat/internal/workloads"
+)
+
+// Priority is a job's scheduling class. Interactive work (recommend
+// refinements, deadline-bounded tuning a user is waiting on) dispatches
+// ahead of batch work, and under overload only batch jobs are shed.
+type Priority string
+
+// The two priority classes. Batch is the default: a plain tuning job is
+// throughput work.
+const (
+	PriorityInteractive Priority = "interactive"
+	PriorityBatch       Priority = "batch"
+)
+
+// JobSpec describes one tuning job: the wire format of the HTTP submit
+// endpoint and the one spec RunSession turns into core.Options. The public
+// locat.Options renames its fields (locat.specOf) and adds what only a direct
+// Tune call takes.
+type JobSpec struct {
+	// Tenant attributes the job to a tenant for per-tenant budget
+	// enforcement (Config.Tenants). Empty is the anonymous tenant; tenants
+	// do not partition the history store — warm-start sharing across
+	// tenants is deliberate (same workload, same physics).
+	Tenant string `json:"tenant,omitempty"`
+	// Priority is the scheduling class: "interactive" dispatches ahead of
+	// "batch" (the default) and is never shed under overload.
+	Priority Priority `json:"priority,omitempty"`
+	// DeadlineSec, when positive, bounds the job's wall-clock session time:
+	// past the deadline the session stops at the next evaluation boundary
+	// and returns its best-so-far configuration as a Degraded result.
+	DeadlineSec float64 `json:"deadline_sec,omitempty"`
+	// MaxClusterSec, when positive, bounds the simulated cluster seconds
+	// the session may spend tuning — the deterministic twin of DeadlineSec
+	// (overhead is part of the tuning trajectory, so the cutoff point is
+	// reproducible bit for bit). Exceeding it degrades, like a deadline.
+	MaxClusterSec float64 `json:"max_cluster_sec,omitempty"`
+	// Cluster is "arm" (default) or "x86".
+	Cluster string `json:"cluster,omitempty"`
+	// Benchmark is one of locat.Benchmarks(); default "TPC-DS".
+	Benchmark string `json:"benchmark,omitempty"`
+	// DataSizeGB is the target input size; default 100.
+	DataSizeGB float64 `json:"data_size_gb,omitempty"`
+	// Seed makes the session reproducible; default 1.
+	Seed int64 `json:"seed,omitempty"`
+	// NQCSA, NIICP and MaxIterations override the paper's budgets.
+	NQCSA         int `json:"n_qcsa,omitempty"`
+	NIICP         int `json:"n_iicp,omitempty"`
+	MaxIterations int `json:"max_iterations,omitempty"`
+	// DisableQCSA / DisableIICP / DisableDAGP ablate the techniques.
+	DisableQCSA bool `json:"disable_qcsa,omitempty"`
+	DisableIICP bool `json:"disable_iicp,omitempty"`
+	DisableDAGP bool `json:"disable_dagp,omitempty"`
+	// ColdStart opts this job out of history retrieval: it runs the full
+	// sampling pipeline even when similar past sessions exist.
+	ColdStart bool `json:"cold_start,omitempty"`
+	// Backend overrides the service's execution backend for this job (an
+	// internal/runner spec: "sim", "record=PATH", "replay=PATH", or
+	// "sparkrest=URL"). Empty uses the service default.
+	Backend string `json:"backend,omitempty"`
+}
+
+func (s *JobSpec) normalize() error {
+	if s.Priority == "" {
+		s.Priority = PriorityBatch
+	}
+	if s.Priority != PriorityInteractive && s.Priority != PriorityBatch {
+		return fmt.Errorf("service: unknown priority %q (want interactive or batch)", s.Priority)
+	}
+	if s.DeadlineSec < 0 {
+		return errors.New("service: negative deadline")
+	}
+	if s.MaxClusterSec < 0 {
+		return errors.New("service: negative cluster-second budget")
+	}
+	cl, err := sparksim.ClusterByName(s.Cluster)
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	s.Cluster = cl.Name
+	if s.Benchmark == "" {
+		s.Benchmark = "TPC-DS"
+	}
+	if _, err := workloads.ByName(s.Benchmark); err != nil {
+		return err
+	}
+	if s.DataSizeGB == 0 {
+		s.DataSizeGB = 100
+	}
+	if s.DataSizeGB < 0 {
+		return errors.New("service: negative data size")
+	}
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	if _, err := runner.ParseSpec(s.Backend); err != nil {
+		return err
+	}
+	return nil
+}
+
+// State is a job's lifecycle position.
+type State string
+
+// Job lifecycle states. Terminal states are Succeeded, Failed, Cancelled,
+// Shed and Suspended.
+const (
+	StateQueued    State = "queued"
+	StateRunning   State = "running"
+	StateSucceeded State = "succeeded"
+	StateFailed    State = "failed"
+	StateCancelled State = "cancelled"
+	// StateShed marks a queued batch job displaced by an interactive
+	// submission under overload: it never ran, by the service's own
+	// admission decision rather than the caller's.
+	StateShed State = "shed"
+	// StateSuspended marks a job parked by a graceful drain: its progress is
+	// checkpointed and a restart with Config.Resume requeues it under the
+	// same ID. Terminal in this process, not for the job.
+	StateSuspended State = "suspended"
+)
+
+// Terminal reports whether the state is final in this process.
+func (s State) Terminal() bool {
+	switch s {
+	case StateSucceeded, StateFailed, StateCancelled, StateShed, StateSuspended:
+		return true
+	}
+	return false
+}
+
+// stateInfo is one row of lifecycle.
+type stateInfo struct {
+	state State
+	// count addresses the state's field of a census.
+	count func(*Stats) *int
+	// verdict is how Result explains a job that ended here without a result.
+	verdict string
+}
+
+// lifecycle lists the seven states once, in the order a census presents them.
+// The Stats census, the locat_jobs gauges, the locat_job_seconds histograms,
+// the state= filter, /healthz and Result's error are all read off this table.
+var lifecycle = []stateInfo{
+	{StateQueued, func(c *Stats) *int { return &c.Queued }, ""},
+	{StateRunning, func(c *Stats) *int { return &c.Running }, ""},
+	{StateSucceeded, func(c *Stats) *int { return &c.Succeeded }, ""},
+	{StateFailed, func(c *Stats) *int { return &c.Failed }, "failed: "}, // followed by the error text
+	{StateCancelled, func(c *Stats) *int { return &c.Cancelled }, "cancelled"},
+	{StateShed, func(c *Stats) *int { return &c.Shed }, "shed under overload; resubmit"},
+	{StateSuspended, func(c *Stats) *int { return &c.Suspended }, "suspended by drain; resumes on restart"},
+}
+
+// info returns the state's lifecycle row (the zero row for a string that
+// names no state).
+func (s State) info() stateInfo {
+	for i := range lifecycle {
+		if lifecycle[i].state == s {
+			return lifecycle[i]
+		}
+	}
+	return stateInfo{}
+}
+
+// JobResult is the outcome of a finished tuning session, as RunSession maps
+// it from the core.Report, and the wire shape of both result endpoints:
+// GET /v1/jobs/{id} embeds it, GET /v1/jobs/{id}/result serves it behind a
+// schema version. The JSON tags are a contract with clients.
+type JobResult struct {
+	// BestConfig is the tuned configuration vector (natural units).
+	BestConfig conf.Config `json:"best_config"`
+	// BestParams is the same configuration as a property→value map.
+	BestParams map[string]float64 `json:"best_params"`
+	// TunedSec and DefaultSec are the noiseless latencies under the tuned
+	// configuration and the Spark defaults.
+	TunedSec   float64 `json:"tuned_sec"`
+	DefaultSec float64 `json:"default_sec"`
+	// OverheadSec = SamplingSec + SearchSec is the simulated cluster time
+	// tuning consumed (the paper's optimization time), split by phase.
+	OverheadSec float64 `json:"overhead_sec"`
+	SamplingSec float64 `json:"sampling_sec"`
+	SearchSec   float64 `json:"search_sec"`
+	// FullRuns and RQARuns count executions by kind.
+	FullRuns int `json:"full_runs"`
+	RQARuns  int `json:"rqa_runs"`
+	// WarmStarted reports whether the session consumed history-store
+	// observations instead of collecting the full sample set, and
+	// PriorObsUsed how many.
+	WarmStarted  bool `json:"warm_started"`
+	PriorObsUsed int  `json:"prior_obs_used"`
+	// SensitiveQueries and ImportantParams are the session's (possibly
+	// inherited) QCSA / IICP artifacts.
+	SensitiveQueries []string `json:"sensitive_queries,omitempty"`
+	ImportantParams  []string `json:"important_params,omitempty"`
+	// SparkConf is the tuned configuration rendered in spark-defaults.conf
+	// syntax.
+	SparkConf string `json:"spark_conf"`
+	// Runs and ClusterSec are the execution tally the job's observed backend
+	// accumulated: every run the session issued (full apps, single queries,
+	// batch members) and the simulated cluster seconds they consumed. Runs
+	// served from a resume checkpoint are not re-executed and appear in
+	// ResumedRuns instead.
+	Runs       int64   `json:"runs"`
+	ClusterSec float64 `json:"cluster_sec"`
+	// ResumedRuns counts executions served from the job's checkpoint
+	// instead of re-executed after a restart.
+	ResumedRuns int64 `json:"resumed_runs,omitempty"`
+	// Degraded, when non-empty, records that the session was cut short —
+	// backend death, an expired deadline, or an exhausted cluster-second
+	// budget — and why; the result is the best configuration observed
+	// before the cutoff.
+	Degraded string `json:"degraded,omitempty"`
+	// FellBack reports the session's guardrail replaced the selected
+	// configuration with the Spark defaults because the selection evaluated
+	// worse.
+	FellBack bool `json:"fell_back,omitempty"`
+	// SeededFrom is the retrieval provenance of a refine or fallback job:
+	// the history neighbors whose observations seeded this session.
+	SeededFrom []Neighbor `json:"seeded_from,omitempty"`
+}
+
+// JobStatus is the externally visible snapshot of a job.
+type JobStatus struct {
+	ID          string     `json:"id"`
+	Spec        JobSpec    `json:"spec"`
+	Fingerprint string     `json:"fingerprint"`
+	State       State      `json:"state"`
+	Error       string     `json:"error,omitempty"`
+	Submitted   time.Time  `json:"submitted"`
+	Started     *time.Time `json:"started,omitempty"`
+	Finished    *time.Time `json:"finished,omitempty"`
+	Result      *JobResult `json:"result,omitempty"`
+}
+
+type job struct {
+	id        string
+	spec      JobSpec
+	fp        Fingerprint
+	state     State
+	err       string
+	result    *JobResult
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	cancelled atomic.Bool
+	// done is closed by publish, once, after the job settled.
+	done chan struct{}
+	// resume is the checkpoint the job restarts from (nil for fresh jobs):
+	// set at startup for jobs interrupted by a process death, and refreshed
+	// between in-process retry attempts.
+	resume *Checkpoint
+	// seed, when non-nil, is the warm-start prior retrieved by the
+	// recommendation engine (refine / fallback jobs); seededFrom is its
+	// neighbor provenance, surfaced in the result.
+	seed       *core.Prior
+	seededFrom []Neighbor
+	// attempts counts failed attempts already consumed (Config.JobRetries
+	// bounds it).
+	attempts int
+	// timeline is the job's phase-span trace, set when the session starts.
+	// *obs.Timeline is internally synchronized, so the trace endpoint can
+	// snapshot it while the session is still appending spans.
+	timeline *obs.Timeline
+}
+
+// Status returns a job's current snapshot.
+func (s *Service) Status(id string) (JobStatus, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
+	}
+	return j.snapshotLocked(), nil
+}
+
+// Jobs returns snapshots of every job in submission order.
+func (s *Service) Jobs() []JobStatus {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]JobStatus, 0, len(s.order))
+	for _, id := range s.order {
+		out = append(out, s.jobs[id].snapshotLocked())
+	}
+	return out
+}
+
+// snapshotLocked renders the job; the service mutex must be held (a read
+// lock suffices — every job mutation happens under the write lock, so the
+// read paths Status/Jobs/Stats snapshot concurrently without serializing
+// behind each other or behind Submit).
+func (j *job) snapshotLocked() JobStatus {
+	st := JobStatus{
+		ID:          j.id,
+		Spec:        j.spec,
+		Fingerprint: j.fp.Key(),
+		State:       j.state,
+		Error:       j.err,
+		Submitted:   j.submitted,
+		Result:      j.result,
+	}
+	if !j.started.IsZero() {
+		t := j.started
+		st.Started = &t
+	}
+	if !j.finished.IsZero() {
+		t := j.finished
+		st.Finished = &t
+	}
+	return st
+}
+
+// Result blocks until the job finishes and returns its result (an error for
+// failed or cancelled jobs).
+func (s *Service) Result(id string) (*JobResult, error) {
+	s.mu.RLock()
+	j, ok := s.jobs[id]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("service: unknown job %q", id)
+	}
+	<-j.done
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if j.state == StateSucceeded {
+		return j.result, nil
+	}
+	verdict := j.state.info().verdict
+	if j.state == StateFailed {
+		verdict += j.err
+	}
+	return nil, fmt.Errorf("service: job %s %s", id, verdict)
+}
+
+// Cancel requests cancellation: queued jobs are cancelled immediately and
+// never start; running jobs stop cooperatively at the next evaluation
+// boundary. Cancelling a finished job is a no-op.
+func (s *Service) Cancel(id string) error {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	if !ok {
+		s.mu.Unlock()
+		return fmt.Errorf("service: unknown job %q", id)
+	}
+	j.cancelled.Store(true)
+	if j.state != StateQueued {
+		s.mu.Unlock()
+		s.logf("[%s] cancellation requested", id)
+		return nil
+	}
+	s.disp.remove(j)
+	s.settleLocked(j, StateCancelled, nil, nil)
+	s.mu.Unlock()
+	s.publish(j, "[%s] cancelled while queued", id)
+	return nil
+}
+
+// Stats is the service's job census, broken out by lifecycle state.
+type Stats struct {
+	Queued    int `json:"queued"`
+	Running   int `json:"running"`
+	Succeeded int `json:"succeeded"`
+	Failed    int `json:"failed"`
+	Cancelled int `json:"cancelled"`
+	Shed      int `json:"shed"`
+	Suspended int `json:"suspended"`
+}
+
+// Finished is the number of jobs in any terminal state.
+func (st Stats) Finished() int {
+	n := 0
+	for _, l := range lifecycle {
+		if l.state.Terminal() {
+			n += *l.count(&st)
+		}
+	}
+	return n
+}
+
+// Stats reports the queue and pool occupancy and the terminal-state
+// breakdown.
+func (s *Service) Stats() Stats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var st Stats
+	for _, j := range s.jobs {
+		*j.state.info().count(&st)++
+	}
+	return st
+}
+
+// Trace returns the job's phase-span timeline: one record per pipeline
+// phase (sampling, QCSA, DAGP base selection, IICP, phase-2 search, GP
+// hyperparameter resamples), with wall time, simulated cluster seconds and
+// run counts. Open spans of a still-running job report Done=false with
+// their wall time so far. Queued jobs have an empty trace.
+func (s *Service) Trace(id string) ([]obs.SpanRecord, error) {
+	s.mu.RLock()
+	j, ok := s.jobs[id]
+	tl := (*obs.Timeline)(nil)
+	if ok {
+		tl = j.timeline
+	}
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("service: unknown job %q", id)
+	}
+	if tl == nil {
+		return []obs.SpanRecord{}, nil
+	}
+	return tl.Snapshot(), nil
+}
+
+// parked reports whether a session that ended with err was stopped by a
+// graceful drain rather than by the user: the drain signal is up and no
+// cancellation overrides it.
+func (s *Service) parked(j *job, err error) bool {
+	return errors.Is(err, core.ErrStopped) && s.draining.Load() && !j.cancelled.Load()
+}
+
+// requeueForRetry puts a failed job back on the queue when the retry budget
+// allows, refreshed from its checkpoint so already-paid runs carry over.
+// Returns false when the job must finish as failed (budget exhausted,
+// cancellation requested, service closing, or queue full).
+func (s *Service) requeueForRetry(j *job, cause error) bool {
+	if s.cfg.JobRetries <= 0 || j.attempts >= s.cfg.JobRetries || j.cancelled.Load() {
+		return false
+	}
+	if cs, ok := s.store.(CheckpointStore); ok {
+		if cp, err := cs.GetCheckpoint(j.id); err == nil && cp != nil {
+			j.resume = cp
+		}
+	}
+	s.mu.Lock()
+	// Retries re-enter the job's own priority lane but never evict anyone:
+	// a flapping job must not displace healthy queued work. A closing
+	// service has closed its dispatcher under this mutex, which refuses.
+	_, requeued := s.disp.enqueue(j, false)
+	if requeued {
+		j.attempts++
+		j.state = StateQueued
+		// The retry's queue wait starts now, and it has not started running.
+		j.submitted, j.started = time.Now(), time.Time{}
+	}
+	s.mu.Unlock()
+	if requeued {
+		s.logf("[%s] failed (%v); retry %d/%d queued", j.id, cause, j.attempts, s.cfg.JobRetries)
+	}
+	return requeued
+}
+
+// settleLocked moves a job into a terminal state, under the service mutex:
+// the only writer of one, run exactly once per job (invariant 2 of the
+// package doc). The caller publishes the job once the mutex is released.
+func (s *Service) settleLocked(j *job, st State, res *JobResult, cause error) {
+	j.state = st
+	j.finished = time.Now()
+	j.result = res
+	switch {
+	case cause != nil:
+		j.err = cause.Error()
+	case st == StateShed:
+		j.err = "shed: displaced by interactive work under overload"
+	case st == StateSuspended:
+		j.err = "suspended: service drained; resume with Config.Resume"
+	}
+	ts := s.tenantLocked(j.spec.Tenant)
+	ts.inFlight--
+	if res != nil {
+		// Cluster time is charged when it is known, not when the job is
+		// admitted: the budget meters what the tenant actually consumed.
+		ts.clusterSec += res.ClusterSec
+	}
+}
+
+// publish announces a settled job, outside the service mutex (it writes to
+// the store and wakes Result callers). done comes last, so whoever waits on
+// the job finds its metrics, checkpoint and log line in place.
+func (s *Service) publish(j *job, format string, args ...any) {
+	if !j.started.IsZero() {
+		s.metrics.jobSeconds[j.state].Observe(j.finished.Sub(j.started).Seconds())
+	}
+	if j.state == StateShed {
+		s.metrics.admission("shed").Inc()
+	}
+	// The two states a Config.Resume restart picks up again (package doc).
+	keep := j.state == StateSuspended || j.state == StateShed
+	if cs, ok := s.store.(CheckpointStore); ok && s.checkpointEvery > 0 && !keep {
+		if err := cs.DeleteCheckpoint(j.id); err != nil {
+			s.logf("[%s] checkpoint delete failed: %v", j.id, err)
+		}
+	}
+	s.logf(format, args...)
+	close(j.done)
+}
+
+// finish settles and publishes a job its worker is done with.
+func (s *Service) finish(j *job, st State, res *JobResult, err error, format string, args ...any) {
+	s.mu.Lock()
+	s.settleLocked(j, st, res, err)
+	s.mu.Unlock()
+	s.publish(j, format, args...)
+}

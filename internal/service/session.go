@@ -1,0 +1,406 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"time"
+
+	"locat/internal/conf"
+	"locat/internal/core"
+	"locat/internal/dagp"
+	"locat/internal/progress"
+	"locat/internal/runner"
+	"locat/internal/sparksim"
+	"locat/internal/workloads"
+)
+
+// runJobSafe contains session panics: an execution backend may fail hard
+// mid-run (a trace replay that misses under MissFail panics by contract),
+// and one poisoned job must not take the whole service down.
+func (s *Service) runJobSafe(j *job) (res *JobResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("service: job aborted: %v", r)
+		}
+	}()
+	return s.runJob(j)
+}
+
+// runJob executes one tuning session: retrieve a prior from the history
+// store, run the core pipeline, persist the outcome.
+func (s *Service) runJob(j *job) (*JobResult, error) {
+	spec := j.spec
+	f, err := s.factory(spec.Backend)
+	if err != nil {
+		return nil, err
+	}
+	// The stream key is the job ID: deterministic for a deterministic
+	// submission sequence, which is what record/replay of a whole service
+	// run requires.
+	cl, err := sparksim.ClusterByName(spec.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := f.New(cl, spec.Seed, j.id)
+	if err != nil {
+		return nil, err
+	}
+	// Fault layers, innermost first: chaos faults individual executions on a
+	// deterministic schedule, and the retry wrapper heals its transient
+	// drops (tripping a circuit breaker on persistent failure). Both are
+	// absent unless chaos is configured — the plain chain stays bit-exact
+	// with recorded traces.
+	inner := runner.Runner(raw)
+	var breakerTripped atomic.Bool
+	if s.chaos != nil {
+		inner = runner.NewRetrying(runner.NewChaos(inner, *s.chaos), runner.RetryOptions{
+			Seed:    spec.Seed,
+			OnRetry: s.metrics.retries.Inc,
+			OnBreakerOpen: func() {
+				breakerTripped.Store(true)
+				s.metrics.breakerOpen.Add(1)
+			},
+		})
+		defer func() {
+			if breakerTripped.Load() {
+				s.metrics.breakerOpen.Add(-1)
+			}
+		}()
+	}
+	// Every execution the session issues is charged to the job's tally and
+	// the service-wide run metrics, then to any Config.Observers; the whole
+	// chain is observational only, so replayed traces still match recorded
+	// ones bit for bit.
+	var tally runner.Tally
+	watchers := append([]runner.RunObserver{&tally, s.metrics.runs}, s.cfg.Observers...)
+	observed := runner.Observe(inner, watchers...)
+	run := runner.Runner(observed)
+	// The checkpoint cache sits outermost so resumed runs are served before
+	// they reach the tally — a resumed session's Runs counts only what it
+	// actually re-executed (the acceptance bar for resume is zero).
+	var cache *runner.Cache
+	var ckp *checkpointer
+	if cs, ok := s.store.(CheckpointStore); ok && s.checkpointEvery > 0 {
+		ckp = newCheckpointer(cs, j, s.checkpointEvery, s.metrics, s.cfg.Logf)
+		var paid []runner.TraceEntry
+		if j.resume != nil && runner.CapsOf(raw).Deterministic {
+			// A deterministic backend re-drives the identical trajectory, so
+			// checkpointed runs answer the session's re-requests verbatim.
+			paid = j.resume.Entries
+		}
+		cache = runner.NewCache(run, paid, ckp.onRun)
+		run = cache
+	}
+	space := run.Space()
+
+	// The deadline clock starts before prior retrieval: reading history is
+	// part of the session the caller is waiting on.
+	var expired func() bool
+	if spec.DeadlineSec > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(),
+			time.Duration(spec.DeadlineSec*float64(time.Second)))
+		defer cancel()
+		expired = func() bool { return ctx.Err() != nil }
+	}
+
+	var prior *core.Prior
+	if !spec.ColdStart && !spec.DisableDAGP {
+		if j.seed != nil {
+			// Refine/fallback jobs are seeded with the recommendation
+			// engine's k-NN retrieval, which supersedes the fingerprint
+			// lookup (its neighbor set is a superset of the bucket walk).
+			prior = j.seed
+			s.logf("[%s] seeded with %d neighbor observations from retrieval", j.id, len(j.seed.Obs))
+		} else if p, n := s.retrievePrior(j, space); p != nil {
+			s.logf("[%s] retrieved %d prior observations from history", j.id, n)
+			prior = p
+		}
+	}
+	if j.resume != nil && !runner.CapsOf(raw).Deterministic && !spec.DisableDAGP {
+		// A non-deterministic backend (a live cluster) cannot replay its
+		// trajectory, so the checkpoint's paid observations re-enter as a
+		// warm-start prior instead of through the cache.
+		if p := checkpointPrior(j.resume, space); p != nil {
+			if prior == nil {
+				prior = p
+			} else {
+				prior.Obs = append(prior.Obs, p.Obs...)
+			}
+			s.logf("[%s] warm-starting from %d checkpointed observations", j.id, len(p.Obs))
+		}
+	}
+
+	res, rep, err := RunSession(run, spec, func(opts *core.Options) {
+		// Stop covers both user cancellation and the graceful-drain signal —
+		// the worker disambiguates on the way out.
+		opts.Stop = func() bool { return j.cancelled.Load() || s.draining.Load() }
+		opts.Expired = expired
+		opts.Logf = progress.Prefixed(s.cfg.Logf, "["+j.id+"] ")
+		opts.Tracer = j.timeline
+		opts.Prior = prior
+	})
+	if err != nil {
+		if s.parked(j, err) && ckp != nil {
+			// Persist the tail of the trajectory so the next incarnation
+			// resumes from the exact stop point, not the last periodic flush.
+			ckp.flush()
+		}
+		return nil, err
+	}
+	if rep.Degraded != "" {
+		s.logf("[%s] degraded: %s; recommending best observed", j.id, rep.Degraded)
+	}
+	res.SeededFrom = j.seededFrom
+	res.Runs, res.ClusterSec = tally.Snapshot()
+	if cache != nil {
+		res.ResumedRuns = cache.ResumedRuns()
+	}
+	if err := s.persist(j, rep, res); err != nil {
+		// The tuning result is still valid; losing the history entry only
+		// costs future warm starts.
+		s.logf("[%s] history store write failed: %v", j.id, err)
+	}
+	return res, nil
+}
+
+// RunSession is the session spine, shared by the service's workers and the
+// locat.Tune facade: the one place a JobSpec becomes core.Options, a backend
+// that failed without degrading the session becomes an error, and a
+// core.Report becomes a JobResult. adjust, when non-nil, runs after the spec
+// has been applied and sets what only the caller knows — stop and deadline
+// hooks, logger, tracer, warm-start prior, data schedule, worker count — so
+// nothing here depends on who called. Runs, ClusterSec, ResumedRuns and
+// SeededFrom describe the caller's backend stack and retrieval; it fills them.
+func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*JobResult, *core.Report, error) {
+	app, err := workloads.ByName(spec.Benchmark)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := core.DefaultOptions()
+	opts.Seed = spec.Seed
+	if spec.NQCSA > 0 {
+		opts.NQCSA = spec.NQCSA
+	}
+	if spec.NIICP > 0 {
+		opts.NIICP = spec.NIICP
+	}
+	if spec.MaxIterations > 0 {
+		opts.MaxIter = spec.MaxIterations
+	}
+	opts.UseQCSA = !spec.DisableQCSA
+	opts.UseIICP = !spec.DisableIICP
+	opts.UseDAGP = !spec.DisableDAGP
+	opts.MaxClusterSec = spec.MaxClusterSec
+	if adjust != nil {
+		adjust(&opts)
+	}
+
+	rep, err := core.New(run, app, opts).Tune(spec.DataSizeGB)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A degraded report already accounts for the backend failure — the
+	// session recommends the best configuration observed before death
+	// instead of erroring out.
+	if rep.Degraded == "" {
+		if err := runner.BackendErr(run); err != nil {
+			return nil, nil, fmt.Errorf("service: execution backend failed: %w", err)
+		}
+	}
+	res := &JobResult{
+		BestConfig:   rep.Best.Clone(),
+		BestParams:   paramsToMap(rep.Best),
+		TunedSec:     rep.TunedSec,
+		DefaultSec:   run.NoiselessAppTime(app, run.Space().Default(), spec.DataSizeGB),
+		OverheadSec:  rep.OverheadSec,
+		SamplingSec:  rep.SamplingSec,
+		SearchSec:    rep.SearchSec,
+		FullRuns:     rep.FullRuns,
+		RQARuns:      rep.RQARuns,
+		WarmStarted:  rep.WarmStarted,
+		PriorObsUsed: rep.PriorObsUsed,
+		SparkConf:    sparkConfString(rep.Best),
+		Degraded:     rep.Degraded,
+		FellBack:     rep.FellBack,
+	}
+	if rep.QCSA != nil {
+		res.SensitiveQueries = append([]string(nil), rep.QCSA.Sensitive...)
+	}
+	if rep.IICP != nil {
+		res.ImportantParams = importantNames(rep.IICP.Important)
+	}
+	return res, rep, nil
+}
+
+// checkpointPrior converts a checkpoint's successful full-application
+// executions into a warm-start prior — the resume path for backends whose
+// runs cannot be re-driven deterministically. Entries whose configuration is
+// not of the space's dimension are skipped, the rule history observations
+// follow: a checkpoint is read off disk, and a short vector would panic in
+// the session's Encode on every resume. Returns nil when the checkpoint holds
+// no usable observation.
+func checkpointPrior(cp *Checkpoint, space *conf.Space) *core.Prior {
+	p := &core.Prior{}
+	for _, e := range cp.Entries {
+		if e.Kind != runner.TraceApp || e.Result == nil || e.Result.Sec <= 0 || len(e.Conf) != space.Dim() {
+			continue
+		}
+		var qs map[string]float64
+		if len(e.Result.Queries) > 0 {
+			qs = make(map[string]float64, len(e.Result.Queries))
+			for _, qr := range e.Result.Queries {
+				qs[qr.Name] += qr.Sec
+			}
+		}
+		p.Obs = append(p.Obs, core.PriorObs{
+			Conf:      conf.Config(append([]float64(nil), e.Conf...)),
+			DataGB:    e.DataGB,
+			Sec:       e.Result.Sec,
+			QuerySecs: qs,
+		})
+	}
+	if len(p.Obs) == 0 {
+		return nil
+	}
+	return p
+}
+
+// retrievePrior assembles a core.Prior from history entries under the job's
+// fingerprint and its neighboring size buckets: observations in the order the
+// walk reads them, the QCSA / IICP artifacts from the newest same-bucket
+// entry (falling back to neighbors).
+func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
+	var entries []Entry
+	for _, fp := range append([]Fingerprint{j.fp}, j.fp.Neighbors()...) {
+		es, err := s.store.Get(fp.Key())
+		if err != nil {
+			s.logf("[%s] history read %s failed: %v", j.id, fp.Key(), err)
+			continue
+		}
+		entries = append(entries, es...)
+	}
+	trusted := append([]Entry(nil), entries...)
+	sort.SliceStable(trusted, func(a, b int) bool {
+		sa, sb := trusted[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
+			trusted[b].Fingerprint.SizeBucket == j.fp.SizeBucket
+		if sa != sb {
+			return sa
+		}
+		return trusted[a].CreatedUnix > trusted[b].CreatedUnix
+	})
+	prior := buildPrior(entries, trusted, space, j.spec.DataSizeGB, s.rec.maxPriorObs)
+	if prior == nil {
+		return nil, 0
+	}
+	return prior, len(prior.Obs)
+}
+
+// buildPrior is the one rule that turns history entries into a warm-start
+// prior. Every observation of the space's dimension, in the order entries
+// gives them, is offered to dagp.SelectTransfer, which ranks them against the
+// target size and keeps at most maxObs; the QCSA and IICP artifacts are each
+// taken from the first entry of trusted that has one — the caller's order of
+// preference (newest same-bucket entry for the fingerprint walk, nearest
+// workload for k-NN retrieval). Nil when no entry holds a usable observation.
+func buildPrior(entries, trusted []Entry, space *conf.Space, targetGB float64, maxObs int) *core.Prior {
+	var obs []core.PriorObs
+	var samples []dagp.Sample
+	for _, e := range entries {
+		for _, o := range e.Obs {
+			if len(o.Params) != space.Dim() {
+				continue // stored under a different parameter table
+			}
+			c := conf.Config(o.Params)
+			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
+			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
+		}
+	}
+	if len(obs) == 0 {
+		return nil
+	}
+	prior := &core.Prior{}
+	for _, i := range dagp.SelectTransfer(samples, targetGB, maxObs) {
+		prior.Obs = append(prior.Obs, obs[i])
+	}
+	for _, e := range trusted {
+		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
+			prior.Sensitive = append([]string(nil), e.Sensitive...)
+		}
+		if prior.Important == nil && len(e.Important) > 0 {
+			// Names this build's parameter table does not know are dropped; an
+			// entry naming none it knows leaves the choice to the next.
+			for _, name := range e.Important {
+				if _, idx, ok := conf.ParamByName(name); ok {
+					prior.Important = append(prior.Important, idx)
+				}
+			}
+		}
+	}
+	return prior
+}
+
+// persist writes the finished session into the history store.
+func (s *Service) persist(j *job, rep *core.Report, res *JobResult) error {
+	e := Entry{
+		Fingerprint: j.fp,
+		JobID:       j.id,
+		CreatedUnix: time.Now().Unix(),
+		TargetGB:    j.spec.DataSizeGB,
+		TunedSec:    res.TunedSec,
+		OverheadSec: res.OverheadSec,
+		BestParams:  res.BestParams,
+		Sensitive:   res.SensitiveQueries,
+		Important:   res.ImportantParams,
+	}
+	for _, ev := range rep.History {
+		if !ev.FullApp {
+			// RQA runs measure only the reduced application; persisting
+			// them as full-app observations would corrupt future priors.
+			continue
+		}
+		e.Obs = append(e.Obs, Observation{
+			Params:    append([]float64(nil), ev.Conf...),
+			DataGB:    ev.DataGB,
+			Sec:       ev.Sec,
+			QuerySecs: ev.QuerySecs,
+		})
+	}
+	if err := s.store.Put(e); err != nil {
+		return err
+	}
+	// Index the fresh entry (and drop whatever the per-key cap evicted) so
+	// the recommendation tier sees it immediately.
+	s.rec.Add(e)
+	return nil
+}
+
+// sparkConfString renders a configuration in spark-defaults.conf syntax.
+func sparkConfString(c conf.Config) string {
+	var b strings.Builder
+	_ = conf.FormatSparkConf(&b, c)
+	return b.String()
+}
+
+// importantNames maps parameter indices to Spark property names.
+func importantNames(idx []int) []string {
+	params := conf.Params()
+	out := make([]string, 0, len(idx))
+	for _, j := range idx {
+		if j >= 0 && j < len(params) {
+			out = append(out, params[j].Name)
+		}
+	}
+	return out
+}
+
+// paramsToMap converts a configuration vector to a name→value map.
+func paramsToMap(c conf.Config) map[string]float64 {
+	out := make(map[string]float64, len(c))
+	for i, p := range conf.Params() {
+		out[p.Name] = c[i]
+	}
+	return out
+}

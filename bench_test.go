@@ -625,7 +625,8 @@ const historyAppends = 24
 // BenchmarkFileStorePut measures what persisting one finished session costs
 // the history store at 200 and 1000 keys: the write appends to a shard of
 // three or more entries and evicts from the key cap without listing the
-// directory, so neither the shard's size nor the key count should show.
+// directory, so neither the shard's size nor the key count should show —
+// and at the 32-entry cap of one key.
 func BenchmarkFileStorePut(b *testing.B) {
 	for _, keys := range []int{200, 1000} {
 		b.Run(fmt.Sprintf("Keys%d", keys), func(b *testing.B) {
@@ -644,6 +645,58 @@ func BenchmarkFileStorePut(b *testing.B) {
 				}
 			}
 		})
+	}
+	// A key that already holds its 32 sessions, where every write of a
+	// long-lived workload lands: the store drops the oldest and adds the new
+	// one without decoding or encoding the thirty-one between.
+	b.Run("AtCap", func(b *testing.B) {
+		entries := historyEntries(1)
+		fs := historyStore(b, entries)
+		serial := 3
+		for ; serial < 32; serial++ {
+			if err := fs.Put(session(entries, serial)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fs.Put(session(entries, serial+i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFileStoreGet measures what every recommendation, warm start and
+// history read pays per shard: reading and decoding one key's three sessions,
+// 48 observations of 38 parameters and 100 query times.
+func BenchmarkFileStoreGet(b *testing.B) {
+	entries := historyEntries(1)
+	fs := historyStore(b, entries)
+	key := entries[0].Fingerprint.Key()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := fs.Get(key); err != nil || len(got) != 3 {
+			b.Fatalf("%d entries, %v", len(got), err)
+		}
+	}
+}
+
+// BenchmarkRecommenderRebuild measures the index half of a service start over
+// 200 keys and 600 sessions whose vectors the index file already holds: every
+// shard is read for its entries' identities and nothing else.
+func BenchmarkRecommenderRebuild(b *testing.B) {
+	const keys = 200
+	fs := historyStore(b, historyEntries(keys))
+	service.NewRecommender(fs, nil) // writes the index file the runs below load
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rc := service.NewRecommender(fs, nil); rc.Len() != 3*keys {
+			b.Fatalf("index holds %d items, want %d", rc.Len(), 3*keys)
+		}
 	}
 }
 

@@ -228,10 +228,11 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value for the text exposition; built once, as
+// every metric lookup renders its labels.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // register resolves or creates a series, enforcing one kind per name.
 func (r *Registry) register(name, help string, kind metricKind, kv []string, mk func() *series) *series {

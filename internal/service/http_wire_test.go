@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"locat/internal/conf"
+	"locat/internal/runner"
+	"locat/internal/sparksim"
 )
 
 // finishedJob plants a succeeded job holding res in the service, as if a
@@ -204,4 +206,71 @@ func keysOf(m map[string]json.RawMessage) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestSettledResultServedWhole: a settled job keeps its result without
+// BestParams and SparkConf, and every way the result leaves the service puts
+// them back — the bodies of GET /v1/jobs/{id}, /result and /conf are, byte for
+// byte, those of a job that holds the result whole.
+func TestSettledResultServedWhole(t *testing.T) {
+	spec := quickSpec(100, 1)
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	full, _, err := RunSession(runner.NewSim(sparksim.New(sparksim.ARM(), spec.Seed)), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Runs, full.ClusterSec = 18, full.OverheadSec
+	full.SeededFrom = []Neighbor{{JobID: "job-000009", Key: "k", Distance: 0.25, Weight: 1, TunedSec: 600, TargetGB: 100, Obs: 18}}
+	if len(full.BestParams) != conf.NumParams || full.SparkConf == "" {
+		t.Fatalf("the session's result lacks what the test is about: %d parameters, %d bytes of spark conf", len(full.BestParams), len(full.SparkConf))
+	}
+
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	// job-000001 holds the result whole, as every job did; job-000002 settles
+	// the way a worker settles it.
+	whole := *full
+	finishedJob(t, s, "job-000001", &whole)
+	finishedJob(t, s, "job-000002", nil)
+	s.mu.Lock()
+	j := s.jobs["job-000002"]
+	j.state = StateRunning
+	s.tenantLocked("").inFlight++
+	s.settleLocked(j, StateSucceeded, full, nil)
+	kept := j.result
+	s.mu.Unlock()
+	if kept.BestParams != nil || kept.SparkConf != "" || !reflect.DeepEqual(kept.BestConfig, full.BestConfig) {
+		t.Fatalf("the settled job holds %d parameters and %d bytes of spark conf, want the configuration alone", len(kept.BestParams), len(kept.SparkConf))
+	}
+	if res, err := s.Result("job-000002"); err != nil || !reflect.DeepEqual(res, full) {
+		t.Fatalf("Result returns %+v (%v), want the session's result %+v", res, err, full)
+	}
+	for _, st := range s.Jobs() {
+		if !reflect.DeepEqual(st.Result, full) {
+			t.Fatalf("Jobs lists %s with %+v, want the session's result", st.ID, st.Result)
+		}
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resultOf := func(id string) string {
+		var status struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(getBody(t, srv.URL+"/v1/jobs/"+id), &status); err != nil {
+			t.Fatal(err)
+		}
+		return string(status.Result)
+	}
+	if got, want := resultOf("job-000002"), resultOf("job-000001"); got != want || len(want) < len(full.SparkConf) {
+		t.Errorf("GET /v1/jobs/{id} embeds\n%s\nwant\n%s", got, want)
+	}
+	for _, route := range []string{"/result", "/conf"} {
+		got, want := getBody(t, srv.URL+"/v1/jobs/job-000002"+route), getBody(t, srv.URL+"/v1/jobs/job-000001"+route)
+		if string(got) != string(want) || len(want) < len(full.SparkConf) {
+			t.Errorf("GET /v1/jobs/{id}%s =\n%s\nwant\n%s", route, got, want)
+		}
+	}
 }

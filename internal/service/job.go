@@ -94,7 +94,7 @@ func (s *JobSpec) normalize() error {
 	if s.Benchmark == "" {
 		s.Benchmark = "TPC-DS"
 	}
-	if _, err := workloads.ByName(s.Benchmark); err != nil {
+	if err := workloads.Check(s.Benchmark); err != nil {
 		return err
 	}
 	if s.DataSizeGB == 0 {
@@ -246,11 +246,15 @@ type JobStatus struct {
 }
 
 type job struct {
-	id        string
-	spec      JobSpec
-	fp        Fingerprint
-	state     State
-	err       string
+	id    string
+	spec  JobSpec
+	fp    Fingerprint
+	state State
+	err   string
+	// result is the session's outcome without BestParams and SparkConf, which
+	// are functions of BestConfig and more than half of what a finished job
+	// would hold on to for as long as the service runs; rendered puts them
+	// back wherever a result leaves the service.
 	result    *JobResult
 	submitted time.Time
 	started   time.Time
@@ -279,29 +283,50 @@ type job struct {
 // Status returns a job's current snapshot.
 func (s *Service) Status(id string) (JobStatus, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.RUnlock()
 		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
 	}
-	return j.snapshotLocked(), nil
+	st := j.snapshotLocked()
+	s.mu.RUnlock()
+	st.Result = rendered(st.Result)
+	return st, nil
 }
 
 // Jobs returns snapshots of every job in submission order.
 func (s *Service) Jobs() []JobStatus {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]JobStatus, 0, len(s.order))
 	for _, id := range s.order {
 		out = append(out, s.jobs[id].snapshotLocked())
 	}
+	s.mu.RUnlock()
+	for i := range out {
+		out[i].Result = rendered(out[i].Result)
+	}
 	return out
 }
 
-// snapshotLocked renders the job; the service mutex must be held (a read
-// lock suffices — every job mutation happens under the write lock, so the
-// read paths Status/Jobs/Stats snapshot concurrently without serializing
-// behind each other or behind Submit).
+// rendered returns a settled job's result as it leaves the service: a copy
+// with the two renderings of BestConfig that settleLocked dropped (a result
+// without a whole configuration has none). A result is never written after it
+// settles, so no lock is needed.
+func rendered(res *JobResult) *JobResult {
+	if res == nil || len(res.BestConfig) != conf.NumParams {
+		return res
+	}
+	full := *res
+	full.BestParams = paramsToMap(res.BestConfig)
+	full.SparkConf = sparkConfString(res.BestConfig)
+	return &full
+}
+
+// snapshotLocked copies the job, its result as stored (callers render it once
+// the mutex is released); the service mutex must be held (a read lock
+// suffices — every job mutation happens under the write lock, so the read
+// paths Status/Jobs/Stats snapshot concurrently without serializing behind
+// each other or behind Submit).
 func (j *job) snapshotLocked() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
@@ -336,7 +361,7 @@ func (s *Service) Result(id string) (*JobResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if j.state == StateSucceeded {
-		return j.result, nil
+		return rendered(j.result), nil
 	}
 	verdict := j.state.info().verdict
 	if j.state == StateFailed {
@@ -468,7 +493,11 @@ func (s *Service) requeueForRetry(j *job, cause error) bool {
 func (s *Service) settleLocked(j *job, st State, res *JobResult, cause error) {
 	j.state = st
 	j.finished = time.Now()
-	j.result = res
+	if res != nil {
+		lean := *res
+		lean.BestParams, lean.SparkConf = nil, ""
+		j.result = &lean
+	}
 	switch {
 	case cause != nil:
 		j.err = cause.Error()

@@ -156,7 +156,9 @@ func NewRecommender(store Store, logf progress.Logf) *Recommender {
 		progress.F(logf, "recommender: index rebuild: %v", err)
 		return rc
 	}
+	// A fresh snapshot, whatever the file held before.
 	rc.reconcileLocked("rebuild read", keys, true)
+	rc.saveLocked()
 	return rc
 }
 
@@ -172,10 +174,11 @@ func entryID(e Entry) string {
 
 // indexItem featurizes a history entry. Entries whose benchmark the binary
 // no longer knows cannot be featurized and are skipped (not an error: the
-// store may hold entries from a newer build).
-func indexItem(e Entry) (retrieve.Item, bool) {
+// store may hold entries from a newer build). obs is len(e.Obs), which a
+// reader that skipped the observations hands over separately.
+func indexItem(e Entry, obs int) (retrieve.Item, bool) {
 	w, err := workloadOf(e.Fingerprint.Cluster, e.Fingerprint.Benchmark,
-		e.TargetGB, e.Fingerprint.Techniques, len(e.Obs))
+		e.TargetGB, e.Fingerprint.Techniques, obs)
 	if err != nil {
 		return retrieve.Item{}, false
 	}
@@ -190,30 +193,15 @@ func specWorkload(spec JobSpec) (retrieve.Workload, error) {
 	return workloadOf(spec.Cluster, spec.Benchmark, spec.DataSizeGB, tech, 16)
 }
 
-// workloadOf maps the tuning domain onto the retrieve feature space:
-// cluster architecture and scale, log input size, the benchmark's query-plan
-// mix (class fractions, scan-weighted shuffle volume, stage depth, compute
-// intensity, skew), the technique bits, and how many observations back the
-// entry.
-func workloadOf(cluster, benchmark string, dataGB float64, techniques string, obsCount int) (retrieve.Workload, error) {
-	app, err := workloads.ByName(benchmark)
-	if err != nil {
-		return retrieve.Workload{}, err
-	}
-	cl, err := sparksim.ClusterByName(cluster)
-	if err != nil {
-		return retrieve.Workload{}, err
-	}
-	w := retrieve.Workload{TotalCores: float64(cl.TotalCores())}
-	if cluster == "x86" {
-		w.ClusterCode = 1
-	}
-	if dataGB > 1 {
-		w.Log2GB = math.Log2(dataGB)
-	}
-	n := len(app.Queries)
-	w.Queries = float64(n)
-	if n > 0 {
+// planMix holds, per benchmark, the retrieval features its query plans fix
+// (query count, class fractions, scan-weighted shuffle volume, stage depth,
+// compute intensity, skew), worked out once: building an application to read
+// them costs more than a recommendation's whole index scan.
+var planMix = sync.OnceValue(func() map[string]retrieve.Workload {
+	mix := map[string]retrieve.Workload{}
+	for _, app := range workloads.Suites() {
+		n := len(app.Queries)
+		w := retrieve.Workload{Queries: float64(n)}
 		var joins, aggs, shuffle, scanned, input, stages, cpu, skew float64
 		for _, q := range app.Queries {
 			switch q.Class {
@@ -238,6 +226,30 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 		w.Stages = stages / fn
 		w.CPUWeight = cpu / fn
 		w.Skew = skew / fn
+		mix[app.Name] = w
+	}
+	return mix
+})
+
+// workloadOf maps the tuning domain onto the retrieve feature space:
+// cluster architecture and scale, log input size, the benchmark's query-plan
+// mix (planMix), the technique bits, and how many observations back the
+// entry.
+func workloadOf(cluster, benchmark string, dataGB float64, techniques string, obsCount int) (retrieve.Workload, error) {
+	w, ok := planMix()[benchmark]
+	if !ok {
+		return retrieve.Workload{}, workloads.Check(benchmark)
+	}
+	cl, err := sparksim.ClusterByName(cluster)
+	if err != nil {
+		return retrieve.Workload{}, err
+	}
+	w.TotalCores = float64(cl.TotalCores())
+	if cluster == "x86" {
+		w.ClusterCode = 1
+	}
+	if dataGB > 1 {
+		w.Log2GB = math.Log2(dataGB)
 	}
 	if strings.Contains(techniques, "q") {
 		w.QCSA = 1
@@ -254,53 +266,78 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 	return w, nil
 }
 
+// stored reads the entries under key for reconcileLocked, which wants their
+// identity, target size and observation count only: from a store that can
+// skip the rest (FileStore.heads), else whole.
+func (rc *Recommender) stored(key string) ([]Entry, []entryMark, error) {
+	if hs, ok := rc.store.(interface {
+		heads(string) ([]Entry, []entryMark, error)
+	}); ok {
+		return hs.heads(key)
+	}
+	entries, err := rc.store.Get(key)
+	return entries, marksOf(entries), err
+}
+
 // reconcileLocked syncs the index with what the store holds under keys:
 // featurize entries the index does not know (preserving already-persisted
-// vectors, which is the point of the index file), compact out items under
-// those keys that the store no longer holds, and persist the result as a
-// fresh snapshot, whatever the file held before. With all set — the start-up
-// rebuild over every key of the store — items under any other key are
-// compacted out too: the store evicted those keys wholesale while the index
-// was offline. A key that cannot be read (logged as "index <verb> <key>")
-// keeps its items.
-func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) {
+// vectors, which is the point of the index file) and compact out items under
+// those keys that the store no longer holds. It returns the changes as index
+// records, upserts then removals, for the caller to persist. With all set —
+// the start-up rebuild over every key of the store — items under any other
+// key are compacted out too: the store evicted those keys wholesale while the
+// index was offline. A key that cannot be read (logged as "index <verb>
+// <key>") keeps its items.
+func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) []retrieve.Record {
 	alive, unread := map[string]bool{}, map[string]bool{}
+	var recs []retrieve.Record
 	for _, k := range keys {
-		entries, err := rc.store.Get(k)
+		entries, marks, err := rc.stored(k)
 		if err != nil {
 			progress.F(rc.logf, "recommender: index %s %s: %v", verb, k, err)
 			unread[k] = true
 			continue
 		}
-		for _, e := range entries {
+		for i, e := range entries {
 			id := entryID(e)
 			alive[id] = true
 			if rc.ix.Has(id) {
 				continue
 			}
-			if it, ok := indexItem(e); ok {
+			if it, ok := indexItem(e, marks[i].obs); ok {
 				rc.ix.Upsert(it)
+				recs = append(recs, retrieve.Record{Item: it})
 			}
 		}
 	}
+	var gone []string
 	rc.ix.Compact(func(it retrieve.Item) bool {
-		return alive[it.ID] || unread[it.Key] || !all && !slices.Contains(keys, it.Key)
+		keep := alive[it.ID] || unread[it.Key] || !all && !slices.Contains(keys, it.Key)
+		if !keep {
+			gone = append(gone, it.ID)
+		}
+		return keep
 	})
-	rc.saveLocked()
+	slices.Sort(gone) // the index hands them over in map order
+	for _, id := range gone {
+		recs = append(recs, retrieve.Record{Item: retrieve.Item{ID: id}, Del: true})
+	}
+	return recs
 }
 
 // Add indexes the entry the store has just been given — the post-persist
 // hook. While the index holds fewer items under the entry's key than a shard
 // may hold entries, the store cannot have dropped one to make room, so the
-// entry is all that changed; from there on Sync reconciles the key.
+// entry is all that changed; from there on the key is reconciled as Sync does,
+// which appends the entry and what the cap evicted for it.
 func (rc *Recommender) Add(e Entry) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if key := e.Fingerprint.Key(); rc.ix.KeyLen(key) >= maxEntriesPerKey {
-		rc.reconcileLocked("sync", []string{key}, false)
+		rc.appendLocked(rc.reconcileLocked("sync", []string{key}, false)...)
 		return
 	}
-	if it, ok := indexItem(e); ok {
+	if it, ok := indexItem(e, len(e.Obs)); ok {
 		rc.ix.Upsert(it)
 		rc.appendLocked(retrieve.Record{Item: it})
 	}
@@ -311,7 +348,7 @@ func (rc *Recommender) Add(e Entry) {
 func (rc *Recommender) Sync(key string) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.reconcileLocked("sync", []string{key}, false)
+	rc.appendLocked(rc.reconcileLocked("sync", []string{key}, false)...)
 }
 
 // saveLocked persists the index as a snapshot when the store keeps one.
@@ -329,7 +366,7 @@ func (rc *Recommender) saveLocked() {
 // records to the index file. When that would leave more appended records than
 // live items, or the append fails, the snapshot is rewritten instead.
 func (rc *Recommender) appendLocked(recs ...retrieve.Record) {
-	if rc.path == "" {
+	if rc.path == "" || len(recs) == 0 {
 		return
 	}
 	if rc.appended+len(recs) > rc.ix.Len() {

@@ -317,7 +317,8 @@ func indexLines(t *testing.T, path string) int {
 // life: a file of an older schema is replaced by a rebuilt snapshot, each
 // added entry costs one appended line, the snapshot is rewritten once the
 // appended lines outnumber the live items, a key at the per-key cap is
-// reconciled against the store, stale matches are logged as removals — and
+// reconciled against the store at two appended lines a session, stale matches
+// are logged as removals — and
 // at every point the file replays to exactly what the recommender holds.
 func TestRecommenderIndexLog(t *testing.T) {
 	dir := t.TempDir()
@@ -398,9 +399,18 @@ func TestRecommenderIndexLog(t *testing.T) {
 	}
 
 	// Across the per-key cap the index follows the store's evictions.
+	// At the cap each session costs the log two lines, the new item and the
+	// removal of the one evicted for it, not a snapshot of every item.
 	key := bucketEntry("", 0, 7).Fingerprint.Key()
+	appendedAtCap := 0
 	for i := 0; i < maxEntriesPerKey+5; i++ {
+		before := indexLines(t, path)
 		put(bucketEntry(fmt.Sprintf("capped-%02d", i), int64(3000+i), 7))
+		if n := indexLines(t, path); i >= maxEntriesPerKey && n == before+2 {
+			appendedAtCap++
+		} else if i >= maxEntriesPerKey && n != 1+rc.Len() {
+			t.Fatalf("put %d at the cap: the index file went from %d to %d lines, want two appended or a snapshot of %d items", i, before, n, rc.Len())
+		}
 		entries, err := fs.Get(key)
 		if err != nil {
 			t.Fatal(err)
@@ -414,6 +424,9 @@ func TestRecommenderIndexLog(t *testing.T) {
 			}
 		}
 		inStep("across the cap")
+	}
+	if appendedAtCap < 3 {
+		t.Fatalf("%d of 5 sessions at the cap were appended to the log, want all but the one the log rule snapshots", appendedAtCap)
 	}
 
 	// A shard that vanished is found out by retrieval, and the removals are

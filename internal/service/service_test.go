@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -383,5 +384,44 @@ func TestConcurrentReadsUnderSubmit(t *testing.T) {
 	st := s.Stats()
 	if st.Queued != 0 || st.Running != 0 || st.Finished() != len(all) {
 		t.Fatalf("stats after drain: %+v", st)
+	}
+}
+
+// TestTerminalJobsStayLean bounds what a finished job costs the service for
+// the rest of its life: Service.jobs never forgets a job, so every byte a
+// settled job holds is held until the process ends. Two hundred real sessions
+// after a warm-up (which fills the store's per-key cap and the metric series)
+// may grow the live heap by 3.5 KB each; with the tuned configuration kept
+// three times over — vector, name→value map, spark-defaults text — they grew
+// it by 7 KB.
+func TestTerminalJobsStayLean(t *testing.T) {
+	s := New(Config{Workers: 1, CheckpointEvery: -1})
+	defer s.Close()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			id, err := s.Submit(JobSpec{Benchmark: "Scan", DataSizeGB: 8, NQCSA: 6, NIICP: 4, MaxIterations: 2, ColdStart: true, Seed: int64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Result(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	run(40)
+	before := live()
+	const jobs = 200
+	run(jobs)
+	perJob := (live() - before) / jobs
+	t.Logf("a terminal job retains %d bytes", perJob)
+	if perJob > 3500 {
+		t.Fatalf("a terminal job retains %d bytes, want at most 3500", perJob)
 	}
 }

@@ -235,6 +235,16 @@ func writeAtomic(p, what string, write func(f *os.File) error) (os.FileInfo, err
 	return fi, nil
 }
 
+// writeAll writes the parts to f one after another.
+func writeAll(f *os.File, parts ...[]byte) error {
+	for _, part := range parts {
+		if _, err := f.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Put implements Store.
 func (s *FileStore) Put(e Entry) error {
 	s.mu.Lock()
@@ -244,8 +254,11 @@ func (s *FileStore) Put(e Entry) error {
 	if err != nil {
 		return err
 	}
-	st, appended, err := s.appendShard(p, s.shards[key], e)
-	if err == nil && !appended {
+	st, done, err := s.appendShard(p, s.shards[key], e)
+	if err == nil && !done {
+		st, done, err = s.spliceShard(p, key, e)
+	}
+	if err == nil && !done {
 		st, err = s.rewriteShard(p, key, e)
 	}
 	if err != nil {
@@ -295,12 +308,7 @@ func (s *FileStore) appendShard(p string, st shardState, e Entry) (shardState, b
 		if _, err := io.CopyN(dst, src, st.size-int64(len("\n]"))); err != nil {
 			return err
 		}
-		for _, part := range [][]byte{[]byte(",\n "), enc, []byte("\n]")} {
-			if _, err := dst.Write(part); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeAll(dst, []byte(",\n "), enc, []byte("\n]"))
 	})
 	if err != nil {
 		return shardState{}, false, err
@@ -308,7 +316,42 @@ func (s *FileStore) appendShard(p string, st shardState, e Entry) (shardState, b
 	return stateOf(fi, st.entries+1, e.CreatedUnix), true, nil
 }
 
-// rewriteShard decodes the shard, adds e, sorts, caps and encodes it again.
+// spliceShard is what Put does at the per-key cap, where appendShard stops, and
+// after anything that made the store forget the shard: it reads the file,
+// scans it for where its entries lie, and writes the bytes of those the cap
+// keeps followed by e — the bytes rewriteShard produces, again without
+// building or encoding the entries already there. That holds only when the
+// file is in this store's own layout, its entries in order, and e not older
+// than the newest; in every other case spliceShard reports false and has
+// written nothing.
+func (s *FileStore) spliceShard(p, key string, e Entry) (shardState, bool, error) {
+	data, _, err := s.read(key)
+	if err != nil || data == nil {
+		return shardState{}, false, nil // rewriteShard reports what is wrong with the file
+	}
+	entries, marks, ok := decodeShard(data, true)
+	n := len(entries)
+	if !ok || !sortedByCreated(entries) || e.CreatedUnix < entries[n-1].CreatedUnix {
+		return shardState{}, false, nil
+	}
+	enc, err := json.MarshalIndent(e, " ", " ")
+	if err != nil {
+		return shardState{}, false, fmt.Errorf("service: encode history: %w", err)
+	}
+	first := max(0, n+1-maxEntriesPerKey)
+	kept := data[marks[first].off:marks[n-1].end]
+	fi, err := writeAtomic(p, "history", func(dst *os.File) error {
+		return writeAll(dst, []byte("[\n "), kept, []byte(",\n "), enc, []byte("\n]"))
+	})
+	if err != nil {
+		return shardState{}, false, err
+	}
+	return stateOf(fi, n-first+1, e.CreatedUnix), true, nil
+}
+
+// rewriteShard decodes the shard, adds e, sorts, caps and encodes it again:
+// what Put falls back to for a first write, an entry older than the shard's
+// newest, and a file laid out by anyone else.
 func (s *FileStore) rewriteShard(p, key string, e Entry) (shardState, error) {
 	entries, err := s.load(key)
 	if err != nil {
@@ -319,10 +362,7 @@ func (s *FileStore) rewriteShard(p, key string, e Entry) (shardState, error) {
 	if err != nil {
 		return shardState{}, fmt.Errorf("service: encode history: %w", err)
 	}
-	fi, err := writeAtomic(p, "history", func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
-	})
+	fi, err := writeAtomic(p, "history", func(f *os.File) error { return writeAll(f, data) })
 	if err != nil {
 		return shardState{}, err
 	}
@@ -394,43 +434,90 @@ func (s *FileStore) Get(key string) ([]Entry, error) {
 	return s.load(key)
 }
 
-// load reads and decodes a shard and remembers its state for the next Put.
-func (s *FileStore) load(key string) ([]Entry, error) {
+// read returns the bytes of key's shard and the file they came from, both nil
+// when there is no such file.
+func (s *FileStore) read(key string) ([]byte, os.FileInfo, error) {
 	p, err := s.path(key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	delete(s.shards, key)
 	f, err := os.Open(p)
 	if os.IsNotExist(err) {
-		delete(s.mtimes, key)
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: read history: %w", err)
+		return nil, nil, fmt.Errorf("service: read history: %w", err)
 	}
 	defer f.Close()
 	// Size, time and bytes all come from the one open file, so the state
 	// describes exactly what was decoded even if the path is replaced now.
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("service: read history: %w", err)
+		return nil, nil, fmt.Errorf("service: read history: %w", err)
 	}
 	data := make([]byte, fi.Size())
 	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("service: read history: %w", err)
+		return nil, nil, fmt.Errorf("service: read history: %w", err)
 	}
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("service: decode history %s: %w", key, err)
+	return data, fi, nil
+}
+
+// load reads and decodes a shard and remembers its state for the next Put.
+func (s *FileStore) load(key string) ([]Entry, error) {
+	entries, _, err := s.decode(key, false)
+	return entries, err
+}
+
+// heads reads a shard for what the k-NN index keeps of its entries: each
+// entry without BestParams, Sensitive, Important and Obs, and the number of its
+// observations. Like Get, it leaves the shard's state behind for the next Put.
+func (s *FileStore) heads(key string) ([]Entry, []entryMark, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.decode(key, true)
+}
+
+// decode is load, or with skip heads: the store's own layout through
+// decodeShard, anything else through encoding/json.
+func (s *FileStore) decode(key string, skip bool) ([]Entry, []entryMark, error) {
+	delete(s.shards, key)
+	data, fi, err := s.read(key)
+	if err != nil {
+		return nil, nil, err
 	}
-	sorted := sort.SliceIsSorted(entries, func(a, b int) bool {
-		return entries[a].CreatedUnix < entries[b].CreatedUnix
-	})
-	if n := len(entries); n > 0 && sorted {
+	if data == nil {
+		delete(s.mtimes, key)
+		return nil, nil, nil
+	}
+	entries, marks, ok := decodeShard(data, skip)
+	if !ok {
+		if err := json.Unmarshal(data, &entries); err != nil {
+			return nil, nil, fmt.Errorf("service: decode history %s: %w", key, err)
+		}
+		if skip {
+			marks = marksOf(entries)
+		}
+	}
+	if n := len(entries); n > 0 && sortedByCreated(entries) {
 		s.shards[key] = stateOf(fi, n, entries[n-1].CreatedUnix)
 	}
-	return entries, nil
+	return entries, marks, nil
+}
+
+// marksOf counts the observations of entries read whole.
+func marksOf(entries []Entry) []entryMark {
+	marks := make([]entryMark, len(entries))
+	for i, e := range entries {
+		marks[i].obs = len(e.Obs)
+	}
+	return marks
+}
+
+// sortedByCreated reports whether the entries are in the order Put keeps.
+func sortedByCreated(entries []Entry) bool {
+	return sort.SliceIsSorted(entries, func(a, b int) bool {
+		return entries[a].CreatedUnix < entries[b].CreatedUnix
+	})
 }
 
 // Keys implements Store.

@@ -27,28 +27,50 @@ import (
 // (Table 1).
 var DataSizesGB = []float64{100, 200, 300, 400, 500}
 
+// suites lists the five benchmarks in the paper's order, each constructor
+// under the name its application carries.
+var suites = []struct {
+	name  string
+	build func() *sparksim.Application
+}{
+	{"TPC-DS", TPCDS}, {"TPC-H", TPCH}, {"Join", HiBenchJoin}, {"Scan", HiBenchScan}, {"Aggregation", HiBenchAggregation},
+}
+
 // Suites returns all five benchmark applications in the paper's order:
 // TPC-DS, TPC-H, HiBench Join, Scan, Aggregation.
 func Suites() []*sparksim.Application {
-	return []*sparksim.Application{TPCDS(), TPCH(), HiBenchJoin(), HiBenchScan(), HiBenchAggregation()}
+	out := make([]*sparksim.Application, len(suites))
+	for i, s := range suites {
+		out[i] = s.build()
+	}
+	return out
+}
+
+// builder finds a benchmark's constructor by name.
+func builder(name string) (func() *sparksim.Application, error) {
+	for _, s := range suites {
+		if s.name == name {
+			return s.build, nil
+		}
+	}
+	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
 // ByName returns the named benchmark application. Recognized names (case
 // sensitive): "TPC-DS", "TPC-H", "Join", "Scan", "Aggregation".
 func ByName(name string) (*sparksim.Application, error) {
-	switch name {
-	case "TPC-DS":
-		return TPCDS(), nil
-	case "TPC-H":
-		return TPCH(), nil
-	case "Join":
-		return HiBenchJoin(), nil
-	case "Scan":
-		return HiBenchScan(), nil
-	case "Aggregation":
-		return HiBenchAggregation(), nil
+	build, err := builder(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	return build(), nil
+}
+
+// Check returns the error ByName would return for name, without building the
+// application: what a caller that only validates a name should pay.
+func Check(name string) error {
+	_, err := builder(name)
+	return err
 }
 
 // hashFloats returns n deterministic pseudo-random values in [0,1) derived

@@ -35,9 +35,16 @@ func TestByName(t *testing.T) {
 		if err != nil || app.Name != n {
 			t.Fatalf("ByName(%q) = %v, %v", n, app, err)
 		}
+		if err := Check(n); err != nil {
+			t.Fatalf("Check(%q) = %v", n, err)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
+	_, err := ByName("nope")
+	if err == nil {
 		t.Fatal("ByName accepted unknown benchmark")
+	}
+	if cerr := Check("nope"); cerr == nil || cerr.Error() != err.Error() {
+		t.Fatalf("Check(nope) = %v, ByName's error is %v", cerr, err)
 	}
 }
 

@@ -311,16 +311,13 @@ func TestSubspaceErrors(t *testing.T) {
 	}
 }
 
-func TestNeighborAndCrossoverValid(t *testing.T) {
+func TestNeighborValid(t *testing.T) {
 	s := NewSpace(ProfileARM, armLimits())
 	rng := rand.New(rand.NewSource(6))
-	a, b := s.Random(rng), s.Random(rng)
+	a := s.Random(rng)
 	for i := 0; i < 50; i++ {
 		if err := s.Validate(s.Neighbor(a, 0.1, rng)); err != nil {
 			t.Fatalf("Neighbor invalid: %v", err)
-		}
-		if err := s.Validate(s.Crossover(a, b, rng)); err != nil {
-			t.Fatalf("Crossover invalid: %v", err)
 		}
 	}
 }

@@ -290,15 +290,3 @@ func (s *Space) Neighbor(c Config, scale float64, rng *rand.Rand) Config {
 	}
 	return s.Decode(u)
 }
-
-// Crossover returns a valid configuration taking each parameter from a or b
-// uniformly at random (the DAC baseline's genetic crossover).
-func (s *Space) Crossover(a, b Config, rng *rand.Rand) Config {
-	child := a.Clone()
-	for i := range child {
-		if rng.Intn(2) == 1 {
-			child[i] = b[i]
-		}
-	}
-	return s.Repair(child)
-}

@@ -41,9 +41,6 @@ func NewSubspace(s *Space, base Config, indices []int) (*Subspace, error) {
 // Dim returns the number of free parameters.
 func (ss *Subspace) Dim() int { return len(ss.indices) }
 
-// Indices returns the free parameter indices (a copy).
-func (ss *Subspace) Indices() []int { return append([]int(nil), ss.indices...) }
-
 // Space returns the underlying full space.
 func (ss *Subspace) Space() *Space { return ss.space }
 

@@ -15,9 +15,9 @@ import (
 // request whose workload neighborhood is already in the history store:
 //
 //	cold   a full LOCAT session, no prior                (the paper's path)
-//	warm   a session seeded with the stored observations (PR-2's warm start)
+//	warm   a session seeded from every stored observation (the reference)
 //	zero   k-NN retrieval + blending, no execution at all (the serve-now tier)
-//	refine a session seeded from the k-NN neighbors      (the refine path)
+//	refine a session seeded from the k-NN neighbors      (the service's warm start)
 //
 // Two seed sessions populate an in-memory history around the target size;
 // each tier then answers the same 120 GB request. The table reports the
@@ -91,7 +91,8 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 
 	// Zero: retrieve, blend, serve — and verify not a single run was paid.
 	done = tierUsage()
-	rec, knnPrior, err := service.NewRecommender(store, nil).Recommend(spec, service.RecommendOptions{})
+	rc := service.NewRecommender(store, nil)
+	rec, err := rc.Recommend(spec, service.RecommendOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 	row("zero", 0, 0, zeroFinal,
 		fmt.Sprintf("confidence %.2f, %d neighbors", rec.Confidence, len(rec.Neighbors)))
 
-	// Warm: the exact warm start a same-fingerprint service session builds.
+	// Warm: the all-observations reference the service's k-NN seed is held to.
 	warm := func(tier string, prior *core.Prior) (*core.Report, float64, error) {
 		done := tierUsage()
 		r, err := s.runner(clusterName, "retrieval/"+tier)
@@ -135,6 +136,10 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 		return rep, sec, nil
 	}
 	warmRep, _, err := warm("warm", exactPrior(seedReps, rZero.Space(), targetGB))
+	if err != nil {
+		return nil, err
+	}
+	knnPrior, _, err := rc.Prior(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -193,10 +198,10 @@ func historyEntry(rep *core.Report, clusterName, benchName string, gb float64, o
 	return e
 }
 
-// exactPrior builds the warm-start prior a service session with the same
-// fingerprint would retrieve: every stored full-application observation,
-// ranked and capped by dagp.SelectTransfer against the target size, with the
-// newest session's QCSA/IICP artifacts.
+// exactPrior builds the all-observations reference prior the service's k-NN
+// seed (Recommender.Prior) is held to: every stored full-application
+// observation, ranked and capped by dagp.SelectTransfer against the target
+// size, with the newest session's QCSA/IICP artifacts.
 func exactPrior(reps []*core.Report, space *conf.Space, targetGB float64) *core.Prior {
 	var obs []core.PriorObs
 	var samples []dagp.Sample

@@ -117,16 +117,6 @@ func Analyze(app *sparksim.Application, runs []sparksim.AppResult) (*Result, err
 	return res, nil
 }
 
-// CVOf returns the CV of the named query, or ok=false.
-func (r *Result) CVOf(name string) (float64, bool) {
-	for _, q := range r.Queries {
-		if q.Name == name {
-			return q.CV, true
-		}
-	}
-	return 0, false
-}
-
 // MeanCV returns the mean CV across all queries — the convergence metric
 // the paper tracks when calibrating N_QCSA (Figure 7).
 func (r *Result) MeanCV() float64 {

@@ -95,10 +95,6 @@ func (f *Factory) Spec() string { return f.spec }
 // Kind returns the backend family ("sim", "record", "replay", "sparkrest").
 func (f *Factory) Kind() string { return f.kind }
 
-// Hermetic reports whether runners never touch an execution substrate
-// (replay traces) — what a hermetic CI job requires.
-func (f *Factory) Hermetic() bool { return f.kind == "replay" }
-
 // New materializes one runner for the given cluster and seed under the
 // stream key. Stream keys must be deterministic across record and replay
 // runs of the same program (job IDs, experiment IDs — not timestamps);

@@ -223,9 +223,6 @@ func FuzzParseSpec(f *testing.F) {
 		default:
 			t.Fatalf("%q: unknown kind %q", spec, fac.Kind())
 		}
-		if fac.Hermetic() != (fac.Kind() == "replay") {
-			t.Fatalf("%q: Hermetic() = %v for kind %s", spec, fac.Hermetic(), fac.Kind())
-		}
 		if tol := fac.ropt.Tolerance; !(tol >= 0) {
 			t.Fatalf("%q: tolerance %v outside [0, +Inf]", spec, tol)
 		}

@@ -207,6 +207,41 @@ func TestResumeFromCheckpointAfterKill(t *testing.T) {
 	})
 }
 
+// TestResumedFallbackJobKeepsItsPrior: a fallback job queued by /v1/recommend
+// and drained before it ran warm-starts after the restart exactly as it would
+// have before it — the prior is read when the job runs, so nothing has to
+// survive in the checkpoint.
+func TestResumedFallbackJobKeepsItsPrior(t *testing.T) {
+	store := NewMemStore()
+	s1 := New(Config{Workers: 1, Store: store})
+	seedHistory(t, s1, []float64{100})
+	s1.Hold()
+	// Two buckets above the only stored session: one distant neighbor is low
+	// confidence, so the request falls back to a tuning job.
+	rec, err := s1.Recommend(RecommendRequest{JobSpec: quickSpec(400, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Outcome != "fallback" || rec.RefineJobID == "" {
+		t.Fatalf("recommendation = %+v; want a queued fallback job", rec)
+	}
+	s1.Close()
+	if st, _ := s1.Status(rec.RefineJobID); st.State != StateSuspended {
+		t.Fatalf("drained fallback job is %s; want suspended", st.State)
+	}
+
+	s2 := New(Config{Workers: 1, Store: store, Resume: true})
+	defer s2.Close()
+	res, err := s2.Result(rec.RefineJobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.WarmStarted || res.PriorObsUsed == 0 || len(res.SeededFrom) == 0 {
+		t.Fatalf("resumed fallback job: warm=%v, %d prior obs, seeded from %+v; want the stored session's prior",
+			res.WarmStarted, res.PriorObsUsed, res.SeededFrom)
+	}
+}
+
 // Kill injection plus bounded job retries: each attempt pays a few more
 // runs before the injected crash, the checkpoint accumulates them, and a
 // later attempt completes — with the same result as a crash-free session.

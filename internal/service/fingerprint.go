@@ -6,18 +6,18 @@ import (
 	"strings"
 )
 
-// Fingerprint identifies a class of tuning workloads whose observations are
-// mutually transferable: same simulated cluster, same benchmark, input
-// sizes in the same (or a neighboring) logarithmic bucket, and the same set
-// of enabled techniques. It is the history store's key.
+// Fingerprint identifies a class of tuning workloads: same simulated cluster,
+// same benchmark, input sizes in the same logarithmic bucket, and the same
+// set of enabled techniques. It is the history store's key — how sessions
+// are filed, not how they are found: retrieval is by feature-vector distance
+// (Recommender.nearest) and crosses buckets.
 type Fingerprint struct {
 	// Cluster is the normalized cluster name ("arm" or "x86").
 	Cluster string `json:"cluster"`
 	// Benchmark is the benchmark name ("TPC-DS", "TPC-H", ...).
 	Benchmark string `json:"benchmark"`
 	// SizeBucket is round(log2(DataSizeGB)): sizes within roughly a factor
-	// of ~1.4 of a power of two share a bucket, and adjacent buckets are
-	// close enough for the DAGP to transfer across (Neighbors).
+	// of ~1.4 of a power of two share a bucket.
 	SizeBucket int `json:"size_bucket"`
 	// Techniques encodes which of QCSA / IICP / DAGP were enabled, e.g.
 	// "qid" for all three or "-" for none. Sessions run with different
@@ -128,17 +128,4 @@ func ValidKey(key string) bool {
 func (f Fingerprint) Key() string {
 	return fmt.Sprintf("%s_%s_b%d_%s",
 		safeComponent(f.Cluster), safeComponent(f.Benchmark), f.SizeBucket, safeComponent(f.Techniques))
-}
-
-// Neighbors returns the fingerprints of the two adjacent size buckets.
-// Observations there were taken at input sizes within ~2× of this bucket —
-// near enough for the datasize-aware GP to transfer them to the target.
-func (f Fingerprint) Neighbors() []Fingerprint {
-	lo, hi := f, f
-	lo.SizeBucket--
-	hi.SizeBucket++
-	if f.SizeBucket == 0 {
-		return []Fingerprint{hi}
-	}
-	return []Fingerprint{lo, hi}
 }

@@ -48,22 +48,6 @@ func TestFingerprintNeighboringSizesShareBucket(t *testing.T) {
 	}
 }
 
-func TestFingerprintNeighbors(t *testing.T) {
-	fp := NewFingerprint(JobSpec{Cluster: "arm", Benchmark: "TPC-H", DataSizeGB: 200})
-	ns := fp.Neighbors()
-	if len(ns) != 2 {
-		t.Fatalf("want 2 neighbors, got %d", len(ns))
-	}
-	if ns[0].SizeBucket != fp.SizeBucket-1 || ns[1].SizeBucket != fp.SizeBucket+1 {
-		t.Fatalf("bad neighbor buckets: %+v around %d", ns, fp.SizeBucket)
-	}
-	// The bottom bucket has no lower neighbor.
-	bot := Fingerprint{Cluster: "arm", Benchmark: "Scan", SizeBucket: 0, Techniques: "qid"}
-	if got := bot.Neighbors(); len(got) != 1 || got[0].SizeBucket != 1 {
-		t.Fatalf("bottom-bucket neighbors = %+v", got)
-	}
-}
-
 func TestSizeBucketOf(t *testing.T) {
 	cases := []struct {
 		gb   float64

@@ -227,8 +227,9 @@ type JobResult struct {
 	// configuration with the Spark defaults because the selection evaluated
 	// worse.
 	FellBack bool `json:"fell_back,omitempty"`
-	// SeededFrom is the retrieval provenance of a refine or fallback job:
-	// the history neighbors whose observations seeded this session.
+	// SeededFrom is the retrieval provenance of a warm-started session: the
+	// history neighbors, nearest first, whose observations its prior was
+	// drawn from.
 	SeededFrom []Neighbor `json:"seeded_from,omitempty"`
 }
 
@@ -266,11 +267,6 @@ type job struct {
 	// set at startup for jobs interrupted by a process death, and refreshed
 	// between in-process retry attempts.
 	resume *Checkpoint
-	// seed, when non-nil, is the warm-start prior retrieved by the
-	// recommendation engine (refine / fallback jobs); seededFrom is its
-	// neighbor provenance, surfaced in the result.
-	seed       *core.Prior
-	seededFrom []Neighbor
 	// attempts counts failed attempts already consumed (Config.JobRetries
 	// bounds it).
 	attempts int

@@ -9,17 +9,31 @@ import (
 
 // gatedMem is a MemStore whose history reads block until the gate opens: a
 // worker that picked a job up parks inside its session (prior retrieval), so
-// "running" lasts as long as the test needs.
+// "running" lasts as long as the test needs. It holds one empty TPC-H entry
+// from the start, near every spec these tests submit, so each retrieval has a
+// shard to read and none has a prior to gain from it; the index, like
+// FileStore's, is reconciled through heads, which is not gated.
 type gatedMem struct {
 	*MemStore
 	gate chan struct{}
 }
 
-func newGatedMem() *gatedMem { return &gatedMem{MemStore: NewMemStore(), gate: make(chan struct{})} }
+func newGatedMem() *gatedMem {
+	g := &gatedMem{MemStore: NewMemStore(), gate: make(chan struct{})}
+	if err := g.Put(Entry{Fingerprint: NewFingerprint(quickSpec(100, 1)), JobID: "gate", TargetGB: 100}); err != nil {
+		panic(err)
+	}
+	return g
+}
 
 func (g *gatedMem) Get(key string) ([]Entry, error) {
 	<-g.gate
 	return g.MemStore.Get(key)
+}
+
+func (g *gatedMem) heads(key string) ([]Entry, []entryMark, error) {
+	entries, err := g.MemStore.Get(key)
+	return entries, marksOf(entries), err
 }
 
 // open lets every parked and later history read through (idempotent).

@@ -2,11 +2,12 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"locat/internal/conf"
@@ -15,75 +16,11 @@ import (
 	"locat/internal/sparksim"
 )
 
-// The two functions below are the warm-start prior assemblies as they stood
-// before the service got one prior builder: Service.retrievePrior (the
-// fingerprint bucket walk) and Recommender.neighborsPrior (the k-NN hits,
-// nearest first), bodies unchanged apart from taking what they read off the
-// service, job and recommender as arguments. They stay here as the oracle
-// the one builder must reflect.DeepEqual.
-
-func oracleRetrievePrior(store Store, fp Fingerprint, targetGB float64, space *conf.Space, maxPriorObs int) (*core.Prior, int) {
-	fps := append([]Fingerprint{fp}, fp.Neighbors()...)
-	var entries []Entry
-	for _, fp := range fps {
-		es, err := store.Get(fp.Key())
-		if err != nil {
-			continue
-		}
-		entries = append(entries, es...)
-	}
-	if len(entries) == 0 {
-		return nil, 0
-	}
-
-	var obs []core.PriorObs
-	var samples []dagp.Sample
-	for _, e := range entries {
-		for _, o := range e.Obs {
-			if len(o.Params) != space.Dim() {
-				continue // stored under a different parameter table
-			}
-			c := conf.Config(o.Params)
-			obs = append(obs, core.PriorObs{
-				Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs,
-			})
-			samples = append(samples, dagp.Sample{
-				X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec,
-			})
-		}
-	}
-	if len(obs) == 0 {
-		return nil, 0
-	}
-	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, targetGB, maxPriorObs) {
-		prior.Obs = append(prior.Obs, obs[i])
-	}
-
-	// Newest entry wins for the analysis artifacts; same-bucket entries are
-	// preferred over neighbors.
-	sort.SliceStable(entries, func(a, b int) bool {
-		sa, sb := entries[a].Fingerprint.SizeBucket == fp.SizeBucket,
-			entries[b].Fingerprint.SizeBucket == fp.SizeBucket
-		if sa != sb {
-			return sa
-		}
-		return entries[a].CreatedUnix > entries[b].CreatedUnix
-	})
-	for _, e := range entries {
-		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
-			prior.Sensitive = append([]string(nil), e.Sensitive...)
-		}
-		if prior.Important == nil && len(e.Important) > 0 {
-			for _, name := range e.Important {
-				if _, idx, ok := conf.ParamByName(name); ok {
-					prior.Important = append(prior.Important, idx)
-				}
-			}
-		}
-	}
-	return prior, len(prior.Obs)
-}
+// oracleNeighborsPrior is the warm-start prior assembly as it stood before
+// the service got one prior builder (Recommender.neighborsPrior: the k-NN
+// hits, nearest first), body unchanged apart from taking what it read off the
+// recommender as arguments. It stays here as the frozen pin of the one
+// retrieval left, which must reflect.DeepEqual it.
 
 func oracleNeighborsPrior(used []Entry, targetGB float64, space *conf.Space, maxPriorObs int) *core.Prior {
 	var obs []core.PriorObs
@@ -121,16 +58,17 @@ func oracleNeighborsPrior(used []Entry, targetGB float64, space *conf.Space, max
 	return prior
 }
 
-// checkPriorsAgainstOracle asks a service over store for the warm-start prior
-// of spec both ways — the bucket walk a plain job takes and the k-NN
-// retrieval a refine or fallback job is seeded from — and requires each to
-// equal its oracle exactly. It returns the two priors for the callers that
-// assert on their shape.
-func checkPriorsAgainstOracle(t *testing.T, store Store, spec JobSpec, maxPriorObs int) (walk, knn *core.Prior) {
+// checkPriorAgainstOracle asks a service over store for the warm-start prior
+// of spec and requires it to equal the oracle over the neighbors it names,
+// exactly. It returns the prior for the callers that assert on its shape.
+func checkPriorAgainstOracle(t *testing.T, store Store, spec JobSpec, maxPriorObs int) *core.Prior {
 	t.Helper()
 	s := New(Config{Store: store, Workers: 1})
 	defer s.Close()
 	s.rec.maxPriorObs = maxPriorObs
+	// A radius no workload exceeds, so the retrieval returns every indexed
+	// entry it is asked for and the order alone decides the prior.
+	s.rec.defaults = RecommendOptions{K: 8, MaxDistance: 100}.or(s.rec.defaults)
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,47 +76,37 @@ func checkPriorsAgainstOracle(t *testing.T, store Store, spec JobSpec, maxPriorO
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := cl.Space()
-	j := &job{id: "job-oracle", spec: spec, fp: NewFingerprint(spec)}
-
-	walk, n := s.retrievePrior(j, space)
-	want, wantN := oracleRetrievePrior(store, j.fp, spec.DataSizeGB, space, maxPriorObs)
-	if !reflect.DeepEqual(walk, want) || n != wantN {
-		t.Errorf("retrievePrior(%s %.0f GB, cap %d) = %d obs %+v\noracle %d obs %+v",
-			spec.Benchmark, spec.DataSizeGB, maxPriorObs, n, walk, wantN, want)
-	}
-
-	// A radius no workload exceeds, so the retrieval returns every indexed
-	// entry it is asked for and the order alone decides the prior.
-	rec, knn, err := s.rec.Recommend(spec, RecommendOptions{K: 8, MaxDistance: 100})
+	knn, from, err := s.rec.Prior(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	used := entriesOf(t, store, from)
+	if want := oracleNeighborsPrior(used, spec.DataSizeGB, cl.Space(), maxPriorObs); !reflect.DeepEqual(knn, want) {
+		t.Errorf("Prior(%s %.0f GB, cap %d) = %+v\noracle %+v (over %d neighbors)",
+			spec.Benchmark, spec.DataSizeGB, maxPriorObs, knn, want, len(used))
+	}
+	return knn
+}
+
+// entriesOf reads the history entries a provenance list names.
+func entriesOf(t *testing.T, store Store, from []Neighbor) []Entry {
+	t.Helper()
 	var used []Entry
-	for _, nb := range rec.Neighbors {
+	for _, nb := range from {
 		entries, err := store.Get(nb.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for _, e := range entries {
-			if e.JobID == nb.JobID {
-				used, found = append(used, e), true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(entries, func(e Entry) bool { return e.JobID == nb.JobID })
+		if i < 0 {
 			t.Fatalf("neighbor %s/%s is not in the store", nb.Key, nb.JobID)
 		}
+		used = append(used, entries[i])
 	}
-	if wantKNN := oracleNeighborsPrior(used, spec.DataSizeGB, space, maxPriorObs); !reflect.DeepEqual(knn, wantKNN) {
-		t.Errorf("Recommend(%s %.0f GB, cap %d) prior = %+v\noracle %+v (over %d neighbors)",
-			spec.Benchmark, spec.DataSizeGB, maxPriorObs, knn, wantKNN, len(used))
-	}
-	return walk, knn
+	return used
 }
 
-// TestPriorMatchesOracleOnCommittedHistory runs both assemblies over the
+// TestPriorMatchesOracleOnCommittedHistory runs the retrieval over the
 // committed history fixture (two quick TPC-H sessions, 100 and 140 GB).
 func TestPriorMatchesOracleOnCommittedHistory(t *testing.T) {
 	dir := t.TempDir()
@@ -203,9 +131,9 @@ func TestPriorMatchesOracleOnCommittedHistory(t *testing.T) {
 	for _, gb := range []float64{60, 100, 120, 200, 400} {
 		for _, maxObs := range []int{48, 7} {
 			spec := JobSpec{Benchmark: "TPC-H", DataSizeGB: gb}
-			walk, knn := checkPriorsAgainstOracle(t, fs, spec, maxObs)
-			if gb == 120 && (walk == nil || knn == nil || len(walk.Obs) == 0 || len(knn.Obs) == 0) {
-				t.Errorf("120 GB sits in the fixture's bucket: want a prior both ways, got %v / %v", walk, knn)
+			knn := checkPriorAgainstOracle(t, fs, spec, maxObs)
+			if gb == 120 && (knn == nil || len(knn.Obs) == 0) {
+				t.Errorf("120 GB sits in the fixture's bucket: want a prior, got %v", knn)
 			}
 		}
 	}
@@ -263,11 +191,10 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 	imp := []string{params[2].Name, params[11].Name, params[30].Name}
 
 	t.Run("artifacts", func(t *testing.T) {
-		// Same bucket as the 100 GB target: an old complete entry, a newer one
-		// with only Sensitive, the newest with only Important whose first name
-		// no parameter table knows, tied on CreatedUnix with a later-stored entry
-		// whose Important must lose the tie; the neighbors carry complete
-		// artifacts that must lose to the same bucket.
+		// Same bucket as the 100 GB target: a complete entry, one with only
+		// Sensitive, one with only Important whose first name no parameter
+		// table knows, tied on CreatedUnix with a later-stored entry; the
+		// neighboring buckets carry complete artifacts.
 		rng := rand.New(rand.NewSource(1))
 		st := NewMemStore()
 		for _, e := range []Entry{
@@ -284,15 +211,9 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 		}
 		for _, gb := range []float64{100, 60, 180, 380} {
 			for _, maxObs := range []int{48, 10, 1} {
-				walk, _ := checkPriorsAgainstOracle(t, st, at(gb), maxObs)
-				if gb == 100 {
-					if maxObs == 10 && len(walk.Obs) != 10 {
-						t.Errorf("32 usable observations under a cap of 10: prior holds %d", len(walk.Obs))
-					}
-					if !reflect.DeepEqual(walk.Sensitive, sens) || len(walk.Important) != len(imp) {
-						t.Errorf("artifacts %v / %v: want the newest same-bucket entry that has each (%v, %d known names)",
-							walk.Sensitive, walk.Important, sens, len(imp))
-					}
+				knn := checkPriorAgainstOracle(t, st, at(gb), maxObs)
+				if gb == 100 && maxObs == 10 && len(knn.Obs) != 10 {
+					t.Errorf("32 usable observations under a cap of 10: prior holds %d", len(knn.Obs))
 				}
 			}
 		}
@@ -305,9 +226,9 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 		st := NewMemStore()
 		st.Put(oracleEntry(rng, space, at(100), "job-a", 1000, 6, 0, nil, imp))
 		st.Put(oracleEntry(rng, space, at(100), "job-b", 2000, 6, 0, nil, []string{"spark.gone", "spark.also.gone"}))
-		walk, knn := checkPriorsAgainstOracle(t, st, at(100), 48)
-		if len(walk.Important) != len(imp) || len(knn.Important) != len(imp) {
-			t.Errorf("Important = %v / %v, want job-a's %d indices", walk.Important, knn.Important, len(imp))
+		knn := checkPriorAgainstOracle(t, st, at(100), 48)
+		if len(knn.Important) != len(imp) {
+			t.Errorf("Important = %v, want job-a's %d indices", knn.Important, len(imp))
 		}
 	})
 
@@ -316,13 +237,11 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 		st := NewMemStore()
 		st.Put(oracleEntry(rng, space, at(100), "job-a", 1000, 0, 4, sens, imp))
 		st.Put(oracleEntry(rng, space, at(200), "job-b", 2000, 0, 0, sens, imp))
-		walk, knn := checkPriorsAgainstOracle(t, st, at(100), 48)
-		if walk != nil || knn != nil {
-			t.Errorf("priors %+v / %+v from a store without one usable observation, want nil", walk, knn)
+		if knn := checkPriorAgainstOracle(t, st, at(100), 48); knn != nil {
+			t.Errorf("prior %+v from a store without one usable observation, want nil", knn)
 		}
-		walk, knn = checkPriorsAgainstOracle(t, NewMemStore(), at(100), 48)
-		if walk != nil || knn != nil {
-			t.Errorf("priors %+v / %+v from an empty store, want nil", walk, knn)
+		if knn := checkPriorAgainstOracle(t, NewMemStore(), at(100), 48); knn != nil {
+			t.Errorf("prior %+v from an empty store, want nil", knn)
 		}
 	})
 
@@ -333,7 +252,7 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 			for i, n := 0, 3+rng.Intn(8); i < n; i++ {
 				spec := at([]float64{45, 64, 90, 100, 128, 140, 200, 260}[rng.Intn(8)])
 				if rng.Intn(4) == 0 {
-					spec.Cluster = "x86" // another fingerprint: the walk must not see it
+					spec.Cluster = "x86" // another fingerprint, far but inside the radius
 				}
 				var s, im []string
 				if rng.Intn(2) == 0 {
@@ -348,8 +267,67 @@ func TestPriorMatchesOracleOnGeneratedHistory(t *testing.T) {
 				}
 			}
 			for _, gb := range []float64{64, 100, 180} {
-				checkPriorsAgainstOracle(t, st, at(gb), []int{48, 9}[seed%2])
+				checkPriorAgainstOracle(t, st, at(gb), []int{48, 9}[seed%2])
 			}
 		}
 	})
+}
+
+// countingStore counts history reads by key. It takes no lock: the service
+// under test has one worker, and the test reads the counts only after Result
+// returned, which the worker's close of the job's done channel orders.
+type countingStore struct {
+	Store
+	gets map[string]int
+}
+
+func (c *countingStore) Get(key string) ([]Entry, error) {
+	c.gets[key]++
+	return c.Store.Get(key)
+}
+
+// TestWarmStartReadsOnlyItsNeighbors is the case a bucket walk could not
+// pass: with three full shards around the target (96 entries, 384
+// observations), a warm start reads the shards of its K nearest entries and
+// offers only their observations for transfer.
+func TestWarmStartReadsOnlyItsNeighbors(t *testing.T) {
+	space := sparksim.ARM().Space()
+	rng := rand.New(rand.NewSource(4))
+	mem := NewMemStore()
+	for bucket := 6; bucket <= 8; bucket++ {
+		lo := 0.72 * math.Exp2(float64(bucket)) // just above the bucket's lower edge, 2^(bucket-½)
+		for i := 0; i < maxEntriesPerKey; i++ {
+			spec := quickSpec(lo*(1+0.9*float64(i)/maxEntriesPerKey), 1)
+			e := oracleEntry(rng, space, spec, fmt.Sprintf("job-%d-%02d", bucket, i), int64(1000+i), 4, 0, nil, nil)
+			if e.Fingerprint.SizeBucket != bucket {
+				t.Fatalf("%.1f GB landed in bucket %d, want %d", spec.DataSizeGB, e.Fingerprint.SizeBucket, bucket)
+			}
+			if err := mem.Put(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store := &countingStore{Store: mem, gets: map[string]int{}}
+	s := New(Config{Store: store, Workers: 1})
+	defer s.Close()
+	clear(store.gets) // the start-up index build read every shard
+
+	res, err := submitAndWait(t, s, quickSpec(128, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(store.gets) == 0 || len(store.gets) > DefaultRecommendK {
+		t.Errorf("the session read %d distinct shards %v, want between 1 and K = %d", len(store.gets), store.gets, DefaultRecommendK)
+	}
+	offered := 0
+	for _, nb := range res.SeededFrom {
+		offered += nb.Obs
+		if store.gets[nb.Key] == 0 {
+			t.Errorf("neighbor %s/%s was never read", nb.Key, nb.JobID)
+		}
+	}
+	if n := len(res.SeededFrom); n == 0 || n > DefaultRecommendK || !res.WarmStarted || res.PriorObsUsed != offered {
+		t.Errorf("warm=%v from %d neighbors with %d prior observations, want 1 to K = %d neighbors and exactly the %d observations they hold",
+			res.WarmStarted, n, res.PriorObsUsed, DefaultRecommendK, offered)
+	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"locat/internal/conf"
 	"locat/internal/core"
+	"locat/internal/dagp"
 	"locat/internal/progress"
 	"locat/internal/service/retrieve"
 	"locat/internal/sparksim"
@@ -56,8 +57,8 @@ type RecommendRequest struct {
 	JobSpec
 	RecommendOptions
 	// Refine, on a confident hit, additionally submits a background tuning
-	// job seeded with the retrieved neighbors (reported as RefineJobID) —
-	// serve the blended config now, converge to a tuned one later.
+	// job (reported as RefineJobID) — serve the blended config now, converge
+	// to a tuned one later.
 	Refine bool `json:"refine,omitempty"`
 	// NoFallback suppresses the automatic tuning-job submission when
 	// confidence is low: the response reports outcome "miss" instead.
@@ -124,10 +125,8 @@ type Recommender struct {
 	// defaults fill what a request's options leave unset (the service
 	// replaces them with its Config.Recommend* values).
 	defaults RecommendOptions
-	// maxPriorObs caps the observations of a warm-start prior — the one
-	// built here from retrieved neighbors and the one the service builds from
-	// its fingerprint walk — keeping the GP fitting cost bounded no matter
-	// how much history accumulates.
+	// maxPriorObs caps the observations of a warm-start prior, keeping the
+	// GP fitting cost bounded no matter how much history accumulates.
 	maxPriorObs int
 
 	mu       sync.Mutex // serializes index mutation + persistence
@@ -381,44 +380,40 @@ func (rc *Recommender) appendLocked(recs ...retrieve.Record) {
 	rc.appended += len(recs)
 }
 
-// Recommend retrieves the k nearest history entries for the spec,
-// distance-weights their best-observed configurations into one blended
-// config snapped to the knob space, and scores the evidence. It also
-// assembles the warm-start prior a refine or fallback session would seed
-// from (nil when the neighbors carry no usable observations). The returned
-// Recommendation has outcome "hit" or "miss"; job submission is the
-// service's concern.
-func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendation, *core.Prior, error) {
-	if err := spec.normalize(); err != nil {
-		return nil, nil, err
-	}
-	o = o.or(rc.defaults)
+// neighbors is the outcome of the one history retrieval: the stored sessions
+// nearest first, their best-observed configurations in the unit encoding,
+// their distances from the query and their shares of the distance weighting.
+type neighbors struct {
+	space   *conf.Space
+	used    []Entry
+	encs    [][]float64
+	dists   []float64
+	weights []float64
+}
+
+// nearest is that retrieval: the (at most) o.K indexed entries within
+// o.MaxDistance of the normalized spec, resolved to store entries. A match
+// whose entry is gone is stale — the store evicted it — and is compacted out
+// of the index here, lazily; one persisted under a different parameter table
+// (entryConfig fails) is not a neighbor.
+func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions) (neighbors, error) {
 	w, err := specWorkload(spec)
 	if err != nil {
-		return nil, nil, err
+		return neighbors{}, err
 	}
-	matches := rc.ix.Nearest(w.Vector(), o.K, o.MaxDistance)
-
-	// Resolve matches to store entries, nearest first. A match whose entry
-	// is gone is stale — the store evicted it — and is compacted out below,
-	// lazily; one persisted under a different parameter table (entryConfig
-	// fails) cannot be blended and is not a neighbor.
 	cl, err := sparksim.ClusterByName(spec.Cluster)
 	if err != nil {
-		return nil, nil, err
+		return neighbors{}, err
 	}
-	space := cl.Space()
-	var used []Entry
-	var encs [][]float64
-	var dists []float64
+	near := neighbors{space: cl.Space()}
 	var stale []string
 	byKey := map[string][]Entry{}
-	for _, m := range matches {
+	for _, m := range rc.ix.Nearest(w.Vector(), o.K, o.MaxDistance) {
 		entries, ok := byKey[m.Key]
 		if !ok {
 			entries, err = rc.store.Get(m.Key)
 			if err != nil {
-				return nil, nil, err
+				return neighbors{}, err
 			}
 			byKey[m.Key] = entries
 		}
@@ -426,9 +421,9 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 		if i < 0 {
 			stale = append(stale, m.ID)
 		} else if c, ok := entryConfig(entries[i]); ok {
-			used = append(used, entries[i])
-			encs = append(encs, space.Encode(c))
-			dists = append(dists, m.Dist)
+			near.used = append(near.used, entries[i])
+			near.encs = append(near.encs, near.space.Encode(c))
+			near.dists = append(near.dists, m.Dist)
 		}
 	}
 	if len(stale) > 0 {
@@ -441,37 +436,120 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 		rc.appendLocked(gone...)
 		rc.mu.Unlock()
 	}
+	near.weights = retrieve.Weights(near.dists)
+	return near, nil
+}
 
-	rec := &Recommendation{Outcome: "miss", Neighbors: []Neighbor{}}
-	if len(used) == 0 {
-		return rec, nil, nil
-	}
-	// Blend the neighbors' best configs in the unit encoding and snap the
-	// result back onto the knob space (Decode rounds integer knobs and
-	// repairs resource constraints).
-	weights := retrieve.Weights(dists)
-	rec.BestConfig = space.Decode(retrieve.Blend(encs, weights))
-	rec.BestParams = paramsToMap(rec.BestConfig)
-	rec.SparkConf = sparkConfString(rec.BestConfig)
-	rec.Confidence = retrieve.Confidence(dists, o.K, o.MaxDistance)
-	for i, e := range used {
-		rec.Neighbors = append(rec.Neighbors, Neighbor{
+// provenance renders the retrieved entries as the wire's Neighbor records.
+func (n neighbors) provenance() []Neighbor {
+	out := make([]Neighbor, 0, len(n.used))
+	for i, e := range n.used {
+		out = append(out, Neighbor{
 			JobID:    e.JobID,
 			Key:      e.Fingerprint.Key(),
-			Distance: dists[i],
-			Weight:   weights[i],
+			Distance: n.dists[i],
+			Weight:   n.weights[i],
 			TunedSec: e.TunedSec,
 			TargetGB: e.TargetGB,
 			Obs:      len(e.Obs),
 		})
-		rec.EstimatedSec += weights[i] * e.TunedSec
+	}
+	return out
+}
+
+// Recommend retrieves the k nearest history entries for the spec,
+// distance-weights their best-observed configurations into one blended
+// config snapped to the knob space, and scores the evidence — decode, blend
+// and score, nothing else. The returned Recommendation has outcome "hit" or
+// "miss"; job submission is the service's concern.
+func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendation, error) {
+	if err := spec.normalize(); err != nil {
+		return nil, err
+	}
+	o = o.or(rc.defaults)
+	near, err := rc.nearest(spec, o)
+	if err != nil {
+		return nil, err
+	}
+	rec := &Recommendation{Outcome: "miss", Neighbors: near.provenance()}
+	if len(near.used) == 0 {
+		return rec, nil
+	}
+	// Blend the neighbors' best configs in the unit encoding and snap the
+	// result back onto the knob space (Decode rounds integer knobs and
+	// repairs resource constraints).
+	rec.BestConfig = near.space.Decode(retrieve.Blend(near.encs, near.weights))
+	rec.BestParams = paramsToMap(rec.BestConfig)
+	rec.SparkConf = sparkConfString(rec.BestConfig)
+	rec.Confidence = retrieve.Confidence(near.dists, o.K, o.MaxDistance)
+	for i, e := range near.used {
+		rec.EstimatedSec += near.weights[i] * e.TunedSec
 	}
 	if rec.Confidence >= o.MinConfidence {
 		rec.Outcome = "hit"
 	}
-	// The warm-start prior of a refine or fallback session: the nearest
-	// workload's artifacts win.
-	return rec, buildPrior(used, used, space, spec.DataSizeGB, rc.maxPriorObs), nil
+	return rec, nil
+}
+
+// Prior is the warm-start prior of a session for the spec and the neighbors
+// it was built from — the nearest history entries under the recommender's
+// default K and radius. Both are nil when no neighbor holds a usable
+// observation.
+func (rc *Recommender) Prior(spec JobSpec) (*core.Prior, []Neighbor, error) {
+	if err := spec.normalize(); err != nil {
+		return nil, nil, err
+	}
+	near, err := rc.nearest(spec, rc.defaults)
+	if err != nil {
+		return nil, nil, err
+	}
+	prior := buildPrior(near.used, near.space, spec.DataSizeGB, rc.maxPriorObs)
+	if prior == nil {
+		return nil, nil, nil
+	}
+	return prior, near.provenance(), nil
+}
+
+// buildPrior is the one rule that turns history entries, nearest first, into
+// a warm-start prior. Every observation of the space's dimension is offered
+// to dagp.SelectTransfer, which ranks them against the target size and keeps
+// at most maxObs; the QCSA and IICP artifacts are each taken from the first
+// entry that has one. Nil when no entry holds a usable observation.
+func buildPrior(entries []Entry, space *conf.Space, targetGB float64, maxObs int) *core.Prior {
+	var obs []core.PriorObs
+	var samples []dagp.Sample
+	for _, e := range entries {
+		for _, o := range e.Obs {
+			if len(o.Params) != space.Dim() {
+				continue // stored under a different parameter table
+			}
+			c := conf.Config(o.Params)
+			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
+			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
+		}
+	}
+	if len(obs) == 0 {
+		return nil
+	}
+	prior := &core.Prior{}
+	for _, i := range dagp.SelectTransfer(samples, targetGB, maxObs) {
+		prior.Obs = append(prior.Obs, obs[i])
+	}
+	for _, e := range entries {
+		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
+			prior.Sensitive = append([]string(nil), e.Sensitive...)
+		}
+		if prior.Important == nil && len(e.Important) > 0 {
+			// Names this build's parameter table does not know are dropped; an
+			// entry naming none it knows leaves the choice to the next.
+			for _, name := range e.Important {
+				if _, idx, ok := conf.ParamByName(name); ok {
+					prior.Important = append(prior.Important, idx)
+				}
+			}
+		}
+	}
+	return prior
 }
 
 // entryConfig reconstructs an entry's best configuration from its
@@ -492,8 +570,9 @@ func entryConfig(e Entry) (conf.Config, bool) {
 
 // Recommend serves a zero-execution recommendation: retrieve, blend, score
 // — and, depending on the outcome and the request's mode flags, submit a
-// background tuning job (seeded with the retrieved neighbors) as the refine
-// or fallback path. The retrieval itself never executes a sample run.
+// background tuning job as the refine or fallback path (an ordinary job: it
+// warm-starts, like any other, from the neighbors the store holds when it
+// runs). The retrieval itself never executes a sample run.
 func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 	start := time.Now()
 	// Refine and fallback jobs are work a user is waiting on: they default
@@ -501,7 +580,7 @@ func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 	if req.JobSpec.Priority == "" {
 		req.JobSpec.Priority = PriorityInteractive
 	}
-	rec, prior, err := s.rec.Recommend(req.JobSpec, req.RecommendOptions)
+	rec, err := s.rec.Recommend(req.JobSpec, req.RecommendOptions)
 	if err != nil {
 		s.metrics.recommendOutcome("error").Inc()
 		return nil, err
@@ -510,7 +589,7 @@ func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 	outcome := rec.Outcome
 	switch {
 	case rec.Outcome == "hit" && req.Refine:
-		id, err := s.submit(req.JobSpec, prior, rec.Neighbors)
+		id, err := s.Submit(req.JobSpec)
 		if err != nil {
 			// The hit stands on its own; a refused refine job is reported,
 			// not fatal.
@@ -520,7 +599,7 @@ func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 			outcome = "refine"
 		}
 	case rec.Outcome == "miss" && !req.NoFallback:
-		id, err := s.submit(req.JobSpec, prior, rec.Neighbors)
+		id, err := s.Submit(req.JobSpec)
 		if err != nil {
 			s.metrics.recommendOutcome("error").Inc()
 			return nil, err

@@ -235,6 +235,43 @@ func TestRecommendRefineSeedsSession(t *testing.T) {
 	}
 }
 
+// TestPlainAndRefineJobsStartFromTheSamePrior: one workload over one history
+// starts from one prior, whichever door the job came in through. The only
+// stored session sits two size buckets below the target — inside the k-NN
+// radius, outside any same-or-adjacent-bucket lookup.
+func TestPlainAndRefineJobsStartFromTheSamePrior(t *testing.T) {
+	spec := quickSpec(400, 9)
+	run := func(submit func(*Service) (string, error)) *JobResult {
+		svc := New(Config{Workers: 1})
+		defer svc.Close()
+		seedHistory(t, svc, []float64{100})
+		id, err := submit(svc)
+		if err != nil || id == "" {
+			t.Fatalf("no job submitted: %q, %v", id, err)
+		}
+		res, err := svc.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(func(svc *Service) (string, error) { return svc.Submit(spec) })
+	viaRec := run(func(svc *Service) (string, error) {
+		rec, err := svc.Recommend(RecommendRequest{JobSpec: spec, Refine: true}) // hit or miss, a job follows
+		if err != nil {
+			return "", err
+		}
+		return rec.RefineJobID, nil
+	})
+	if !plain.WarmStarted || plain.PriorObsUsed == 0 || len(plain.SeededFrom) != 1 ||
+		plain.WarmStarted != viaRec.WarmStarted || plain.PriorObsUsed != viaRec.PriorObsUsed ||
+		!reflect.DeepEqual(plain.SeededFrom, viaRec.SeededFrom) {
+		t.Errorf("plain job: warm=%v, %d prior obs, seeded from %+v\nrecommend's job: warm=%v, %d prior obs, seeded from %+v\nwant both warm from the one stored session",
+			plain.WarmStarted, plain.PriorObsUsed, plain.SeededFrom,
+			viaRec.WarmStarted, viaRec.PriorObsUsed, viaRec.SeededFrom)
+	}
+}
+
 // TestRecommendIndexPersistence: the k-NN index file survives a store
 // reopen, its persisted vectors are reused rather than recomputed, and
 // entries deleted from the store are compacted out on the next build.
@@ -285,7 +322,7 @@ func TestRecommendIndexPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc = NewRecommender(fs2, nil)
-	rec, _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{})
+	rec, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +474,7 @@ func TestRecommenderIndexLog(t *testing.T) {
 	}
 	// Every entry here has the same target size, so the first ten matches
 	// are decided on ID order: four under bucket 5, one under 6, five under 7.
-	if _, _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{K: 10}); err != nil {
+	if _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{K: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Len() != before-5 {

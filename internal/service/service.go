@@ -6,6 +6,19 @@
 // process. The locat.Service facade and the locat-serve HTTP binary are
 // thin wrappers around this package.
 //
+// # History retrieval
+//
+// There is one, Recommender.nearest: a k-NN scan of the feature-vector index
+// for the K entries (Config.RecommendK, 5) within Config.RecommendMaxDistance
+// (0.75: the same workload up to about three size buckets away; another
+// benchmark, cluster or technique set is past it), resolved to store entries.
+// POST /v1/recommend blends their best configurations (Recommender.Recommend);
+// every job that is neither ColdStart nor DisableDAGP builds its warm-start
+// prior from their observations (Recommender.Prior) and names them in
+// JobResult.SeededFrom. runJob asks for the prior when the job starts to run,
+// so it is a function of the spec and the store at that moment: none of it
+// is carried on the job or in a checkpoint, and a warm start reads ≤ K shards.
+//
 // # Job lifecycle
 //
 //	           ┌──────── retry (Config.JobRetries) ────────┐
@@ -124,9 +137,11 @@ type Config struct {
 	// resilience testing; invalid specs disable chaos with a log line — use
 	// the public facade for validated construction.
 	Chaos string
-	// RecommendK, RecommendMaxDistance and RecommendConfidence are the
-	// defaults of the zero-execution recommendation tier (0 picks 5 / 0.75
-	// / 0.5); individual requests may override them.
+	// RecommendK and RecommendMaxDistance bound the history retrieval — how
+	// many entries, how far away — behind both /v1/recommend and every warm
+	// start; RecommendConfidence is the score below which a recommendation
+	// is a miss (0 picks 5 / 0.75 / 0.5). A recommend request may override
+	// them for its own answer.
 	RecommendK           int
 	RecommendMaxDistance float64
 	RecommendConfidence  float64
@@ -157,7 +172,7 @@ var ErrClosed = errors.New("service: closed")
 // Service is the concurrent tuning-session manager. Submit enqueues jobs
 // and returns immediately; a fixed pool of workers drains the queue. Every
 // successful session is persisted to the history store, and later sessions
-// with a matching or neighboring workload fingerprint warm-start from it.
+// warm-start from its nearest entries (package doc, "History retrieval").
 type Service struct {
 	cfg   Config
 	store Store
@@ -358,23 +373,15 @@ func (s *Service) factory(spec string) (*runner.Factory, error) {
 
 // Submit validates and enqueues a job, returning its ID immediately.
 func (s *Service) Submit(spec JobSpec) (string, error) {
-	return s.submit(spec, nil, nil)
-}
-
-// submit is Submit plus the recommendation tier's seeding: refine and
-// fallback jobs carry the retrieved prior and its provenance.
-func (s *Service) submit(spec JobSpec, seed *core.Prior, from []Neighbor) (string, error) {
 	if err := spec.normalize(); err != nil {
 		return "", err
 	}
 	j := &job{
-		spec:       spec,
-		fp:         NewFingerprint(spec),
-		state:      StateQueued,
-		submitted:  time.Now(),
-		done:       make(chan struct{}),
-		seed:       seed,
-		seededFrom: from,
+		spec:      spec,
+		fp:        NewFingerprint(spec),
+		state:     StateQueued,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -3,14 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"locat/internal/conf"
 	"locat/internal/core"
-	"locat/internal/dagp"
 	"locat/internal/progress"
 	"locat/internal/runner"
 	"locat/internal/sparksim"
@@ -106,17 +104,16 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 		expired = func() bool { return ctx.Err() != nil }
 	}
 
+	// Every warm start reads its prior here — plain, refine, fallback,
+	// retried or resumed — from the store as it stands now.
 	var prior *core.Prior
+	var seededFrom []Neighbor
 	if !spec.ColdStart && !spec.DisableDAGP {
-		if j.seed != nil {
-			// Refine/fallback jobs are seeded with the recommendation
-			// engine's k-NN retrieval, which supersedes the fingerprint
-			// lookup (its neighbor set is a superset of the bucket walk).
-			prior = j.seed
-			s.logf("[%s] seeded with %d neighbor observations from retrieval", j.id, len(j.seed.Obs))
-		} else if p, n := s.retrievePrior(j, space); p != nil {
-			s.logf("[%s] retrieved %d prior observations from history", j.id, n)
-			prior = p
+		prior, seededFrom, err = s.rec.Prior(spec)
+		if err != nil {
+			s.logf("[%s] history read failed: %v; starting cold", j.id, err)
+		} else if prior != nil {
+			s.logf("[%s] retrieved %d prior observations from %d history neighbors", j.id, len(prior.Obs), len(seededFrom))
 		}
 	}
 	if j.resume != nil && !runner.CapsOf(raw).Deterministic && !spec.DisableDAGP {
@@ -153,7 +150,9 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	if rep.Degraded != "" {
 		s.logf("[%s] degraded: %s; recommending best observed", j.id, rep.Degraded)
 	}
-	res.SeededFrom = j.seededFrom
+	if res.WarmStarted {
+		res.SeededFrom = seededFrom
+	}
 	res.Runs, res.ClusterSec = tally.Snapshot()
 	if cache != nil {
 		res.ResumedRuns = cache.ResumedRuns()
@@ -266,80 +265,6 @@ func checkpointPrior(cp *Checkpoint, space *conf.Space) *core.Prior {
 		return nil
 	}
 	return p
-}
-
-// retrievePrior assembles a core.Prior from history entries under the job's
-// fingerprint and its neighboring size buckets: observations in the order the
-// walk reads them, the QCSA / IICP artifacts from the newest same-bucket
-// entry (falling back to neighbors).
-func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
-	var entries []Entry
-	for _, fp := range append([]Fingerprint{j.fp}, j.fp.Neighbors()...) {
-		es, err := s.store.Get(fp.Key())
-		if err != nil {
-			s.logf("[%s] history read %s failed: %v", j.id, fp.Key(), err)
-			continue
-		}
-		entries = append(entries, es...)
-	}
-	trusted := append([]Entry(nil), entries...)
-	sort.SliceStable(trusted, func(a, b int) bool {
-		sa, sb := trusted[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
-			trusted[b].Fingerprint.SizeBucket == j.fp.SizeBucket
-		if sa != sb {
-			return sa
-		}
-		return trusted[a].CreatedUnix > trusted[b].CreatedUnix
-	})
-	prior := buildPrior(entries, trusted, space, j.spec.DataSizeGB, s.rec.maxPriorObs)
-	if prior == nil {
-		return nil, 0
-	}
-	return prior, len(prior.Obs)
-}
-
-// buildPrior is the one rule that turns history entries into a warm-start
-// prior. Every observation of the space's dimension, in the order entries
-// gives them, is offered to dagp.SelectTransfer, which ranks them against the
-// target size and keeps at most maxObs; the QCSA and IICP artifacts are each
-// taken from the first entry of trusted that has one — the caller's order of
-// preference (newest same-bucket entry for the fingerprint walk, nearest
-// workload for k-NN retrieval). Nil when no entry holds a usable observation.
-func buildPrior(entries, trusted []Entry, space *conf.Space, targetGB float64, maxObs int) *core.Prior {
-	var obs []core.PriorObs
-	var samples []dagp.Sample
-	for _, e := range entries {
-		for _, o := range e.Obs {
-			if len(o.Params) != space.Dim() {
-				continue // stored under a different parameter table
-			}
-			c := conf.Config(o.Params)
-			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
-			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
-		}
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, targetGB, maxObs) {
-		prior.Obs = append(prior.Obs, obs[i])
-	}
-	for _, e := range trusted {
-		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
-			prior.Sensitive = append([]string(nil), e.Sensitive...)
-		}
-		if prior.Important == nil && len(e.Important) > 0 {
-			// Names this build's parameter table does not know are dropped; an
-			// entry naming none it knows leaves the choice to the next.
-			for _, name := range e.Important {
-				if _, idx, ok := conf.ParamByName(name); ok {
-					prior.Important = append(prior.Important, idx)
-				}
-			}
-		}
-	}
-	return prior
 }
 
 // persist writes the finished session into the history store.

@@ -43,12 +43,11 @@ type ServiceOptions struct {
 	// fault injection plus the healing retry/breaker layer (same spec
 	// syntax as Options.Chaos). Meant for resilience testing.
 	Chaos string
-	// RecommendK, RecommendMaxDistance and RecommendConfidence are the
-	// service defaults of the zero-execution recommendation tier: neighbors
-	// retrieved per request, the distance past which a history entry no
-	// longer counts as a neighbor, and the confidence below which a
-	// recommendation falls back to a real tuning job. Zero picks 5 / 0.75 /
-	// 0.5.
+	// RecommendK and RecommendMaxDistance bound the history retrieval behind
+	// both a recommendation and a session's warm start: neighbors retrieved,
+	// and the distance past which a history entry no longer counts as one.
+	// RecommendConfidence is the confidence below which a recommendation
+	// falls back to a real tuning job. Zero picks 5 / 0.75 / 0.5.
 	RecommendK           int
 	RecommendMaxDistance float64
 	RecommendConfidence  float64
@@ -94,10 +93,13 @@ type JobStatus struct {
 
 // Service is a long-running tuning service: a bounded pool of concurrent
 // sessions plus a history store of finished ones, keyed by workload
-// fingerprint. Sessions for workloads similar to past ones (same cluster,
-// benchmark and technique set, input size within a neighboring power-of-two
-// bucket) are warm-started: the datasize-aware GP is seeded with retrieved
-// observations and the QCSA / IICP artifacts are reused, so the session
+// fingerprint. Sessions for workloads similar to past ones are warm-started
+// from the K nearest stored sessions (k-NN over workload feature vectors:
+// K = RecommendK, 5 by default, within RecommendMaxDistance, 0.75 by default
+// — the same cluster, benchmark and technique set up to about three
+// power-of-two size buckets away), the same set Recommend blends: the
+// datasize-aware GP is seeded with their observations and the nearest
+// session's QCSA / IICP artifacts are reused, so the session
 // skips most of the full-application sample collection — the dominant part
 // of the paper's optimization time.
 //
@@ -285,8 +287,8 @@ type RecommendOptions struct {
 	// recommendation is a miss (0: the service default, normally 0.5).
 	MinConfidence float64
 	// Refine, on a confident hit, additionally submits a background tuning
-	// job seeded with the retrieved neighbors; its ID is reported as
-	// RefineJobID. Serve the blended config now, converge later.
+	// job (warm-started like any other); its ID is reported as RefineJobID.
+	// Serve the blended config now, converge later.
 	Refine bool
 	// NoFallback suppresses the automatic tuning job on a low-confidence
 	// miss.
@@ -391,7 +393,7 @@ func RecommendFromHistory(dir string, o Options, ro RecommendOptions) (*Recommen
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := service.NewRecommender(fs, nil).Recommend(specOf(o), service.RecommendOptions{
+	rec, err := service.NewRecommender(fs, nil).Recommend(specOf(o), service.RecommendOptions{
 		K:             ro.K,
 		MaxDistance:   ro.MaxDistance,
 		MinConfidence: ro.MinConfidence,

@@ -701,8 +701,9 @@ func BenchmarkRecommenderRebuild(b *testing.B) {
 }
 
 // BenchmarkPersistIndex measures the index half of persisting a session at
-// 600 indexed items: featurize the entry, upsert it and append one record to
-// the index file, with the snapshot rewrites that compaction adds averaged in.
+// 600 indexed items: featurize the entry and upsert it in memory — no record
+// appended, no snapshot rewrite to amortise. Every key stays below the
+// per-key cap, so no shard is read.
 func BenchmarkPersistIndex(b *testing.B) {
 	const keys = 200
 	entries := historyEntries(keys)

@@ -13,14 +13,15 @@
 //	locat-bench -all -quick -json BENCH_PR.json
 //	locat-bench -all -quick -json BENCH_PR.json -baseline BENCH_BASELINE.json
 //
-// -json writes per-experiment wall time, simulated cluster seconds and
+// -json writes per-experiment simulated cluster seconds, run count and
 // final tuned cost, plus a per-phase breakdown ("phases") of the LOCAT
-// pipeline: wall time, cluster seconds and run counts for sampling, QCSA,
-// IICP, the subspace search and the GP hyperparameter resamples.
+// pipeline: cluster seconds and run counts for sampling, QCSA, IICP, the
+// subspace search and the GP hyperparameter resamples. Every value is
+// deterministic for a seed; wall time, which depends on the machine, is
+// only printed, on each experiment's "finished in" line.
 // -baseline compares the report against a previous one
 // and exits with status 3 when any deterministic metric regresses by more
-// than -max-regress (default 20%). Wall time is reported but never gated,
-// since it depends on the machine.
+// than -max-regress (default 20%).
 //
 // Execution backends (-backend) select what actually runs the samples:
 // "sim" (default), "record=PATH" to capture a trace, "replay=PATH" to
@@ -65,9 +66,6 @@ type report struct {
 // experiment is one figure/table's accounting.
 type experiment struct {
 	ID string `json:"id"`
-	// WallSec is the host wall-clock time (machine-dependent; reported,
-	// never gated).
-	WallSec float64 `json:"wall_sec"`
 	// ClusterSec is the simulated cluster time the experiment's tuning runs
 	// consumed — deterministic for a given seed, so a >20% change is a real
 	// behavioral regression, not noise.
@@ -79,8 +77,7 @@ type experiment struct {
 	Runs int64 `json:"runs"`
 	// Phases breaks the experiment's LOCAT tuning runs down by pipeline
 	// phase (aggregated by name; empty for experiments that never enter the
-	// LOCAT pipeline). Wall time is machine-dependent and never gated;
-	// cluster seconds and run counts are deterministic.
+	// LOCAT pipeline); cluster seconds and run counts are deterministic.
 	Phases []phase `json:"phases,omitempty"`
 	// Counters are exact deterministic outcomes the experiment published
 	// (the loadtest experiment's per-tenant/priority admission census).
@@ -92,7 +89,6 @@ type experiment struct {
 // phase is one pipeline phase's share of an experiment.
 type phase struct {
 	Name       string  `json:"name"`
-	WallSec    float64 `json:"wall_sec"`
 	ClusterSec float64 `json:"cluster_sec"`
 	Runs       int64   `json:"runs"`
 }
@@ -202,14 +198,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, sp := range s.TakePhases() {
 			phases = append(phases, phase{
 				Name:       sp.Name,
-				WallSec:    sp.WallMS / 1000,
 				ClusterSec: sp.ClusterSec,
 				Runs:       sp.Runs,
 			})
 		}
 		rep.Experiments = append(rep.Experiments, experiment{
 			ID:         id,
-			WallSec:    wall.Seconds(),
 			ClusterSec: clusterSec,
 			FinalCost:  finalCost,
 			Runs:       runs,
@@ -262,8 +256,8 @@ func writeReport(path string, rep *report) error {
 
 // compareReports diffs the current report against a baseline file and
 // returns one line per metric regressing by more than maxRegress.
-// Deterministic metrics (cluster seconds, final cost) are gated; wall time
-// is not. When the current run covers the full suite (checkMissing),
+// Cluster seconds and final cost are gated; counters must match exactly.
+// When the current run covers the full suite (checkMissing),
 // baseline experiments absent from it are reported too: a silently dropped
 // experiment must not pass the gate.
 func compareReports(baselinePath string, cur *report, maxRegress float64, checkMissing bool) ([]string, error) {

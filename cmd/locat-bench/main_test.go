@@ -81,7 +81,7 @@ func runQuickFig(t *testing.T, dir, name string, extra ...string) (report, strin
 	return rep, path
 }
 
-// -json must emit per-experiment wall time, cluster seconds and final cost,
+// -json must emit per-experiment cluster seconds, runs and final cost,
 // and the deterministic metrics must be stable across identical runs.
 func TestJSONReportDeterministicMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -96,9 +96,6 @@ func TestJSONReportDeterministicMetrics(t *testing.T) {
 	}
 	if ea.ClusterSec != eb.ClusterSec || ea.FinalCost != eb.FinalCost || ea.Runs != eb.Runs {
 		t.Fatalf("deterministic metrics differ across identical runs: %+v vs %+v", ea, eb)
-	}
-	if ea.WallSec <= 0 {
-		t.Fatalf("wall time not recorded: %+v", ea)
 	}
 }
 

@@ -280,15 +280,9 @@ func (s *Session) runHybrid(app *sparksim.Application,
 		return rep.TunedSec, rep.OverheadSec, nil
 	}
 
-	var bt baselines.Tuner
-	for _, t := range s.baselineTuners() {
-		if t.Name() == tuner {
-			bt = t
-			break
-		}
-	}
-	if bt == nil {
-		return 0, 0, fmt.Errorf("experiments: unknown tuner %q", tuner)
+	bt, err := s.baseline(tuner)
+	if err != nil {
+		return 0, 0, err
 	}
 	if restrict {
 		switch b := bt.(type) {

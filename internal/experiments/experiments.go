@@ -237,17 +237,24 @@ func (s *Session) locatOptions() core.Options {
 	return o
 }
 
-// baselineTuners returns the four SOTA baselines at session budgets.
-func (s *Session) baselineTuners() []baselines.Tuner {
+// baseline returns a fresh instance of the named SOTA baseline at session
+// budgets; fresh, because runHybrid restricts the one it gets.
+func (s *Session) baseline(name string) (baselines.Tuner, error) {
+	all := baselines.All()
 	if s.Quick {
-		return []baselines.Tuner{
+		all = []baselines.Tuner{
 			&baselines.Tuneful{TopK: 6, BOIter: 24},
 			&baselines.DAC{TrainRuns: 32, Generations: 8, Population: 16, Validate: 5},
 			&baselines.GBORL{MemProbes: 10, RLSteps: 44, Epsilon: 0.25},
 			&baselines.QTune{Generations: 8, Episodes: 10, EliteFrac: 0.25},
 		}
 	}
-	return baselines.All()
+	for _, t := range all {
+		if t.Name() == name {
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown tuner %q", name)
 }
 
 // Tune returns the memoized outcome of running the named tuner on the
@@ -275,15 +282,9 @@ func (s *Session) Tune(clusterName, benchName, tuner string, gb float64) (*Outco
 		out = &Outcome{Tuner: "LOCAT", Best: rep.Best, TunedSec: rep.TunedSec,
 			OverheadSec: rep.OverheadSec, Runs: rep.Evaluations()}
 	} else {
-		var bt baselines.Tuner
-		for _, t := range s.baselineTuners() {
-			if t.Name() == tuner {
-				bt = t
-				break
-			}
-		}
-		if bt == nil {
-			return nil, fmt.Errorf("experiments: unknown tuner %q", tuner)
+		bt, err := s.baseline(tuner)
+		if err != nil {
+			return nil, err
 		}
 		rep, err := bt.Tune(r, app, gb, s.Seed+7)
 		if err != nil {
@@ -298,7 +299,8 @@ func (s *Session) Tune(clusterName, benchName, tuner string, gb float64) (*Outco
 }
 
 // canonicalQCSA runs the paper's QCSA protocol (N_QCSA random
-// configurations) for a benchmark on a cluster and memoizes the result.
+// configurations) for a benchmark on a cluster. Every call runs the
+// protocol afresh.
 func (s *Session) canonicalQCSA(clusterName, benchName string, gb float64, n int) (*qcsa.Result, error) {
 	app, err := workloads.ByName(benchName)
 	if err != nil {

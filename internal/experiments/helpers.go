@@ -7,7 +7,6 @@ import (
 	"locat/internal/conf"
 	"locat/internal/iicp"
 	"locat/internal/qcsa"
-	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
 
@@ -65,9 +64,4 @@ func avg(xs []float64) float64 {
 		t += x
 	}
 	return t / float64(len(xs))
-}
-
-// analyzeRuns is a thin qcsa wrapper used by the CV-convergence figure.
-func analyzeRuns(app *sparksim.Application, runs []sparksim.AppResult) (*qcsa.Result, error) {
-	return qcsa.Analyze(app, runs)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"locat/internal/qcsa"
 	"locat/internal/workloads"
 )
 
@@ -33,7 +34,7 @@ func Fig7NQCSA(s *Session) ([]Table, error) {
 			return nil, err
 		}
 		for _, n := range counts {
-			res, err := analyzeRuns(app, runs[:n])
+			res, err := qcsa.Analyze(app, runs[:n])
 			if err != nil {
 				return nil, err
 			}

@@ -110,16 +110,12 @@ type Recommendation struct {
 // backend — Recommend costs index-scan microseconds and zero sample runs.
 //
 // The index is a cache of the store. On construction it is loaded from the
-// store's persistent index file (when the store has one) and synced against
-// the store's actual contents; entries evicted from the store afterwards are
+// store's index file (when the store has one), synced against the store's
+// actual contents and written back as the next start-up's snapshot; from then
+// on it lives in memory only. Entries evicted from the store afterwards are
 // compacted out lazily when retrieval finds them gone.
-//
-// The index file is a log: construction writes a snapshot of the live items,
-// every later change appends one record, and once the appended records
-// outnumber the live items the snapshot is written again.
 type Recommender struct {
 	store Store
-	path  string // index file ("" = in-memory only)
 	logf  progress.Logf
 
 	// defaults fill what a request's options leave unset (the service
@@ -129,22 +125,23 @@ type Recommender struct {
 	// GP fitting cost bounded no matter how much history accumulates.
 	maxPriorObs int
 
-	mu       sync.Mutex // serializes index mutation + persistence
-	ix       *retrieve.Index
-	appended int // records in the index file after its snapshot
+	mu sync.Mutex // keeps a reconcile atomic against a concurrent Add
+	ix *retrieve.Index
 }
 
-// NewRecommender builds a recommender over the store, loading the persisted
-// index when the store keeps one (FileStore) and syncing it with the store's
+// NewRecommender builds a recommender over the store, loading the index file
+// when the store keeps one (FileStore) and syncing it with the store's
 // contents — vectors survive restarts, and entries added or evicted while
-// the index was offline are reconciled here. logf, if non-nil, receives what
-// goes wrong with the index, from that first reconciliation on.
+// the index was offline are reconciled here. The synced index replaces the
+// file, whatever it held before. logf, if non-nil, receives what goes wrong
+// with the index, from that first reconciliation on.
 func NewRecommender(store Store, logf progress.Logf) *Recommender {
 	rc := &Recommender{store: store, logf: logf, maxPriorObs: 48, defaults: RecommendOptions{
 		DefaultRecommendK, DefaultRecommendMaxDistance, DefaultRecommendConfidence}}
+	path := ""
 	if ip, ok := store.(interface{ IndexPath() string }); ok {
-		rc.path = ip.IndexPath()
-		rc.ix = retrieve.Load(rc.path)
+		path = ip.IndexPath()
+		rc.ix = retrieve.Load(path)
 	} else {
 		rc.ix = retrieve.NewIndex()
 	}
@@ -155,9 +152,12 @@ func NewRecommender(store Store, logf progress.Logf) *Recommender {
 		progress.F(logf, "recommender: index rebuild: %v", err)
 		return rc
 	}
-	// A fresh snapshot, whatever the file held before.
 	rc.reconcileLocked("rebuild read", keys, true)
-	rc.saveLocked()
+	if path != "" {
+		if err := rc.ix.Save(path); err != nil {
+			progress.F(logf, "recommender: index save: %v", err)
+		}
+	}
 	return rc
 }
 
@@ -281,15 +281,13 @@ func (rc *Recommender) stored(key string) ([]Entry, []entryMark, error) {
 // reconcileLocked syncs the index with what the store holds under keys:
 // featurize entries the index does not know (preserving already-persisted
 // vectors, which is the point of the index file) and compact out items under
-// those keys that the store no longer holds. It returns the changes as index
-// records, upserts then removals, for the caller to persist. With all set —
+// those keys that the store no longer holds. With all set —
 // the start-up rebuild over every key of the store — items under any other
 // key are compacted out too: the store evicted those keys wholesale while the
 // index was offline. A key that cannot be read (logged as "index <verb>
 // <key>") keeps its items.
-func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) []retrieve.Record {
+func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) {
 	alive, unread := map[string]bool{}, map[string]bool{}
-	var recs []retrieve.Record
 	for _, k := range keys {
 		entries, marks, err := rc.stored(k)
 		if err != nil {
@@ -305,40 +303,28 @@ func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) []r
 			}
 			if it, ok := indexItem(e, marks[i].obs); ok {
 				rc.ix.Upsert(it)
-				recs = append(recs, retrieve.Record{Item: it})
 			}
 		}
 	}
-	var gone []string
 	rc.ix.Compact(func(it retrieve.Item) bool {
-		keep := alive[it.ID] || unread[it.Key] || !all && !slices.Contains(keys, it.Key)
-		if !keep {
-			gone = append(gone, it.ID)
-		}
-		return keep
+		return alive[it.ID] || unread[it.Key] || !all && !slices.Contains(keys, it.Key)
 	})
-	slices.Sort(gone) // the index hands them over in map order
-	for _, id := range gone {
-		recs = append(recs, retrieve.Record{Item: retrieve.Item{ID: id}, Del: true})
-	}
-	return recs
 }
 
 // Add indexes the entry the store has just been given — the post-persist
 // hook. While the index holds fewer items under the entry's key than a shard
 // may hold entries, the store cannot have dropped one to make room, so the
 // entry is all that changed; from there on the key is reconciled as Sync does,
-// which appends the entry and what the cap evicted for it.
+// which indexes the entry and drops what the cap evicted for it.
 func (rc *Recommender) Add(e Entry) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if key := e.Fingerprint.Key(); rc.ix.KeyLen(key) >= maxEntriesPerKey {
-		rc.appendLocked(rc.reconcileLocked("sync", []string{key}, false)...)
+		rc.reconcileLocked("sync", []string{key}, false)
 		return
 	}
 	if it, ok := indexItem(e, len(e.Obs)); ok {
 		rc.ix.Upsert(it)
-		rc.appendLocked(retrieve.Record{Item: it})
 	}
 }
 
@@ -347,37 +333,7 @@ func (rc *Recommender) Add(e Entry) {
 func (rc *Recommender) Sync(key string) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.appendLocked(rc.reconcileLocked("sync", []string{key}, false)...)
-}
-
-// saveLocked persists the index as a snapshot when the store keeps one.
-func (rc *Recommender) saveLocked() {
-	if rc.path == "" {
-		return
-	}
-	if err := rc.ix.Save(rc.path); err != nil {
-		progress.F(rc.logf, "recommender: index save: %v", err)
-	}
-	rc.appended = 0
-}
-
-// appendLocked persists changes already made to the index by appending their
-// records to the index file. When that would leave more appended records than
-// live items, or the append fails, the snapshot is rewritten instead.
-func (rc *Recommender) appendLocked(recs ...retrieve.Record) {
-	if rc.path == "" || len(recs) == 0 {
-		return
-	}
-	if rc.appended+len(recs) > rc.ix.Len() {
-		rc.saveLocked()
-		return
-	}
-	if err := retrieve.Append(rc.path, recs...); err != nil {
-		progress.F(rc.logf, "recommender: index append: %v", err)
-		rc.saveLocked()
-		return
-	}
-	rc.appended += len(recs)
+	rc.reconcileLocked("sync", []string{key}, false)
 }
 
 // neighbors is the outcome of the one history retrieval: the stored sessions
@@ -426,15 +382,8 @@ func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions) (neighbors, err
 			near.dists = append(near.dists, m.Dist)
 		}
 	}
-	if len(stale) > 0 {
-		rc.mu.Lock()
-		gone := make([]retrieve.Record, len(stale))
-		for i, id := range stale {
-			rc.ix.Remove(id)
-			gone[i] = retrieve.Record{Item: retrieve.Item{ID: id}, Del: true}
-		}
-		rc.appendLocked(gone...)
-		rc.mu.Unlock()
+	for _, id := range stale {
+		rc.ix.Remove(id)
 	}
 	near.weights = retrieve.Weights(near.dists)
 	return near, nil

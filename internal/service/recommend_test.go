@@ -339,66 +339,119 @@ func TestRecommendIndexPersistence(t *testing.T) {
 	}
 }
 
-// indexLines counts the lines of the index file: its header and one per
-// record.
-func indexLines(t *testing.T, path string) int {
+// storeItems is what the index must hold over the store: one item per stored
+// entry, featurized from the whole entry.
+func storeItems(t *testing.T, s Store) []retrieve.Item {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	keys, err := s.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Count(data, []byte("\n"))
+	ix := retrieve.NewIndex()
+	for _, k := range keys {
+		entries, err := s.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if it, ok := indexItem(e, len(e.Obs)); ok {
+				ix.Upsert(it)
+			}
+		}
+	}
+	return ix.Items()
 }
 
-// TestRecommenderIndexLog follows the index file through a recommender's
-// life: a file of an older schema is replaced by a rebuilt snapshot, each
-// added entry costs one appended line, the snapshot is rewritten once the
-// appended lines outnumber the live items, a key at the per-key cap is
-// reconciled against the store at two appended lines a session, stale matches
-// are logged as removals — and
-// at every point the file replays to exactly what the recommender holds.
-func TestRecommenderIndexLog(t *testing.T) {
+// rebuiltItems is what a start-up without an index file builds over the
+// shards in dir: a recommender over a copy of them.
+func rebuiltItems(t *testing.T, dir string) []retrieve.Item {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir()
+	for _, de := range des {
+		if !strings.HasSuffix(de.Name(), ".json") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, de.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := NewFileStore(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewRecommender(fs, t.Logf).ix.Items()
+}
+
+// schema2Index is an index file as the schema-2 code wrote it over the
+// history of bucketEntry("seed", 1000, b) for b = 5, 6, 7: the start-up
+// snapshot, the upsert of bucketEntry("added", 2000, 5), and the tombstone a
+// retrieval logged when it found bucket 7's shard missing.
+const schema2Index = `{"schema":2}
+{"id":"arm_TPC-H_b5_qid/seed@1000","key":"arm_TPC-H_b5_qid","vec":[0,0.75,1.660964047443681,0.34375,0.36363636363636365,0.11363636363636363,0.14132030536704845,0.13778905134293434,0.15227272727272725,0.28584666852931423,0.02500477091469949,1,1,1,0.140625]}
+{"id":"arm_TPC-H_b6_qid/seed@1000","key":"arm_TPC-H_b6_qid","vec":[0,0.75,1.660964047443681,0.34375,0.36363636363636365,0.11363636363636363,0.14132030536704845,0.13778905134293434,0.15227272727272725,0.28584666852931423,0.02500477091469949,1,1,1,0.140625]}
+{"id":"arm_TPC-H_b7_qid/seed@1000","key":"arm_TPC-H_b7_qid","vec":[0,0.75,1.660964047443681,0.34375,0.36363636363636365,0.11363636363636363,0.14132030536704845,0.13778905134293434,0.15227272727272725,0.28584666852931423,0.02500477091469949,1,1,1,0.140625]}
+{"id":"arm_TPC-H_b5_qid/added@2000","key":"arm_TPC-H_b5_qid","vec":[0,0.75,1.660964047443681,0.34375,0.36363636363636365,0.11363636363636363,0.14132030536704845,0.13778905134293434,0.15227272727272725,0.28584666852931423,0.02500477091469949,1,1,1,0.140625]}
+{"id":"arm_TPC-H_b7_qid/seed@1000","del":true}
+`
+
+// TestRecommenderRestartMatchesRebuild: the index file is the start-up
+// snapshot and nothing else. From construction on, Add, Sync and Recommend
+// leave it as it is while the live index follows the store, and every restart
+// over it builds the index a start-up without it builds — below and across
+// the per-key cap, after a shard vanished under a running recommender or
+// while none ran, and after key eviction. A file the schema-2 code wrote, log
+// lines and tombstone included, loads empty and is rebuilt.
+func TestRecommenderRestartMatchesRebuild(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := fs.IndexPath()
-	for b := 5; b < 8; b++ {
-		if err := fs.Put(bucketEntry("seed", 1000, b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	schema1 := `{
- "schema": 1,
- "items": [
-  {
-   "id": "stale",
-   "key": "k",
-   "vec": [
-    1
-   ]
-  }
- ]
-}`
-	if err := os.WriteFile(path, []byte(schema1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rc := NewRecommender(fs, nil)
+	var (
+		rc       *Recommender
+		snapshot []byte
+		written  os.FileInfo
+	)
 	inStep := func(when string) {
 		t.Helper()
-		if got, want := retrieve.Load(path).Items(), rc.ix.Items(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the index file replays to %d items, the recommender holds %d", when, len(got), len(want))
+		if got, want := rc.ix.Items(), storeItems(t, fs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the recommender holds %d items, the store %d entries:\n%+v\nwant\n%+v", when, len(got), len(want), got, want)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, snapshot) || !os.SameFile(fi, written) || !fi.ModTime().Equal(written.ModTime()) {
+			t.Fatalf("%s: the index file changed after start-up", when)
 		}
 	}
-	if rc.Len() != 3 || rc.ix.Has("stale") {
-		t.Fatalf("index over an old-schema file has %d items, want the store's 3", rc.Len())
+	restart := func(when string) {
+		t.Helper()
+		rc = NewRecommender(fs, t.Logf)
+		if got, want := rc.ix.Items(), rebuiltItems(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a restart holds\n%+v\na start-up without the index file\n%+v", when, got, want)
+		}
+		if snapshot, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if written, err = os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+		inStep(when)
 	}
-	inStep("rebuilt from the store")
-	if n := indexLines(t, path); n != 1+3 {
-		t.Fatalf("rebuilt index file has %d lines, want a header and 3", n)
-	}
-
 	put := func(e Entry) {
 		t.Helper()
 		if err := fs.Put(e); err != nil {
@@ -406,91 +459,86 @@ func TestRecommenderIndexLog(t *testing.T) {
 		}
 		rc.Add(e)
 	}
+	key := func(bucket int) string { return bucketEntry("", 0, bucket).Fingerprint.Key() }
+	recommend := func() {
+		t.Helper()
+		// Every entry here is within the radius: K past their count
+		// resolves every one of them against the store.
+		if _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{K: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for b := 5; b < 8; b++ {
+		if err := fs.Put(bucketEntry("seed", 1000, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart("start-up over three keys")
+
 	for i := 0; i < 3; i++ {
 		put(bucketEntry("added", int64(2000+i), 5))
-		if n := indexLines(t, path); n != 1+3+i+1 {
-			t.Fatalf("add %d: index file has %d lines, want %d", i, n, 1+3+i+1)
-		}
 		inStep("after an add")
 	}
+	rc.Sync(key(5))
+	inStep("after a sync")
+	recommend()
+	inStep("after a recommendation")
+	restart("restart after adds")
 
-	// The same session persisted again replaces its item: the log grows, the
-	// index does not, and the snapshot is rewritten when the log is more than
-	// twice the items.
-	live, compacted := rc.Len(), false
-	for i := 0; i < 2*live && !compacted; i++ {
-		before := indexLines(t, path)
-		rc.Add(bucketEntry("added", 2000, 5))
-		inStep("after a repeated add")
-		n := indexLines(t, path)
-		if n > 1+2*live {
-			t.Fatalf("index file grew to %d lines over %d items", n, live)
-		}
-		compacted = n < before
-		if compacted && n != 1+live {
-			t.Fatalf("compacted index file has %d lines, want a header and %d", n, live)
-		}
-	}
-	if !compacted || rc.Len() != live {
-		t.Fatalf("the log was never compacted (%d items, %d lines)", rc.Len(), indexLines(t, path))
-	}
-
-	// Across the per-key cap the index follows the store's evictions.
-	// At the cap each session costs the log two lines, the new item and the
-	// removal of the one evicted for it, not a snapshot of every item.
-	key := bucketEntry("", 0, 7).Fingerprint.Key()
-	appendedAtCap := 0
 	for i := 0; i < maxEntriesPerKey+5; i++ {
-		before := indexLines(t, path)
 		put(bucketEntry(fmt.Sprintf("capped-%02d", i), int64(3000+i), 7))
-		if n := indexLines(t, path); i >= maxEntriesPerKey && n == before+2 {
-			appendedAtCap++
-		} else if i >= maxEntriesPerKey && n != 1+rc.Len() {
-			t.Fatalf("put %d at the cap: the index file went from %d to %d lines, want two appended or a snapshot of %d items", i, before, n, rc.Len())
-		}
-		entries, err := fs.Get(key)
+		inStep(fmt.Sprintf("put %d under one key", i))
+	}
+	restart("restart across the cap")
+
+	if err := os.Remove(filepath.Join(dir, key(7)+".json")); err != nil {
+		t.Fatal(err)
+	}
+	recommend()
+	inStep("after a vanished shard was found stale")
+	restart("restart after lazy compaction")
+
+	if err := os.Remove(filepath.Join(dir, key(6)+".json")); err != nil {
+		t.Fatal(err)
+	}
+	restart("restart after a shard was deleted offline")
+
+	put(bucketEntry("later", 4000, 8))
+	put(bucketEntry("later", 4001, 9))
+	inStep("after adds under two new keys")
+	fs.SetMaxKeys(2)
+	if keys, _ := fs.Keys(); !reflect.DeepEqual(keys, []string{key(8), key(9)}) {
+		t.Fatalf("keys after SetMaxKeys(2) = %v, want bucket 5 evicted", keys)
+	}
+	rc.Sync(key(5))
+	inStep("after an evicted key was synced")
+	restart("restart after eviction")
+
+	t.Run("schema-2 file", func(t *testing.T) {
+		dir := t.TempDir()
+		fs, err := NewFileStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := rc.ix.KeyLen(key); n != len(entries) {
-			t.Fatalf("put %d: %d items under %s, the shard holds %d", i, n, key, len(entries))
-		}
-		for _, e := range entries {
-			if !rc.ix.Has(entryID(e)) {
-				t.Fatalf("put %d: %s is in the shard and not in the index", i, entryID(e))
+		// Bucket 7's shard is back: the tombstone must not keep it out.
+		for _, e := range []Entry{bucketEntry("seed", 1000, 5), bucketEntry("seed", 1000, 6),
+			bucketEntry("seed", 1000, 7), bucketEntry("added", 2000, 5)} {
+			if err := fs.Put(e); err != nil {
+				t.Fatal(err)
 			}
 		}
-		inStep("across the cap")
-	}
-	if appendedAtCap < 3 {
-		t.Fatalf("%d of 5 sessions at the cap were appended to the log, want all but the one the log rule snapshots", appendedAtCap)
-	}
-
-	// A shard that vanished is found out by retrieval, and the removals are
-	// logged.
-	before := rc.Len()
-	if err := os.Remove(filepath.Join(dir, key+".json")); err != nil {
-		t.Fatal(err)
-	}
-	// Every entry here has the same target size, so the first ten matches
-	// are decided on ID order: four under bucket 5, one under 6, five under 7.
-	if _, err := rc.Recommend(quickSpec(100, 1), RecommendOptions{K: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if rc.Len() != before-5 {
-		t.Fatalf("retrieval over a vanished shard left %d of %d items, want 5 fewer", rc.Len(), before)
-	}
-	inStep("after lazy compaction")
-
-	// A restart loads the log and reconciles the rest of the vanished shard.
-	rc = NewRecommender(fs, nil)
-	if rc.ix.KeyLen(key) != 0 || rc.Len() != 5 {
-		t.Fatalf("reopened index has %d items (%d under the vanished key), want 5", rc.Len(), rc.ix.KeyLen(key))
-	}
-	inStep("after a restart")
-	if n := indexLines(t, path); n != 1+rc.Len() {
-		t.Fatalf("index file after a restart has %d lines, want a header and %d", n, rc.Len())
-	}
+		if err := os.WriteFile(fs.IndexPath(), []byte(schema2Index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n := retrieve.Load(fs.IndexPath()).Len(); n != 0 {
+			t.Fatalf("a schema-2 file loads %d items, want none", n)
+		}
+		got, want := NewRecommender(fs, t.Logf).ix.Items(), rebuiltItems(t, dir)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, storeItems(t, fs)) {
+			t.Fatalf("over a schema-2 file the recommender holds\n%+v\nwithout it\n%+v", got, want)
+		}
+	})
 }
 
 // TestRecommendRequestJSONShape pins the flattened wire format of the

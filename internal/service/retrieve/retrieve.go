@@ -124,8 +124,8 @@ func Distance(a, b []float64) float64 {
 // entry lives under, and its feature vector.
 type Item struct {
 	ID  string    `json:"id"`
-	Key string    `json:"key,omitempty"`
-	Vec []float64 `json:"vec,omitempty"`
+	Key string    `json:"key"`
+	Vec []float64 `json:"vec"`
 }
 
 // Match is one retrieval result.
@@ -135,10 +135,7 @@ type Match struct {
 }
 
 // Index is the k-NN index: an exact-scan set of feature-vector items, safe
-// for concurrent use. It persists to a single log file (Save/Append/Load):
-// Append records one change, Save rewrites the file with only the live
-// items, so the caller decides when tombstones have piled up enough to
-// compact.
+// for concurrent use. Save writes it to a file and Load reads it back.
 type Index struct {
 	mu    sync.RWMutex
 	items map[string]Item
@@ -253,56 +250,27 @@ func (ix *Index) Nearest(vec []float64, k int, maxDist float64) []Match {
 // weights, the Workload layout or the file format change: Load discards
 // files written under a different schema, and the caller rebuilds from the
 // store.
-const IndexSchema = 2
+const IndexSchema = 3
 
-// The index file is a log. Its first line is the header {"schema":N}; every
-// further line is one Record. Save writes a snapshot, one upsert per live
-// item; Append adds records to the end, so keeping the file in step with the
-// index costs one line per change. Load replays the lines in order.
-
-// logHeader is the first line of the index file.
-type logHeader struct {
+// fileHeader is the first line of the index file; every further line is one
+// Item.
+type fileHeader struct {
 	Schema int `json:"schema"`
 }
 
-// Record is one line of the index log: the upsert of Item or, with Del set,
-// the removal of the item with that ID.
-type Record struct {
-	Item
-	Del bool `json:"del,omitempty"`
-}
-
-// encodeLog renders the lines of an index file: the header when it is a
-// snapshot, then one line per record.
-func encodeLog(snapshot bool, recs []Record) ([]byte, error) {
+// Save writes the index to path atomically (temp file + rename): the header,
+// then the items sorted by ID.
+func (ix *Index) Save(path string) error {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf) // one value per line
-	if snapshot {
-		_ = enc.Encode(logHeader{Schema: IndexSchema}) // an int into a buffer cannot fail
-	}
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil { // a vector holding NaN or Inf
-			return nil, fmt.Errorf("retrieve: encode index: %w", err)
+	enc := json.NewEncoder(&buf)                    // one value per line
+	_ = enc.Encode(fileHeader{Schema: IndexSchema}) // an int into a buffer cannot fail
+	for _, it := range ix.Items() {
+		if err := enc.Encode(it); err != nil { // a vector holding NaN or Inf
+			return fmt.Errorf("retrieve: encode index: %w", err)
 		}
 	}
-	return buf.Bytes(), nil
-}
-
-// Save writes the index to path atomically (temp file + rename). The file
-// holds exactly the live items — removed entries and superseded vectors
-// vanish on the next Save, which is the log's compaction.
-func (ix *Index) Save(path string) error {
-	items := ix.Items()
-	recs := make([]Record, len(items))
-	for i, it := range items {
-		recs[i].Item = it
-	}
-	data, err := encodeLog(true, recs)
-	if err != nil {
-		return err
-	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		_ = os.Remove(tmp) // the write error is the one to report
 		return fmt.Errorf("retrieve: write index: %w", err)
 	}
@@ -313,34 +281,12 @@ func (ix *Index) Save(path string) error {
 	return nil
 }
 
-// Append adds the records to the end of the index file at path, which a Save
-// must have written before: a file without a header loads as empty. A crash
-// part-way leaves an unterminated last line, which Load drops.
-func Append(path string, recs ...Record) error {
-	data, err := encodeLog(false, recs)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return fmt.Errorf("retrieve: append index: %w", err)
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("retrieve: append index: %w", err)
-	}
-	return nil
-}
-
-// Load reads a persisted index by replaying its records: the last record for
-// an ID wins. A missing file, a corrupt header or a schema mismatch all yield
-// an empty index and no error: the index is a cache of the store, so the
-// correct recovery is always a rebuild, never a failure. For the same reason
-// replay stops without an error at the first line that is not a record, and
-// ignores a last line with no newline, which is a write that did not finish.
+// Load reads a persisted index; of two lines for one ID the last wins. A
+// missing file, a corrupt header or a schema mismatch all yield an empty index
+// and no error: the index is a cache of the store, so the correct recovery is
+// always a rebuild, never a failure. For the same reason reading stops without
+// an error at the first line that is not an item, and a last line with no
+// newline, a file cut short, does not count.
 func Load(path string) *Index {
 	ix := NewIndex()
 	data, err := os.ReadFile(path)
@@ -349,22 +295,18 @@ func Load(path string) *Index {
 	}
 	nl := []byte{'\n'}
 	header, data, ok := bytes.Cut(data, nl)
-	var h logHeader
+	var h fileHeader
 	if !ok || json.Unmarshal(header, &h) != nil || h.Schema != IndexSchema {
 		return ix
 	}
 	for {
 		line, rest, ok := bytes.Cut(data, nl)
-		var r Record
-		if !ok || json.Unmarshal(line, &r) != nil || r.ID == "" {
+		var it Item
+		if !ok || json.Unmarshal(line, &it) != nil || it.ID == "" {
 			return ix
 		}
 		data = rest
-		if r.Del {
-			delete(ix.items, r.ID)
-		} else {
-			ix.items[r.ID] = r.Item
-		}
+		ix.items[it.ID] = it
 	}
 }
 

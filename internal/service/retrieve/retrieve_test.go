@@ -1,8 +1,6 @@
 package retrieve
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -72,8 +70,8 @@ func TestUpsertRemoveCompact(t *testing.T) {
 	ix.Upsert(Item{ID: "x", Key: "k1", Vec: []float64{1}})
 	ix.Upsert(Item{ID: "x", Key: "k1", Vec: []float64{2}}) // replace
 	ix.Upsert(Item{ID: "y", Key: "k2", Vec: []float64{3}})
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ix.Len())
+	if ix.Len() != 2 || ix.KeyLen("k1") != 1 || ix.KeyLen("k3") != 0 {
+		t.Fatalf("Len = %d, KeyLen = %d, %d; want 2, 1, 0", ix.Len(), ix.KeyLen("k1"), ix.KeyLen("k3"))
 	}
 	if got := ix.Nearest([]float64{2}, 1, 0); got[0].ID != "x" || got[0].Dist != 0 {
 		t.Fatalf("upsert did not replace: %+v", got)
@@ -130,9 +128,11 @@ func TestLoadToleratesMissingAndCorrupt(t *testing.T) {
 		t.Fatal("corrupt file must load empty")
 	}
 	// A schema bump invalidates older files wholesale: the single JSON
-	// document schema 1 wrote, and a log whose header names another schema.
+	// document schema 1 wrote, schema 2's log with its tombstones, and a file
+	// whose header names another schema.
 	for name, content := range map[string]string{
 		"schema1":     "{\n \"schema\": 1,\n \"items\": [\n  {\n   \"id\": \"a\",\n   \"key\": \"k\",\n   \"vec\": [\n    1\n   ]\n  }\n ]\n}",
+		"schema2":     "{\"schema\":2}\n{\"id\":\"a\",\"key\":\"k\",\"vec\":[1]}\n{\"id\":\"b\",\"key\":\"k\",\"vec\":[2]}\n{\"id\":\"a\",\"del\":true}\n",
 		"otherschema": "{\"schema\":1}\n{\"id\":\"a\",\"key\":\"k\",\"vec\":[1]}\n",
 		"noheader":    "{\"id\":\"a\",\"key\":\"k\",\"vec\":[1]}\n",
 	} {
@@ -152,103 +152,6 @@ func sameItems(t *testing.T, what string, got, want *Index) {
 	if !reflect.DeepEqual(got.Items(), want.Items()) {
 		t.Fatalf("%s: loaded %+v, want %+v", what, got.Items(), want.Items())
 	}
-}
-
-// TestAppendReplay: records appended after a snapshot replay in order, the
-// last one for an ID winning, and the next Save compacts them away.
-func TestAppendReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "knn.index")
-	ix := NewIndex()
-	ix.Upsert(Item{ID: "a", Key: "k1", Vec: wl(6.6).Vector()})
-	ix.Upsert(Item{ID: "b", Key: "k1", Vec: wl(7.6).Vector()})
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if ix.KeyLen("k1") != 2 || ix.KeyLen("k2") != 0 {
-		t.Fatalf("KeyLen = %d, %d; want 2, 0", ix.KeyLen("k1"), ix.KeyLen("k2"))
-	}
-	changes := []Record{
-		{Item: Item{ID: "c", Key: "k2", Vec: wl(8.6).Vector()}},
-		{Item: Item{ID: "a"}, Del: true},
-		{Item: Item{ID: "b", Key: "k1", Vec: wl(9.6).Vector()}}, // replaces
-		{Item: Item{ID: "c"}, Del: true},
-		{Item: Item{ID: "c", Key: "k2", Vec: wl(5.6).Vector()}}, // comes back
-		{Item: Item{ID: "gone"}, Del: true},                     // never there
-	}
-	for _, r := range changes {
-		if r.Del {
-			ix.Remove(r.ID)
-		} else {
-			ix.Upsert(r.Item)
-		}
-	}
-	if err := Append(path, changes[:2]...); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(path, changes[2:]...); err != nil {
-		t.Fatal(err)
-	}
-	sameItems(t, "snapshot + 6 records", Load(path), ix)
-	logged, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	sameItems(t, "compacted", Load(path), ix)
-	if compact, _ := os.ReadFile(path); bytes.Count(compact, []byte("\n")) != 1+ix.Len() || len(compact) >= len(logged) {
-		t.Fatalf("Save left %d bytes after a log of %d; want a header and %d lines", len(compact), len(logged), ix.Len())
-	}
-	// There is nothing to append to before the first Save.
-	if err := Append(filepath.Join(t.TempDir(), "absent"), changes[0]); err == nil {
-		t.Fatal("Append created an index file without a header")
-	}
-}
-
-// TestLoadDropsTornTail cuts the file at every byte of its last record — the
-// states a crash during Append can leave — and requires exactly the records
-// before it. A record torn in the middle of the file ends the replay there.
-func TestLoadDropsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "knn.index")
-	ix := NewIndex()
-	ix.Upsert(Item{ID: "a", Key: "k1", Vec: wl(6.6).Vector()})
-	ix.Upsert(Item{ID: "b", Key: "k2", Vec: wl(7.6).Vector()})
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(path, Record{Item: Item{ID: "a"}, Del: true}); err != nil {
-		t.Fatal(err)
-	}
-	ix.Remove("a")
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := Record{Item: Item{ID: "c", Key: "k1", Vec: wl(8.6).Vector()}}
-	if err := Append(path, last); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "torn")
-	for cut := len(before); cut < len(whole); cut++ {
-		if err := os.WriteFile(torn, whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sameItems(t, fmt.Sprintf("cut at byte %d of %d", cut, len(whole)), Load(torn), ix)
-	}
-	// More appended behind a torn record does not bring it back, nor itself.
-	after := append(append([]byte(nil), whole[:len(whole)-5]...), "\n{\"id\":\"d\",\"key\":\"k1\",\"vec\":[1]}\n"...)
-	if err := os.WriteFile(torn, after, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sameItems(t, "torn record in the middle", Load(torn), ix)
-	ix.Upsert(last.Item)
-	sameItems(t, "whole file", Load(path), ix)
 }
 
 // A Save that cannot replace the index file returns the error and leaves no

@@ -75,10 +75,8 @@
 //     the k-NN index from FileStore.heads: the same scan with observations
 //     validated but not built (entry IDs, target size and observation count
 //     are all the index wants), which also primes what appendShard needs, so
-//     the first Put after a restart appends. Start-up writes an index
-//     snapshot; every later change, the upsert and tombstones of a key at
-//     the cap included, appends records, and the snapshot is rewritten only
-//     when appended records outnumber live items.
+//     the first Put after a restart appends. Start-up writes the index file,
+//     the next start-up's snapshot; every later change stays in memory.
 package service
 
 import (

@@ -398,8 +398,8 @@ func (s *FileStore) SetMaxKeys(n int) {
 	s.evictLocked()
 }
 
-// IndexPath is where the recommender persists its k-NN index, next to the
-// shards. The name carries no .json suffix, so Keys never mistakes the
+// IndexPath is where the recommender keeps its k-NN index snapshot, next to
+// the shards. The name carries no .json suffix, so Keys never mistakes the
 // index for a history shard.
 func (s *FileStore) IndexPath() string { return filepath.Join(s.dir, "knn.index") }
 

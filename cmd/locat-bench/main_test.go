@@ -62,10 +62,10 @@ func TestBadBackendSpec(t *testing.T) {
 }
 
 // runQuickFig runs one cheap experiment with -json and returns the report.
-func runQuickFig(t *testing.T, dir, name string, extra ...string) (report, string) {
+func runQuickFig(t *testing.T, dir, name, fig string) (report, string) {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	args := append([]string{"-fig", "fig8", "-quick", "-json", path}, extra...)
+	args := []string{"-fig", fig, "-quick", "-json", path}
 	var out, errb bytes.Buffer
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
@@ -85,8 +85,8 @@ func runQuickFig(t *testing.T, dir, name string, extra ...string) (report, strin
 // and the deterministic metrics must be stable across identical runs.
 func TestJSONReportDeterministicMetrics(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := runQuickFig(t, dir, "a.json")
-	b, _ := runQuickFig(t, dir, "b.json")
+	a, _ := runQuickFig(t, dir, "a.json", "fig8")
+	b, _ := runQuickFig(t, dir, "b.json", "fig8")
 	if len(a.Experiments) != 1 || a.Experiments[0].ID != "fig8" {
 		t.Fatalf("bad report: %+v", a)
 	}
@@ -99,12 +99,32 @@ func TestJSONReportDeterministicMetrics(t *testing.T) {
 	}
 }
 
+// -json must carry fig11's claim as exact counters: each SOTA tuner's
+// average reduction factor, and every tuner's summed run count beside it.
+func TestJSONReportClaimCounters(t *testing.T) {
+	rep, _ := runQuickFig(t, t.TempDir(), "fig11.json", "fig11")
+	c := rep.Experiments[0].Counters
+	for _, tn := range []string{"Tuneful", "DAC", "GBO-RL", "QTune"} {
+		if v, ok := c["avg/"+tn]; !ok || v <= 1 {
+			t.Fatalf("counter avg/%s = %v, %v; want a reduction factor above 1", tn, v, ok)
+		}
+	}
+	for _, tn := range []string{"LOCAT", "Tuneful", "DAC", "GBO-RL", "QTune"} {
+		if v := c["runs/"+tn]; v <= 0 || v != float64(int64(v)) {
+			t.Fatalf("counter runs/%s = %v; want a positive run count", tn, v)
+		}
+	}
+	if len(c) != 9 {
+		t.Fatalf("fig11 publishes %d counters, want 9: %v", len(c), c)
+	}
+}
+
 // The gate must pass against an identical baseline and fail (exit 3) when
 // the baseline's deterministic metrics are tightened below the measured
 // values.
 func TestRegressionGate(t *testing.T) {
 	dir := t.TempDir()
-	rep, path := runQuickFig(t, dir, "base.json")
+	rep, path := runQuickFig(t, dir, "base.json", "fig8")
 
 	// Identical baseline: gate passes.
 	var out, errb bytes.Buffer

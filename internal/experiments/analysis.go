@@ -14,16 +14,16 @@ import (
 
 // Fig15APvsIP regenerates Figure 15: TPC-DS tuned by LOCAT with all 38
 // parameters (AP) versus with the IICP-selected important parameters (IP).
-// The paper finds IP ≈ 1.8× better on average — tuning unimportant
-// parameters wastes the search budget and counteracts the important ones.
+// The paper finds IP better on average (EXPERIMENTS.md, "Paper vs
+// reproduction") — tuning unimportant parameters wastes the search budget
+// and counteracts the important ones.
 func Fig15APvsIP(s *Session) ([]Table, error) {
 	t := Table{
-		ID:     "fig15",
-		Title:  "TPC-DS duration (s) tuned with all parameters (AP) vs important parameters (IP), ARM",
-		Header: []string{"size(GB)", "AP", "IP", "IP gain (×)"},
+		ID:    "fig15",
+		Title: "TPC-DS duration (s) tuned with all parameters (AP) vs important parameters (IP), ARM",
+		Cols:  append(cols("%.0f", "size(GB)", "AP", "IP"), Col{Name: "IP gain (×)", Fmt: "%.2f"}),
 	}
 	app := workloads.TPCDS()
-	var ratios []float64
 	for _, gb := range s.sizes() {
 		opts := s.locatOptions()
 		opts.UseIICP = false
@@ -40,11 +40,9 @@ func Fig15APvsIP(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := ap.TunedSec / ip.TunedSec
-		ratios = append(ratios, r)
-		t.Rows = append(t.Rows, []string{f0(gb), f0(ap.TunedSec), f0(ip.TunedSec), f2(r)})
+		t.Rows = append(t.Rows, []any{gb, ap.TunedSec, ip.TunedSec, ap.TunedSec / ip.TunedSec})
 	}
-	t.Rows = append(t.Rows, []string{"Avg", "", "", f2(avg(ratios))})
+	t.summarize(s, "Avg", "avg/", 3)
 	return []Table{t}, nil
 }
 
@@ -92,9 +90,10 @@ func Fig18CSQCIQ(s *Session) ([]Table, error) {
 		return nil, err
 	}
 	t := Table{
-		ID:     "fig18",
-		Title:  "CSQ vs CIQ execution time (s) of tuned TPC-DS, ARM",
-		Header: []string{"size(GB)", "tuner", "CSQ", "CIQ", "total"},
+		ID:    "fig18",
+		Title: "CSQ vs CIQ execution time (s) of tuned TPC-DS, ARM",
+		Cols: append([]Col{{Name: "size(GB)", Fmt: "%.0f"}, {Name: "tuner"}},
+			cols("%.0f", "CSQ", "CIQ", "total")...),
 	}
 	for _, gb := range sizes {
 		for _, tn := range TunerNames {
@@ -106,7 +105,7 @@ func Fig18CSQCIQ(s *Session) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, []string{f0(gb), tn, f0(csq), f0(ciq), f0(csq + ciq)})
+			t.Rows = append(t.Rows, []any{gb, tn, csq, ciq, csq + ciq})
 		}
 	}
 	return []Table{t}, nil
@@ -129,12 +128,12 @@ func Fig19GCTime(s *Session) ([]Table, error) {
 			return nil, err
 		}
 		t := Table{
-			ID:     "fig19",
-			Title:  fmt.Sprintf("JVM GC time (s) of tuned %s by input size, ARM", bn),
-			Header: append([]string{"tuner"}, sizesHeader(s.sizes())...),
+			ID:    "fig19",
+			Title: fmt.Sprintf("JVM GC time (s) of tuned %s by input size, ARM", bn),
+			Cols:  append([]Col{{Name: "tuner"}}, cols("%.1f", sizesHeader(s.sizes())...)...),
 		}
 		for _, tn := range TunerNames {
-			row := []string{tn}
+			row := []any{tn}
 			for _, gb := range s.sizes() {
 				o, err := s.Tune("arm", bn, tn, gb)
 				if err != nil {
@@ -144,7 +143,7 @@ func Fig19GCTime(s *Session) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, f1(gc))
+				row = append(row, gc)
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -176,10 +175,10 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 	space := sparksim.ARM().Space()
 
 	// Preparation artifacts, shared by all hybrids: the QCSA classification
-	// and the IICP important-parameter subspace. Their collection cost
-	// (prepN full-application runs under random configurations) is charged
-	// to every mode that uses them.
-	runs, err := s.randomRuns("arm", "TPC-DS", gb, prepN)
+	// and the IICP important-parameter subspace, both from one set of QCSA
+	// protocol runs. Their collection cost (prepN full-application runs
+	// under random configurations) is charged to every mode that uses them.
+	cs, runs, err := s.sample(qcsaDraws, "arm", "TPC-DS", gb, prepN)
 	if err != nil {
 		return nil, err
 	}
@@ -191,15 +190,7 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var samples []iicp.Sample
-	// Re-derive the sampled configurations for IICP from a fresh pass (the
-	// same seed draws the same configurations as randomRuns).
-	rng := newRng(s.Seed + 11)
-	for i := 0; i < prepN; i++ {
-		c := space.Random(rng)
-		samples = append(samples, iicp.Sample{Conf: c, Sec: runs[i].Sec})
-	}
-	ires, err := iicp.Analyze(space, samples, iicp.DefaultOptions())
+	ires, err := iicp.Analyze(space, asSamples(cs, runs), iicp.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -209,14 +200,14 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 	}
 
 	duration := Table{
-		ID:     "fig21",
-		Title:  fmt.Sprintf("Tuned TPC-DS duration (s) at %.0f GB with QCSA/IICP grafted onto each tuner", gb),
-		Header: []string{"tuner", "APT", "IICP", "QCSA", "QIT"},
+		ID:    "fig21",
+		Title: fmt.Sprintf("Tuned TPC-DS duration (s) at %.0f GB with QCSA/IICP grafted onto each tuner", gb),
+		Cols:  append([]Col{{Name: "tuner"}}, cols("%.0f", "APT", "IICP", "QCSA", "QIT")...),
 	}
 	overhead := Table{
-		ID:     "fig21-overhead",
-		Title:  "Optimization overhead (h) with QCSA/IICP grafted onto each tuner",
-		Header: []string{"tuner", "APT", "IICP", "QCSA", "QIT"},
+		ID:    "fig21-overhead",
+		Title: "Optimization overhead (h) with QCSA/IICP grafted onto each tuner",
+		Cols:  append([]Col{{Name: "tuner"}}, cols("%.1f", "APT", "IICP", "QCSA", "QIT")...),
 	}
 
 	type mode struct {
@@ -231,8 +222,8 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 		{"QIT", true, true},
 	}
 	for _, tn := range TunerNames {
-		drow := []string{tn}
-		orow := []string{tn}
+		drow := []any{tn}
+		orow := []any{tn}
 		for _, m := range modes {
 			tuned, over, err := s.runHybrid(app, qres, sub, tn, gb, m.restrict, m.rqa)
 			if err != nil {
@@ -241,11 +232,16 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 			if m.restrict || m.rqa {
 				over += prepCost
 			}
-			drow = append(drow, f0(tuned))
-			orow = append(orow, hours(over))
+			drow = append(drow, tuned)
+			orow = append(orow, over/3600)
 		}
 		duration.Rows = append(duration.Rows, drow)
 		overhead.Rows = append(overhead.Rows, orow)
+		// The claim: QIT (both techniques) against APT (neither), per tuner.
+		for _, c := range []int{1, 4} {
+			duration.publish(s, "duration/"+tn+"/", drow, c)
+			overhead.publish(s, "overhead_h/"+tn+"/", orow, c)
+		}
 	}
 	return []Table{duration, overhead}, nil
 }

@@ -2,24 +2,78 @@ package experiments
 
 import "fmt"
 
+// overheadBySize tabulates the tuning overhead (h) of each tuner on TPC-DS
+// (ARM) at each size: Figure 2, and Figure 20 above its growth row.
+func (s *Session) overheadBySize(id, title string, tuners []string, sizes []float64) (Table, error) {
+	t := Table{
+		ID:    id,
+		Title: title,
+		Cols:  append([]Col{{Name: "size(GB)", Fmt: "%.0f"}}, cols("%.1f", tuners...)...),
+	}
+	for _, gb := range sizes {
+		row := []any{gb}
+		for _, tn := range tuners {
+			o, err := s.Tune("arm", "TPC-DS", tn, gb)
+			if err != nil {
+				return t, err
+			}
+			row = append(row, o.OverheadSec/3600)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
+}
+
 // Fig2Motivation regenerates Figure 2: hours the four SOTA approaches need
 // to find the optimal TPC-DS configuration at 100–500 GB (ARM cluster).
 func Fig2Motivation(s *Session) ([]Table, error) {
-	t := Table{
-		ID:     "fig2",
-		Title:  "Optimization overhead (h) of SOTA tuners, TPC-DS on ARM",
-		Header: []string{"size(GB)", "Tuneful", "DAC", "GBO-RL", "QTune"},
+	t, err := s.overheadBySize("fig2", "Optimization overhead (h) of SOTA tuners, TPC-DS on ARM",
+		TunerNames[1:], s.sizes())
+	if err != nil {
+		return nil, err
 	}
-	for _, gb := range s.sizes() {
-		row := []string{f0(gb)}
-		for _, tn := range TunerNames[1:] {
-			o, err := s.Tune("arm", "TPC-DS", tn, gb)
+	return []Table{t}, nil
+}
+
+// versusSOTA builds Figures 11–14: for every benchmark at each size (a
+// size column only when there are several), the ratio of each SOTA tuner's
+// outcome to LOCAT's, then their averages. Each tuner's run count, summed
+// over the rows, is published beside the averages as counter
+// "runs/<tuner>", so every ratio sits beside its sample budgets.
+func (s *Session) versusSOTA(clusterName, id, title, format string, sizes []float64,
+	ratio func(sota, locat *Outcome) float64) ([]Table, error) {
+	t := Table{ID: id, Title: title, Cols: []Col{{Name: "benchmark"}}}
+	if len(sizes) > 1 {
+		t.Cols = append(t.Cols, Col{Name: "size(GB)", Fmt: "%.0f"})
+	}
+	first := len(t.Cols)
+	t.Cols = append(t.Cols, cols(format, TunerNames[1:]...)...)
+	runs := make([]float64, len(TunerNames))
+	for _, bn := range s.benchNames() {
+		for _, gb := range sizes {
+			locat, err := s.Tune(clusterName, bn, "LOCAT", gb)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, hours(o.OverheadSec))
+			runs[0] += float64(locat.Runs)
+			row := []any{bn}
+			if len(sizes) > 1 {
+				row = append(row, gb)
+			}
+			for i, tn := range TunerNames[1:] {
+				o, err := s.Tune(clusterName, bn, tn, gb)
+				if err != nil {
+					return nil, err
+				}
+				runs[i+1] += float64(o.Runs)
+				row = append(row, ratio(o, locat))
+			}
+			t.Rows = append(t.Rows, row)
 		}
-		t.Rows = append(t.Rows, row)
+	}
+	t.summarize(s, "Average", "avg/", first)
+	for i, tn := range TunerNames {
+		s.SetCounter("runs/"+tn, runs[i])
 	}
 	return []Table{t}, nil
 }
@@ -31,46 +85,18 @@ func (s *Session) optTimeReduction(clusterName, id, title string) ([]Table, erro
 	if s.Quick {
 		gb = 100
 	}
-	t := Table{
-		ID:     id,
-		Title:  title,
-		Header: []string{"benchmark", "Tuneful", "DAC", "GBO-RL", "QTune"},
-	}
-	sums := make([]float64, 4)
-	benches := s.benchNames()
-	for _, bn := range benches {
-		locat, err := s.Tune(clusterName, bn, "LOCAT", gb)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{bn}
-		for i, tn := range TunerNames[1:] {
-			o, err := s.Tune(clusterName, bn, tn, gb)
-			if err != nil {
-				return nil, err
-			}
-			r := o.OverheadSec / locat.OverheadSec
-			sums[i] += r
-			row = append(row, f1(r))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"Average"}
-	for _, v := range sums {
-		avgRow = append(avgRow, f1(v/float64(len(benches))))
-	}
-	t.Rows = append(t.Rows, avgRow)
-	return []Table{t}, nil
+	return s.versusSOTA(clusterName, id, title, "%.1f", []float64{gb},
+		func(sota, locat *Outcome) float64 { return sota.OverheadSec / locat.OverheadSec })
 }
 
-// Fig11OptTimeARM regenerates Figure 11 (paper averages: Tuneful 6.4×,
-// DAC 7.0×, GBO-RL 4.1×, QTune 9.7×).
+// Fig11OptTimeARM regenerates Figure 11 (paper values: EXPERIMENTS.md,
+// "Paper vs reproduction").
 func Fig11OptTimeARM(s *Session) ([]Table, error) {
 	return s.optTimeReduction("arm", "fig11",
 		"Optimization-time reduction over SOTA (×), four-node ARM cluster, 300 GB")
 }
 
-// Fig12OptTimeX86 regenerates Figure 12 (paper averages: 6.4/6.3/4.0/9.2×).
+// Fig12OptTimeX86 regenerates Figure 12 (paper values: EXPERIMENTS.md).
 func Fig12OptTimeX86(s *Session) ([]Table, error) {
 	return s.optTimeReduction("x86", "fig12",
 		"Optimization-time reduction over SOTA (×), eight-node x86 cluster, 300 GB")
@@ -79,48 +105,17 @@ func Fig12OptTimeX86(s *Session) ([]Table, error) {
 // speedup builds Figure 13/14: the speedup of the LOCAT-tuned configuration
 // over each SOTA-tuned configuration for every program-input pair.
 func (s *Session) speedup(clusterName, id, title string) ([]Table, error) {
-	t := Table{
-		ID:     id,
-		Title:  title,
-		Header: []string{"benchmark", "size(GB)", "Tuneful", "DAC", "GBO-RL", "QTune"},
-	}
-	sums := make([]float64, 4)
-	var n int
-	for _, bn := range s.benchNames() {
-		for _, gb := range s.sizes() {
-			locat, err := s.Tune(clusterName, bn, "LOCAT", gb)
-			if err != nil {
-				return nil, err
-			}
-			row := []string{bn, f0(gb)}
-			for i, tn := range TunerNames[1:] {
-				o, err := s.Tune(clusterName, bn, tn, gb)
-				if err != nil {
-					return nil, err
-				}
-				sp := o.TunedSec / locat.TunedSec
-				sums[i] += sp
-				row = append(row, f2(sp))
-			}
-			t.Rows = append(t.Rows, row)
-			n++
-		}
-	}
-	avgRow := []string{"Average", ""}
-	for _, v := range sums {
-		avgRow = append(avgRow, f2(v/float64(n)))
-	}
-	t.Rows = append(t.Rows, avgRow)
-	return []Table{t}, nil
+	return s.versusSOTA(clusterName, id, title, "%.2f", s.sizes(),
+		func(sota, locat *Outcome) float64 { return sota.TunedSec / locat.TunedSec })
 }
 
-// Fig13SpeedupARM regenerates Figure 13 (paper averages: 2.4/2.2/2.0/1.9×).
+// Fig13SpeedupARM regenerates Figure 13 (paper values: EXPERIMENTS.md).
 func Fig13SpeedupARM(s *Session) ([]Table, error) {
 	return s.speedup("arm", "fig13",
 		"Speedup of LOCAT-tuned over SOTA-tuned configurations, ARM cluster")
 }
 
-// Fig14SpeedupX86 regenerates Figure 14 (paper averages: 2.8/2.6/2.3/2.1×).
+// Fig14SpeedupX86 regenerates Figure 14 (paper values: EXPERIMENTS.md).
 func Fig14SpeedupX86(s *Session) ([]Table, error) {
 	return s.speedup("x86", "fig14",
 		"Speedup of LOCAT-tuned over SOTA-tuned configurations, x86 cluster")
@@ -133,25 +128,14 @@ func Fig20OverheadGrowth(s *Session) ([]Table, error) {
 	if s.Quick {
 		sizes = []float64{100, 300}
 	}
-	t := Table{
-		ID:     "fig20",
-		Title:  "Tuning overhead (h) vs input data size, TPC-DS on ARM",
-		Header: []string{"size(GB)", "LOCAT", "Tuneful", "DAC", "GBO-RL", "QTune"},
-	}
-	for _, gb := range sizes {
-		row := []string{f0(gb)}
-		for _, tn := range TunerNames {
-			o, err := s.Tune("arm", "TPC-DS", tn, gb)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, hours(o.OverheadSec))
-		}
-		t.Rows = append(t.Rows, row)
+	t, err := s.overheadBySize("fig20", "Tuning overhead (h) vs input data size, TPC-DS on ARM",
+		TunerNames, sizes)
+	if err != nil {
+		return nil, err
 	}
 	// Growth factor 100→max size per tuner.
 	last := sizes[len(sizes)-1]
-	row := []string{fmt.Sprintf("growth 100→%v", last)}
+	row := []any{fmt.Sprintf("growth 100→%v", last)}
 	for _, tn := range TunerNames {
 		a, err := s.Tune("arm", "TPC-DS", tn, 100)
 		if err != nil {
@@ -161,7 +145,7 @@ func Fig20OverheadGrowth(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, f2(b.OverheadSec/a.OverheadSec))
+		row = append(row, num{b.OverheadSec / a.OverheadSec, "%.2f"})
 	}
 	t.Rows = append(t.Rows, row)
 	return []Table{t}, nil

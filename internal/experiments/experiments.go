@@ -25,51 +25,106 @@ import (
 	"locat/internal/workloads"
 )
 
-// Table is one printable result block.
+// Col is one table column: its header and the fmt verb its numeric cells
+// print with (empty for a column of labels).
+type Col struct {
+	Name string
+	Fmt  string
+}
+
+// cols returns one column per name, all printed with format.
+func cols(format string, names ...string) []Col {
+	out := make([]Col, len(names))
+	for i, n := range names {
+		out[i] = Col{Name: n, Fmt: format}
+	}
+	return out
+}
+
+// num is a number printed with its own format rather than its column's:
+// the cells of a row whose unit differs from the rows above it.
+type num struct {
+	v      float64
+	format string
+}
+
+// Table is one printable result block. A row holds one cell per column: a
+// float64, printed with its column's Fmt; a num; or a string label, printed
+// as it is.
 type Table struct {
 	// ID is the paper artifact this regenerates, e.g. "fig11".
 	ID string
 	// Title describes the experiment.
 	Title string
-	// Header holds the column names.
-	Header []string
-	// Rows holds the formatted cells.
-	Rows [][]string
+	// Cols holds the column headers and formats.
+	Cols []Col
+	// Rows holds the cells.
+	Rows [][]any
 }
 
-// Render writes the table in aligned plain text.
+// Render writes the table in aligned plain text. It is the only place a
+// table's numbers are formatted.
 func (t *Table) Render(w io.Writer) {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	head := make([]any, len(t.Cols))
+	for i, c := range t.Cols {
+		head[i] = c.Name
 	}
-	for _, row := range t.Rows {
+	lines := make([][]string, 0, len(t.Rows)+1)
+	widths := make([]int, len(t.Cols))
+	for _, row := range append([][]any{head}, t.Rows...) {
+		line := make([]string, len(row))
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			line[i] = t.text(i, c)
+			widths[i] = max(widths[i], len(line[i]))
 		}
+		lines = append(lines, line)
 	}
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = pad(c, widths[i])
+	for _, line := range lines {
+		for i, c := range line {
+			line[i] = c + strings.Repeat(" ", widths[i]-len(c))
 		}
-		fmt.Fprintln(w, strings.Join(parts, "  "))
-	}
-	line(t.Header)
-	for _, row := range t.Rows {
-		line(row)
+		fmt.Fprintln(w, strings.Join(line, "  "))
 	}
 	fmt.Fprintln(w)
 }
 
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+// text formats cell c of column i.
+func (t *Table) text(i int, c any) string {
+	switch v := c.(type) {
+	case float64:
+		return fmt.Sprintf(t.Cols[i].Fmt, v)
+	case num:
+		return fmt.Sprintf(v.format, v.v)
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return c.(string)
+}
+
+// summarize appends a row holding label and, under each column from the
+// given one on, that column's mean over the rows above it, summed in row
+// order. The means are published as counters, named as publish names them.
+func (t *Table) summarize(s *Session, label, prefix string, from int) {
+	row := []any{label}
+	for c := 1; c < len(t.Cols); c++ {
+		row = append(row, "")
+		if c < from {
+			continue
+		}
+		var sum float64
+		for _, r := range t.Rows {
+			sum += r[c].(float64)
+		}
+		row[c] = sum / float64(len(t.Rows))
+		t.publish(s, prefix, row, c)
+	}
+	t.Rows = append(t.Rows, row)
+}
+
+// publish sets cell c of the row as an exact counter, named prefix plus the
+// column's header up to any " (unit)", spaces as underscores.
+func (t *Table) publish(s *Session, prefix string, row []any, c int) {
+	name, _, _ := strings.Cut(t.Cols[c].Name, " (")
+	s.SetCounter(prefix+strings.ReplaceAll(name, " ", "_"), row[c].(float64))
 }
 
 // Session runs experiments with memoized tuning results.
@@ -92,9 +147,10 @@ type Session struct {
 	lastSpan int
 
 	// counters are exact deterministic outcome counters the running
-	// experiment publishes (the loadtest experiment's per-group census);
-	// the bench harness drains them per experiment and the baseline gate
-	// compares them bit for bit, not within a tolerance.
+	// experiment publishes (the loadtest experiment's per-group census, the
+	// claim values of Figures 11–17 and 21); the bench harness drains them
+	// per experiment and the baseline gate compares them bit for bit, not
+	// within a tolerance.
 	counters map[string]float64
 }
 
@@ -196,7 +252,6 @@ func (s *Session) TakePhases() []obs.SpanRecord {
 
 // Outcome is one tuner's result on one (cluster, benchmark, size) triple.
 type Outcome struct {
-	Tuner       string
 	Best        conf.Config
 	TunedSec    float64
 	OverheadSec float64
@@ -279,7 +334,7 @@ func (s *Session) Tune(clusterName, benchName, tuner string, gb float64) (*Outco
 		if err != nil {
 			return nil, err
 		}
-		out = &Outcome{Tuner: "LOCAT", Best: rep.Best, TunedSec: rep.TunedSec,
+		out = &Outcome{Best: rep.Best, TunedSec: rep.TunedSec,
 			OverheadSec: rep.OverheadSec, Runs: rep.Evaluations()}
 	} else {
 		bt, err := s.baseline(tuner)
@@ -290,7 +345,7 @@ func (s *Session) Tune(clusterName, benchName, tuner string, gb float64) (*Outco
 		if err != nil {
 			return nil, err
 		}
-		out = &Outcome{Tuner: rep.Tuner, Best: rep.Best, TunedSec: rep.TunedSec,
+		out = &Outcome{Best: rep.Best, TunedSec: rep.TunedSec,
 			OverheadSec: rep.OverheadSec, Runs: rep.Runs}
 	}
 	s.tuned[key] = out
@@ -306,26 +361,11 @@ func (s *Session) canonicalQCSA(clusterName, benchName string, gb float64, n int
 	if err != nil {
 		return nil, err
 	}
-	runs, err := s.randomRuns(clusterName, benchName, gb, n)
+	_, runs, err := s.sample(qcsaDraws, clusterName, benchName, gb, n)
 	if err != nil {
 		return nil, err
 	}
 	return qcsa.Analyze(app, runs)
-}
-
-// randomRuns executes the benchmark n times under random configurations,
-// fanned over concurrent execution slots (qcsa.Collect); per-run noise
-// streams keep the results identical to the serial loop this was.
-func (s *Session) randomRuns(clusterName, benchName string, gb float64, n int) ([]sparksim.AppResult, error) {
-	app, err := workloads.ByName(benchName)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.runner(clusterName, fmt.Sprintf("random/%s/%s/%v/%d", clusterName, benchName, gb, n))
-	if err != nil {
-		return nil, err
-	}
-	return qcsa.CollectRandom(r, app, r.Space(), n, gb, 0, newRng(s.Seed+11)), nil
 }
 
 // Registry maps figure/table IDs to drivers.

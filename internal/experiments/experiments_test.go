@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,12 +21,12 @@ func TestEveryDriverRunsQuick(t *testing.T) {
 			t.Fatalf("%s: no tables", id)
 		}
 		for _, tab := range tables {
-			if tab.Title == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
+			if tab.Title == "" || len(tab.Cols) == 0 || len(tab.Rows) == 0 {
 				t.Fatalf("%s: malformed table %+v", id, tab)
 			}
 			for _, row := range tab.Rows {
-				if len(row) != len(tab.Header) {
-					t.Fatalf("%s: row width %d != header %d", id, len(row), len(tab.Header))
+				if len(row) != len(tab.Cols) {
+					t.Fatalf("%s: row width %d != header %d", id, len(row), len(tab.Cols))
 				}
 			}
 			var buf bytes.Buffer
@@ -87,9 +86,9 @@ func TestFig11LOCATWinsOptimizationTime(t *testing.T) {
 	}
 	for _, row := range tables[0].Rows {
 		for _, cell := range row[1:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				t.Fatalf("bad cell %q: %v", cell, err)
+			v, ok := cell.(float64)
+			if !ok {
+				t.Fatalf("cell %v is not a number", cell)
 			}
 			if v <= 1 {
 				t.Fatalf("optimization-time reduction %v ≤ 1 in row %v", v, row)
@@ -115,16 +114,15 @@ func TestFig8ShapeFull(t *testing.T) {
 		t.Fatalf("fig8 lists %d queries; want 104", len(tables[0].Rows))
 	}
 	// Summary row 0: kept count within the paper's neighbourhood.
-	kept := tables[1].Rows[0][1]
-	n, _ := strconv.Atoi(strings.Fields(kept)[0])
+	n := tables[1].Rows[0][1].(num).v
 	if n < 16 || n > 30 {
-		t.Fatalf("kept %d queries; want ≈23", n)
+		t.Fatalf("kept %v queries; want ≈23", n)
 	}
 }
 
 func TestTableRenderAlignment(t *testing.T) {
-	tab := Table{ID: "x", Title: "t", Header: []string{"a", "long-header"},
-		Rows: [][]string{{"wide-cell-content", "1"}}}
+	tab := Table{ID: "x", Title: "t", Cols: []Col{{Name: "a"}, {Name: "long-header", Fmt: "%.0f"}},
+		Rows: [][]any{{"wide-cell-content", 1.0}}}
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -6,42 +6,66 @@ import (
 
 	"locat/internal/conf"
 	"locat/internal/iicp"
-	"locat/internal/qcsa"
+	"locat/internal/runner"
+	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
+// draws names one random-configuration sampling path: the prefix of its
+// stream keys and the offset of its draws' seed from the session seed.
+type draws struct {
+	stream string
+	seed   int64
+}
 
-// hours formats simulated seconds as hours.
-func hours(sec float64) string { return fmt.Sprintf("%.1f", sec/3600) }
+var (
+	// qcsaDraws are the runs QCSA's CV statistics are computed from.
+	qcsaDraws = draws{"random", 11}
+	// iicpDraws are the samples IICP ranks parameters over.
+	iicpDraws = draws{"iicp", 13}
+)
 
-// iicpSamples collects n random-configuration samples of the benchmark over
-// concurrent execution slots (qcsa.Collect).
-func (s *Session) iicpSamples(clusterName, benchName string, gb float64, n int) ([]iicp.Sample, error) {
+// sample runs the benchmark under n random configurations, drawn serially
+// so the draw sequence is reproducible, and returns them with their runs.
+// The runs fan over concurrent execution slots (runner.RunBatch); per-run
+// noise streams keep them identical to a serial loop.
+func (s *Session) sample(d draws, clusterName, benchName string, gb float64, n int) ([]conf.Config, []sparksim.AppResult, error) {
 	app, err := workloads.ByName(benchName)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r, err := s.runner(clusterName, fmt.Sprintf("iicp/%s/%s/%v/%d", clusterName, benchName, gb, n))
+	r, err := s.runner(clusterName, fmt.Sprintf("%s/%s/%s/%v/%d", d.stream, clusterName, benchName, gb, n))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	space := r.Space()
-	rng := newRng(s.Seed + 13)
+	rng := newRng(s.Seed + d.seed)
 	cs := make([]conf.Config, n)
 	for i := range cs {
 		cs[i] = space.Random(rng)
 	}
-	runs := qcsa.Collect(r, app, cs, gb, 0)
-	out := make([]iicp.Sample, n)
-	for i, r := range runs {
-		out[i] = iicp.Sample{Conf: cs[i], Sec: r.Sec}
+	runs, _ := runner.RunBatch(r, app, cs, func(int) float64 { return gb }, 0, nil)
+	return cs, runs, nil
+}
+
+// asSamples pairs sampled configurations with their latencies.
+func asSamples(cs []conf.Config, runs []sparksim.AppResult) []iicp.Sample {
+	out := make([]iicp.Sample, len(cs))
+	for i, c := range cs {
+		out[i] = iicp.Sample{Conf: c, Sec: runs[i].Sec}
 	}
-	return out, nil
+	return out
+}
+
+// iicpSamples collects n IICP samples of the benchmark.
+func (s *Session) iicpSamples(clusterName, benchName string, gb float64, n int) ([]iicp.Sample, error) {
+	cs, runs, err := s.sample(iicpDraws, clusterName, benchName, gb, n)
+	if err != nil {
+		return nil, err
+	}
+	return asSamples(cs, runs), nil
 }
 
 // benchNames returns the session benchmark names.
@@ -52,16 +76,4 @@ func (s *Session) benchNames() []string {
 		out[i] = a.Name
 	}
 	return out
-}
-
-// avg returns the arithmetic mean.
-func avg(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
 }

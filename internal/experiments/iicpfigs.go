@@ -68,16 +68,16 @@ func Fig6KernelComparison(s *Session) ([]Table, error) {
 		{Kind: kpca.Polynomial},
 	}
 	t := Table{
-		ID:     "fig6",
-		Title:  "S.D. of execution times by CPE kernel (100 GB, ARM)",
-		Header: []string{"benchmark", "gaussian", "perceptron", "polynomial"},
+		ID:    "fig6",
+		Title: "S.D. of execution times by CPE kernel (100 GB, ARM)",
+		Cols:  append([]Col{{Name: "benchmark"}}, cols("%.0f", "gaussian", "perceptron", "polynomial")...),
 	}
 	for _, bn := range benches {
 		samples, err := s.iicpSamples("arm", bn, 100, nSamples)
 		if err != nil {
 			return nil, err
 		}
-		row := []string{bn}
+		row := []any{bn}
 		for _, k := range kernels {
 			opts := iicp.DefaultOptions()
 			opts.Kernel = k
@@ -89,7 +89,7 @@ func Fig6KernelComparison(s *Session) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f0(stat.StdDev(times)))
+			row = append(row, stat.StdDev(times))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -105,32 +105,27 @@ func Fig9NIICP(s *Session) ([]Table, error) {
 	}
 	benches := s.benchNames()
 	t := Table{
-		ID:     "fig9",
-		Title:  "Number of identified important parameters vs N_IICP (100 GB, ARM)",
-		Header: append([]string{"samples"}, benches...),
+		ID:    "fig9",
+		Title: "Number of identified important parameters vs N_IICP (100 GB, ARM)",
+		Cols:  cols("%.0f", append([]string{"samples"}, benches...)...),
+	}
+	for _, n := range counts {
+		t.Rows = append(t.Rows, []any{float64(n)})
 	}
 	max := counts[len(counts)-1]
 	space := sparksim.ARM().Space()
-	perBench := map[string][]int{}
 	for _, bn := range benches {
 		samples, err := s.iicpSamples("arm", bn, 100, max)
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range counts {
+		for i, n := range counts {
 			res, err := iicp.Analyze(space, samples[:n], iicp.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}
-			perBench[bn] = append(perBench[bn], res.NumImportant())
+			t.Rows[i] = append(t.Rows[i], float64(res.NumImportant()))
 		}
-	}
-	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, bn := range benches {
-			row = append(row, fmt.Sprintf("%d", perBench[bn][i]))
-		}
-		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
 }
@@ -143,9 +138,9 @@ func Fig10CPSCPE(s *Session) ([]Table, error) {
 		n = 10
 	}
 	t := Table{
-		ID:     "fig10",
-		Title:  "Parameter counts: original vs CPS-selected vs CPE-extracted (N_IICP samples)",
-		Header: []string{"benchmark", "original", "CPS", "CPE"},
+		ID:    "fig10",
+		Title: "Parameter counts: original vs CPS-selected vs CPE-extracted (N_IICP samples)",
+		Cols:  append([]Col{{Name: "benchmark"}}, cols("%.0f", "original", "CPS", "CPE")...),
 	}
 	space := sparksim.ARM().Space()
 	for _, bn := range s.benchNames() {
@@ -157,10 +152,8 @@ func Fig10CPSCPE(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			bn, fmt.Sprintf("%d", conf.NumParams),
-			fmt.Sprintf("%d", res.NumSelected()), fmt.Sprintf("%d", res.NumImportant()),
-		})
+		t.Rows = append(t.Rows, []any{bn, float64(conf.NumParams),
+			float64(res.NumSelected()), float64(res.NumImportant())})
 	}
 	return []Table{t}, nil
 }
@@ -177,14 +170,15 @@ func Table3TopParams(s *Session) ([]Table, error) {
 		sizes = []float64{100, 500}
 	}
 	t := Table{
-		ID:     "table3",
-		Title:  "Top-5 important parameters by CPS, TPC-DS",
-		Header: []string{"rank"},
+		ID:    "table3",
+		Title: "Top-5 important parameters by CPS, TPC-DS",
+		Cols:  append([]Col{{Name: "rank", Fmt: "%.0f"}}, cols("", sizesHeader(sizes)...)...),
+	}
+	for r := 1; r <= 5; r++ {
+		t.Rows = append(t.Rows, []any{float64(r)})
 	}
 	space := sparksim.ARM().Space()
-	tops := make([][]string, 0, len(sizes))
 	for _, gb := range sizes {
-		t.Header = append(t.Header, fmt.Sprintf("%.0fGB", gb))
 		samples, err := s.iicpSamples("arm", "TPC-DS", gb, n)
 		if err != nil {
 			return nil, err
@@ -193,14 +187,9 @@ func Table3TopParams(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tops = append(tops, res.TopParams(5))
-	}
-	for r := 0; r < 5; r++ {
-		row := []string{fmt.Sprintf("%d", r+1)}
-		for _, top := range tops {
-			row = append(row, top[r])
+		for r, name := range res.TopParams(5) {
+			t.Rows[r] = append(t.Rows[r], name)
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
 }
@@ -214,14 +203,12 @@ func Fig16ModelMSE(s *Session) ([]Table, error) {
 		train, test = 30, 15
 	}
 	t := Table{
-		ID:     "fig16",
-		Title:  "Performance-model MSE by learning algorithm (100 GB, ARM)",
-		Header: []string{"benchmark", "GBRT", "SVR", "LinearR", "LR", "KNNAR"},
+		ID:    "fig16",
+		Title: "Performance-model MSE by learning algorithm (100 GB, ARM)",
+		Cols:  append([]Col{{Name: "benchmark"}}, cols("%.3f", "GBRT", "SVR", "LinearR", "LR", "KNNAR")...),
 	}
 	space := sparksim.ARM().Space()
-	sums := make([]float64, 5)
-	benches := s.benchNames()
-	for _, bn := range benches {
+	for _, bn := range s.benchNames() {
 		samples, err := s.iicpSamples("arm", bn, 100, train+test)
 		if err != nil {
 			return nil, err
@@ -229,16 +216,9 @@ func Fig16ModelMSE(s *Session) ([]Table, error) {
 		// Model log-latency normalized to [0,1] over the whole set (the
 		// paper's MSE axis is unit-scaled; the log transform keeps the
 		// OOM-thrash tail from compressing the bulk of the scale).
-		logSec := func(v float64) float64 { return math.Log(v) }
-		lo, hi := logSec(samples[0].Sec), logSec(samples[0].Sec)
+		lo, hi := math.Log(samples[0].Sec), math.Log(samples[0].Sec)
 		for _, sm := range samples {
-			v := logSec(sm.Sec)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
+			lo, hi = min(lo, math.Log(sm.Sec)), max(hi, math.Log(sm.Sec))
 		}
 		span := hi - lo
 		if span == 0 {
@@ -248,10 +228,10 @@ func Fig16ModelMSE(s *Session) ([]Table, error) {
 		var ys []float64
 		for _, sm := range samples {
 			xs = append(xs, space.Encode(sm.Conf))
-			ys = append(ys, (logSec(sm.Sec)-lo)/span)
+			ys = append(ys, (math.Log(sm.Sec)-lo)/span)
 		}
-		row := []string{bn}
-		for i, m := range ml.All() {
+		row := []any{bn}
+		for _, m := range ml.All() {
 			if err := m.Fit(xs[:train], ys[:train]); err != nil {
 				return nil, err
 			}
@@ -259,17 +239,11 @@ func Fig16ModelMSE(s *Session) ([]Table, error) {
 			for j := 0; j < test; j++ {
 				pred[j] = m.Predict(xs[train+j])
 			}
-			mse := stat.MSE(pred, ys[train:])
-			sums[i] += mse
-			row = append(row, fmt.Sprintf("%.3f", mse))
+			row = append(row, stat.MSE(pred, ys[train:]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	avgRow := []string{"AVG"}
-	for _, v := range sums {
-		avgRow = append(avgRow, fmt.Sprintf("%.3f", v/float64(len(benches))))
-	}
-	t.Rows = append(t.Rows, avgRow)
+	t.summarize(s, "AVG", "avg/", 1)
 	return []Table{t}, nil
 }
 
@@ -312,11 +286,10 @@ func Fig17IICPvsGBRT(s *Session) ([]Table, error) {
 		gbrtIdx := topIndices(g.FeatureImportance(), len(ires.Important))
 
 		t := Table{
-			ID:     "fig17",
-			Title:  fmt.Sprintf("S.D. of execution times, params by IICP vs GBRT (%s, 100 GB)", bn),
-			Header: []string{"runs", "IICP", "GBRT"},
+			ID:    "fig17",
+			Title: fmt.Sprintf("S.D. of execution times, params by IICP vs GBRT (%s, 100 GB)", bn),
+			Cols:  cols("%.0f", "runs", "IICP", "GBRT"),
 		}
-		var iicpSDs, gbrtSDs []float64
 		for _, rc := range runCounts {
 			ti, err := s.varyParams("arm", bn, 100, ires.Important, rc, s.Seed+31)
 			if err != nil {
@@ -326,11 +299,9 @@ func Fig17IICPvsGBRT(s *Session) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			iicpSDs = append(iicpSDs, stat.StdDev(ti))
-			gbrtSDs = append(gbrtSDs, stat.StdDev(tg))
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", rc), f0(iicpSDs[len(iicpSDs)-1]), f0(gbrtSDs[len(gbrtSDs)-1])})
+			t.Rows = append(t.Rows, []any{float64(rc), stat.StdDev(ti), stat.StdDev(tg)})
 		}
-		t.Rows = append(t.Rows, []string{"AVG", f0(avg(iicpSDs)), f0(avg(gbrtSDs))})
+		t.summarize(s, "AVG", bn+"/avg/", 1)
 		tables = append(tables, t)
 	}
 	return tables, nil

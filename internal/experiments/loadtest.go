@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 
 	"locat/internal/core"
 	"locat/internal/loadgen"
@@ -79,50 +80,44 @@ func LoadTest(s *Session) ([]Table, error) {
 		return nil, err
 	}
 
-	// Publish the census as exact counters: the baseline gate compares these
-	// bit for bit, so any drift in admission, shedding or degrade behavior
-	// fails the bench even when aggregate cluster seconds stay in tolerance.
+	// The census rows are also exact counters: the baseline gate compares
+	// these bit for bit, so any drift in admission, shedding or degrade
+	// behavior fails the bench even when aggregate cluster seconds stay in
+	// tolerance.
+	t := Table{
+		ID: "loadtest",
+		Title: fmt.Sprintf("overload census of %d ops (census identical at workers %v)",
+			len(ops), workerCounts),
+		Cols: append([]Col{{Name: "group"}},
+			cols("%.0f", append(censusCounters[:8:8], "cluster (s)")...)...),
+	}
 	groups := make([]string, 0, len(base.Groups))
 	for g := range base.Groups {
 		groups = append(groups, g)
 	}
 	sort.Strings(groups)
 	for _, g := range groups {
-		c := base.Groups[g]
-		s.SetCounter(g+"/submitted", float64(c.Submitted))
-		s.SetCounter(g+"/accepted", float64(c.Accepted))
-		s.SetCounter(g+"/rejected", float64(c.Rejected))
-		s.SetCounter(g+"/shed", float64(c.Shed))
-		s.SetCounter(g+"/completed", float64(c.Completed))
-		s.SetCounter(g+"/degraded", float64(c.Degraded))
-		s.SetCounter(g+"/hits", float64(c.Hits))
-		s.SetCounter(g+"/runs", float64(c.Runs))
-		s.SetCounter(g+"/cluster_sec", c.ClusterSec)
-	}
-
-	t := Table{
-		ID: "loadtest",
-		Title: fmt.Sprintf("overload census of %d ops (census identical at workers %v)",
-			len(ops), workerCounts),
-		Header: []string{"group", "submitted", "accepted", "rejected", "shed",
-			"completed", "degraded", "hits", "runs", "cluster (s)"},
-	}
-	row := func(name string, c *loadgen.Counts) {
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d", c.Submitted), fmt.Sprintf("%d", c.Accepted),
-			fmt.Sprintf("%d", c.Rejected), fmt.Sprintf("%d", c.Shed),
-			fmt.Sprintf("%d", c.Completed), fmt.Sprintf("%d", c.Degraded),
-			fmt.Sprintf("%d", c.Hits), fmt.Sprintf("%d", c.Runs),
-			fmt.Sprintf("%.0f", c.ClusterSec),
-		})
-	}
-	for _, g := range groups {
-		row(g, base.Groups[g])
+		row := censusRow(g, base.Groups[g])
+		for i, name := range censusCounters {
+			s.SetCounter(g+"/"+name, row[i+1].(float64))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	totals := base.Totals()
-	row("total", &totals)
+	t.Rows = append(t.Rows, censusRow("total", &totals))
 	return []Table{t}, nil
+}
+
+// censusCounters names the counts of a census row, as counters and (but for
+// cluster seconds) as column headers.
+var censusCounters = []string{"submitted", "accepted", "rejected", "shed",
+	"completed", "degraded", "hits", "runs", "cluster_sec"}
+
+// censusRow is one census group's table row.
+func censusRow(name string, c *loadgen.Counts) []any {
+	return []any{name, float64(c.Submitted), float64(c.Accepted), float64(c.Rejected),
+		float64(c.Shed), float64(c.Completed), float64(c.Degraded), float64(c.Hits),
+		float64(c.Runs), c.ClusterSec}
 }
 
 // loadtestOps is the deterministic workload: batch wave, interactive wave,
@@ -247,8 +242,7 @@ func checkCensus(rep *loadgen.Report) error {
 // isPriority reports whether the census group name ("tenant/priority")
 // belongs to the class.
 func isPriority(group string, p service.Priority) bool {
-	return len(group) > len(p) && group[len(group)-len(p):] == string(p) &&
-		group[len(group)-len(p)-1] == '/'
+	return strings.HasSuffix(group, "/"+string(p))
 }
 
 // censusString renders the per-group counts for error messages.

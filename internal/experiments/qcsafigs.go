@@ -18,14 +18,16 @@ func Fig7NQCSA(s *Session) ([]Table, error) {
 		benches = []string{"TPC-H"}
 	}
 	t := Table{
-		ID:     "fig7",
-		Title:  "Mean query CV vs number of QCSA samples (100 GB, ARM)",
-		Header: append([]string{"samples"}, benches...),
+		ID:    "fig7",
+		Title: "Mean query CV vs number of QCSA samples (100 GB, ARM)",
+		Cols:  append([]Col{{Name: "samples", Fmt: "%.0f"}}, cols("%.3f", benches...)...),
+	}
+	for _, n := range counts {
+		t.Rows = append(t.Rows, []any{float64(n)})
 	}
 	max := counts[len(counts)-1]
-	runsBy := map[string][]float64{}
 	for _, bn := range benches {
-		runs, err := s.randomRuns("arm", bn, 100, max)
+		_, runs, err := s.sample(qcsaDraws, "arm", bn, 100, max)
 		if err != nil {
 			return nil, err
 		}
@@ -33,20 +35,13 @@ func Fig7NQCSA(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range counts {
+		for i, n := range counts {
 			res, err := qcsa.Analyze(app, runs[:n])
 			if err != nil {
 				return nil, err
 			}
-			runsBy[bn] = append(runsBy[bn], res.MeanCV())
+			t.Rows[i] = append(t.Rows[i], res.MeanCV())
 		}
-	}
-	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, bn := range benches {
-			row = append(row, fmt.Sprintf("%.3f", runsBy[bn][i]))
-		}
-		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
 }
@@ -64,16 +59,16 @@ func Fig8QueryCV(s *Session) ([]Table, error) {
 		return nil, err
 	}
 	t := Table{
-		ID:     "fig8",
-		Title:  fmt.Sprintf("Per-query CV, TPC-DS 100 GB (cut=%.2f, kept %d/104)", res.Cut, len(res.Sensitive)),
-		Header: []string{"query", "CV", "mean(s)", "class"},
+		ID:    "fig8",
+		Title: fmt.Sprintf("Per-query CV, TPC-DS 100 GB (cut=%.2f, kept %d/104)", res.Cut, len(res.Sensitive)),
+		Cols:  []Col{{Name: "query"}, {Name: "CV", Fmt: "%.2f"}, {Name: "mean(s)", Fmt: "%.1f"}, {Name: "class"}},
 	}
 	for _, q := range res.Queries {
 		class := "CIQ"
 		if q.Sensitive {
 			class = "CSQ"
 		}
-		t.Rows = append(t.Rows, []string{q.Name, f2(q.CV), f1(q.MeanSec), class})
+		t.Rows = append(t.Rows, []any{q.Name, q.CV, q.MeanSec, class})
 	}
 	// Summary block: overlap with the paper's 23-query list.
 	paper := map[string]bool{}
@@ -87,14 +82,14 @@ func Fig8QueryCV(s *Session) ([]Table, error) {
 		}
 	}
 	sum := Table{
-		ID:     "fig8-summary",
-		Title:  "QCSA classification vs the paper's Section 5.2 result",
-		Header: []string{"metric", "value"},
-		Rows: [][]string{
-			{"queries kept", fmt.Sprintf("%d (paper: 23)", len(res.Sensitive))},
-			{"overlap with paper's CSQ set", fmt.Sprintf("%d/23", match)},
-			{"max CV (Q72 in paper, 3.49)", f2(res.MaxCV)},
-			{"RQA time fraction", f2(res.RQATimeFrac)},
+		ID:    "fig8-summary",
+		Title: "QCSA classification vs the paper's Section 5.2 result",
+		Cols:  []Col{{Name: "metric"}, {Name: "value", Fmt: "%.2f"}},
+		Rows: [][]any{
+			{"queries kept", num{float64(len(res.Sensitive)), "%.0f (paper: 23)"}},
+			{"overlap with paper's CSQ set", num{float64(match), "%.0f/23"}},
+			{"max CV (Q72 in paper, 3.49)", res.MaxCV},
+			{"RQA time fraction", res.RQATimeFrac},
 		},
 	}
 	return []Table{t, sum}, nil

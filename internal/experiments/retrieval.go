@@ -64,15 +64,10 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 
 	spec := service.JobSpec{Cluster: clusterName, Benchmark: benchName, DataSizeGB: targetGB}
 	t := Table{
-		ID:     "retrieval",
-		Title:  fmt.Sprintf("serving tiers for %s at %v GB with a seeded history", benchName, targetGB),
-		Header: []string{"tier", "cluster (s)", "runs", "final (s)", "notes"},
-	}
-	row := func(tier string, sec float64, runs int64, final float64, notes string) {
-		t.Rows = append(t.Rows, []string{
-			tier, fmt.Sprintf("%.0f", sec), fmt.Sprintf("%d", runs),
-			fmt.Sprintf("%.0f", final), notes,
-		})
+		ID:    "retrieval",
+		Title: fmt.Sprintf("serving tiers for %s at %v GB with a seeded history", benchName, targetGB),
+		Cols: []Col{{Name: "tier"}, {Name: "cluster (s)", Fmt: "%.0f"}, {Name: "runs", Fmt: "%.0f"},
+			{Name: "final (s)", Fmt: "%.0f"}, {Name: "notes"}},
 	}
 
 	// Cold: the price of ignoring the history.
@@ -87,7 +82,7 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 	}
 	coldRuns, coldSec := done()
 	s.chargeCost(coldRep.TunedSec)
-	row("cold", coldSec, coldRuns, coldRep.TunedSec, "full LOCAT session")
+	t.Rows = append(t.Rows, []any{"cold", coldSec, float64(coldRuns), coldRep.TunedSec, "full LOCAT session"})
 
 	// Zero: retrieve, blend, serve — and verify not a single run was paid.
 	done = tierUsage()
@@ -111,8 +106,8 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 	}
 	zeroFinal := rZero.NoiselessAppTime(app, rec.BestConfig, targetGB)
 	s.chargeCost(zeroFinal)
-	row("zero", 0, 0, zeroFinal,
-		fmt.Sprintf("confidence %.2f, %d neighbors", rec.Confidence, len(rec.Neighbors)))
+	t.Rows = append(t.Rows, []any{"zero", 0.0, 0.0, zeroFinal,
+		fmt.Sprintf("confidence %.2f, %d neighbors", rec.Confidence, len(rec.Neighbors))})
 
 	// Warm: the all-observations reference the service's k-NN seed is held to.
 	warm := func(tier string, prior *core.Prior) (*core.Report, float64, error) {
@@ -132,7 +127,8 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 			return nil, 0, fmt.Errorf("retrieval: %s session did not warm-start (%d prior obs)", tier, len(prior.Obs))
 		}
 		s.chargeCost(rep.TunedSec)
-		row(tier, sec, runs, rep.TunedSec, fmt.Sprintf("%d prior obs", rep.PriorObsUsed))
+		t.Rows = append(t.Rows, []any{tier, sec, float64(runs), rep.TunedSec,
+			fmt.Sprintf("%d prior obs", rep.PriorObsUsed)})
 		return rep, sec, nil
 	}
 	warmRep, _, err := warm("warm", exactPrior(seedReps, rZero.Space(), targetGB))

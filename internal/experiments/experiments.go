@@ -14,6 +14,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"locat/internal/baselines"
 	"locat/internal/conf"
@@ -62,8 +63,9 @@ type Table struct {
 	Rows [][]any
 }
 
-// Render writes the table in aligned plain text. It is the only place a
-// table's numbers are formatted.
+// Render writes the table in aligned plain text, padding cells by runes so
+// multi-byte characters ("→", "×") keep columns aligned. It is the only
+// place a table's numbers are formatted.
 func (t *Table) Render(w io.Writer) {
 	head := make([]any, len(t.Cols))
 	for i, c := range t.Cols {
@@ -75,14 +77,14 @@ func (t *Table) Render(w io.Writer) {
 		line := make([]string, len(row))
 		for i, c := range row {
 			line[i] = t.text(i, c)
-			widths[i] = max(widths[i], len(line[i]))
+			widths[i] = max(widths[i], utf8.RuneCountInString(line[i]))
 		}
 		lines = append(lines, line)
 	}
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	for _, line := range lines {
 		for i, c := range line {
-			line[i] = c + strings.Repeat(" ", widths[i]-len(c))
+			line[i] = c + strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c))
 		}
 		fmt.Fprintln(w, strings.Join(line, "  "))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // quickSession returns a reduced-budget session shared by the smoke tests.
@@ -121,15 +122,26 @@ func TestFig8ShapeFull(t *testing.T) {
 }
 
 func TestTableRenderAlignment(t *testing.T) {
-	tab := Table{ID: "x", Title: "t", Cols: []Col{{Name: "a"}, {Name: "long-header", Fmt: "%.0f"}},
-		Rows: [][]any{{"wide-cell-content", 1.0}}}
+	// The multi-byte cells ("→", "×") take fewer columns on screen than
+	// bytes; every column must still start at the same screen column.
+	tab := Table{ID: "x", Title: "t", Cols: []Col{{Name: "a"}, {Name: "gain (×)", Fmt: "%.0f"}, {Name: "c", Fmt: "%.0f"}},
+		Rows: [][]any{{"wide-cell-content", 1.0, 5.0}, {"growth 100→300", num{2, "%.2f"}, 6.0}}}
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 4 {
 		t.Fatalf("got %d lines", len(lines))
 	}
 	if !strings.HasPrefix(lines[0], "== x: t ==") {
 		t.Fatalf("header line %q", lines[0])
+	}
+	screenCol := func(line, cell string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, cell)])
+	}
+	for i, cells := range [][]string{{"gain", "c"}, {"1", "5"}, {"2.00", "6"}} {
+		line := lines[i+1]
+		if got := []int{screenCol(line, cells[0]), screenCol(line, cells[1])}; got[0] != 19 || got[1] != 29 {
+			t.Fatalf("line %q: columns start at %v, want [19 29]", line, got)
+		}
 	}
 }

@@ -15,7 +15,7 @@ func (s *Session) overheadBySize(id, title string, tuners []string, sizes []floa
 		for _, tn := range tuners {
 			o, err := s.Tune("arm", "TPC-DS", tn, gb)
 			if err != nil {
-				return t, err
+				return Table{}, err
 			}
 			row = append(row, o.OverheadSec/3600)
 		}

@@ -619,14 +619,13 @@ func historyStore(b *testing.B, entries []service.Entry) *service.FileStore {
 
 // historyAppends is how many sessions a benchmark adds under one key before
 // it starts over on a fresh store: with the three seeded it stays below the
-// 32-entry cap, where a write decodes and re-encodes the whole shard.
+// 32-entry cap, where a write replaces the shard instead of appending a line.
 const historyAppends = 24
 
 // BenchmarkFileStorePut measures what persisting one finished session costs
-// the history store at 200 and 1000 keys: the write appends to a shard of
-// three or more entries and evicts from the key cap without listing the
-// directory, so neither the shard's size nor the key count should show —
-// and at the 32-entry cap of one key.
+// the history store at 200 and 1000 keys: the write appends a line to a shard
+// of three or more entries and, adding no key, lists no directory, so the key
+// count should not show — and at the 32-entry cap of one key.
 func BenchmarkFileStorePut(b *testing.B) {
 	for _, keys := range []int{200, 1000} {
 		b.Run(fmt.Sprintf("Keys%d", keys), func(b *testing.B) {

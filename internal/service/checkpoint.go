@@ -91,9 +91,9 @@ func (s *FileStore) cpPath(jobID string) (string, error) {
 	return filepath.Join(s.dir, "checkpoints", jobID+".json"), nil
 }
 
-// PutCheckpoint implements CheckpointStore with the same atomic
-// temp-file-plus-rename discipline as history shards: a crash mid-write
-// leaves the previous checkpoint intact, never a torn one.
+// PutCheckpoint implements CheckpointStore through writeAtomic's temporary
+// file and rename: a crash mid-write leaves the previous checkpoint intact,
+// never a torn one.
 func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,11 +108,7 @@ func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("service: encode checkpoint: %w", err)
 	}
-	_, err = writeAtomic(p, "checkpoint", func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
-	})
-	return err
+	return writeAtomic(p, "checkpoint", data)
 }
 
 // GetCheckpoint implements CheckpointStore.

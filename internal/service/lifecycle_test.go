@@ -31,9 +31,9 @@ func (g *gatedMem) Get(key string) ([]Entry, error) {
 	return g.MemStore.Get(key)
 }
 
-func (g *gatedMem) heads(key string) ([]Entry, []entryMark, error) {
+func (g *gatedMem) heads(key string) ([]Entry, []int, error) {
 	entries, err := g.MemStore.Get(key)
-	return entries, marksOf(entries), err
+	return entries, obsCounts(entries), err
 }
 
 // open lets every parked and later history read through (idempotent).

@@ -268,14 +268,14 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 // stored reads the entries under key for reconcileLocked, which wants their
 // identity, target size and observation count only: from a store that can
 // skip the rest (FileStore.heads), else whole.
-func (rc *Recommender) stored(key string) ([]Entry, []entryMark, error) {
+func (rc *Recommender) stored(key string) ([]Entry, []int, error) {
 	if hs, ok := rc.store.(interface {
-		heads(string) ([]Entry, []entryMark, error)
+		heads(string) ([]Entry, []int, error)
 	}); ok {
 		return hs.heads(key)
 	}
 	entries, err := rc.store.Get(key)
-	return entries, marksOf(entries), err
+	return entries, obsCounts(entries), err
 }
 
 // reconcileLocked syncs the index with what the store holds under keys:
@@ -289,7 +289,7 @@ func (rc *Recommender) stored(key string) ([]Entry, []entryMark, error) {
 func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) {
 	alive, unread := map[string]bool{}, map[string]bool{}
 	for _, k := range keys {
-		entries, marks, err := rc.stored(k)
+		entries, obs, err := rc.stored(k)
 		if err != nil {
 			progress.F(rc.logf, "recommender: index %s %s: %v", verb, k, err)
 			unread[k] = true
@@ -301,7 +301,7 @@ func (rc *Recommender) reconcileLocked(verb string, keys []string, all bool) {
 			if rc.ix.Has(id) {
 				continue
 			}
-			if it, ok := indexItem(e, marks[i].obs); ok {
+			if it, ok := indexItem(e, obs[i]); ok {
 				rc.ix.Upsert(it)
 			}
 		}

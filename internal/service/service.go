@@ -45,38 +45,32 @@
 //
 // # What the history store costs
 //
-// A FileStore shard is one JSON file per fingerprint key, at most 32 entries,
-// written by json.MarshalIndent and by nothing else. One rule covers every
-// shortcut the store takes on it — own layout or decline: a path that does
-// not go through encoding/json handles exactly the bytes this store writes
-// and, at the first byte that is anything else (an escape, an unknown,
-// duplicate or differently-cased field, null, other white space, trailing
-// bytes), declines and leaves the file to encoding/json, which decides what
-// it holds as it always did. A hand-edited, restored or hostile file therefore
-// costs one slow call and never a different answer or a different error;
-// FuzzShardDecode and FuzzShardPut hold the store to that with the standard
-// library as the oracle.
+// A FileStore shard is one file per fingerprint key in JSON lines: each entry
+// one json.Marshal line, oldest first, at most 32. The store keeps nothing of
+// a shard in memory; every call decides from the file.
 //
 //   - Get (every recommend, warm-start retrieval, GET /v1/history/{key}):
-//     one read and one pass of decodeShard — no reflection, no validating
-//     pre-pass, query names interned per shard, maps and slices sized from
-//     the observation before. About a third of json.Unmarshal's time and a
-//     fifth of its allocations; the entries are the same, whole.
-//   - Put, in the order tried: appendShard when the store remembers the shard
-//     (from its last write, Get or the start-up scan), the file's size and
-//     time are still those, it ends the way the store ends a shard and is
-//     below the cap — the file's bytes copied and one entry encoded, nothing
-//     decoded; spliceShard at the cap or after anything that made the store
-//     forget — one read, one scan for entry offsets, "surviving bytes + new
-//     entry" written, nothing materialised; rewriteShard for a first write,
-//     an entry older than the shard's newest, or a file in any other layout —
-//     decode, sort, cap, encode. All three leave the same bytes.
+//     one read, then decodeShard line by line — no reflection, fingerprint
+//     strings and query names interned per shard, maps and slices sized from
+//     the line before. A line in any other layout (an escape, an unknown,
+//     duplicate or differently-cased field, null, white space) goes to
+//     encoding/json, which decides what it holds, so a hand-edited or hostile
+//     line costs one slow decode and never another answer or another error.
+//     FuzzShardDecode holds the decoder to that.
+//   - Put reads and scans the shard, then appends e's line (below the cap,
+//     lines in order, e not older than the newest); writes the lines the cap
+//     keeps and e's through a temporary file (the same at the cap); or
+//     decodes, sorts, caps and writes every line again (anything else,
+//     including the indented array older stores wrote). An unreadable shard
+//     fails the Put and stays as it was; FuzzShardPut holds Put to that.
+//   - Crashes: an append is one write, so a crash leaves at most a torn last
+//     line, which readers drop and the next Put rewrites away; every other
+//     write is a temporary file and a rename. So reads take no lock.
 //   - Start-up (NewRecommender), Sync, and Add on a key at the cap reconcile
 //     the k-NN index from FileStore.heads: the same scan with observations
 //     validated but not built (entry IDs, target size and observation count
-//     are all the index wants), which also primes what appendShard needs, so
-//     the first Put after a restart appends. Start-up writes the index file,
-//     the next start-up's snapshot; every later change stays in memory.
+//     are all the index wants). Start-up writes the index file, the next
+//     start-up's snapshot; every later change stays in memory.
 package service
 
 import (

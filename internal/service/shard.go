@@ -2,40 +2,30 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"strconv"
 )
 
-// The line breaks of a shard as FileStore writes it
-// (json.MarshalIndent(entries, "", " ")), by nesting depth: the list's
-// brackets sit at depth 0, its entries at 1, an entry's fields at 2, a fingerprint's fields, a
-// map's pairs, a list's strings and the observations at 3, an observation's
-// fields at 4, its parameters and query times at 5.
-const (
-	nl1 = "\n "
-	nl2 = "\n  "
-	nl3 = "\n   "
-	nl4 = "\n    "
-	nl5 = "\n     "
-)
+// A shard is JSON lines: one entry per line as json.Marshal writes it, oldest
+// first, every line ended by a newline. An append is one write of one line,
+// so a crash can leave at most a torn last line behind, and a reader drops a
+// last line that has no newline and holds no entry.
 
-// entryMark is what a scan that skips an entry's observations keeps of them,
-// and where the entry sits: data[off:end] is its object, braces included.
-type entryMark struct {
-	off, end int
-	obs      int // len(Obs)
-}
+// errNotEntry is the error of a line that is not a JSON object.
+var errNotEntry = errors.New("not an entry")
 
-// shardDecoder reads a shard in the one layout FileStore writes, byte for
-// byte: that indentation, the fields of Entry, Fingerprint and Observation
-// under their exact names and in their order, map keys ascending, strings of
-// printable ASCII with no escape, numbers in JSON's grammar that strconv takes
-// without a range error, no null, no empty optional field, nothing after the
-// closing bracket. The first byte that is anything else sets bad, every later
-// step is then a no-op, and the caller hands the file to encoding/json — so
-// whatever this decoder returns is what json.Unmarshal returns for the same
-// bytes, and a file it cannot read costs one slow read, never another answer
-// or another error. FuzzShardDecode holds it to that with the standard library
-// as the oracle.
+// shardDecoder reads a line in the one layout json.Marshal gives an Entry,
+// byte for byte: the fields of Entry, Fingerprint and Observation under their
+// exact names and in their order, map keys ascending, strings of printable
+// ASCII with no escape, numbers in JSON's grammar that strconv takes without a
+// range error, no null, no empty optional field, no white space. The first
+// byte that is anything else sets bad, every later step is then a no-op, and
+// decodeShard hands the line to encoding/json — so whatever this decoder
+// returns is what json.Unmarshal returns for the same line, and a line it
+// cannot read costs one slow read, never another answer or another error.
+// FuzzShardDecode holds it to that with the standard library as the oracle.
 type shardDecoder struct {
 	data []byte
 	pos  int
@@ -43,41 +33,85 @@ type shardDecoder struct {
 	// skip validates an entry's best_params, sensitive, important and obs
 	// without building them; the entry keeps its other fields.
 	skip bool
-	// paramKeys and queryKeys are the keys of the last best_params and
-	// query_secs object by position. A shard repeats the same few key sets a
-	// hundred times over, so a key equal to the one last seen at its position
-	// is that string again, not a new one.
+	// fingerprint holds the strings of the last fingerprint, paramKeys and
+	// queryKeys the keys of the last best_params and query_secs object by
+	// position. A shard repeats one fingerprint and the same few key sets
+	// over and over, so a string equal to the one last seen at its place is
+	// that string again, not a new one.
+	fingerprint          [3]string
 	paramKeys, queryKeys []string
 	// nParams and nObs are the lengths of the last params and obs lists, the
 	// capacity the next ones start with.
 	nParams, nObs int
 }
 
-// decodeShard decodes a shard FileStore wrote. ok is false for any other
-// input, and json.Unmarshal decides what it holds. With skip the entries come
-// without BestParams, Sensitive, Important and Obs, which are checked all the
-// same, and marks locates each entry and counts its observations.
-func decodeShard(data []byte, skip bool) (entries []Entry, marks []entryMark, ok bool) {
-	d := shardDecoder{data: data, skip: skip}
-	d.lit("[")
-	for !d.bad {
-		d.lit(nl1)
-		off := d.pos
-		var e Entry
-		obs := d.entry(&e)
+// decodeShard decodes a shard: each line through shardDecoder, or through
+// encoding/json where the decoder declines it. With skip the entries the
+// decoder reads come without BestParams, Sensitive, Important and Obs, which
+// are checked all the same, and obs counts every entry's observations. A
+// shard in the layout of older stores, one indented JSON array, goes to
+// encoding/json whole.
+func decodeShard(data []byte, skip bool) (entries []Entry, obs []int, err error) {
+	if len(data) > 0 && data[0] != '{' {
+		if err := json.Unmarshal(data, &entries); err != nil {
+			return nil, nil, err
+		}
+		if skip {
+			obs = obsCounts(entries)
+		}
+		return entries, obs, nil
+	}
+	d := shardDecoder{skip: skip}
+	for n := 1; len(data) > 0; n++ {
+		line, rest, whole := bytes.Cut(data, []byte{'\n'})
+		e, k, err := d.line(line)
+		if err != nil {
+			if !whole {
+				break // a torn append
+			}
+			return nil, nil, fmt.Errorf("line %d: %w", n, err)
+		}
 		entries = append(entries, e)
 		if skip {
-			marks = append(marks, entryMark{off: off, end: d.pos, obs: obs})
+			obs = append(obs, k)
 		}
-		if !d.char(',') {
-			break
-		}
+		data = rest
 	}
-	d.lit("\n]")
-	if d.bad || d.pos != len(data) {
-		return nil, nil, false
+	return entries, obs, nil
+}
+
+// obsCounts counts the observations of entries read whole.
+func obsCounts(entries []Entry) []int {
+	obs := make([]int, len(entries))
+	for i, e := range entries {
+		obs[i] = len(e.Obs)
 	}
-	return entries, marks, true
+	return obs
+}
+
+// line decodes one line and returns len(Obs).
+func (d *shardDecoder) line(line []byte) (Entry, int, error) {
+	if e, obs, ok := d.own(line); ok {
+		return e, obs, nil
+	}
+	var e Entry
+	if len(line) == 0 || line[0] != '{' {
+		return e, 0, errNotEntry
+	}
+	if err := json.Unmarshal(line, &e); err != nil {
+		return Entry{}, 0, err
+	}
+	return e, len(e.Obs), nil
+}
+
+// own decodes a line in the store's own layout; ok is false for any other.
+func (d *shardDecoder) own(line []byte) (e Entry, obs int, ok bool) {
+	d.data, d.pos, d.bad = line, 0, false
+	obs = d.entry(&e)
+	if d.bad || d.pos != len(line) {
+		return Entry{}, 0, false
+	}
+	return e, obs, true
 }
 
 // lit consumes exactly s.
@@ -124,6 +158,15 @@ func (d *shardDecoder) str() []byte {
 	}
 	d.bad = true
 	return nil
+}
+
+// intern consumes a string after its opening quote and returns it as *last,
+// which it first replaces when the string is another.
+func (d *shardDecoder) intern(last *string) string {
+	if s := d.str(); string(s) != *last {
+		*last = string(s)
+	}
+	return *last
 }
 
 // digits consumes a run of digits and reports whether there was one.
@@ -185,9 +228,8 @@ func (d *shardDecoder) int() int64 {
 }
 
 // items consumes the rest of a non-empty list or object from its first item
-// on: one per line at the depth nl, item consuming each, then end a level
-// up. It returns their count.
-func (d *shardDecoder) items(nl string, end byte, item func(i int)) int {
+// on, item consuming each, through the closing end. It returns their count.
+func (d *shardDecoder) items(end byte, item func(i int)) int {
 	n := 0
 	for !d.bad {
 		item(n)
@@ -195,15 +237,13 @@ func (d *shardDecoder) items(nl string, end byte, item func(i int)) int {
 		if !d.char(',') {
 			break
 		}
-		d.lit(nl)
 	}
-	d.lit(nl[:len(nl)-1])
 	d.fail(!d.char(end))
 	return n
 }
 
 // floats consumes a list of numbers after its opening bracket.
-func (d *shardDecoder) floats(nl string, keep bool) []float64 {
+func (d *shardDecoder) floats(keep bool) []float64 {
 	var out []float64
 	if keep {
 		out = make([]float64, 0, d.nParams)
@@ -211,8 +251,7 @@ func (d *shardDecoder) floats(nl string, keep bool) []float64 {
 	if d.char(']') {
 		return out
 	}
-	d.lit(nl)
-	n := d.items(nl, ']', func(int) {
+	n := d.items(']', func(int) {
 		if f := d.float(keep); keep {
 			out = append(out, f)
 		}
@@ -223,10 +262,10 @@ func (d *shardDecoder) floats(nl string, keep bool) []float64 {
 	return out
 }
 
-// strings consumes a non-empty list of strings from its first item on.
-func (d *shardDecoder) strings(nl string, keep bool) []string {
+// strings consumes a non-empty list of strings after its opening bracket.
+func (d *shardDecoder) strings(keep bool) []string {
 	var out []string
-	d.items(nl, ']', func(int) {
+	d.items(']', func(int) {
 		d.lit(`"`)
 		if s := d.str(); keep {
 			out = append(out, string(s))
@@ -235,21 +274,21 @@ func (d *shardDecoder) strings(nl string, keep bool) []string {
 	return out
 }
 
-// floatMap consumes a non-empty object of numbers from its first pair on,
+// floatMap consumes a non-empty object of numbers after its opening brace,
 // keys strictly ascending: that is how they are written, and it leaves no
 // duplicate to resolve. keys is the key list to intern against.
-func (d *shardDecoder) floatMap(nl string, keys *[]string, keep bool) map[string]float64 {
+func (d *shardDecoder) floatMap(keys *[]string, keep bool) map[string]float64 {
 	var out map[string]float64
 	if keep {
 		out = make(map[string]float64, len(*keys))
 	}
 	var prev []byte
-	d.items(nl, '}', func(i int) {
+	d.items('}', func(i int) {
 		d.lit(`"`)
 		k := d.str()
 		d.fail(i > 0 && bytes.Compare(prev, k) >= 0)
 		prev = k
-		d.lit(": ")
+		d.lit(":")
 		f := d.float(keep)
 		if !keep || d.bad {
 			return
@@ -267,65 +306,63 @@ func (d *shardDecoder) floatMap(nl string, keys *[]string, keep bool) map[string
 // entry consumes one entry, brace to brace, and returns len(Obs).
 func (d *shardDecoder) entry(e *Entry) (obs int) {
 	keep := !d.skip
-	d.lit("{" + nl2 + `"fingerprint": {` + nl3 + `"cluster": "`)
-	e.Fingerprint.Cluster = string(d.str())
-	d.lit("," + nl3 + `"benchmark": "`)
-	e.Fingerprint.Benchmark = string(d.str())
-	d.lit("," + nl3 + `"size_bucket": `)
+	d.lit(`{"fingerprint":{"cluster":"`)
+	e.Fingerprint.Cluster = d.intern(&d.fingerprint[0])
+	d.lit(`,"benchmark":"`)
+	e.Fingerprint.Benchmark = d.intern(&d.fingerprint[1])
+	d.lit(`,"size_bucket":`)
 	bucket := d.int()
 	e.Fingerprint.SizeBucket = int(bucket)
 	d.fail(int64(e.Fingerprint.SizeBucket) != bucket)
-	d.lit("," + nl3 + `"techniques": "`)
-	e.Fingerprint.Techniques = string(d.str())
-	d.lit(nl2 + "}," + nl2 + `"job_id": "`)
+	d.lit(`,"techniques":"`)
+	e.Fingerprint.Techniques = d.intern(&d.fingerprint[2])
+	d.lit(`},"job_id":"`)
 	e.JobID = string(d.str())
-	d.lit("," + nl2 + `"created_unix": `)
+	d.lit(`,"created_unix":`)
 	e.CreatedUnix = d.int()
-	d.lit("," + nl2 + `"target_gb": `)
+	d.lit(`,"target_gb":`)
 	e.TargetGB = d.float(true)
-	d.lit("," + nl2 + `"tuned_sec": `)
+	d.lit(`,"tuned_sec":`)
 	e.TunedSec = d.float(true)
-	d.lit("," + nl2 + `"overhead_sec": `)
+	d.lit(`,"overhead_sec":`)
 	e.OverheadSec = d.float(true)
-	d.lit("," + nl2 + `"best_params": {`)
+	d.lit(`,"best_params":{`)
 	if !d.char('}') {
-		d.lit(nl3)
-		e.BestParams = d.floatMap(nl3, &d.paramKeys, keep)
+		e.BestParams = d.floatMap(&d.paramKeys, keep)
 	} else if keep {
 		e.BestParams = map[string]float64{}
 	}
-	// The optional fields are never written empty, so each is its opening
-	// bracket and the line break before its first item, or absent.
-	if d.next("," + nl2 + `"sensitive": [` + nl3) {
-		e.Sensitive = d.strings(nl3, keep)
+	// The optional fields are never written empty, so each is absent or opens
+	// on its first item.
+	if d.next(`,"sensitive":[`) {
+		e.Sensitive = d.strings(keep)
 	}
-	if d.next("," + nl2 + `"important": [` + nl3) {
-		e.Important = d.strings(nl3, keep)
+	if d.next(`,"important":[`) {
+		e.Important = d.strings(keep)
 	}
-	d.lit("," + nl2 + `"obs": [`)
+	d.lit(`,"obs":[`)
 	if keep {
 		e.Obs = make([]Observation, 0, d.nObs)
 	}
 	if !d.char(']') {
-		d.lit(nl3)
-		obs = d.items(nl3, ']', func(int) {
+		obs = d.items(']', func(int) {
 			var o Observation
-			d.lit("{" + nl4 + `"params": [`)
-			o.Params = d.floats(nl5, keep)
-			d.lit("," + nl4 + `"data_gb": `)
+			d.lit(`{"params":[`)
+			o.Params = d.floats(keep)
+			d.lit(`,"data_gb":`)
 			o.DataGB = d.float(keep)
-			d.lit("," + nl4 + `"sec": `)
+			d.lit(`,"sec":`)
 			o.Sec = d.float(keep)
-			if d.next("," + nl4 + `"query_secs": {` + nl5) {
-				o.QuerySecs = d.floatMap(nl5, &d.queryKeys, keep)
+			if d.next(`,"query_secs":{`) {
+				o.QuerySecs = d.floatMap(&d.queryKeys, keep)
 			}
-			d.lit(nl3 + "}")
+			d.lit("}")
 			if keep {
 				e.Obs = append(e.Obs, o)
 			}
 		})
 		d.nObs = obs
 	}
-	d.lit(nl1 + "}")
+	d.lit("}")
 	return obs
 }

@@ -1,9 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,46 +140,20 @@ func (s *MemStore) Keys() ([]string, error) {
 	return out, nil
 }
 
-// FileStore persists the history as one JSON file per fingerprint key in a
-// directory, written atomically (temp file + rename), so a service restart
-// resumes with everything past sessions learned.
+// FileStore persists the history as one shard file per fingerprint key in a
+// directory (shard.go has the layout), so a service restart resumes with
+// everything past sessions learned. It keeps nothing of a shard in memory:
+// every Put reads the shard it extends and decides from what is there, so a
+// file anyone else changed is simply what the next Put reads.
 //
-// A directory has one writer: one FileStore in one process. Under that
-// assumption the store remembers what it last wrote or read of each shard and
-// a Put appends to the shard's bytes instead of decoding and re-encoding
-// them. A shard that anyone else changed is still noticed — its size or
-// modification time no longer match what the store remembers — and is read
-// again in full, so a hand-edited or restored file costs one slow Put, never
-// a wrong one. Temporary files found when the directory is opened are what a
-// dead writer left behind and are removed.
+// A directory has one writer, one FileStore in one process, and its writes
+// are serialized; reads take no lock, because a shard only grows by one
+// whole-line append or is replaced by a rename. Temporary files found when
+// the directory is opened are what a dead writer left behind and are removed.
 type FileStore struct {
 	dir     string
-	mu      sync.Mutex
+	mu      sync.Mutex // serializes writes
 	maxKeys int
-	// shards is what the store knows of each shard it wrote or read.
-	shards map[string]shardState
-	// mtimes orders every shard in the directory for key eviction, by
-	// modification time. SetMaxKeys lists the directory to build it and Put
-	// keeps it current; nil while no cap is set.
-	mtimes map[string]int64
-}
-
-// shardState describes a shard file as the store last wrote or read it.
-type shardState struct {
-	entries int   // how many entries the file holds
-	newest  int64 // the last (and largest) CreatedUnix
-	size    int64
-	mtime   int64 // modification time, Unix nanoseconds
-}
-
-// stateOf describes the file fi, which holds the given entries.
-func stateOf(fi os.FileInfo, entries int, newest int64) shardState {
-	return shardState{entries: entries, newest: newest, size: fi.Size(), mtime: fi.ModTime().UnixNano()}
-}
-
-// matches reports whether the file still is the one the state describes.
-func (st shardState) matches(fi os.FileInfo) bool {
-	return fi.Size() == st.size && fi.ModTime().UnixNano() == st.mtime
 }
 
 // NewFileStore opens (creating if needed) a file-backed store in dir.
@@ -193,7 +167,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 			_ = os.Remove(tmp) // a leftover that cannot be removed is overwritten by the next write
 		}
 	}
-	return &FileStore{dir: dir, shards: map[string]shardState{}}, nil
+	return &FileStore{dir: dir}, nil
 }
 
 // path maps a key to its shard file, refusing any key that could name a
@@ -207,45 +181,62 @@ func (s *FileStore) path(key string) (string, error) {
 	return filepath.Join(s.dir, key+".json"), nil
 }
 
-// writeAtomic replaces the file at p with what write produces: into p.tmp,
-// then renamed over p. No error return leaves p.tmp behind. what names the
-// kind of file in errors. The FileInfo is that of the new file.
-func writeAtomic(p, what string, write func(f *os.File) error) (os.FileInfo, error) {
+// writeAtomic replaces the file at p with the parts, one after another: into
+// p.tmp, then renamed over p. No error return leaves p.tmp behind. what names
+// the kind of file in errors.
+func writeAtomic(p, what string, parts ...[]byte) error {
 	tmp := p + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("service: write %s: %w", what, err)
+		return fmt.Errorf("service: write %s: %w", what, err)
 	}
-	err = write(f)
-	var fi os.FileInfo
-	if err == nil {
-		fi, err = f.Stat()
+	for _, part := range parts {
+		if err == nil {
+			_, err = f.Write(part)
+		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		_ = os.Remove(tmp) // the write error is the one to report
-		return nil, fmt.Errorf("service: write %s: %w", what, err)
+		return fmt.Errorf("service: write %s: %w", what, err)
 	}
 	if err := os.Rename(tmp, p); err != nil {
 		_ = os.Remove(tmp) // likewise
-		return nil, fmt.Errorf("service: commit %s: %w", what, err)
-	}
-	return fi, nil
-}
-
-// writeAll writes the parts to f one after another.
-func writeAll(f *os.File, parts ...[]byte) error {
-	for _, part := range parts {
-		if _, err := f.Write(part); err != nil {
-			return err
-		}
+		return fmt.Errorf("service: commit %s: %w", what, err)
 	}
 	return nil
 }
 
-// Put implements Store.
+// appendLine appends line to the file at p, creating it: one write, which a
+// crash can cut short only into a torn last line.
+func appendLine(p string, line []byte) error {
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("service: write history: %w", err)
+	}
+	_, err = f.Write(line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("service: write history: %w", err)
+	}
+	return nil
+}
+
+// Put implements Store. It reads the shard, and when the file is whole lines
+// in order and e is not older than their newest entry, it
+//   - below the cap, appends e's line;
+//   - at the cap, writes the lines the cap keeps and e's, through a temporary
+//     file.
+//
+// Anything else — an older entry, lines out of order, a last line without its
+// newline, the array layout of older stores — is decoded, given e, sorted,
+// capped and written again as lines, through a temporary file. A shard that
+// cannot be read is left as it is, and Put fails. A Put that creates a shard
+// enforces the key cap.
 func (s *FileStore) Put(e Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,147 +245,65 @@ func (s *FileStore) Put(e Entry) error {
 	if err != nil {
 		return err
 	}
-	st, done, err := s.appendShard(p, s.shards[key], e)
-	if err == nil && !done {
-		st, done, err = s.spliceShard(p, key, e)
-	}
-	if err == nil && !done {
-		st, err = s.rewriteShard(p, key, e)
-	}
+	data, err := readShard(p)
 	if err != nil {
-		// Whatever is on disk now, the next Put reads it before it writes.
-		delete(s.shards, key)
 		return err
 	}
-	s.shards[key] = st
-	if s.mtimes != nil {
-		s.mtimes[key] = st.mtime
+	heads, _, err := decodeShard(data, true)
+	if err != nil {
+		return fmt.Errorf("service: decode history %s: %w", key, err)
+	}
+	line, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("service: encode history: %w", err)
+	}
+	line = append(line, "\n"...)
+	n := len(heads)
+	lines := len(data) == 0 || data[0] == '{' && data[len(data)-1] == '\n'
+	switch {
+	case !lines || !sortedByCreated(append(heads, e)):
+		err = rewriteShard(p, data, e)
+	case n < maxEntriesPerKey:
+		err = appendLine(p, line)
+	default:
+		off := 0
+		for range n + 1 - maxEntriesPerKey {
+			off += bytes.IndexByte(data[off:], '\n') + 1
+		}
+		err = writeAtomic(p, "history", data[off:], line)
+	}
+	if err == nil && data == nil {
 		s.evictLocked()
 	}
-	return nil
+	return err
 }
 
-// shardTail is how every shard this store writes ends: the closing brace of
-// the last entry, indented one space, then the closing bracket of the list.
-const shardTail = "\n }\n]"
-
-// appendShard writes the shard with e added by copying the file's bytes up to
-// the closing bracket and encoding only e — the same bytes rewriteShard
-// produces, without decoding the entries already there. That holds only when
-// the file still is the one st describes, in this store's own layout, below
-// the per-key cap, and e is not older than its newest entry; in every other
-// case appendShard reports false and has written nothing.
-func (s *FileStore) appendShard(p string, st shardState, e Entry) (shardState, bool, error) {
-	if st.entries == 0 || st.entries >= maxEntriesPerKey || e.CreatedUnix < st.newest {
-		return shardState{}, false, nil
-	}
-	src, err := os.Open(p)
+// rewriteShard writes the shard at p again as lines: the entries of data and
+// e, sorted and capped.
+func rewriteShard(p string, data []byte, e Entry) error {
+	entries, _, err := decodeShard(data, false)
 	if err != nil {
-		return shardState{}, false, nil
+		return fmt.Errorf("service: decode history: %w", err)
 	}
-	defer src.Close()
-	if fi, err := src.Stat(); err != nil || !st.matches(fi) {
-		return shardState{}, false, nil
-	}
-	var tail [len(shardTail)]byte
-	if _, err := src.ReadAt(tail[:], st.size-int64(len(tail))); err != nil || string(tail[:]) != shardTail {
-		return shardState{}, false, nil
-	}
-	enc, err := json.MarshalIndent(e, " ", " ")
-	if err != nil {
-		return shardState{}, false, fmt.Errorf("service: encode history: %w", err)
-	}
-	fi, err := writeAtomic(p, "history", func(dst *os.File) error {
-		if _, err := io.CopyN(dst, src, st.size-int64(len("\n]"))); err != nil {
-			return err
+	var out []byte
+	for _, x := range capEntries(append(entries, e)) {
+		enc, err := json.Marshal(x)
+		if err != nil {
+			return fmt.Errorf("service: encode history: %w", err)
 		}
-		return writeAll(dst, []byte(",\n "), enc, []byte("\n]"))
-	})
-	if err != nil {
-		return shardState{}, false, err
+		out = append(append(out, enc...), '\n')
 	}
-	return stateOf(fi, st.entries+1, e.CreatedUnix), true, nil
-}
-
-// spliceShard is what Put does at the per-key cap, where appendShard stops, and
-// after anything that made the store forget the shard: it reads the file,
-// scans it for where its entries lie, and writes the bytes of those the cap
-// keeps followed by e — the bytes rewriteShard produces, again without
-// building or encoding the entries already there. That holds only when the
-// file is in this store's own layout, its entries in order, and e not older
-// than the newest; in every other case spliceShard reports false and has
-// written nothing.
-func (s *FileStore) spliceShard(p, key string, e Entry) (shardState, bool, error) {
-	data, _, err := s.read(key)
-	if err != nil || data == nil {
-		return shardState{}, false, nil // rewriteShard reports what is wrong with the file
-	}
-	entries, marks, ok := decodeShard(data, true)
-	n := len(entries)
-	if !ok || !sortedByCreated(entries) || e.CreatedUnix < entries[n-1].CreatedUnix {
-		return shardState{}, false, nil
-	}
-	enc, err := json.MarshalIndent(e, " ", " ")
-	if err != nil {
-		return shardState{}, false, fmt.Errorf("service: encode history: %w", err)
-	}
-	first := max(0, n+1-maxEntriesPerKey)
-	kept := data[marks[first].off:marks[n-1].end]
-	fi, err := writeAtomic(p, "history", func(dst *os.File) error {
-		return writeAll(dst, []byte("[\n "), kept, []byte(",\n "), enc, []byte("\n]"))
-	})
-	if err != nil {
-		return shardState{}, false, err
-	}
-	return stateOf(fi, n-first+1, e.CreatedUnix), true, nil
-}
-
-// rewriteShard decodes the shard, adds e, sorts, caps and encodes it again:
-// what Put falls back to for a first write, an entry older than the shard's
-// newest, and a file laid out by anyone else.
-func (s *FileStore) rewriteShard(p, key string, e Entry) (shardState, error) {
-	entries, err := s.load(key)
-	if err != nil {
-		return shardState{}, err
-	}
-	entries = capEntries(append(entries, e))
-	data, err := json.MarshalIndent(entries, "", " ")
-	if err != nil {
-		return shardState{}, fmt.Errorf("service: encode history: %w", err)
-	}
-	fi, err := writeAtomic(p, "history", func(f *os.File) error { return writeAll(f, data) })
-	if err != nil {
-		return shardState{}, err
-	}
-	return stateOf(fi, len(entries), entries[len(entries)-1].CreatedUnix), nil
+	return writeAtomic(p, "history", out)
 }
 
 // SetMaxKeys caps the number of shard files (0 or negative: unbounded),
 // evicting whole keys least-recently-written first — the FileStore analogue
-// of MemStore.SetMaxKeys, ordered by shard modification time. Every call
-// lists the directory, so it also picks up what changed there since.
+// of MemStore.SetMaxKeys, ordered by shard modification time. The store lists
+// the directory for it now and whenever a Put creates a shard.
 func (s *FileStore) SetMaxKeys(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxKeys = n
-	s.mtimes = nil
-	if n <= 0 {
-		return
-	}
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	s.mtimes = map[string]int64{}
-	for _, de := range des {
-		key, ok := strings.CutSuffix(de.Name(), ".json")
-		if !ok || !ValidKey(key) {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			s.mtimes[key] = info.ModTime().UnixNano()
-		}
-	}
 	s.evictLocked()
 }
 
@@ -403,114 +312,69 @@ func (s *FileStore) SetMaxKeys(n int) {
 // index for a history shard.
 func (s *FileStore) IndexPath() string { return filepath.Join(s.dir, "knn.index") }
 
-// evictLocked enforces the key cap by deleting the oldest shard files.
+// evictLocked enforces the key cap: it lists the shards and deletes the
+// oldest by modification time, ties on key order.
 func (s *FileStore) evictLocked() {
-	if s.maxKeys <= 0 || len(s.mtimes) <= s.maxKeys {
+	if s.maxKeys <= 0 {
 		return
 	}
-	keys := make([]string, 0, len(s.mtimes))
-	for k := range s.mtimes {
-		keys = append(keys, k)
+	keys, err := s.Keys()
+	if err != nil || len(keys) <= s.maxKeys {
+		return
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if ma, mb := s.mtimes[keys[a]], s.mtimes[keys[b]]; ma != mb {
-			return ma < mb
+	mtimes := make(map[string]int64, len(keys))
+	for _, k := range keys {
+		if fi, err := os.Stat(filepath.Join(s.dir, k+".json")); err == nil {
+			mtimes[k] = fi.ModTime().UnixNano()
 		}
-		return keys[a] < keys[b]
-	})
+	}
+	// Keys come sorted, so a stable sort by time breaks ties on key order.
+	sort.SliceStable(keys, func(a, b int) bool { return mtimes[keys[a]] < mtimes[keys[b]] })
 	for _, k := range keys[:len(keys)-s.maxKeys] {
-		if err := os.Remove(filepath.Join(s.dir, k+".json")); err != nil && !os.IsNotExist(err) {
-			continue // still there: the next Put tries again
-		}
-		delete(s.mtimes, k)
-		delete(s.shards, k)
+		_ = os.Remove(filepath.Join(s.dir, k+".json")) // one still there goes when the next shard is created
 	}
 }
 
 // Get implements Store.
 func (s *FileStore) Get(key string) ([]Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.load(key)
-}
-
-// read returns the bytes of key's shard and the file they came from, both nil
-// when there is no such file.
-func (s *FileStore) read(key string) ([]byte, os.FileInfo, error) {
-	p, err := s.path(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.Open(p)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: read history: %w", err)
-	}
-	defer f.Close()
-	// Size, time and bytes all come from the one open file, so the state
-	// describes exactly what was decoded even if the path is replaced now.
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: read history: %w", err)
-	}
-	data := make([]byte, fi.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, nil, fmt.Errorf("service: read history: %w", err)
-	}
-	return data, fi, nil
-}
-
-// load reads and decodes a shard and remembers its state for the next Put.
-func (s *FileStore) load(key string) ([]Entry, error) {
 	entries, _, err := s.decode(key, false)
 	return entries, err
 }
 
 // heads reads a shard for what the k-NN index keeps of its entries: each
-// entry without BestParams, Sensitive, Important and Obs, and the number of its
-// observations. Like Get, it leaves the shard's state behind for the next Put.
-func (s *FileStore) heads(key string) ([]Entry, []entryMark, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// entry without BestParams, Sensitive, Important and Obs, and the number of
+// its observations.
+func (s *FileStore) heads(key string) ([]Entry, []int, error) {
 	return s.decode(key, true)
 }
 
-// decode is load, or with skip heads: the store's own layout through
-// decodeShard, anything else through encoding/json.
-func (s *FileStore) decode(key string, skip bool) ([]Entry, []entryMark, error) {
-	delete(s.shards, key)
-	data, fi, err := s.read(key)
+// decode reads key's shard whole, or with skip its heads.
+func (s *FileStore) decode(key string, skip bool) ([]Entry, []int, error) {
+	p, err := s.path(key)
 	if err != nil {
 		return nil, nil, err
 	}
-	if data == nil {
-		delete(s.mtimes, key)
-		return nil, nil, nil
+	data, err := readShard(p)
+	if err != nil {
+		return nil, nil, err
 	}
-	entries, marks, ok := decodeShard(data, skip)
-	if !ok {
-		if err := json.Unmarshal(data, &entries); err != nil {
-			return nil, nil, fmt.Errorf("service: decode history %s: %w", key, err)
-		}
-		if skip {
-			marks = marksOf(entries)
-		}
+	entries, obs, err := decodeShard(data, skip)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: decode history %s: %w", key, err)
 	}
-	if n := len(entries); n > 0 && sortedByCreated(entries) {
-		s.shards[key] = stateOf(fi, n, entries[n-1].CreatedUnix)
-	}
-	return entries, marks, nil
+	return entries, obs, nil
 }
 
-// marksOf counts the observations of entries read whole.
-func marksOf(entries []Entry) []entryMark {
-	marks := make([]entryMark, len(entries))
-	for i, e := range entries {
-		marks[i].obs = len(e.Obs)
+// readShard returns the bytes of the shard at p, nil when there is none.
+func readShard(p string) ([]byte, error) {
+	data, err := os.ReadFile(p)
+	if os.IsNotExist(err) {
+		return nil, nil
 	}
-	return marks
+	if err != nil {
+		return nil, fmt.Errorf("service: read history: %w", err)
+	}
+	return data, nil
 }
 
 // sortedByCreated reports whether the entries are in the order Put keeps.
@@ -522,22 +386,16 @@ func sortedByCreated(entries []Entry) bool {
 
 // Keys implements Store.
 func (s *FileStore) Keys() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: list history: %w", err)
 	}
 	var out []string
 	for _, de := range names {
-		n := de.Name()
-		if !strings.HasSuffix(n, ".json") {
-			continue
-		}
 		// Skip stray or legacy files whose names the key validator (and
 		// therefore Get) would reject; one such file must not poison the
 		// whole history listing.
-		if key := strings.TrimSuffix(n, ".json"); ValidKey(key) {
+		if key, ok := strings.CutSuffix(de.Name(), ".json"); ok && ValidKey(key) {
 			out = append(out, key)
 		}
 	}

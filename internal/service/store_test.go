@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -407,5 +411,361 @@ func TestFileStoreMaxKeys(t *testing.T) {
 	}
 	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
 		t.Fatalf("evicted shard still on disk: %v", err)
+	}
+}
+
+// TestFileStoreAppendsWithoutDecoding pins the cost of the append path: a Put
+// below the cap adds the entry's line after the shard's bytes and allocates
+// what encoding the entry and scanning the shard's heads allocate — not what
+// decoding the shard would.
+func TestFileStoreAppendsWithoutDecoding(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry("job", 1000)
+	for i := 0; i < 16; i++ {
+		e.Obs = append(e.Obs, e.Obs[0])
+	}
+	for i := 0; i < 3; i++ {
+		if err := fs.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := filepath.Join(dir, e.Fingerprint.Key()+".json")
+	before, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(p); !bytes.Equal(after, append(append(before, line...), '\n')) {
+		t.Fatal("the Put did not append the entry's line to the shard's bytes")
+	}
+	encode := testing.AllocsPerRun(5, func() {
+		if _, err := json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Five measured runs and a warm-up stay well below the per-key cap.
+	put := testing.AllocsPerRun(5, func() {
+		if err := fs.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(5, func() {
+		if _, err := fs.Get(e.Fingerprint.Key()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations: encode one entry %v, put %v, decode the shard %v", encode, put, decode)
+	if limit := encode + 40; put > limit {
+		t.Fatalf("Put made %v allocations, want at most %v (encoding the entry makes %v)", put, limit, encode)
+	}
+	if put >= decode {
+		t.Fatalf("Put made %v allocations, no fewer than the %v of decoding the shard", put, decode)
+	}
+}
+
+// shardTimes lists the shard files of dir as key → modification time.
+func shardTimes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, de := range des {
+		key, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok || !ValidKey(key) {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[key] = info.ModTime().UnixNano()
+	}
+	return out
+}
+
+// survivors is the eviction oracle: the keys left when shards are dropped
+// oldest first, ties on key order, until maxKeys remain.
+func survivors(shards map[string]int64, maxKeys int) []string {
+	keys := make([]string, 0, len(shards))
+	for k := range shards {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if shards[keys[a]] != shards[keys[b]] {
+			return shards[keys[a]] < shards[keys[b]]
+		}
+		return keys[a] < keys[b]
+	})
+	if len(keys) > maxKeys {
+		keys = keys[len(keys)-maxKeys:]
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// nextTick waits until a file written now is dated later than every file
+// written before the call: file times come from a coarse clock.
+func nextTick(t *testing.T, dir string) {
+	t.Helper()
+	probe := filepath.Join(dir, "probe")
+	defer os.Remove(probe)
+	var first time.Time
+	for i := 0; ; i++ {
+		if err := os.WriteFile(probe, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = fi.ModTime()
+		} else if fi.ModTime().After(first) {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFileStoreEvictionMatchesListing: the keys that survive the cap are the
+// ones a listing of the directory keeps, both when SetMaxKeys evicts and when
+// a Put that creates a shard does.
+func TestFileStoreEvictionMatchesListing(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(bucket int) string { return bucketEntry("", 0, bucket).Fingerprint.Key() }
+	for b := 0; b < 8; b++ {
+		if err := fs.Put(bucketEntry("seed", 1000, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Dates the store has not seen, two of them tied.
+	for b, sec := range []int64{500, 100, 300, 100, 800, 200, 700, 600} {
+		mt := time.Unix(sec, 0)
+		if err := os.Chtimes(filepath.Join(dir, keyOf(b)+".json"), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := survivors(shardTimes(t, dir), 5)
+	fs.SetMaxKeys(5)
+	if got, _ := fs.Keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetMaxKeys(5): keys %v, a listing keeps %v", got, want)
+	}
+
+	// New keys and old ones, each write later than the last.
+	for i, b := range []int{9, 0, 10, 4, 11, 12, 6, 9, 13, 14, 0, 15} {
+		nextTick(t, dir)
+		before := shardTimes(t, dir)
+		if err := fs.Put(bucketEntry(fmt.Sprintf("job-%d", i), int64(2000+i), b)); err != nil {
+			t.Fatal(err)
+		}
+		after := shardTimes(t, dir)
+		written, ok := after[keyOf(b)]
+		if !ok {
+			t.Fatalf("put %d: the shard just written was evicted", i)
+		}
+		before[keyOf(b)] = written
+		want := survivors(before, 5)
+		if got, _ := fs.Keys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("put %d: keys %v, a listing keeps %v", i, got, want)
+		}
+		// An evicted key starts over: nothing of its old shard is appended to.
+		if es, err := fs.Get(keyOf(b)); err != nil || es[len(es)-1].JobID != fmt.Sprintf("job-%d", i) {
+			t.Fatalf("put %d: read back %v, %v", i, es, err)
+		}
+	}
+
+	// Lifting the cap stops eviction; setting it again lists again.
+	fs.SetMaxKeys(0)
+	for b := 20; b < 23; b++ {
+		if err := fs.Put(bucketEntry("uncapped", 3000, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := fs.Keys(); len(got) != 8 {
+		t.Fatalf("uncapped store holds %d keys, want 8", len(got))
+	}
+	want = survivors(shardTimes(t, dir), 2)
+	fs.SetMaxKeys(2)
+	if got, _ := fs.Keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetMaxKeys(2): keys %v, a listing keeps %v", got, want)
+	}
+}
+
+// tmpFiles lists what a failed or interrupted write may leave behind.
+func tmpFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(p string, _ os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(p, ".tmp") {
+			out = append(out, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFileStorePutFailureLeavesShardIntact injects the two failures that need
+// no seam — the temporary file of a Put at the cap cannot be created, the
+// shard cannot be read — and requires the error to be returned, the old shard
+// to stay byte for byte, nothing to be left behind, and the next Put to store
+// everything, the entry that failed included when it is put again.
+func TestFileStorePutFailureLeavesShardIntact(t *testing.T) {
+	job := func(i int) Entry { return testEntry(fmt.Sprintf("job-%d", i), int64(1000+i)) }
+	for _, name := range []string{"temporary file is a directory", "shard path is a directory"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < maxEntriesPerKey; i++ {
+				if err := fs.Put(job(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key := testEntry("", 0).Fingerprint.Key()
+			p := filepath.Join(dir, key+".json")
+			old, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aside := filepath.Join(dir, "aside")
+			var obstacle string
+			if name == "temporary file is a directory" {
+				obstacle = p + ".tmp"
+			} else {
+				// The shard moves aside and a directory takes its path.
+				if err := os.Rename(p, aside); err != nil {
+					t.Fatal(err)
+				}
+				obstacle = p
+			}
+			if err := os.MkdirAll(filepath.Join(obstacle, "full"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Put(job(maxEntriesPerKey)); err == nil {
+				t.Fatal("Put succeeded with " + name)
+			}
+			if err := os.RemoveAll(obstacle); err != nil {
+				t.Fatal(err)
+			}
+			if obstacle == p {
+				if err := os.Rename(aside, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if now, err := os.ReadFile(p); err != nil || !bytes.Equal(now, old) {
+				t.Fatalf("the shard changed under a failed Put (%v)", err)
+			}
+			if left := tmpFiles(t, dir); len(left) != 0 {
+				t.Fatalf("left behind: %v", left)
+			}
+			for i := maxEntriesPerKey; i < maxEntriesPerKey+2; i++ {
+				if err := fs.Put(job(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := fs.Get(key)
+			if err != nil || len(got) != maxEntriesPerKey {
+				t.Fatalf("%d entries after the failure, want %d (%v)", len(got), maxEntriesPerKey, err)
+			}
+			for i, e := range got {
+				if e.JobID != job(i+2).JobID {
+					t.Fatalf("entry %d is %s", i, e.JobID)
+				}
+			}
+		})
+	}
+}
+
+// A rename that fails must not leave the temporary file either. Put reads the
+// path it is about to replace, so a shard path that refuses the rename fails
+// the read first; a checkpoint is written without being read, and goes
+// through the same writeAtomic.
+func TestFileStoreFailedRenameRemovesTmp(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := Checkpoint{JobID: "job-000001", Fingerprint: "k"}
+	if err := fs.PutCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(dir, "checkpoints", cp.JobID+".json")
+	if err := os.Remove(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(p, "full"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err = fs.PutCheckpoint(cp)
+	if err == nil || !strings.Contains(err.Error(), "commit checkpoint") {
+		t.Fatalf("PutCheckpoint over a directory: %v, want a commit error", err)
+	}
+	if left := tmpFiles(t, dir); len(left) != 0 {
+		t.Fatalf("left behind: %v", left)
+	}
+	if err := os.RemoveAll(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.GetCheckpoint(cp.JobID); err != nil || got == nil {
+		t.Fatalf("checkpoint after the failure: %v, %v", got, err)
+	}
+}
+
+// What a writer that died left behind is removed when the directory is
+// opened; nothing else is.
+func TestNewFileStoreSweepsStaleTmp(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Put(testEntry("job", 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutCheckpoint(Checkpoint{JobID: "job-000001"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dead.json.tmp", filepath.Join("checkpoints", "job-000002.json.tmp")} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("[torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := len(shardTimes(t, dir))
+	if _, err := NewFileStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if left := tmpFiles(t, dir); len(left) != 0 {
+		t.Fatalf("left behind: %v", left)
+	}
+	if after := len(shardTimes(t, dir)); after != before {
+		t.Fatalf("opening the store changed the shard count from %d to %d", before, after)
+	}
+	if ids, err := fs.ListCheckpoints(); err != nil || len(ids) != 1 {
+		t.Fatalf("checkpoints after the sweep: %v, %v", ids, err)
 	}
 }

@@ -699,6 +699,22 @@ func BenchmarkRecommenderRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkRecommend measures one zero-execution hit over 200 keys: the k-NN
+// scan, five neighbors' shards read for their heads, the blend and the score.
+// Every arm/qid session of the first benchmark sits at distance zero.
+func BenchmarkRecommend(b *testing.B) {
+	rc := service.NewRecommender(historyStore(b, historyEntries(200)), nil)
+	spec := service.JobSpec{Cluster: "arm", Benchmark: Benchmarks()[0], DataSizeGB: 128}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := rc.Recommend(spec, service.RecommendOptions{K: 5})
+		if err != nil || rec.Outcome != "hit" || len(rec.Neighbors) != 5 {
+			b.Fatalf("%+v, %v; want a hit on five neighbors", rec, err)
+		}
+	}
+}
+
 // BenchmarkPersistIndex measures the index half of persisting a session at
 // 600 indexed items: featurize the entry and upsert it in memory — no record
 // appended, no snapshot rewrite to amortise. Every key stays below the

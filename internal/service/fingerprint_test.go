@@ -1,6 +1,7 @@
 package service
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -108,4 +109,35 @@ func TestValidKey(t *testing.T) {
 			t.Errorf("ValidKey(%q) = true", bad)
 		}
 	}
+}
+
+// FuzzFingerprintKey: whatever a job spec names, its fingerprint's key is a
+// valid key, and no string FileStore.path accepts as a key names a file
+// outside the store directory.
+func FuzzFingerprintKey(f *testing.F) {
+	f.Add("arm", "TPC-DS", 7, "qid")
+	f.Add("x86", "TPC-H", -3, "-")
+	f.Add("../../etc", "TPC-DS/../..\\evil name", 5, "qid")
+	f.Add("a_b", "%2F..", 0, "..")
+	f.Add(".", "..", 1<<62, "")
+	f.Add("", "a\x00b", -1<<63, "\xff/\u00e9")
+	fs := &FileStore{dir: filepath.Join("store", "history")}
+	inside := func(t *testing.T, key string) {
+		p, err := fs.path(key)
+		if err != nil {
+			return
+		}
+		if filepath.Dir(p) != fs.dir || filepath.Base(p) != key+".json" {
+			t.Fatalf("key %q maps to %q, outside %q", key, p, fs.dir)
+		}
+	}
+	f.Fuzz(func(t *testing.T, cluster, benchmark string, bucket int, techniques string) {
+		key := Fingerprint{Cluster: cluster, Benchmark: benchmark, SizeBucket: bucket, Techniques: techniques}.Key()
+		if !ValidKey(key) {
+			t.Fatalf("Key() of (%q, %q, %d, %q) is %q, not a valid key", cluster, benchmark, bucket, techniques, key)
+		}
+		for _, k := range []string{key, cluster, benchmark, techniques} {
+			inside(t, k)
+		}
+	})
 }

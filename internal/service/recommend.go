@@ -265,15 +265,20 @@ func workloadOf(cluster, benchmark string, dataGB float64, techniques string, ob
 	return w, nil
 }
 
-// stored reads the entries under key for reconcileLocked, which wants their
-// identity, target size and observation count only: from a store that can
-// skip the rest (FileStore.heads), else whole.
+// stored reads the entries under key for reconcileLocked and Recommend, which
+// want no more than heads: from a store that has them (FileStore.heads), else
+// whole.
 func (rc *Recommender) stored(key string) ([]Entry, []int, error) {
 	if hs, ok := rc.store.(interface {
 		heads(string) ([]Entry, []int, error)
 	}); ok {
 		return hs.heads(key)
 	}
+	return rc.whole(key)
+}
+
+// whole reads the entries under key with everything they hold, for Prior.
+func (rc *Recommender) whole(key string) ([]Entry, []int, error) {
 	entries, err := rc.store.Get(key)
 	return entries, obsCounts(entries), err
 }
@@ -337,22 +342,25 @@ func (rc *Recommender) Sync(key string) {
 }
 
 // neighbors is the outcome of the one history retrieval: the stored sessions
-// nearest first, their best-observed configurations in the unit encoding,
-// their distances from the query and their shares of the distance weighting.
+// nearest first, their observation counts, their best-observed configurations
+// in the unit encoding, their distances from the query and their shares of
+// the distance weighting.
 type neighbors struct {
 	space   *conf.Space
 	used    []Entry
+	obs     []int
 	encs    [][]float64
 	dists   []float64
 	weights []float64
 }
 
 // nearest is that retrieval: the (at most) o.K indexed entries within
-// o.MaxDistance of the normalized spec, resolved to store entries. A match
-// whose entry is gone is stale — the store evicted it — and is compacted out
-// of the index here, lazily; one persisted under a different parameter table
-// (entryConfig fails) is not a neighbor.
-func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions) (neighbors, error) {
+// o.MaxDistance of the normalized spec, resolved to store entries through
+// read (rc.stored or rc.whole). A match whose entry is gone is stale — the
+// store evicted it — and is compacted out of the index here, lazily; one
+// persisted under a different parameter table (entryConfig fails) is not a
+// neighbor.
+func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions, read func(string) ([]Entry, []int, error)) (neighbors, error) {
 	w, err := specWorkload(spec)
 	if err != nil {
 		return neighbors{}, err
@@ -363,12 +371,11 @@ func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions) (neighbors, err
 	}
 	near := neighbors{space: cl.Space()}
 	var stale []string
-	byKey := map[string][]Entry{}
+	byKey, obsOf := map[string][]Entry{}, map[string][]int{}
 	for _, m := range rc.ix.Nearest(w.Vector(), o.K, o.MaxDistance) {
 		entries, ok := byKey[m.Key]
 		if !ok {
-			entries, err = rc.store.Get(m.Key)
-			if err != nil {
+			if entries, obsOf[m.Key], err = read(m.Key); err != nil {
 				return neighbors{}, err
 			}
 			byKey[m.Key] = entries
@@ -378,6 +385,7 @@ func (rc *Recommender) nearest(spec JobSpec, o RecommendOptions) (neighbors, err
 			stale = append(stale, m.ID)
 		} else if c, ok := entryConfig(entries[i]); ok {
 			near.used = append(near.used, entries[i])
+			near.obs = append(near.obs, obsOf[m.Key][i])
 			near.encs = append(near.encs, near.space.Encode(c))
 			near.dists = append(near.dists, m.Dist)
 		}
@@ -400,7 +408,7 @@ func (n neighbors) provenance() []Neighbor {
 			Weight:   n.weights[i],
 			TunedSec: e.TunedSec,
 			TargetGB: e.TargetGB,
-			Obs:      len(e.Obs),
+			Obs:      n.obs[i],
 		})
 	}
 	return out
@@ -409,14 +417,15 @@ func (n neighbors) provenance() []Neighbor {
 // Recommend retrieves the k nearest history entries for the spec,
 // distance-weights their best-observed configurations into one blended
 // config snapped to the knob space, and scores the evidence — decode, blend
-// and score, nothing else. The returned Recommendation has outcome "hit" or
+// and score, nothing else. It reads the neighbors' heads (rc.stored), so no
+// observation is built. The returned Recommendation has outcome "hit" or
 // "miss"; job submission is the service's concern.
 func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendation, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
 	o = o.or(rc.defaults)
-	near, err := rc.nearest(spec, o)
+	near, err := rc.nearest(spec, o, rc.stored)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +457,7 @@ func (rc *Recommender) Prior(spec JobSpec) (*core.Prior, []Neighbor, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, nil, err
 	}
-	near, err := rc.nearest(spec, rc.defaults)
+	near, err := rc.nearest(spec, rc.defaults, rc.whole)
 	if err != nil {
 		return nil, nil, err
 	}

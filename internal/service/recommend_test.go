@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"locat/internal/obs"
 	"locat/internal/service/retrieve"
+	"locat/internal/sparksim"
 )
 
 // seedHistory runs quick tuning jobs so the history store holds real
@@ -552,5 +554,88 @@ func TestRecommendRequestJSONShape(t *testing.T) {
 	if req.Benchmark != "TPC-H" || req.DataSizeGB != 120 || req.K != 3 ||
 		req.MaxDistance != 0.5 || !req.Refine {
 		t.Fatalf("decoded %+v", req)
+	}
+}
+
+// readCounter is a FileStore that counts its reads: whole entries (Get) and
+// heads.
+type readCounter struct {
+	*FileStore
+	gets, headReads int
+}
+
+func (c *readCounter) Get(key string) ([]Entry, error) {
+	c.gets++
+	return c.FileStore.Get(key)
+}
+
+func (c *readCounter) heads(key string) ([]Entry, []int, error) {
+	c.headReads++
+	return c.FileStore.heads(key)
+}
+
+// TestRecommendReadsNoObservation: a recommendation reads its neighbors'
+// heads and never Get, a warm-start prior reads whole entries, and over a
+// FileStore both equal what they are over a MemStore of the same entries,
+// where every read is whole — observation counts included.
+func TestRecommendReadsNoObservation(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, mem := &readCounter{FileStore: fs}, NewMemStore()
+	space := sparksim.ARM().Space()
+	rng := rand.New(rand.NewSource(3))
+	for i, gb := range []float64{80, 100, 100, 130, 140, 260} {
+		spec := JobSpec{Benchmark: "TPC-H", DataSizeGB: gb}
+		if err := spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		e := oracleEntry(rng, space, spec, fmt.Sprintf("job-%06d", i), int64(1000+i), 4+3*i, i%2, []string{"q3"}, []string{"spark.executor.cores"})
+		for _, s := range []Store{files, mem} {
+			if err := s.Put(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rc, memRC := NewRecommender(files, t.Logf), NewRecommender(mem, t.Logf)
+	spec := quickSpec(110, 1)
+
+	files.gets, files.headReads = 0, 0
+	rec, err := rc.Recommend(spec, RecommendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files.gets != 0 || files.headReads == 0 {
+		t.Fatalf("Recommend made %d Get calls and %d head reads, want none and some", files.gets, files.headReads)
+	}
+	want, err := memRC.Recommend(spec, RecommendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Outcome != "hit" || len(rec.Neighbors) != DefaultRecommendK || !reflect.DeepEqual(rec, want) {
+		t.Fatalf("over a FileStore:\n%+v\nover a MemStore:\n%+v", rec, want)
+	}
+	for _, n := range rec.Neighbors {
+		if n.Obs == 0 {
+			t.Fatalf("neighbor %s counts no observation", n.JobID)
+		}
+	}
+
+	files.gets, files.headReads = 0, 0
+	prior, seeded, err := rc.Prior(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files.gets == 0 || files.headReads != 0 {
+		t.Fatalf("Prior made %d Get calls and %d head reads, want some and none", files.gets, files.headReads)
+	}
+	wantPrior, wantSeeded, err := memRC.Prior(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prior == nil || len(prior.Obs) == 0 || prior.Sensitive == nil || prior.Important == nil ||
+		!reflect.DeepEqual(prior, wantPrior) || !reflect.DeepEqual(seeded, wantSeeded) {
+		t.Fatalf("prior over a FileStore:\n%+v\nover a MemStore:\n%+v", prior, wantPrior)
 	}
 }

@@ -49,7 +49,7 @@
 // one json.Marshal line, oldest first, at most 32. The store keeps nothing of
 // a shard in memory; every call decides from the file.
 //
-//   - Get (every recommend, warm-start retrieval, GET /v1/history/{key}):
+//   - Get (every warm-start retrieval, GET /v1/history/{key}):
 //     one read, then decodeShard line by line — no reflection, fingerprint
 //     strings and query names interned per shard, maps and slices sized from
 //     the line before. A line in any other layout (an escape, an unknown,
@@ -66,11 +66,16 @@
 //   - Crashes: an append is one write, so a crash leaves at most a torn last
 //     line, which readers drop and the next Put rewrites away; every other
 //     write is a temporary file and a rename. So reads take no lock.
-//   - Start-up (NewRecommender), Sync, and Add on a key at the cap reconcile
-//     the k-NN index from FileStore.heads: the same scan with observations
-//     validated but not built (entry IDs, target size and observation count
-//     are all the index wants). Start-up writes the index file, the next
-//     start-up's snapshot; every later change stays in memory.
+//   - Heads (FileStore.heads): the same scan with sensitive, important and
+//     observations validated but not built. A head is an entry's identity,
+//     target size, tuned latency and best_params, beside its observation
+//     count. Two readers want no more: start-up (NewRecommender), Sync, and
+//     Add on a key at the cap reconcile the k-NN index from heads, and
+//     Recommend blends its neighbors' best configurations from them. Prior,
+//     which needs observations, reads whole entries through Get. A store
+//     without heads (MemStore, a wrapper) is read through Get for both.
+//     Start-up writes the index file, the next start-up's snapshot; every
+//     later change stays in memory.
 package service
 
 import (

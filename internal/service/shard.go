@@ -30,8 +30,8 @@ type shardDecoder struct {
 	data []byte
 	pos  int
 	bad  bool
-	// skip validates an entry's best_params, sensitive, important and obs
-	// without building them; the entry keeps its other fields.
+	// skip validates an entry's sensitive, important and obs without building
+	// them; the entry keeps its other fields.
 	skip bool
 	// fingerprint holds the strings of the last fingerprint, paramKeys and
 	// queryKeys the keys of the last best_params and query_secs object by
@@ -47,10 +47,10 @@ type shardDecoder struct {
 
 // decodeShard decodes a shard: each line through shardDecoder, or through
 // encoding/json where the decoder declines it. With skip the entries the
-// decoder reads come without BestParams, Sensitive, Important and Obs, which
-// are checked all the same, and obs counts every entry's observations. A
-// shard in the layout of older stores, one indented JSON array, goes to
-// encoding/json whole.
+// decoder reads come without Sensitive, Important and Obs, which are checked
+// all the same, and obs counts every entry's observations. A shard in the
+// layout of older stores, one indented JSON array, goes to encoding/json
+// whole.
 func decodeShard(data []byte, skip bool) (entries []Entry, obs []int, err error) {
 	if len(data) > 0 && data[0] != '{' {
 		if err := json.Unmarshal(data, &entries); err != nil {
@@ -328,8 +328,8 @@ func (d *shardDecoder) entry(e *Entry) (obs int) {
 	e.OverheadSec = d.float(true)
 	d.lit(`,"best_params":{`)
 	if !d.char('}') {
-		e.BestParams = d.floatMap(&d.paramKeys, keep)
-	} else if keep {
+		e.BestParams = d.floatMap(&d.paramKeys, true)
+	} else {
 		e.BestParams = map[string]float64{}
 	}
 	// The optional fields are never written empty, so each is absent or opens

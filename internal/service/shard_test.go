@@ -70,11 +70,12 @@ func referenceShard(data []byte) ([]Entry, error) {
 	return entries, nil
 }
 
-// headsOf is what a skipping read keeps of entries.
+// headsOf is what a skipping read keeps of entries: all but Sensitive,
+// Important and Obs, BestParams included.
 func headsOf(entries []Entry) []Entry {
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
-		e.BestParams, e.Sensitive, e.Important, e.Obs = nil, nil, nil, nil
+		e.Sensitive, e.Important, e.Obs = nil, nil, nil
 		out[i] = e
 	}
 	return out
@@ -240,7 +241,9 @@ func TestShardDecoderTakesOwnLayoutOnly(t *testing.T) {
 // TestShardDecoderInternsKeys pins the allocation saving the decoder is for:
 // the seed shard's observations share one set of query names and its entries
 // one fingerprint, so a full decode makes a fraction of encoding/json's
-// allocations, and a skipping scan a few per entry.
+// allocations, and a skipping scan a few per entry beside its best_params —
+// 68 under go1.24: 10 for the scan, the 38 parameter names interned once with
+// the list that holds them, and one map per entry.
 func TestShardDecoderInternsKeys(t *testing.T) {
 	data := seedShard(t)
 	std := testing.AllocsPerRun(5, func() {
@@ -254,8 +257,8 @@ func TestShardDecoderInternsKeys(t *testing.T) {
 	if full > std/3 {
 		t.Errorf("a full decode made %v allocations, want at most a third of encoding/json's %v", full, std)
 	}
-	if skip > 16 {
-		t.Errorf("a skipping scan of the shard made %v allocations, want at most 16", skip)
+	if skip > 72 {
+		t.Errorf("a skipping scan of the shard made %v allocations, want at most 72", skip)
 	}
 }
 

@@ -341,9 +341,9 @@ func (s *FileStore) Get(key string) ([]Entry, error) {
 	return entries, err
 }
 
-// heads reads a shard for what the k-NN index keeps of its entries: each
-// entry without BestParams, Sensitive, Important and Obs, and the number of
-// its observations.
+// heads reads a shard for what the k-NN index and a recommendation read of
+// its entries: each entry without Sensitive, Important and Obs, and the
+// number of its observations.
 func (s *FileStore) heads(key string) ([]Entry, []int, error) {
 	return s.decode(key, true)
 }

@@ -416,7 +416,8 @@ func TestFileStoreMaxKeys(t *testing.T) {
 
 // TestFileStoreAppendsWithoutDecoding pins the cost of the append path: a Put
 // below the cap adds the entry's line after the shard's bytes and allocates
-// what encoding the entry and scanning the shard's heads allocate — not what
+// what encoding the entry and scanning the shard's heads allocate — a head
+// keeps its best_params, two allocations for this one-key map — not what
 // decoding the shard would.
 func TestFileStoreAppendsWithoutDecoding(t *testing.T) {
 	dir := t.TempDir()
@@ -453,7 +454,8 @@ func TestFileStoreAppendsWithoutDecoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Five measured runs and a warm-up stay well below the per-key cap.
+	// Five measured runs and a warm-up stay well below the per-key cap: the
+	// shard holds at most ten entries.
 	put := testing.AllocsPerRun(5, func() {
 		if err := fs.Put(e); err != nil {
 			t.Fatal(err)
@@ -465,7 +467,7 @@ func TestFileStoreAppendsWithoutDecoding(t *testing.T) {
 		}
 	})
 	t.Logf("allocations: encode one entry %v, put %v, decode the shard %v", encode, put, decode)
-	if limit := encode + 40; put > limit {
+	if limit := encode + 40 + 2*10; put > limit {
 		t.Fatalf("Put made %v allocations, want at most %v (encoding the entry makes %v)", put, limit, encode)
 	}
 	if put >= decode {

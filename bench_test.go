@@ -325,10 +325,12 @@ func benchPoints(m, d int) [][]float64 {
 	return pts
 }
 
-// BenchmarkSolveLowerBatch measures the variance solve of one model's share
-// of an EI round (BenchmarkScoreEI in internal/bo) — 576 forward substitutions against an n×n factor — one row
-// at a time (SolveLowerVecInto, the pre-batch loop) and four rows per sweep
-// of L (SolveLowerBatch). Both are in place and allocate nothing.
+// BenchmarkSolveLowerBatch measures 576 forward substitutions against an
+// n×n factor, one model's share of a full EI scoring (the EI round,
+// BenchmarkProposeEI in internal/bo, solves only the candidates its bound
+// keeps): one row at a time (SolveLowerVecInto, the pre-batch loop) and four
+// rows per sweep of L (SolveLowerBatch). Both are in place and allocate
+// nothing.
 func BenchmarkSolveLowerBatch(b *testing.B) {
 	for _, n := range []int{60, 128} {
 		rng := newBenchRng(9)

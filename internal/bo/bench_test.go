@@ -6,22 +6,29 @@ import (
 	"testing"
 )
 
-// BenchmarkScoreEI measures one EI-MCMC acquisition round at the shape the
-// tuner runs it: 6 posterior-sample models over one training set, a pool of
-// 576 candidates (512 stratified + 64 around the incumbent) with the
-// data-size context appended, on a warm workspace. n=60 is where a cold
-// session ends, n=128 a warm-started one. One distance pass serves all six
-// models.
-func BenchmarkScoreEI(b *testing.B) {
-	for _, n := range []int{60, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			models, pool := eiRound(b, n, 6, 576, rand.New(rand.NewSource(7)))
-			var ws eiWorkspace
-			scoreEI(models, pool, 0, &ws) // warm the workspace buffers
+// proposeShapes are the EI rounds core runs, five posterior-sample models
+// each: phase 1 ends near 30 observations with 400 stratified candidates,
+// phase 2 near 60 with 800, both plus 64 around the incumbent.
+var proposeShapes = []struct{ n, cands int }{{30, 400}, {60, 800}}
+
+// BenchmarkProposeEI measures one EI-MCMC acquisition round at those shapes,
+// on a warm workspace: the pool draw, the bounded argmax and the copy of the
+// winner. How many candidates the bound excludes depends on the pool size
+// and on the incumbent, here the smallest training target.
+func BenchmarkProposeEI(b *testing.B) {
+	for _, sh := range proposeShapes {
+		b.Run(fmt.Sprintf("n=%d/c=%d", sh.n, sh.cands+refinePoints), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			models, _, best := eiRound(b, sh.n, 5, 0, rng)
+			res := Result{BestX: randomPoint(8, rng), BestY: best}
+			opts := Options{Candidates: sh.cands}
+			ctx := []float64{0.3}
+			ws := eiWorkspace{perm: make([]int, opts.Candidates)}
+			proposeEI(models, res, 8, ctx, opts, rng, &ws) // warm the workspace buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				scoreEI(models, pool, 0, &ws)
+				proposeEI(models, res, 8, ctx, opts, rng, &ws)
 			}
 		})
 	}

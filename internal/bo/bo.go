@@ -11,20 +11,67 @@
 // the input data size this way, so observations taken at different data
 // sizes share one surrogate (Section 3.4).
 //
-// Buffers: a Minimize call owns an EI workspace, a hyperparameter-sampling
-// workspace and its live models, and an iteration runs inside them: the
-// candidate pool is drawn into the workspace's model-input rows (valid until
-// the next round), a resample refits in the storage of the models it
-// discards, an append grows each factor into its reserve. What leaves the
-// loop is a copy: Result.BestX and every History step own their slices.
+// # An EI round
+//
+// A round proposes the next point: the candidate of a pool (Candidates
+// stratified points, plus 64 around the incumbent) with the largest EI
+// averaged over the round's posterior-sample models. Only that argmax and its
+// EI leave the round, so it solves only the candidates that can win. It runs
+// candidate-major in chunks of 64, the incumbent's neighbourhood first, where
+// the EI is likeliest to be high. Per chunk:
+//
+//   - one distance pass to the training rows, shared by every model that
+//     holds the same rows (gp.GP.SameRows; a model on other rows measures its
+//     own), then each model's kernel rows and exact means (gp.GP.KernelMeans);
+//   - each candidate's bound, Σ_m EI(μ_m, maxVar_m)/M, where maxVar_m is the
+//     model's prior variance in output units (gp.GP.MaxVariance);
+//   - a candidate is dropped iff bound + boundSlack < the best exact EI so
+//     far; the survivors' kernel rows move together and are solved four at a
+//     time (gp.GP.Variances), and their exact EIs are summed in model order.
+//
+// The kernel and solve passes are row-parallel, with a direct call at one
+// processor.
+//
+// Why nothing that can win is dropped. A posterior variance is σ_f² less a
+// sum of squares, floored at 1e-12 and scaled by yStd²; each step is monotone
+// in floating point, so the computed variance never exceeds maxVar. EI is
+// nondecreasing in the variance (∂EI/∂σ = φ(z) ≥ 0), but computed EI is not
+// exactly so: for z ≪ 0 the two terms of (best-μ)Φ(z) + σφ(z) cancel and
+// rounding errors grow as ε·z⁴, about 4e-10 relative where φ(z) is last a
+// normal number (z ≈ -37.6); beyond that φ(z) is subnormal and the error is
+// absolute, a few units of 2⁻¹⁰⁷⁴ times ≈ 40σ. boundSlack covers both,
+// 1e-9·|bound| + 1e-300·σ_max. Floating-point addition and the division by M
+// are monotone in every term, so the per-model inequalities carry through the
+// average.
+// TestExpectedImprovementMonotoneInVariance checks the property;
+// TestBoundedArgmaxMatchesFullScoring checks the argmax against the full
+// scoring it replaced, kept as its test oracle.
+//
+// Ties. The full scoring took the first strict maximum: among equal EIs the
+// lowest index. Chunks are not taken in index order, so a survivor replaces
+// the running best if its EI is larger, or equal with a lower index; the
+// drop test is strict, so an equal EI is never dropped. A NaN never wins, and
+// when every score is NaN no candidate does.
+//
+// # Buffers
+//
+// A Minimize call owns an EI workspace, a hyperparameter-sampling workspace
+// and its live models, and an iteration runs inside them: the candidate pool
+// is drawn into the workspace's model-input rows (valid until the next
+// round), the chunk buffers are sized once for the largest training set the
+// run can reach, a resample refits in the storage of the models it discards,
+// an append grows each factor into its reserve. What leaves the loop is a
+// copy: Result.BestX and every History step own their slices.
 package bo
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"locat/internal/gp"
+	"locat/internal/mat"
 	"locat/internal/obs"
 	"locat/internal/stat"
 )
@@ -245,7 +292,7 @@ func Minimize(p Problem, opts Options) Result {
 	if opts.MaxModelPoints > 0 {
 		maxTrain = min(maxTrain, opts.MaxModelPoints+max(opts.HyperEvery-1, 0))
 	}
-	eiWS.pred.Reserve(opts.Candidates+refinePoints, maxTrain)
+	eiWS.reserve(opts.MCMCSamples, maxTrain)
 	iterSinceSample := 0
 	for res.Evals < opts.MaxIter && !stopped() {
 		if len(models) == 0 || opts.HyperEvery <= 1 || iterSinceSample >= opts.HyperEvery {
@@ -356,20 +403,17 @@ func modelData(hist []Step) (xs [][]float64, ys []float64) {
 
 const refinePoints = 64 // local-refinement candidates around the incumbent, per round
 
-// proposeEI scores a candidate pool by EI averaged over the hyperparameter
-// posterior samples (EI-MCMC) and returns a copy of the best candidate and
-// its EI — the one allocation of a round on a warm workspace.
+// proposeEI draws a round's candidate pool and returns a copy of the
+// candidate with the largest EI averaged over the hyperparameter posterior
+// samples (EI-MCMC), and its EI — the one allocation of a round on a warm
+// workspace. No candidate wins (nil, -Inf) when every score is NaN.
 func proposeEI(models []*gp.GP, res Result, dim int, ctx []float64, opts Options, rng *rand.Rand, ws *eiWorkspace) ([]float64, float64) {
 	pool := fillPool(res.BestX, dim, ctx, opts.Candidates, rng, ws)
-	var bestX []float64
-	bestEI := math.Inf(-1)
-	for i, ei := range scoreEI(models, pool, res.BestY, ws) {
-		if ei > bestEI {
-			bestEI = ei
-			bestX = pool[i][:dim]
-		}
+	i, ei := ws.argmax(models, pool, len(pool)-opts.Candidates, res.BestY)
+	if i < 0 {
+		return nil, ei
 	}
-	return append([]float64(nil), bestX...), bestEI
+	return append([]float64(nil), pool[i][:dim]...), ei
 }
 
 // fillPool draws a round's candidates straight into the model-input rows of
@@ -379,7 +423,7 @@ func fillPool(incumbent []float64, dim int, ctx []float64, cands int, rng *rand.
 	if incumbent != nil {
 		n += refinePoints
 	}
-	pool := ws.pred.Inputs(n, dim+len(ctx))
+	pool := ws.pool.Inputs(n, dim+len(ctx))
 	// The exploration pool is stratified (Latin Hypercube) rather than iid
 	// uniform: every dimension's range is covered evenly at identical cost
 	// and rng discipline, so the EI argmax never misses a whole stratum the
@@ -401,39 +445,162 @@ func fillPool(incumbent []float64, dim int, ctx []float64, cands int, rng *rand.
 	return pool
 }
 
-// eiWorkspace holds the buffers of an EI round — the batch prediction
-// workspace, whose input rows are the candidate pool, the score vector and
-// the stratification scratch — so a round allocates nothing per candidate or
-// per model. A workspace must not be shared by concurrent calls.
+// chunkRows is how many candidates an EI round bounds, then solves, at a time.
+const chunkRows = 64
+
+// eiWorkspace holds the buffers of an EI round: the candidate pool's rows,
+// the stratification scratch, one chunk's distances, bounds and survivors,
+// and per model the chunk's kernel rows, means and variances —
+// O(models·chunkRows·n), not a whole pool's. A round allocates nothing per
+// candidate or per model. A workspace must not be shared by concurrent calls.
 type eiWorkspace struct {
-	pred gp.PredictWorkspace
-	ei   []float64
+	pool gp.PredictWorkspace // only its Inputs rows: the candidate pool
 	perm []int
+
+	d2     []float64 // chunk×n squared distances to the first model's rows
+	flat   []float64 // backs every model's ks, means and vars
+	models []eiModel // the round's models
+	sd     float64   // the largest model's √MaxVariance
+	best   float64   // the incumbent's objective, which EI improves on
+	ei     []float64 // the chunk's bounds, then the survivors' scores
+	keep   []int     // the chunk's survivors, chunk-relative
 }
 
-// scoreEI evaluates the EI-MCMC acquisition (EI averaged over the
-// hyperparameter posterior samples) for every model input — a candidate with
-// its context appended — through gp.PredictBatchShared: one candidate×train
-// distance pass per round, mapped by every model through its own kernel, α
-// and factor. Candidate order and every floating-point reduction are those of
-// a per-candidate Predict scan, and so are the scores, the argmax and the
-// trajectory. The returned slice belongs to ws until its next use.
-func scoreEI(models []*gp.GP, xin [][]float64, best float64, ws *eiWorkspace) []float64 {
-	if cap(ws.ei) < len(xin) {
-		ws.ei = make([]float64, len(xin))
-	}
-	out := ws.ei[:len(xin)]
-	clear(out)
-	gp.PredictBatchShared(models, xin, &ws.pred, func(mus, vars []float64) {
-		for i := range out {
-			out[i] += expectedImprovement(mus[i], vars[i], best)
-		}
-	})
-	for i := range out {
-		out[i] /= float64(len(models))
-	}
-	return out
+// eiModel is one posterior-sample model of a round and its chunk buffers.
+type eiModel struct {
+	*gp.GP
+	ks     []float64 // the chunk's kernel rows, then the survivors' solves
+	means  []float64 // the chunk's posterior means
+	vars   []float64 // the survivors' posterior variances
+	maxVar float64   // MaxVariance
+	own    bool      // holds other rows than the first model: measures its own distances
 }
+
+// reserve sizes the chunk buffers for k models of up to n training rows:
+// Minimize knows how far its training set can grow and pays for them once.
+func (ws *eiWorkspace) reserve(k, n int) {
+	if cap(ws.d2) < chunkRows*n {
+		ws.d2 = make([]float64, chunkRows*n)
+	}
+	if cap(ws.flat) < k*chunkRows*(n+2) {
+		ws.flat = make([]float64, k*chunkRows*(n+2))
+	}
+	if cap(ws.keep) < chunkRows {
+		ws.ei, ws.keep = make([]float64, chunkRows), make([]int, 0, chunkRows)
+	}
+}
+
+// argmax returns the index of the candidate with the largest EI-MCMC score
+// and that score, bit for bit the first maximum of a full scoring of xin, and
+// solves only the candidates that can win (see the package doc). The last
+// refine rows of xin, the incumbent's neighbourhood, are taken first.
+func (ws *eiWorkspace) argmax(models []*gp.GP, xin [][]float64, refine int, best float64) (int, float64) {
+	n := 0
+	for _, g := range models {
+		n = max(n, g.N())
+	}
+	ws.reserve(len(models), n)
+	ws.models, ws.sd, ws.best = ws.models[:0], 0, best
+	for k, g := range models {
+		buf := ws.flat[k*chunkRows*(n+2) : (k+1)*chunkRows*(n+2)]
+		m := eiModel{GP: g, ks: buf[:chunkRows*n], means: buf[chunkRows*n : chunkRows*(n+1)],
+			vars: buf[chunkRows*(n+1):], maxVar: g.MaxVariance(), own: !g.SameRows(models[0])}
+		ws.models = append(ws.models, m)
+		ws.sd = max(ws.sd, math.Sqrt(m.maxVar))
+	}
+	bestI, bestEI := -1, math.Inf(-1)
+	first := len(xin) - refine
+	for _, span := range [2][2]int{{first, len(xin)}, {0, first}} {
+		for lo := span[0]; lo < span[1]; lo += chunkRows {
+			hi := min(lo+chunkRows, span[1])
+			bestI, bestEI = ws.chunk(xin[lo:hi], lo, bestI, bestEI)
+		}
+	}
+	return bestI, bestEI
+}
+
+// chunk scores the candidates rows, the pool's from index from on, against
+// the running argmax (bestI, bestEI) and returns the new one.
+func (ws *eiWorkspace) chunk(rows [][]float64, from, bestI int, bestEI float64) (int, float64) {
+	// One processor takes the rows with a direct call: the parallel branch's
+	// closure escapes to ParRange's workers, and a serial round must not allocate.
+	serial := runtime.GOMAXPROCS(0) == 1
+	if serial {
+		ws.kernelRows(rows, 0, len(rows))
+	} else {
+		mat.ParRange(len(rows), 0, func(lo, hi int) { ws.kernelRows(rows, lo, hi) })
+	}
+	keep := ws.keep[:0]
+	for i, ub := range ws.ei[:len(rows)] {
+		if ub+boundSlack(ub, ws.sd) < bestEI {
+			continue
+		}
+		for _, m := range ws.models {
+			n := m.N()
+			copy(m.ks[len(keep)*n:], m.ks[i*n:(i+1)*n])
+		}
+		keep = append(keep, i)
+	}
+	ws.keep = keep
+	if serial {
+		ws.solveRows(0, len(keep))
+	} else {
+		mat.ParRange(len(keep), 0, ws.solveRows)
+	}
+	for s, i := range keep {
+		if ei := ws.ei[s]; ei > bestEI || ei == bestEI && from+i < bestI {
+			bestI, bestEI = from+i, ei
+		}
+	}
+	return bestI, bestEI
+}
+
+// kernelRows fills rows [lo,hi) of the chunk's kernel rows and means for
+// every model, from one distance pass to the first model's training rows
+// (and a pass of its own for a model that holds other rows), and each row's
+// bound: the EI-MCMC score at every model's MaxVariance.
+func (ws *eiWorkspace) kernelRows(rows [][]float64, lo, hi int) {
+	n0 := ws.models[0].N()
+	shared := ws.d2[lo*n0 : hi*n0]
+	ws.models[0].Distances(rows[lo:hi], shared)
+	for _, m := range ws.models {
+		n := m.N()
+		ks, d2 := m.ks[lo*n:hi*n], shared
+		if m.own {
+			m.Distances(rows[lo:hi], ks)
+			d2 = ks
+		}
+		m.KernelMeans(d2, ks, m.means[lo:hi])
+	}
+	for i := lo; i < hi; i++ {
+		var ub float64
+		for _, m := range ws.models {
+			ub += expectedImprovement(m.means[i], m.maxVar, ws.best)
+		}
+		ws.ei[i] = ub / float64(len(ws.models))
+	}
+}
+
+// solveRows turns the survivors' kernel rows [lo,hi) into variances and each
+// survivor's EI-MCMC score: EI summed in model order, then averaged.
+func (ws *eiWorkspace) solveRows(lo, hi int) {
+	for _, m := range ws.models {
+		n := m.N()
+		m.Variances(m.ks[lo*n:hi*n], m.vars[lo:hi])
+	}
+	for s := lo; s < hi; s++ {
+		var ei float64
+		for _, m := range ws.models {
+			ei += expectedImprovement(m.means[ws.keep[s]], m.vars[s], ws.best)
+		}
+		ws.ei[s] = ei / float64(len(ws.models))
+	}
+}
+
+// boundSlack is how far rounding can take a computed EI above the EI computed
+// at a larger variance, for an EI near ub whose models' standard deviations
+// are at most sd (see the package doc, "Why nothing that can win is dropped").
+func boundSlack(ub, sd float64) float64 { return 1e-9*math.Abs(ub) + 1e-300*sd }
 
 // expectedImprovement is EI(x) = (f* - μ)Φ(z) + σφ(z), z = (f* - μ)/σ, for
 // minimization, from a predicted posterior mean and variance. A tiny

@@ -437,16 +437,19 @@ func TestSeedTrajectoryPinned(t *testing.T) {
 }
 
 // eiRound builds one EI round's inputs: k models fitted on one TrainSet under
-// different hyperparameters (the posterior samples of a resample) and a
-// candidate pool with the context column appended.
-func eiRound(t testing.TB, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float64) {
+// different hyperparameters (the posterior samples of a resample), a
+// candidate pool with the context column appended, and the incumbent's
+// objective (the smallest training target).
+func eiRound(t testing.TB, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float64, float64) {
 	t.Helper()
 	const dim = 8
 	xs := make([][]float64, n)
 	ys := make([]float64, n)
+	best := math.Inf(1)
 	for i := range xs {
 		xs[i] = append(randomPoint(dim, rng), 0.3)
 		ys[i] = sphere(make([]float64, dim))(xs[i][:dim], nil) + rng.NormFloat64()*0.01
+		best = min(best, ys[i])
 	}
 	ts, err := gp.NewTrainSet(xs, ys, 1)
 	if err != nil {
@@ -467,50 +470,5 @@ func eiRound(t testing.TB, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float
 	for i := range pool {
 		pool[i] = append(randomPoint(dim, rng), 0.3)
 	}
-	return models, pool
-}
-
-// TestScoreEIMismatchedModelMatchesPerModel: scoreEI shares one distance
-// pass across the round's models only where their training rows really are
-// the same. With a model fitted on different rows dropped into the middle of
-// the round, every score must still equal the average of per-model
-// PredictBatch EIs exactly — the stranger measured on its own rows, and the
-// models after it back on theirs.
-func TestScoreEIMismatchedModelMatchesPerModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	models, pool := eiRound(t, 40, 4, 130, rng)
-	strangers, _ := eiRound(t, 40, 1, 0, rng) // same size, other rows
-	models = []*gp.GP{models[0], models[1], strangers[0], models[2], models[3]}
-
-	best := 1.1
-	var ws eiWorkspace
-	got := scoreEI(models, pool, best, &ws)
-
-	want := make([]float64, len(pool))
-	for _, m := range models {
-		mus, vars := m.PredictBatch(pool, nil)
-		for i := range want {
-			want[i] += expectedImprovement(mus[i], vars[i], best)
-		}
-	}
-	for i := range want {
-		want[i] /= float64(len(models))
-		if got[i] != want[i] {
-			t.Fatalf("candidate %d: scoreEI %v, per-model PredictBatch %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestScoreEISteadyStateAllocs pins a full-size EI round (6 models, 576
-// candidates) on a warm workspace: nothing is allocated — no score vector,
-// no input assembly, and on the one processor AllocsPerRun measures at no
-// closure for the distance and kernel passes (the parent's cost 7).
-func TestScoreEISteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	models, pool := eiRound(t, 60, 6, 576, rng)
-	var ws eiWorkspace
-	scoreEI(models, pool, 1.1, &ws) // grow the buffers
-	if allocs := testing.AllocsPerRun(10, func() { scoreEI(models, pool, 1.1, &ws) }); allocs != 0 {
-		t.Fatalf("scoreEI allocates %.0f objects per round on a warm workspace; want 0", allocs)
-	}
+	return models, pool, best
 }

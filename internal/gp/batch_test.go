@@ -94,8 +94,8 @@ func TestPredictWorkspaceReuseAcrossSizes(t *testing.T) {
 	}
 }
 
-// sharedShapes are the batch sizes and training-set sizes the distance-shared
-// path is pinned on: empty and single batches, every remainder of the
+// sharedShapes are the batch sizes and training-set sizes the batch
+// primitives are pinned on: empty and single batches, every remainder of the
 // four-row solve and the four-row distance pass, one ParRange block boundary
 // (577 = 72 blocks of 8 and one row), and training sets on either side of 64.
 var (
@@ -103,19 +103,20 @@ var (
 	sharedTrainSizes = []int{1, 2, 63, 64, 65}
 )
 
-// TestPredictBatchSharedMatchesPredictOracle: every model of a
-// distance-shared round must reproduce the per-candidate Predict oracle
-// exactly — the same bits, not a tolerance — whether it reused the round's
-// distance pass (models 1 and 2 hold model 0's rows, model 2 grown by
-// appends) or measured its own (model 3 holds different rows of equal count).
-func TestPredictBatchSharedMatchesPredictOracle(t *testing.T) {
+// TestChunkPrimitivesMatchPredictOracle: the primitives an EI round is built
+// from — one Distances pass shared by the models with the same rows, each
+// model's KernelMeans, and Variances over a compacted subset of the kernel
+// rows — must reproduce the per-candidate Predict oracle exactly, the same
+// bits and not a tolerance, for models fitted on one TrainSet, a model grown
+// by appends and a model on different rows of equal count. Every variance
+// stays at or under MaxVariance.
+func TestChunkPrimitivesMatchPredictOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	hypers := []Hyper{
 		DefaultHyper(),
 		{LogLen: math.Log(0.9), LogSignal: 0.4, LogNoise: math.Log(0.03)},
 		{LogLen: math.Log(0.15), LogSignal: -0.3, LogNoise: math.Log(0.3)},
 	}
-	var ws PredictWorkspace // one workspace across every shape, as bo holds it
 	for _, n := range sharedTrainSizes {
 		xs, ys := batchTrainingSet(n, 7, rng)
 		other, otherYs := batchTrainingSet(n, 7, rng)
@@ -143,25 +144,45 @@ func TestPredictBatchSharedMatchesPredictOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		models = append(models, grown, mismatched, models[0])
+		if !models[0].SameRows(grown) || models[0].SameRows(mismatched) {
+			t.Fatalf("n=%d: SameRows misjudges the round's models", n)
+		}
 
 		for _, m := range sharedBatchSizes {
 			cands, _ := batchTrainingSet(m, 7, rng)
-			k := 0
-			PredictBatchShared(models, cands, &ws, func(mus, vars []float64) {
-				if len(mus) != m || len(vars) != m {
-					t.Fatalf("n=%d m=%d model %d: %d/%d outputs", n, m, k, len(mus), len(vars))
+			shared := make([]float64, m*n)
+			models[0].Distances(cands, shared)
+			for k, g := range models {
+				d2 := shared
+				if !g.SameRows(models[0]) {
+					d2 = make([]float64, m*n)
+					g.Distances(cands, d2)
 				}
+				ks, mus := make([]float64, m*n), make([]float64, m)
+				g.KernelMeans(d2, ks, mus)
+				// Keep every third row, moved to the front, as a bounded
+				// argmax compacts its survivors.
+				var keep []int
+				for i := 0; i < m; i += 3 {
+					copy(ks[len(keep)*n:(len(keep)+1)*n], ks[i*n:(i+1)*n])
+					keep = append(keep, i)
+				}
+				vars := make([]float64, len(keep))
+				g.Variances(ks, vars)
 				for i, c := range cands {
-					mu, v := models[k].Predict(c)
-					if mu != mus[i] || v != vars[i] {
-						t.Fatalf("n=%d m=%d model %d point %d: shared (%v,%v) vs Predict (%v,%v)",
-							n, m, k, i, mus[i], vars[i], mu, v)
+					if mu, _ := g.Predict(c); mu != mus[i] {
+						t.Fatalf("n=%d m=%d model %d point %d: mean %v vs Predict %v", n, m, k, i, mus[i], mu)
 					}
 				}
-				k++
-			})
-			if k != len(models) {
-				t.Fatalf("n=%d m=%d: visited %d of %d models", n, m, k, len(models))
+				for s, i := range keep {
+					_, v := g.Predict(cands[i])
+					if v != vars[s] {
+						t.Fatalf("n=%d m=%d model %d point %d: variance %v vs Predict %v", n, m, k, i, vars[s], v)
+					}
+					if v > g.MaxVariance() {
+						t.Fatalf("n=%d m=%d model %d point %d: variance %v above MaxVariance %v", n, m, k, i, v, g.MaxVariance())
+					}
+				}
 			}
 		}
 	}

@@ -179,17 +179,13 @@ func (g *GP) Predict(xs []float64) (mean, variance float64) {
 }
 
 // PredictWorkspace holds the grow-only scratch buffers batch prediction
-// works in: the candidate×train squared distances, the cross-kernel matrix,
-// the mean/variance outputs, and a reusable input-row matrix for callers that
-// assemble model inputs per batch. One workspace serves any sequence of
-// batches (buffers grow to the largest batch seen and are then reused), which
-// is what makes the EI scoring loop allocation-free per candidate. A
-// workspace must not be shared by concurrent calls; batch prediction
-// parallelizes internally.
+// works in: the cross-kernel matrix, the mean/variance outputs, and a
+// reusable input-row matrix for callers that assemble model inputs per batch.
+// One workspace serves any sequence of batches (buffers grow to the largest
+// batch seen and are then reused). A workspace must not be shared by
+// concurrent calls; batch prediction parallelizes internally.
 type PredictWorkspace struct {
-	d2         []float64   // m×n squared distances |x*_i - x_j|², row-major; no hyperparameter enters
-	d2Rows     [][]float64 // the training rows d2 was measured against
-	ks         []float64   // m×n cross-kernel K(X*,X), row-major, overwritten by the variance solve
+	ks         []float64 // m×n squared distances, mapped in place to K(X*,X), then overwritten by the variance solve
 	mean, vari []float64
 	inFlat     []float64
 	inRows     [][]float64
@@ -212,15 +208,6 @@ func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
 	return rows
 }
 
-// Reserve sizes the distance and cross-kernel buffers exactly for batches of
-// up to m rows against up to n training rows: a caller that knows how far its
-// training set will grow (bo.Minimize does) pays for them once.
-func (w *PredictWorkspace) Reserve(m, n int) {
-	if cap(w.d2) < m*n {
-		w.d2, w.ks = make([]float64, m*n), make([]float64, m*n)
-	}
-}
-
 // growFloats returns buf resliced to n, reallocating with half as much again
 // in reserve when it is too small: the BO loop's batches grow by one training
 // row per iteration, and an exact-fit buffer would be thrown away every time.
@@ -232,11 +219,12 @@ func growFloats(buf []float64, n int) []float64 {
 }
 
 // PredictBatch returns the posterior means and variances at every row of xs
-// — identical, bit for bit, to calling Predict per row, but batched: one
-// row-parallel pass measures the squared distances to the training rows, a
-// second maps them through the kernel (one exp per pair), takes the means
-// against α and runs the variance forward-substitutions four rows at a time
-// in place over the cross-kernel rows, so no per-candidate scratch is ever
+// — identical, bit for bit, to calling Predict per row, but batched: a
+// row-parallel pass measures each block of rows' squared distances to the
+// training rows (Distances), maps them in place through the kernel (one exp
+// per pair) and takes the means against α (KernelMeans), then runs the
+// variance forward-substitutions four rows at a time in place over the
+// cross-kernel rows (Variances), so no per-candidate scratch is ever
 // allocated. ws supplies the reusable buffers (nil allocates a private
 // workspace for the call); the returned slices belong to the workspace and
 // are valid until its next use.
@@ -244,39 +232,40 @@ func (g *GP) PredictBatch(xs [][]float64, ws *PredictWorkspace) (means, vars []f
 	if ws == nil {
 		ws = &PredictWorkspace{}
 	}
-	g.crossDistances(xs, ws)
-	return g.predictFromDistances(len(xs), ws)
-}
-
-// PredictBatchShared runs PredictBatch on xs for every model and hands each
-// model's means and variances to visit (in model order; the slices are valid
-// only during the call). The squared distances do not depend on the
-// hyperparameters, so models that hold the same training rows — the
-// posterior samples of one EI-MCMC round — share a single distance pass and
-// differ only in the kernel map and the solve. Sharing is decided by
-// comparing the rows, not by trusting the caller: a model that does not hold
-// the rows of the pass in the workspace gets a distance pass of its own, so
-// every model's output equals its own PredictBatch.
-func PredictBatchShared(models []*GP, xs [][]float64, ws *PredictWorkspace, visit func(means, vars []float64)) {
-	for i, g := range models {
-		if i == 0 || !sameRows(g.x, ws.d2Rows) {
-			g.crossDistances(xs, ws)
-		}
-		visit(g.predictFromDistances(len(xs), ws))
+	n, m := len(g.x), len(xs)
+	ws.ks = growFloats(ws.ks, m*n)
+	ws.mean = growFloats(ws.mean, m)
+	ws.vari = growFloats(ws.vari, m)
+	// One processor takes the rows with a direct call: the parallel branch's
+	// closure escapes to ParRange's workers, and a serial batch must not allocate.
+	if runtime.GOMAXPROCS(0) == 1 {
+		g.predictRows(xs, ws, 0, m)
+	} else {
+		mat.ParRange(m, 0, func(lo, hi int) { g.predictRows(xs, ws, lo, hi) })
 	}
+	return ws.mean, ws.vari
 }
 
-// sameRows reports whether a and b hold the same points in the same order:
-// equally many rows, each sharing its storage with its counterpart. That is
-// how the models of one round hold them — fitted on one TrainSet (or refitted
-// from bo's own row slices) and grown by the same appends — and rows are
-// never written, so shared storage is equality with no need to read it.
-func sameRows(a, b [][]float64) bool {
-	if len(a) != len(b) {
+func (g *GP) predictRows(xs [][]float64, ws *PredictWorkspace, lo, hi int) {
+	n := len(g.x)
+	ks := ws.ks[lo*n : hi*n]
+	g.Distances(xs[lo:hi], ks)
+	g.KernelMeans(ks, ks, ws.mean[lo:hi])
+	g.Variances(ks, ws.vari[lo:hi])
+}
+
+// SameRows reports whether g and h hold the same training points in the same
+// order: equally many rows, each sharing its storage with its counterpart.
+// That is how the models of one EI round hold them — fitted on one TrainSet
+// (or refitted from bo's own row slices) and grown by the same appends — and
+// rows are never written, so shared storage is equality with no need to read
+// it. Models with the same rows have the same Distances.
+func (g *GP) SameRows(h *GP) bool {
+	if len(g.x) != len(h.x) {
 		return false
 	}
-	for i, ra := range a {
-		rb := b[i]
+	for i, ra := range g.x {
+		rb := h.x[i]
 		if len(ra) != len(rb) || (len(ra) > 0 && &ra[0] != &rb[0]) {
 			return false
 		}
@@ -284,27 +273,14 @@ func sameRows(a, b [][]float64) bool {
 	return true
 }
 
-// crossDistances fills ws.d2 with the squared distance from every row of xs
-// to every training row (row-parallel) and records which training rows they
-// were measured against.
-func (g *GP) crossDistances(xs [][]float64, ws *PredictWorkspace) {
-	n := len(g.x)
-	ws.d2 = growFloats(ws.d2, len(xs)*n)
-	ws.d2Rows = g.x
-	// One processor takes the rows with a direct call: the parallel branch's
-	// closure escapes to ParRange's workers, and a serial round must not allocate.
-	if runtime.GOMAXPROCS(0) == 1 {
-		g.crossRows(xs, ws.d2, 0, len(xs))
-		return
-	}
-	mat.ParRange(len(xs), 0, func(lo, hi int) { g.crossRows(xs, ws.d2, lo, hi) })
-}
-
-func (g *GP) crossRows(xs [][]float64, d2 []float64, lo, hi int) {
+// Distances writes the squared distance from every row of xs to every
+// training row into d2 (row-major, N() per row), four training rows per sweep
+// of the features. No hyperparameter enters, so every model with the same
+// rows (SameRows) can map one pass through its own kernel.
+func (g *GP) Distances(xs [][]float64, d2 []float64) {
 	n, train := len(g.x), g.x
-	for i := lo; i < hi; i++ {
+	for i, xi := range xs {
 		row := d2[i*n : (i+1)*n]
-		xi := xs[i]
 		j := 0
 		for ; j+3 < n; j += 4 {
 			row[j], row[j+1], row[j+2], row[j+3] = sqDist4(train[j], train[j+1], train[j+2], train[j+3], xi)
@@ -315,43 +291,48 @@ func (g *GP) crossRows(xs [][]float64, d2 []float64, lo, hi int) {
 	}
 }
 
-// predictFromDistances turns the first m rows of ws.d2 into posterior means
-// and variances under g's hyperparameters, factor and α.
-func (g *GP) predictFromDistances(m int, ws *PredictWorkspace) (means, vars []float64) {
+// KernelMeans maps len(means) rows of squared distances (d2, as Distances
+// writes them) through g's kernel into ks and writes each row's posterior
+// mean into means: PredictBatch's cross-kernel rows and means, bit for bit.
+// d2 and ks may be the same slice.
+func (g *GP) KernelMeans(d2, ks, means []float64) {
 	n := len(g.x)
-	ws.ks = growFloats(ws.ks, m*n)
-	ws.mean = growFloats(ws.mean, m)
-	ws.vari = growFloats(ws.vari, m)
-	if runtime.GOMAXPROCS(0) == 1 { // as in crossDistances
-		g.predictRows(ws, 0, m)
-	} else {
-		mat.ParRange(m, 0, func(lo, hi int) { g.predictRows(ws, lo, hi) })
-	}
-	return ws.mean, ws.vari
-}
-
-func (g *GP) predictRows(ws *PredictWorkspace, lo, hi int) {
-	n := len(g.x)
-	d2, ks, mean, vari := ws.d2, ws.ks, ws.mean, ws.vari
 	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
-	self := k.of(0) // every candidate's prior variance
-	for i := lo; i < hi; i++ {
+	for i := range means {
 		row := ks[i*n : (i+1)*n]
 		for j, v := range d2[i*n : (i+1)*n] {
 			row[j] = k.of(v)
 		}
-		mean[i] = mat.Dot(row, alpha)*yStd + yMean
+		means[i] = mat.Dot(row, alpha)*yStd + yMean
 	}
-	// Variances: v_i = L⁻¹·k*_i in place over each cross-kernel row.
-	g.chol.SolveLowerBatch(ks[lo*n : hi*n])
-	for i := lo; i < hi; i++ {
+}
+
+// Variances turns len(vars) cross-kernel rows from KernelMeans into posterior
+// variances, solving v_i = L⁻¹·k*_i in place over each row of ks:
+// PredictBatch's variances, bit for bit, wherever a row sits in ks — a caller
+// may move rows together before the solve. No result exceeds MaxVariance.
+func (g *GP) Variances(ks, vars []float64) {
+	n := len(g.x)
+	ks = ks[:len(vars)*n]
+	g.chol.SolveLowerBatch(ks)
+	self, yStd := g.kern.of(0), g.yStd // every candidate's prior variance
+	for i := range vars {
 		row := ks[i*n : (i+1)*n]
 		v := self - mat.Dot(row, row)
 		if v < 1e-12 {
 			v = 1e-12
 		}
-		vari[i] = v * yStd * yStd
+		vars[i] = v * yStd * yStd
 	}
+}
+
+// MaxVariance bounds every variance Variances returns, in floating point and
+// not only in exact arithmetic: the prior variance σ_f², floored and scaled
+// as Variances floors and scales. A variance is σ_f² less a sum of squares,
+// and rounding never takes a non-negative number away from σ_f² to above it;
+// the floor and the two multiplications are monotone too.
+func (g *GP) MaxVariance() float64 {
+	return max(g.kern.of(0), 1e-12) * g.yStd * g.yStd
 }
 
 // PredictMeans returns the posterior means at every row of xs — PredictBatch

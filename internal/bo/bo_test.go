@@ -472,3 +472,20 @@ func eiRound(t testing.TB, n, k, cands int, rng *rand.Rand) ([]*gp.GP, [][]float
 	}
 	return models, pool, best
 }
+
+// TestScoreEISteadyStateAllocs pins the scoring step of an EI round at the
+// two shapes core runs (five models, the stratified candidates plus the
+// incumbent's neighbourhood) on a warm workspace: the bounded argmax
+// allocates nothing — no score vector, no chunk buffer regrown, and on the
+// one processor AllocsPerRun measures at no closure for the row passes.
+func TestScoreEISteadyStateAllocs(t *testing.T) {
+	for _, sh := range proposeShapes {
+		rng := rand.New(rand.NewSource(22))
+		models, pool, best := eiRound(t, sh.n, 5, sh.cands+refinePoints, rng)
+		var ws eiWorkspace
+		ws.argmax(models, pool, refinePoints, best) // grow the buffers
+		if allocs := testing.AllocsPerRun(10, func() { ws.argmax(models, pool, refinePoints, best) }); allocs != 0 {
+			t.Fatalf("n=%d: EI scoring allocates %.0f objects per round on a warm workspace; want 0", sh.n, allocs)
+		}
+	}
+}

@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -139,10 +140,16 @@ func parseTenant(v string) (string, locat.TenantBudget, error) {
 			return "", b, fmt.Errorf("-tenant %q: %q is not key=value", v, kv)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || f < 0 {
-			return "", b, fmt.Errorf("-tenant %q: %s wants a non-negative number, got %q", v, key, val)
+		// !(f >= 0) also rejects NaN; a zero field means unlimited, so a
+		// value that cannot be held must fail rather than become one.
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+			return "", b, fmt.Errorf("-tenant %q: %s wants a finite non-negative number, got %q", v, key, val)
 		}
-		switch strings.TrimSpace(key) {
+		key = strings.TrimSpace(key)
+		if (key == "max_inflight" || key == "burst") && (f != math.Trunc(f) || f >= math.MaxInt) {
+			return "", b, fmt.Errorf("-tenant %q: %s wants a whole number of jobs, got %q", v, key, val)
+		}
+		switch key {
 		case "max_inflight":
 			b.MaxInFlight = int(f)
 		case "rate":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"reflect"
@@ -53,6 +54,13 @@ func TestParseFlagsRejectsBadTenants(t *testing.T) {
 		"acme:rate=-1",        // negative budget
 		"acme:bogus=1",        // unknown key
 		"acme:max_inflight=x", // not a number
+		"acme:rate=NaN",       // not a number either, though it parses
+		"acme:rate=Inf",       // no finite budget
+		"acme:max_cluster_sec=+Inf",
+		"acme:max_inflight=1e19", // past int: would wrap to no limit
+		"acme:burst=1e300",
+		"acme:max_inflight=0.5", // would truncate to 0, no limit
+		"acme:burst=2.5",
 	} {
 		if _, err := parseFlags([]string{"-tenant", v}, io.Discard); err == nil {
 			t.Errorf("parseFlags(-tenant %q) accepted", v)
@@ -61,6 +69,34 @@ func TestParseFlagsRejectsBadTenants(t *testing.T) {
 	if _, err := parseFlags([]string{"-tenant", "a:rate=1", "-tenant", "a:rate=2"}, io.Discard); err == nil {
 		t.Error("duplicate -tenant accepted")
 	}
+}
+
+// FuzzParseTenant: a -tenant value either fails or names a tenant (non-empty,
+// trimmed) with a budget whose every field is finite and non-negative — no
+// spelling of a number may turn a budget into "unlimited" by wrapping or
+// truncating.
+func FuzzParseTenant(f *testing.F) {
+	for _, v := range []string{
+		"acme:max_inflight=4,rate=2.5,burst=5,max_cluster_sec=1e6",
+		"*:max_inflight=8", " vip ", "acme:rate=NaN", "acme:max_inflight=1e19",
+		"acme:burst=0.5", "a:rate=-0", "a: max_inflight = 3 ,burst=0x10",
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		name, b, err := parseTenant(v)
+		if err != nil {
+			return
+		}
+		if name == "" || name != strings.TrimSpace(name) {
+			t.Fatalf("parseTenant(%q) name %q", v, name)
+		}
+		for _, x := range []float64{float64(b.MaxInFlight), b.SubmitRate, float64(b.SubmitBurst), b.MaxClusterSec} {
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				t.Fatalf("parseTenant(%q) budget %+v", v, b)
+			}
+		}
+	})
 }
 
 func TestParseFlagsFaultTolerance(t *testing.T) {

@@ -37,7 +37,7 @@ func main() {
 		"LOCAT", res.TunedSeconds, res.OverheadSeconds/3600, res.Runs, "—")
 	for _, r := range rs {
 		fmt.Printf("%-8s %12.0f %14.1f %6d %17.1fx\n",
-			r.Tuner, r.TunedSeconds, r.OverheadSeconds/3600, r.Runs,
-			r.OverheadSeconds/res.OverheadSeconds)
+			r.Tuner, r.TunedSec, r.OverheadSec/3600, r.Runs,
+			r.OverheadSec/res.OverheadSeconds)
 	}
 }

@@ -632,7 +632,7 @@ func (s *session) restrict() error {
 // selectBase chooses the phase-2 base, which pins every non-important
 // parameter, by DAGP posterior mean over the phase-1 observations rather
 // than by the noisy observed minimum. In the warm path p1.History leads with
-// the prior observations — exactly the FitTransfer base.
+// the prior observations — exactly the FitTransferWorkers base.
 func (s *session) selectBase() conf.Config {
 	defer s.begin("dagp/select-base").End()
 	return s.space.Decode(s.rank(s.p1, s.rep.PriorObsUsed, 3))
@@ -784,8 +784,8 @@ func (s *session) conclude(best conf.Config) {
 // incumbent. ok is false when the model cannot be fitted. warmN is the
 // number of leading steps that came from a warm-start prior: when positive,
 // hyperparameters are inferred on that prior alone and the session's own
-// runs arrive as a batch append (dagp.FitTransfer), so the MCMC's repeated
-// cubic refits do not grow with the session length. workers bounds the
+// runs arrive as a batch append (dagp.FitTransferWorkers), so the MCMC's
+// repeated cubic refits do not grow with the session length. workers bounds the
 // inference parallelism (Options.Workers; results are identical for every
 // worker count).
 func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers int) (best []float64, ok bool) {

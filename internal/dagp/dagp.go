@@ -59,18 +59,13 @@ func encode(samples []Sample) (xs [][]float64, ys []float64) {
 	return xs, ys
 }
 
-// Fit trains the DAGP on the samples, marginalizing hyperparameters by
-// picking the posterior sample with the highest marginal likelihood from a
-// short MCMC run. Equivalent to FitWorkers with the default worker budget.
-func Fit(samples []Sample, rng *rand.Rand) (*Model, error) {
-	return FitWorkers(samples, rng, 0)
-}
-
-// FitWorkers is Fit with an explicit bound on the goroutines used for
-// hyperparameter inference: the MCMC chains run on a worker pool over one
-// shared distance cache (gp.TrainSet), which the candidate model fits then
-// reuse. 0 selects GOMAXPROCS, 1 runs serially; the fitted model is
-// identical for every worker count.
+// FitWorkers trains the DAGP on the samples, marginalizing hyperparameters
+// by picking the posterior sample with the highest marginal likelihood from a
+// short MCMC run. workers bounds the goroutines used for that inference: the
+// MCMC chains run on a worker pool over one shared distance cache
+// (gp.TrainSet), which the candidate model fits then reuse. 0 selects
+// GOMAXPROCS, 1 runs serially; the fitted model is identical for every
+// worker count.
 func FitWorkers(samples []Sample, rng *rand.Rand, workers int) (*Model, error) {
 	if len(samples) < 2 {
 		return nil, errors.New("dagp: need at least 2 samples")
@@ -112,20 +107,15 @@ func (m *Model) Append(samples ...Sample) error {
 // N returns the number of observations the model holds.
 func (m *Model) N() int { return m.g.N() }
 
-// FitTransfer builds a DAGP for the warm-start path: hyperparameters are
-// inferred on base — the prior observations a SelectTransfer call ranked,
+// FitTransferWorkers builds a DAGP for the warm-start path: hyperparameters
+// are inferred on base — the prior observations a SelectTransfer call ranked,
 // which dominate the training set — and the fresh samples then arrive as a
-// batch append under those hyperparameters. The expensive part of Fit is
+// batch append under those hyperparameters. The expensive part of a fit is
 // the MCMC's repeated O(n³) refits; restricting it to the prior and
 // extending incrementally keeps that cost independent of how many fresh
-// runs the session accumulates. Falls back to a joint Fit when base is too
-// small to infer hyperparameters or the extension is numerically rejected.
-func FitTransfer(base, fresh []Sample, rng *rand.Rand) (*Model, error) {
-	return FitTransferWorkers(base, fresh, rng, 0)
-}
-
-// FitTransferWorkers is FitTransfer with an explicit worker bound for the
-// hyperparameter inference over the transfer prior (see FitWorkers).
+// runs the session accumulates. Falls back to a joint FitWorkers when base is
+// too small to infer hyperparameters or the extension is numerically
+// rejected. workers bounds the inference's goroutines as in FitWorkers.
 func FitTransferWorkers(base, fresh []Sample, rng *rand.Rand, workers int) (*Model, error) {
 	joint := func() (*Model, error) {
 		all := make([]Sample, 0, len(base)+len(fresh))

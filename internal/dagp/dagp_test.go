@@ -15,10 +15,10 @@ func TestCtx(t *testing.T) {
 
 func TestFitErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Fit(nil, rng); err == nil {
+	if _, err := FitWorkers(nil, rng, 0); err == nil {
 		t.Fatal("empty sample set accepted")
 	}
-	if _, err := Fit([]Sample{{X: []float64{0}, DataGB: 100, Sec: 1}}, rng); err == nil {
+	if _, err := FitWorkers([]Sample{{X: []float64{0}, DataGB: 100, Sec: 1}}, rng, 0); err == nil {
 		t.Fatal("single sample accepted")
 	}
 }
@@ -38,7 +38,7 @@ func TestDataSizeAwareness(t *testing.T) {
 		gb := []float64{100, 200, 400}[rng.Intn(3)]
 		samples = append(samples, Sample{X: []float64{x}, DataGB: gb, Sec: truth(x, gb)})
 	}
-	m, err := Fit(samples, rng)
+	m, err := FitWorkers(samples, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPredictVarianceNonNegative(t *testing.T) {
 			Sec:    10 + rng.Float64()*5,
 		})
 	}
-	m, err := Fit(samples, rng)
+	m, err := FitWorkers(samples, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAppendExtendsModel(t *testing.T) {
 	}
 	base := mk(25)
 	fresh := mk(10)
-	m, err := Fit(base, rng)
+	m, err := FitWorkers(base, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFitTransferMatchesFitQuality(t *testing.T) {
 		x := rng.Float64()
 		fresh = append(fresh, Sample{X: []float64{x}, DataGB: 200, Sec: truth(x, 200)})
 	}
-	m, err := FitTransfer(base, fresh, rng)
+	m, err := FitTransferWorkers(base, fresh, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestFitTransferMatchesFitQuality(t *testing.T) {
 		t.Fatalf("transfer model predicts %v at the optimum; want ≈%v", got, truth(0.55, 200))
 	}
 	// Degenerate splits fall back to a joint fit.
-	if m, err := FitTransfer(base[:1], fresh, rng); err != nil || m.N() != 7 {
+	if m, err := FitTransferWorkers(base[:1], fresh, rng, 0); err != nil || m.N() != 7 {
 		t.Fatalf("tiny base fallback: %v, n=%v", err, m.N())
 	}
-	if m, err := FitTransfer(base, nil, rng); err != nil || m.N() != 30 {
+	if m, err := FitTransferWorkers(base, nil, rng, 0); err != nil || m.N() != 30 {
 		t.Fatalf("no-fresh path: %v", err)
 	}
 }

@@ -153,45 +153,12 @@ func RetrievalTiers(s *Session) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// historyEntry persists a finished session the way the service does:
-// full-application observations, QCSA/IICP artifacts by name, and the best
-// configuration as a name→value map. CreatedUnix is synthetic (the driver
-// is deterministic; wall clocks are banned here).
+// historyEntry persists a finished session the way the service does
+// (service.EntryOf), under a synthetic job ID and CreatedUnix (the driver is
+// deterministic; wall clocks are banned here).
 func historyEntry(rep *core.Report, clusterName, benchName string, gb float64, ordinal int) service.Entry {
-	e := service.Entry{
-		Fingerprint: service.NewFingerprint(service.JobSpec{
-			Cluster: clusterName, Benchmark: benchName, DataSizeGB: gb,
-		}),
-		JobID:       fmt.Sprintf("job-%06d", ordinal+1),
-		CreatedUnix: int64(ordinal + 1),
-		TargetGB:    gb,
-		TunedSec:    rep.TunedSec,
-		OverheadSec: rep.OverheadSec,
-		BestParams:  map[string]float64{},
-	}
-	for i, p := range conf.Params() {
-		e.BestParams[p.Name] = rep.Best[i]
-	}
-	if rep.QCSA != nil {
-		e.Sensitive = append([]string(nil), rep.QCSA.Sensitive...)
-	}
-	if rep.IICP != nil {
-		for _, idx := range rep.IICP.Important {
-			e.Important = append(e.Important, conf.Params()[idx].Name)
-		}
-	}
-	for _, ev := range rep.History {
-		if !ev.FullApp {
-			continue
-		}
-		e.Obs = append(e.Obs, service.Observation{
-			Params:    append([]float64(nil), ev.Conf...),
-			DataGB:    ev.DataGB,
-			Sec:       ev.Sec,
-			QuerySecs: ev.QuerySecs,
-		})
-	}
-	return e
+	fp := service.NewFingerprint(service.JobSpec{Cluster: clusterName, Benchmark: benchName, DataSizeGB: gb})
+	return service.EntryOf(fp, fmt.Sprintf("job-%06d", ordinal+1), int64(ordinal+1), gb, rep)
 }
 
 // exactPrior builds the all-observations reference prior the service's k-NN

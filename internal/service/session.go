@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -157,7 +158,7 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	if cache != nil {
 		res.ResumedRuns = cache.ResumedRuns()
 	}
-	if err := s.persist(j, rep, res); err != nil {
+	if err := s.persist(j, rep); err != nil {
 		// The tuning result is still valid; losing the history entry only
 		// costs future warm starts.
 		s.logf("[%s] history store write failed: %v", j.id, err)
@@ -268,17 +269,36 @@ func checkpointPrior(cp *Checkpoint, space *conf.Space) *core.Prior {
 }
 
 // persist writes the finished session into the history store.
-func (s *Service) persist(j *job, rep *core.Report, res *JobResult) error {
+func (s *Service) persist(j *job, rep *core.Report) error {
+	e := EntryOf(j.fp, j.id, time.Now().Unix(), j.spec.DataSizeGB, rep)
+	if err := s.store.Put(e); err != nil {
+		return err
+	}
+	// Index the fresh entry (and drop whatever the per-key cap evicted) so
+	// the recommendation tier sees it immediately.
+	s.rec.Add(e)
+	return nil
+}
+
+// EntryOf is the history entry of a finished session that tuned for
+// targetGB: the report's best configuration, QCSA / IICP artifacts and
+// full-application observations, stored under fp as jobID's entry created at
+// createdUnix (Unix seconds).
+func EntryOf(fp Fingerprint, jobID string, createdUnix int64, targetGB float64, rep *core.Report) Entry {
 	e := Entry{
-		Fingerprint: j.fp,
-		JobID:       j.id,
-		CreatedUnix: time.Now().Unix(),
-		TargetGB:    j.spec.DataSizeGB,
-		TunedSec:    res.TunedSec,
-		OverheadSec: res.OverheadSec,
-		BestParams:  res.BestParams,
-		Sensitive:   res.SensitiveQueries,
-		Important:   res.ImportantParams,
+		Fingerprint: fp,
+		JobID:       jobID,
+		CreatedUnix: createdUnix,
+		TargetGB:    targetGB,
+		TunedSec:    rep.TunedSec,
+		OverheadSec: rep.OverheadSec,
+		BestParams:  paramsToMap(rep.Best),
+	}
+	if rep.QCSA != nil {
+		e.Sensitive = append([]string(nil), rep.QCSA.Sensitive...)
+	}
+	if rep.IICP != nil {
+		e.Important = importantNames(rep.IICP.Important)
 	}
 	for _, ev := range rep.History {
 		if !ev.FullApp {
@@ -287,19 +307,13 @@ func (s *Service) persist(j *job, rep *core.Report, res *JobResult) error {
 			continue
 		}
 		e.Obs = append(e.Obs, Observation{
-			Params:    append([]float64(nil), ev.Conf...),
+			Params:    slices.Clone(ev.Conf),
 			DataGB:    ev.DataGB,
 			Sec:       ev.Sec,
 			QuerySecs: ev.QuerySecs,
 		})
 	}
-	if err := s.store.Put(e); err != nil {
-		return err
-	}
-	// Index the fresh entry (and drop whatever the per-key cap evicted) so
-	// the recommendation tier sees it immediately.
-	s.rec.Add(e)
-	return nil
+	return e
 }
 
 // sparkConfString renders a configuration in spark-defaults.conf syntax.

@@ -35,11 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"locat/internal/baselines"
-	"locat/internal/conf"
 	"locat/internal/core"
 	"locat/internal/obs"
 	"locat/internal/progress"
@@ -136,8 +134,9 @@ type Options struct {
 }
 
 // Result is the outcome of a tuning session, from Tune or from a Service
-// job: the session's service.JobResult under Go-facing names (resultOf), plus
-// the wall-clock Elapsed and the phase timeline.
+// job: the session's service.JobResult (resultOf), its *Sec fields under the
+// *Seconds names the facade has always served, plus the wall-clock Elapsed
+// and the phase timeline.
 type Result struct {
 	// BestParams maps Spark property names to the tuned values. Boolean
 	// properties use 1 (true) / 0 (false).
@@ -183,7 +182,7 @@ type Result struct {
 	// and the runs went.
 	Phases []Phase
 
-	best conf.Config
+	sparkConf string
 }
 
 // Phase is one pipeline phase's share of a tuning session: "phase1/sampling"
@@ -204,13 +203,7 @@ type Phase struct {
 
 // SparkConf renders the tuned configuration in spark-defaults.conf syntax,
 // ready to drop into a cluster's conf directory.
-func (r *Result) SparkConf() string {
-	var b strings.Builder
-	// FormatSparkConf only errors on malformed configs, which Tune never
-	// produces.
-	_ = conf.FormatSparkConf(&b, r.best)
-	return b.String()
-}
+func (r *Result) SparkConf() string { return r.sparkConf }
 
 // Benchmarks returns the supported benchmark names (Table 1).
 func Benchmarks() []string {
@@ -300,7 +293,7 @@ func Tune(o Options) (*Result, error) {
 // Phases come from the caller's clock and timeline.
 func resultOf(jr *service.JobResult) *Result {
 	return &Result{
-		best:             jr.BestConfig,
+		sparkConf:        jr.SparkConf,
 		BestParams:       jr.BestParams,
 		TunedSeconds:     jr.TunedSec,
 		DefaultSeconds:   jr.DefaultSec,
@@ -316,16 +309,9 @@ func resultOf(jr *service.JobResult) *Result {
 	}
 }
 
-// BaselineResult is one SOTA tuner's outcome on the same problem.
-type BaselineResult struct {
-	// Tuner is "Tuneful", "DAC", "GBO-RL" or "QTune".
-	Tuner string
-	// TunedSeconds and OverheadSeconds mirror Result.
-	TunedSeconds    float64
-	OverheadSeconds float64
-	// Runs is the number of full-application executions.
-	Runs int
-}
+// BaselineResult is one SOTA tuner's outcome on the same problem ("Tuneful",
+// "DAC", "GBO-RL" or "QTune"); Runs counts its full-application executions.
+type BaselineResult = baselines.Report
 
 // CompareBaselines tunes the same (cluster, benchmark, size) problem with
 // the four state-of-the-art baseline tuners the paper compares against.
@@ -359,12 +345,7 @@ func CompareBaselines(o Options) ([]BaselineResult, error) {
 		if err := runner.BackendErr(run); err != nil {
 			return nil, fmt.Errorf("locat: execution backend failed: %w", err)
 		}
-		out = append(out, BaselineResult{
-			Tuner:           rep.Tuner,
-			TunedSeconds:    rep.TunedSec,
-			OverheadSeconds: rep.OverheadSec,
-			Runs:            rep.Runs,
-		})
+		out = append(out, *rep)
 	}
 	if err := factory.Close(); err != nil {
 		return nil, fmt.Errorf("locat: closing backend: %w", err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"os"
-	"time"
 
 	"locat/internal/progress"
 	"locat/internal/runner"
@@ -75,21 +74,9 @@ type TenantBudget = service.TenantBudget
 // reports whether the state is final.
 type JobState = service.State
 
-// JobStatus is a snapshot of a submitted job.
-type JobStatus struct {
-	// ID is the handle Submit returned.
-	ID string
-	// State is the lifecycle position.
-	State JobState
-	// Err holds the failure message of a failed job.
-	Err string
-	// Fingerprint is the workload-fingerprint key the job's history is
-	// stored under.
-	Fingerprint string
-	// Submitted, Started and Finished are the lifecycle timestamps
-	// (Started/Finished are zero while not yet reached).
-	Submitted, Started, Finished time.Time
-}
+// JobStatus is a snapshot of a submitted job, as GET /v1/jobs/{id} serves it:
+// Started and Finished are nil until reached, Result is set once it succeeded.
+type JobStatus = service.JobStatus
 
 // Service is a long-running tuning service: a bounded pool of concurrent
 // sessions plus a history store of finished ones, keyed by workload
@@ -180,29 +167,8 @@ func (s *Service) Submit(o Options) (string, error) {
 	return s.svc.Submit(specOf(o))
 }
 
-// statusOf renames a service job snapshot onto the public JobStatus.
-func statusOf(st service.JobStatus) JobStatus {
-	out := JobStatus{
-		ID:          st.ID,
-		State:       st.State,
-		Err:         st.Error,
-		Fingerprint: st.Fingerprint,
-		Submitted:   st.Submitted,
-	}
-	if st.Started != nil {
-		out.Started = *st.Started
-	}
-	if st.Finished != nil {
-		out.Finished = *st.Finished
-	}
-	return out
-}
-
 // Status returns the job's current snapshot.
-func (s *Service) Status(id string) (JobStatus, error) {
-	st, err := s.svc.Status(id)
-	return statusOf(st), err
-}
+func (s *Service) Status(id string) (JobStatus, error) { return s.svc.Status(id) }
 
 // Result blocks until the job finishes and returns its tuning result; a
 // failed or cancelled job returns an error.
@@ -230,50 +196,14 @@ func (s *Service) Result(id string) (*Result, error) {
 func (s *Service) Cancel(id string) error { return s.svc.Cancel(id) }
 
 // Jobs returns snapshots of all jobs in submission order.
-func (s *Service) Jobs() []JobStatus {
-	sts := s.svc.Jobs()
-	out := make([]JobStatus, 0, len(sts))
-	for _, st := range sts {
-		out = append(out, statusOf(st))
-	}
-	return out
-}
+func (s *Service) Jobs() []JobStatus { return s.svc.Jobs() }
 
-// HistoryEntry summarizes one stored session in the history store.
-type HistoryEntry struct {
-	// Key is the workload-fingerprint key.
-	Key string
-	// JobID produced the entry; Created is its completion time.
-	JobID   string
-	Created time.Time
-	// TargetGB, TunedSeconds and OverheadSeconds mirror the session result.
-	TargetGB        float64
-	TunedSeconds    float64
-	OverheadSeconds float64
-	// Observations is the number of stored tuning runs.
-	Observations int
-}
+// HistoryEntry summarizes one stored session in the history store, as
+// GET /v1/history serves it; Obs counts its stored tuning runs.
+type HistoryEntry = service.HistorySummary
 
 // History lists the history store's contents.
-func (s *Service) History() ([]HistoryEntry, error) {
-	sums, err := s.svc.History()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HistoryEntry, 0, len(sums))
-	for _, h := range sums {
-		out = append(out, HistoryEntry{
-			Key:             h.Key,
-			JobID:           h.JobID,
-			Created:         time.Unix(h.CreatedUnix, 0),
-			TargetGB:        h.TargetGB,
-			TunedSeconds:    h.TunedSec,
-			OverheadSeconds: h.OverheadSec,
-			Observations:    h.Obs,
-		})
-	}
-	return out, nil
-}
+func (s *Service) History() ([]HistoryEntry, error) { return s.svc.History() }
 
 // RecommendOptions tune one zero-execution recommendation.
 type RecommendOptions struct {
@@ -296,65 +226,12 @@ type RecommendOptions struct {
 }
 
 // RecommendedNeighbor is the provenance of one retrieved history entry.
-type RecommendedNeighbor struct {
-	// JobID produced the entry; Key is its workload-fingerprint key.
-	JobID, Key string
-	// Distance is the feature-space distance to the request's workload;
-	// Weight is the entry's share of the blended configuration.
-	Distance, Weight float64
-	// TunedSeconds and TargetGB mirror the stored session.
-	TunedSeconds, TargetGB float64
-	// Observations is the number of stored tuning runs backing the entry.
-	Observations int
-}
+type RecommendedNeighbor = service.Neighbor
 
-// Recommendation is a zero-execution recommendation: a configuration blended
-// from the nearest past tuning sessions, served without a single sample run.
-type Recommendation struct {
-	// Outcome is "hit" (served from retrieval), "fallback" (low confidence;
-	// a tuning job was submitted as RefineJobID) or "miss" (low confidence
-	// with NoFallback set).
-	Outcome string
-	// BestParams and SparkConf are the distance-weighted blend of the
-	// neighbors' best configurations, snapped onto the knob space.
-	BestParams map[string]float64
-	SparkConf  string
-	// Confidence in [0,1] scores the retrieval evidence.
-	Confidence float64
-	// EstimatedSeconds is the distance-weighted mean of the neighbors'
-	// tuned latencies — an expectation, not a measurement.
-	EstimatedSeconds float64
-	// Neighbors is the retrieval provenance, nearest first.
-	Neighbors []RecommendedNeighbor
-	// RefineJobID is the background tuning job of a refine hit or a
-	// fallback; RefineError records a refine submission that failed.
-	RefineJobID string
-	RefineError string
-}
-
-func recommendationOf(rec *service.Recommendation) *Recommendation {
-	out := &Recommendation{
-		Outcome:          rec.Outcome,
-		BestParams:       rec.BestParams,
-		SparkConf:        rec.SparkConf,
-		Confidence:       rec.Confidence,
-		EstimatedSeconds: rec.EstimatedSec,
-		RefineJobID:      rec.RefineJobID,
-		RefineError:      rec.RefineError,
-	}
-	for _, n := range rec.Neighbors {
-		out.Neighbors = append(out.Neighbors, RecommendedNeighbor{
-			JobID:        n.JobID,
-			Key:          n.Key,
-			Distance:     n.Distance,
-			Weight:       n.Weight,
-			TunedSeconds: n.TunedSec,
-			TargetGB:     n.TargetGB,
-			Observations: n.Obs,
-		})
-	}
-	return out
-}
+// Recommendation is a zero-execution recommendation, as POST /v1/recommend
+// serves it: a configuration blended from the nearest past tuning sessions,
+// served without a single sample run.
+type Recommendation = service.Recommendation
 
 // Recommend serves a configuration for the workload immediately, with zero
 // cluster executions: the k nearest past sessions are retrieved from the
@@ -375,10 +252,7 @@ func (s *Service) Recommend(o Options, ro RecommendOptions) (*Recommendation, er
 		Refine:     ro.Refine,
 		NoFallback: ro.NoFallback,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return recommendationOf(rec), nil
+	return rec, err
 }
 
 // RecommendFromHistory serves a zero-execution recommendation straight from
@@ -398,10 +272,7 @@ func RecommendFromHistory(dir string, o Options, ro RecommendOptions) (*Recommen
 		MaxDistance:   ro.MaxDistance,
 		MinConfidence: ro.MinConfidence,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return recommendationOf(rec), nil
+	return rec, err
 }
 
 // Handler returns the service's HTTP+JSON API (see cmd/locat-serve).

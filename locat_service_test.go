@@ -1,10 +1,16 @@
 package locat
 
 import (
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"locat/internal/service"
 )
 
 func TestServiceFacade(t *testing.T) {
@@ -159,5 +165,82 @@ func TestQuietControlsProgressLog(t *testing.T) {
 	})
 	if !strings.Contains(loud, "phase 1") || !strings.Contains(loud, "locat:") {
 		t.Fatalf("non-Quiet session logged nothing useful: %q", loud)
+	}
+}
+
+// TestFacadeMatchesWire: the facade serves the values the HTTP API serves —
+// each route's JSON decodes into the facade's own type and equals what the
+// facade returned for the same question.
+func TestFacadeMatchesWire(t *testing.T) {
+	svc, err := NewService(ServiceOptions{HistoryDir: t.TempDir(), Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	o := fastOpts()
+	id, err := svc.Submit(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Result(id); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	st, err := svc.Status(id)
+	if err != nil || st.Result == nil {
+		t.Fatalf("status %+v, %v", st, err)
+	}
+	matchesWire(t, srv.URL+"/v1/jobs/"+id, nil, st)
+	matchesWire(t, srv.URL+"/v1/jobs", nil, svc.Jobs())
+	hist, err := svc.History()
+	if err != nil || len(hist) != 1 {
+		t.Fatalf("history %+v, %v", hist, err)
+	}
+	matchesWire(t, srv.URL+"/v1/history", nil, hist)
+	// One stored session is too little evidence for a hit, but a miss still
+	// serves the blend and its provenance.
+	rec, err := svc.Recommend(o, RecommendOptions{NoFallback: true})
+	if err != nil || len(rec.Neighbors) != 1 || rec.SparkConf == "" {
+		t.Fatalf("recommendation %+v, %v", rec, err)
+	}
+	req, err := json.Marshal(service.RecommendRequest{JobSpec: specOf(o), NoFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesWire(t, srv.URL+"/v1/recommend", req, rec)
+}
+
+// matchesWire GETs url (POSTs body when non-nil), decodes the response into
+// a T and compares it with facade. The facade's value goes through
+// encoding/json too: its time.Time fields carry a monotonic reading the
+// wire drops.
+func matchesWire[T any](t *testing.T, url string, body []byte, facade T) {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", strings.NewReader(string(body)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire, want T
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatalf("%s: %v", url, err)
+	}
+	b, err := json.Marshal(facade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, wire) {
+		t.Errorf("%s:\nfacade %+v\nwire   %+v", url, want, wire)
 	}
 }

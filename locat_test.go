@@ -138,7 +138,7 @@ func TestCompareBaselines(t *testing.T) {
 		if r.Tuner != want[i] {
 			t.Fatalf("result %d = %q", i, r.Tuner)
 		}
-		if r.TunedSeconds <= 0 || r.OverheadSeconds <= 0 || r.Runs == 0 {
+		if r.TunedSec <= 0 || r.OverheadSec <= 0 || r.Runs == 0 {
 			t.Fatalf("%s: incomplete result %+v", r.Tuner, r)
 		}
 	}

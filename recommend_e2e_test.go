@@ -97,7 +97,7 @@ func TestCommittedHistorySeedRecommend(t *testing.T) {
 		t.Fatalf("seeded recommend: outcome %q with %d neighbors (confidence %.2f)",
 			rec.Outcome, len(rec.Neighbors), rec.Confidence)
 	}
-	if len(rec.BestParams) == 0 || rec.SparkConf == "" || rec.EstimatedSeconds <= 0 {
+	if len(rec.BestParams) == 0 || rec.SparkConf == "" || rec.EstimatedSec <= 0 {
 		t.Fatalf("hit served no configuration: %+v", rec)
 	}
 	// Distances are deterministic functions of the committed entries and

@@ -785,8 +785,8 @@ func (s *session) conclude(best conf.Config) {
 // number of leading steps that came from a warm-start prior: when positive,
 // hyperparameters are inferred on that prior alone and the session's own
 // runs arrive as a batch append (dagp.FitTransferWorkers), so the MCMC's
-// repeated cubic refits do not grow with the session length. workers bounds the
-// inference parallelism (Options.Workers; results are identical for every
+// repeated cubic refits do not grow with the session length. workers bounds
+// the inference parallelism (Options.Workers; results are identical for every
 // worker count).
 func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers int) (best []float64, ok bool) {
 	rng := rand.New(rand.NewSource(seed))

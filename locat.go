@@ -134,9 +134,8 @@ type Options struct {
 }
 
 // Result is the outcome of a tuning session, from Tune or from a Service
-// job: the session's service.JobResult (resultOf), its *Sec fields under the
-// *Seconds names the facade has always served, plus the wall-clock Elapsed
-// and the phase timeline.
+// job: the session's service.JobResult (resultOf) with its *Sec fields named
+// *Seconds, plus the wall-clock Elapsed and the phase timeline.
 type Result struct {
 	// BestParams maps Spark property names to the tuned values. Boolean
 	// properties use 1 (true) / 0 (false).

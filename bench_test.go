@@ -38,7 +38,10 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(int64(i+1), true)
+		s, err := experiments.NewSessionBackend(int64(i+1), true, "")
+		if err != nil {
+			b.Fatal(err)
+		}
 		tables, err := driver(s)
 		if err != nil {
 			b.Fatal(err)
@@ -165,11 +168,7 @@ func BenchmarkAblationEIMCMC(b *testing.B) {
 	}
 	var plain, mcmc float64
 	for i := 0; i < b.N; i++ {
-		o := bo.DefaultOptions()
-		o.MaxIter = 20
-		o.EIStopFrac = 0
-		o.Seed = int64(i + 1)
-		o.MCMCSamples = 1
+		o := bo.Options{InitPoints: 3, MinIter: 10, MaxIter: 20, MCMCSamples: 1, Candidates: 512, Seed: int64(i + 1)}
 		plain = bo.Minimize(bo.Problem{Dim: 2, Eval: obj}, o).BestY
 		o.MCMCSamples = 6
 		mcmc = bo.Minimize(bo.Problem{Dim: 2, Eval: obj}, o).BestY

@@ -76,19 +76,19 @@ func TestMixKeepsInteractiveUnbudgeted(t *testing.T) {
 	if len(ops) != c.batch+c.interactive+c.recommends {
 		t.Fatalf("len = %d", len(ops))
 	}
-	for _, op := range ops {
+	for i, op := range ops {
 		interactive := op.Spec.Priority == service.PriorityInteractive
 		if interactive && (op.Spec.MaxClusterSec != 0 || op.Spec.DeadlineSec != 0) {
-			t.Fatalf("op %d: interactive job carries budgets %+v", op.Index, op.Spec)
+			t.Fatalf("op %d: interactive job carries budgets %+v", i, op.Spec)
 		}
 		if !interactive && (op.Spec.MaxClusterSec != 1 || op.Spec.DeadlineSec != 2) {
-			t.Fatalf("op %d: batch job lost its budgets %+v", op.Index, op.Spec)
+			t.Fatalf("op %d: batch job lost its budgets %+v", i, op.Spec)
 		}
 		if !op.Spec.ColdStart {
-			t.Fatalf("op %d consults history; load-test runs must be cold", op.Index)
+			t.Fatalf("op %d consults history; load-test runs must be cold", i)
 		}
 		if op.Spec.NQCSA != 10 || op.Spec.NIICP != 8 || op.Spec.MaxIterations != 8 {
-			t.Fatalf("op %d: quick budgets not applied: %+v", op.Index, op.Spec)
+			t.Fatalf("op %d: quick budgets not applied: %+v", i, op.Spec)
 		}
 	}
 }

@@ -15,7 +15,6 @@ func smallBudget() []Tuner {
 		&DAC{TrainRuns: 30, Generations: 8, Population: 16, Validate: 4},
 		&GBORL{MemProbes: 8, RLSteps: 20, Epsilon: 0.25},
 		&QTune{Generations: 6, Episodes: 8, EliteFrac: 0.25},
-		NewRandom(20),
 	}
 }
 
@@ -88,7 +87,6 @@ func TestDeterministicGivenSeeds(t *testing.T) {
 		func() Tuner { return &Tuneful{TopK: 4, BOIter: 8} },
 		func() Tuner { return &GBORL{MemProbes: 5, RLSteps: 10} },
 		func() Tuner { return &QTune{Generations: 4, Episodes: 6} },
-		func() Tuner { return NewRandom(10) },
 	} {
 		r1, err := mk().Tune(sparksim.New(cl, 3), app, 100, 5)
 		if err != nil {
@@ -101,11 +99,5 @@ func TestDeterministicGivenSeeds(t *testing.T) {
 		if r1.TunedSec != r2.TunedSec || r1.OverheadSec != r2.OverheadSec || r1.Runs != r2.Runs {
 			t.Fatalf("%s not deterministic", r1.Tuner)
 		}
-	}
-}
-
-func TestRandomDefaults(t *testing.T) {
-	if NewRandom(0).Runs != 60 {
-		t.Fatal("default runs wrong")
 	}
 }

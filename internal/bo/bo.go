@@ -163,18 +163,6 @@ type Options struct {
 	Tracer obs.Tracer
 }
 
-// DefaultOptions mirror the paper's settings.
-func DefaultOptions() Options {
-	return Options{
-		InitPoints:  3,
-		MinIter:     10,
-		MaxIter:     60,
-		EIStopFrac:  0.10,
-		MCMCSamples: 6,
-		Candidates:  512,
-	}
-}
-
 // Result is the outcome of an optimization run.
 type Result struct {
 	// BestX and BestY are the incumbent decision point and objective.

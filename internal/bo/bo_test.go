@@ -8,6 +8,18 @@ import (
 	"locat/internal/gp"
 )
 
+// defaultOptions mirror the paper's settings.
+func defaultOptions() Options {
+	return Options{
+		InitPoints:  3,
+		MinIter:     10,
+		MaxIter:     60,
+		EIStopFrac:  0.10,
+		MCMCSamples: 6,
+		Candidates:  512,
+	}
+}
+
 // sphere has its minimum 0 at the given center.
 func sphere(center []float64) func(x, ctx []float64) float64 {
 	return func(x, ctx []float64) float64 {
@@ -22,7 +34,7 @@ func sphere(center []float64) func(x, ctx []float64) float64 {
 
 func TestMinimizeSphere2D(t *testing.T) {
 	center := []float64{0.3, 0.7}
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 40
 	opts.EIStopFrac = 0 // run all iterations
 	opts.Seed = 1
@@ -46,7 +58,7 @@ func TestBeatsRandomSearch(t *testing.T) {
 	// enlarged to the full budget).
 	center := []float64{0.52, 0.18, 0.85}
 	obj := sphere(center)
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 30
 	opts.EIStopFrac = 0
 	opts.Seed = 2
@@ -63,7 +75,7 @@ func TestBeatsRandomSearch(t *testing.T) {
 func TestStopCondition(t *testing.T) {
 	// A flat-ish objective should trigger the EI stop quickly after MinIter.
 	obj := func(x, ctx []float64) float64 { return 100 + x[0]*0.001 }
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 50
 	opts.MinIter = 10
 	opts.EIStopFrac = 0.10
@@ -94,7 +106,7 @@ func TestContextIsPassedAndModeled(t *testing.T) {
 		},
 		Context: func(it int) []float64 { return []float64{ctxVal} },
 	}
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 25
 	opts.EIStopFrac = 0
 	opts.Seed = 4
@@ -114,7 +126,7 @@ func TestWarmStartInit(t *testing.T) {
 	// re-evaluation.
 	obj := sphere([]float64{0.5})
 	init := []Step{{X: []float64{0.5}, Y: 0}}
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 5
 	opts.EIStopFrac = 0
 	opts.Seed = 5
@@ -133,7 +145,7 @@ func TestWarmStartInit(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	obj := sphere([]float64{0.4, 0.6})
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 15
 	opts.Seed = 6
 	a := Minimize(Problem{Dim: 2, Eval: obj}, opts)
@@ -159,7 +171,7 @@ func TestOptionDefaultsApplied(t *testing.T) {
 func TestExpectedImprovementProperties(t *testing.T) {
 	// EI must be non-negative and larger for points predicted to be better.
 	obj := sphere([]float64{0.5})
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 12
 	opts.EIStopFrac = 0
 	opts.Seed = 8
@@ -203,7 +215,7 @@ func TestMaxModelPointsAndHyperEvery(t *testing.T) {
 	// Long run with a capped model and lazy hyperparameter refresh must
 	// still optimize.
 	obj := sphere([]float64{0.6, 0.4})
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 30
 	opts.EIStopFrac = 0
 	opts.Seed = 9
@@ -234,7 +246,7 @@ func TestContextIndexCountsInitSteps(t *testing.T) {
 			return []float64{float64(it)}
 		},
 	}
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.InitPoints = 2
 	opts.MaxIter = 6
 	opts.EIStopFrac = 0
@@ -263,7 +275,7 @@ func TestIncrementalModelsMatchRefit(t *testing.T) {
 	// factorization to rounding error, the run must still optimize and stay
 	// deterministic.
 	obj := sphere([]float64{0.25, 0.75})
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 30
 	opts.EIStopFrac = 0
 	opts.Seed = 11
@@ -297,7 +309,7 @@ func TestEvalBatchMatchesSerial(t *testing.T) {
 	// Eval (a context that depends on anything but the iteration index would
 	// be mislabeled by the precompute).
 	ctxFn := func(it int) []float64 { return []float64{float64(it)} }
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 14
 	opts.InitPoints = 6
 	opts.EIStopFrac = 0
@@ -341,7 +353,7 @@ func TestEvalBatchShortReturnStops(t *testing.T) {
 	// leave a valid partial result rather than panicking or inventing steps.
 	evals := 0
 	obj := func(x, ctx []float64) float64 { evals++; return x[0] }
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.InitPoints = 8
 	opts.MaxIter = 8
 	opts.Seed = 3
@@ -394,7 +406,7 @@ func TestExpectedImprovementNegativeVariance(t *testing.T) {
 // step of the trajectory.
 func TestMinimizeWorkersDeterministic(t *testing.T) {
 	obj := sphere([]float64{0.35, 0.65})
-	base := DefaultOptions()
+	base := defaultOptions()
 	base.MaxIter = 18
 	base.EIStopFrac = 0
 	base.Seed = 21
@@ -422,7 +434,7 @@ func TestMinimizeWorkersDeterministic(t *testing.T) {
 // proposal scheme changes on purpose.
 func TestSeedTrajectoryPinned(t *testing.T) {
 	obj := sphere([]float64{0.3, 0.7})
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.MaxIter = 16
 	opts.EIStopFrac = 0
 	opts.Seed = 5

@@ -110,7 +110,7 @@ func TestModelFailureIsNotConvergence(t *testing.T) {
 			}
 			return sphere([]float64{0.3, 0.7})(x, nil) + 1
 		}}
-		opts := DefaultOptions()
+		opts := defaultOptions()
 		opts.MinIter, opts.MaxIter, opts.Seed = 3, 20, 1
 		res := Minimize(p, opts)
 		if res.StoppedEarly || res.Evals != opts.MaxIter {

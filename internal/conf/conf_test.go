@@ -119,30 +119,37 @@ func TestProfileRanges(t *testing.T) {
 	if arm.RangeOf(PExecutorInstances) != (Range{48, 384}) || x86.RangeOf(PExecutorInstances) != (Range{9, 112}) {
 		t.Fatal("executor.instances ranges wrong")
 	}
-	if arm.Profile() != ProfileARM || x86.Profile() != ProfileX86 {
-		t.Fatal("Profile() wrong")
-	}
 	if ProfileARM.String() != "ARM" || ProfileX86.String() != "x86" {
 		t.Fatal("String() wrong")
 	}
 }
 
+// profileSpace returns the space of profile p under its cluster's limits.
+func profileSpace(p ClusterProfile) *Space {
+	if p == ProfileX86 {
+		return NewSpace(p, x86Limits())
+	}
+	return NewSpace(p, armLimits())
+}
+
 func TestDefaultIsValid(t *testing.T) {
-	for _, s := range []*Space{NewSpace(ProfileARM, armLimits()), NewSpace(ProfileX86, x86Limits())} {
+	for _, p := range []ClusterProfile{ProfileARM, ProfileX86} {
+		s := profileSpace(p)
 		c := s.Default()
 		if err := s.Validate(c); err != nil {
-			t.Fatalf("%v default invalid: %v", s.Profile(), err)
+			t.Fatalf("%v default invalid: %v", p, err)
 		}
 	}
 }
 
 func TestRandomConfigsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range []*Space{NewSpace(ProfileARM, armLimits()), NewSpace(ProfileX86, x86Limits())} {
+	for _, p := range []ClusterProfile{ProfileARM, ProfileX86} {
+		s := profileSpace(p)
 		for i := 0; i < 200; i++ {
 			c := s.Random(rng)
 			if err := s.Validate(c); err != nil {
-				t.Fatalf("%v random config %d invalid: %v\nconfig: %v", s.Profile(), i, err, c)
+				t.Fatalf("%v random config %d invalid: %v\nconfig: %v", p, i, err, c)
 			}
 		}
 	}
@@ -319,19 +326,6 @@ func TestNeighborValid(t *testing.T) {
 		if err := s.Validate(s.Neighbor(a, 0.1, rng)); err != nil {
 			t.Fatalf("Neighbor invalid: %v", err)
 		}
-	}
-}
-
-func TestDistance(t *testing.T) {
-	s := NewSpace(ProfileARM, armLimits())
-	c := s.Default()
-	if d := s.Distance(c, c); d != 0 {
-		t.Fatalf("self distance = %v", d)
-	}
-	rng := rand.New(rand.NewSource(7))
-	a, b := s.Random(rng), s.Random(rng)
-	if d := s.Distance(a, b); d <= 0 || d > 1 {
-		t.Fatalf("distance = %v; want in (0, 1]", d)
 	}
 }
 

@@ -1,13 +1,11 @@
 package conf
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // unitSuffix returns the value suffix Spark expects for a parameter's unit.
@@ -57,85 +55,4 @@ func FormatSparkConf(w io.Writer, c Config) error {
 		}
 	}
 	return nil
-}
-
-// ParseSparkConf reads spark-defaults.conf syntax and returns the
-// configuration it denotes, with unlisted parameters at their defaults.
-// Lines starting with '#' and blank lines are ignored; unknown keys are
-// reported as errors (they would silently do nothing on a tuner that only
-// controls Table 2). The space's Repair is NOT applied — callers validate.
-func ParseSparkConf(r io.Reader) (Config, error) {
-	c := make(Config, NumParams)
-	for i, p := range params {
-		c[i] = p.Default
-	}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("conf: line %d: want \"key value\", got %q", lineNo, line)
-		}
-		key, raw := fields[0], fields[1]
-		p, idx, ok := ParamByName(key)
-		if !ok {
-			return nil, fmt.Errorf("conf: line %d: unknown parameter %q", lineNo, key)
-		}
-		v, err := parseValue(p, raw)
-		if err != nil {
-			return nil, fmt.Errorf("conf: line %d: %v", lineNo, err)
-		}
-		c[idx] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// parseValue converts one Spark property value to the parameter's natural
-// unit, accepting Spark's usual size suffixes.
-func parseValue(p Param, raw string) (float64, error) {
-	if p.Type == Bool {
-		switch strings.ToLower(raw) {
-		case "true", "1":
-			return 1, nil
-		case "false", "0":
-			return 0, nil
-		}
-		return 0, fmt.Errorf("%s: bad boolean %q", p.Name, raw)
-	}
-	// Strip a recognized unit suffix and convert to the parameter's unit.
-	factorTo := map[string]float64{"k": 1.0 / 1024, "m": 1, "g": 1024, "t": 1024 * 1024}
-	mbWanted := map[string]float64{"KB": 1.0 / 1024, "MB": 1, "GB": 1024}
-	lower := strings.ToLower(raw)
-	if n := len(lower); n > 0 {
-		suffix := lower[n-1:]
-		if f, ok := factorTo[suffix]; ok && p.Unit != "" && p.Unit != "s" {
-			num, err := strconv.ParseFloat(lower[:n-1], 64)
-			if err != nil {
-				return 0, fmt.Errorf("%s: bad value %q", p.Name, raw)
-			}
-			// Value in MB, then into the parameter's own unit.
-			mb := num * f
-			return mb / mbWanted[p.Unit], nil
-		}
-		if suffix == "s" && p.Unit == "s" {
-			num, err := strconv.ParseFloat(lower[:n-1], 64)
-			if err != nil {
-				return 0, fmt.Errorf("%s: bad value %q", p.Name, raw)
-			}
-			return num, nil
-		}
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: bad value %q", p.Name, raw)
-	}
-	return v, nil
 }

@@ -2,11 +2,8 @@ package conf
 
 import (
 	"bytes"
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestFormatSparkConfDefault(t *testing.T) {
@@ -43,101 +40,5 @@ func TestFormatSparkConfDefault(t *testing.T) {
 func TestFormatSparkConfErrors(t *testing.T) {
 	if err := FormatSparkConf(&bytes.Buffer{}, make(Config, 3)); err == nil {
 		t.Fatal("short config accepted")
-	}
-}
-
-func TestParseSparkConfRoundTrip(t *testing.T) {
-	s := NewSpace(ProfileX86, ResourceLimits{ContainerCores: 16, ContainerMemMB: 56 * 1024, TotalCores: 140, TotalMemMB: 448 * 1024})
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 50; i++ {
-		c := s.Random(rng)
-		var buf bytes.Buffer
-		if err := FormatSparkConf(&buf, c); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseSparkConf(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range c {
-			// Fractional params round-trip exactly; integer params were
-			// already integral.
-			if math.Abs(got[j]-c[j]) > 1e-9 {
-				t.Fatalf("param %d: %v -> %v", j, c[j], got[j])
-			}
-		}
-	}
-}
-
-func TestParseSparkConfUnits(t *testing.T) {
-	in := `
-# comment, then blank line
-
-spark.executor.memory          8g
-spark.executor.memoryOverhead  2g
-spark.kryoserializer.buffer    64k
-spark.locality.wait            4s
-spark.shuffle.compress         false
-spark.memory.fraction          0.75
-`
-	c, err := ParseSparkConf(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[PExecutorMemory] != 8 {
-		t.Fatalf("executor.memory = %v; want 8 (GB)", c[PExecutorMemory])
-	}
-	if c[PExecutorMemoryOverhead] != 2048 {
-		t.Fatalf("memoryOverhead = %v; want 2048 (MB)", c[PExecutorMemoryOverhead])
-	}
-	if c[PKryoBuffer] != 64 {
-		t.Fatalf("kryo buffer = %v; want 64 (KB)", c[PKryoBuffer])
-	}
-	if c[PLocalityWait] != 4 || c.Bool(PShuffleCompress) || c[PMemoryFraction] != 0.75 {
-		t.Fatal("values wrong")
-	}
-	// Unlisted keys stay at defaults.
-	if c[PSQLShufflePartitions] != 200 {
-		t.Fatal("default not preserved")
-	}
-}
-
-func TestParseSparkConfErrors(t *testing.T) {
-	cases := []string{
-		"spark.executor.memory",            // missing value
-		"spark.not.a.param 3",              // unknown key
-		"spark.executor.memory notanumber", // bad number
-		"spark.shuffle.compress maybe",     // bad boolean
-	}
-	for _, in := range cases {
-		if _, err := ParseSparkConf(strings.NewReader(in)); err == nil {
-			t.Fatalf("accepted %q", in)
-		}
-	}
-}
-
-// Property: format→parse round-trips every valid configuration.
-func TestPropsRoundTripProperty(t *testing.T) {
-	s := NewSpace(ProfileARM, ResourceLimits{ContainerCores: 8, ContainerMemMB: 64 * 1024, TotalCores: 384, TotalMemMB: 1536 * 1024})
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := s.Random(rng)
-		var buf bytes.Buffer
-		if FormatSparkConf(&buf, c) != nil {
-			return false
-		}
-		got, err := ParseSparkConf(&buf)
-		if err != nil {
-			return false
-		}
-		for j := range c {
-			if math.Abs(got[j]-c[j]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

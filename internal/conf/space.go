@@ -58,15 +58,14 @@ func (c Config) Bool(i int) bool { return c[i] >= 0.5 }
 // Space binds the Table 2 parameter list to one cluster's ranges and
 // resource limits, and provides sampling, encoding and validation.
 type Space struct {
-	profile ClusterProfile
-	limits  ResourceLimits
-	ranges  [NumParams]Range
+	limits ResourceLimits
+	ranges [NumParams]Range
 }
 
 // NewSpace returns the configuration space for the given cluster profile and
 // resource limits.
 func NewSpace(profile ClusterProfile, limits ResourceLimits) *Space {
-	s := &Space{profile: profile, limits: limits}
+	s := &Space{limits: limits}
 	for i, p := range params {
 		if profile == ProfileARM {
 			s.ranges[i] = p.RangeARM
@@ -76,12 +75,6 @@ func NewSpace(profile ClusterProfile, limits ResourceLimits) *Space {
 	}
 	return s
 }
-
-// Profile returns the cluster profile the space was built for.
-func (s *Space) Profile() ClusterProfile { return s.profile }
-
-// Limits returns the resource limits.
-func (s *Space) Limits() ResourceLimits { return s.limits }
 
 // Dim returns the number of parameters (38).
 func (s *Space) Dim() int { return NumParams }
@@ -265,18 +258,6 @@ func (s *Space) Repair(c Config) Config {
 		out[PExecutorInstances] = math.Max(minInst, maxInst)
 	}
 	return out
-}
-
-// Distance returns the normalized Euclidean distance between two
-// configurations in encoded space.
-func (s *Space) Distance(a, b Config) float64 {
-	ua, ub := s.Encode(a), s.Encode(b)
-	var d float64
-	for i := range ua {
-		x := ua[i] - ub[i]
-		d += x * x
-	}
-	return math.Sqrt(d / float64(len(ua)))
 }
 
 // Neighbor returns a valid configuration obtained by perturbing c with

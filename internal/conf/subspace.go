@@ -3,8 +3,6 @@ package conf
 import (
 	"fmt"
 	"math/rand"
-
-	"locat/internal/stat"
 )
 
 // Subspace is a projection of a Space onto a subset of parameter indices.
@@ -43,9 +41,6 @@ func (ss *Subspace) Dim() int { return len(ss.indices) }
 
 // Space returns the underlying full space.
 func (ss *Subspace) Space() *Space { return ss.space }
-
-// Base returns the pinned base configuration (a copy).
-func (ss *Subspace) Base() Config { return ss.base.Clone() }
 
 // Decode expands a unit-cube point over the free dimensions into a full,
 // repaired configuration.
@@ -86,15 +81,4 @@ func (ss *Subspace) Random(rng *rand.Rand) Config {
 		u[k] = rng.Float64()
 	}
 	return ss.Decode(u)
-}
-
-// LHS returns n configurations drawn by Latin Hypercube Sampling over the
-// free dimensions.
-func (ss *Subspace) LHS(n int, rng *rand.Rand) []Config {
-	pts := stat.LatinHypercube(n, len(ss.indices), rng)
-	out := make([]Config, n)
-	for i, u := range pts {
-		out[i] = ss.Decode(u)
-	}
-	return out
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -451,10 +452,6 @@ func (p *backendProbe) NoiselessAppTime(app *runner.Application, c conf.Config, 
 
 func (p *backendProbe) Err() error { return runner.BackendErr(p.Runner) }
 
-type memTrace struct{ bytes.Buffer }
-
-func (*memTrace) Close() error { return nil }
-
 // oracleCase is one scenario both implementations run on identical, freshly
 // built environments.
 type oracleCase struct {
@@ -497,8 +494,11 @@ func runOracleCase(t *testing.T, c oracleCase, tune func(*Tuner, float64) (*Repo
 	if c.failAfter > 0 {
 		backend = runner.NewChaos(backend, runner.ChaosOptions{FailAfter: c.failAfter, Seed: 1})
 	}
-	trace := &memTrace{}
-	sink := runner.NewTraceSink(trace)
+	tracePath := filepath.Join(t.TempDir(), "oracle.trace")
+	sink, err := runner.CreateTraceSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probe := &backendProbe{Runner: runner.NewRecorder(backend, sink, "oracle")}
 	timeline := obs.NewTimeline()
 
@@ -539,7 +539,11 @@ func runOracleCase(t *testing.T, c oracleCase, tune func(*Tuner, float64) (*Repo
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out.Trace = trace.String()
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Trace = string(trace)
 	out.Noiseless = probe.noiseless
 	return out
 }

@@ -104,9 +104,6 @@ func (m *Model) Append(samples ...Sample) error {
 	return m.g.AppendBatch(xs, ys)
 }
 
-// N returns the number of observations the model holds.
-func (m *Model) N() int { return m.g.N() }
-
 // FitTransferWorkers builds a DAGP for the warm-start path: hyperparameters
 // are inferred on base — the prior observations a SelectTransfer call ranked,
 // which dominate the training set — and the fresh samples then arrive as a

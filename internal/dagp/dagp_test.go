@@ -141,8 +141,8 @@ func TestAppendExtendsModel(t *testing.T) {
 	if err := m.Append(fresh...); err != nil {
 		t.Fatal(err)
 	}
-	if m.N() != 35 {
-		t.Fatalf("N = %d; want 35", m.N())
+	if m.g.N() != 35 {
+		t.Fatalf("N = %d; want 35", m.g.N())
 	}
 	// The extended model must still be datasize-aware.
 	small, _ := m.Predict([]float64{0.6}, 100)
@@ -169,8 +169,8 @@ func TestFitTransferMatchesFitQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.N() != 36 {
-		t.Fatalf("N = %d; want 36", m.N())
+	if m.g.N() != 36 {
+		t.Fatalf("N = %d; want 36", m.g.N())
 	}
 	// Prediction at the target size must roughly track the truth around the
 	// optimum — the transfer didn't corrupt the surrogate.
@@ -179,10 +179,10 @@ func TestFitTransferMatchesFitQuality(t *testing.T) {
 		t.Fatalf("transfer model predicts %v at the optimum; want ≈%v", got, truth(0.55, 200))
 	}
 	// Degenerate splits fall back to a joint fit.
-	if m, err := FitTransferWorkers(base[:1], fresh, rng, 0); err != nil || m.N() != 7 {
-		t.Fatalf("tiny base fallback: %v, n=%v", err, m.N())
+	if m, err := FitTransferWorkers(base[:1], fresh, rng, 0); err != nil || m.g.N() != 7 {
+		t.Fatalf("tiny base fallback: %v, n=%v", err, m.g.N())
 	}
-	if m, err := FitTransferWorkers(base, nil, rng, 0); err != nil || m.N() != 30 {
+	if m, err := FitTransferWorkers(base, nil, rng, 0); err != nil || m.g.N() != 30 {
 		t.Fatalf("no-fresh path: %v", err)
 	}
 }

@@ -210,16 +210,12 @@ func Fig21Hybrid(s *Session) ([]Table, error) {
 		Cols:  append([]Col{{Name: "tuner"}}, cols("%.1f", "APT", "IICP", "QCSA", "QIT")...),
 	}
 
-	type mode struct {
-		name     string
-		restrict bool
-		rqa      bool
-	}
-	modes := []mode{
-		{"APT", false, false},
-		{"IICP", true, false},
-		{"QCSA", false, true},
-		{"QIT", true, true},
+	type mode struct{ restrict, rqa bool }
+	modes := []mode{ // in column order
+		{false, false}, // APT
+		{true, false},  // IICP
+		{false, true},  // QCSA
+		{true, true},   // QIT
 	}
 	for _, tn := range TunerNames {
 		drow := []any{tn}

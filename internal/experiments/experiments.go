@@ -156,12 +156,6 @@ type Session struct {
 	counters map[string]float64
 }
 
-// NewSession returns a session on the simulator backend.
-func NewSession(seed int64, quick bool) *Session {
-	s, _ := NewSessionBackend(seed, quick, "")
-	return s
-}
-
 // NewSessionBackend returns a session on the given execution-backend spec
 // (see internal/runner: "sim", "record=PATH", "replay=PATH", …). Replay
 // sessions regenerate figures hermetically from a recorded trace; Close

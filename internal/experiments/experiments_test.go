@@ -7,8 +7,12 @@ import (
 	"unicode/utf8"
 )
 
-// quickSession returns a reduced-budget session shared by the smoke tests.
-func quickSession() *Session { return NewSession(1, true) }
+// quickSession returns a reduced-budget session shared by the smoke tests,
+// on the simulator backend (whose spec always parses).
+func quickSession() *Session {
+	s, _ := NewSessionBackend(1, true, "")
+	return s
+}
 
 func TestEveryDriverRunsQuick(t *testing.T) {
 	s := quickSession()
@@ -103,7 +107,10 @@ func TestFig8ShapeFull(t *testing.T) {
 		t.Skip("full QCSA protocol")
 	}
 	// Non-quick Figure 8 must reproduce the paper's classification shape.
-	s := NewSession(1, false)
+	s, err := NewSessionBackend(1, false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tables, err := Fig8QueryCV(s)
 	if err != nil {
 		t.Fatal(err)

@@ -87,9 +87,6 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 	return ts, nil
 }
 
-// N returns the number of training points.
-func (ts *TrainSet) N() int { return ts.n }
-
 // FitWorkspace holds the grow-only scratch buffers one posterior evaluation
 // works in: the kernel/factor matrix, α, and the Lᵀα product of the evidence
 // computation. Buffers are sized on first use and reused afterwards, so a

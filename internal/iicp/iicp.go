@@ -16,8 +16,8 @@
 // original parameters handed to Bayesian optimization are the equally many
 // strongest CPS correlates (this realizes the "derive the values of the
 // original configuration parameters from the new parameters" step of
-// Section 3.3.2 — the kpca package's PreImage offers the fixed-point
-// pre-image alternative, compared in an ablation bench).
+// Section 3.3.2). CPE is that count of kept eigenvalues and nothing more:
+// no point is projected onto the components or mapped back from them.
 package iicp
 
 import (
@@ -76,16 +76,15 @@ type Result struct {
 	// Selected are the CPS-surviving parameter indices (|SCC| ≥ cutoff),
 	// ordered by |SCC| descending.
 	Selected []int
-	// KPCA is the fitted CPE model over the selected parameter columns
-	// (encoded to the unit cube).
-	KPCA *kpca.KPCA
 	// Important are the original-parameter indices attributed to the kept
 	// KPCA components, in component order — the set BO tunes.
 	Important []int
 }
 
-// Analyze runs CPS then CPE on the samples. The paper determines
-// N_IICP = 20 empirically (Section 5.3); Analyze accepts any count ≥ 4.
+// Analyze runs CPS then CPE on the samples. CPE contributes one number, the
+// count of eigenvalues kernel PCA keeps over the selected columns; nothing is
+// projected. The paper determines N_IICP = 20 empirically (Section 5.3);
+// Analyze accepts any count ≥ 4.
 func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error) {
 	if len(samples) < 4 {
 		return nil, errors.New("iicp: need at least 4 samples")
@@ -147,14 +146,13 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 	if opts.MinEigenFrac <= 0 {
 		opts.MinEigenFrac = 0.012
 	}
-	k, err := kpca.Fit(sub, opts.Kernel, kpca.Options{
+	lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{
 		MaxComponents: opts.MaxComponents,
 		MinEigenFrac:  opts.MinEigenFrac,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("iicp: CPE failed: %w", err)
 	}
-	res.KPCA = k
 
 	// The kept-component count is CPE's estimate of the number of
 	// independent directions that matter; the important original parameters
@@ -162,7 +160,7 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 	// attributing components directly to parameters by component-score
 	// correlation reflects the sampling distribution, not the response, and
 	// demotes the true drivers — the count is the robust signal.)
-	nimp := k.NumComponents()
+	nimp := len(lambdas)
 	if nimp > len(res.Selected) {
 		nimp = len(res.Selected)
 	}

@@ -3,9 +3,11 @@ package iicp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locat/internal/conf"
+	"locat/internal/kpca"
 	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
@@ -162,5 +164,73 @@ func TestDefaultCutoffApplied(t *testing.T) {
 	}
 	if res.NumSelected() == 0 {
 		t.Fatal("zero selection under default cutoff")
+	}
+}
+
+// synthetic returns n samples whose latency responds nonlinearly to four
+// parameters, plus seeded noise; the other 34 parameters are inert.
+func synthetic(n int, seed int64) (*conf.Space, []Sample) {
+	space := sparksim.ARM().Space()
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Sample, n)
+	for i := range out {
+		c := space.Random(rng)
+		u := space.Encode(c)
+		p := u[conf.PSQLShufflePartitions]
+		sec := 100 + 60*p*p + 40*math.Abs(u[conf.PExecutorMemory]-0.5) -
+			30*u[conf.PExecutorCores] + 20*math.Sin(3*u[conf.PMemoryFraction]) + 5*rng.NormFloat64()
+		out[i] = Sample{Conf: c, Sec: sec}
+	}
+	return space, out
+}
+
+// TestAnalyzeImportantPinned pins CPS's selection, CPE's kept-eigenvalue
+// count and the important set on three seeded synthetic sample sets, so a
+// change to CPE that claims the same numbers is held to them.
+func TestAnalyzeImportantPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n         int
+		seed      int64
+		kernel    kpca.KernelKind
+		selected  []int
+		kept      int
+		important []int
+	}{
+		{"gaussian/n20", 20, 12, kpca.Gaussian,
+			[]int{25, 18, 1, 28, 22, 6, 4, 5, 26, 37, 8, 20, 27, 10, 11}, 12,
+			[]int{25, 18, 1, 28, 22, 6, 4, 5, 26, 37, 8, 20}},
+		{"gaussian/n30", 30, 13, kpca.Gaussian,
+			[]int{25, 34, 4, 13, 35, 16, 36, 24, 21, 7, 30, 2, 32, 10}, 13,
+			[]int{25, 34, 4, 13, 35, 16, 36, 24, 21, 7, 30, 2, 32}},
+		{"perceptron/n20", 20, 17, kpca.Perceptron,
+			[]int{5, 25, 28, 15, 6, 4, 32, 2, 1, 12, 19, 27, 36, 29, 13, 21, 26, 31, 37, 24}, 19,
+			[]int{5, 25, 28, 15, 6, 4, 32, 2, 1, 12, 19, 27, 36, 29, 13, 21, 26, 31, 37}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			space, samples := synthetic(tc.n, tc.seed)
+			opts := DefaultOptions()
+			opts.Kernel = kpca.Kernel{Kind: tc.kernel}
+			res, err := Analyze(space, samples, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// CPE's count, refitted over the selected columns as Analyze fits them.
+			sub := make([][]float64, len(samples))
+			for i, s := range samples {
+				u := space.Encode(s.Conf)
+				for _, j := range res.Selected {
+					sub[i] = append(sub[i], u[j])
+				}
+			}
+			lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{MinEigenFrac: opts.MinEigenFrac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Selected, tc.selected) || len(lambdas) != tc.kept || !slices.Equal(res.Important, tc.important) {
+				t.Errorf("selected %v, kept %d, important %v; want %v, %d, %v",
+					res.Selected, len(lambdas), res.Important, tc.selected, tc.kept, tc.important)
+			}
+		})
 	}
 }

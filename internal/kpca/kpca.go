@@ -4,11 +4,9 @@
 // comparison: Gaussian (the one LOCAT adopts), perceptron and polynomial.
 //
 // Fit centers the kernel Gram matrix in feature space, eigendecomposes it,
-// and keeps the leading components by a relative-eigenvalue rule; Transform
-// projects new points onto the kept components; PreImage approximately maps
-// component-space points back to input space by the fixed-point iteration of
-// Mika et al. (1998), which is how the tuner derives original configuration
-// values from the extracted parameters after BO converges.
+// and keeps the leading eigenvalues by a relative-eigenvalue rule. CPE is
+// the count of kept eigenvalues: IICP reads nothing else, so Fit builds no
+// projection model and nothing projects onto the components.
 package kpca
 
 import (
@@ -90,16 +88,6 @@ func (k Kernel) Eval(a, b []float64) float64 {
 	panic(fmt.Sprintf("kpca: unknown kernel %d", k.Kind))
 }
 
-// KPCA is a fitted kernel PCA model.
-type KPCA struct {
-	kernel  Kernel
-	x       [][]float64
-	alphas  *mat.Dense // n × m, column j = normalized eigenvector of component j
-	lambdas []float64  // kept eigenvalues (descending)
-	rowMean []float64  // per-row mean of the uncentered Gram matrix
-	allMean float64    // grand mean of the uncentered Gram matrix
-}
-
 // Options control component selection.
 type Options struct {
 	// MaxComponents caps the number of kept components (0 = no cap).
@@ -111,8 +99,9 @@ type Options struct {
 	MinEigenFrac float64
 }
 
-// Fit computes kernel PCA over the rows of x.
-func Fit(x [][]float64, kernel Kernel, opts Options) (*KPCA, error) {
+// Fit computes kernel PCA over the rows of x and returns the kept
+// eigenvalues in descending order.
+func Fit(x [][]float64, kernel Kernel, opts Options) ([]float64, error) {
 	n := len(x)
 	if n < 2 {
 		return nil, errors.New("kpca: need at least 2 samples")
@@ -190,147 +179,21 @@ func Fit(x [][]float64, kernel Kernel, opts Options) (*KPCA, error) {
 		return nil, errors.New("kpca: degenerate kernel matrix (no positive eigenvalues)")
 	}
 
-	var kept []int
-	for i, l := range eig.Values {
+	var kept []float64
+	for _, l := range eig.Values {
 		if l <= 0 {
 			continue
 		}
 		if l/total < opts.MinEigenFrac {
 			continue
 		}
-		kept = append(kept, i)
+		kept = append(kept, l)
 		if opts.MaxComponents > 0 && len(kept) >= opts.MaxComponents {
 			break
 		}
 	}
 	if len(kept) == 0 {
-		kept = []int{0}
+		kept = append(kept, eig.Values[0])
 	}
-
-	alphas := mat.NewDense(n, len(kept), nil)
-	lambdas := make([]float64, len(kept))
-	col := make([]float64, n) // one reusable eigenvector buffer for all components
-	for j, idx := range kept {
-		lambdas[j] = eig.Values[idx]
-		// Normalize so that λ·αᵀα = 1 (unit-norm feature-space components).
-		scale := 1 / math.Sqrt(eig.Values[idx])
-		eig.Vectors.ColInto(idx, col)
-		for i := 0; i < n; i++ {
-			alphas.Set(i, j, col[i]*scale)
-		}
-	}
-
-	return &KPCA{
-		kernel:  kernel,
-		x:       x,
-		alphas:  alphas,
-		lambdas: lambdas,
-		rowMean: rowMean,
-		allMean: allMean,
-	}, nil
-}
-
-// NumComponents returns the number of kept principal components.
-func (p *KPCA) NumComponents() int { return len(p.lambdas) }
-
-// Eigenvalues returns the kept eigenvalues in descending order (a copy).
-func (p *KPCA) Eigenvalues() []float64 { return append([]float64(nil), p.lambdas...) }
-
-// Transform projects x onto the kept components.
-func (p *KPCA) Transform(x []float64) []float64 {
-	n := len(p.x)
-	kx := make([]float64, n)
-	var kxMean float64
-	for i := range p.x {
-		kx[i] = p.kernel.Eval(p.x[i], x)
-		kxMean += kx[i]
-	}
-	kxMean /= float64(n)
-	// Center the test kernel vector consistently with the training Gram.
-	kc := make([]float64, n)
-	for i := range kx {
-		kc[i] = kx[i] - p.rowMean[i] - kxMean + p.allMean
-	}
-	out := make([]float64, p.NumComponents())
-	col := make([]float64, n)
-	for j := range out {
-		out[j] = mat.Dot(p.alphas.ColInto(j, col), kc)
-	}
-	return out
-}
-
-// PreImage approximately inverts Transform for the Gaussian kernel using the
-// fixed-point iteration of Mika et al.: the pre-image z of a feature-space
-// point is a kernel-weighted average of training inputs, iterated to a fixed
-// point. For non-Gaussian kernels it falls back to the weighted average of
-// the training points by component-space proximity.
-func (p *KPCA) PreImage(y []float64) []float64 {
-	if len(y) != p.NumComponents() {
-		panic(fmt.Sprintf("kpca: PreImage got %d coords, want %d", len(y), p.NumComponents()))
-	}
-	n := len(p.x)
-	d := len(p.x[0])
-
-	// Projection coefficients of the target feature-space point onto the
-	// training expansion: β_i = Σ_j y_j α_ij (plus centering terms folded
-	// into the iteration below).
-	beta := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := range y {
-			s += p.alphas.At(i, j) * y[j]
-		}
-		beta[i] = s + 1.0/float64(n) // centering restores the mean component
-	}
-
-	// Initialize at the β-weighted mean of training points.
-	z := make([]float64, d)
-	var bsum float64
-	for i := range beta {
-		w := beta[i]
-		if w < 0 {
-			w = 0
-		}
-		bsum += w
-		for j := 0; j < d; j++ {
-			z[j] += w * p.x[i][j]
-		}
-	}
-	if bsum > 1e-12 {
-		for j := range z {
-			z[j] /= bsum
-		}
-	}
-	if p.kernel.Kind != Gaussian {
-		return z
-	}
-
-	// Fixed-point refinement: z ← Σ β_i k(x_i,z) x_i / Σ β_i k(x_i,z).
-	for it := 0; it < 30; it++ {
-		var wsum float64
-		zn := make([]float64, d)
-		for i := range p.x {
-			w := beta[i] * p.kernel.Eval(p.x[i], z)
-			if w <= 0 {
-				continue
-			}
-			wsum += w
-			for j := 0; j < d; j++ {
-				zn[j] += w * p.x[i][j]
-			}
-		}
-		if wsum < 1e-12 {
-			break
-		}
-		var moved float64
-		for j := range zn {
-			zn[j] /= wsum
-			moved += math.Abs(zn[j] - z[j])
-		}
-		z = zn
-		if moved < 1e-9 {
-			break
-		}
-	}
-	return z
+	return kept, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func ring(n int, rng *rand.Rand) [][]float64 {
@@ -61,11 +60,10 @@ func TestFitErrors(t *testing.T) {
 func TestComponentsOrderedAndPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := ring(40, rng)
-	p, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{})
+	ev, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := p.Eigenvalues()
 	if len(ev) == 0 {
 		t.Fatal("no components kept")
 	}
@@ -77,139 +75,35 @@ func TestComponentsOrderedAndPositive(t *testing.T) {
 			t.Fatal("eigenvalues not descending")
 		}
 	}
-	if p.NumComponents() != len(ev) {
-		t.Fatal("NumComponents mismatch")
-	}
 }
 
 func TestMaxComponentsCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := ring(30, rng)
-	p, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{MaxComponents: 3})
+	ev, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{MaxComponents: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumComponents() != 3 {
-		t.Fatalf("NumComponents = %d; want 3", p.NumComponents())
+	if len(ev) != 3 {
+		t.Fatalf("kept %d components; want 3", len(ev))
 	}
 }
 
-func TestTransformSeparatesClusters(t *testing.T) {
-	// Two Gaussian blobs: the first KPCA component must separate them.
-	rng := rand.New(rand.NewSource(3))
-	var x [][]float64
-	labels := make([]int, 0, 40)
-	for i := 0; i < 20; i++ {
-		x = append(x, []float64{rng.NormFloat64()*0.05 + 0.2, rng.NormFloat64()*0.05 + 0.2})
-		labels = append(labels, 0)
-		x = append(x, []float64{rng.NormFloat64()*0.05 + 0.8, rng.NormFloat64()*0.05 + 0.8})
-		labels = append(labels, 1)
-	}
-	p, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m0, m1 float64
-	var n0, n1 int
-	for i := range x {
-		c := p.Transform(x[i])[0]
-		if labels[i] == 0 {
-			m0 += c
-			n0++
-		} else {
-			m1 += c
-			n1++
-		}
-	}
-	m0 /= float64(n0)
-	m1 /= float64(n1)
-	if math.Abs(m0-m1) < 0.5 {
-		t.Fatalf("first component does not separate blobs: %v vs %v", m0, m1)
-	}
-}
-
-func TestTransformConsistentWithTraining(t *testing.T) {
-	// Projecting a training point through Transform must agree with the
-	// eigendecomposition-based coordinates (centered Gram × alpha).
-	rng := rand.New(rand.NewSource(4))
-	x := ring(25, rng)
-	p, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{MaxComponents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projections of training points should reproduce pairwise distances in
-	// component space reasonably: identical points → identical projections.
-	a := p.Transform(x[0])
-	b := p.Transform(append([]float64(nil), x[0]...))
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatal("Transform not deterministic")
-		}
-	}
-}
-
-func TestPreImageRoundTrip(t *testing.T) {
-	// For points on the training manifold, PreImage(Transform(x)) should
-	// return something close to x (Gaussian kernel).
-	rng := rand.New(rand.NewSource(5))
-	x := ring(60, rng)
-	p, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := 0; i < 10; i++ {
-		z := p.PreImage(p.Transform(x[i]))
-		var d float64
-		for j := range z {
-			dd := z[j] - x[i][j]
-			d += dd * dd
-		}
-		d = math.Sqrt(d)
-		if d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.35 {
-		t.Fatalf("pre-image reconstruction error %v too large", worst)
-	}
-}
-
-func TestPreImagePanicsOnBadDim(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p, err := Fit(ring(20, rng), Kernel{Kind: Gaussian, Gamma: 2}, Options{MaxComponents: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.PreImage([]float64{1, 2, 3})
-}
-
-func TestNonGaussianKernelsFitAndTransform(t *testing.T) {
+func TestNonGaussianKernelsFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := ring(25, rng)
 	for _, k := range []Kernel{{Kind: Perceptron}, {Kind: Polynomial}} {
-		p, err := Fit(x, k, Options{})
+		ev, err := Fit(x, k, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", k.Kind, err)
 		}
-		if p.NumComponents() == 0 {
+		if len(ev) == 0 {
 			t.Fatalf("%v: no components", k.Kind)
 		}
-		out := p.Transform(x[0])
-		for _, v := range out {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%v: bad projection %v", k.Kind, out)
+		for _, l := range ev {
+			if math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 {
+				t.Fatalf("%v: bad eigenvalue in %v", k.Kind, ev)
 			}
-		}
-		// Pre-image fallback path must return a finite point of input dim.
-		z := p.PreImage(out)
-		if len(z) != 2 {
-			t.Fatalf("%v: preimage dim %d", k.Kind, len(z))
 		}
 	}
 }
@@ -226,41 +120,15 @@ func TestComponentCountStabilizes(t *testing.T) {
 			a, b, c := rng.Float64(), rng.Float64(), rng.Float64()
 			x[i] = []float64{a, b, c, a + 0.1*b, b - 0.2*c, a * c}
 		}
-		p, err := Fit(x, Kernel{Kind: Gaussian}, Options{})
+		ev, err := Fit(x, Kernel{Kind: Gaussian}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.NumComponents()
+		return len(ev)
 	}
 	c40 := count(40, 1)
 	c60 := count(60, 2)
 	if diff := c40 - c60; diff < -4 || diff > 4 {
 		t.Fatalf("component count unstable: n=40 → %d, n=60 → %d", c40, c60)
-	}
-}
-
-// Property: transforms are finite for arbitrary query points.
-func TestTransformFinite(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	p, err := Fit(ring(30, rng), Kernel{Kind: Gaussian, Gamma: 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
-		}
-		// Clamp to a sane box.
-		a = math.Mod(a, 10)
-		b = math.Mod(b, 10)
-		for _, v := range p.Transform([]float64{a, b}) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -17,9 +17,11 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"locat/internal/service"
+	"locat/internal/stat"
 )
 
 // Kind is the operation type of one workload op.
@@ -34,9 +36,7 @@ const (
 
 // Op is one client operation of the generated workload.
 type Op struct {
-	// Index is the op's position in the deterministic workload order.
-	Index int
-	Kind  Kind
+	Kind Kind
 	// Spec is the job spec of a tune op and the workload description of a
 	// recommend op (the recommend request embeds it).
 	Spec service.JobSpec
@@ -94,7 +94,7 @@ func Mix(o MixOptions) []Op {
 			if len(o.Tenants) > 0 {
 				spec.Tenant = o.Tenants[rng.Intn(len(o.Tenants))]
 			}
-			ops = append(ops, Op{Index: len(ops), Kind: kind, Spec: spec})
+			ops = append(ops, Op{Kind: kind, Spec: spec})
 		}
 	}
 	emit(o.BatchTunes, KindTune, service.PriorityBatch)
@@ -166,21 +166,17 @@ func (r *Report) group(o Op) *Counts {
 	return c
 }
 
-// quantiles computes exact quantiles over samples (seconds).
+// quantiles computes quantiles over samples (seconds), interpolating
+// linearly between order statistics, so that with few samples the p99 lies
+// between the two largest.
 func quantiles(samples []float64) RouteStats {
 	st := RouteStats{Count: len(samples)}
 	if len(samples) == 0 {
 		return st
 	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(s)-1))
-		return s[i]
-	}
-	st.P50 = at(0.50)
-	st.P99 = at(0.99)
-	st.Max = s[len(s)-1]
+	st.P50 = stat.Quantile(samples, 0.50)
+	st.P99 = stat.Quantile(samples, 0.99)
+	st.Max = slices.Max(samples)
 	return st
 }
 

@@ -72,7 +72,7 @@ func TestSymEigenQLvsJacobi(t *testing.T) {
 // Degenerate spectra (repeated eigenvalues) must not break either solver.
 func TestSymEigenRepeatedEigenvalues(t *testing.T) {
 	n := 6
-	a := Identity(n)
+	a := identity(n)
 	a.Set(3, 3, 5)
 	for _, solve := range []func(*Dense) (*Eigen, error){SymEigen, symEigenJacobi} {
 		e, err := solve(a)
@@ -101,7 +101,7 @@ func TestSymEigenScaleInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scale := range []float64{1e-12, 1e-6, 1, 1e6, 1e12} {
-		scaled := Scale(scale, base)
+		scaled := scaleBy(scale, base)
 		for name, solve := range map[string]func(*Dense) (*Eigen, error){
 			"QL": SymEigen, "Jacobi": symEigenJacobi,
 		} {
@@ -143,7 +143,7 @@ func TestColInto(t *testing.T) {
 	if got := m.ColInto(1, buf); got[0] != 2 || got[1] != 4 || got[2] != 6 {
 		t.Fatalf("ColInto = %v", got)
 	}
-	if c := m.Col(0); c[0] != 1 || c[1] != 3 || c[2] != 5 {
+	if c := column(m, 0); c[0] != 1 || c[1] != 3 || c[2] != 5 {
 		t.Fatalf("Col = %v", c)
 	}
 	defer func() {
@@ -240,7 +240,7 @@ func TestFactorLowerMatchesRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for n := 1; n <= 70; n++ {
 		a := randomSPD(n, rng)
-		want := a.Clone()
+		want := cloneDense(a)
 		for j := 0; j < n; j++ {
 			for i := j; i < n; i++ {
 				s := want.At(i, j)

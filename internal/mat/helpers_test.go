@@ -1,0 +1,34 @@
+package mat
+
+import "math"
+
+// Shapes only the tests build; the production code never needs them.
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Dense {
+	m := NewDense(n, n, nil)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// column returns a copy of column j of m.
+func column(m *Dense, j int) []float64 { return m.ColInto(j, make([]float64, m.rows)) }
+
+// cloneDense returns a deep copy of m.
+func cloneDense(m *Dense) *Dense {
+	return NewDense(m.rows, m.cols, append([]float64(nil), m.data...))
+}
+
+// scaleBy returns s·a.
+func scaleBy(s float64, a *Dense) *Dense {
+	out := NewDense(a.rows, a.cols, nil)
+	for i := range a.data {
+		out.data[i] = s * a.data[i]
+	}
+	return out
+}
+
+// norm2 returns the Euclidean norm of x.
+func norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }

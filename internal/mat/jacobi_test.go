@@ -18,7 +18,7 @@ func symEigenJacobi(a *Dense) (*Eigen, error) {
 		return nil, err
 	}
 	n, _ := w.Dims()
-	v := Identity(n)
+	v := identity(n)
 
 	fro := frobeniusNorm(w)
 	if fro == 0 {

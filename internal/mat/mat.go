@@ -13,7 +13,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 )
 
 // Dense is a row-major dense matrix.
@@ -37,15 +36,6 @@ func NewDense(r, c int, data []float64) *Dense {
 	return &Dense{rows: r, cols: c, data: data}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Dims returns the row and column counts.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
@@ -67,25 +57,10 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	return m.ColInto(j, make([]float64, m.rows))
-}
-
 // ColInto copies column j into dst (which must have length rows) and
-// returns dst. Hot loops that walk columns — eigenvector extraction, the
-// KPCA transform — use it to reuse one buffer instead of allocating a fresh
-// slice per column.
+// returns dst. Hot loops that walk columns, such as SymEigen's eigenvector
+// reordering, use it to reuse one buffer instead of allocating a fresh slice
+// per column.
 func (m *Dense) ColInto(j int, dst []float64) []float64 {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
@@ -105,13 +80,6 @@ func (m *Dense) RowView(i int) []float64 {
 		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	d := make([]float64, len(m.data))
-	copy(d, m.data)
-	return &Dense{rows: m.rows, cols: m.cols, data: d}
 }
 
 // T returns the transpose as a new matrix.
@@ -171,27 +139,6 @@ func MulVecInto(a *Dense, x, dst []float64) []float64 {
 	return dst
 }
 
-// Add returns a+b.
-func Add(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("mat: Add shape mismatch")
-	}
-	out := NewDense(a.rows, a.cols, nil)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out
-}
-
-// Scale returns s*a.
-func Scale(s float64, a *Dense) *Dense {
-	out := NewDense(a.rows, a.cols, nil)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
-	return out
-}
-
 // AddDiag adds v to every diagonal element in place and returns m.
 func (m *Dense) AddDiag(v float64) *Dense {
 	n := m.rows
@@ -215,6 +162,3 @@ func Dot(x, y []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }

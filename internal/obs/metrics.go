@@ -49,9 +49,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add accumulates v (negative values allowed).
 func (g *Gauge) Add(v float64) {
 	for {

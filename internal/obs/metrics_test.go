@@ -28,7 +28,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 
 	g := r.Gauge("depth", "queue depth")
-	g.Set(4)
+	g.Add(4)
 	g.Add(-1)
 	if g.Value() != 3 {
 		t.Fatalf("gauge = %v, want 3", g.Value())
@@ -107,7 +107,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("locat_runs_total", "Executions.", "kind", "app").Add(3)
 	r.Counter("locat_runs_total", "Executions.", "kind", "query").Add(1)
-	r.Gauge("locat_jobs", "Jobs by state.", "state", "queued").Set(2)
+	r.Gauge("locat_jobs", "Jobs by state.", "state", "queued").Add(2)
 	r.GaugeFunc("locat_up", "Liveness.", func() float64 { return 1 })
 	h := r.Histogram("locat_submit_seconds", "Submit latency.", []float64{0.1, 1})
 	h.Observe(0.05)

@@ -62,7 +62,7 @@ func (f *fakeBackend) NoiselessAppTime(app *Application, c conf.Config, dataGB f
 }
 
 func batchApp() *Application {
-	return &Application{Name: "batch-test", Queries: []Query{
+	return &Application{Name: "batch-test", Queries: []sparksim.Query{
 		{Name: "Q1", Class: sparksim.Selection, InputFrac: 0.2, Stages: 1, CPUWeight: 1},
 		{Name: "Q2", Class: sparksim.Join, InputFrac: 0.5, ShuffleFrac: 0.4, Stages: 3, CPUWeight: 1.2},
 	}}

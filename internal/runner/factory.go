@@ -30,7 +30,6 @@ import (
 // recorded into — and replayed from — a single file. Close flushes the
 // sink; it must be called to finish a recording.
 type Factory struct {
-	spec string
 	kind string // "sim", "record", "replay", "sparkrest"
 	path string
 	url  string
@@ -43,7 +42,7 @@ type Factory struct {
 
 // ParseSpec validates and parses a backend spec.
 func ParseSpec(spec string) (*Factory, error) {
-	f := &Factory{spec: spec}
+	f := &Factory{}
 	switch {
 	case spec == "" || spec == "sim" || spec == "sparksim":
 		f.kind = "sim"
@@ -88,12 +87,6 @@ func ParseSpec(spec string) (*Factory, error) {
 	}
 	return f, nil
 }
-
-// Spec returns the original spec string.
-func (f *Factory) Spec() string { return f.spec }
-
-// Kind returns the backend family ("sim", "record", "replay", "sparkrest").
-func (f *Factory) Kind() string { return f.kind }
 
 // New materializes one runner for the given cluster and seed under the
 // stream key. Stream keys must be deterministic across record and replay

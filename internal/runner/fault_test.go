@@ -272,7 +272,7 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplayer(cl.Space(), buf, "s1", ReplayOptions{})
+	rp, err := newReplayer(cl.Space(), buf, "s1", ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

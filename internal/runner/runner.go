@@ -53,8 +53,6 @@ import (
 type (
 	// Application is an ordered set of queries executed back to back.
 	Application = sparksim.Application
-	// Query is the analytical profile of one Spark SQL query.
-	Query = sparksim.Query
 	// AppResult is the outcome of one application execution.
 	AppResult = sparksim.AppResult
 	// QueryResult is the outcome of one query execution.

@@ -47,26 +47,14 @@ type SparkRest struct {
 	err error
 }
 
-// SparkRestOption configures a SparkRest backend.
-type SparkRestOption func(*SparkRest)
-
-// WithHTTPClient overrides the HTTP client (tests inject the httptest
-// server's).
-func WithHTTPClient(c *http.Client) SparkRestOption {
-	return func(s *SparkRest) { s.client = c }
-}
-
 // NewSparkRest returns a backend submitting to the gateway at base
 // (e.g. "http://spark-gateway:6066").
-func NewSparkRest(base string, space *conf.Space, opts ...SparkRestOption) *SparkRest {
+func NewSparkRest(base string, space *conf.Space) *SparkRest {
 	s := &SparkRest{
 		base:        strings.TrimRight(base, "/"),
 		space:       space,
 		client:      &http.Client{Timeout: 10 * time.Minute},
 		maxParallel: 4,
-	}
-	for _, o := range opts {
-		o(s)
 	}
 	return s
 }

@@ -108,7 +108,8 @@ func TestSparkRestRunApp(t *testing.T) {
 	srv := httptest.NewServer(fakeGateway(t, nil))
 	defer srv.Close()
 	space := sparksim.ARM().Space()
-	s := NewSparkRest(srv.URL, space, WithHTTPClient(srv.Client()))
+	s := NewSparkRest(srv.URL, space)
+	s.client = srv.Client()
 	app := batchApp()
 	res := s.RunApp(app, space.Default(), 100)
 	if err := s.Err(); err != nil {
@@ -163,7 +164,8 @@ func TestSparkRestStickyError(t *testing.T) {
 	}))
 	defer srv.Close()
 	space := sparksim.ARM().Space()
-	s := NewSparkRest(srv.URL, space, WithHTTPClient(srv.Client()))
+	s := NewSparkRest(srv.URL, space)
+	s.client = srv.Client()
 	app := batchApp()
 	if res := s.RunApp(app, space.Default(), 100); res.Sec != 0 {
 		t.Fatalf("failed run returned %.3f, want zero result", res.Sec)

@@ -215,8 +215,7 @@ func (t *traceTable) lookup(k string, idx uint64, consume bool) *TraceEntry {
 }
 
 // readTrace decodes a JSON-lines trace, gzip-compressed when gz is set —
-// the one decoder behind TraceEntries, NewReplayer, OpenReplayer and the
-// replay Factory.
+// the one decoder behind TraceEntries and so the replay Factory.
 func readTrace(r io.Reader, gz bool) ([]TraceEntry, error) {
 	if gz {
 		zr, err := gzip.NewReader(r)
@@ -259,11 +258,7 @@ type TraceSink struct {
 	mu      sync.Mutex
 	entries []TraceEntry
 	w       io.WriteCloser
-	path    string
 }
-
-// NewTraceSink buffers entries destined for w (closed on Close).
-func NewTraceSink(w io.WriteCloser) *TraceSink { return &TraceSink{w: w} }
 
 // CreateTraceSink buffers entries destined for the file at path. A ".gz"
 // suffix selects transparent gzip compression.
@@ -276,7 +271,7 @@ func CreateTraceSink(path string) (*TraceSink, error) {
 	if strings.HasSuffix(path, ".gz") {
 		w = &gzipFileWriter{f: f, zw: gzip.NewWriter(f)}
 	}
-	return &TraceSink{w: w, path: path}, nil
+	return &TraceSink{w: w}, nil
 }
 
 // gzipFileWriter closes both the gzip stream and the underlying file.
@@ -427,27 +422,16 @@ type Replayer struct {
 
 	table   traceTable
 	entries []*tableEntry // every indexed entry, for the nearest scan
-
-	misses atomic.Int64
 }
 
-// NewReplayer loads the entries of stream from r (all of them when the
-// trace holds a single stream and stream is ""). space must be the
-// configuration space the trace was recorded over.
-func NewReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptions) (*Replayer, error) {
-	entries, err := readTrace(r, false)
-	if err != nil {
-		return nil, err
-	}
-	return NewReplayerFromEntries(space, entries, stream, opts)
-}
-
-// NewReplayerFromEntries builds a replayer over an already-decoded trace —
-// the sharing path a Factory uses so a multi-runner replay decodes the
-// file once. The entries slice is not mutated (per-replayer consumption
-// state lives in private wrappers). A served entry whose configuration is not
-// of the space's dimension is an error: the trace was recorded over another
-// parameter table, or is not a trace.
+// NewReplayerFromEntries builds a replayer over the entries of stream in a
+// decoded trace (all of them when the trace holds a single stream and stream
+// is ""); space must be the configuration space the trace was recorded
+// over. A Factory shares one decoded trace this way, so a multi-runner
+// replay decodes the file once. The entries slice is not mutated
+// (per-replayer consumption state lives in private wrappers). A served
+// entry whose configuration is not of the space's dimension is an error:
+// the trace was recorded over another parameter table, or is not a trace.
 func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream string, opts ReplayOptions) (*Replayer, error) {
 	rp := &Replayer{space: space, stream: stream, opts: opts}
 	for _, e := range entries {
@@ -469,16 +453,6 @@ func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream stri
 	return rp, nil
 }
 
-// OpenReplayer loads stream from the trace file at path (".gz" traces are
-// decompressed transparently).
-func OpenReplayer(space *conf.Space, path, stream string, opts ReplayOptions) (*Replayer, error) {
-	entries, err := TraceEntries(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewReplayerFromEntries(space, entries, stream, opts)
-}
-
 // Capabilities: replay is deterministic, has no native batch (the generic
 // pool exercises the exact-index lookup), and tolerates any parallelism.
 func (rp *Replayer) Capabilities() Capabilities {
@@ -496,10 +470,6 @@ func (rp *Replayer) ReserveRuns(n int) uint64 {
 	return rp.runs.Add(uint64(n)) - uint64(n)
 }
 
-// Misses reports how many lookups fell through to the nearest-neighbor
-// fallback — 0 after an exact replay of the recorded session.
-func (rp *Replayer) Misses() int64 { return rp.misses.Load() }
-
 // lookup resolves one execution. Exact key match first (the shared table's
 // policy); nearest-neighbor within tolerance when allowed; otherwise the
 // miss policy fires.
@@ -510,7 +480,6 @@ func (rp *Replayer) lookup(e *TraceEntry, idx uint64, consume bool) *TraceEntry 
 	}
 	if rp.opts.Miss == MissNearest {
 		if pick := rp.nearest(e); pick != nil {
-			rp.misses.Add(1)
 			return pick
 		}
 	}

@@ -2,18 +2,29 @@ package runner
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"locat/internal/conf"
 	"locat/internal/sparksim"
 )
 
 // memSink is a TraceSink writing to a buffer.
 func memSink() (*TraceSink, *bytes.Buffer) {
 	var buf bytes.Buffer
-	return NewTraceSink(nopCloser{&buf}), &buf
+	return &TraceSink{w: nopCloser{&buf}}, &buf
+}
+
+// newReplayer replays stream from the JSON-lines trace in r.
+func newReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptions) (*Replayer, error) {
+	entries, err := readTrace(r, false)
+	if err != nil {
+		return nil, err
+	}
+	return NewReplayerFromEntries(space, entries, stream, opts)
 }
 
 type nopCloser struct{ *bytes.Buffer }
@@ -55,7 +66,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp, err := NewReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{})
+	rp, err := newReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +76,6 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("replayed noiseless results differ from recording")
-	}
-	if rp.Misses() != 0 {
-		t.Fatalf("exact replay took %d nearest-neighbor fallbacks", rp.Misses())
 	}
 }
 
@@ -103,7 +111,7 @@ func TestTraceReplayMissFails(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{})
+	rp, err := newReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +128,7 @@ func TestTraceReplayMissFails(t *testing.T) {
 }
 
 // miss=nearest must serve the closest recorded configuration within the
-// tolerance and count the fallback.
+// tolerance.
 func TestTraceReplayNearest(t *testing.T) {
 	cl := sparksim.ARM()
 	space := cl.Space()
@@ -133,7 +141,7 @@ func TestTraceReplayNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp, err := NewReplayer(space, bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{Miss: MissNearest})
+	rp, err := newReplayer(space, bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{Miss: MissNearest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +151,9 @@ func TestTraceReplayNearest(t *testing.T) {
 	if got := rp.RunApp(app, near, 100); got.Sec != want.Sec {
 		t.Fatalf("nearest replay returned %.3f, want %.3f", got.Sec, want.Sec)
 	}
-	if rp.Misses() != 1 {
-		t.Fatalf("misses=%d, want 1", rp.Misses())
-	}
 
 	// A tight tolerance must reject a far-away point.
-	rp2, err := NewReplayer(space, bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{Miss: MissNearest, Tolerance: 1e-9})
+	rp2, err := newReplayer(space, bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{Miss: MissNearest, Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestTraceStreams(t *testing.T) {
 		stream string
 		want   AppResult
 	}{{"a", wantA}, {"b", wantB}} {
-		rp, err := NewReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), tc.stream, ReplayOptions{})
+		rp, err := newReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), tc.stream, ReplayOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +198,7 @@ func TestTraceStreams(t *testing.T) {
 			t.Fatalf("stream %s replayed %.3f, want %.3f", tc.stream, got.Sec, tc.want.Sec)
 		}
 	}
-	if _, err := NewReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "missing", ReplayOptions{}); err == nil {
+	if _, err := newReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "missing", ReplayOptions{}); err == nil {
 		t.Fatal("empty stream must be an error")
 	}
 }
@@ -216,16 +221,16 @@ func TestTraceGzipFile(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 		t.Fatalf("trace file not written: %v", err)
 	}
-	rp, err := OpenReplayer(cl.Space(), path, "s", ReplayOptions{})
+	entries, err := TraceEntries(path)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("TraceEntries: %d, %v", len(entries), err)
+	}
+	rp, err := NewReplayerFromEntries(cl.Space(), entries, "s", ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rp.RunApp(app, c, 100); got.Sec != want.Sec {
 		t.Fatalf("gzip replay returned %.3f, want %.3f", got.Sec, want.Sec)
-	}
-	entries, err := TraceEntries(path)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("TraceEntries: %d, %v", len(entries), err)
 	}
 }
 
@@ -271,8 +276,8 @@ func TestParseSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
 		}
-		if f.Kind() != kind {
-			t.Fatalf("ParseSpec(%q).Kind()=%s, want %s", spec, f.Kind(), kind)
+		if f.kind != kind {
+			t.Fatalf("ParseSpec(%q).kind=%s, want %s", spec, f.kind, kind)
 		}
 	}
 	for _, spec := range []string{"bogus", "record=", "replay=", "sparkrest=", "replay=x,tol=-1", "replay=x,frob=1"} {

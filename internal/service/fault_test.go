@@ -31,7 +31,7 @@ func metricValue(exposition, series string) float64 {
 
 func scrape(s *Service) string {
 	var b strings.Builder
-	s.Metrics().WritePrometheus(&b)
+	s.cfg.Metrics.WritePrometheus(&b)
 	return b.String()
 }
 

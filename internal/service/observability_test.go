@@ -70,7 +70,7 @@ func TestStatsBreakdownAndTally(t *testing.T) {
 	}
 
 	var b strings.Builder
-	s.Metrics().WritePrometheus(&b)
+	s.cfg.Metrics.WritePrometheus(&b)
 	out := b.String()
 	for _, wantLine := range []string{
 		`locat_jobs{state="succeeded"} 1`,

@@ -44,7 +44,7 @@ func seedHistory(t *testing.T, s *Service, sizes []float64) []string {
 func runTally(t *testing.T, s *Service) string {
 	t.Helper()
 	var buf bytes.Buffer
-	s.Metrics().WritePrometheus(&buf)
+	s.cfg.Metrics.WritePrometheus(&buf)
 	var lines []string
 	for _, ln := range strings.Split(buf.String(), "\n") {
 		if strings.HasPrefix(ln, "locat_runs_total") ||

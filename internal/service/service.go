@@ -341,12 +341,6 @@ func (s *Service) resumeCheckpointed() {
 	}
 }
 
-// Metrics returns the registry the service reports into.
-func (s *Service) Metrics() *obs.Registry { return s.cfg.Metrics }
-
-// Store returns the service's history store.
-func (s *Service) Store() Store { return s.store }
-
 func (s *Service) logf(format string, args ...any) { progress.F(s.cfg.Logf, format, args...) }
 
 // factory returns the (cached) backend factory for a spec, so record-mode

@@ -114,7 +114,7 @@ func TestWarmStartFromHistoryStore(t *testing.T) {
 	if resA.WarmStarted {
 		t.Fatal("first session cannot be warm")
 	}
-	if keys, _ := s.Store().Keys(); len(keys) != 1 {
+	if keys, _ := s.store.Keys(); len(keys) != 1 {
 		t.Fatalf("history keys = %v, want one", keys)
 	}
 

@@ -54,8 +54,8 @@ type Breakdown struct {
 // configuration c at the given data size — the tool for understanding *why*
 // a configuration is slow (spilling? waves? GC? network?). It is the cost
 // model's own stage walk with the components kept, so Σ stage Sec + GCSec +
-// FixedSec is TotalSec and TotalSec is NoiselessQueryTime; a broadcast
-// join's table transfer is booked under FixedSec.
+// FixedSec is TotalSec and TotalSec is the query's noiseless latency; a
+// broadcast join's table transfer is booked under FixedSec.
 func (s *Simulator) Explain(q Query, c conf.Config, dataGB float64) Breakdown {
 	e := deriveEnv(s.cluster, c)
 	var bd Breakdown

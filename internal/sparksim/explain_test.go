@@ -24,7 +24,7 @@ func TestExplainComponentsConsistent(t *testing.T) {
 		{dimJoinQuery(), 100, 8192, true},
 	}
 	for _, cl := range []*Cluster{ARM(), X86()} {
-		s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+		s := New(cl, 1, WithNoise(0), withRunNoise(0))
 		for _, tc := range cases {
 			q := tc.q
 			c := cl.Space().Default()
@@ -44,7 +44,7 @@ func TestExplainComponentsConsistent(t *testing.T) {
 				t.Fatal("stage kinds wrong")
 			}
 			// The breakdown total matches the simulator's noiseless time exactly.
-			if want := s.NoiselessQueryTime(q, c, tc.dataGB); bd.TotalSec != want {
+			if want := noiselessQueryTime(s, q, c, tc.dataGB); bd.TotalSec != want {
 				t.Fatalf("TotalSec %v != NoiselessQueryTime %v", bd.TotalSec, want)
 			}
 			// Stage seconds plus GC plus fixed reconstruct the total, the
@@ -70,7 +70,7 @@ func TestExplainComponentsConsistent(t *testing.T) {
 
 func TestExplainBroadcastFlag(t *testing.T) {
 	cl := ARM()
-	s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+	s := New(cl, 1, WithNoise(0), withRunNoise(0))
 	space := cl.Space()
 	q := dimJoinQuery()
 	hi := space.Default()
@@ -89,7 +89,7 @@ func TestExplainBroadcastFlag(t *testing.T) {
 
 func TestExplainDiagnosesThrash(t *testing.T) {
 	cl := ARM()
-	s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+	s := New(cl, 1, WithNoise(0), withRunNoise(0))
 	space := cl.Space()
 	q := joinQuery()
 	bad := space.Default()
@@ -112,7 +112,7 @@ func TestExplainDiagnosesThrash(t *testing.T) {
 
 func TestBreakdownRender(t *testing.T) {
 	cl := X86()
-	s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+	s := New(cl, 1, WithNoise(0), withRunNoise(0))
 	bd := s.Explain(joinQuery(), cl.Space().Default(), 100)
 	var buf bytes.Buffer
 	bd.Render(&buf)

@@ -31,7 +31,7 @@ func TestConcurrentRunAppIsRaceFree(t *testing.T) {
 					t.Error("non-positive app time")
 					return
 				}
-				q := s.RunQuery(joinQuery(), c, 100)
+				q := runOneQuery(s, joinQuery(), c, 100)
 				if !(q.Sec > 0) {
 					t.Error("non-positive query time")
 					return
@@ -72,8 +72,8 @@ func TestSeedEquivalenceAcrossDrivers(t *testing.T) {
 	c := cl.Space().Default()
 	q := joinQuery()
 	for i := 0; i < 10; i++ {
-		r1 := s1.RunQuery(q, c, 200)
-		r2 := s2.RunQueryAt(uint64(i), q, c, 200)
+		r1 := runOneQuery(s1, q, c, 200)
+		r2 := runOneQueryAt(s2, uint64(i), q, c, 200)
 		if r1.Sec != r2.Sec || r1.GCSec != r2.GCSec {
 			t.Fatalf("run %d: counter-claimed and explicit-index results differ", i)
 		}
@@ -116,7 +116,7 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 				defer wg.Done()
 				for i := w; i < len(cs); i += workers {
 					gotApp[i] = s.RunAppAt(first+uint64(i), app, cs[i], sizes(i))
-					gotQuery[i] = s.RunQueryAt(uint64(i), joinQuery(), cs[i], sizes(i))
+					gotQuery[i] = runOneQueryAt(s, uint64(i), joinQuery(), cs[i], sizes(i))
 				}
 			}()
 		}
@@ -135,7 +135,7 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.RunAppAt(3, app, cs[3], 100) }); allocs > 1 {
 		t.Fatalf("RunAppAt allocates %v times per run, want at most 1", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.RunQueryAt(3, joinQuery(), cs[3], 100) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(100, func() { runOneQueryAt(s, 3, joinQuery(), cs[3], 100) }); allocs > 0 {
 		t.Fatalf("RunQueryAt allocates %v times per run, want 0", allocs)
 	}
 }

@@ -45,10 +45,10 @@ type AppResult struct {
 // (simulator seed, run index) — the stream of a fresh
 // rand.NewSource(runSeed(seed, idx)), produced by a pooled runSource that
 // computes a seed word only when a draw reads it; the run index is claimed
-// from an atomic counter (RunQuery / RunApp) or fixed explicitly (RunQueryAt
-// / RunAppAt against a ReserveRuns block). The i-th run of a simulator is
-// therefore fully determined by the seed and i, independent of execution
-// order or interleaving: two simulators with the same seed driven
+// from an atomic counter (RunApp) or fixed explicitly (RunAppAt against a
+// ReserveRuns block). The i-th run of a simulator is therefore fully
+// determined by the seed and i, independent of execution order or
+// interleaving: two simulators with the same seed driven
 // identically produce identical results, concurrent RunApp calls are
 // race-free, and a parallel driver that reserves a block of indices
 // reproduces the serial call sequence bit-for-bit.
@@ -73,13 +73,6 @@ func WithNoise(sigma float64) Option {
 	return func(s *Simulator) { s.noise = sigma }
 }
 
-// WithRunNoise sets the per-run whole-application noise (lognormal sigma).
-// The default is 0.08; zero disables it.
-// WithNoise(0) together with WithRunNoise(0) makes runs fully deterministic.
-func WithRunNoise(sigma float64) Option {
-	return func(s *Simulator) { s.runNoise = sigma }
-}
-
 // New returns a simulator for the given cluster, seeded for reproducibility.
 func New(cluster *Cluster, seed int64, opts ...Option) *Simulator {
 	s := &Simulator{
@@ -94,9 +87,6 @@ func New(cluster *Cluster, seed int64, opts ...Option) *Simulator {
 	}
 	return s
 }
-
-// Cluster returns the modeled cluster.
-func (s *Simulator) Cluster() *Cluster { return s.cluster }
 
 // Space returns the configuration space bound to the cluster.
 func (s *Simulator) Space() *conf.Space { return s.space }
@@ -134,22 +124,6 @@ func runSeed(seed int64, idx uint64) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// RunQuery executes a single query under configuration c with the given
-// input data size (GB) and returns its result. The call claims the next run
-// index; safe for concurrent use.
-func (s *Simulator) RunQuery(q Query, c conf.Config, dataGB float64) QueryResult {
-	return s.RunQueryAt(s.ReserveRuns(1), q, c, dataGB)
-}
-
-// RunQueryAt executes a single query as run index idx without touching the
-// run counter. Safe for concurrent use.
-func (s *Simulator) RunQueryAt(idx uint64, q Query, c conf.Config, dataGB float64) QueryResult {
-	rng := s.runRNG(idx)
-	defer rngPool.Put(rng)
-	e := deriveEnv(s.cluster, c)
-	return s.runQuery(rng, &e, q, c, dataGB)
 }
 
 // runQuery executes one query in environment e, drawing task-level noise
@@ -199,14 +173,6 @@ func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, data
 		out.Queries = append(out.Queries, r)
 	}
 	return out
-}
-
-// NoiselessQueryTime returns the deterministic (noise-free) latency of a
-// query under c — the model's ground truth, used by tests and by the
-// experiment harness when comparing tuned configurations.
-func (s *Simulator) NoiselessQueryTime(q Query, c conf.Config, dataGB float64) float64 {
-	e := deriveEnv(s.cluster, c)
-	return simulateQuery(&e, q, c, dataGB, nil).Sec
 }
 
 // NoiselessAppTime returns the deterministic total application latency.

@@ -39,7 +39,8 @@ func TestClusters(t *testing.T) {
 	if x86.TotalCores() != 140 || x86.TotalMemMB() != 448*1024 {
 		t.Fatalf("x86 totals: %d cores %d MB", x86.TotalCores(), x86.TotalMemMB())
 	}
-	if arm.Space().Profile() != conf.ProfileARM || x86.Space().Profile() != conf.ProfileX86 {
+	p := conf.Params()[conf.PExecutorCores]
+	if arm.Space().RangeOf(conf.PExecutorCores) != p.RangeARM || x86.Space().RangeOf(conf.PExecutorCores) != p.RangeX86 {
 		t.Fatal("cluster space profiles wrong")
 	}
 	lim := arm.Limits()
@@ -75,8 +76,8 @@ func TestDeterminismAcrossSimulators(t *testing.T) {
 		c := cl.Space().Default()
 		q := joinQuery()
 		for i := 0; i < 10; i++ {
-			r1 := s1.RunQuery(q, c, 200)
-			r2 := s2.RunQuery(q, c, 200)
+			r1 := runOneQuery(s1, q, c, 200)
+			r2 := runOneQuery(s2, q, c, 200)
 			if r1.Sec != r2.Sec || r1.GCSec != r2.GCSec {
 				t.Fatalf("%s: run %d diverged: %v vs %v", cl.Name, i, r1.Sec, r2.Sec)
 			}
@@ -89,8 +90,8 @@ func TestNoiselessIsDeterministic(t *testing.T) {
 	s := New(cl, 1)
 	c := cl.Space().Default()
 	q := joinQuery()
-	a := s.NoiselessQueryTime(q, c, 100)
-	b := s.NoiselessQueryTime(q, c, 100)
+	a := noiselessQueryTime(s, q, c, 100)
+	b := noiselessQueryTime(s, q, c, 100)
 	if a != b {
 		t.Fatalf("noiseless time not deterministic: %v vs %v", a, b)
 	}
@@ -101,17 +102,17 @@ func TestNoiselessIsDeterministic(t *testing.T) {
 
 func TestWithNoiseZero(t *testing.T) {
 	cl := ARM()
-	s := New(cl, 1, WithNoise(0), WithRunNoise(0))
+	s := New(cl, 1, WithNoise(0), withRunNoise(0))
 	c := cl.Space().Default()
 	q := joinQuery()
-	if s.RunQuery(q, c, 100).Sec != s.RunQuery(q, c, 100).Sec {
+	if runOneQuery(s, q, c, 100).Sec != runOneQuery(s, q, c, 100).Sec {
 		t.Fatal("zero-noise runs differ")
 	}
 }
 
 func TestRunAppAggregates(t *testing.T) {
 	cl := X86()
-	s := New(cl, 3, WithNoise(0), WithRunNoise(0))
+	s := New(cl, 3, WithNoise(0), withRunNoise(0))
 	app := &Application{Name: "mini", Queries: []Query{scanQuery(), joinQuery(), dimJoinQuery()}}
 	c := cl.Space().Default()
 	r := s.RunApp(app, c, 100)
@@ -138,7 +139,7 @@ func TestTimeGrowsWithDataSize(t *testing.T) {
 	for _, q := range []Query{scanQuery(), joinQuery(), dimJoinQuery()} {
 		prev := 0.0
 		for _, gb := range []float64{100, 200, 300, 400, 500} {
-			tm := s.NoiselessQueryTime(q, c, gb)
+			tm := noiselessQueryTime(s, q, c, gb)
 			if tm <= prev {
 				t.Fatalf("%s: time %v at %vGB not greater than %v at previous size", q.Name, tm, gb, prev)
 			}
@@ -159,8 +160,8 @@ func TestSelectionInsensitiveJoinSensitive(t *testing.T) {
 	var scanTimes, joinTimes []float64
 	for i := 0; i < 60; i++ {
 		c := space.Random(rng)
-		scanTimes = append(scanTimes, s.RunQuery(scanQuery(), c, 100).Sec)
-		joinTimes = append(joinTimes, s.RunQuery(joinQuery(), c, 100).Sec)
+		scanTimes = append(scanTimes, runOneQuery(s, scanQuery(), c, 100).Sec)
+		joinTimes = append(joinTimes, runOneQuery(s, joinQuery(), c, 100).Sec)
 	}
 	scanCV, joinCV := stat.CV(scanTimes), stat.CV(joinTimes)
 	if scanCV > 0.35 {
@@ -199,8 +200,8 @@ func TestMemoryPressureSlowsExecution(t *testing.T) {
 	bad[conf.POffHeapEnabled] = 0
 	bad = space.Repair(bad)
 
-	gt := s.RunQuery(q, good, 300)
-	bt := s.RunQuery(q, bad, 300)
+	gt := runOneQuery(s, q, good, 300)
+	bt := runOneQuery(s, q, bad, 300)
 	if bt.Sec < 3*gt.Sec {
 		t.Fatalf("memory-starved run %.1fs not ≫ well-provisioned %.1fs", bt.Sec, gt.Sec)
 	}
@@ -230,7 +231,7 @@ func TestGCTimeGrowsWithPressure(t *testing.T) {
 	big[conf.PExecutorMemory] = 32
 	big[conf.PSQLShufflePartitions] = 800
 	big = space.Repair(big)
-	rs, rb := s.RunQuery(q, small, 300), s.RunQuery(q, big, 300)
+	rs, rb := runOneQuery(s, q, small, 300), runOneQuery(s, q, big, 300)
 	if rs.GCSec <= rb.GCSec {
 		t.Fatalf("GC under 4GB heap (%.1fs) not above 32GB heap (%.1fs)", rs.GCSec, rb.GCSec)
 	}
@@ -255,7 +256,7 @@ func TestOffHeapRelievesGC(t *testing.T) {
 	withOff[conf.POffHeapEnabled] = 1
 	withOff[conf.POffHeapSize] = 16384
 	withOff = space.Repair(withOff)
-	r0, r1 := s.RunQuery(q, base, 300), s.RunQuery(q, withOff, 300)
+	r0, r1 := runOneQuery(s, q, base, 300), runOneQuery(s, q, withOff, 300)
 	if r1.Sec >= r0.Sec {
 		t.Fatalf("off-heap memory did not help: %.1fs vs %.1fs", r1.Sec, r0.Sec)
 	}
@@ -275,13 +276,13 @@ func TestBroadcastJoinThreshold(t *testing.T) {
 	hi := lo.Clone()
 	hi[conf.PAutoBroadcastJoinThreshold] = 8192 // 8 MB: broadcast
 	hi = space.Repair(hi)
-	tLo, tHi := s.RunQuery(q, lo, 200).Sec, s.RunQuery(q, hi, 200).Sec
+	tLo, tHi := runOneQuery(s, q, lo, 200).Sec, runOneQuery(s, q, hi, 200).Sec
 	if tHi >= tLo {
 		t.Fatalf("broadcast join not faster: threshold 8MB %.1fs vs 1MB %.1fs", tHi, tLo)
 	}
 	// The fact-fact join's 9 GB small side must never broadcast.
 	big := joinQuery()
-	sLo, sHi := s.RunQuery(big, lo, 200).Sec, s.RunQuery(big, hi, 200).Sec
+	sLo, sHi := runOneQuery(s, big, lo, 200).Sec, runOneQuery(s, big, hi, 200).Sec
 	if math.Abs(sLo-sHi) > 1e-9 {
 		t.Fatal("threshold changed a non-broadcastable join")
 	}
@@ -305,7 +306,7 @@ func TestShuffleCompressionTradeoff(t *testing.T) {
 	off[conf.PShuffleCompress] = 0
 	off = space.Repair(off)
 	// For a disk-bound heavy shuffle, compression must win.
-	if tOn, tOff := s.RunQuery(q, on, 500).Sec, s.RunQuery(q, off, 500).Sec; tOn >= tOff {
+	if tOn, tOff := runOneQuery(s, q, on, 500).Sec, runOneQuery(s, q, off, 500).Sec; tOn >= tOff {
 		t.Fatalf("shuffle compression not beneficial on heavy shuffle: on=%.1f off=%.1f", tOn, tOff)
 	}
 }
@@ -325,7 +326,7 @@ func TestMoreSlotsHelpCPUBoundWork(t *testing.T) {
 	many[conf.PExecutorInstances] = 48
 	many[conf.PExecutorCores] = 8
 	many = space.Repair(many)
-	tFew, tMany := s.RunQuery(q, few, 300).Sec, s.RunQuery(q, many, 300).Sec
+	tFew, tMany := runOneQuery(s, q, few, 300).Sec, runOneQuery(s, q, many, 300).Sec
 	if tMany >= tFew {
 		t.Fatalf("8× slots did not speed up: few=%.1f many=%.1f", tFew, tMany)
 	}
@@ -367,7 +368,7 @@ func TestSimulatorInvariants(t *testing.T) {
 		c := space.Random(rng)
 		gb := 100 + rng.Float64()*400
 		for _, q := range qs {
-			r := s.RunQuery(q, c, gb)
+			r := runOneQuery(s, q, c, gb)
 			if !(r.Sec > 0) || math.IsInf(r.Sec, 0) || math.IsNaN(r.Sec) {
 				return false
 			}

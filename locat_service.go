@@ -2,6 +2,8 @@ package locat
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"os"
 
@@ -46,7 +48,9 @@ type ServiceOptions struct {
 	// both a recommendation and a session's warm start: neighbors retrieved,
 	// and the distance past which a history entry no longer counts as one.
 	// RecommendConfidence is the confidence below which a recommendation
-	// falls back to a real tuning job. Zero picks 5 / 0.75 / 0.5.
+	// falls back to a real tuning job. Zero picks 5 / 0.75 / 0.5; NewService
+	// rejects a negative K, a negative or non-finite distance and a
+	// confidence outside [0, 1].
 	RecommendK           int
 	RecommendMaxDistance float64
 	RecommendConfidence  float64
@@ -105,6 +109,17 @@ func NewService(o ServiceOptions) (*Service, error) {
 	}
 	if _, err := runner.ParseChaosSpec(o.Chaos); err != nil {
 		return nil, err
+	}
+	// A NaN radius would drop the k-NN radius cut, and a confidence past 1
+	// (or NaN) would turn every recommendation into a fallback tuning job.
+	if d := o.RecommendMaxDistance; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return nil, fmt.Errorf("locat: RecommendMaxDistance %v is not a finite, non-negative distance", d)
+	}
+	if c := o.RecommendConfidence; !(c >= 0 && c <= 1) {
+		return nil, fmt.Errorf("locat: RecommendConfidence %v is outside [0, 1]", c)
+	}
+	if o.RecommendK < 0 {
+		return nil, fmt.Errorf("locat: RecommendK %d is negative", o.RecommendK)
 	}
 	cfg := service.Config{
 		Workers:              o.Workers,

@@ -3,6 +3,7 @@ package locat
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -242,5 +243,42 @@ func matchesWire[T any](t *testing.T, url string, body []byte, facade T) {
 	}
 	if !reflect.DeepEqual(want, wire) {
 		t.Errorf("%s:\nfacade %+v\nwire   %+v", url, want, wire)
+	}
+}
+
+// NewService refuses retrieval knobs that break every recommendation: a NaN
+// radius drops the k-NN radius cut, and a confidence that no blend can reach
+// turns each recommendation into a fallback tuning job.
+func TestNewServiceRejectsBadRecommendKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    ServiceOptions
+	}{
+		{"distance NaN", ServiceOptions{RecommendMaxDistance: math.NaN()}},
+		{"distance +Inf", ServiceOptions{RecommendMaxDistance: math.Inf(1)}},
+		{"distance -Inf", ServiceOptions{RecommendMaxDistance: math.Inf(-1)}},
+		{"distance negative", ServiceOptions{RecommendMaxDistance: -1}},
+		{"confidence NaN", ServiceOptions{RecommendConfidence: math.NaN()}},
+		{"confidence above 1", ServiceOptions{RecommendConfidence: 2}},
+		{"confidence negative", ServiceOptions{RecommendConfidence: -0.5}},
+		{"k negative", ServiceOptions{RecommendK: -1}},
+	} {
+		tc.o.Quiet = true
+		if svc, err := NewService(tc.o); err == nil {
+			svc.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Zero (the defaults) and the ends of each range still start.
+	for _, o := range []ServiceOptions{
+		{},
+		{RecommendK: 1, RecommendMaxDistance: 2.5, RecommendConfidence: 1},
+	} {
+		o.Quiet = true
+		svc, err := NewService(o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		svc.Close()
 	}
 }

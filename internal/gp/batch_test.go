@@ -215,7 +215,7 @@ func TestPredictMeansMatchesPredictBatch(t *testing.T) {
 	}
 }
 
-// TestPredictBatchSteadyStateAllocs pins the batch path's per-call
+// TestPredictBatchSteadyStateAllocs pins the batch paths' per-call
 // allocations once the workspace has grown: none — on the one processor
 // AllocsPerRun measures at, the row passes are direct calls.
 func TestPredictBatchSteadyStateAllocs(t *testing.T) {
@@ -230,5 +230,8 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	g.PredictBatch(cands, &ws) // grow the buffers
 	if allocs := testing.AllocsPerRun(10, func() { g.PredictBatch(cands, &ws) }); allocs != 0 {
 		t.Fatalf("PredictBatch allocates %.0f objects per call on a warm workspace; want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.PredictMeans(cands, &ws) }); allocs != 0 {
+		t.Fatalf("PredictMeans allocates %.0f objects per call on a warm workspace; want 0", allocs)
 	}
 }

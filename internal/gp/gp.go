@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -36,40 +35,11 @@ type GP struct {
 // Fit trains an exact GP on inputs x (rows, all the same length) and targets
 // y with hyperparameters h.
 func Fit(x [][]float64, y []float64, h Hyper) (*GP, error) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return nil, errors.New("gp: empty or mismatched training set")
-	}
-	d := len(x[0])
-	for i, xi := range x {
-		if len(xi) != d {
-			return nil, fmt.Errorf("gp: row %d has %d features, want %d", i, len(xi), d)
-		}
-	}
-	g := &GP{
-		x:    append([][]float64(nil), x...),
-		y:    append([]float64(nil), y...),
-		hyp:  h,
-		kern: h.kernel(),
-	}
-
-	k := mat.NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := g.kern.of(sqDist(x[i], x[j]))
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-	}
-	k.AddDiag(h.Noise2() + 1e-8)
-
-	chol, err := mat.NewCholesky(k)
+	ts, err := NewTrainSet(x, y, 1)
 	if err != nil {
-		return nil, fmt.Errorf("gp: covariance not PD: %w", err)
+		return nil, err
 	}
-	g.chol = chol
-	g.refreshAlpha()
-	return g, nil
+	return ts.Fit(h, nil)
 }
 
 // refreshAlpha recomputes the output standardization and α = (K+σ_n²I)⁻¹·y
@@ -221,37 +191,54 @@ func growFloats(buf []float64, n int) []float64 {
 // PredictBatch returns the posterior means and variances at every row of xs
 // — identical, bit for bit, to calling Predict per row, but batched: a
 // row-parallel pass measures each block of rows' squared distances to the
-// training rows (Distances), maps them in place through the kernel (one exp
-// per pair) and takes the means against α (KernelMeans), then runs the
-// variance forward-substitutions four rows at a time in place over the
-// cross-kernel rows (Variances), so no per-candidate scratch is ever
-// allocated. ws supplies the reusable buffers (nil allocates a private
-// workspace for the call); the returned slices belong to the workspace and
-// are valid until its next use.
+// training rows (Distances), maps them in place through the kernel, four
+// values at a time where the vector kernel runs, and takes the means against
+// α (KernelMeans), then runs the variance forward-substitutions four rows at
+// a time in place over the cross-kernel rows (Variances), so no
+// per-candidate scratch is ever allocated. ws supplies the reusable buffers
+// (nil allocates a private workspace for the call); the returned slices
+// belong to the workspace and are valid until its next use.
 func (g *GP) PredictBatch(xs [][]float64, ws *PredictWorkspace) (means, vars []float64) {
 	if ws == nil {
 		ws = &PredictWorkspace{}
 	}
-	n, m := len(g.x), len(xs)
-	ws.ks = growFloats(ws.ks, m*n)
-	ws.mean = growFloats(ws.mean, m)
-	ws.vari = growFloats(ws.vari, m)
-	// One processor takes the rows with a direct call: the parallel branch's
-	// closure escapes to ParRange's workers, and a serial batch must not allocate.
-	if runtime.GOMAXPROCS(0) == 1 {
-		g.predictRows(xs, ws, 0, m)
-	} else {
-		mat.ParRange(m, 0, func(lo, hi int) { g.predictRows(xs, ws, lo, hi) })
-	}
+	ws.vari = growFloats(ws.vari, len(xs))
+	g.predict(xs, ws, true)
 	return ws.mean, ws.vari
 }
 
-func (g *GP) predictRows(xs [][]float64, ws *PredictWorkspace, lo, hi int) {
+// PredictMeans returns the posterior means at every row of xs — PredictBatch
+// without the variances and therefore without the forward solve per point,
+// which is most of PredictBatch's cost. The means are bit-identical to
+// PredictBatch's. The returned slice belongs to ws and is valid until its
+// next use.
+func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
+	g.predict(xs, ws, false)
+	return ws.mean
+}
+
+// predict fills ws.mean, and ws.vari if vars is set, for every row of xs.
+func (g *GP) predict(xs [][]float64, ws *PredictWorkspace, vars bool) {
+	n, m := len(g.x), len(xs)
+	ws.ks = growFloats(ws.ks, m*n)
+	ws.mean = growFloats(ws.mean, m)
+	// One processor takes the rows with a direct call: the parallel branch's
+	// closure escapes to ParRange's workers, and a serial batch must not allocate.
+	if runtime.GOMAXPROCS(0) == 1 {
+		g.predictRows(xs, ws, vars, 0, m)
+	} else {
+		mat.ParRange(m, 0, func(lo, hi int) { g.predictRows(xs, ws, vars, lo, hi) })
+	}
+}
+
+func (g *GP) predictRows(xs [][]float64, ws *PredictWorkspace, vars bool, lo, hi int) {
 	n := len(g.x)
 	ks := ws.ks[lo*n : hi*n]
 	g.Distances(xs[lo:hi], ks)
 	g.KernelMeans(ks, ks, ws.mean[lo:hi])
-	g.Variances(ks, ws.vari[lo:hi])
+	if vars {
+		g.Variances(ks, ws.vari[lo:hi])
+	}
 }
 
 // SameRows reports whether g and h hold the same training points in the same
@@ -300,9 +287,7 @@ func (g *GP) KernelMeans(d2, ks, means []float64) {
 	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
 	for i := range means {
 		row := ks[i*n : (i+1)*n]
-		for j, v := range d2[i*n : (i+1)*n] {
-			row[j] = k.of(v)
-		}
+		kernelRow(row, d2[i*n:(i+1)*n], k.s2, k.tl2)
 		means[i] = mat.Dot(row, alpha)*yStd + yMean
 	}
 }
@@ -333,28 +318,6 @@ func (g *GP) Variances(ks, vars []float64) {
 // the floor and the two multiplications are monotone too.
 func (g *GP) MaxVariance() float64 {
 	return max(g.kern.of(0), 1e-12) * g.yStd * g.yStd
-}
-
-// PredictMeans returns the posterior means at every row of xs — PredictBatch
-// without the variances and therefore without the forward solve per point,
-// which is most of PredictBatch's cost. The means are bit-identical to
-// PredictBatch's. The returned slice belongs to ws and is valid until its
-// next use.
-func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
-	ws.mean = growFloats(ws.mean, len(xs))
-	mean, train := ws.mean, g.x
-	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
-	mat.ParRange(len(xs), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi := xs[i]
-			var s float64
-			for j, xj := range train {
-				s += k.of(sqDist(xj, xi)) * alpha[j]
-			}
-			mean[i] = s*yStd + yMean
-		}
-	})
-	return mean
 }
 
 // LogMarginalLikelihood returns the log evidence of the standardized

@@ -18,6 +18,23 @@
 // Inputs) and a batch's outputs (valid until its next use), a FitWorkspace
 // one chain's kernel matrix, correlation cache and generator; neither may be
 // shared by concurrent calls.
+//
+// Kernel rows: KernelMeans' cross-kernel rows and a TrainSet's fresh
+// exponentials map squared distances to σ_f²·exp(-d²/2ℓ²) through kernelRow.
+// On amd64 it takes four values per instruction (kernel_amd64.s), each lane
+// running the operations of math.Exp's FMA path
+// ($GOROOT/src/math/exp_amd64.s) in its order: the sign flip and division, k
+// through the int32 round trip, the two-step reduction by ln 2, ×1/16, the
+// seven-step polynomial, the squarings as r·(r+2), the final FMA, ×2^k, then
+// ×σ_f². IEEE VDIVPD, VMULPD, VADDPD and the FMAs round each lane as their
+// scalar forms round, so every value is σ_f²·math.Exp(-d²/2ℓ²) bit for bit.
+// The vector path is decided once at start-up: CPUID and XGETBV must show
+// AVX2, FMA and YMM state, and a fixed probe must match math.Exp bit for bit,
+// which fails where math.Exp takes its SSE path (GODEBUG=cpu.fma=off). Three
+// cases go through math.Exp itself: a block of four with an argument outside
+// [-700, 700] or a NaN (math.Exp's underflow, denormal and overflow branches
+// live out there), a row's last len%4 values, and every row where the vector
+// path is off or the architecture is not amd64.
 package gp
 
 import "math"
@@ -66,9 +83,29 @@ func (h Hyper) kernel() seKernel {
 // exactly σ_f² (exp(-0) = 1).
 func (k seKernel) of(d2 float64) float64 { return k.s2 * math.Exp(-d2/k.tl2) }
 
+// kernelRow writes s2·exp(-d2[j]/tl2) into dst[j] for every j < len(dst), as
+// seKernel.of computes it, bit for bit (see "Kernel rows" in the package
+// doc). dst and d2 may be the same slice.
+func kernelRow(dst, d2 []float64, s2, tl2 float64) {
+	d2 = d2[:len(dst)]
+	for len(dst) > 0 {
+		if useVecKernel {
+			n := kernelRow4(dst, d2, s2, tl2)
+			dst, d2 = dst[n:], d2[n:]
+		}
+		// The block kernelRow4 stopped at, or the tail of the row.
+		m := min(4, len(dst))
+		for j, v := range d2[:m] {
+			dst[j] = s2 * math.Exp(-v/tl2)
+		}
+		dst, d2 = dst[m:], d2[m:]
+	}
+}
+
 // sqDist is |a-b|², summed in feature order. Every distance in the package
-// — Fit, Predict, the batched cross pass, TrainSet's cache — goes through
-// this one loop, which is what keeps those paths bit-identical to each other.
+// — Predict, Append, the batched cross pass, TrainSet's cache — goes through
+// this one loop (sqDist4 four at a time), which is what keeps those paths
+// bit-identical to each other.
 func sqDist(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {

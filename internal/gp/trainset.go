@@ -168,10 +168,10 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 
 // Fit builds a ready-to-use GP under hyperparameters h, assembling the
 // kernel from the cached distance matrix instead of re-deriving it from the
-// raw inputs. The returned model is identical to gp.Fit on the same data —
-// same factor, same α — and independent of the TrainSet's internals (safe to
-// Append to). bo.Minimize uses it to materialize the per-hyper-sample models
-// right after an MCMC resample, reusing the distance cache one more time.
+// raw inputs; gp.Fit is this on a TrainSet of its own. The returned model is
+// independent of the TrainSet's internals (safe to Append to). bo.Minimize
+// uses it to materialize the per-hyper-sample models right after an MCMC
+// resample, reusing the distance cache one more time.
 //
 // g, if non-nil, is a model the caller is done with: it is consumed — its
 // factor, α and row storage back the returned model (which is g itself), on
@@ -201,10 +201,10 @@ func (ts *TrainSet) Fit(h Hyper, g *GP) (*GP, error) {
 // rescaled. A nil corr takes them in kern's own rows and scales them where
 // they stand. Only the lower triangle and diagonal are written: the
 // factorization and the triangular solves never read above the diagonal.
-// The expression shapes (division by 2ℓ², the product with σ_f², the
-// diagonal's addition order) are seKernel.of's and Fit's AddDiag, so the
-// assembled matrix — and therefore the factor, α and the evidence — is
-// bit-identical to the Fit-based path whether or not the exponentials were
+// The exponentials are kernelRow's at σ_f² = 1 (a product with 1 is exact),
+// and the product with σ_f² and the diagonal's σ_f² + (σ_n² + jitter) are
+// seKernel.of's shapes, so the assembled matrix — and therefore the factor,
+// α and the evidence — is bit-identical whether or not the exponentials were
 // reused; LogPosterior and TrainSet.Fit both build on this one helper so the
 // two paths cannot drift apart.
 func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h Hyper, lo, hi int) {
@@ -218,9 +218,7 @@ func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h 
 			crow = corr[i*n : i*n+i]
 		}
 		if fresh {
-			for j, v := range ts.d2[i*n : i*n+i] {
-				crow[j] = math.Exp(-v / k.tl2)
-			}
+			kernelRow(crow, ts.d2[i*n:i*n+i], 1, k.tl2)
 		}
 		dst := row[:len(crow)]
 		for j, c := range crow {

@@ -13,8 +13,8 @@ func smallBudget() []Tuner {
 	return []Tuner{
 		&Tuneful{TopK: 6, BOIter: 12},
 		&DAC{TrainRuns: 30, Generations: 8, Population: 16, Validate: 4},
-		&GBORL{MemProbes: 8, RLSteps: 20, Epsilon: 0.25},
-		&QTune{Generations: 6, Episodes: 8, EliteFrac: 0.25},
+		&GBORL{MemProbes: 8, RLSteps: 20},
+		&QTune{Generations: 6, Episodes: 8},
 	}
 }
 

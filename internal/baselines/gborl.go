@@ -22,16 +22,17 @@ type GBORL struct {
 	MemProbes int
 	// RLSteps is the ε-greedy hill-climbing budget (default 200).
 	RLSteps int
-	// Epsilon is the exploration probability (default 0.25).
-	Epsilon float64
 	// Restrict, when non-nil, limits the RL hill climber to the given
 	// subspace (the Figure 21 IICP hybrid); the memory-guidance stage still
 	// reasons over the full memory parameters.
 	Restrict SearchSpace
 }
 
+// gborlEpsilon is the hill climber's exploration probability.
+const gborlEpsilon = 0.25
+
 // NewGBORL returns GBO-RL with its published-shape defaults.
-func NewGBORL() *GBORL { return &GBORL{MemProbes: 24, RLSteps: 200, Epsilon: 0.25} }
+func NewGBORL() *GBORL { return &GBORL{MemProbes: 24, RLSteps: 200} }
 
 // Name implements Tuner.
 func (g *GBORL) Name() string { return "GBO-RL" }
@@ -85,7 +86,7 @@ func (g *GBORL) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 	for step := 0; step < g.RLSteps; step++ {
 		var cand conf.Config
 		var candX []float64
-		if rng.Float64() < g.Epsilon {
+		if rng.Float64() < gborlEpsilon {
 			cand = search.Random(rng) // explore
 			candX = search.Encode(cand)
 		} else {

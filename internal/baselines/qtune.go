@@ -22,15 +22,16 @@ type QTune struct {
 	// (defaults 40 × 16 = 640 runs).
 	Generations int
 	Episodes    int
-	// EliteFrac is the elite fraction refit each generation (default 0.25).
-	EliteFrac float64
 	// Restrict, when non-nil, limits the policy to the given subspace (the
 	// Figure 21 IICP hybrid).
 	Restrict SearchSpace
 }
 
+// qtuneEliteFrac is the elite fraction refit each generation.
+const qtuneEliteFrac = 0.25
+
 // NewQTune returns QTune with its published-shape defaults.
-func NewQTune() *QTune { return &QTune{Generations: 40, Episodes: 16, EliteFrac: 0.25} }
+func NewQTune() *QTune { return &QTune{Generations: 40, Episodes: 16} }
 
 // Name implements Tuner.
 func (q *QTune) Name() string { return "QTune" }
@@ -52,7 +53,7 @@ func (q *QTune) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 		sigma[j] = 0.3
 	}
 
-	nElite := int(float64(q.Episodes) * q.EliteFrac)
+	nElite := int(float64(q.Episodes) * qtuneEliteFrac)
 	if nElite < 2 {
 		nElite = 2
 	}

@@ -65,7 +65,7 @@ func TestBreakerTripDegrades(t *testing.T) {
 	// consecutive-failure counter climbs immediately after).
 	chain := runner.NewRetrying(
 		runner.NewChaos(runner.NewSim(sparksim.New(cl, 3)), runner.ChaosOptions{FailAfter: 6, Seed: 2}),
-		runner.RetryOptions{MaxAttempts: 2, BreakerThreshold: 2, Sleep: func(d time.Duration) {}},
+		runner.RetryOptions{Sleep: func(d time.Duration) {}},
 	)
 	rep, err := New(chain, app, quickOpts()).Tune(100)
 	if err != nil {

@@ -296,8 +296,8 @@ func (s *Session) baseline(name string) (baselines.Tuner, error) {
 		all = []baselines.Tuner{
 			&baselines.Tuneful{TopK: 6, BOIter: 24},
 			&baselines.DAC{TrainRuns: 32, Generations: 8, Population: 16, Validate: 5},
-			&baselines.GBORL{MemProbes: 10, RLSteps: 44, Epsilon: 0.25},
-			&baselines.QTune{Generations: 8, Episodes: 10, EliteFrac: 0.25},
+			&baselines.GBORL{MemProbes: 10, RLSteps: 44},
+			&baselines.QTune{Generations: 8, Episodes: 10},
 		}
 	}
 	for _, t := range all {

@@ -41,23 +41,24 @@ type Sample struct {
 
 // Options control the analysis.
 type Options struct {
-	// SCCCutoff is the |Spearman| threshold below which a parameter is
-	// dropped by CPS (paper: 0.2).
-	SCCCutoff float64
 	// Kernel is the CPE kernel (default Gaussian, per Figure 6).
 	Kernel kpca.Kernel
-	// MaxComponents caps the CPE component count (0 = no cap).
-	MaxComponents int
-	// MinEigenFrac is the relative-eigenvalue keep rule passed to KPCA
-	// (default 0.012, which yields ≈15 components for TPC-DS at
-	// N_IICP = 20, matching the paper's Figure 10).
-	MinEigenFrac float64
 }
 
 // DefaultOptions mirror the paper.
 func DefaultOptions() Options {
-	return Options{SCCCutoff: 0.2, Kernel: kpca.Kernel{Kind: kpca.Gaussian}, MinEigenFrac: 0.012}
+	return Options{Kernel: kpca.Kernel{Kind: kpca.Gaussian}}
 }
+
+const (
+	// sccCutoff is the |Spearman| threshold below which CPS drops a
+	// parameter (paper: 0.2).
+	sccCutoff = 0.2
+	// minEigenFrac is the relative-eigenvalue keep rule CPE passes to KPCA;
+	// it yields ≈15 components for TPC-DS at N_IICP = 20, matching the
+	// paper's Figure 10.
+	minEigenFrac = 0.012
+)
 
 // ParamScore is one parameter's CPS record.
 type ParamScore struct {
@@ -88,9 +89,6 @@ type Result struct {
 func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error) {
 	if len(samples) < 4 {
 		return nil, errors.New("iicp: need at least 4 samples")
-	}
-	if opts.SCCCutoff <= 0 {
-		opts.SCCCutoff = 0.2
 	}
 	n := len(samples)
 	d := space.Dim()
@@ -124,7 +122,7 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 		return math.Abs(res.Scores[a].SCC) > math.Abs(res.Scores[b].SCC)
 	})
 	for _, s := range res.Scores {
-		if math.Abs(s.SCC) >= opts.SCCCutoff {
+		if math.Abs(s.SCC) >= sccCutoff {
 			res.Selected = append(res.Selected, s.Index)
 		}
 	}
@@ -143,13 +141,7 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 		}
 		sub[i] = row
 	}
-	if opts.MinEigenFrac <= 0 {
-		opts.MinEigenFrac = 0.012
-	}
-	lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{
-		MaxComponents: opts.MaxComponents,
-		MinEigenFrac:  opts.MinEigenFrac,
-	})
+	lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{MinEigenFrac: minEigenFrac})
 	if err != nil {
 		return nil, fmt.Errorf("iicp: CPE failed: %w", err)
 	}

@@ -223,7 +223,7 @@ func TestAnalyzeImportantPinned(t *testing.T) {
 					sub[i] = append(sub[i], u[j])
 				}
 			}
-			lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{MinEigenFrac: opts.MinEigenFrac})
+			lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{MinEigenFrac: minEigenFrac})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,8 +90,6 @@ func (k Kernel) Eval(a, b []float64) float64 {
 
 // Options control component selection.
 type Options struct {
-	// MaxComponents caps the number of kept components (0 = no cap).
-	MaxComponents int
 	// MinEigenFrac keeps components whose eigenvalue is at least this
 	// fraction of the total positive spectrum (default 0.02). The relative
 	// rule makes the kept-component count stabilize as samples grow, which
@@ -188,9 +186,6 @@ func Fit(x [][]float64, kernel Kernel, opts Options) ([]float64, error) {
 			continue
 		}
 		kept = append(kept, l)
-		if opts.MaxComponents > 0 && len(kept) >= opts.MaxComponents {
-			break
-		}
 	}
 	if len(kept) == 0 {
 		kept = append(kept, eig.Values[0])

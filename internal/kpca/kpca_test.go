@@ -77,18 +77,6 @@ func TestComponentsOrderedAndPositive(t *testing.T) {
 	}
 }
 
-func TestMaxComponentsCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := ring(30, rng)
-	ev, err := Fit(x, Kernel{Kind: Gaussian, Gamma: 2}, Options{MaxComponents: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev) != 3 {
-		t.Fatalf("kept %d components; want 3", len(ev))
-	}
-}
-
 func TestNonGaussianKernelsFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := ring(25, rng)

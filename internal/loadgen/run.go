@@ -24,12 +24,14 @@ type Config struct {
 	// benchmark experiment uses it to release a held worker pool, so the
 	// whole admission sequence resolves against a full queue.
 	AfterSubmit func()
-	// PollInterval spaces the status polls of one job (default 2 ms).
-	PollInterval time.Duration
-	// Timeout bounds one job's wait for a terminal state (default 5 m);
-	// a timed-out job counts as failed.
-	Timeout time.Duration
 }
+
+// pollInterval spaces the status polls of one job; pollTimeout bounds one
+// job's wait for a terminal state, and a timed-out job counts as failed.
+const (
+	pollInterval = 2 * time.Millisecond
+	pollTimeout  = 5 * time.Minute
+)
 
 // outcome is the per-op record the pollers fill in; the final accumulation
 // pass folds them into the report in op order, so every count and float sum
@@ -55,12 +57,6 @@ func Run(target Target, ops []Op, cfg Config) (*Report, error) {
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 8
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Minute
 	}
 
 	start := time.Now()
@@ -111,7 +107,7 @@ func Run(target Target, ops []Op, cfg Config) (*Report, error) {
 	// settle polls op i's accepted job to a terminal state and fetches the
 	// result of a success.
 	settle := func(i int) {
-		deadline := time.Now().Add(cfg.Timeout)
+		deadline := time.Now().Add(pollTimeout)
 		for {
 			t0 := time.Now()
 			st, err := target.Status(ids[i])
@@ -128,7 +124,7 @@ func Run(target Target, ops []Op, cfg Config) (*Report, error) {
 				outs[i].failed = true
 				return
 			}
-			time.Sleep(cfg.PollInterval)
+			time.Sleep(pollInterval)
 		}
 		if outs[i].state == service.StateSucceeded {
 			t0 := time.Now()

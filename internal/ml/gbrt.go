@@ -12,11 +12,12 @@ type GBRTOptions struct {
 	Trees int
 	// MaxDepth is the per-tree depth (default 3).
 	MaxDepth int
-	// LearningRate is the shrinkage (default 0.1).
-	LearningRate float64
 	// MinLeaf is the minimum samples per leaf (default 2).
 	MinLeaf int
 }
+
+// gbrtLearningRate is the boosting shrinkage.
+const gbrtLearningRate = 0.1
 
 // GBRT is gradient boosting with regression trees under squared loss.
 type GBRT struct {
@@ -36,9 +37,6 @@ func NewGBRT(o GBRTOptions) *GBRT {
 	}
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 3
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.1
 	}
 	if o.MinLeaf <= 0 {
 		o.MinLeaf = 2
@@ -69,7 +67,7 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 		tr := b.build(g.opts.MaxDepth)
 		g.trees = append(g.trees, tr)
 		for i := range resid {
-			resid[i] -= g.opts.LearningRate * tr.predict(x[i])
+			resid[i] -= gbrtLearningRate * tr.predict(x[i])
 		}
 	}
 	return nil
@@ -79,7 +77,7 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 func (g *GBRT) Predict(x []float64) float64 {
 	out := g.base
 	for _, tr := range g.trees {
-		out += g.opts.LearningRate * tr.predict(x)
+		out += gbrtLearningRate * tr.predict(x)
 	}
 	return out
 }

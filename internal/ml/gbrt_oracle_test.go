@@ -41,7 +41,7 @@ func (g *refGBRT) fit(x [][]float64, y []float64) {
 		}
 		g.trees = append(g.trees, tr)
 		for i := range resid {
-			resid[i] -= g.opts.LearningRate * tr.predict(x[i])
+			resid[i] -= gbrtLearningRate * tr.predict(x[i])
 		}
 	}
 }
@@ -49,7 +49,7 @@ func (g *refGBRT) fit(x [][]float64, y []float64) {
 func (g *refGBRT) predict(x []float64) float64 {
 	out := g.base
 	for _, tr := range g.trees {
-		out += g.opts.LearningRate * tr.predict(x)
+		out += gbrtLearningRate * tr.predict(x)
 	}
 	return out
 }

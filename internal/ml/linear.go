@@ -64,19 +64,16 @@ func (l *Linear) Predict(x []float64) float64 {
 	return s
 }
 
-// LogisticOptions configure the logistic-output regressor.
-type LogisticOptions struct {
-	// Iters is the number of full-batch gradient steps (default 500).
-	Iters int
-	// LearningRate is the step size (default 0.5).
-	LearningRate float64
-}
+// The logistic regressor's full-batch gradient steps and step size.
+const (
+	logisticIters        = 500
+	logisticLearningRate = 0.5
+)
 
 // Logistic fits y ≈ lo + (hi-lo)·σ(wᵀx + b) by gradient descent on squared
 // loss — the paper's "LR" comparator applied to a regression target (the
 // target range is learned from the training data).
 type Logistic struct {
-	opts   LogisticOptions
 	w      []float64
 	b      float64
 	lo, hi float64
@@ -84,15 +81,7 @@ type Logistic struct {
 }
 
 // NewLogistic returns an untrained logistic regressor.
-func NewLogistic(o LogisticOptions) *Logistic {
-	if o.Iters <= 0 {
-		o.Iters = 500
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.5
-	}
-	return &Logistic{opts: o}
-}
+func NewLogistic() *Logistic { return &Logistic{} }
 
 // Name implements Regressor.
 func (l *Logistic) Name() string { return "LR" }
@@ -117,8 +106,8 @@ func (l *Logistic) Fit(x [][]float64, y []float64) error {
 	}
 	l.w = make([]float64, d)
 	l.b = 0
-	lr := l.opts.LearningRate
-	for it := 0; it < l.opts.Iters; it++ {
+	lr := logisticLearningRate
+	for it := 0; it < logisticIters; it++ {
 		gw := make([]float64, d)
 		gb := 0.0
 		for i := 0; i < n; i++ {

@@ -33,9 +33,9 @@ type Regressor interface {
 func All() []Regressor {
 	return []Regressor{
 		NewGBRT(GBRTOptions{}),
-		NewSVR(SVROptions{}),
+		NewSVR(),
 		NewLinear(),
-		NewLogistic(LogisticOptions{}),
+		NewLogistic(),
 		NewKNN(5),
 	}
 }

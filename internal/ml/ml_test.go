@@ -163,7 +163,7 @@ func TestSVRFitsLinearTrend(t *testing.T) {
 		x = append(x, []float64{a})
 		y = append(y, 10*a+5)
 	}
-	s := NewSVR(SVROptions{})
+	s := NewSVR()
 	if err := s.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSVRFitsLinearTrend(t *testing.T) {
 func TestLogisticStaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, y := synth(100, 4, rng)
-	l := NewLogistic(LogisticOptions{})
+	l := NewLogistic()
 	if err := l.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}

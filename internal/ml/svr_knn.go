@@ -5,46 +5,27 @@ import (
 	"sort"
 )
 
-// SVROptions configure the linear epsilon-insensitive support vector
-// regressor trained by subgradient descent.
-type SVROptions struct {
-	// Epsilon is the insensitivity tube half-width on standardized targets
-	// (default 0.1).
-	Epsilon float64
-	// C is the slack weight (default 1).
-	C float64
-	// Iters is the number of epochs (default 300).
-	Iters int
-	// LearningRate is the initial step size (default 0.1).
-	LearningRate float64
-}
+// The SVR's training constants: the insensitivity tube half-width on
+// standardized targets, the slack weight, the epoch count and the initial
+// step size.
+const (
+	svrEpsilon      = 0.1
+	svrC            = 1
+	svrIters        = 300
+	svrLearningRate = 0.1
+)
 
-// SVR is a linear ε-SVR: minimize ½|w|² + C·Σ max(0, |wᵀx+b − y| − ε).
-// Targets are standardized internally.
+// SVR is a linear ε-SVR: minimize ½|w|² + C·Σ max(0, |wᵀx+b − y| − ε),
+// trained by subgradient descent. Targets are standardized internally.
 type SVR struct {
-	opts        SVROptions
 	w           []float64
 	b           float64
 	yMean, yStd float64
 	dim         int
 }
 
-// NewSVR returns an untrained SVR with defaults filled in.
-func NewSVR(o SVROptions) *SVR {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.1
-	}
-	if o.C <= 0 {
-		o.C = 1
-	}
-	if o.Iters <= 0 {
-		o.Iters = 300
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.1
-	}
-	return &SVR{opts: o}
-}
+// NewSVR returns an untrained SVR.
+func NewSVR() *SVR { return &SVR{} }
 
 // Name implements Regressor.
 func (s *SVR) Name() string { return "SVR" }
@@ -74,18 +55,18 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 
 	s.w = make([]float64, d)
 	s.b = 0
-	lam := 1 / (s.opts.C * float64(n))
-	for it := 0; it < s.opts.Iters; it++ {
-		lr := s.opts.LearningRate / (1 + 0.05*float64(it))
+	lam := 1 / (svrC * float64(n))
+	for it := 0; it < svrIters; it++ {
+		lr := svrLearningRate / (1 + 0.05*float64(it))
 		for i := 0; i < n; i++ {
 			t := (y[i] - mean) / sd
 			pred := dot(s.w, x[i]) + s.b
 			r := pred - t
 			var g float64
 			switch {
-			case r > s.opts.Epsilon:
+			case r > svrEpsilon:
 				g = 1
-			case r < -s.opts.Epsilon:
+			case r < -svrEpsilon:
 				g = -1
 			}
 			for j := 0; j < d; j++ {

@@ -83,7 +83,7 @@ func randomConfigs(space *conf.Space, n int, seed int64) []conf.Config {
 func TestGenericPoolReproducesSerial(t *testing.T) {
 	app := batchApp()
 	mkSerial := func() []AppResult {
-		f := newFakeBackend(Capabilities{Name: "fake"})
+		f := newFakeBackend(Capabilities{})
 		cs := randomConfigs(f.space, 17, 3)
 		var out []AppResult
 		for i, c := range cs {
@@ -94,7 +94,7 @@ func TestGenericPoolReproducesSerial(t *testing.T) {
 	want := mkSerial()
 
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		f := newFakeBackend(Capabilities{Name: "fake"})
+		f := newFakeBackend(Capabilities{})
 		cs := randomConfigs(f.space, 17, 3)
 		got, done := RunBatch(f, app, cs, func(i int) float64 { return float64(100 + i) }, workers, nil)
 		if done != len(cs) {
@@ -115,7 +115,7 @@ type spyBatch struct {
 }
 
 func (s *spyBatch) Capabilities() Capabilities {
-	return Capabilities{Name: "spy", NativeBatch: true}
+	return Capabilities{NativeBatch: true}
 }
 
 func (s *spyBatch) RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) ([]AppResult, int) {
@@ -135,7 +135,7 @@ func TestRunBatchNegotiatesNativeBatch(t *testing.T) {
 	}
 
 	// The same backend with NativeBatch masked must be pool-wrapped.
-	f := newFakeBackend(Capabilities{Name: "fake"})
+	f := newFakeBackend(Capabilities{})
 	if _, done := RunBatch(f, app, cs, func(int) float64 { return 100 }, 4, nil); done != len(cs) {
 		t.Fatalf("done=%d", done)
 	}
@@ -147,7 +147,7 @@ func TestRunBatchNegotiatesNativeBatch(t *testing.T) {
 // The pool must clamp its concurrency to the backend's MaxParallel
 // capability (a cluster submission-queue bound).
 func TestPoolHonorsMaxParallel(t *testing.T) {
-	f := newFakeBackend(Capabilities{Name: "fake", MaxParallel: 2})
+	f := newFakeBackend(Capabilities{MaxParallel: 2})
 	app := batchApp()
 	cs := randomConfigs(f.space, 32, 9)
 	if _, done := RunBatch(f, app, cs, func(int) float64 { return 100 }, 0, nil); done != len(cs) {
@@ -160,7 +160,7 @@ func TestPoolHonorsMaxParallel(t *testing.T) {
 
 // Stop must cut the batch to a valid completed prefix.
 func TestPoolStopPrefix(t *testing.T) {
-	f := newFakeBackend(Capabilities{Name: "fake"})
+	f := newFakeBackend(Capabilities{})
 	app := batchApp()
 	cs := randomConfigs(f.space, 24, 5)
 	var polls atomic.Int64
@@ -235,20 +235,20 @@ func TestSimBatchHonorsStop(t *testing.T) {
 }
 
 // CapsOf must give a Reporter-less backend without a RunBatch of its own
-// conservative defaults, and name the simulator adapter.
+// conservative defaults.
 func TestCapsOfDefaults(t *testing.T) {
 	type plain struct{ Runner }
 	if caps := CapsOf(plain{newFakeBackend(Capabilities{})}); caps.NativeBatch {
 		t.Fatal("plain runner must not report NativeBatch")
 	}
-	if caps := CapsOf(NewSim(sparksim.New(sparksim.ARM(), 1))); caps.NativeBatch || caps.Name != "sparksim" {
+	if caps := CapsOf(NewSim(sparksim.New(sparksim.ARM(), 1))); caps.NativeBatch || !caps.Deterministic {
 		t.Fatalf("unexpected sim capabilities: %+v", caps)
 	}
 }
 
 // The pool must be race-free with a shared backend (run under -race).
 func TestPoolConcurrentBatchesRaceFree(t *testing.T) {
-	f := newFakeBackend(Capabilities{Name: "fake"})
+	f := newFakeBackend(Capabilities{})
 	app := batchApp()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -36,7 +36,7 @@ func NewCache(inner Runner, prior []TraceEntry, onRun func(TraceEntry)) *Cache {
 	if onRun == nil {
 		onRun = func(TraceEntry) {}
 	}
-	c := &Cache{forward: forward{inner, "checkpoint"}, onRun: onRun}
+	c := &Cache{forward: forward{inner}, onRun: onRun}
 	for _, e := range prior {
 		c.prior.add(e)
 		if e.Kind == TraceNoiseless {

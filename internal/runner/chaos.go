@@ -81,7 +81,8 @@ type ChaosOptions struct {
 // ErrChaosFailed is the sticky failure a FailAfter trip reports.
 var ErrChaosFailed = errors.New("runner: chaos backend failure injected")
 
-// errChaosDrop is the transient per-attempt failure of a dropped run.
+// errChaosDrop is the per-attempt failure of a dropped run, the one fault
+// Retrying retries.
 type errChaosDrop struct {
 	idx     uint64
 	attempt int
@@ -90,9 +91,6 @@ type errChaosDrop struct {
 func (e *errChaosDrop) Error() string {
 	return fmt.Sprintf("runner: chaos dropped run %d (attempt %d)", e.idx, e.attempt)
 }
-
-// Transient marks drops retryable; IsTransient and Retrying honor it.
-func (e *errChaosDrop) Transient() bool { return true }
 
 // ParseChaosSpec parses the one-string chaos surface the CLI flags accept,
 // a comma-separated list of knobs mirroring the -backend spec style:
@@ -166,7 +164,7 @@ func NewChaos(inner Runner, opts ChaosOptions) *Chaos {
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
 	}
-	return &Chaos{forward: forward{inner, "chaos"}, opts: opts, attempts: map[uint64]int{}}
+	return &Chaos{forward: forward{inner}, opts: opts, attempts: map[uint64]int{}}
 }
 
 // chaosMix is the splitmix64 finalizer (the simulator's runSeed pattern),
@@ -222,26 +220,25 @@ func (c *Chaos) noteExecuted() {
 	}
 }
 
-// TryRunAppAt executes run idx unless the schedule faults it, reporting the
-// fault as an error (transient for drops, sticky after FailAfter).
-func (c *Chaos) TryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) (AppResult, error) {
-	if err := c.step(idx); err != nil {
-		return AppResult{}, err
+// tryRunAppAt executes run idx unless the schedule faults it, reporting the
+// fault as an error (an *errChaosDrop for drops, sticky after FailAfter).
+func (c *Chaos) tryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) (res AppResult, err error) {
+	if err = c.step(idx); err == nil {
+		res = c.inner.RunAppAt(idx, app, cf, dataGB)
+		c.noteExecuted()
 	}
-	res := c.inner.RunAppAt(idx, app, cf, dataGB)
-	c.noteExecuted()
-	return res, nil
+	return res, err
 }
 
 // RunApp claims the next index and executes it through the fault schedule;
-// faulted runs report a zero result (the error surface is TryRunAppAt).
+// faulted runs report a zero result.
 func (c *Chaos) RunApp(app *Application, cf conf.Config, dataGB float64) AppResult {
 	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
 }
 
 // RunAppAt executes run idx; faulted runs report a zero result.
 func (c *Chaos) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) AppResult {
-	res, _ := c.TryRunAppAt(idx, app, cf, dataGB)
+	res, _ := c.tryRunAppAt(idx, app, cf, dataGB)
 	return res
 }
 

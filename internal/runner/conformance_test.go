@@ -20,8 +20,8 @@ import (
 // decorators share can be rewritten without any stack moving.
 
 // probe sits between a stack and the backend and counts what reaches the
-// backend, reporting the backend's own capabilities so stack names and
-// flags are the production ones.
+// backend, reporting the backend's own capabilities so stack flags are the
+// production ones.
 type probe struct {
 	Runner
 	runs, noiseless atomic.Int64
@@ -72,7 +72,7 @@ func (g *rig) report(e TraceEntry) {
 // production assembles the service's order: cache(observe(retry(chaos(b)))).
 func production(b Runner, g *rig, co ChaosOptions) Runner {
 	return NewCache(Observe(
-		NewRetrying(NewChaos(b, co), RetryOptions{MaxAttempts: 3, Sleep: noSleep, OnRetry: func() { g.retries.Add(1) }}),
+		NewRetrying(NewChaos(b, co), RetryOptions{Sleep: noSleep, OnRetry: func() { g.retries.Add(1) }}),
 		&g.tally), nil, g.report)
 }
 
@@ -80,7 +80,7 @@ var conformanceBackends = []struct {
 	name string
 	make func() Runner
 }{
-	{"fake", func() Runner { return newFakeBackend(Capabilities{Name: "fake", MaxParallel: 3, Deterministic: true}) }},
+	{"fake", func() Runner { return newFakeBackend(Capabilities{MaxParallel: 3, Deterministic: true}) }},
 	{"sim", func() Runner { return NewSim(sparksim.New(sparksim.ARM(), 7)) }},
 }
 
@@ -92,7 +92,9 @@ var conformanceStacks = []struct {
 	{"bare", false, func(b Runner, g *rig) Runner { return b }},
 	{"observed", true, func(b Runner, g *rig) Runner { return Observe(b, &g.tally) }},
 	{"chaos", false, func(b Runner, g *rig) Runner { return NewChaos(b, ChaosOptions{Seed: 1}) }},
-	{"retry", false, func(b Runner, g *rig) Runner { return NewRetrying(b, RetryOptions{Sleep: noSleep}) }},
+	{"retry", false, func(b Runner, g *rig) Runner {
+		return NewRetrying(NewChaos(b, ChaosOptions{Seed: 1}), RetryOptions{Sleep: noSleep})
+	}},
 	{"cache", false, func(b Runner, g *rig) Runner { return NewCache(b, nil, g.report) }},
 	{"record", false, func(b Runner, g *rig) Runner { return NewRecorder(b, g.sink, "s") }},
 	{"production", true, func(b Runner, g *rig) Runner { return production(b, g, ChaosOptions{Seed: 1}) }},
@@ -105,22 +107,22 @@ var conformanceStacks = []struct {
 // literals: a change to how capabilities forward shows up as an edited line
 // here, not as a silently different negotiation.
 var conformanceCaps = map[string]Capabilities{
-	"fake/bare":              {Name: "fake", MaxParallel: 3, Deterministic: true},
-	"fake/observed":          {Name: "observed(fake)", NativeBatch: true, MaxParallel: 3, Deterministic: true},
-	"fake/chaos":             {Name: "chaos(fake)", MaxParallel: 3, Deterministic: true},
-	"fake/retry":             {Name: "retry(fake)", MaxParallel: 3, Deterministic: true},
-	"fake/cache":             {Name: "checkpoint(fake)", MaxParallel: 3, Deterministic: true},
-	"fake/record":            {Name: "trace-record(fake)", MaxParallel: 3, Deterministic: true},
-	"fake/production":        {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Deterministic: true},
-	"fake/production-healed": {Name: "checkpoint(observed(retry(chaos(fake))))", MaxParallel: 3, Deterministic: true},
-	"sim/bare":               {Name: "sparksim", Deterministic: true},
-	"sim/observed":           {Name: "observed(sparksim)", NativeBatch: true, Deterministic: true},
-	"sim/chaos":              {Name: "chaos(sparksim)", Deterministic: true},
-	"sim/retry":              {Name: "retry(sparksim)", Deterministic: true},
-	"sim/cache":              {Name: "checkpoint(sparksim)", Deterministic: true},
-	"sim/record":             {Name: "trace-record(sparksim)", Deterministic: true},
-	"sim/production":         {Name: "checkpoint(observed(retry(chaos(sparksim))))", Deterministic: true},
-	"sim/production-healed":  {Name: "checkpoint(observed(retry(chaos(sparksim))))", Deterministic: true},
+	"fake/bare":              {MaxParallel: 3, Deterministic: true},
+	"fake/observed":          {NativeBatch: true, MaxParallel: 3, Deterministic: true},
+	"fake/chaos":             {MaxParallel: 3, Deterministic: true},
+	"fake/retry":             {MaxParallel: 3, Deterministic: true},
+	"fake/cache":             {MaxParallel: 3, Deterministic: true},
+	"fake/record":            {MaxParallel: 3, Deterministic: true},
+	"fake/production":        {MaxParallel: 3, Deterministic: true},
+	"fake/production-healed": {MaxParallel: 3, Deterministic: true},
+	"sim/bare":               {Deterministic: true},
+	"sim/observed":           {NativeBatch: true, Deterministic: true},
+	"sim/chaos":              {Deterministic: true},
+	"sim/retry":              {Deterministic: true},
+	"sim/cache":              {Deterministic: true},
+	"sim/record":             {Deterministic: true},
+	"sim/production":         {Deterministic: true},
+	"sim/production-healed":  {Deterministic: true},
 }
 
 func newRig(backend func() Runner, build func(Runner, *rig) Runner) *rig {
@@ -286,14 +288,14 @@ func TestConformanceFaults(t *testing.T) {
 			chaos := NewChaos(p, ChaosOptions{DropRate: 1, MaxConsecutive: 1, Seed: 3})
 			c := chaos.Space().Default()
 			idx := chaos.ReserveRuns(1)
-			if res, err := chaos.TryRunAppAt(idx, app, c, 100); err == nil || !IsTransient(err) || res.Sec != 0 {
-				t.Fatalf("first attempt: got %+v, %v; want a transient drop", res, err)
+			if res, err := chaos.tryRunAppAt(idx, app, c, 100); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
+				t.Fatalf("first attempt: got %+v, %v; want a drop", res, err)
 			}
 			if n := p.runs.Load(); n != 0 {
 				t.Fatalf("dropped attempt reached the backend %d times", n)
 			}
 			want := be.make().RunApp(app, c, 100)
-			if res, err := chaos.TryRunAppAt(idx, app, c, 100); err != nil || !reflect.DeepEqual(res, want) {
+			if res, err := chaos.tryRunAppAt(idx, app, c, 100); err != nil || !reflect.DeepEqual(res, want) {
 				t.Fatalf("healed attempt: got %+v, %v; want the bare result", res, err)
 			}
 			if n := p.runs.Load(); n != 1 {

@@ -3,7 +3,6 @@ package runner
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,7 @@ func TestChaosWithRetryMatchesFaultFree(t *testing.T) {
 	var retries atomic.Int64
 	chain := NewRetrying(
 		NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9}),
-		RetryOptions{MaxAttempts: 3, Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
+		RetryOptions{Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
 	)
 	got, gotNoiseless := driveSession(t, chain)
 	if !reflect.DeepEqual(got, want) {
@@ -72,7 +71,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 		var retries atomic.Int64
 		chain := NewRetrying(
 			NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.4, Seed: 11}),
-			RetryOptions{MaxAttempts: 3, Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
+			RetryOptions{Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
 		)
 		driveSession(t, chain)
 		counts[i] = retries.Load()
@@ -92,18 +91,16 @@ func TestChaosDropNeverTouchesInner(t *testing.T) {
 	app := batchApp()
 	c := inner.Space().Default()
 
-	// First attempt of run 0 drops (rate 1); no execution below.
-	if res, err := chaos.TryRunAppAt(chaos.ReserveRuns(1), app, c, 100); err == nil || res.Sec != 0 {
+	// First attempt of run 0 drops (rate 1) with the error Retrying
+	// retries; no execution below.
+	if res, err := chaos.tryRunAppAt(chaos.ReserveRuns(1), app, c, 100); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
 		t.Fatalf("want dropped first attempt, got %+v, %v", res, err)
 	}
 	if runs, _ := tally.Snapshot(); runs != 0 {
 		t.Fatalf("drop executed %d inner runs; want 0", runs)
 	}
-	if !IsTransient(&errChaosDrop{}) {
-		t.Fatal("chaos drops must classify transient")
-	}
 	// Second attempt of the same index clears (maxfail 1) and executes.
-	if _, err := chaos.TryRunAppAt(0, app, c, 100); err != nil {
+	if _, err := chaos.tryRunAppAt(0, app, c, 100); err != nil {
 		t.Fatalf("second attempt should heal: %v", err)
 	}
 	if runs, _ := tally.Snapshot(); runs != 1 {
@@ -127,9 +124,11 @@ func TestChaosFailAfterIsSticky(t *testing.T) {
 	if res := chaos.RunApp(app, c, 100); res.Sec != 0 {
 		t.Fatal("runs after the sticky failure must report zero results")
 	}
-	// Sticky failures are not transient: a retry policy must give up.
-	if IsTransient(BackendErr(chaos)) {
-		t.Fatal("sticky chaos failure classified transient")
+	// Sticky failures are not drops: the retry policy gives up at once.
+	var retries atomic.Int64
+	NewRetrying(chaos, RetryOptions{Sleep: noSleep, OnRetry: func() { retries.Add(1) }}).RunApp(app, c, 100)
+	if n := retries.Load(); n != 0 {
+		t.Fatalf("sticky chaos failure retried %d times", n)
 	}
 }
 
@@ -152,36 +151,37 @@ func TestBatchPanicReachesCaller(t *testing.T) {
 	RunBatch(chaos, batchApp(), cs, func(int) float64 { return 100 }, 4, nil)
 }
 
-// Backoff delays are a pure function of (seed, index, attempt): capped
-// exponential with jitter in [0.5, 1) of the nominal delay.
+// Backoff delays are a pure function of (seed, index, attempt): exponential
+// from 100 ms with jitter in [0.5, 1) of the nominal delay, so the delay
+// before attempt 1 lies in [50, 100) ms and before attempt 2 in [100, 200).
 func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 	sleeps := func() []time.Duration {
 		var got []time.Duration
-		var mu sync.Mutex
+		// Every run drops its first two attempts and executes on its third,
+		// so a serial session sleeps exactly twice per run, in attempt order.
 		chain := NewRetrying(
-			NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.6, MaxConsecutive: 2, Seed: 4}),
-			RetryOptions{
-				MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 150 * time.Millisecond,
-				Seed:  8,
-				Sleep: func(d time.Duration) { mu.Lock(); got = append(got, d); mu.Unlock() },
-			},
+			NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 1, MaxConsecutive: 2, Seed: 4}),
+			RetryOptions{Seed: 8, Sleep: func(d time.Duration) { got = append(got, d) }},
 		)
-		driveSession(t, chain)
+		app := batchApp()
+		for _, c := range randomConfigs(chain.Space(), 20, 3) {
+			if res := chain.RunApp(app, c, 100); res.Sec == 0 {
+				t.Fatal("third attempt did not execute")
+			}
+		}
 		return got
 	}
 	a, b := sleeps(), sleeps()
-	if len(a) == 0 {
-		t.Fatal("no backoff sleeps recorded")
+	if len(a) != 40 {
+		t.Fatalf("recorded %d backoff sleeps, want 2 per run (40)", len(a))
 	}
-	// Batch workers interleave retries, so compare the schedule as a set.
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("backoff schedule not deterministic:\n%v\n%v", a, b)
 	}
-	for _, d := range a {
-		if d < 50*time.Millisecond || d >= 150*time.Millisecond {
-			t.Fatalf("delay %v outside [base/2, max)", d)
+	for i, d := range a {
+		lo := 50 * time.Millisecond << (i % 2)
+		if d < lo || d >= 2*lo {
+			t.Fatalf("delay %d (attempt %d) = %v, outside [%v, %v)", i, i%2+1, d, lo, 2*lo)
 		}
 	}
 }
@@ -194,19 +194,18 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 		// Every attempt drops and maxfail exceeds the retry budget, so every
 		// run exhausts its attempts.
 		NewChaos(inner, ChaosOptions{DropRate: 1, MaxConsecutive: 100, Seed: 2}),
-		RetryOptions{MaxAttempts: 2, BreakerThreshold: 3, Sleep: noSleep,
-			OnBreakerOpen: func() { opened.Add(1) }},
+		RetryOptions{Sleep: noSleep, OnBreakerOpen: func() { opened.Add(1) }},
 	)
 	app := batchApp()
 	c := inner.Space().Default()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		if err := BackendErr(chain); err != nil {
 			t.Fatalf("breaker open after only %d failed runs: %v", i, err)
 		}
 		chain.RunApp(app, c, 100)
 	}
 	if err := BackendErr(chain); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("after 3 failed runs: err = %v, want ErrBreakerOpen", err)
+		t.Fatalf("after 5 failed runs: err = %v, want ErrBreakerOpen", err)
 	}
 	if opened.Load() != 1 {
 		t.Fatalf("OnBreakerOpen fired %d times, want 1", opened.Load())
@@ -250,9 +249,9 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	// Cache and Recorder forward it as well: a wrapper that hid it would
 	// report a dead backend as healthy.
 	recSink, _ := memSink()
-	for _, w := range []Runner{NewCache(bottom, nil, nil), NewRecorder(bottom, recSink, "s")} {
+	for name, w := range map[string]Runner{"cache": NewCache(bottom, nil, nil), "recorder": NewRecorder(bottom, recSink, "s")} {
 		if err := BackendErr(w); err == nil || err.Error() != "gateway dead" {
-			t.Fatalf("%s: innermost error not forwarded: %v", CapsOf(w).Name, err)
+			t.Fatalf("%s: innermost error not forwarded: %v", name, err)
 		}
 	}
 
@@ -277,10 +276,7 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := Observe(NewRetrying(NewChaos(rp, ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 13}),
-		RetryOptions{MaxAttempts: 3, Sleep: noSleep}), &tally)
-	if name := CapsOf(full).Name; name != "observed(retry(chaos(trace-replay)))" {
-		t.Fatalf("capability names do not nest: %q", name)
-	}
+		RetryOptions{Sleep: noSleep}), &tally)
 	gotApps, gotNoiseless := driveSession(t, full)
 	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("chaotic replay diverged from the recorded session")

@@ -68,7 +68,7 @@ type Observed struct {
 
 // Observe wraps r, reporting executions to every observer in obs.
 func Observe(r Runner, obs ...RunObserver) *Observed {
-	return &Observed{forward: forward{inner: r}, obs: obs}
+	return &Observed{forward: forward{r}, obs: obs}
 }
 
 func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
@@ -82,7 +82,6 @@ func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 // everything else.
 func (m *Observed) Capabilities() Capabilities {
 	caps := CapsOf(m.inner)
-	caps.Name = "observed(" + caps.Name + ")"
 	caps.NativeBatch = true
 	return caps
 }

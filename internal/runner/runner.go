@@ -33,14 +33,11 @@
 // about an inner backend and forward the rest. The forwarding is written
 // once, on the embedded forward struct below: a decorator declares its own
 // state, RunAppAt, and a one-line RunApp that claims the next index for it.
-// Failure has one per-run surface, TryRunner.TryRunAppAt (Chaos exposes it,
-// Retrying consumes it); everything else reports a failed run as a zero
-// result and the cause through the sticky Err.
+// A failed run reports a zero result and its cause through the sticky Err;
+// only Retrying sees per-attempt faults, from the Chaos it wraps.
 package runner
 
 import (
-	"fmt"
-
 	"locat/internal/conf"
 	"locat/internal/sparksim"
 )
@@ -105,9 +102,6 @@ type BatchRunner interface {
 // Capabilities describe what a backend can do natively, so drivers can
 // negotiate instead of assuming the simulator.
 type Capabilities struct {
-	// Name identifies the backend ("sparksim", "trace-record",
-	// "trace-replay", "sparkrest").
-	Name string
 	// NativeBatch reports a RunBatch of the backend's own (BatchRunner);
 	// without it the package-level RunBatch runs the batch on its worker
 	// pool.
@@ -162,8 +156,6 @@ func BackendErr(r Runner) error {
 //	}
 type forward struct {
 	inner Runner
-	// name prefixes the inner backend's in Capabilities: "chaos(sparksim)".
-	name string
 }
 
 // Space returns the inner backend's configuration space.
@@ -187,7 +179,6 @@ func (f forward) Err() error { return BackendErr(f.inner) }
 // through the decorator, and inherit the rest.
 func (f forward) Capabilities() Capabilities {
 	caps := CapsOf(f.inner)
-	caps.Name = f.name + "(" + caps.Name + ")"
 	caps.NativeBatch = false
 	return caps
 }
@@ -201,5 +192,5 @@ func CapsOf(r Runner) Capabilities {
 		return rep.Capabilities()
 	}
 	_, batch := r.(BatchRunner)
-	return Capabilities{Name: fmt.Sprintf("%T", r), NativeBatch: batch}
+	return Capabilities{NativeBatch: batch}
 }

@@ -23,7 +23,7 @@ func NewSim(s *sparksim.Simulator) Sim { return Sim{Simulator: s} }
 // — which lets a checkpoint-resumed session re-drive the identical
 // trajectory and serve paid runs from the checkpoint verbatim.
 func (s Sim) Capabilities() Capabilities {
-	return Capabilities{Name: "sparksim", Deterministic: true}
+	return Capabilities{Deterministic: true}
 }
 
 // Compile-time checks: the adapter and the bare simulator both satisfy the

@@ -150,7 +150,7 @@ func (s *SparkRest) fail(err error) {
 // Capabilities: no native batch (the pool provides concurrency, clamped to
 // the submission cap); live clusters are not deterministic.
 func (s *SparkRest) Capabilities() Capabilities {
-	return Capabilities{Name: "sparkrest", MaxParallel: s.maxParallel}
+	return Capabilities{MaxParallel: s.maxParallel}
 }
 
 // Space returns the configuration space submissions are validated against.

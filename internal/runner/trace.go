@@ -350,7 +350,7 @@ type Recorder struct {
 
 // NewRecorder wraps inner, appending entries to sink under stream.
 func NewRecorder(inner Runner, sink *TraceSink, stream string) *Recorder {
-	return &Recorder{forward: forward{inner, "trace-record"}, sink: sink, stream: stream}
+	return &Recorder{forward: forward{inner}, sink: sink, stream: stream}
 }
 
 // RunApp claims the next index and records the execution.
@@ -456,7 +456,7 @@ func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream stri
 // Capabilities: replay is deterministic, has no native batch (the generic
 // pool exercises the exact-index lookup), and tolerates any parallelism.
 func (rp *Replayer) Capabilities() Capabilities {
-	return Capabilities{Name: "trace-replay", Deterministic: true}
+	return Capabilities{Deterministic: true}
 }
 
 // Space returns the configuration space the trace was recorded over.

@@ -111,7 +111,9 @@ func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
 	return writeAtomic(p, "checkpoint", data)
 }
 
-// GetCheckpoint implements CheckpointStore.
+// GetCheckpoint implements CheckpointStore. The file name is the job's ID: a
+// body naming any other job is an error, since resume requeues the job the
+// body names and retires the file of that ID when the job settles.
 func (s *FileStore) GetCheckpoint(jobID string) (*Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,6 +131,9 @@ func (s *FileStore) GetCheckpoint(jobID string) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("service: decode checkpoint %s: %w", jobID, err)
+	}
+	if cp.JobID != jobID {
+		return nil, fmt.Errorf("service: checkpoint %s holds job %q", jobID, cp.JobID)
 	}
 	return &cp, nil
 }

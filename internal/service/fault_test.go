@@ -1,10 +1,14 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,7 +52,7 @@ func TestChaosHealingJobMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chaotic := New(Config{Workers: 1, Chaos: "drop=0.25,maxfail=2,seed=7"})
+	chaotic := New(Config{Workers: 1, Chaos: &runner.ChaosOptions{DropRate: 0.25, MaxConsecutive: 2, Seed: 7}})
 	defer chaotic.Close()
 	res, err := submitAndWait(t, chaotic, spec)
 	if err != nil {
@@ -84,7 +88,7 @@ func TestChaosHealingJobMatchesFaultFree(t *testing.T) {
 // the result is the best configuration measured before death, flagged, and
 // never worse than the defaults.
 func TestBackendDeathDegradesJob(t *testing.T) {
-	s := New(Config{Workers: 1, Chaos: "failafter=12,seed=3"})
+	s := New(Config{Workers: 1, Chaos: &runner.ChaosOptions{FailAfter: 12, Seed: 3}})
 	defer s.Close()
 	res, err := submitAndWait(t, s, quickSpec(80, 4))
 	if err != nil {
@@ -207,6 +211,50 @@ func TestResumeFromCheckpointAfterKill(t *testing.T) {
 	})
 }
 
+// Resume trusts a checkpoint's file name over its body. A body whose job_id
+// is empty, names another job or repeats another file's ID is unreadable: it
+// is skipped and left where it is, and only the honest checkpoint resumes,
+// once, under its own ID.
+func TestResumeSkipsCheckpointNamingAnotherJob(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutCheckpoint(Checkpoint{JobID: "job-000001", Spec: quickSpec(100, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for file, body := range map[string]string{"job-000002": "job-000001", "job-000003": "", "job-000004": "job-000009"} {
+		data, err := json.Marshal(Checkpoint{JobID: body, Spec: quickSpec(100, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoints", file+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err := fs.GetCheckpoint(file); err == nil {
+			t.Errorf("GetCheckpoint(%s) returned a checkpoint of job %q", file, cp.JobID)
+		}
+	}
+	s := New(Config{Workers: 1, Store: fs, Resume: true})
+	defer s.Close()
+	var ids []string
+	for _, st := range s.Jobs() {
+		ids = append(ids, st.ID)
+	}
+	if !slices.Equal(ids, []string{"job-000001"}) {
+		t.Fatalf("resumed jobs %q; want only job-000001", ids)
+	}
+	if v := metricValue(scrape(s), "locat_jobs_resumed_total"); v != 1 {
+		t.Fatalf("locat_jobs_resumed_total = %v; want 1", v)
+	}
+	for _, file := range []string{"job-000002", "job-000003", "job-000004"} {
+		if _, err := os.Stat(filepath.Join(dir, "checkpoints", file+".json")); err != nil {
+			t.Fatalf("unreadable checkpoint %s did not stay: %v", file, err)
+		}
+	}
+}
+
 // TestResumedFallbackJobKeepsItsPrior: a fallback job queued by /v1/recommend
 // and drained before it ran warm-starts after the restart exactly as it would
 // have before it — the prior is read when the job runs, so nothing has to
@@ -259,7 +307,7 @@ func TestJobRetryResumesAcrossAttempts(t *testing.T) {
 		Workers:         1,
 		JobRetries:      8,
 		CheckpointEvery: 1,
-		Chaos:           "killafter=12,seed=5",
+		Chaos:           &runner.ChaosOptions{KillAfter: 12, Seed: 5},
 	})
 	defer s.Close()
 	res, err := submitAndWait(t, s, spec)

@@ -6,9 +6,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"locat/internal/conf"
+	"locat/internal/runner"
 	"locat/internal/sparksim"
+	"locat/internal/workloads"
 )
 
 // postStatuses is every status a POST endpoint may answer with: accepted or
@@ -156,6 +161,65 @@ func FuzzRecommendHandler(f *testing.F) {
 		}
 		if rec.RefineJobID != "" {
 			specSurvivesNormalize(t, s, rec.RefineJobID)
+		}
+	})
+}
+
+// FuzzCheckpointLoad: whatever bytes sit in a checkpoint file, GetCheckpoint
+// either refuses them or returns a checkpoint of the job the file is named
+// after, and rebuilding a prior from it over either cluster's space does not
+// panic — resume reads these files from disk on every restart. The seeds are
+// the checkpoint lifecycle_test.go plants (a spec, no runs) and the same one
+// carrying a paid run and a noiseless evaluation, as a session writes them.
+func FuzzCheckpointLoad(f *testing.F) {
+	const id = "job-000001"
+	spec := quickSpec(100, 1)
+	planted := Checkpoint{JobID: id, Spec: spec}
+	cl := sparksim.ARM()
+	sim := sparksim.New(cl, 1)
+	app, c := workloads.TPCH(), cl.Space().Default()
+	res := sim.RunApp(app, c, 100)
+	paid := Checkpoint{JobID: id, Spec: spec, Fingerprint: NewFingerprint(spec).Key(), CreatedUnix: 1700000000,
+		Entries: []runner.TraceEntry{
+			{Kind: runner.TraceApp, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: 100, Result: &res},
+			{Kind: runner.TraceNoiseless, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: 100, Sec: sim.NoiselessAppTime(app, c, 100)},
+		}}
+	for _, cp := range []Checkpoint{planted, paid} {
+		data, err := json.Marshal(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"job_id":"job-000002","spec":{"benchmark":"TPC-H"}}`))
+	f.Add([]byte(`{"job_id":"","entries":[{"kind":"app","conf":[1],"result":{"sec":-1}}]}`))
+	f.Add([]byte(`{"job_id":"job-000001","entries":[{"kind":"app","conf":null,"result":null}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{`))
+
+	dir := f.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, "checkpoints", id+".json")
+	spaces := []*conf.Space{sparksim.ARM().Space(), sparksim.X86().Space()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := fs.GetCheckpoint(id)
+		if err != nil {
+			return
+		}
+		if cp == nil || cp.JobID != id {
+			t.Fatalf("checkpoint file %s.json loaded as %+v", id, cp)
+		}
+		for _, space := range spaces {
+			checkpointPrior(cp, space)
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"locat/internal/runner"
 )
 
 // gatedMem is a MemStore whose history reads block until the gate opens: a
@@ -152,7 +154,7 @@ func TestCancelledQueuedJobIsNotResumed(t *testing.T) {
 	t.Run("RequeuedByRetry", func(t *testing.T) {
 		store := newGatedMem()
 		s := New(Config{Workers: 1, Store: store, JobRetries: 1, CheckpointEvery: 1,
-			Chaos: "killafter=12,seed=5"})
+			Chaos: &runner.ChaosOptions{KillAfter: 12, Seed: 5}})
 		id, err := s.Submit(quickSpec(100, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +241,7 @@ func TestLifecycleEdges(t *testing.T) {
 		spec.Priority = PriorityInteractive
 		return spec
 	}
-	const kill = "killafter=12,seed=5"
+	kill := &runner.ChaosOptions{KillAfter: 12, Seed: 5}
 
 	rows := []struct {
 		name string

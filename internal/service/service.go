@@ -128,12 +128,11 @@ type Config struct {
 	// CheckpointEvery persists a job checkpoint after that many fresh
 	// executions (default 8; negative disables checkpointing).
 	CheckpointEvery int
-	// Chaos, when non-empty, wraps every session backend in deterministic
-	// fault injection plus the healing retry/breaker layer (a
-	// runner.ParseChaosSpec string, e.g. "drop=0.3,seed=7"). Meant for
-	// resilience testing; invalid specs disable chaos with a log line — use
-	// the public facade for validated construction.
-	Chaos string
+	// Chaos, when non-nil, wraps every session backend in deterministic
+	// fault injection plus the healing retry/breaker layer. Meant for
+	// resilience testing; the public facade parses it from a
+	// runner.ParseChaosSpec string such as "drop=0.3,seed=7".
+	Chaos *runner.ChaosOptions
 	// RecommendK and RecommendMaxDistance bound the history retrieval — how
 	// many entries, how far away — behind both /v1/recommend and every warm
 	// start; RecommendConfidence is the score below which a recommendation
@@ -201,8 +200,6 @@ type Service struct {
 	rec *Recommender
 
 	metrics *serviceMetrics
-	// chaos is the parsed Config.Chaos fault schedule (nil: no injection).
-	chaos *runner.ChaosOptions
 	// checkpointEvery is the normalized Config.CheckpointEvery (0: disabled).
 	checkpointEvery int
 }
@@ -246,13 +243,6 @@ func New(cfg Config) *Service {
 		s.checkpointEvery = 8
 	case cfg.CheckpointEvery > 0:
 		s.checkpointEvery = cfg.CheckpointEvery
-	}
-	if cfg.Chaos != "" {
-		chaos, err := runner.ParseChaosSpec(cfg.Chaos)
-		if err != nil {
-			s.logf("invalid chaos spec: %v; fault injection disabled", err)
-		}
-		s.chaos = chaos
 	}
 	if cfg.Resume {
 		s.resumeCheckpointed()

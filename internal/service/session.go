@@ -54,8 +54,8 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	// with recorded traces.
 	inner := runner.Runner(raw)
 	var breakerTripped atomic.Bool
-	if s.chaos != nil {
-		inner = runner.NewRetrying(runner.NewChaos(inner, *s.chaos), runner.RetryOptions{
+	if s.cfg.Chaos != nil {
+		inner = runner.NewRetrying(runner.NewChaos(inner, *s.cfg.Chaos), runner.RetryOptions{
 			Seed:    spec.Seed,
 			OnRetry: s.metrics.retries.Inc,
 			OnBreakerOpen: func() {

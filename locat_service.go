@@ -107,7 +107,8 @@ func NewService(o ServiceOptions) (*Service, error) {
 	if _, err := runner.ParseSpec(o.Backend); err != nil {
 		return nil, err
 	}
-	if _, err := runner.ParseChaosSpec(o.Chaos); err != nil {
+	chaos, err := runner.ParseChaosSpec(o.Chaos)
+	if err != nil {
 		return nil, err
 	}
 	// A NaN radius would drop the k-NN radius cut, and a confidence past 1
@@ -127,7 +128,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 		Backend:              o.Backend,
 		Resume:               o.Resume,
 		JobRetries:           o.JobRetries,
-		Chaos:                o.Chaos,
+		Chaos:                chaos,
 		RecommendK:           o.RecommendK,
 		RecommendMaxDistance: o.RecommendMaxDistance,
 		RecommendConfidence:  o.RecommendConfidence,

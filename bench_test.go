@@ -1,6 +1,6 @@
 // Benchmarks: one target per figure and table of the paper's evaluation
-// (Section 5), plus ablation benches for the design choices DESIGN.md §4
-// calls out. Each benchmark regenerates the corresponding experiment on the
+// (Section 5), plus ablation benches for three of LOCAT's design choices
+// (QCSA's CV rule, EI-MCMC, DAGP). Each benchmark regenerates the corresponding experiment on the
 // simulated clusters in the experiments package's Quick mode; run
 //
 //	go run ./cmd/locat-bench -all
@@ -122,7 +122,7 @@ func BenchmarkFig20OverheadGrowth(b *testing.B) { runExperiment(b, "fig20") }
 // SOTA tuners.
 func BenchmarkFig21Hybrid(b *testing.B) { runExperiment(b, "fig21") }
 
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches ---
 
 // BenchmarkAblationCVRule compares QCSA's relative three-partition rule
 // against a fixed absolute CV threshold across two benchmarks whose CV

@@ -14,8 +14,7 @@
 //   - QTune (Li et al. 2018): deep-RL query-aware tuning; reproduced as a
 //     cross-entropy-method policy search over the configuration space (the
 //     continuous-action DDPG update is replaced by CEM's Gaussian policy
-//     refit, which preserves the sample cost and convergence behaviour —
-//     see DESIGN.md §1).
+//     refit, which preserves the sample cost and convergence behaviour).
 //
 // All baselines run the full application for every sample (none of them has
 // QCSA), tune at a single data size (none has DAGP), and search the full

@@ -16,7 +16,8 @@ import (
 // tree-ensemble performance model with the data size as an input feature,
 // a genetic algorithm searches the model for promising configurations, and
 // the GA's elite are validated with real executions. GBRT stands in for
-// DAC's hierarchical regression-tree stack (DESIGN.md §1).
+// DAC's hierarchical regression-tree stack (the package doc lists every
+// substitution).
 type DAC struct {
 	// TrainRuns is the random training-sample budget (default 150).
 	TrainRuns int

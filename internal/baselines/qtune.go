@@ -16,7 +16,7 @@ import (
 // count of the compared tuners (the policy needs many episodes to converge,
 // paper Figure 2) and a strong final configuration (QTune has the best
 // tuned latency among the baselines, Figures 13–14) — without a neural
-// network (DESIGN.md §1 records the substitution).
+// network (the package doc lists every substitution).
 type QTune struct {
 	// Generations and Episodes size the policy search
 	// (defaults 40 × 16 = 640 runs).

@@ -17,10 +17,10 @@ import (
 // it, reproducing a serial RunApp loop bit-for-bit on index-deterministic
 // backends — the simulator included, whose concurrent cluster slots these
 // workers model. The pool clamps its worker count to the backend's
-// MaxParallel. A wrapper that has to see the batch as a whole (Observed,
-// which reports its members under KindBatch) advertises NativeBatch and
-// the BatchRunner interface and is handed the call; it dispatches on its
-// inner backend and so ends up here as well.
+// concurrency cap (SparkRest's submission slots). An outermost Observed
+// sees the batch as a whole, to report its members under KindBatch; it
+// dispatches on its inner backend and so ends up here as well. Below any
+// other decorator, Observed sees the batch run by run.
 //
 // workers ≤ 0 selects GOMAXPROCS. dataGB(i) supplies the input size of item
 // i and must be safe for concurrent calls (pure functions are). stop, if
@@ -29,11 +29,10 @@ import (
 // contract it has everywhere else. results[0:done] are valid; done <
 // len(cs) only when stop cut the batch short.
 func RunBatch(r Runner, app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) (results []AppResult, done int) {
-	caps := CapsOf(r)
-	if br, ok := r.(BatchRunner); ok && caps.NativeBatch {
-		return br.RunBatch(app, cs, dataGB, workers, stop)
+	if o, ok := r.(*Observed); ok {
+		return o.RunBatch(app, cs, dataGB, workers, stop)
 	}
-	return poolBatch(r, app, cs, dataGB, clampWorkers(workers, len(cs), caps.MaxParallel), stop)
+	return poolBatch(r, app, cs, dataGB, clampWorkers(workers, len(cs), maxParallelOf(r)), stop)
 }
 
 // clampWorkers resolves the effective pool size: the requested count

@@ -22,15 +22,15 @@ type fakeBackend struct {
 	runs     atomic.Uint64
 	inFlight atomic.Int64
 	maxSeen  atomic.Int64
-	caps     Capabilities
+	slots    int // concurrent runs it absorbs, 0 = unbounded
 }
 
-func newFakeBackend(caps Capabilities) *fakeBackend {
-	return &fakeBackend{space: sparksim.ARM().Space(), caps: caps}
+func newFakeBackend(slots int) *fakeBackend {
+	return &fakeBackend{space: sparksim.ARM().Space(), slots: slots}
 }
 
-func (f *fakeBackend) Capabilities() Capabilities { return f.caps }
-func (f *fakeBackend) Space() *conf.Space         { return f.space }
+func (f *fakeBackend) maxParallel() int   { return f.slots }
+func (f *fakeBackend) Space() *conf.Space { return f.space }
 
 func (f *fakeBackend) ReserveRuns(n int) uint64 {
 	return f.runs.Add(uint64(n)) - uint64(n)
@@ -83,7 +83,7 @@ func randomConfigs(space *conf.Space, n int, seed int64) []conf.Config {
 func TestGenericPoolReproducesSerial(t *testing.T) {
 	app := batchApp()
 	mkSerial := func() []AppResult {
-		f := newFakeBackend(Capabilities{})
+		f := newFakeBackend(0)
 		cs := randomConfigs(f.space, 17, 3)
 		var out []AppResult
 		for i, c := range cs {
@@ -94,7 +94,7 @@ func TestGenericPoolReproducesSerial(t *testing.T) {
 	want := mkSerial()
 
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		f := newFakeBackend(Capabilities{})
+		f := newFakeBackend(0)
 		cs := randomConfigs(f.space, 17, 3)
 		got, done := RunBatch(f, app, cs, func(i int) float64 { return float64(100 + i) }, workers, nil)
 		if done != len(cs) {
@@ -106,61 +106,23 @@ func TestGenericPoolReproducesSerial(t *testing.T) {
 	}
 }
 
-// Capability negotiation: a native-batch backend is called directly, not
-// wrapped (its RunBatch sees the call), while a non-native backend is
-// driven through RunAppAt.
-type spyBatch struct {
-	*fakeBackend
-	batchCalls atomic.Int64
-}
-
-func (s *spyBatch) Capabilities() Capabilities {
-	return Capabilities{NativeBatch: true}
-}
-
-func (s *spyBatch) RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) ([]AppResult, int) {
-	s.batchCalls.Add(1)
-	return poolBatch(s.fakeBackend, app, cs, dataGB, 1, stop)
-}
-
-func TestRunBatchNegotiatesNativeBatch(t *testing.T) {
-	app := batchApp()
-	spy := &spyBatch{fakeBackend: newFakeBackend(Capabilities{})}
-	cs := randomConfigs(spy.space, 5, 1)
-	if _, done := RunBatch(spy, app, cs, func(int) float64 { return 100 }, 4, nil); done != len(cs) {
-		t.Fatalf("done=%d", done)
-	}
-	if got := spy.batchCalls.Load(); got != 1 {
-		t.Fatalf("native RunBatch called %d times, want 1", got)
-	}
-
-	// The same backend with NativeBatch masked must be pool-wrapped.
-	f := newFakeBackend(Capabilities{})
-	if _, done := RunBatch(f, app, cs, func(int) float64 { return 100 }, 4, nil); done != len(cs) {
-		t.Fatalf("done=%d", done)
-	}
-	if f.runs.Load() == 0 {
-		t.Fatal("pool did not drive the backend")
-	}
-}
-
-// The pool must clamp its concurrency to the backend's MaxParallel
-// capability (a cluster submission-queue bound).
+// The pool must clamp its concurrency to the backend's cap (a cluster
+// submission-queue bound).
 func TestPoolHonorsMaxParallel(t *testing.T) {
-	f := newFakeBackend(Capabilities{MaxParallel: 2})
+	f := newFakeBackend(2)
 	app := batchApp()
 	cs := randomConfigs(f.space, 32, 9)
 	if _, done := RunBatch(f, app, cs, func(int) float64 { return 100 }, 0, nil); done != len(cs) {
 		t.Fatalf("done=%d", done)
 	}
 	if max := f.maxSeen.Load(); max > 2 {
-		t.Fatalf("observed %d concurrent runs, capability allows 2", max)
+		t.Fatalf("observed %d concurrent runs, the backend allows 2", max)
 	}
 }
 
 // Stop must cut the batch to a valid completed prefix.
 func TestPoolStopPrefix(t *testing.T) {
-	f := newFakeBackend(Capabilities{})
+	f := newFakeBackend(0)
 	app := batchApp()
 	cs := randomConfigs(f.space, 24, 5)
 	var polls atomic.Int64
@@ -234,21 +196,9 @@ func TestSimBatchHonorsStop(t *testing.T) {
 	}
 }
 
-// CapsOf must give a Reporter-less backend without a RunBatch of its own
-// conservative defaults.
-func TestCapsOfDefaults(t *testing.T) {
-	type plain struct{ Runner }
-	if caps := CapsOf(plain{newFakeBackend(Capabilities{})}); caps.NativeBatch {
-		t.Fatal("plain runner must not report NativeBatch")
-	}
-	if caps := CapsOf(NewSim(sparksim.New(sparksim.ARM(), 1))); caps.NativeBatch || !caps.Deterministic {
-		t.Fatalf("unexpected sim capabilities: %+v", caps)
-	}
-}
-
 // The pool must be race-free with a shared backend (run under -race).
 func TestPoolConcurrentBatchesRaceFree(t *testing.T) {
-	f := newFakeBackend(Capabilities{})
+	f := newFakeBackend(0)
 	app := batchApp()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

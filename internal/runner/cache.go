@@ -84,7 +84,6 @@ func (c *Cache) NoiselessAppTime(app *Application, cf conf.Config, dataGB float6
 }
 
 var (
-	_ Runner   = (*Cache)(nil)
-	_ Reporter = (*Cache)(nil)
-	_ Faulty   = (*Cache)(nil)
+	_ Runner = (*Cache)(nil)
+	_ Faulty = (*Cache)(nil)
 )

@@ -254,7 +254,6 @@ func (c *Chaos) Err() error {
 }
 
 var (
-	_ Runner   = (*Chaos)(nil)
-	_ Reporter = (*Chaos)(nil)
-	_ Faulty   = (*Chaos)(nil)
+	_ Runner = (*Chaos)(nil)
+	_ Faulty = (*Chaos)(nil)
 )

@@ -16,18 +16,18 @@ import (
 
 // The conformance table: every backend under every wrapper stack must hand
 // a caller exactly what the bare backend hands it — results, run-index
-// consumption, noiseless semantics, capabilities — so the forwarding the
+// consumption, noiseless semantics, concurrency cap — so the forwarding the
 // decorators share can be rewritten without any stack moving.
 
 // probe sits between a stack and the backend and counts what reaches the
-// backend, reporting the backend's own capabilities so stack flags are the
-// production ones.
+// backend, passing the backend's own concurrency cap up so the stack sees
+// the production one.
 type probe struct {
 	Runner
 	runs, noiseless atomic.Int64
 }
 
-func (p *probe) Capabilities() Capabilities { return CapsOf(p.Runner) }
+func (p *probe) maxParallel() int { return maxParallelOf(p.Runner) }
 
 func (p *probe) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
 	p.runs.Add(1)
@@ -37,12 +37,6 @@ func (p *probe) RunApp(app *Application, c conf.Config, dataGB float64) AppResul
 func (p *probe) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
 	p.runs.Add(1)
 	return p.Runner.RunAppAt(idx, app, c, dataGB)
-}
-
-func (p *probe) RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) ([]AppResult, int) {
-	results, done := RunBatch(p.Runner, app, cs, dataGB, workers, stop)
-	p.runs.Add(int64(done))
-	return results, done
 }
 
 func (p *probe) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
@@ -80,7 +74,7 @@ var conformanceBackends = []struct {
 	name string
 	make func() Runner
 }{
-	{"fake", func() Runner { return newFakeBackend(Capabilities{MaxParallel: 3, Deterministic: true}) }},
+	{"fake", func() Runner { return newFakeBackend(3) }},
 	{"sim", func() Runner { return NewSim(sparksim.New(sparksim.ARM(), 7)) }},
 }
 
@@ -101,28 +95,6 @@ var conformanceStacks = []struct {
 	{"production-healed", true, func(b Runner, g *rig) Runner {
 		return production(b, g, ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9})
 	}},
-}
-
-// conformanceCaps are the capabilities of every backend/stack pair as
-// literals: a change to how capabilities forward shows up as an edited line
-// here, not as a silently different negotiation.
-var conformanceCaps = map[string]Capabilities{
-	"fake/bare":              {MaxParallel: 3, Deterministic: true},
-	"fake/observed":          {NativeBatch: true, MaxParallel: 3, Deterministic: true},
-	"fake/chaos":             {MaxParallel: 3, Deterministic: true},
-	"fake/retry":             {MaxParallel: 3, Deterministic: true},
-	"fake/cache":             {MaxParallel: 3, Deterministic: true},
-	"fake/record":            {MaxParallel: 3, Deterministic: true},
-	"fake/production":        {MaxParallel: 3, Deterministic: true},
-	"fake/production-healed": {MaxParallel: 3, Deterministic: true},
-	"sim/bare":               {Deterministic: true},
-	"sim/observed":           {NativeBatch: true, Deterministic: true},
-	"sim/chaos":              {Deterministic: true},
-	"sim/retry":              {Deterministic: true},
-	"sim/cache":              {Deterministic: true},
-	"sim/record":             {Deterministic: true},
-	"sim/production":         {Deterministic: true},
-	"sim/production-healed":  {Deterministic: true},
 }
 
 func newRig(backend func() Runner, build func(Runner, *rig) Runner) *rig {
@@ -195,12 +167,9 @@ func TestConformance(t *testing.T) {
 		for _, st := range conformanceStacks {
 			id := be.name + "/" + st.name
 			t.Run(id, func(t *testing.T) {
-				want, ok := conformanceCaps[id]
-				if !ok {
-					t.Fatalf("no recorded capabilities for %s", id)
-				}
-				if got := CapsOf(newRig(be.make, st.build).top); got != want {
-					t.Fatalf("capabilities\n got %+v\nwant %+v", got, want)
+				// The pool's clamp reads the backend's cap through every layer.
+				if got, want := maxParallelOf(newRig(be.make, st.build).top), maxParallelOf(be.make()); got != want {
+					t.Fatalf("stack caps concurrency at %d, the bare backend at %d", got, want)
 				}
 				for _, workers := range []int{1, 2, 4} {
 					bare := conformanceDrive(t, be.make(), workers)

@@ -41,11 +41,11 @@ func TestParseChaosSpec(t *testing.T) {
 // retry budget, so every drop heals and the same results come back in the
 // same order.
 func TestChaosWithRetryMatchesFaultFree(t *testing.T) {
-	want, wantNoiseless := driveSession(t, newFakeBackend(Capabilities{}))
+	want, wantNoiseless := driveSession(t, newFakeBackend(0))
 
 	var retries atomic.Int64
 	chain := NewRetrying(
-		NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9}),
+		NewChaos(newFakeBackend(0), ChaosOptions{DropRate: 0.5, MaxConsecutive: 2, Seed: 9}),
 		RetryOptions{Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
 	)
 	got, gotNoiseless := driveSession(t, chain)
@@ -70,7 +70,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	for i := range counts {
 		var retries atomic.Int64
 		chain := NewRetrying(
-			NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 0.4, Seed: 11}),
+			NewChaos(newFakeBackend(0), ChaosOptions{DropRate: 0.4, Seed: 11}),
 			RetryOptions{Sleep: noSleep, OnRetry: func() { retries.Add(1) }},
 		)
 		driveSession(t, chain)
@@ -86,7 +86,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // touched it would desynchronize the replay.
 func TestChaosDropNeverTouchesInner(t *testing.T) {
 	var tally Tally
-	inner := Observe(newFakeBackend(Capabilities{}), &tally)
+	inner := Observe(newFakeBackend(0), &tally)
 	chaos := NewChaos(inner, ChaosOptions{DropRate: 1, MaxConsecutive: 1, Seed: 3})
 	app := batchApp()
 	c := inner.Space().Default()
@@ -109,7 +109,7 @@ func TestChaosDropNeverTouchesInner(t *testing.T) {
 }
 
 func TestChaosFailAfterIsSticky(t *testing.T) {
-	fake := newFakeBackend(Capabilities{})
+	fake := newFakeBackend(0)
 	chaos := NewChaos(fake, ChaosOptions{FailAfter: 2, Seed: 1})
 	app := batchApp()
 	c := fake.Space().Default()
@@ -136,7 +136,7 @@ func TestChaosFailAfterIsSticky(t *testing.T) {
 // calling goroutine (where session-level recovery lives), not crash the
 // process from a pool worker.
 func TestBatchPanicReachesCaller(t *testing.T) {
-	fake := newFakeBackend(Capabilities{})
+	fake := newFakeBackend(0)
 	chaos := NewChaos(fake, ChaosOptions{KillAfter: 2, Seed: 1})
 	cs := randomConfigs(fake.Space(), 8, 5)
 	defer func() {
@@ -160,7 +160,7 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 		// Every run drops its first two attempts and executes on its third,
 		// so a serial session sleeps exactly twice per run, in attempt order.
 		chain := NewRetrying(
-			NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 1, MaxConsecutive: 2, Seed: 4}),
+			NewChaos(newFakeBackend(0), ChaosOptions{DropRate: 1, MaxConsecutive: 2, Seed: 4}),
 			RetryOptions{Seed: 8, Sleep: func(d time.Duration) { got = append(got, d) }},
 		)
 		app := batchApp()
@@ -188,7 +188,7 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	var tally Tally
-	inner := Observe(newFakeBackend(Capabilities{}), &tally)
+	inner := Observe(newFakeBackend(0), &tally)
 	var opened atomic.Int64
 	chain := NewRetrying(
 		// Every attempt drops and maxfail exceeds the retry budget, so every
@@ -234,7 +234,7 @@ func (s *stickyFake) Err() error { return s.err }
 // originate at: the innermost backend, the chaos layer, and the breaker.
 func TestBackendErrThroughWrapperChain(t *testing.T) {
 	// Innermost sticky failure surfaces through all three wrappers.
-	bottom := &stickyFake{fakeBackend: newFakeBackend(Capabilities{})}
+	bottom := &stickyFake{fakeBackend: newFakeBackend(0)}
 	var tally Tally
 	chain := Observe(
 		NewRetrying(NewChaos(bottom, ChaosOptions{Seed: 1}), RetryOptions{Sleep: noSleep}),
@@ -256,7 +256,7 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	}
 
 	// Chaos-layer sticky failure surfaces through Retrying and Observed.
-	chaos := NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{FailAfter: 1, Seed: 1})
+	chaos := NewChaos(newFakeBackend(0), ChaosOptions{FailAfter: 1, Seed: 1})
 	chain2 := Observe(NewRetrying(chaos, RetryOptions{Sleep: noSleep}), &tally)
 	chain2.RunApp(batchApp(), chain2.Space().Default(), 100)
 	if err := BackendErr(chain2); !errors.Is(err, ErrChaosFailed) {
@@ -293,7 +293,7 @@ func TestCacheServesCheckpointedRuns(t *testing.T) {
 	var entries []TraceEntry
 	var mu sync.Mutex
 	var payTally Tally
-	paying := NewCache(Observe(newFakeBackend(Capabilities{}), &payTally), nil, func(e TraceEntry) {
+	paying := NewCache(Observe(newFakeBackend(0), &payTally), nil, func(e TraceEntry) {
 		mu.Lock()
 		entries = append(entries, e)
 		mu.Unlock()
@@ -305,7 +305,7 @@ func TestCacheServesCheckpointedRuns(t *testing.T) {
 	}
 
 	var resumeTally Tally
-	resumed := NewCache(Observe(newFakeBackend(Capabilities{}), &resumeTally), entries, nil)
+	resumed := NewCache(Observe(newFakeBackend(0), &resumeTally), entries, nil)
 	gotApps, gotNoiseless := driveSession(t, resumed)
 	if !reflect.DeepEqual(gotApps, wantApps) || !reflect.DeepEqual(gotNoiseless, wantNoiseless) {
 		t.Fatal("resumed session diverged from the original")
@@ -324,7 +324,7 @@ func TestCachePartialCheckpointPaysOnlySuffix(t *testing.T) {
 	var entries []TraceEntry
 	var mu sync.Mutex
 	var tally0 Tally
-	first := NewCache(Observe(newFakeBackend(Capabilities{}), &tally0), nil, func(e TraceEntry) {
+	first := NewCache(Observe(newFakeBackend(0), &tally0), nil, func(e TraceEntry) {
 		mu.Lock()
 		entries = append(entries, e)
 		mu.Unlock()
@@ -345,7 +345,7 @@ func TestCachePartialCheckpointPaysOnlySuffix(t *testing.T) {
 	}
 
 	var tally Tally
-	resumed := NewCache(Observe(newFakeBackend(Capabilities{}), &tally), prefix, nil)
+	resumed := NewCache(Observe(newFakeBackend(0), &tally), prefix, nil)
 	gotApps, _ := driveSession(t, resumed)
 	if !reflect.DeepEqual(gotApps, wantApps) {
 		t.Fatal("partially resumed session diverged")
@@ -365,7 +365,7 @@ func TestCacheSkipsFailedRuns(t *testing.T) {
 	var entries []TraceEntry
 	var mu sync.Mutex
 	// Every run fails (drop rate 1, no retry budget beyond the drops).
-	dead := NewChaos(newFakeBackend(Capabilities{}), ChaosOptions{DropRate: 1, MaxConsecutive: 100, Seed: 6})
+	dead := NewChaos(newFakeBackend(0), ChaosOptions{DropRate: 1, MaxConsecutive: 100, Seed: 6})
 	cache := NewCache(dead, nil, func(e TraceEntry) {
 		mu.Lock()
 		entries = append(entries, e)

@@ -185,7 +185,7 @@ func TestOldQueryLinesLoadAndNeverMatch(t *testing.T) {
 	if _, err := NewReplayerFromEntries(cl.Space(), entries[:1], "s", ReplayOptions{}); err == nil {
 		t.Fatal("a stream of query lines only must be empty")
 	}
-	if cache := NewCache(newFakeBackend(Capabilities{}), entries[:1], nil); cache.RunApp(app, c, 100).Sec == 0 || cache.ResumedRuns() != 0 {
+	if cache := NewCache(newFakeBackend(0), entries[:1], nil); cache.RunApp(app, c, 100).Sec == 0 || cache.ResumedRuns() != 0 {
 		t.Fatal("cache served a query line")
 	}
 }
@@ -258,6 +258,6 @@ func FuzzParseChaosSpec(f *testing.F) {
 			t.Fatalf("%q: negative knob in %+v", spec, *o)
 		}
 		// Accepted options must be usable as they are.
-		NewChaos(newFakeBackend(Capabilities{}), *o)
+		NewChaos(newFakeBackend(0), *o)
 	})
 }

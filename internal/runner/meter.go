@@ -12,8 +12,10 @@ import (
 const (
 	// KindApp is a direct full-application execution.
 	KindApp = "app"
-	// KindBatch marks executions completed inside a RunBatch; their wall
-	// time is the batch wall amortized over its completed runs.
+	// KindBatch marks executions completed inside a RunBatch handed to an
+	// outermost Observed; their wall time is the batch wall amortized over
+	// its completed runs. Under any other layer (the service's checkpoint
+	// Cache) Observed sees batch members one by one, as KindApp.
 	KindBatch = "batch"
 )
 
@@ -57,10 +59,11 @@ func (t *Tally) Snapshot() (runs int64, clusterSec float64) {
 // Observed wraps a backend and reports every execution (application runs;
 // not noiseless evaluations, which consume no cluster time) to a set of
 // RunObservers — a Tally for totals, a metrics sink for labeled
-// counters and duration histograms, or both. Batches dispatch through the
-// package RunBatch on the inner backend and are reported member by member
-// afterwards. The wrapper adds no allocations per run beyond what the
-// observers themselves do (pinned by TestObservedZeroExtraAllocs).
+// counters and duration histograms, or both. A batch handed to an outermost
+// Observed dispatches through the package RunBatch on the inner backend and
+// is reported member by member afterwards. The wrapper adds no allocations
+// per run beyond what the observers themselves do (pinned by
+// TestObservedZeroExtraAllocs).
 type Observed struct {
 	forward
 	obs []RunObserver
@@ -75,15 +78,6 @@ func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 	for _, o := range m.obs {
 		o.ObserveRun(kind, wallSec, clusterSec)
 	}
-}
-
-// Capabilities advertise a batch of its own (Observed's RunBatch dispatches
-// on the inner backend) where the other decorators mask it, inheriting
-// everything else.
-func (m *Observed) Capabilities() Capabilities {
-	caps := CapsOf(m.inner)
-	caps.NativeBatch = true
-	return caps
 }
 
 // RunApp claims the next index and executes it observed.
@@ -116,8 +110,6 @@ func (m *Observed) RunBatch(app *Application, cs []conf.Config, dataGB func(i in
 }
 
 var (
-	_ BatchRunner = (*Observed)(nil)
-	_ Reporter    = (*Observed)(nil)
 	_ Faulty      = (*Observed)(nil)
 	_ RunObserver = (*Tally)(nil)
 )

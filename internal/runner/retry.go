@@ -147,7 +147,6 @@ func (r *Retrying) Err() error {
 }
 
 var (
-	_ Runner   = (*Retrying)(nil)
-	_ Reporter = (*Retrying)(nil)
-	_ Faulty   = (*Retrying)(nil)
+	_ Runner = (*Retrying)(nil)
+	_ Faulty = (*Retrying)(nil)
 )

@@ -6,9 +6,10 @@ import (
 
 // RunMetrics is a RunObserver charging every execution to an obs.Registry:
 // a run counter, a simulated-cluster-seconds counter, and wall/cluster
-// duration histograms, all labeled by run kind ("app", "batch"). The
-// per-kind series are resolved once at construction, so the per-run path is
-// a few atomic adds with zero allocations.
+// duration histograms, all labeled by run kind ("app", "batch"; see
+// KindBatch for where batch members count as "app"). The per-kind series are
+// resolved once at construction, so the per-run path is a few atomic adds
+// with zero allocations.
 type RunMetrics struct {
 	app, batch kindMetrics
 }

@@ -15,7 +15,7 @@
 //
 // Three backends ship:
 //
-//   - Sim wraps *sparksim.Simulator bit-for-bit (the default).
+//   - NewSim hands back *sparksim.Simulator itself (the default).
 //   - Recorder / Replayer persist every (config, context) → result pair of
 //     a session to a JSON-lines trace and replay it deterministically with
 //     the simulator detached — zero-execution re-tuning and hermetic CI
@@ -24,10 +24,14 @@
 //     parses event-log-shaped responses — the production path to a real
 //     cluster, exercised in tests against httptest (see sparkrest.go).
 //
-// Backends differ in what they can absorb (concurrent slots, determinism);
-// Capabilities reports that. A batch on any of them is the package-level
-// RunBatch: one bounded worker pool over ReserveRuns / RunAppAt that
-// reproduces serial results exactly (see batch.go).
+// Backends differ in two facts, each with one reader. SparkRest caps
+// concurrent submissions, and the batch pool clamps its workers to that cap
+// (maxParallel, below). SparkRest is also the one backend that cannot
+// re-drive a trajectory from its run indices, so the tuning service checks
+// for it by type before it serves checkpointed runs verbatim. A batch on any
+// backend is the package-level RunBatch: one bounded worker pool over
+// ReserveRuns / RunAppAt that reproduces serial results exactly (see
+// batch.go).
 //
 // Decorators (Observed, Chaos, Retrying, Cache, Recorder) change one thing
 // about an inner backend and forward the rest. The forwarding is written
@@ -86,40 +90,6 @@ type Runner interface {
 	NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64
 }
 
-// BatchRunner is implemented by a backend or wrapper that takes a batch as
-// a whole rather than run by run (Observed does, to report the members as
-// batch members). RunBatch executes the application once per configuration
-// and returns the results in configuration order together with the
-// completed prefix length (done < len(cs) only when stop cut the batch
-// short). Use the package-level RunBatch to dispatch; everything without
-// this interface — every shipped backend — runs on its worker pool over
-// RunAppAt.
-type BatchRunner interface {
-	Runner
-	RunBatch(app *Application, cs []conf.Config, dataGB func(i int) float64, workers int, stop func() bool) (results []AppResult, done int)
-}
-
-// Capabilities describe what a backend can do natively, so drivers can
-// negotiate instead of assuming the simulator.
-type Capabilities struct {
-	// NativeBatch reports a RunBatch of the backend's own (BatchRunner);
-	// without it the package-level RunBatch runs the batch on its worker
-	// pool.
-	NativeBatch bool
-	// MaxParallel bounds the concurrent runs the backend can absorb
-	// (0 = unbounded). The batch pool clamps its worker count to it.
-	MaxParallel int
-	// Deterministic reports that an identical call sequence produces
-	// identical results (replay traces, noise-free simulators) — what makes
-	// a backend usable as a hermetic CI fixture.
-	Deterministic bool
-}
-
-// Reporter is optionally implemented by backends that describe themselves.
-type Reporter interface {
-	Capabilities() Capabilities
-}
-
 // Faulty is optionally implemented by backends that can fail out-of-band
 // (network transports): Err returns the first execution failure, or nil.
 // Runner methods have no error channel — a failed run reports a zero
@@ -138,10 +108,10 @@ func BackendErr(r Runner) error {
 }
 
 // forward is what a decorator does not change, written once. Index
-// accounting, the configuration space and noiseless evaluations belong to
-// the inner backend; its sticky failure shows through (Chaos and Retrying
-// report their own first); and its native batch is masked, so the pool
-// routes every run of a batch through the decorator's RunAppAt by index.
+// accounting, the configuration space, noiseless evaluations and the
+// concurrency cap belong to the inner backend; its sticky failure shows
+// through (Chaos and Retrying report their own first). The pool routes
+// every run of a batch through the decorator's RunAppAt by index.
 // A decorator embeds forward and adds the two run methods:
 //
 //	type Logged struct{ forward }
@@ -175,22 +145,15 @@ func (f forward) NoiselessAppTime(app *Application, c conf.Config, dataGB float6
 // through any depth of wrapping.
 func (f forward) Err() error { return BackendErr(f.inner) }
 
-// Capabilities mask the inner native batch, so the pool routes the batch
-// through the decorator, and inherit the rest.
-func (f forward) Capabilities() Capabilities {
-	caps := CapsOf(f.inner)
-	caps.NativeBatch = false
-	return caps
-}
+// maxParallel inherits the inner backend's concurrency cap, so the batch
+// pool clamps to it through any depth of wrapping.
+func (f forward) maxParallel() int { return maxParallelOf(f.inner) }
 
-// CapsOf returns a backend's capabilities. Backends without a Reporter get
-// conservative defaults, with NativeBatch derived from the BatchRunner
-// interface — so capability negotiation works for any Runner
-// implementation, not just the ones shipped here.
-func CapsOf(r Runner) Capabilities {
-	if rep, ok := r.(Reporter); ok {
-		return rep.Capabilities()
+// maxParallelOf bounds the concurrent runs r can absorb (0 = unbounded):
+// SparkRest's submission slots, seen through forward.
+func maxParallelOf(r Runner) int {
+	if c, ok := r.(interface{ maxParallel() int }); ok {
+		return c.maxParallel()
 	}
-	_, batch := r.(BatchRunner)
-	return Capabilities{NativeBatch: batch}
+	return 0
 }

@@ -37,9 +37,6 @@ type SparkRest struct {
 	base   string
 	space  *conf.Space
 	client *http.Client
-	// maxParallel caps concurrent submissions (cluster queue slots); the
-	// batch pool honors it through Capabilities.
-	maxParallel int
 
 	runs atomic.Uint64
 
@@ -50,13 +47,11 @@ type SparkRest struct {
 // NewSparkRest returns a backend submitting to the gateway at base
 // (e.g. "http://spark-gateway:6066").
 func NewSparkRest(base string, space *conf.Space) *SparkRest {
-	s := &SparkRest{
-		base:        strings.TrimRight(base, "/"),
-		space:       space,
-		client:      &http.Client{Timeout: 10 * time.Minute},
-		maxParallel: 4,
+	return &SparkRest{
+		base:   strings.TrimRight(base, "/"),
+		space:  space,
+		client: &http.Client{Timeout: 10 * time.Minute},
 	}
-	return s
 }
 
 // submission is the POST body: the application identity plus the candidate
@@ -147,11 +142,9 @@ func (s *SparkRest) fail(err error) {
 	s.mu.Unlock()
 }
 
-// Capabilities: no native batch (the pool provides concurrency, clamped to
-// the submission cap); live clusters are not deterministic.
-func (s *SparkRest) Capabilities() Capabilities {
-	return Capabilities{MaxParallel: s.maxParallel}
-}
+// maxParallel caps concurrent submissions (cluster queue slots); the batch
+// pool clamps its workers to it.
+func (s *SparkRest) maxParallel() int { return 4 }
 
 // Space returns the configuration space submissions are validated against.
 func (s *SparkRest) Space() *conf.Space { return s.space }
@@ -247,7 +240,4 @@ func (s *SparkRest) NoiselessAppTime(app *Application, c conf.Config, dataGB flo
 	return res.Sec
 }
 
-var (
-	_ Runner   = (*SparkRest)(nil)
-	_ Reporter = (*SparkRest)(nil)
-)
+var _ Runner = (*SparkRest)(nil)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"locat/internal/conf"
 	"locat/internal/sparksim"
@@ -136,12 +137,7 @@ func TestSparkRestRunApp(t *testing.T) {
 		t.Fatalf("NoiselessAppTime=%.3f, want 3.0", sec)
 	}
 
-	// Batches run through the generic pool (no native batch) and respect
-	// the submission cap.
-	caps := CapsOf(s)
-	if caps.NativeBatch {
-		t.Fatal("sparkrest must not advertise a native batch")
-	}
+	// Batches run through the generic pool.
 	cs := randomConfigs(space, 6, 2)
 	results, done := RunBatch(s, app, cs, func(int) float64 { return 100 }, 0, nil)
 	if done != len(cs) {
@@ -179,5 +175,42 @@ func TestSparkRestStickyError(t *testing.T) {
 	}
 	if requests.Load() != before {
 		t.Fatal("poisoned backend still hit the gateway")
+	}
+}
+
+// The gateway's submission cap must hold through the service's whole stack,
+// not only on a bare backend: a 16-configuration batch at 16 workers never
+// has more than 4 submissions in flight.
+func TestSparkRestCapThroughServiceStack(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	gateway := fakeGateway(t, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond) // hold the slot so submissions overlap
+		gateway.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	space := sparksim.ARM().Space()
+	s := NewSparkRest(srv.URL, space)
+	s.client = srv.Client()
+	g := &rig{}
+	cs := randomConfigs(space, 16, 4)
+	results, done := RunBatch(production(s, g, ChaosOptions{Seed: 1}), batchApp(), cs, func(int) float64 { return 100 }, 16, nil)
+	if done != len(cs) || s.Err() != nil {
+		t.Fatalf("done=%d of %d, err %v", done, len(cs), s.Err())
+	}
+	for i, r := range results {
+		if r.Sec != 4.0 {
+			t.Fatalf("batch item %d: Sec=%.3f", i, r.Sec)
+		}
+	}
+	if runs, _ := g.tally.Snapshot(); runs != int64(len(cs)) {
+		t.Fatalf("stack observed %d runs, want %d", runs, len(cs))
+	}
+	if p := peak.Load(); p > 4 {
+		t.Fatalf("gateway saw %d submissions in flight, the cap is 4", p)
 	}
 }

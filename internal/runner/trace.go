@@ -453,12 +453,6 @@ func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream stri
 	return rp, nil
 }
 
-// Capabilities: replay is deterministic, has no native batch (the generic
-// pool exercises the exact-index lookup), and tolerates any parallelism.
-func (rp *Replayer) Capabilities() Capabilities {
-	return Capabilities{Deterministic: true}
-}
-
 // Space returns the configuration space the trace was recorded over.
 func (rp *Replayer) Space() *conf.Space { return rp.space }
 
@@ -549,9 +543,7 @@ func (rp *Replayer) NoiselessAppTime(app *Application, c conf.Config, dataGB flo
 }
 
 var (
-	_ Runner   = (*Recorder)(nil)
-	_ Runner   = (*Replayer)(nil)
-	_ Reporter = (*Recorder)(nil)
-	_ Reporter = (*Replayer)(nil)
-	_ Faulty   = (*Recorder)(nil)
+	_ Runner = (*Recorder)(nil)
+	_ Runner = (*Replayer)(nil)
+	_ Faulty = (*Recorder)(nil)
 )

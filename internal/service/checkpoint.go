@@ -28,9 +28,7 @@ type Checkpoint struct {
 	Entries []runner.TraceEntry `json:"entries"`
 }
 
-// CheckpointStore is the optional Store extension checkpoint/resume rides
-// on. Both built-in stores implement it; a custom Store without it simply
-// runs without checkpoints.
+// CheckpointStore is the half of Store that checkpoint/resume rides on.
 type CheckpointStore interface {
 	// PutCheckpoint replaces the job's checkpoint.
 	PutCheckpoint(cp Checkpoint) error
@@ -177,16 +175,11 @@ func (s *FileStore) DeleteCheckpoint(jobID string) error {
 	return nil
 }
 
-var (
-	_ CheckpointStore = (*MemStore)(nil)
-	_ CheckpointStore = (*FileStore)(nil)
-)
-
 // checkpointer accumulates a session's paid executions (the runner.Cache
 // fresh-run feed) and periodically persists them, so a killed process
 // resumes the job without re-paying completed sample runs.
 type checkpointer struct {
-	store CheckpointStore
+	store Store
 	every int
 	m     *serviceMetrics
 	logf  progress.Logf
@@ -200,7 +193,7 @@ type checkpointer struct {
 // whatever a resumed job already carries and persisting immediately — a
 // crash before the first periodic write must still requeue the job on
 // restart.
-func newCheckpointer(store CheckpointStore, j *job, every int, m *serviceMetrics, logf progress.Logf) *checkpointer {
+func newCheckpointer(store Store, j *job, every int, m *serviceMetrics, logf progress.Logf) *checkpointer {
 	c := &checkpointer{
 		store: store, every: every, m: m, logf: logf,
 		cp: Checkpoint{JobID: j.id, Spec: j.spec, Fingerprint: j.fp.Key()},

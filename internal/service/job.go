@@ -460,10 +460,8 @@ func (s *Service) requeueForRetry(j *job, cause error) bool {
 	if s.cfg.JobRetries <= 0 || j.attempts >= s.cfg.JobRetries || j.cancelled.Load() {
 		return false
 	}
-	if cs, ok := s.store.(CheckpointStore); ok {
-		if cp, err := cs.GetCheckpoint(j.id); err == nil && cp != nil {
-			j.resume = cp
-		}
+	if cp, err := s.store.GetCheckpoint(j.id); err == nil && cp != nil {
+		j.resume = cp
 	}
 	s.mu.Lock()
 	// Retries re-enter the job's own priority lane but never evict anyone:
@@ -523,8 +521,8 @@ func (s *Service) publish(j *job, format string, args ...any) {
 	}
 	// The two states a Config.Resume restart picks up again (package doc).
 	keep := j.state == StateSuspended || j.state == StateShed
-	if cs, ok := s.store.(CheckpointStore); ok && s.checkpointEvery > 0 && !keep {
-		if err := cs.DeleteCheckpoint(j.id); err != nil {
+	if !keep && s.checkpointEvery > 0 {
+		if err := s.store.DeleteCheckpoint(j.id); err != nil {
 			s.logf("[%s] checkpoint delete failed: %v", j.id, err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"locat/internal/obs"
+	"locat/internal/runner"
 )
 
 // TestStatsBreakdownAndTally drives one job into each terminal state and
@@ -81,6 +82,37 @@ func TestStatsBreakdownAndTally(t *testing.T) {
 	} {
 		if !strings.Contains(out, wantLine) {
 			t.Fatalf("exposition missing %q:\n%s", wantLine, out)
+		}
+	}
+}
+
+// TestRunsTotalMatchesJobRuns: every execution a job pays is charged to
+// locat_runs_total under exactly one kind. The split follows the outermost
+// layer: with checkpointing on, Cache sits on top of Observed and the
+// phase-1 batch is charged run by run as "app"; with it off, Observed is
+// outermost and takes the batch whole, as "batch".
+func TestRunsTotalMatchesJobRuns(t *testing.T) {
+	for _, every := range []int{0, -1} {
+		reg := obs.NewRegistry()
+		s := New(Config{Workers: 1, Metrics: reg, CheckpointEvery: every})
+		id, err := s.Submit(quickSpec(60, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Result(id)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := func(kind string) int64 {
+			return int64(reg.Counter("locat_runs_total", "", "kind", kind).Value())
+		}
+		app, batch := runs(runner.KindApp), runs(runner.KindBatch)
+		if app+batch != res.Runs || res.Runs == 0 {
+			t.Fatalf("CheckpointEvery=%d: locat_runs_total app %d + batch %d, JobResult.Runs %d", every, app, batch, res.Runs)
+		}
+		if checkpointing := every >= 0; checkpointing != (batch == 0) {
+			t.Fatalf("CheckpointEvery=%d: %d runs labelled batch", every, batch)
 		}
 	}
 }

@@ -118,8 +118,7 @@ type Config struct {
 	// Resume requeues jobs whose checkpoints survived a process death: on
 	// startup, every checkpoint in the store becomes a queued job under its
 	// original ID, and its session serves already-paid runs from the
-	// checkpoint instead of re-executing them. Requires a Store implementing
-	// CheckpointStore (both built-ins do).
+	// checkpoint instead of re-executing them.
 	Resume bool
 	// JobRetries bounds the automatic in-process retries of failed jobs
 	// (default 0: a failed job stays failed). Retried jobs requeue under the
@@ -222,9 +221,7 @@ func New(cfg Config) *Service {
 		cfg.MaxHistoryKeys = 1024
 	}
 	if cfg.MaxHistoryKeys > 0 {
-		if capped, ok := cfg.Store.(interface{ SetMaxKeys(int) }); ok {
-			capped.SetMaxKeys(cfg.MaxHistoryKeys)
-		}
+		cfg.Store.SetMaxKeys(cfg.MaxHistoryKeys)
 	}
 	s := &Service{
 		cfg:       cfg,
@@ -274,17 +271,16 @@ func (s *Service) Release() { s.disp.release() }
 // process, under its original ID and with the checkpoint attached, before
 // any worker starts — interrupted work drains ahead of new submissions.
 func (s *Service) resumeCheckpointed() {
-	cs, ok := s.store.(CheckpointStore)
-	if !ok || s.checkpointEvery <= 0 {
+	if s.checkpointEvery <= 0 {
 		return
 	}
-	ids, err := cs.ListCheckpoints()
+	ids, err := s.store.ListCheckpoints()
 	if err != nil {
 		s.logf("resume: listing checkpoints failed: %v", err)
 		return
 	}
 	for _, id := range ids {
-		cp, err := cs.GetCheckpoint(id)
+		cp, err := s.store.GetCheckpoint(id)
 		if err != nil || cp == nil {
 			s.logf("resume: checkpoint %s unreadable: %v", id, err)
 			continue
@@ -422,8 +418,8 @@ func tenantName(t string) string {
 // sessions are asked to park at the next evaluation boundary with their
 // checkpoints intact, and a restart with Config.Resume requeues all of
 // them under their original IDs — an accepted job survives Close. Only
-// when the store cannot hold checkpoints (or checkpointing is disabled)
-// does Close fall back to cancelling the backlog.
+// when checkpointing is disabled (Config.CheckpointEvery < 0) does Close
+// fall back to cancelling the backlog.
 func (s *Service) Close() {
 	s.ready.Store(false)
 	s.mu.Lock()
@@ -433,8 +429,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	cs, canCkpt := s.store.(CheckpointStore)
-	canCkpt = canCkpt && s.checkpointEvery > 0
+	canCkpt := s.checkpointEvery > 0
 	// Pull the backlog out of the dispatcher atomically: workers never see
 	// these jobs, so each is either suspended (checkpointed for the next
 	// incarnation) or cancelled, but never half-run.
@@ -447,7 +442,7 @@ func (s *Service) Close() {
 				cp = &Checkpoint{JobID: j.id, Spec: j.spec, Fingerprint: j.fp.Key(),
 					CreatedUnix: time.Now().Unix()}
 			}
-			if err := cs.PutCheckpoint(*cp); err != nil {
+			if err := s.store.PutCheckpoint(*cp); err != nil {
 				s.logf("[%s] drain checkpoint failed: %v; cancelling instead", j.id, err)
 			} else {
 				st = StateSuspended
@@ -456,8 +451,7 @@ func (s *Service) Close() {
 		s.settleLocked(j, st, nil, nil)
 	}
 	// Running sessions park at the next evaluation boundary and flush their
-	// checkpoints; without a checkpoint store they simply run to completion
-	// as before.
+	// checkpoints; with checkpointing disabled they run to completion.
 	s.draining.Store(canCkpt)
 	s.disp.close()
 	s.mu.Unlock()

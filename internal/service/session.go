@@ -82,11 +82,14 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	// actually re-executed (the acceptance bar for resume is zero).
 	var cache *runner.Cache
 	var ckp *checkpointer
-	if cs, ok := s.store.(CheckpointStore); ok && s.checkpointEvery > 0 {
-		ckp = newCheckpointer(cs, j, s.checkpointEvery, s.metrics, s.cfg.Logf)
+	// Every backend but a live cluster re-drives a trajectory from its run
+	// indices.
+	_, live := raw.(*runner.SparkRest)
+	if s.checkpointEvery > 0 {
+		ckp = newCheckpointer(s.store, j, s.checkpointEvery, s.metrics, s.cfg.Logf)
 		var paid []runner.TraceEntry
-		if j.resume != nil && runner.CapsOf(raw).Deterministic {
-			// A deterministic backend re-drives the identical trajectory, so
+		if j.resume != nil && !live {
+			// A replayable backend re-drives the identical trajectory, so
 			// checkpointed runs answer the session's re-requests verbatim.
 			paid = j.resume.Entries
 		}
@@ -117,10 +120,10 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 			s.logf("[%s] retrieved %d prior observations from %d history neighbors", j.id, len(prior.Obs), len(seededFrom))
 		}
 	}
-	if j.resume != nil && !runner.CapsOf(raw).Deterministic && !spec.DisableDAGP {
-		// A non-deterministic backend (a live cluster) cannot replay its
-		// trajectory, so the checkpoint's paid observations re-enter as a
-		// warm-start prior instead of through the cache.
+	if j.resume != nil && live && !spec.DisableDAGP {
+		// A live cluster cannot replay its trajectory, so the checkpoint's
+		// paid observations re-enter as a warm-start prior instead of
+		// through the cache.
 		if p := checkpointPrior(j.resume, space); p != nil {
 			if prior == nil {
 				prior = p

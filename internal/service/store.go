@@ -54,8 +54,9 @@ type Entry struct {
 }
 
 // Store is the history store: finished sessions keyed by workload
-// fingerprint. Implementations must be safe for concurrent use — the
-// service's workers read and write it concurrently.
+// fingerprint, and the checkpoints of jobs in flight. Implementations must
+// be safe for concurrent use — the service's workers read and write it
+// concurrently.
 type Store interface {
 	// Put appends an entry under its fingerprint key, evicting the oldest
 	// beyond maxEntriesPerKey.
@@ -65,6 +66,10 @@ type Store interface {
 	Get(key string) ([]Entry, error)
 	// Keys returns all populated keys, sorted.
 	Keys() ([]string, error)
+	// SetMaxKeys caps the number of distinct keys (0 or negative:
+	// unbounded), evicting whole keys least-recently-written first.
+	SetMaxKeys(n int)
+	CheckpointStore
 }
 
 // MemStore is the in-memory Store used by tests and by service instances

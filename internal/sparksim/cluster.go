@@ -1,7 +1,7 @@
 // Package sparksim is an analytical simulator of Spark SQL application
 // execution on a cluster. It stands in for the paper's two physical clusters
-// and Spark 2.4.5 deployment (see DESIGN.md §1 for the substitution
-// rationale): given a query's profile, a configuration of the 38 Table 2
+// and Spark 2.4.5 deployment, so every figure reproduces from a seed without
+// a cluster: given a query's profile, a configuration of the 38 Table 2
 // parameters, and an input data size, it produces a deterministic (seeded)
 // end-to-end latency, together with the garbage-collection time and shuffle
 // statistics the paper's analysis sections report.

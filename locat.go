@@ -2,7 +2,7 @@
 // low-overhead online configuration auto-tuner for Spark SQL applications of
 // Xin, Hwang and Yu (SIGMOD 2022) — together with every substrate the
 // paper's evaluation depends on: an analytical Spark SQL cluster simulator
-// (standing in for the paper's ARM and x86 clusters, see DESIGN.md),
+// (standing in for the paper's ARM and x86 clusters, see internal/sparksim),
 // the TPC-DS / TPC-H / HiBench workload profiles, a Gaussian-process
 // Bayesian-optimization stack, kernel PCA, and reimplementations of the
 // four baseline tuners (Tuneful, DAC, GBO-RL, QTune).

@@ -24,14 +24,11 @@
 //     parses event-log-shaped responses — the production path to a real
 //     cluster, exercised in tests against httptest (see sparkrest.go).
 //
-// Backends differ in two facts, each with one reader. SparkRest caps
-// concurrent submissions, and the batch pool clamps its workers to that cap
-// (maxParallel, below). SparkRest is also the one backend that cannot
-// re-drive a trajectory from its run indices, so the tuning service checks
-// for it by type before it serves checkpointed runs verbatim. A batch on any
-// backend is the package-level RunBatch: one bounded worker pool over
-// ReserveRuns / RunAppAt that reproduces serial results exactly (see
-// batch.go).
+// Backends differ in one fact, with one reader: SparkRest caps concurrent
+// submissions, and the batch pool clamps its workers to that cap
+// (maxParallel, below). A batch on any backend is the package-level
+// RunBatch: one bounded worker pool over ReserveRuns / RunAppAt that
+// reproduces serial results exactly (see batch.go).
 //
 // Decorators (Observed, Chaos, Retrying, Cache, Recorder) change one thing
 // about an inner backend and forward the rest. The forwarding is written

@@ -187,6 +187,11 @@ type checkpointer struct {
 	mu    sync.Mutex
 	cp    Checkpoint
 	fresh int // entries appended since the last write
+
+	// flushMu serializes flushes from snapshot to store write, so a
+	// snapshot is never persisted over a later one (onRun flushes from the
+	// batch pool's workers).
+	flushMu sync.Mutex
 }
 
 // newCheckpointer starts checkpointing for j, seeding the entry list with
@@ -226,6 +231,8 @@ func (c *checkpointer) onRun(e runner.TraceEntry) {
 // to the checkpoint histogram. Failures are logged, not fatal: losing a
 // checkpoint costs re-execution after a crash, never the session itself.
 func (c *checkpointer) flush() {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
 	c.mu.Lock()
 	cp := c.cp
 	cp.Entries = append([]runner.TraceEntry(nil), c.cp.Entries...)

@@ -3,15 +3,18 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,14 +129,51 @@ func (c *captureStore) PutCheckpoint(cp Checkpoint) error {
 	return c.MemStore.PutCheckpoint(cp)
 }
 
-// Kill-and-restart: a service started with Resume over a store holding a
-// checkpoint requeues the interrupted job under its original ID, serves the
-// paid runs from the checkpoint, and lands on the identical tuned
-// configuration. With the final checkpoint planted, zero runs re-execute.
-func TestResumeFromCheckpointAfterKill(t *testing.T) {
+// liveGateway stands in for a spark-submit/REST gateway, counting the
+// submissions it receives in posts. Latencies vary with the configuration so
+// the surrogate has something to fit, and repeat exactly for a repeated
+// configuration, as the resume tests need: the tuner is deterministic given
+// its seed and the results it observes.
+func liveGateway(posts *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		var sub struct {
+			Queries         []string          `json:"queries"`
+			SparkProperties map[string]string `json:"spark_properties"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		names := make([]string, 0, len(sub.SparkProperties))
+		for name := range sub.SparkProperties {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		h := fnv.New32a()
+		for _, name := range names {
+			h.Write([]byte(name + "=" + sub.SparkProperties[name]))
+		}
+		base := int64(1000 + h.Sum32()%2000)
+		var total int64
+		qs := make([]map[string]any, 0, len(sub.Queries))
+		for i, name := range sub.Queries {
+			ms := base + int64(37*i)
+			total += ms
+			qs = append(qs, map[string]any{"name": name, "duration_ms": ms})
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"app_id": "app-1", "duration_ms": total, "queries": qs})
+	})
+}
+
+// uninterrupted runs spec to the end on a service that checkpoints after
+// every run, returning the result and the last checkpoint written — the one
+// a process death just before the job settled would leave behind.
+func uninterrupted(t *testing.T, spec JobSpec) (*JobResult, Checkpoint) {
+	t.Helper()
 	cap1 := &captureStore{MemStore: NewMemStore()}
 	s1 := New(Config{Workers: 1, Store: cap1, CheckpointEvery: 1})
-	spec := quickSpec(80, 4)
 	baseline, err := submitAndWait(t, s1, spec)
 	s1.Close()
 	if err != nil {
@@ -146,28 +186,72 @@ func TestResumeFromCheckpointAfterKill(t *testing.T) {
 	if cp, _ := cap1.GetCheckpoint(cap1.last.JobID); cp != nil {
 		t.Fatal("terminal job left its checkpoint behind")
 	}
+	return baseline, *cap1.last
+}
 
-	check := func(t *testing.T, planted Checkpoint) *JobResult {
+// resumeFrom plants cp in a fresh store and returns the result of the job a
+// service started with Resume over it requeues.
+func resumeFrom(t *testing.T, cp Checkpoint) (*Service, *MemStore, *JobResult) {
+	t.Helper()
+	ms := NewMemStore()
+	if err := ms.PutCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Store: ms, Resume: true, CheckpointEvery: 1})
+	t.Cleanup(s.Close)
+	res, err := s.Result(cp.JobID)
+	if err != nil {
+		t.Fatalf("resumed job failed: %v", err)
+	}
+	return s, ms, res
+}
+
+// sameOutcome fails t unless the resumed session landed on the uninterrupted
+// one's configuration and tuned time.
+func sameOutcome(t *testing.T, res, baseline *JobResult) {
+	t.Helper()
+	if !reflect.DeepEqual(res.BestConfig, baseline.BestConfig) || res.TunedSec != baseline.TunedSec {
+		t.Fatalf("resumed session diverged from the uninterrupted one:\n resumed: %v (%.3f s)\n baseline: %v (%.3f s)",
+			res.BestConfig, res.TunedSec, baseline.BestConfig, baseline.TunedSec)
+	}
+}
+
+// Kill-and-restart: a service started with Resume over a store holding a
+// checkpoint requeues the interrupted job under its original ID, serves the
+// paid runs from the checkpoint, and lands on the identical tuned
+// configuration. With the final checkpoint planted, zero runs re-execute —
+// on the simulator and on a live gateway alike, which then receives no
+// submission at all.
+func TestResumeFromCheckpointAfterKill(t *testing.T) {
+	var posts atomic.Int64
+	gw := httptest.NewServer(liveGateway(&posts))
+	defer gw.Close()
+	type backend struct {
+		name     string
+		spec     JobSpec
+		baseline *JobResult
+		last     Checkpoint
+	}
+	live := quickSpec(80, 4)
+	live.Backend = "sparkrest=" + gw.URL
+	backends := []*backend{{name: "sim", spec: quickSpec(80, 4)}, {name: "sparkrest", spec: live}}
+	for _, b := range backends {
+		b.baseline, b.last = uninterrupted(t, b.spec)
+	}
+
+	// check resumes from planted and returns the result and the number of
+	// gateway submissions the resumed job made.
+	check := func(t *testing.T, b *backend, planted Checkpoint) (*JobResult, int64) {
 		t.Helper()
-		ms := NewMemStore()
-		if err := ms.PutCheckpoint(planted); err != nil {
-			t.Fatal(err)
-		}
-		s2 := New(Config{Workers: 1, Store: ms, Resume: true, CheckpointEvery: 1})
-		defer s2.Close()
-		res, err := s2.Result(planted.JobID)
-		if err != nil {
-			t.Fatalf("resumed job failed: %v", err)
-		}
-		if !reflect.DeepEqual(res.BestConfig, baseline.BestConfig) || res.TunedSec != baseline.TunedSec {
-			t.Fatalf("resumed session diverged from the uninterrupted one:\n resumed: %v (%.3f s)\n baseline: %v (%.3f s)",
-				res.BestConfig, res.TunedSec, baseline.BestConfig, baseline.TunedSec)
-		}
+		before := posts.Load()
+		s2, ms, res := resumeFrom(t, planted)
+		submitted := posts.Load() - before
+		sameOutcome(t, res, b.baseline)
 		// Conservation: every execution the uninterrupted session paid is
 		// either served from the checkpoint or re-executed, never both.
-		if res.Runs+res.ResumedRuns != baseline.Runs {
+		if res.Runs+res.ResumedRuns != b.baseline.Runs {
 			t.Fatalf("runs not conserved: fresh %d + resumed %d != baseline %d",
-				res.Runs, res.ResumedRuns, baseline.Runs)
+				res.Runs, res.ResumedRuns, b.baseline.Runs)
 		}
 		if v := metricValue(scrape(s2), "locat_jobs_resumed_total"); v != 1 {
 			t.Fatalf("locat_jobs_resumed_total = %v; want 1", v)
@@ -177,7 +261,7 @@ func TestResumeFromCheckpointAfterKill(t *testing.T) {
 			t.Fatal("resumed job left its checkpoint behind")
 		}
 		// Fresh submissions never collide with the resumed ID.
-		id, err := s2.Submit(spec)
+		id, err := s2.Submit(b.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,28 +271,62 @@ func TestResumeFromCheckpointAfterKill(t *testing.T) {
 		if _, err := s2.Result(id); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, submitted
 	}
 
 	t.Run("FinalCheckpoint", func(t *testing.T) {
-		res := check(t, *cap1.last)
-		// Everything was paid before the "kill": nothing re-executes.
-		if res.Runs != 0 {
-			t.Fatalf("resume re-executed %d runs; want 0", res.Runs)
-		}
-		if res.ResumedRuns != baseline.Runs {
-			t.Fatalf("ResumedRuns = %d; want %d", res.ResumedRuns, baseline.Runs)
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				res, submitted := check(t, b, b.last)
+				// Everything was paid before the "kill": nothing re-executes.
+				if res.Runs != 0 || submitted != 0 {
+					t.Fatalf("resume re-executed %d runs in %d gateway submissions; want 0", res.Runs, submitted)
+				}
+				if res.ResumedRuns != b.baseline.Runs {
+					t.Fatalf("ResumedRuns = %d; want %d", res.ResumedRuns, b.baseline.Runs)
+				}
+			})
 		}
 	})
 	t.Run("MidSessionCheckpoint", func(t *testing.T) {
-		mid := *cap1.last
-		mid.Entries = append([]runner.TraceEntry(nil), mid.Entries[:len(mid.Entries)/2]...)
-		res := check(t, mid)
-		if res.ResumedRuns == 0 || res.Runs == 0 {
-			t.Fatalf("partial resume should mix served (%d) and fresh (%d) runs",
-				res.ResumedRuns, res.Runs)
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				mid := b.last
+				mid.Entries = append([]runner.TraceEntry(nil), mid.Entries[:len(mid.Entries)/2]...)
+				res, _ := check(t, b, mid)
+				if res.ResumedRuns == 0 || res.Runs == 0 {
+					t.Fatalf("partial resume should mix served (%d) and fresh (%d) runs",
+						res.ResumedRuns, res.Runs)
+				}
+			})
 		}
 	})
+}
+
+// A checkpoint is a file: one of its entries may hold a configuration that is
+// not of the space's dimension (written under another parameter table, or
+// damaged). Such an entry matches no run the session asks for, so resume
+// re-executes that one run and serves the rest; it never breaks the job.
+func TestResumeSkipsCheckpointEntryOfWrongDimension(t *testing.T) {
+	var posts atomic.Int64
+	gw := httptest.NewServer(liveGateway(&posts))
+	defer gw.Close()
+	spec := quickSpec(80, 4)
+	spec.Backend = "sparkrest=" + gw.URL
+	baseline, cp := uninterrupted(t, spec)
+
+	cp.Entries = slices.Clone(cp.Entries)
+	cut := slices.IndexFunc(cp.Entries, func(e runner.TraceEntry) bool { return e.Kind == runner.TraceApp })
+	if cut < 0 {
+		t.Fatal("checkpoint holds no application run")
+	}
+	cp.Entries[cut].Conf = cp.Entries[cut].Conf[:9]
+	_, _, res := resumeFrom(t, cp)
+	sameOutcome(t, res, baseline)
+	if res.Runs != 1 || res.ResumedRuns != baseline.Runs-1 {
+		t.Fatalf("resume re-executed %d runs and served %d; want 1 and %d",
+			res.Runs, res.ResumedRuns, baseline.Runs-1)
+	}
 }
 
 // Resume trusts a checkpoint's file name over its body. A body whose job_id

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"locat/internal/conf"
 	"locat/internal/runner"
 	"locat/internal/sparksim"
 	"locat/internal/workloads"
@@ -167,8 +166,9 @@ func FuzzRecommendHandler(f *testing.F) {
 
 // FuzzCheckpointLoad: whatever bytes sit in a checkpoint file, GetCheckpoint
 // either refuses them or returns a checkpoint of the job the file is named
-// after, and rebuilding a prior from it over either cluster's space does not
-// panic — resume reads these files from disk on every restart. The seeds are
+// after, and resuming from it — a run cache over its entries, on either
+// cluster, answering one run and one noiseless evaluation — does not panic:
+// resume reads these files from disk on every restart. The seeds are
 // the checkpoint lifecycle_test.go plants (a spec, no runs) and the same one
 // carrying a paid run and a noiseless evaluation, as a session writes them.
 func FuzzCheckpointLoad(f *testing.F) {
@@ -206,7 +206,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	path := filepath.Join(dir, "checkpoints", id+".json")
-	spaces := []*conf.Space{sparksim.ARM().Space(), sparksim.X86().Space()}
+	backends := []runner.Runner{sim, sparksim.New(sparksim.X86(), 1)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -218,8 +218,11 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if cp == nil || cp.JobID != id {
 			t.Fatalf("checkpoint file %s.json loaded as %+v", id, cp)
 		}
-		for _, space := range spaces {
-			checkpointPrior(cp, space)
+		for _, b := range backends {
+			cache := runner.NewCache(b, cp.Entries, nil)
+			cf := b.Space().Default()
+			cache.RunAppAt(0, app, cf, 100)
+			cache.NoiselessAppTime(app, cf, 100)
 		}
 	})
 }

@@ -79,24 +79,22 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	run := runner.Runner(observed)
 	// The checkpoint cache sits outermost so resumed runs are served before
 	// they reach the tally — a resumed session's Runs counts only what it
-	// actually re-executed (the acceptance bar for resume is zero).
+	// actually re-executed (the acceptance bar for resume is zero). The
+	// tuner is deterministic given its seed and the results it observes, so
+	// a resumed session re-requests exactly the runs it paid for, on every
+	// backend: the checkpointed runs answer those requests verbatim, a live
+	// cluster's included.
 	var cache *runner.Cache
 	var ckp *checkpointer
-	// Every backend but a live cluster re-drives a trajectory from its run
-	// indices.
-	_, live := raw.(*runner.SparkRest)
 	if s.checkpointEvery > 0 {
 		ckp = newCheckpointer(s.store, j, s.checkpointEvery, s.metrics, s.cfg.Logf)
 		var paid []runner.TraceEntry
-		if j.resume != nil && !live {
-			// A replayable backend re-drives the identical trajectory, so
-			// checkpointed runs answer the session's re-requests verbatim.
+		if j.resume != nil {
 			paid = j.resume.Entries
 		}
 		cache = runner.NewCache(run, paid, ckp.onRun)
 		run = cache
 	}
-	space := run.Space()
 
 	// The deadline clock starts before prior retrieval: reading history is
 	// part of the session the caller is waiting on.
@@ -118,19 +116,6 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 			s.logf("[%s] history read failed: %v; starting cold", j.id, err)
 		} else if prior != nil {
 			s.logf("[%s] retrieved %d prior observations from %d history neighbors", j.id, len(prior.Obs), len(seededFrom))
-		}
-	}
-	if j.resume != nil && live && !spec.DisableDAGP {
-		// A live cluster cannot replay its trajectory, so the checkpoint's
-		// paid observations re-enter as a warm-start prior instead of
-		// through the cache.
-		if p := checkpointPrior(j.resume, space); p != nil {
-			if prior == nil {
-				prior = p
-			} else {
-				prior.Obs = append(prior.Obs, p.Obs...)
-			}
-			s.logf("[%s] warm-starting from %d checkpointed observations", j.id, len(p.Obs))
 		}
 	}
 
@@ -236,39 +221,6 @@ func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*J
 		res.ImportantParams = importantNames(rep.IICP.Important)
 	}
 	return res, rep, nil
-}
-
-// checkpointPrior converts a checkpoint's successful full-application
-// executions into a warm-start prior — the resume path for backends whose
-// runs cannot be re-driven deterministically. Entries whose configuration is
-// not of the space's dimension are skipped, the rule history observations
-// follow: a checkpoint is read off disk, and a short vector would panic in
-// the session's Encode on every resume. Returns nil when the checkpoint holds
-// no usable observation.
-func checkpointPrior(cp *Checkpoint, space *conf.Space) *core.Prior {
-	p := &core.Prior{}
-	for _, e := range cp.Entries {
-		if e.Kind != runner.TraceApp || e.Result == nil || e.Result.Sec <= 0 || len(e.Conf) != space.Dim() {
-			continue
-		}
-		var qs map[string]float64
-		if len(e.Result.Queries) > 0 {
-			qs = make(map[string]float64, len(e.Result.Queries))
-			for _, qr := range e.Result.Queries {
-				qs[qr.Name] += qr.Sec
-			}
-		}
-		p.Obs = append(p.Obs, core.PriorObs{
-			Conf:      conf.Config(append([]float64(nil), e.Conf...)),
-			DataGB:    e.DataGB,
-			Sec:       e.Result.Sec,
-			QuerySecs: qs,
-		})
-	}
-	if len(p.Obs) == 0 {
-		return nil
-	}
-	return p
 }
 
 // persist writes the finished session into the history store.

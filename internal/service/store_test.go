@@ -10,9 +10,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"locat/internal/obs"
 	"locat/internal/runner"
 )
 
@@ -337,6 +339,57 @@ func TestFileStoreCheckpointRoundTrip(t *testing.T) {
 	// history shards.
 	if _, err := os.Stat(filepath.Join(dir, "checkpoints", cp.JobID+".json")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// holdStore holds the first checkpoint write that carries a run until a
+// later write has landed, or 200 ms pass: the interleaving two batch-pool
+// workers flushing at once can produce.
+type holdStore struct {
+	*MemStore
+	held, landed chan struct{}
+	writes       atomic.Int32
+}
+
+func (h *holdStore) PutCheckpoint(cp Checkpoint) error {
+	if len(cp.Entries) == 0 {
+		return h.MemStore.PutCheckpoint(cp)
+	}
+	if h.writes.Add(1) > 1 {
+		err := h.MemStore.PutCheckpoint(cp)
+		close(h.landed)
+		return err
+	}
+	close(h.held)
+	select {
+	case <-h.landed:
+	case <-time.After(200 * time.Millisecond):
+	}
+	return h.MemStore.PutCheckpoint(cp)
+}
+
+// Two runs that complete on different workers each flush a snapshot; the
+// older snapshot must never be persisted over the newer one, or the stored
+// checkpoint loses a paid run.
+func TestCheckpointWritesLandInOrder(t *testing.T) {
+	st := &holdStore{MemStore: NewMemStore(), held: make(chan struct{}), landed: make(chan struct{})}
+	spec := quickSpec(80, 4)
+	j := &job{id: "job-000001", spec: spec, fp: NewFingerprint(spec)}
+	m := &serviceMetrics{checkpointWrite: obs.NewRegistry().Histogram("locat_checkpoint_write_seconds", "", obs.DurationBuckets)}
+	c := newCheckpointer(st, j, 1, m, nil)
+	var wg sync.WaitGroup
+	run := func(idx uint64) {
+		defer wg.Done()
+		c.onRun(runner.TraceEntry{Kind: runner.TraceApp, Idx: idx})
+	}
+	wg.Add(2)
+	go run(0)
+	<-st.held
+	go run(1)
+	wg.Wait()
+	cp, err := st.GetCheckpoint(j.id)
+	if err != nil || cp == nil || len(cp.Entries) != 2 {
+		t.Fatalf("stored checkpoint %+v (%v); want both runs", cp, err)
 	}
 }
 

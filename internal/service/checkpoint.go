@@ -93,8 +93,6 @@ func (s *FileStore) cpPath(jobID string) (string, error) {
 // file and rename: a crash mid-write leaves the previous checkpoint intact,
 // never a torn one.
 func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p, err := s.cpPath(cp.JobID)
 	if err != nil {
 		return err
@@ -113,8 +111,6 @@ func (s *FileStore) PutCheckpoint(cp Checkpoint) error {
 // body naming any other job is an error, since resume requeues the job the
 // body names and retires the file of that ID when the job settles.
 func (s *FileStore) GetCheckpoint(jobID string) (*Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p, err := s.cpPath(jobID)
 	if err != nil {
 		return nil, err
@@ -138,8 +134,6 @@ func (s *FileStore) GetCheckpoint(jobID string) (*Checkpoint, error) {
 
 // ListCheckpoints implements CheckpointStore.
 func (s *FileStore) ListCheckpoints() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names, err := os.ReadDir(filepath.Join(s.dir, "checkpoints"))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -163,8 +157,6 @@ func (s *FileStore) ListCheckpoints() ([]string, error) {
 
 // DeleteCheckpoint implements CheckpointStore.
 func (s *FileStore) DeleteCheckpoint(jobID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p, err := s.cpPath(jobID)
 	if err != nil {
 		return err

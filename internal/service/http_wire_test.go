@@ -236,7 +236,7 @@ func TestSettledResultServedWhole(t *testing.T) {
 	finishedJob(t, s, "job-000002", nil)
 	s.mu.Lock()
 	j := s.jobs["job-000002"]
-	j.state = StateRunning
+	j.state, j.done = StateRunning, make(chan struct{})
 	s.tenantLocked("").inFlight++
 	s.settleLocked(j, StateSucceeded, full, nil)
 	kept := j.result

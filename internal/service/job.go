@@ -261,7 +261,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancelled atomic.Bool
-	// done is closed by publish, once, after the job settled.
+	// done is closed by settleLocked, once, as the job turns terminal.
 	done chan struct{}
 	// resume is the checkpoint the job restarts from (nil for fresh jobs):
 	// set at startup for jobs interrupted by a process death, and refreshed
@@ -383,9 +383,10 @@ func (s *Service) Cancel(id string) error {
 		return nil
 	}
 	s.disp.remove(j)
+	s.retire(j, StateCancelled)
 	s.settleLocked(j, StateCancelled, nil, nil)
 	s.mu.Unlock()
-	s.publish(j, "[%s] cancelled while queued", id)
+	s.logf("[%s] cancelled while queued", id)
 	return nil
 }
 
@@ -482,8 +483,9 @@ func (s *Service) requeueForRetry(j *job, cause error) bool {
 }
 
 // settleLocked moves a job into a terminal state, under the service mutex:
-// the only writer of one, run exactly once per job (invariant 2 of the
-// package doc). The caller publishes the job once the mutex is released.
+// the only writer of one and the only closer of done, run exactly once per
+// job, after retire (invariant 2 of the package doc). The caller logs the job
+// once the mutex is released.
 func (s *Service) settleLocked(j *job, st State, res *JobResult, cause error) {
 	j.state = st
 	j.finished = time.Now()
@@ -507,33 +509,32 @@ func (s *Service) settleLocked(j *job, st State, res *JobResult, cause error) {
 		// admitted: the budget meters what the tenant actually consumed.
 		ts.clusterSec += res.ClusterSec
 	}
-}
-
-// publish announces a settled job, outside the service mutex (it writes to
-// the store and wakes Result callers). done comes last, so whoever waits on
-// the job finds its metrics, checkpoint and log line in place.
-func (s *Service) publish(j *job, format string, args ...any) {
-	if !j.started.IsZero() {
-		s.metrics.jobSeconds[j.state].Observe(j.finished.Sub(j.started).Seconds())
-	}
-	if j.state == StateShed {
+	if st == StateShed {
 		s.metrics.admission("shed").Inc()
 	}
-	// The two states a Config.Resume restart picks up again (package doc).
-	keep := j.state == StateSuspended || j.state == StateShed
-	if !keep && s.checkpointEvery > 0 {
-		if err := s.store.DeleteCheckpoint(j.id); err != nil {
-			s.logf("[%s] checkpoint delete failed: %v", j.id, err)
-		}
+	if !j.started.IsZero() {
+		s.metrics.jobSeconds[st].Observe(j.finished.Sub(j.started).Seconds())
 	}
-	s.logf(format, args...)
 	close(j.done)
 }
 
-// finish settles and publishes a job its worker is done with.
+// retire deletes the checkpoint of a job about to settle in st, unless a
+// Config.Resume restart picks st up again (package doc). It runs before
+// settleLocked, so a job that reads terminal has no checkpoint left.
+func (s *Service) retire(j *job, st State) {
+	if s.checkpointEvery <= 0 || st == StateSuspended || st == StateShed {
+		return
+	}
+	if err := s.store.DeleteCheckpoint(j.id); err != nil {
+		s.logf("[%s] checkpoint delete failed: %v", j.id, err)
+	}
+}
+
+// finish retires and settles a job its worker owns, so no mutex covers retire.
 func (s *Service) finish(j *job, st State, res *JobResult, err error, format string, args ...any) {
+	s.retire(j, st)
 	s.mu.Lock()
 	s.settleLocked(j, st, res, err)
 	s.mu.Unlock()
-	s.publish(j, format, args...)
+	s.logf(format, args...)
 }

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,4 +432,120 @@ func TestLifecycleEdges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heldDelete is a gatedMem whose checkpoint deletes block until a timer,
+// armed by the first delete, releases them all.
+type heldDelete struct {
+	*gatedMem
+	hold    time.Duration
+	once    sync.Once
+	release chan struct{}
+	held    atomic.Bool // a delete has begun and not yet removed the checkpoint
+}
+
+func newHeldDelete(hold time.Duration) *heldDelete {
+	return &heldDelete{gatedMem: newGatedMem(), hold: hold, release: make(chan struct{})}
+}
+
+func (h *heldDelete) DeleteCheckpoint(jobID string) error {
+	h.held.Store(true)
+	h.once.Do(func() { time.AfterFunc(h.hold, func() { close(h.release) }) })
+	<-h.release
+	err := h.gatedMem.DeleteCheckpoint(jobID)
+	h.held.Store(false)
+	return err
+}
+
+// A state that reads terminal is final: the checkpoint is already retired
+// and locat_job_seconds has already counted the job, so a client polling
+// GET /v1/jobs/{id} never sees a terminal job with either still pending.
+// The delete is held for a while on a timer; neither Status nor the HTTP
+// route may report the job terminal until it is through.
+func TestLifecycleTerminalMeansRetired(t *testing.T) {
+	const hold = 150 * time.Millisecond
+	// firstTerminal polls Status and the HTTP route in turn until one reads
+	// a terminal state, failing if it does so while the delete is held.
+	firstTerminal := func(t *testing.T, s *Service, store *heldDelete, id string) State {
+		t.Helper()
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		reads := []func() State{
+			func() State {
+				st, err := s.Status(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.State
+			},
+			func() State {
+				var st JobStatus
+				if err := json.Unmarshal(getBody(t, srv.URL+"/v1/jobs/"+id), &st); err != nil {
+					t.Fatal(err)
+				}
+				return st.State
+			},
+		}
+		var got State
+		waitFor(t, "a terminal state", func() bool {
+			for _, read := range reads {
+				if got = read(); got.Terminal() {
+					return true
+				}
+			}
+			return false
+		})
+		if store.held.Load() {
+			t.Fatalf("job reads %s while its checkpoint delete is held", got)
+		}
+		if cp, err := store.GetCheckpoint(id); err != nil || cp != nil {
+			t.Fatalf("job reads %s with its checkpoint still stored (%v)", got, err)
+		}
+		return got
+	}
+
+	t.Run("FinishedByWorker", func(t *testing.T) {
+		store := newHeldDelete(hold)
+		store.open()
+		s := New(Config{Workers: 1, Store: store, CheckpointEvery: 1})
+		defer s.Close()
+		id, err := s.Submit(quickSpec(100, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := firstTerminal(t, s, store, id); st != StateSucceeded {
+			t.Fatalf("state = %s, want %s", st, StateSucceeded)
+		}
+		if v := metricValue(scrape(s), `locat_job_seconds_count{state="succeeded"}`); v != 1 {
+			t.Fatalf(`locat_job_seconds_count{state="succeeded"} = %v at the first terminal read, want 1`, v)
+		}
+	})
+
+	t.Run("ResumedQueuedCancelled", func(t *testing.T) {
+		store := newHeldDelete(hold)
+		for id, gb := range map[string]float64{"job-000001": 100, "job-000002": 110} {
+			if err := store.PutCheckpoint(Checkpoint{JobID: id, Spec: quickSpec(gb, 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The single worker parks inside job-000001, so job-000002 stays
+		// queued until it is cancelled.
+		s := New(Config{Workers: 1, Store: store, CheckpointEvery: 1, Resume: true})
+		defer func() {
+			store.open()
+			s.Close()
+		}()
+		waitState(t, s, "job-000001", StateRunning)
+		cancelled := make(chan error, 1)
+		go func() { cancelled <- s.Cancel("job-000002") }()
+		if st := firstTerminal(t, s, store, "job-000002"); st != StateCancelled {
+			t.Fatalf("state = %s, want %s", st, StateCancelled)
+		}
+		if err := <-cancelled; err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Cancel("job-000001"); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -34,14 +34,16 @@
 // the queue bound counts waiting jobs only. The one gap is a worker between
 // dequeue and the mutex; its state check covers it. (2) settleLocked is the
 // only writer of a terminal state and runs once per job: it owns the finish
-// time, result, error text, the tenant's in-flight slot and a success's
-// cluster seconds. publish then, outside the mutex, owns the duration
-// histogram, the shed counter, the checkpoint, the log line and done, in that
-// order. The checkpoint is retired in every terminal state but two:
-// suspended, which the next Config.Resume restart continues from, and shed,
-// where a job that had one (resumed, or awaiting a retry) is deferred to
-// that restart, not lost. So cancelling a queued job frees its queue slot,
-// its tenant slot and its checkpoint at once.
+// time, result, error text, the tenant's in-flight slot, a success's cluster
+// seconds, the duration histogram, the shed counter and done. retire runs
+// before it and owns the checkpoint (the worker's outside the mutex, Cancel's
+// and Close's drain's inside it), so a state that reads terminal is final;
+// only the log line comes after the unlock, and may trail done. The
+// checkpoint is retired in every terminal state but two: suspended, which the
+// next Config.Resume restart continues from, and shed, where a job that had
+// one (resumed, or awaiting a retry) is deferred to that restart, not lost.
+// So cancelling a queued job frees its queue slot, its tenant slot and its
+// checkpoint at once.
 //
 // # What the history store costs
 //
@@ -312,7 +314,7 @@ func (s *Service) resumeCheckpointed() {
 			// Its checkpoint stays behind, so the next restart retries it —
 			// shed here means deferred, not lost.
 			s.settleLocked(shed, StateShed, nil, nil)
-			s.publish(shed, "[%s] shed: displaced by resumed %s", shed.id, j.id)
+			s.logf("[%s] shed: displaced by resumed %s", shed.id, j.id)
 		}
 		// Keep the ID sequence monotonic past every resumed job, so fresh
 		// submissions never collide with resumed IDs.
@@ -396,7 +398,7 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 	s.mu.Unlock()
 	s.metrics.admission("accepted").Inc()
 	if shed != nil {
-		s.publish(shed, "[%s] shed: displaced by interactive %s under overload", shed.id, j.id)
+		s.logf("[%s] shed: displaced by interactive %s under overload", shed.id, j.id)
 	}
 	s.logf("[%s] queued: %s %s %.0f GB %s/%s (fingerprint %s)",
 		j.id, spec.Cluster, spec.Benchmark, spec.DataSizeGB,
@@ -448,6 +450,7 @@ func (s *Service) Close() {
 				st = StateSuspended
 			}
 		}
+		s.retire(j, st)
 		s.settleLocked(j, st, nil, nil)
 	}
 	// Running sessions park at the next evaluation boundary and flush their
@@ -456,7 +459,7 @@ func (s *Service) Close() {
 	s.disp.close()
 	s.mu.Unlock()
 	for _, j := range drained {
-		s.publish(j, "[%s] %s on drain", j.id, j.state)
+		s.logf("[%s] %s on drain", j.id, j.state)
 	}
 	s.wg.Wait()
 	// Flush backend factories (trace sinks of recording backends) once no

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -100,10 +99,8 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	// part of the session the caller is waiting on.
 	var expired func() bool
 	if spec.DeadlineSec > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(),
-			time.Duration(spec.DeadlineSec*float64(time.Second)))
-		defer cancel()
-		expired = func() bool { return ctx.Err() != nil }
+		deadline := time.Now().Add(time.Duration(spec.DeadlineSec * float64(time.Second)))
+		expired = func() bool { return time.Now().After(deadline) }
 	}
 
 	// Every warm start reads its prior here — plain, refine, fallback,

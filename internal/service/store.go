@@ -151,13 +151,15 @@ func (s *MemStore) Keys() ([]string, error) {
 // every Put reads the shard it extends and decides from what is there, so a
 // file anyone else changed is simply what the next Put reads.
 //
-// A directory has one writer, one FileStore in one process, and its writes
-// are serialized; reads take no lock, because a shard only grows by one
-// whole-line append or is replaced by a rename. Temporary files found when
-// the directory is opened are what a dead writer left behind and are removed.
+// A directory has one writer, one FileStore in one process, and its history
+// writes are serialized; a job's checkpoint has one writer at a time (its
+// checkpointer, then its worker), so checkpoints take no lock. Nor do reads,
+// because a shard only grows by one whole-line append or is replaced by a
+// rename. Temporary files found when the directory is opened are what a dead
+// writer left behind and are removed.
 type FileStore struct {
 	dir     string
-	mu      sync.Mutex // serializes writes
+	mu      sync.Mutex // serializes history writes
 	maxKeys int
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,6 +170,42 @@ func TestFileStorePathInjectionRegression(t *testing.T) {
 		if _, err := fs.Get(key); err == nil {
 			t.Errorf("Get(%q) accepted a traversal key", key)
 		}
+	}
+}
+
+// Checkpoint I/O never waits behind a history write: with FileStore.mu held
+// for as long as the test runs, every checkpoint method still returns.
+func TestFileStoreCheckpointsSkipHistoryLock(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	done := make(chan error, 2) // the checkpoint calls' verdict, or the timer's
+	timer := time.AfterFunc(2*time.Second, func() {
+		done <- errors.New("checkpoint I/O still blocked after 2 s behind the history write lock")
+	})
+	defer timer.Stop()
+	go func() {
+		cp := Checkpoint{JobID: "job-000001", Spec: quickSpec(100, 1)}
+		if err := fs.PutCheckpoint(cp); err != nil {
+			done <- err
+			return
+		}
+		if got, err := fs.GetCheckpoint(cp.JobID); err != nil || got == nil {
+			done <- fmt.Errorf("GetCheckpoint = %v, %v; want the checkpoint just put", got, err)
+			return
+		}
+		if ids, err := fs.ListCheckpoints(); err != nil || len(ids) != 1 {
+			done <- fmt.Errorf("ListCheckpoints = %v, %v; want the one job", ids, err)
+			return
+		}
+		done <- fs.DeleteCheckpoint(cp.JobID)
+	}()
+	//locat:allow lockcheck the test holds the history lock on purpose, to show checkpoint I/O does not take it
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -483,7 +483,7 @@ type sessionOutcome struct {
 	Err       string
 	Stopped   bool // the error is the bare ErrStopped
 	Spans     []spanKey
-	Trace     string // the runner.Recorder trace, as written
+	Trace     string // the runner.NewRecorder trace, as written
 	Noiseless []string
 	Logs      []string
 }

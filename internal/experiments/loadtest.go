@@ -36,28 +36,10 @@ import (
 // across worker counts. The per-group counts are published as exact
 // counters, which the benchmark baseline gate compares bit for bit.
 func LoadTest(s *Session) ([]Table, error) {
-	const clusterName, benchName = "arm", "TPC-H"
-	app, err := workloads.ByName(benchName)
+	entries, err := loadtestHistory(s)
 	if err != nil {
 		return nil, err
 	}
-
-	// Seed a history neighborhood around the workload's sizes, persisted the
-	// way the service persists finished sessions, so the recommend ops can be
-	// answered from retrieval alone.
-	var entries []service.Entry
-	for i, gb := range []float64{100, 140} {
-		r, err := s.runner(clusterName, fmt.Sprintf("loadtest/seed/%v", gb))
-		if err != nil {
-			return nil, err
-		}
-		rep, err := core.New(r, app, s.locatOptions()).Tune(gb)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, historyEntry(rep, clusterName, benchName, gb, i))
-	}
-
 	ops := loadtestOps(s.Seed)
 	workerCounts := []int{1, 2, 4}
 	reports := make([]*loadgen.Report, 0, len(workerCounts))
@@ -155,12 +137,51 @@ func loadtestOps(seed int64) []loadgen.Op {
 	return ops
 }
 
+// loadtestHistory seeds a history neighborhood around the workload's sizes,
+// persisted the way the service persists finished sessions, so the
+// recommend ops can be answered from retrieval alone.
+func loadtestHistory(s *Session) ([]service.Entry, error) {
+	const clusterName, benchName = "arm", "TPC-H"
+	app, err := workloads.ByName(benchName)
+	if err != nil {
+		return nil, err
+	}
+	var entries []service.Entry
+	for i, gb := range []float64{100, 140} {
+		r, err := s.runner(clusterName, fmt.Sprintf("loadtest/seed/%v", gb))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := core.New(r, app, s.locatOptions()).Tune(gb)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, historyEntry(rep, clusterName, benchName, gb, i))
+	}
+	return entries, nil
+}
+
 // runLoadtest plays the workload against a fresh service with the given
 // worker-pool size. Only the single-worker run is metered into the session
 // tally: with one worker the execution order is serial and the float
 // accumulation deterministic; wider pools interleave jobs and are checked
 // for census equality only.
 func runLoadtest(s *Session, entries []service.Entry, ops []loadgen.Op, workers int) (*loadgen.Report, error) {
+	svc, err := loadtestService(s, entries, workers)
+	if err != nil {
+		return nil, err
+	}
+	defer svc.Close()
+	return loadgen.Run(svc, ops, loadgen.Config{
+		Clients:          4,
+		SequentialSubmit: true,
+		AfterSubmit:      svc.Release,
+	})
+}
+
+// loadtestService is a fresh service over entries with the given worker
+// pool, held: nothing runs until the caller releases it.
+func loadtestService(s *Session, entries []service.Entry, workers int) (*service.Service, error) {
 	store := service.NewMemStore()
 	for _, e := range entries {
 		if err := store.Put(e); err != nil {
@@ -183,13 +204,8 @@ func runLoadtest(s *Session, entries []service.Entry, ops []loadgen.Op, workers 
 		cfg.Observers = []runner.RunObserver{&s.tally}
 	}
 	svc := service.New(cfg)
-	defer svc.Close()
 	svc.Hold()
-	return loadgen.Run(svc, ops, loadgen.Config{
-		Clients:          4,
-		SequentialSubmit: true,
-		AfterSubmit:      svc.Release,
-	})
+	return svc, nil
 }
 
 // checkCensus enforces the overload invariants on the (cross-worker

@@ -22,8 +22,9 @@ import (
 // of worker count, so the same runs fail in the same ways every time.
 //
 // Dropped attempts never touch the inner backend. That matters for replay
-// fixtures: a Replayer consumes one trace entry per served execution, so a
-// fault layered on top must fail without performing the lookup — the
+// fixtures: a replaying Cache consumes one trace entry per served
+// execution, so a fault layered on top must fail without performing the
+// lookup — the
 // retry's eventually-successful attempt then consumes the entry exactly
 // once and the replayed trajectory stays bit-identical to the fault-free
 // run.

@@ -133,7 +133,7 @@ func conformanceDrive(t *testing.T, r Runner, workers int) conformanceResult {
 	return out
 }
 
-// decodeTrace reads back what a rig's Recorder layer wrote.
+// decodeTrace reads back what a rig's recording layer wrote.
 func decodeTrace(t *testing.T, g *rig) []TraceEntry {
 	t.Helper()
 	if err := g.sink.Close(); err != nil {

@@ -124,7 +124,7 @@ func (f *Factory) New(cluster *sparksim.Cluster, seed int64, stream string, simO
 }
 
 // loadTrace decodes the replay trace once and shares it across every
-// runner the factory materializes (each Replayer keeps only its own
+// runner the factory materializes (each replaying Cache keeps only its own
 // stream's consumption state).
 func (f *Factory) loadTrace() ([]TraceEntry, error) {
 	f.mu.Lock()

@@ -81,8 +81,8 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// Dropped attempts must not reach the inner backend: a Replayer below the
-// chaos layer consumes one trace entry per served run, so a drop that
+// Dropped attempts must not reach the inner backend: a replaying Cache below
+// the chaos layer consumes one trace entry per served run, so a drop that
 // touched it would desynchronize the replay.
 func TestChaosDropNeverTouchesInner(t *testing.T) {
 	var tally Tally
@@ -246,8 +246,8 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 	if err := BackendErr(chain); err == nil || err.Error() != "gateway dead" {
 		t.Fatalf("innermost error not forwarded: %v", err)
 	}
-	// Cache and Recorder forward it as well: a wrapper that hid it would
-	// report a dead backend as healthy.
+	// Cache, recording or not, forwards it as well: a wrapper that hid it
+	// would report a dead backend as healthy.
 	recSink, _ := memSink()
 	for name, w := range map[string]Runner{"cache": NewCache(bottom, nil, nil), "recorder": NewRecorder(bottom, recSink, "s")} {
 		if err := BackendErr(w); err == nil || err.Error() != "gateway dead" {
@@ -263,7 +263,7 @@ func TestBackendErrThroughWrapperChain(t *testing.T) {
 		t.Fatalf("chaos failure not forwarded: %v", err)
 	}
 
-	// The chain also composes over a Replayer and keeps its results exact.
+	// The chain also composes over a replay and keeps its results exact.
 	cl := sparksim.ARM()
 	sink, buf := memSink()
 	rec := NewRecorder(NewSim(sparksim.New(cl, 7)), sink, "s1")

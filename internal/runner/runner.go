@@ -13,13 +13,9 @@
 // out of full-application results, and a reduced query application — down
 // to one query — is an Application like any other.
 //
-// Three backends ship:
+// Two backends ship:
 //
 //   - NewSim hands back *sparksim.Simulator itself (the default).
-//   - Recorder / Replayer persist every (config, context) → result pair of
-//     a session to a JSON-lines trace and replay it deterministically with
-//     the simulator detached — zero-execution re-tuning and hermetic CI
-//     fixtures (see trace.go).
 //   - SparkRest maps configurations to spark-submit/REST payloads and
 //     parses event-log-shaped responses — the production path to a real
 //     cluster, exercised in tests against httptest (see sparkrest.go).
@@ -30,10 +26,14 @@
 // RunBatch: one bounded worker pool over ReserveRuns / RunAppAt that
 // reproduces serial results exactly (see batch.go).
 //
-// Decorators (Observed, Chaos, Retrying, Cache, Recorder) change one thing
-// about an inner backend and forward the rest. The forwarding is written
-// once, on the embedded forward struct below: a decorator declares its own
-// state, RunAppAt, and a one-line RunApp that claims the next index for it.
+// Decorators (Observed, Chaos, Retrying, Cache) change one thing about an
+// inner backend and forward the rest. The forwarding is written once, on
+// the embedded forward struct below: a decorator declares its own state,
+// RunAppAt, and a one-line RunApp that claims the next index for it.
+// Record, replay and resume are three configurations of Cache (cache.go):
+// NewRecorder writes a session's runs to a JSON-lines trace,
+// NewReplayerFromEntries serves them back with the simulator detached, and
+// the service resumes a job out of its checkpoint.
 // A failed run reports a zero result and its cause through the sticky Err;
 // only Retrying sees per-attempt faults, from the Chaos it wraps.
 package runner

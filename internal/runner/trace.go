@@ -86,16 +86,16 @@ func (e *TraceEntry) key() string {
 }
 
 // entryOf describes one evaluation of app under c at dataGB: the identity a
-// Replayer or Cache looks up and, completed by stored, the entry a sink or
-// a checkpoint keeps. It borrows c.
+// Cache looks up and, completed by stored, the entry a sink or a checkpoint
+// keeps. It borrows c.
 func entryOf(kind TraceKind, app *Application, c conf.Config, dataGB float64) TraceEntry {
 	return TraceEntry{Kind: kind, App: app.Name, NQ: len(app.Queries), Conf: c, DataGB: dataGB}
 }
 
-// stored completes e for keeping under stream at run index idx: the
-// configuration is copied, so the entry outlives the caller's slice.
-func (e TraceEntry) stored(stream string, idx uint64) TraceEntry {
-	e.Stream, e.Idx = stream, idx
+// stored completes e for keeping at run index idx: the configuration is
+// copied, so the entry outlives the caller's slice.
+func (e TraceEntry) stored(idx uint64) TraceEntry {
+	e.Idx = idx
 	e.Conf = append([]float64(nil), e.Conf...)
 	return e
 }
@@ -114,78 +114,40 @@ func cloneResult(res AppResult) AppResult {
 	return res
 }
 
-// noiselessOnce evaluates deterministic latencies on an inner backend and
-// hands each distinct evaluation to emit once: they are pure, so a repeat
-// is neither recorded nor reported again.
-type noiselessOnce struct {
-	mu   sync.Mutex
-	seen map[string]bool
-}
-
-// mark notes key k as emitted and reports whether it was new.
-func (n *noiselessOnce) mark(k string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.seen[k] {
-		return false
-	}
-	if n.seen == nil {
-		n.seen = map[string]bool{}
-	}
-	n.seen[k] = true
-	return true
-}
-
-func (n *noiselessOnce) eval(inner Runner, stream string, app *Application, c conf.Config, dataGB float64, emit func(TraceEntry)) float64 {
-	sec := inner.NoiselessAppTime(app, c, dataGB)
-	e := entryOf(TraceNoiseless, app, c, dataGB)
-	if n.mark(e.key()) {
-		e = e.stored(stream, 0)
-		e.Sec = sec
-		emit(e)
-	}
-	return sec
-}
-
-// traceTable serves executions out of trace entries by exact identity — the
-// one lookup under both Replayer and Cache. Only application runs and
-// noiseless evaluations are indexed; anything else a file holds (older
-// versions wrote "query" lines) loads but can never match.
+// traceTable serves executions out of trace entries by exact identity —
+// the lookup under Cache, and so under record, replay and resume. Only
+// application runs and noiseless evaluations are indexed; anything else a
+// file holds (older versions wrote "query" lines) loads but can never
+// match. The table does not lock: its Cache serializes every call.
 type traceTable struct {
-	mu    sync.Mutex
 	byKey map[string][]*tableEntry
 }
 
-// tableEntry is one indexed entry plus its consumption flag and, for a
-// Replayer, the configuration pre-encoded onto the unit cube (nearest
-// lookups scan all entries; encoding once at load keeps the scan a plain
-// distance loop).
+// tableEntry is one indexed entry plus its consumption flag.
 type tableEntry struct {
 	TraceEntry
-	enc  []float64
 	used bool
 }
 
-// add indexes e, or returns nil for a kind the table does not serve.
-func (t *traceTable) add(e TraceEntry) *tableEntry {
-	if e.Kind != TraceApp && e.Kind != TraceNoiseless {
-		return nil
+// served reports whether a table indexes entries of kind k.
+func served(k TraceKind) bool { return k == TraceApp || k == TraceNoiseless }
+
+// add indexes e, unless the table does not serve its kind.
+func (t *traceTable) add(e TraceEntry) {
+	if !served(e.Kind) {
+		return
 	}
 	if t.byKey == nil {
 		t.byKey = map[string][]*tableEntry{}
 	}
-	te := &tableEntry{TraceEntry: e}
 	k := e.key()
-	t.byKey[k] = append(t.byKey[k], te)
-	return te
+	t.byKey[k] = append(t.byKey[k], &tableEntry{TraceEntry: e})
 }
 
 // lookup finds an unconsumed entry under key k, preferring the one paid at
 // run index idx, then file order. A non-consuming lookup (noiseless
 // evaluations are pure and may repeat) may reuse an already-served entry.
 func (t *traceTable) lookup(k string, idx uint64, consume bool) *TraceEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	cands := t.byKey[k]
 	var pick *tableEntry
 	for _, c := range cands {
@@ -335,43 +297,21 @@ func (s *TraceSink) Close() error {
 	return err
 }
 
-// Recorder is a pass-through Runner that records every execution of an
-// inner backend into a TraceSink under one stream key. It deliberately does
-// NOT advertise a native batch: batches route through the generic pool so
-// every individual run passes through RunAppAt and is captured with its run
-// index — which is also what keeps recorded parallel sessions identical to
-// serial ones on index-deterministic backends.
-type Recorder struct {
-	forward
-	sink      *TraceSink
-	stream    string
-	noiseless noiselessOnce
+// NewRecorder wraps inner in a Cache with no prior entries that records
+// every fresh execution into sink under stream. Batches route through the
+// generic pool, so every run passes through RunAppAt and is captured with
+// its run index — which is also what keeps recorded parallel sessions
+// identical to serial ones on index-deterministic backends. Like every
+// Cache it does not record failed (zero-second) runs; the Factory records
+// only the bare simulator, whose runs never fail.
+func NewRecorder(inner Runner, sink *TraceSink, stream string) *Cache {
+	return NewCache(inner, nil, func(e TraceEntry) {
+		e.Stream = stream
+		sink.add(e)
+	})
 }
 
-// NewRecorder wraps inner, appending entries to sink under stream.
-func NewRecorder(inner Runner, sink *TraceSink, stream string) *Recorder {
-	return &Recorder{forward: forward{inner}, sink: sink, stream: stream}
-}
-
-// RunApp claims the next index and records the execution.
-func (r *Recorder) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return r.RunAppAt(r.inner.ReserveRuns(1), app, c, dataGB)
-}
-
-// RunAppAt executes and records one application run.
-func (r *Recorder) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
-	res := r.inner.RunAppAt(idx, app, c, dataGB)
-	r.sink.add(entryOf(TraceApp, app, c, dataGB).stored(r.stream, idx).withResult(res))
-	return res
-}
-
-// NoiselessAppTime evaluates and records the deterministic latency
-// (deduplicated: repeated evaluations of the same point record once).
-func (r *Recorder) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	return r.noiseless.eval(r.inner, r.stream, app, c, dataGB, r.sink.add)
-}
-
-// MissPolicy selects what a Replayer does when a lookup finds no recorded
+// MissPolicy selects what a replay does when a lookup finds no recorded
 // entry for the requested execution.
 type MissPolicy int
 
@@ -386,7 +326,7 @@ const (
 	MissNearest
 )
 
-// ReplayOptions tune a Replayer's lookup.
+// ReplayOptions tune a replay's lookup.
 type ReplayOptions struct {
 	// Miss selects the miss policy (default MissFail).
 	Miss MissPolicy
@@ -396,7 +336,8 @@ type ReplayOptions struct {
 	Tolerance float64
 }
 
-// ErrTraceMiss is the panic payload type a MissFail replay raises.
+// ErrTraceMiss is the panic payload type a replay raises for an execution
+// it holds no result for.
 type ErrTraceMiss struct {
 	Stream string
 	Key    string
@@ -407,143 +348,123 @@ func (e *ErrTraceMiss) Error() string {
 	return fmt.Sprintf("runner: trace replay miss in stream %q: no recorded execution for %s", e.Stream, e.Key)
 }
 
-// Replayer replays one stream of a recorded trace as a Runner, with the
-// original backend fully detached. Lookup is exact-match first — preferring
-// the entry recorded at the requested run index, then FIFO among equal
-// keys — with an optional nearest-neighbor-within-tolerance fallback for
-// approximate re-tuning against related recordings. Deterministic: the
-// same call sequence always returns the same results.
-type Replayer struct {
+// NewReplayerFromEntries replays the entries of stream in a decoded trace
+// (all of them when stream is "") with the original backend detached: a
+// Cache whose table is the trace, over a miss backend that executes
+// nothing. Lookup prefers the entry recorded at the requested run index,
+// then file order; the same call sequence always returns the same results.
+// space must be the one the trace was recorded over: a served entry of
+// another dimension is an error. The entries slice is not mutated, so a
+// Factory decodes a multi-runner trace once.
+func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream string, opts ReplayOptions) (*Cache, error) {
+	m := &miss{space: space, stream: stream, opts: opts}
+	for _, e := range entries {
+		if (stream != "" && e.Stream != stream) || !served(e.Kind) {
+			continue
+		}
+		if len(e.Conf) != space.Dim() {
+			return nil, fmt.Errorf("runner: trace entry %s %d of stream %q holds %d configuration values, want %d",
+				e.Kind, e.Idx, e.Stream, len(e.Conf), space.Dim())
+		}
+		m.entries = append(m.entries, e)
+		m.enc = append(m.enc, space.Encode(conf.Config(e.Conf)))
+	}
+	if len(m.entries) == 0 {
+		return nil, fmt.Errorf("runner: trace holds no entries for stream %q", stream)
+	}
+	return NewCache(m, m.entries, nil), nil
+}
+
+// miss is the backend under a replaying Cache: it executes nothing and
+// answers what the Cache's exact table does not hold — the nearest entry
+// within tolerance under MissNearest, otherwise an *ErrTraceMiss panic. It
+// owns the replay's run counter and the stream's entries, with their
+// configurations pre-encoded onto the unit cube (the nearest scan is then a
+// plain distance loop). Everything it reads is fixed at load, so it needs
+// no lock.
+type miss struct {
 	space  *conf.Space
 	stream string
 	opts   ReplayOptions
+	runs   atomic.Uint64
 
-	runs atomic.Uint64
-
-	table   traceTable
-	entries []*tableEntry // every indexed entry, for the nearest scan
-}
-
-// NewReplayerFromEntries builds a replayer over the entries of stream in a
-// decoded trace (all of them when the trace holds a single stream and stream
-// is ""); space must be the configuration space the trace was recorded
-// over. A Factory shares one decoded trace this way, so a multi-runner
-// replay decodes the file once. The entries slice is not mutated
-// (per-replayer consumption state lives in private wrappers). A served
-// entry whose configuration is not of the space's dimension is an error:
-// the trace was recorded over another parameter table, or is not a trace.
-func NewReplayerFromEntries(space *conf.Space, entries []TraceEntry, stream string, opts ReplayOptions) (*Replayer, error) {
-	rp := &Replayer{space: space, stream: stream, opts: opts}
-	for _, e := range entries {
-		if stream != "" && e.Stream != stream {
-			continue
-		}
-		if te := rp.table.add(e); te != nil {
-			if len(e.Conf) != space.Dim() {
-				return nil, fmt.Errorf("runner: trace entry %s %d of stream %q holds %d configuration values, want %d",
-					e.Kind, e.Idx, e.Stream, len(e.Conf), space.Dim())
-			}
-			te.enc = space.Encode(conf.Config(e.Conf))
-			rp.entries = append(rp.entries, te)
-		}
-	}
-	if len(rp.entries) == 0 {
-		return nil, fmt.Errorf("runner: trace holds no entries for stream %q", stream)
-	}
-	return rp, nil
+	entries []TraceEntry
+	enc     [][]float64 // entries[i].Conf on the unit cube
 }
 
 // Space returns the configuration space the trace was recorded over.
-func (rp *Replayer) Space() *conf.Space { return rp.space }
+func (m *miss) Space() *conf.Space { return m.space }
 
-// ReserveRuns claims replay run indices (mirroring the recorder's counter).
-func (rp *Replayer) ReserveRuns(n int) uint64 {
+// ReserveRuns claims replay run indices (mirroring the recording's counter).
+func (m *miss) ReserveRuns(n int) uint64 {
 	if n <= 0 {
 		panic("runner: ReserveRuns of non-positive count")
 	}
-	return rp.runs.Add(uint64(n)) - uint64(n)
+	return m.runs.Add(uint64(n)) - uint64(n)
 }
 
-// lookup resolves one execution. Exact key match first (the shared table's
-// policy); nearest-neighbor within tolerance when allowed; otherwise the
-// miss policy fires.
-func (rp *Replayer) lookup(e *TraceEntry, idx uint64, consume bool) *TraceEntry {
-	k := e.key()
-	if hit := rp.table.lookup(k, idx, consume); hit != nil {
-		return hit
-	}
-	if rp.opts.Miss == MissNearest {
-		if pick := rp.nearest(e); pick != nil {
-			return pick
-		}
-	}
-	panic(&ErrTraceMiss{Stream: rp.stream, Key: k})
+// RunApp answers the next application execution.
+func (m *miss) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
+	return m.RunAppAt(m.ReserveRuns(1), app, c, dataGB)
 }
 
-// nearest scans for the closest same-kind, same-application entry. It reads
-// only what is fixed at load, so it needs no lock.
-func (rp *Replayer) nearest(e *TraceEntry) *TraceEntry {
-	want := rp.space.Encode(conf.Config(e.Conf))
+// RunAppAt answers an application execution the exact table missed — or
+// matched to an entry without its payload: a corrupted fixture, and
+// serving a phantom zero-second run would silently poison the replayed
+// session.
+func (m *miss) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+	q := entryOf(TraceApp, app, c, dataGB)
+	return cloneResult(*m.find(&q).Result)
+}
+
+// NoiselessAppTime answers a deterministic evaluation the table missed.
+func (m *miss) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
+	q := entryOf(TraceNoiseless, app, c, dataGB)
+	return m.find(&q).Sec
+}
+
+// find returns the entry that answers q under the miss policy, or panics.
+func (m *miss) find(q *TraceEntry) *TraceEntry {
+	var hit *TraceEntry
+	if m.opts.Miss == MissNearest {
+		hit = m.nearest(q)
+	}
+	if hit == nil || (q.Kind == TraceApp && hit.Result == nil) {
+		panic(&ErrTraceMiss{Stream: m.stream, Key: q.key()})
+	}
+	return hit
+}
+
+// nearest scans for the closest same-kind, same-application entry within
+// tolerance.
+func (m *miss) nearest(q *TraceEntry) *TraceEntry {
+	want := m.space.Encode(conf.Config(q.Conf))
 	bestD := math.Inf(1)
-	var best *tableEntry
-	for _, c := range rp.entries {
-		if c.Kind != e.Kind || c.App != e.App || c.NQ != e.NQ {
+	best := -1
+	for i := range m.entries {
+		c := &m.entries[i]
+		if c.Kind != q.Kind || c.App != q.App || c.NQ != q.NQ {
 			continue
 		}
-		have := c.enc
+		have := m.enc[i]
 		var d float64
-		for i := range want {
-			diff := want[i] - have[i]
+		for j := range want {
+			diff := want[j] - have[j]
 			d += diff * diff
 		}
 		// Fold the data-size mismatch in on the same normalized scale.
-		if e.DataGB > 0 || c.DataGB > 0 {
-			rel := (e.DataGB - c.DataGB) / math.Max(e.DataGB, c.DataGB)
+		if q.DataGB > 0 || c.DataGB > 0 {
+			rel := (q.DataGB - c.DataGB) / math.Max(q.DataGB, c.DataGB)
 			d += rel * rel
 		}
 		d = math.Sqrt(d / float64(len(want)+1))
 		if d < bestD {
 			bestD = d
-			best = c
+			best = i
 		}
 	}
-	if best == nil {
+	if best < 0 || (m.opts.Tolerance > 0 && bestD > m.opts.Tolerance) {
 		return nil
 	}
-	if rp.opts.Tolerance > 0 && bestD > rp.opts.Tolerance {
-		return nil
-	}
-	return &best.TraceEntry
+	return &m.entries[best]
 }
-
-// RunApp replays the next application execution.
-func (rp *Replayer) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return rp.RunAppAt(rp.ReserveRuns(1), app, c, dataGB)
-}
-
-// RunAppAt replays the application execution recorded for (app, c, dataGB),
-// preferring the entry recorded at run index idx.
-func (rp *Replayer) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
-	q := entryOf(TraceApp, app, c, dataGB)
-	hit := rp.lookup(&q, idx, true)
-	if hit.Result == nil {
-		// A key-matched entry without its payload is a corrupted fixture;
-		// serving a phantom zero-second run would silently poison the
-		// replayed session.
-		panic(&ErrTraceMiss{Stream: rp.stream, Key: q.key() + " (entry has no result payload)"})
-	}
-	return cloneResult(*hit.Result)
-}
-
-// NoiselessAppTime replays the recorded deterministic latency. The lookup
-// does not consume: noiseless evaluations are pure and may repeat.
-func (rp *Replayer) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	q := entryOf(TraceNoiseless, app, c, dataGB)
-	return rp.lookup(&q, 0, false).Sec
-}
-
-var (
-	_ Runner = (*Recorder)(nil)
-	_ Runner = (*Replayer)(nil)
-	_ Faulty = (*Recorder)(nil)
-)

@@ -19,7 +19,7 @@ func memSink() (*TraceSink, *bytes.Buffer) {
 }
 
 // newReplayer replays stream from the JSON-lines trace in r.
-func newReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptions) (*Replayer, error) {
+func newReplayer(space *conf.Space, r io.Reader, stream string, opts ReplayOptions) (*Cache, error) {
 	entries, err := readTrace(r, false)
 	if err != nil {
 		return nil, err
@@ -101,30 +101,53 @@ func TestTraceFilesAreDeterministic(t *testing.T) {
 
 // A replay miss under the default policy must fail loudly with a
 // diagnostic — that failure is what pins hermetic CI jobs to the recorded
-// trajectory.
+// trajectory. An entry that matches but carries no result payload is a
+// corrupted fixture and fails the same way under either policy: it must
+// never replay as a zero-second run.
 func TestTraceReplayMissFails(t *testing.T) {
 	cl := sparksim.ARM()
+	space := cl.Space()
 	sink, buf := memSink()
 	rec := NewRecorder(NewSim(sparksim.New(cl, 7)), sink, "s1")
 	app := batchApp()
-	rec.RunApp(app, cl.Space().Default(), 100)
+	rec.RunApp(app, space.Default(), 100)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := newReplayer(cl.Space(), bytes.NewReader(buf.Bytes()), "s1", ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
+	entries, err := readTrace(bytes.NewReader(buf.Bytes()), false)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("recorded trace: %d entries, %v", len(entries), err)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("replay of an unrecorded execution did not fail")
-		}
-		if _, ok := r.(*ErrTraceMiss); !ok {
-			t.Fatalf("panic payload %T, want *ErrTraceMiss", r)
-		}
-	}()
-	rp.RunApp(app, randomConfigs(cl.Space(), 1, 99)[0], 100)
+	noPayload := append([]TraceEntry(nil), entries...)
+	noPayload[0].Result = nil
+
+	for _, tc := range []struct {
+		name    string
+		entries []TraceEntry
+		opts    ReplayOptions
+		c       conf.Config
+	}{
+		{"unrecorded", entries, ReplayOptions{}, randomConfigs(space, 1, 99)[0]},
+		{"no-payload/fail", noPayload, ReplayOptions{}, space.Default()},
+		{"no-payload/nearest", noPayload, ReplayOptions{Miss: MissNearest}, space.Default()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rp, err := NewReplayerFromEntries(space, tc.entries, "s1", tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("replay did not fail")
+				}
+				if _, ok := r.(*ErrTraceMiss); !ok {
+					t.Fatalf("panic payload %T, want *ErrTraceMiss", r)
+				}
+			}()
+			rp.RunApp(app, tc.c, 100)
+		})
+	}
 }
 
 // miss=nearest must serve the closest recorded configuration within the

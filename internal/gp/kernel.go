@@ -17,7 +17,10 @@
 // PredictWorkspace owns the rows Inputs hands out (valid until the next
 // Inputs) and a batch's outputs (valid until its next use), a FitWorkspace
 // one chain's kernel matrix, correlation cache and generator; neither may be
-// shared by concurrent calls.
+// shared by concurrent calls. The factor is mat.Cholesky's U = Lᵀ, so the
+// kernel matrix is assembled, and the distance and correlation caches are
+// kept, as strict upper triangles plus the diagonal: row i holds columns
+// i..n-1, and the factorization reads nothing below it.
 //
 // Kernel rows: KernelMeans' cross-kernel rows and a TrainSet's fresh
 // exponentials map squared distances to σ_f²·exp(-d²/2ℓ²) through kernelRow.
@@ -28,10 +31,10 @@
 // seven-step polynomial, the squarings as r·(r+2), the final FMA, ×2^k, then
 // ×σ_f². IEEE VDIVPD, VMULPD, VADDPD and the FMAs round each lane as their
 // scalar forms round, so every value is σ_f²·math.Exp(-d²/2ℓ²) bit for bit.
-// The vector path is decided once at start-up: CPUID and XGETBV must show
-// AVX2, FMA and YMM state, and a fixed probe must match math.Exp bit for bit,
-// which fails where math.Exp takes its SSE path (GODEBUG=cpu.fma=off). Three
-// cases go through math.Exp itself: a block of four with an argument outside
+// The vector path is decided once at start-up: mat.HasAVX2FMA (CPUID and
+// XGETBV) must show AVX2, FMA and YMM state, and a fixed probe must match
+// math.Exp bit for bit, which fails where math.Exp takes its SSE path
+// (GODEBUG=cpu.fma=off). Three cases go through math.Exp itself: a block of four with an argument outside
 // [-700, 700] or a NaN (math.Exp's underflow, denormal and overflow branches
 // live out there), a row's last len%4 values, and every row where the vector
 // path is off or the architecture is not amd64.

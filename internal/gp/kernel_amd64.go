@@ -1,10 +1,14 @@
 package gp
 
-import "math"
+import (
+	"math"
+
+	"locat/internal/mat"
+)
 
 // useVecKernel is decided once, at start-up, as "Kernel rows" in the package
 // doc says; only tests change it.
-var useVecKernel = cpuAVX2FMA() && probeMatchesExp()
+var useVecKernel = mat.HasAVX2FMA() && probeMatchesExp()
 
 // kernelProbe holds distances whose exponentials come out differently under
 // math.Exp's FMA and SSE sequences (TestVecKernelGate asserts it).
@@ -19,7 +23,5 @@ func probeMatchesExp() bool {
 	return ok
 }
 
-// kernelRow4 and cpuAVX2FMA are written, and documented, in kernel_amd64.s.
+// kernelRow4 is written, and documented, in kernel_amd64.s.
 func kernelRow4(dst, d2 []float64, s2, tl2 float64) int
-
-func cpuAVX2FMA() bool

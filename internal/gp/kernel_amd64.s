@@ -98,34 +98,3 @@ done:
 	VZEROUPPER
 	MOVQ AX, ret+64(FP)
 	RET
-
-// func cpuAVX2FMA() bool
-//
-// Reports whether the processor has AVX2 and FMA and the OS saves the YMM
-// registers (CPUID OSXSAVE, then XGETBV).
-TEXT ·cpuAVX2FMA(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18001000, CX // AVX, OSXSAVE, FMA
-	CMPL CX, $0x18001000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX // XMM and YMM state
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $0x20, BX // AVX2
-	JZ   no
-	MOVB $1, ret+0(FP)
-
-no:
-	RET

@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"locat/internal/mat"
 )
 
 // The constants of $GOROOT/src/math/exp_amd64.s.
@@ -74,7 +76,7 @@ func TestVecKernelGate(t *testing.T) {
 	if !differ {
 		t.Fatalf("no probe argument in %v tells math.Exp's FMA and SSE sequences apart", kernelProbe)
 	}
-	if !cpuAVX2FMA() {
+	if !mat.HasAVX2FMA() {
 		t.Skip("no AVX2 and FMA on this processor; the vector kernel stays off")
 	}
 	viaFMA, viaSSE := true, true
@@ -98,7 +100,7 @@ func TestVecKernelGate(t *testing.T) {
 // math.Exp's FMA path switched off, which leaves the CPUID bits set: the gate
 // must see it through the probe.
 func TestVecKernelGateUnderGODEBUG(t *testing.T) {
-	if !cpuAVX2FMA() {
+	if !mat.HasAVX2FMA() {
 		t.Skip("no AVX2 and FMA on this processor")
 	}
 	exe, err := os.Executable()

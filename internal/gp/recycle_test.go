@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// modelState is everything a fitted GP computes, with the factor read as its
-// lower triangle (its storage layout is not part of the model).
+// modelState is everything a fitted GP computes, with the factor read as L,
+// row by row (its storage layout is not part of the model).
 type modelState struct {
 	X           [][]float64
 	Y, Alpha    []float64
@@ -20,7 +20,11 @@ type modelState struct {
 func stateOf(g *GP) modelState {
 	s := modelState{X: g.x, Y: g.y, Alpha: g.alpha, YMean: g.yMean, YStd: g.yStd, Hyp: g.hyp}
 	for i := range g.x {
-		s.L = append(s.L, append([]float64(nil), g.chol.L().RowView(i)[:i+1]...))
+		row := make([]float64, i+1)
+		for j := range row {
+			row[j] = g.chol.U().At(j, i)
+		}
+		s.L = append(s.L, row)
 	}
 	return s
 }

@@ -31,7 +31,7 @@ type TrainSet struct {
 	x  [][]float64
 	y  []float64
 	ys []float64 // standardized targets
-	d2 []float64 // pairwise squared distances, n×n row-major, strict lower triangle filled
+	d2 []float64 // pairwise squared distances, n×n row-major, strict upper triangle filled (the factor is upper)
 
 	yMean, yStd float64
 	n           int
@@ -61,16 +61,18 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 	}
 	// Pairwise squared distances, each row's entries computed by one worker
 	// (writes are disjoint by row, so the parallel result is deterministic).
-	// Only the strict lower triangle is filled — the kernel assembly never
-	// reads the diagonal (always σ_f²+σ_n²+jitter) or the upper triangle —
-	// which halves the O(n²·d) assembly work. sqDist is the loop Fit runs
-	// per pair, so the cached distances — and everything derived from them —
-	// are bit-identical to the per-pair recomputation they replace.
+	// Only the strict upper triangle is filled — the kernel assembly never
+	// reads the diagonal (always σ_f²+σ_n²+jitter) or the lower triangle,
+	// because mat.Cholesky factors the upper one — which halves the O(n²·d)
+	// assembly work. sqDist is the loop Fit runs per pair, and it is
+	// symmetric bit for bit (a−b is −(b−a) exactly), so the cached distances
+	// — and everything derived from them — are bit-identical to the per-pair
+	// recomputation they replace, in either order of the pair.
 	mat.ParRange(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := ts.d2[i*n : i*n+i]
+			row := ts.d2[i*n+i+1 : (i+1)*n]
 			xi := ts.x[i]
-			for j, xj := range ts.x[:i] {
+			for j, xj := range ts.x[i+1:] {
 				row[j] = sqDist(xi, xj)
 			}
 		}
@@ -106,7 +108,7 @@ type FitWorkspace struct {
 	w     []float64
 	rng   *rand.Rand // the chain stream, re-seeded for each chain the workspace runs
 
-	// corr is exp(-d²/2ℓ²) (n×n, strict lower triangle) of corrTS at
+	// corr is exp(-d²/2ℓ²) (n×n, strict upper triangle) of corrTS at
 	// corrLogLen; a nil corrTS means it holds nothing. Keeping the pointer
 	// keeps that set alive, so no later TrainSet can be mistaken for it.
 	corr       []float64
@@ -199,8 +201,8 @@ func (ts *TrainSet) Fit(h Hyper, g *GP) (*GP, error) {
 // they are taken from the cached distances and stored there first, otherwise
 // corr already holds them for h's length-scale and the rows are only
 // rescaled. A nil corr takes them in kern's own rows and scales them where
-// they stand. Only the lower triangle and diagonal are written: the
-// factorization and the triangular solves never read above the diagonal.
+// they stand. Only the diagonal and the upper triangle are written: the
+// factorization reads nothing below the diagonal.
 // The exponentials are kernelRow's at σ_f² = 1 (a product with 1 is exact),
 // and the product with σ_f² and the diagonal's σ_f² + (σ_n² + jitter) are
 // seKernel.of's shapes, so the assembled matrix — and therefore the factor,
@@ -212,35 +214,57 @@ func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h 
 	k := h.kernel()
 	diag := k.s2 + (h.Noise2() + 1e-8)
 	for i := lo; i < hi; i++ {
-		row := kern.RowView(i)
-		crow := row[:i]
+		row := kern.RowView(i)[i:n]
+		dst := row[1:]
+		crow := dst
 		if corr != nil {
-			crow = corr[i*n : i*n+i]
+			crow = corr[i*n+i+1 : (i+1)*n]
 		}
 		if fresh {
-			kernelRow(crow, ts.d2[i*n:i*n+i], 1, k.tl2)
+			kernelRow(crow, ts.d2[i*n+i+1:(i+1)*n], 1, k.tl2)
 		}
-		dst := row[:len(crow)]
 		for j, c := range crow {
 			dst[j] = k.s2 * c
 		}
-		row[i] = diag
+		row[0] = diag
 	}
 }
 
 // logMLInto computes the log evidence -½·yᵀα - ½·log|K| - n/2·log 2π from the
 // Cholesky factor and α = K⁻¹y, recovering yᵀα as αᵀKα = |Lᵀα|² in the
-// caller's buffer w, so it allocates nothing. L is walked the way it is stored,
-// row by row; w[i] still receives its terms L[k][i]·α[k] in ascending k, as
-// a column-wise reduction would add them.
+// caller's buffer w, so it allocates nothing. Lᵀ is the factor's U, stored
+// by rows: w[i] is row i of U times α, its terms U[i][k]·α[k] added from
+// zero in ascending k, as a column-wise reduction over L adds them. Four
+// rows go per sweep of α, for four independent chains of additions; each
+// row first takes the terms left of the next row's diagonal on its own.
 func logMLInto(chol *mat.Cholesky, alpha, w []float64) float64 {
-	n := len(alpha)
-	clear(w)
-	for k, ak := range alpha {
-		wk := w[:k+1]
-		for i, l := range chol.L().RowView(k)[:k+1] {
-			wk[i] += l * ak
+	n, u := len(alpha), chol.U()
+	i := 0
+	for ; i+3 < n; i += 4 {
+		r0, r1, r2, r3 := u.RowView(i)[i:n], u.RowView(i + 1)[i+1:n], u.RowView(i + 2)[i+2:n], u.RowView(i + 3)[i+3:n]
+		a := alpha[i:n]
+		var s0, s1, s2, s3 float64
+		s0 += r0[0] * a[0]
+		s0 += r0[1] * a[1]
+		s1 += r1[0] * a[1]
+		s0 += r0[2] * a[2]
+		s1 += r1[1] * a[2]
+		s2 += r2[0] * a[2]
+		r0, r1, r2 = r0[3:], r1[2:], r2[1:]
+		for k, ak := range a[3:] {
+			s0 += r0[k] * ak
+			s1 += r1[k] * ak
+			s2 += r2[k] * ak
+			s3 += r3[k] * ak
 		}
+		w[i], w[i+1], w[i+2], w[i+3] = s0, s1, s2, s3
+	}
+	for ; i < n; i++ {
+		var s float64
+		for k, v := range u.RowView(i)[i:n] {
+			s += v * alpha[i+k]
+		}
+		w[i] = s
 	}
 	quad := mat.Dot(w, w)
 	return -0.5*quad - 0.5*chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)

@@ -167,12 +167,12 @@ func TestLogMLMatchesColumnwiseReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := g.chol.L()
+		u := g.chol.U()
 		var quad float64
 		for i := 0; i < n; i++ {
 			var s float64
 			for k := i; k < n; k++ {
-				s += l.At(k, i) * g.alpha[k]
+				s += u.At(i, k) * g.alpha[k]
 			}
 			quad += s * s
 		}

@@ -233,9 +233,10 @@ func TestSolveLowerBatchMatchesVec(t *testing.T) {
 	c.SolveLowerBatch(make([]float64, 7))
 }
 
-// TestFactorLowerMatchesRowAtATime pins the four-row column sweep of
-// factorLower to the textbook recurrence it regroups: same factor, bit for
-// bit, at every remainder of the grouping.
+// TestFactorLowerMatchesRowAtATime pins factorUpper, which writes U = Lᵀ a
+// row of U at a time, to the textbook dot-product recurrence over a
+// row-major L that it reorders: same factor, bit for bit, at every
+// remainder of the lane kernel's 16/4/1 column blocks.
 func TestFactorLowerMatchesRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for n := 1; n <= 70; n++ {
@@ -254,13 +255,13 @@ func TestFactorLowerMatchesRowAtATime(t *testing.T) {
 				}
 			}
 		}
-		if err := factorLower(a); err != nil {
+		if err := factorUpper(a); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
-				if a.At(i, j) != want.At(i, j) {
-					t.Fatalf("n=%d: L[%d][%d] = %v, row-at-a-time %v", n, i, j, a.At(i, j), want.At(i, j))
+				if a.At(j, i) != want.At(i, j) {
+					t.Fatalf("n=%d: L[%d][%d] = %v, row-at-a-time %v", n, i, j, a.At(j, i), want.At(i, j))
 				}
 			}
 		}

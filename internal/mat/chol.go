@@ -9,14 +9,37 @@ import (
 // (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
-// Cholesky holds the lower-triangular factor L of a symmetric positive
-// definite matrix A = L·Lᵀ, as the lower triangle of an n×stride row-major
-// matrix with stride ≥ n. A factor may hold more storage than n²: spare
-// columns, and spare capacity behind the last row, are the reserve Extend
-// writes the next row into without copying the factor. The storage belongs
-// to the factor from FactorInPlace or Reserve until the next Reserve.
+// Cholesky holds the factor of a symmetric positive definite matrix
+// A = L·Lᵀ as U = Lᵀ: the upper triangle of an n×stride row-major matrix
+// with stride ≥ n, row i holding U[i][i:n] (which is L's column i). Entries
+// below the diagonal are not part of the factor. A factor may hold more
+// storage than n²: spare columns, and spare capacity behind the last row, are
+// the reserve Extend writes the next column into without copying the factor.
+// The storage belongs to the factor from FactorInPlace or Reserve until the
+// next Reserve.
+//
+// The layout is chosen for the factorization, which is most of the tuner's
+// own CPU time (gp's slice sampler refactors the kernel matrix at every
+// posterior evaluation). In it, row j of U is one contiguous vector update,
+//
+//	U[j][j:] = (A[j][j:] − Σ_{k<j} U[k][j]·U[k][j:]) / U[j][j]   (k ascending)
+//
+// where the diagonal is the square root of the same update's first element.
+// Where the processor has AVX2 and FMA and the OS saves the YMM registers
+// (HasAVX2FMA, CPUID and XGETBV, decided once at start-up), chol_amd64.s
+// runs the update over 16, 4 and then single columns, keeping them in
+// registers for the whole k loop: per k a broadcast of U[k][j], one VMULPD
+// and one VSUBPD, never a fused multiply-add, then one VDIVPD by the pivot's
+// root. SolveLowerBatch runs a kernel of the same kind, four rows at a time.
+// On other hosts and architectures factorRowGo and solveLower4 run the same
+// recurrences in Go. Either way every element subtracts its own products,
+// each rounded once, in ascending k, and is divided last: the operations,
+// and so the roundings, of the textbook dot-product loop
+// s −= L[i][k]·L[j][k] … s/L[j][j] over a row-major L. The factor and the
+// solves are therefore the same bit for bit on both paths, and the same as
+// that loop's (TestCholeskyLanesMatchPortable, FuzzCholeskyLanes).
 type Cholesky struct {
-	l *Dense // n rows of stride l.cols ≥ n; the lower triangle of the leading n×n block is L
+	u *Dense // n rows of stride u.cols ≥ n; the upper triangle of the leading n×n block is U = Lᵀ
 }
 
 // NewCholesky factors the symmetric positive definite matrix a.
@@ -26,77 +49,86 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	if n != c {
 		return nil, errors.New("mat: Cholesky of non-square matrix")
 	}
-	l := NewDense(n, n, nil)
+	u := NewDense(n, n, nil)
 	for i := 0; i < n; i++ {
-		copy(l.data[i*n:i*n+i+1], a.data[i*a.cols:i*a.cols+i+1])
+		for j := i; j < n; j++ {
+			u.data[i*n+j] = a.data[j*a.cols+i]
+		}
 	}
-	if err := factorLower(l); err != nil {
+	if err := factorUpper(u); err != nil {
 		return nil, err
 	}
-	return &Cholesky{l: l}, nil
+	return &Cholesky{u: u}, nil
 }
 
-// factorLower runs the Cholesky recurrences in place over the lower triangle
-// of l: on entry the lower triangle holds A, on exit it holds L. The column-j
-// recurrences read position (i,j) exactly once — while it still holds A's
-// value — before overwriting it, so the factor is identical to one computed
-// into separate storage. Entries above the diagonal are never touched (every
-// consumer of the factor — the triangular solves, LogDet, Extend — reads the
-// lower triangle only). Inner loops run over row slices, which is what makes
-// the zero-allocation refit path of gp's hyperparameter sampler cheap.
-func factorLower(l *Dense) error {
-	n, st := l.rows, l.cols
-	ld := l.data
-	for j := 0; j < n; j++ {
-		lrowj := ld[j*st : j*st+j+1]
-		d := lrowj[j]
-		for _, v := range lrowj[:j] {
-			d -= v * v
-		}
-		if d <= 0 || math.IsNaN(d) {
+// factorUpper runs the row recurrences in place over the upper triangle of
+// u: on entry it holds A, on exit U. Row j reads rows k < j, which already
+// hold U, and its own entries, which still hold A, so the factor is the one
+// computed into separate storage. Entries below the diagonal are never
+// touched.
+func factorUpper(u *Dense) error {
+	row := factorRowGo
+	if useLanes {
+		row = factorRowLanes
+	}
+	for j := 0; j < u.rows; j++ {
+		if !row(u.data, u.cols, j, u.rows) {
 			return ErrNotPositiveDefinite
-		}
-		dj := math.Sqrt(d)
-		lrowj[j] = dj
-		// Column j below the diagonal, four rows per sweep of row j: each
-		// row's dot product is a chain of dependent subtractions, and four
-		// independent chains keep the floating-point unit busy where one
-		// waits on itself. Every element still subtracts its own terms in
-		// ascending k, so the factor is the one a row-at-a-time loop gives.
-		// The prefixes of explicit length j let the compiler drop the bounds
-		// checks in the inner loops.
-		lj := lrowj[:j]
-		i := j + 1
-		for ; i+3 < n; i += 4 {
-			r0, r1, r2, r3 := ld[i*st:i*st+j+1], ld[(i+1)*st:(i+1)*st+j+1], ld[(i+2)*st:(i+2)*st+j+1], ld[(i+3)*st:(i+3)*st+j+1]
-			p0, p1, p2, p3 := r0[:j], r1[:j], r2[:j], r3[:j]
-			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
-			for k, v := range lj {
-				s0 -= p0[k] * v
-				s1 -= p1[k] * v
-				s2 -= p2[k] * v
-				s3 -= p3[k] * v
-			}
-			r0[j], r1[j], r2[j], r3[j] = s0/dj, s1/dj, s2/dj, s3/dj
-		}
-		for ; i < n; i++ {
-			lrowi := ld[i*st : i*st+j+1]
-			s := lrowi[j]
-			for k, v := range lrowi[:j] {
-				s -= v * lj[k]
-			}
-			lrowi[j] = s / dj
 		}
 	}
 	return nil
 }
 
+// factorRowGo turns row j of u (stride st, n columns) from A's into U's,
+// given U's rows k < j, and reports false where the pivot is not positive.
+// It is the lane kernel's recurrence in Go, taking the rows above four at a
+// time so that each entry of row j is loaded and stored once per four
+// subtractions, which it still makes one after another in ascending k. The
+// explicit conversions keep each product rounded on its own where the
+// compiler would fuse it into the subtraction (arm64).
+func factorRowGo(u []float64, st, j, n int) bool {
+	row := u[j*st+j : j*st+n]
+	k := 0
+	for ; k+3 < j; k += 4 {
+		p0 := u[k*st+j : k*st+n]
+		p1, p2, p3 := u[(k+1)*st+j:][:len(p0)], u[(k+2)*st+j:][:len(p0)], u[(k+3)*st+j:][:len(p0)]
+		v0, v1, v2, v3 := p0[0], p1[0], p2[0], p3[0]
+		row := row[:len(p0)]
+		for c, x := range p0 {
+			r := row[c]
+			r -= float64(x * v0)
+			r -= float64(p1[c] * v1)
+			r -= float64(p2[c] * v2)
+			r -= float64(p3[c] * v3)
+			row[c] = r
+		}
+	}
+	for ; k < j; k++ {
+		p := u[k*st+j : k*st+n]
+		row := row[:len(p)]
+		for c, x := range p {
+			row[c] -= float64(x * p[0])
+		}
+	}
+	d := row[0]
+	if d <= 0 || math.IsNaN(d) {
+		return false
+	}
+	dj := math.Sqrt(d)
+	row[0] = dj
+	for c := 1; c < len(row); c++ {
+		row[c] /= dj
+	}
+	return true
+}
+
 // FactorInPlace factors the symmetric positive definite matrix a in place —
-// the lower triangle of a is overwritten with L, no fresh storage — and
+// the upper triangle of a is overwritten with U = Lᵀ, no fresh storage — and
 // points the receiver at it. On error the receiver is left unchanged (a's
-// lower triangle is partially overwritten and must be reassembled before
+// upper triangle is partially overwritten and must be reassembled before
 // retrying). a holds the matrix in its leading rows×rows block (columns past
-// it are reserve, see Reserve) and is owned by the receiver afterwards.
+// it are reserve, see Reserve) and is owned by the receiver afterwards. Only
+// the upper triangle of that block is read.
 //
 // This is the refit primitive of gp's amortized hyperparameter inference:
 // every slice-sampling step reassembles the kernel matrix into one reusable
@@ -108,41 +140,41 @@ func (c *Cholesky) FactorInPlace(a *Dense) error {
 	if n > cols {
 		return errors.New("mat: Cholesky of a matrix with fewer columns than rows")
 	}
-	if err := factorLower(a); err != nil {
+	if err := factorUpper(a); err != nil {
 		return err
 	}
-	c.l = a
+	c.u = a
 	return nil
 }
 
 // Reserve gives up the current factor and returns the receiver's storage as
-// an n×stride matrix for the caller to assemble the next matrix's lower
+// an n×stride matrix for the caller to assemble the next matrix's upper
 // triangle in and hand to FactorInPlace. A first reservation is exact; later
 // ones keep the storage while its stride covers n and otherwise reallocate
 // with half as much again, so a factor refitted at growing sizes, or extended
 // after the fit, rarely allocates.
 func (c *Cholesky) Reserve(n int) *Dense {
-	if c.l == nil {
-		c.l = &Dense{cols: n, data: make([]float64, 0, n*n)}
-	} else if c.l.cols < n || cap(c.l.data) < n*c.l.cols {
+	if c.u == nil {
+		c.u = &Dense{cols: n, data: make([]float64, 0, n*n)}
+	} else if c.u.cols < n || cap(c.u.data) < n*c.u.cols {
 		st := n + n/2
-		c.l.cols, c.l.data = st, make([]float64, 0, st*st)
+		c.u.cols, c.u.data = st, make([]float64, 0, st*st)
 	}
-	c.l.rows, c.l.data = n, c.l.data[:n*c.l.cols]
-	return c.l
+	c.u.rows, c.u.data = n, c.u.data[:n*c.u.cols]
+	return c.u
 }
 
-// L returns the factor's own storage (not a copy): an n×stride matrix whose
-// leading n×n lower triangle is L. Entries above the diagonal and columns
-// past n are unspecified.
-func (c *Cholesky) L() *Dense { return c.l }
+// U returns the factor's own storage (not a copy): an n×stride matrix whose
+// leading n×n upper triangle is U = Lᵀ. Entries below the diagonal and
+// columns past n are unspecified.
+func (c *Cholesky) U() *Dense { return c.u }
 
 // Clone returns an independent copy of the factorization, reserve included.
 // Extending the clone leaves the original untouched, which is how
 // GP.AppendBatch keeps a model consistent when a mid-batch extension fails.
 func (c *Cholesky) Clone() *Cholesky {
-	d := append(make([]float64, 0, cap(c.l.data)), c.l.data...)
-	return &Cholesky{l: &Dense{rows: c.l.rows, cols: c.l.cols, data: d}}
+	d := append(make([]float64, 0, cap(c.u.data)), c.u.data...)
+	return &Cholesky{u: &Dense{rows: c.u.rows, cols: c.u.cols, data: d}}
 }
 
 // Extend appends one row/column to the factored matrix in O(n²) — the
@@ -154,41 +186,45 @@ func (c *Cholesky) Clone() *Cholesky {
 //
 // the extended factor is
 //
-//	L' = [L    0  ]     l21 = L⁻¹·col (forward substitution)
-//	     [l21ᵀ l22]     l22 = √(d - |l21|²)
+//	U' = [U  u12]     u12 = L⁻¹·col (forward substitution)
+//	     [0  u22]     u22 = √(d - |u12|²)
 //
 // The forward substitution is the updatable triangular solve: it reuses the
 // existing factor verbatim, so Extend costs O(n²) where a fresh NewCholesky
-// of the bordered matrix costs O(n³). The recurrences are the same ones the
-// full factorization would run for the last row, so the extended factor
-// matches a from-scratch factorization to rounding error.
+// of the bordered matrix costs O(n³). u12 is what the full factorization
+// computes for the new column, bit for bit (the same subtractions in the
+// same order); u22 sums |u12|² in Dot's order before subtracting, so its
+// square matches the factorization's pivot to a few ulp of d.
 //
 // col is the new off-diagonal column (length n) and diag the new diagonal
-// element. The row is written into the reserve behind row n-1 (a factor
-// without reserve is first copied to storage with half as much again) and
-// joins the factor only once complete: on ErrNotPositiveDefinite the
-// receiver — reserve included — is unchanged.
+// element. u12 is solved into the spare row n behind the factor (a factor
+// without reserve is first copied to storage with half as much again), and
+// joins it as column n only once u22 is known: on ErrNotPositiveDefinite the
+// receiver's factor is unchanged, and so are its size, stride and reserve.
 func (c *Cholesky) Extend(col []float64, diag float64) error {
-	n, st := c.l.Dims()
+	n, st := c.u.Dims()
 	if len(col) != n {
 		panic("mat: Cholesky.Extend column length mismatch")
 	}
-	data := c.l.data
+	data := c.u.data
 	if n == st || cap(data) < (n+1)*st {
 		st = n + 1 + (n+1)/2
 		data = make([]float64, n*st, st*st)
 		for i := 0; i < n; i++ {
-			copy(data[i*st:i*st+i+1], c.l.RowView(i))
+			copy(data[i*st+i:i*st+n], c.u.RowView(i)[i:n])
 		}
 	}
 	data = data[:(n+1)*st]
-	l21 := c.SolveLowerVecInto(col, data[n*st:n*st+n])
-	d := diag - Dot(l21, l21)
+	u12 := c.SolveLowerVecInto(col, data[n*st:n*st+n])
+	d := diag - Dot(u12, u12)
 	if d <= 0 || math.IsNaN(d) {
 		return ErrNotPositiveDefinite
 	}
+	for k, v := range u12 {
+		data[k*st+n] = v
+	}
 	data[n*st+n] = math.Sqrt(d)
-	c.l.rows, c.l.cols, c.l.data = n+1, st, data
+	c.u.rows, c.u.cols, c.u.data = n+1, st, data
 	return nil
 }
 
@@ -198,84 +234,71 @@ func (c *Cholesky) Extend(col []float64, diag float64) error {
 // already produced. No scratch vector is allocated, which is what keeps the
 // per-step cost of gp's slice sampler allocation-free.
 func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
-	n, st := c.l.Dims()
+	n, st := c.u.Dims()
 	if len(b) != n || len(dst) != n {
 		panic("mat: Cholesky.SolveVecInto length mismatch")
 	}
-	ld := c.l.data
 	// Forward substitution: L·y = b (y lands in dst).
-	for i := 0; i < n; i++ {
-		s := b[i]
-		lrow := ld[i*st : i*st+i+1]
-		for k := 0; k < i; k++ {
-			s -= lrow[k] * dst[k]
-		}
-		dst[i] = s / lrow[i]
-	}
-	// Back substitution: Lᵀ·x = y (x overwrites y in dst).
+	c.SolveLowerVecInto(b, dst)
+	// Back substitution: U·x = y (x overwrites y in dst), each a dot product
+	// along a row of U.
+	ud := c.u.data
 	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
-		for k := i + 1; k < n; k++ {
-			s -= ld[k*st+i] * dst[k]
+		urow := ud[i*st+i : i*st+n]
+		x := dst[i:n]
+		s := x[0]
+		for k, u := range urow[1:] {
+			s -= u * x[k+1]
 		}
-		dst[i] = s / ld[i*st+i]
+		dst[i] = s / urow[0]
 	}
 	return dst
 }
 
 // SolveLowerVecInto solves L·y = b (forward substitution only, the
-// predictive-variance solve v = L⁻¹·k*) into dst and returns dst. dst may
-// alias b (the substitution only reads b[i] before writing dst[i]), which is
-// what lets batch prediction overwrite cross-kernel rows in place instead of
-// allocating a scratch vector per candidate.
+// predictive-variance solve v = L⁻¹·k*) into dst and returns dst, reading
+// L's row i down U's column i. dst may alias b (the substitution only reads
+// b[i] before writing dst[i]), which is what lets batch prediction overwrite
+// cross-kernel rows in place instead of allocating a scratch vector per
+// candidate.
 func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
-	n, st := c.l.Dims()
+	n, st := c.u.Dims()
 	if len(b) != n || len(dst) != n {
 		panic("mat: Cholesky.SolveLowerVecInto length mismatch")
 	}
-	ld := c.l.data
+	ud := c.u.data
 	for i := 0; i < n; i++ {
 		s := b[i]
-		lrow := ld[i*st : i*st+i+1]
-		for k := 0; k < i; k++ {
-			s -= lrow[k] * dst[k]
+		col := ud[i:]
+		for k, y := range dst[:i] {
+			s -= col[k*st] * y
 		}
-		dst[i] = s / lrow[i]
+		dst[i] = s / col[i*st]
 	}
 	return dst
 }
 
 // SolveLowerBatch solves L·y = b in place for every length-n row of the
 // row-major matrix b — the multi-right-hand-side form of SolveLowerVecInto
-// that batch prediction runs over its cross-kernel rows. Four rows are
-// solved per sweep of L: each L element is loaded once for four independent
-// dependency chains, which is what a lone forward substitution (one
-// subtract waiting on the last) cannot offer the processor. Every row still
-// subtracts its own terms in ascending k, so each row's result is
-// bit-identical to SolveLowerVecInto's wherever the row falls in b — the
-// output cannot depend on how callers chunk rows across workers.
+// that batch prediction runs over its cross-kernel rows. Rows go four at a
+// time: on the lane kernel (solveLower4Lanes) each y_r[k] is subtracted from
+// the rest of its row along row k of U, four columns per instruction and
+// four rows per load of U, and otherwise solveLower4 runs four dependency
+// chains over U's columns. Every row still subtracts its own terms in
+// ascending k, so each row's result is bit-identical to SolveLowerVecInto's
+// wherever the row falls in b — the output cannot depend on how callers
+// chunk rows across workers. It keeps no scratch, so concurrent calls on one
+// factor are safe.
 func (c *Cholesky) SolveLowerBatch(b []float64) {
-	n, st := c.l.Dims()
+	n, st := c.u.Dims()
 	if len(b)%n != 0 {
 		panic("mat: Cholesky.SolveLowerBatch length is not a multiple of n")
 	}
-	ld := c.l.data
 	for ; len(b) >= 4*n; b = b[4*n:] {
-		b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
-		for i := 0; i < n; i++ {
-			lrow := ld[i*st : i*st+i+1]
-			s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
-			// Prefixes of explicit length i: lets the compiler drop the
-			// p*[k] bounds checks in the inner loop.
-			p0, p1, p2, p3 := b0[:i], b1[:i], b2[:i], b3[:i]
-			for k, l := range lrow[:i] {
-				s0 -= l * p0[k]
-				s1 -= l * p1[k]
-				s2 -= l * p2[k]
-				s3 -= l * p3[k]
-			}
-			d := lrow[i]
-			b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+		if useLanes {
+			solveLower4Lanes(c.u.data, st, n, b[:4*n])
+		} else {
+			solveLower4(c.u.data, st, n, b[:4*n])
 		}
 	}
 	for ; len(b) > 0; b = b[n:] {
@@ -283,12 +306,37 @@ func (c *Cholesky) SolveLowerBatch(b []float64) {
 	}
 }
 
-// LogDet returns log|A| = 2·Σ log L_ii.
+// solveLower4 solves L·y = b in place for the four length-n rows of b, L
+// being the transpose of the upper triangle of u (stride st): each U element
+// is loaded once for four independent chains of subtractions, which is what
+// a lone forward substitution (one subtract waiting on the last) cannot
+// offer the processor.
+func solveLower4(u []float64, st, n int, b []float64) {
+	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+	for i := 0; i < n; i++ {
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		// Prefixes of explicit length i: lets the compiler drop the p*[k]
+		// bounds checks in the inner loop. L's row i is U's column i.
+		p0, p1, p2, p3 := b0[:i], b1[:i], b2[:i], b3[:i]
+		col := u[i:]
+		for k := range p0 {
+			l := col[k*st]
+			s0 -= l * p0[k]
+			s1 -= l * p1[k]
+			s2 -= l * p2[k]
+			s3 -= l * p3[k]
+		}
+		d := col[i*st]
+		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+	}
+}
+
+// LogDet returns log|A| = 2·Σ log U_ii.
 func (c *Cholesky) LogDet() float64 {
-	n, _ := c.l.Dims()
+	n, _ := c.u.Dims()
 	var s float64
 	for i := 0; i < n; i++ {
-		s += math.Log(c.l.At(i, i))
+		s += math.Log(c.u.At(i, i))
 	}
 	return 2 * s
 }

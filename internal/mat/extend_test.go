@@ -9,27 +9,27 @@ import (
 // oldExtend is Cholesky.Extend as it was before the factor grew in place: a
 // fresh (n+1)×(n+1) matrix per point, the old rows copied across.
 func oldExtend(c *Cholesky, col []float64, diag float64) (*Cholesky, error) {
-	n, st := c.l.Dims()
-	l21 := c.SolveLowerVecInto(col, make([]float64, n))
-	d := diag - Dot(l21, l21)
+	n, st := c.u.Dims()
+	u12 := c.SolveLowerVecInto(col, make([]float64, n))
+	d := diag - Dot(u12, u12)
 	if d <= 0 || math.IsNaN(d) {
 		return nil, ErrNotPositiveDefinite
 	}
-	nl := NewDense(n+1, n+1, nil)
+	nu := NewDense(n+1, n+1, nil)
 	for i := 0; i < n; i++ {
-		copy(nl.data[i*nl.cols:i*nl.cols+n], c.l.data[i*st:i*st+n])
+		copy(nu.data[i*nu.cols:i*nu.cols+n], c.u.data[i*st:i*st+n])
+		nu.data[i*nu.cols+n] = u12[i]
 	}
-	copy(nl.data[n*nl.cols:n*nl.cols+n], l21)
-	nl.data[n*nl.cols+n] = math.Sqrt(d)
-	return &Cholesky{l: nl}, nil
+	nu.data[n*nu.cols+n] = math.Sqrt(d)
+	return &Cholesky{u: nu}, nil
 }
 
-// lower returns the lower triangle of the factor, row by row.
+// lower returns the factor's L row by row.
 func lower(c *Cholesky) [][]float64 {
-	n, _ := c.l.Dims()
-	out := make([][]float64, n)
+	l := factorL(c)
+	out := make([][]float64, l.rows)
 	for i := range out {
-		out[i] = append([]float64(nil), c.l.RowView(i)[:i+1]...)
+		out[i] = l.RowView(i)[:i+1]
 	}
 	return out
 }
@@ -72,11 +72,11 @@ func TestExtendInPlaceMatchesCopyAndExtend(t *testing.T) {
 	regrowths := 0
 	for n := n0; n < n0+steps; n++ {
 		col := append([]float64(nil), a.RowView(n)[:n]...)
-		_, before := got.l.Dims()
+		_, before := got.u.Dims()
 		if err := got.Extend(col, a.At(n, n)); err != nil {
 			t.Fatal(err)
 		}
-		if _, after := got.l.Dims(); after != before {
+		if _, after := got.u.Dims(); after != before {
 			regrowths++
 		}
 		if old, err = oldExtend(old, col, a.At(n, n)); err != nil {
@@ -87,10 +87,11 @@ func TestExtendInPlaceMatchesCopyAndExtend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gl := lower(got)
 		for i, row := range lower(full) {
 			for j, v := range row {
-				if !almostEqual(got.l.At(i, j), v, 1e-9) {
-					t.Fatalf("n=%d: L[%d,%d] = %v, refactorization %v", n+1, i, j, got.l.At(i, j), v)
+				if !almostEqual(gl[i][j], v, 1e-9) {
+					t.Fatalf("n=%d: L[%d,%d] = %v, refactorization %v", n+1, i, j, gl[i][j], v)
 				}
 			}
 		}
@@ -98,7 +99,7 @@ func TestExtendInPlaceMatchesCopyAndExtend(t *testing.T) {
 	if regrowths < 2 || regrowths > 8 {
 		t.Fatalf("reserve regrown %d times over %d extensions; want a few", regrowths, steps)
 	}
-	if r, st := got.l.Dims(); st <= r {
+	if r, st := got.u.Dims(); st <= r {
 		t.Fatalf("factor %d×%d has no spare stride; the solves below would not cover it", r, st)
 	}
 
@@ -135,7 +136,7 @@ func TestExtendWithinReserveAllocatesNothing(t *testing.T) {
 	var c Cholesky
 	k := c.Reserve(n0)
 	for i := 0; i < n0; i++ {
-		copy(k.RowView(i), a.RowView(i)[:i+1])
+		copy(k.RowView(i)[i:n0], a.RowView(i)[i:n0])
 	}
 	if err := c.FactorInPlace(k); err != nil {
 		t.Fatal(err)
@@ -196,16 +197,16 @@ func TestExtendNearDuplicateRows(t *testing.T) {
 					col[j] = seKernel(p, q, ell)
 				}
 				before, n := lower(c), len(pts)
-				_, stride := c.l.Dims()
-				reserve := cap(c.l.data)
+				_, stride := c.u.Dims()
+				reserve := cap(c.u.data)
 				err := c.Extend(col, 1+jitter)
 				if err != nil {
 					if err != ErrNotPositiveDefinite {
 						t.Fatalf("unexpected error %v", err)
 					}
 					refused++
-					if r, st := c.L().Dims(); r != n || st != stride || cap(c.l.data) != reserve {
-						t.Fatalf("refused Extend left a %d×%d factor (cap %d), was %d×%d (cap %d)", r, st, cap(c.l.data), n, stride, reserve)
+					if r, st := c.U().Dims(); r != n || st != stride || cap(c.u.data) != reserve {
+						t.Fatalf("refused Extend left a %d×%d factor (cap %d), was %d×%d (cap %d)", r, st, cap(c.u.data), n, stride, reserve)
 					}
 					after := lower(c)
 					for i := range before {
@@ -216,13 +217,13 @@ func TestExtendNearDuplicateRows(t *testing.T) {
 						}
 					}
 					cl := c.Clone()
-					if r, _ := cl.L().Dims(); r != n {
+					if r, _ := cl.U().Dims(); r != n {
 						t.Fatalf("clone after a refused Extend has %d rows, want %d", r, n)
 					}
 					if err := cl.Extend(make([]float64, n), 4); err != nil {
 						t.Fatal(err)
 					}
-					for j, v := range cl.L().RowView(n)[:n+1] {
+					for j, v := range lower(cl)[n] {
 						want := 0.0
 						if j == n {
 							want = 2
@@ -276,7 +277,7 @@ func TestCloneWithSpareStrideIndependent(t *testing.T) {
 	if err := c.Extend(a.RowView(10)[:10], a.At(10, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if r, st := c.l.Dims(); st <= r {
+	if r, st := c.u.Dims(); st <= r {
 		t.Fatalf("factor %d×%d holds no reserve", r, st)
 	}
 	base := c.Clone()
@@ -296,4 +297,141 @@ func TestCloneWithSpareStrideIndependent(t *testing.T) {
 	}
 	sameLower(t, "original", c, wantA)
 	sameLower(t, "clone", cl, wantB)
+}
+
+// TestExtendMatchesRefactorization: a factor of A's leading n×n block
+// extended by A's last column equals the factorization of all of A. The new
+// column's off-diagonal entries are bit-equal (the forward substitution runs
+// the factorization's own subtractions), and so is everything before it; the
+// new diagonal sums the squares in Dot's order, and its pivot must be within
+// 4 ulp of the factorization's, on the scale of A's diagonal entry.
+// The borders are fresh points and near-duplicates (1e-9 away) of earlier
+// ones under jitter. Exact duplicates without jitter follow.
+func TestExtendMatchesRefactorization(t *testing.T) {
+	// pivotUlps measures two diagonals u, v by their pivots u², v², in ulps
+	// of the matrix's diagonal entry a: a pivot is a minus a sum of squares
+	// that nearly cancels it, so the diagonal's own ulps measure that
+	// cancellation rather than the order of the sum.
+	pivotUlps := func(u, v, a float64) float64 {
+		return math.Abs(u*u-v*v) / (math.Nextafter(a, math.Inf(1)) - a)
+	}
+	// factor factors the leading n×n block of a into c's reserve.
+	factor := func(c *Cholesky, a *Dense, n int) error {
+		k := c.Reserve(n)
+		for i := 0; i < n; i++ {
+			copy(k.RowView(i)[i:n], a.RowView(i)[i:n])
+		}
+		return c.FactorInPlace(k)
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, ell := range []float64{0.4, 0.05} {
+		for _, jitter := range []float64{1e-6, 1e-12} {
+			var pts [][]float64
+			for n := 0; n < 64; n++ {
+				p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				if n > 0 && n%3 == 0 {
+					src := pts[rng.Intn(n)]
+					for j := range p {
+						p[j] = src[j] + 1e-9*rng.NormFloat64()
+					}
+				}
+				pts = append(pts, p)
+				if n == 0 {
+					continue
+				}
+				a := seGram(pts, ell, jitter)
+				var ext, full Cholesky
+				if err := factor(&ext, a, n); err != nil {
+					t.Fatal(err)
+				}
+				col := make([]float64, n)
+				for k := range col {
+					col[k] = a.At(k, n)
+				}
+				if err := ext.Extend(col, a.At(n, n)); err != nil {
+					t.Fatalf("ell=%g jitter=%g n=%d: Extend: %v", ell, jitter, n+1, err)
+				}
+				if err := factor(&full, a, n+1); err != nil {
+					t.Fatalf("ell=%g jitter=%g n=%d: refactorization: %v", ell, jitter, n+1, err)
+				}
+				for i := 0; i <= n; i++ {
+					for j := i; j <= n; j++ {
+						got, want := ext.U().At(i, j), full.U().At(i, j)
+						if math.Float64bits(got) == math.Float64bits(want) || i == n && pivotUlps(got, want, a.At(n, n)) <= 4 {
+							continue
+						}
+						t.Fatalf("ell=%g jitter=%g n=%d: U[%d][%d] = %v extended, %v refactored", ell, jitter, n+1, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	// Exact duplicates without jitter: the bordered matrix is singular, and
+	// each path finds a pivot that is zero up to rounding. A duplicate of the
+	// first point gives exactly zero on both (its column of U is A's first
+	// row over U[0][0] = 1, and every later entry cancels exactly), so both
+	// refuse it. Elsewhere the rounded pivot may come out an ulp or two
+	// either side of zero, on either path independently: an accepted pivot
+	// must be at that level, and a refusal must leave the receiver as it
+	// was.
+	for set := 0; set < 8; set++ {
+		pts := make([][]float64, 12)
+		for i := range pts {
+			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		n := len(pts)
+		for m := range pts {
+			a := seGram(append(pts[:n:n], pts[m]), 0.4, 0)
+			var ext, full Cholesky
+			if err := factor(&ext, a, n); err != nil {
+				t.Fatal(err)
+			}
+			before := cloneDense(ext.U())
+			col := make([]float64, n)
+			for k := range col {
+				col[k] = a.At(k, n)
+			}
+			errExt := ext.Extend(col, a.At(n, n))
+			if err := factor(&full, a, n); err != nil {
+				t.Fatal(err)
+			}
+			kept := full.U()
+			k := (&Cholesky{}).Reserve(n + 1)
+			for i := 0; i <= n; i++ {
+				copy(k.RowView(i)[i:n+1], a.RowView(i)[i:n+1])
+			}
+			errFull := full.FactorInPlace(k)
+			if m == 0 && (errExt == nil || errFull == nil) {
+				t.Fatalf("set %d: a duplicate of the first point was accepted (Extend %v, refactorization %v)", set, errExt, errFull)
+			}
+			for _, r := range []struct {
+				err error
+				c   *Cholesky
+			}{{errExt, &ext}, {errFull, &full}} {
+				if r.err == nil {
+					if pu := pivotUlps(r.c.U().At(n, n), 0, a.At(n, n)); pu > 4 {
+						t.Fatalf("set %d, duplicate of point %d: accepted pivot %g ulp of A's diagonal, want rounding level", set, m, pu)
+					}
+				} else if r.err != ErrNotPositiveDefinite {
+					t.Fatal(r.err)
+				}
+			}
+			if errFull != nil && full.U() != kept {
+				t.Fatalf("set %d, duplicate of point %d: a refused FactorInPlace moved the receiver", set, m)
+			}
+			if errExt == nil {
+				continue
+			}
+			got := ext.U()
+			if r, c := got.Dims(); r != n || c != before.cols {
+				t.Fatalf("set %d, duplicate of point %d: a refused Extend left a %d×%d factor", set, m, r, c)
+			}
+			for i := range got.data {
+				if got.data[i] != before.data[i] {
+					t.Fatalf("set %d, duplicate of point %d: a refused Extend changed the factor's storage at %d", set, m, i)
+				}
+			}
+		}
+	}
 }

@@ -30,5 +30,18 @@ func scaleBy(s float64, a *Dense) *Dense {
 	return out
 }
 
+// factorL returns the factor's L = Uᵀ as a fresh n×n matrix, zero above the
+// diagonal.
+func factorL(c *Cholesky) *Dense {
+	n, _ := c.u.Dims()
+	l := NewDense(n, n, nil)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			l.data[i*n+j] = c.u.At(j, i)
+		}
+	}
+	return l
+}
+
 // norm2 returns the Euclidean norm of x.
 func norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }

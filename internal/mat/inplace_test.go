@@ -25,7 +25,7 @@ func TestFactorInPlaceMatchesNewCholesky(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
-				if got, w := c.L().At(i, j), want.L().At(i, j); got != w {
+				if got, w := c.U().At(j, i), want.U().At(j, i); got != w {
 					t.Fatalf("n=%d L(%d,%d) = %v, want %v", n, i, j, got, w)
 				}
 			}
@@ -61,7 +61,7 @@ func TestFactorInPlaceErrors(t *testing.T) {
 	if err := c.FactorInPlace(ok); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.L().At(0, 0); got != 2 {
+	if got := c.U().At(0, 0); got != 2 {
 		t.Fatalf("L(0,0) = %v, want 2", got)
 	}
 }

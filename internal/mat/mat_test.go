@@ -128,8 +128,8 @@ func TestCholeskyKnown(t *testing.T) {
 	wantL := [][]float64{{2, 0, 0}, {6, 1, 0}, {-8, 5, 3}}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if !almostEqual(ch.L().At(i, j), wantL[i][j], eps) {
-				t.Fatalf("L[%d,%d] = %v; want %v", i, j, ch.L().At(i, j), wantL[i][j])
+			if !almostEqual(factorL(ch).At(i, j), wantL[i][j], eps) {
+				t.Fatalf("L[%d,%d] = %v; want %v", i, j, factorL(ch).At(i, j), wantL[i][j])
 			}
 		}
 	}
@@ -180,7 +180,7 @@ func TestCholeskySolveLowerVec(t *testing.T) {
 	b := []float64{2, 5}
 	y := ch.SolveLowerVecInto(b, make([]float64, 2))
 	// Verify L·y = b.
-	got := MulVec(ch.L(), y)
+	got := MulVec(factorL(ch), y)
 	for i := range b {
 		if !almostEqual(got[i], b[i], 1e-9) {
 			t.Fatalf("L·y = %v; want %v", got, b)
@@ -206,7 +206,7 @@ func TestCholeskyProperty(t *testing.T) {
 			return false
 		}
 		// Reconstruct: L·Lᵀ = A.
-		rec := Mul(ch.L(), ch.L().T())
+		rec := Mul(factorL(ch), ch.U())
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEqual(rec.At(i, j), a.At(i, j), 1e-7) {
@@ -368,7 +368,7 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 		}
 		for i := 0; i <= n; i++ {
 			for j := 0; j <= i; j++ {
-				if !almostEqual(ch.L().At(i, j), full.L().At(i, j), 1e-8) {
+				if !almostEqual(ch.U().At(j, i), full.U().At(j, i), 1e-8) {
 					return false
 				}
 			}
@@ -398,7 +398,7 @@ func TestCholeskyExtendRejectsNotPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cloneDense(ch.L())
+	before := cloneDense(ch.U())
 	// A border whose diagonal is dominated by the off-diagonal column makes
 	// the extension indefinite.
 	col := []float64{100, 100, 100}
@@ -406,13 +406,13 @@ func TestCholeskyExtendRejectsNotPD(t *testing.T) {
 		t.Fatalf("Extend accepted an indefinite border: %v", err)
 	}
 	// The factor must be untouched and still usable.
-	r, c := ch.L().Dims()
+	r, c := ch.U().Dims()
 	if r != 3 || c != 3 {
 		t.Fatalf("factor resized to %d×%d after failed Extend", r, c)
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if ch.L().At(i, j) != before.At(i, j) {
+			if ch.U().At(i, j) != before.At(i, j) {
 				t.Fatal("factor mutated by failed Extend")
 			}
 		}
@@ -443,10 +443,10 @@ func TestCholeskyCloneIndependent(t *testing.T) {
 	if err := cl.Extend([]float64{0, 0, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := ch.L().Dims(); r != 3 {
+	if r, _ := ch.U().Dims(); r != 3 {
 		t.Fatal("extending a clone resized the original")
 	}
-	if r, _ := cl.L().Dims(); r != 4 {
+	if r, _ := cl.U().Dims(); r != 4 {
 		t.Fatal("clone not extended")
 	}
 }

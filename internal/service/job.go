@@ -369,6 +369,11 @@ func (s *Service) Result(id string) (*JobResult, error) {
 // Cancel requests cancellation: queued jobs are cancelled immediately and
 // never start; running jobs stop cooperatively at the next evaluation
 // boundary. Cancelling a finished job is a no-op.
+//
+// A queued job leaves its lane with its cancelled flag up in one critical
+// section, has its checkpoint deleted outside the mutex, so a slow store
+// holds up no reader, and settles in a second one; invariant 1 of the
+// package doc keeps every other path off it in between.
 func (s *Service) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -376,14 +381,15 @@ func (s *Service) Cancel(id string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("service: unknown job %q", id)
 	}
-	j.cancelled.Store(true)
-	if j.state != StateQueued {
+	if was := j.cancelled.Swap(true); was || j.state != StateQueued {
 		s.mu.Unlock()
 		s.logf("[%s] cancellation requested", id)
 		return nil
 	}
 	s.disp.remove(j)
+	s.mu.Unlock()
 	s.retire(j, StateCancelled)
+	s.mu.Lock()
 	s.settleLocked(j, StateCancelled, nil, nil)
 	s.mu.Unlock()
 	s.logf("[%s] cancelled while queued", id)

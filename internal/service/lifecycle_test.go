@@ -538,6 +538,34 @@ func TestLifecycleTerminalMeansRetired(t *testing.T) {
 		waitState(t, s, "job-000001", StateRunning)
 		cancelled := make(chan error, 1)
 		go func() { cancelled <- s.Cancel("job-000002") }()
+		// The delete runs outside the service mutex: the census and another
+		// job's status answer while it is held.
+		waitFor(t, "the cancelled job's checkpoint delete", store.held.Load)
+		start := time.Now()
+		s.Stats()
+		if _, err := s.Status("job-000001"); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Fatalf("Stats and Status of another job took %v while a cancel's checkpoint delete was held", d)
+		}
+		if !store.held.Load() {
+			t.Fatal("the delete ended before the reads did; the hold is too short to tell")
+		}
+		if err := s.Cancel("job-000002"); err != nil {
+			t.Fatal(err)
+		}
+		// Close drains the queue while the delete is still held: the job is
+		// out of its lane, so the drain neither suspends nor settles it.
+		go s.Close()
+		waitFor(t, "Close's drain", func() bool {
+			s.disp.mu.Lock()
+			defer s.disp.mu.Unlock()
+			return s.disp.closed
+		})
+		if !store.held.Load() {
+			t.Fatal("the delete ended before Close drained; the hold is too short to tell")
+		}
 		if st := firstTerminal(t, s, store, "job-000002"); st != StateCancelled {
 			t.Fatalf("state = %s, want %s", st, StateCancelled)
 		}

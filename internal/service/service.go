@@ -29,16 +29,18 @@
 //	           └─ interactive work into a full queue ► shed
 //
 // Two invariants, both held under the service mutex, carry it. (1) A job is
-// in a dispatcher lane iff its state is queued: Cancel, eviction and Close's
-// drain take it out of its lane in the critical section that settles it, so
-// the queue bound counts waiting jobs only. The one gap is a worker between
-// dequeue and the mutex; its state check covers it. (2) settleLocked is the
-// only writer of a terminal state and runs once per job: it owns the finish
-// time, result, error text, the tenant's in-flight slot, a success's cluster
-// seconds, the duration histogram, the shed counter and done. retire runs
-// before it and owns the checkpoint (the worker's outside the mutex, Cancel's
-// and Close's drain's inside it), so a state that reads terminal is final;
-// only the log line comes after the unlock, and may trail done. The
+// in a dispatcher lane iff its state is queued and it is not cancelled:
+// eviction and Close's drain take it out of its lane in the critical section
+// that settles it, and Cancel in the one that raises the job's cancelled
+// flag, so the queue bound counts waiting jobs only. The one gap is a worker
+// between dequeue and the mutex; its check of state and flag covers it. (2)
+// settleLocked is the only writer of a terminal state and runs once per job:
+// it owns the finish time, result, error text, the tenant's in-flight slot,
+// a success's cluster seconds, the duration histogram, the shed counter and
+// done. retire runs before it and owns the checkpoint (the worker's and
+// Cancel's outside the mutex, Close's drain's inside it), so a state that
+// reads terminal is final; only the log line comes after the unlock, and may
+// trail done. The
 // checkpoint is retired in every terminal state but two: suspended, which the
 // next Config.Resume restart continues from, and shed, where a job that had
 // one (resumed, or awaiting a retry) is deferred to that restart, not lost.
@@ -483,9 +485,9 @@ func (s *Service) worker() {
 			return
 		}
 		s.mu.Lock()
-		if j.state != StateQueued {
+		if j.state != StateQueued || j.cancelled.Load() {
 			// Cancelled in the window between dequeue and this lock — the
-			// one moment a queued job is in no lane. Already settled.
+			// one moment a queued job is in no lane. Cancel settles it.
 			s.mu.Unlock()
 			continue
 		}

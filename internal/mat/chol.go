@@ -31,7 +31,7 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 // registers for the whole k loop: per k a broadcast of U[k][j], one VMULPD
 // and one VSUBPD, never a fused multiply-add, then one VDIVPD by the pivot's
 // root. SolveLowerBatch runs a kernel of the same kind, four rows at a time.
-// On other hosts and architectures factorRowGo and solveLower4 run the same
+// On other hosts and architectures factorGo and solveLower4Go run the same
 // recurrences in Go. Either way every element subtracts its own products,
 // each rounded once, in ascending k, and is divided last: the operations,
 // and so the roundings, of the textbook dot-product loop
@@ -61,55 +61,104 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{u: u}, nil
 }
 
+// factor and solveLower4 are this host's factorization and four-row solve:
+// the Go paths below, which chol_amd64.go replaces with the lane kernels at
+// start-up where the processor has them. Only tests change them.
+var factor, solveLower4 = factorGo, solveLower4Go
+
 // factorUpper runs the row recurrences in place over the upper triangle of
 // u: on entry it holds A, on exit U. Row j reads rows k < j, which already
 // hold U, and its own entries, which still hold A, so the factor is the one
 // computed into separate storage. Entries below the diagonal are never
 // touched.
 func factorUpper(u *Dense) error {
-	row := factorRowGo
-	if useLanes {
-		row = factorRowLanes
-	}
-	for j := 0; j < u.rows; j++ {
-		if !row(u.data, u.cols, j, u.rows) {
-			return ErrNotPositiveDefinite
-		}
+	if factor(u.data, u.cols, u.rows) >= 0 {
+		return ErrNotPositiveDefinite
 	}
 	return nil
 }
 
-// factorRowGo turns row j of u (stride st, n columns) from A's into U's,
-// given U's rows k < j, and reports false where the pivot is not positive.
-// It is the lane kernel's recurrence in Go, taking the rows above four at a
-// time so that each entry of row j is loaded and stored once per four
-// subtractions, which it still makes one after another in ascending k. The
+// factorGo factors the upper triangle of u (stride st, n rows) in place and
+// returns the row whose pivot is not positive, or -1. It is the lane
+// kernel's recurrence in Go, two rows at a time: rows j and j+1 take the
+// rows k < j above them four at a time (subRows4); then row j is finished,
+// row j+1 subtracts row j's share, and is finished in turn. Every element
+// still subtracts its products one after another in ascending k. The
 // explicit conversions keep each product rounded on its own where the
 // compiler would fuse it into the subtraction (arm64).
-func factorRowGo(u []float64, st, j, n int) bool {
-	row := u[j*st+j : j*st+n]
-	k := 0
-	for ; k+3 < j; k += 4 {
-		p0 := u[k*st+j : k*st+n]
-		p1, p2, p3 := u[(k+1)*st+j:][:len(p0)], u[(k+2)*st+j:][:len(p0)], u[(k+3)*st+j:][:len(p0)]
-		v0, v1, v2, v3 := p0[0], p1[0], p2[0], p3[0]
-		row := row[:len(p0)]
-		for c, x := range p0 {
-			r := row[c]
-			r -= float64(x * v0)
-			r -= float64(p1[c] * v1)
-			r -= float64(p2[c] * v2)
-			r -= float64(p3[c] * v3)
-			row[c] = r
+func factorGo(u []float64, st, n int) int {
+	j := n % 2 // an odd n finishes row 0, which subtracts nothing, on its own
+	if j == 1 && !finishRow(u[:n]) {
+		return 0
+	}
+	for ; j < n; j += 2 {
+		r0, r1 := u[j*st+j:j*st+n], u[(j+1)*st+j+1:(j+1)*st+n]
+		d, t0 := r0[0], r0[1:] // row j's pivot, and its columns j+1.. beside row j+1's
+		k := 0
+		for ; k+3 < j; k += 4 {
+			p := u[k*st+j:]
+			v0, v1, v2, v3 := p[0], p[st], p[2*st], p[3*st]
+			d -= float64(v0 * v0)
+			d -= float64(v1 * v1)
+			d -= float64(v2 * v2)
+			d -= float64(v3 * v3)
+			q := p[1:]
+			subRows4(t0, r1, q, st, v0, v1, v2, v3, q[0], q[st], q[2*st], q[3*st])
+		}
+		for ; k < j; k++ {
+			p := u[k*st+j : k*st+n]
+			v, w, q := p[0], p[1], p[1:]
+			d -= float64(v * v)
+			a0, a1 := t0[:len(q)], r1[:len(q)]
+			for c, x := range q {
+				a0[c] -= float64(x * v)
+				a1[c] -= float64(x * w)
+			}
+		}
+		if r0[0] = d; !finishRow(r0) {
+			return j
+		}
+		w, a1 := t0[0], r1[:len(t0)]
+		for c, x := range t0 {
+			a1[c] -= float64(x * w)
+		}
+		if !finishRow(r1) {
+			return j + 1
 		}
 	}
-	for ; k < j; k++ {
-		p := u[k*st+j : k*st+n]
-		row := row[:len(p)]
-		for c, x := range p {
-			row[c] -= float64(x * p[0])
-		}
+	return -1
+}
+
+// subRows4 subtracts v_m·P_m from a0 and w_m·P_m from a1 for the four
+// rows P_m of p (stride st, m ascending), over a0's length: each entry of
+// P loaded once for eight subtractions. It is a function of its own so that
+// the compiler keeps its loop in registers, which factorGo's many live
+// slices would otherwise spill.
+func subRows4(a0, a1, p []float64, st int, v0, v1, v2, v3, w0, w1, w2, w3 float64) {
+	q0 := p[:len(a0)]
+	q1, q2, q3 := p[st:][:len(q0)], p[2*st:][:len(q0)], p[3*st:][:len(q0)]
+	a1 = a1[:len(q0)]
+	for c, x := range q0 {
+		s, t := a0[c], a1[c]
+		s -= float64(x * v0)
+		t -= float64(x * w0)
+		x = q1[c]
+		s -= float64(x * v1)
+		t -= float64(x * w1)
+		x = q2[c]
+		s -= float64(x * v2)
+		t -= float64(x * w2)
+		x = q3[c]
+		s -= float64(x * v3)
+		t -= float64(x * w3)
+		a0[c], a1[c] = s, t
 	}
+}
+
+// finishRow replaces row's first entry, a pivot, by its root and divides the
+// rest of the row by that root, or reports false where the pivot is not
+// positive.
+func finishRow(row []float64) bool {
 	d := row[0]
 	if d <= 0 || math.IsNaN(d) {
 		return false
@@ -257,8 +306,10 @@ func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
 
 // SolveLowerVecInto solves L·y = b (forward substitution only, the
 // predictive-variance solve v = L⁻¹·k*) into dst and returns dst, reading
-// L's row i down U's column i. dst may alias b (the substitution only reads
-// b[i] before writing dst[i]), which is what lets batch prediction overwrite
+// L's row i down U's column i and rounding each product on its own, as
+// SolveLowerBatch's paths do on every architecture. dst may alias b (the
+// substitution only reads b[i] before writing dst[i]), which is what lets
+// batch prediction overwrite
 // cross-kernel rows in place instead of allocating a scratch vector per
 // candidate.
 func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
@@ -271,7 +322,7 @@ func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 		s := b[i]
 		col := ud[i:]
 		for k, y := range dst[:i] {
-			s -= col[k*st] * y
+			s -= float64(col[k*st] * y)
 		}
 		dst[i] = s / col[i*st]
 	}
@@ -281,53 +332,61 @@ func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 // SolveLowerBatch solves L·y = b in place for every length-n row of the
 // row-major matrix b — the multi-right-hand-side form of SolveLowerVecInto
 // that batch prediction runs over its cross-kernel rows. Rows go four at a
-// time: on the lane kernel (solveLower4Lanes) each y_r[k] is subtracted from
-// the rest of its row along row k of U, four columns per instruction and
-// four rows per load of U, and otherwise solveLower4 runs four dependency
-// chains over U's columns. Every row still subtracts its own terms in
-// ascending k, so each row's result is bit-identical to SolveLowerVecInto's
-// wherever the row falls in b — the output cannot depend on how callers
-// chunk rows across workers. It keeps no scratch, so concurrent calls on one
-// factor are safe.
+// time (solveLower4): once y_r[k] is known it is subtracted from the rest of
+// its row along row k of U, four rows per load of U. Every row still
+// subtracts its own terms in ascending k, so each row's result is
+// bit-identical to SolveLowerVecInto's wherever the row falls in b — the
+// output cannot depend on how callers chunk rows across workers. It keeps no
+// scratch, so concurrent calls on one factor are safe.
 func (c *Cholesky) SolveLowerBatch(b []float64) {
 	n, st := c.u.Dims()
 	if len(b)%n != 0 {
 		panic("mat: Cholesky.SolveLowerBatch length is not a multiple of n")
 	}
 	for ; len(b) >= 4*n; b = b[4*n:] {
-		if useLanes {
-			solveLower4Lanes(c.u.data, st, n, b[:4*n])
-		} else {
-			solveLower4(c.u.data, st, n, b[:4*n])
-		}
+		solveLower4(c.u.data, st, n, b[:4*n])
 	}
 	for ; len(b) > 0; b = b[n:] {
 		c.SolveLowerVecInto(b[:n], b[:n])
 	}
 }
 
-// solveLower4 solves L·y = b in place for the four length-n rows of b, L
-// being the transpose of the upper triangle of u (stride st): each U element
-// is loaded once for four independent chains of subtractions, which is what
-// a lone forward substitution (one subtract waiting on the last) cannot
-// offer the processor.
-func solveLower4(u []float64, st, n int, b []float64) {
+// solveLower4Go solves L·y = b in place for the four length-n rows of b, L
+// being the transpose of the upper triangle of u (stride st). It takes the
+// rows of U two at a time: y_r[k] and y_r[k+1] are solved, then subRows2
+// subtracts both from the rest of each row. The explicit conversions keep
+// each product rounded on its own (arm64 would fuse it).
+func solveLower4Go(u []float64, st, n int, b []float64) {
 	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
-	for i := 0; i < n; i++ {
-		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
-		// Prefixes of explicit length i: lets the compiler drop the p*[k]
-		// bounds checks in the inner loop. L's row i is U's column i.
-		p0, p1, p2, p3 := b0[:i], b1[:i], b2[:i], b3[:i]
-		col := u[i:]
-		for k := range p0 {
-			l := col[k*st]
-			s0 -= l * p0[k]
-			s1 -= l * p1[k]
-			s2 -= l * p2[k]
-			s3 -= l * p3[k]
-		}
-		d := col[i*st]
-		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+	k := 0
+	for ; k+1 < n; k += 2 {
+		p, q := u[k*st+k:k*st+n], u[(k+1)*st+k+1:(k+1)*st+n]
+		d, e, l := p[0], q[0], p[1]
+		x0, x1, x2, x3 := b0[k]/d, b1[k]/d, b2[k]/d, b3[k]/d
+		y0, y1 := (b0[k+1]-float64(l*x0))/e, (b1[k+1]-float64(l*x1))/e
+		y2, y3 := (b2[k+1]-float64(l*x2))/e, (b3[k+1]-float64(l*x3))/e
+		b0[k], b1[k], b2[k], b3[k] = x0, x1, x2, x3
+		b0[k+1], b1[k+1], b2[k+1], b3[k+1] = y0, y1, y2, y3
+		subRows2(b[k+2:], n, p[2:], q[1:], x0, x1, x2, x3, y0, y1, y2, y3)
+	}
+	if k < n {
+		d := u[k*st+k]
+		b0[k], b1[k], b2[k], b3[k] = b0[k]/d, b1[k]/d, b2[k]/d, b3[k]/d
+	}
+}
+
+// subRows2 subtracts p·x_r and then q·y_r from the four rows r of b (stride
+// n), over p's length: each pair of U's entries loaded once for eight
+// subtractions, in a function of its own for the reason subRows4 is.
+func subRows2(b []float64, n int, p, q []float64, x0, x1, x2, x3, y0, y1, y2, y3 float64) {
+	q = q[:len(p)]
+	c0, c1, c2, c3 := b[:len(p)], b[n:][:len(p)], b[2*n:][:len(p)], b[3*n:][:len(p)]
+	for c, v := range p {
+		w := q[c]
+		c0[c] = c0[c] - float64(v*x0) - float64(w*y0)
+		c1[c] = c1[c] - float64(v*x1) - float64(w*y1)
+		c2[c] = c2[c] - float64(v*x2) - float64(w*y2)
+		c3[c] = c3[c] - float64(v*x3) - float64(w*y3)
 	}
 }
 

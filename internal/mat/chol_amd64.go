@@ -1,7 +1,20 @@
 package mat
 
-// useLanes is decided once, at start-up; only tests change it.
-var useLanes = HasAVX2FMA()
+func init() {
+	if HasAVX2FMA() {
+		factor, solveLower4 = factorLanes, solveLower4Lanes
+	}
+}
+
+// factorLanes is factorGo on the lane kernel, a row at a time.
+func factorLanes(u []float64, st, n int) int {
+	for j := 0; j < n; j++ {
+		if !factorRowLanes(u, st, j, n) {
+			return j
+		}
+	}
+	return -1
+}
 
 // factorRowLanes, solveLower4Lanes and HasAVX2FMA are written, and
 // documented, in chol_amd64.s.

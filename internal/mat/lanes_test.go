@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,147 +19,10 @@ func seGram(pts [][]float64, ell, jitter float64) *Dense {
 	return a.AddDiag(jitter)
 }
 
-// factorRows factors a's upper triangle in place a row at a time with row
-// and returns the row whose pivot failed, or -1.
-func factorRows(a *Dense, row func(u []float64, st, j, n int) bool) int {
-	n, st := a.Dims()
-	for j := 0; j < n; j++ {
-		if !row(a.data, st, j, n) {
-			return j
-		}
-	}
-	return -1
-}
-
-// withLanes sets useLanes for the rest of the test.
-func withLanes(t testing.TB, on bool) {
-	old := useLanes
-	useLanes = on
-	t.Cleanup(func() { useLanes = old })
-}
-
-// checkLanes factors a on the lane kernel and on the portable path and
-// requires the same failing pivot, the same factor rows before it, and, for
-// a factor that exists, the same SolveLowerBatch over the rows of rhs (lane
-// kernel against portable path) and the same SolveVecInto of its first row,
-// all bit for bit, with the batch's first row equal to SolveLowerVecInto's. The
-// factor is held in storage of stride n+3, so the kernel must stay inside a
-// row's n columns.
-func checkLanes(t *testing.T, a *Dense, rhs []float64) {
-	t.Helper()
-	n, _ := a.Dims()
-	st := n + 3
-	fill := func() *Dense {
-		u := NewDense(n, st, nil)
-		for i := range u.data {
-			u.data[i] = math.NaN() // must never be read
-		}
-		for i := 0; i < n; i++ {
-			copy(u.RowView(i)[:n], a.RowView(i))
-		}
-		return u
-	}
-	vec, port := fill(), fill()
-	pv, pp := factorRows(vec, factorRowLanes), factorRows(port, factorRowGo)
-	if pv != pp {
-		t.Fatalf("n=%d: lane kernel fails at pivot %d, portable path at %d", n, pv, pp)
-	}
-	rows := n
-	if pv >= 0 {
-		rows = pv
-	}
-	for i := 0; i < rows; i++ {
-		for j := i; j < st; j++ {
-			if g, w := math.Float64bits(vec.At(i, j)), math.Float64bits(port.At(i, j)); g != w {
-				t.Fatalf("n=%d: U[%d][%d] = %v (%#x) on the lane kernel, %v (%#x) portable", n, i, j, vec.At(i, j), g, port.At(i, j), w)
-			}
-		}
-	}
-	if pv >= 0 {
-		return
-	}
-	cv, cp := &Cholesky{u: vec}, &Cholesky{u: port}
-	bv, bp := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
-	cv.SolveLowerBatch(bv)
-	func() {
-		defer func(old bool) { useLanes = old }(useLanes)
-		useLanes = false
-		cp.SolveLowerBatch(bp)
-	}()
-	one := cp.SolveLowerVecInto(rhs[:n], make([]float64, n))
-	xv, xp := cv.SolveVecInto(rhs[:n], make([]float64, n)), cp.SolveVecInto(rhs[:n], make([]float64, n))
-	for i := range bv {
-		if math.Float64bits(bv[i]) != math.Float64bits(bp[i]) {
-			t.Fatalf("n=%d: SolveLowerBatch row %d col %d: %v on the lane factor, %v portable", n, i/n, i%n, bv[i], bp[i])
-		}
-	}
-	for i := range xv {
-		if math.Float64bits(xv[i]) != math.Float64bits(xp[i]) || math.Float64bits(bp[i]) != math.Float64bits(one[i]) {
-			t.Fatalf("n=%d: entry %d: SolveVecInto %v vs %v; SolveLowerBatch row 0 %v vs SolveLowerVecInto %v", n, i, xv[i], xp[i], bp[i], one[i])
-		}
-	}
-}
-
-// TestCholeskyLanesMatchPortable: at every n up to 140 — every remainder of
-// the 16/4/1 column blocks — the lane kernel and the portable path give the
-// same factor and solves bit for bit, for well-conditioned Gram matrices and
-// for ones whose pivot fails (a duplicated point without jitter, a negative
-// jitter).
-func TestCholeskyLanesMatchPortable(t *testing.T) {
-	if !useLanes {
-		t.Skip("no lane kernel on this host")
-	}
-	rng := rand.New(rand.NewSource(71))
-	for n := 1; n <= 140; n++ {
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		}
-		rhs := make([]float64, 7*n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		for _, c := range []struct{ ell, jitter float64 }{{0.4, 1e-8}, {0.2, 1e-2}, {1.5, 1e-6}, {0.4, -0.5}} {
-			checkLanes(t, seGram(pts, c.ell, c.jitter), rhs)
-		}
-		if n > 1 {
-			pts[n-1] = pts[n/2]
-			checkLanes(t, seGram(pts, 0.4, 0), rhs)
-		}
-	}
-}
-
-// FuzzCholeskyLanes: the table test's property over fuzzed points (three
-// coordinates a point, from three bytes; n ≤ 96), length-scale, jitter and
-// 1–37 right-hand sides.
-func FuzzCholeskyLanes(f *testing.F) {
-	f.Add([]byte("the quick brown fox jumps over the lazy dog"), 0.4, 1e-8, uint8(5))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 255, 255, 255}, 0.1, 0.0, uint8(1))
-	f.Add(make([]byte, 288), 2.0, -1e-3, uint8(36))
-	f.Fuzz(func(t *testing.T, coords []byte, ell, jitter float64, m uint8) {
-		if !useLanes {
-			t.Skip("no lane kernel on this host")
-		}
-		n := min(len(coords)/3, 96)
-		if n == 0 || !(ell > 1e-3 && ell < 1e3) || !(math.Abs(jitter) < 1e3) {
-			t.Skip()
-		}
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = []float64{float64(coords[3*i]) / 255, float64(coords[3*i+1]) / 255, float64(coords[3*i+2]) / 255}
-		}
-		rhs := make([]float64, (1+int(m)%37)*n)
-		for i := range rhs {
-			rhs[i] = math.Sin(float64(i) + jitter)
-		}
-		checkLanes(t, seGram(pts, ell, jitter), rhs)
-	})
-}
-
 // BenchmarkFactorInPlace factors a squared-exponential Gram matrix at the
 // sizes a session's posterior evaluations see (n = 49 is a cold session's
-// mean) and at n = 128, on the lane kernel where the host has it and on the
-// portable path.
+// mean) and at n = 128, on the path this host runs (the lane kernel where it
+// has one) and on the Go path.
 func BenchmarkFactorInPlace(b *testing.B) {
 	rng := rand.New(rand.NewSource(72))
 	for _, n := range []int{49, 60, 128} {
@@ -169,13 +31,11 @@ func BenchmarkFactorInPlace(b *testing.B) {
 			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 		}
 		a := seGram(pts, 0.4, 1e-2)
-		for _, lanes := range []bool{true, false} {
-			if lanes && !useLanes {
-				continue
-			}
-			name := map[bool]string{true: "Lanes", false: "Portable"}[lanes]
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				withLanes(b, lanes)
+		for _, path := range []string{"Host", "Go"} {
+			b.Run(fmt.Sprintf("%s/n=%d", path, n), func(b *testing.B) {
+				if path == "Go" {
+					withGoPaths(b)
+				}
 				var c Cholesky
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -190,4 +50,11 @@ func BenchmarkFactorInPlace(b *testing.B) {
 			})
 		}
 	}
+}
+
+// withGoPaths runs the rest of the test on the Go factorization and solve.
+func withGoPaths(t testing.TB) {
+	f, s := factor, solveLower4
+	factor, solveLower4 = factorGo, solveLower4Go
+	t.Cleanup(func() { factor, solveLower4 = f, s })
 }

@@ -464,17 +464,22 @@ func (s *Service) parked(j *job, err error) bool {
 // Returns false when the job must finish as failed (budget exhausted,
 // cancellation requested, service closing, or queue full).
 func (s *Service) requeueForRetry(j *job, cause error) bool {
-	if s.cfg.JobRetries <= 0 || j.attempts >= s.cfg.JobRetries || j.cancelled.Load() {
+	if s.cfg.JobRetries <= 0 || j.attempts >= s.cfg.JobRetries {
 		return false
 	}
 	if cp, err := s.store.GetCheckpoint(j.id); err == nil && cp != nil {
 		j.resume = cp
 	}
 	s.mu.Lock()
-	// Retries re-enter the job's own priority lane but never evict anyone:
-	// a flapping job must not displace healthy queued work. A closing
-	// service has closed its dispatcher under this mutex, which refuses.
-	_, requeued := s.disp.enqueue(j, false)
+	// Cancel raises its flag under this mutex, so a job cancelled while it
+	// ran never re-enters a lane (invariant 1). Retries re-enter the job's
+	// own priority lane but never evict anyone: a flapping job must not
+	// displace healthy queued work. A closing service has closed its
+	// dispatcher under this mutex, which refuses.
+	requeued := false
+	if !j.cancelled.Load() {
+		_, requeued = s.disp.enqueue(j, false)
+	}
 	if requeued {
 		j.attempts++
 		j.state = StateQueued

@@ -181,6 +181,58 @@ func TestCancelledQueuedJobIsNotResumed(t *testing.T) {
 	})
 }
 
+// heldGet is a gatedMem whose checkpoint reads signal entered and then wait
+// for release: a failed attempt's retry parks between its failure and its
+// requeue, the one read it makes there.
+type heldGet struct {
+	*gatedMem
+	entered, release chan struct{}
+}
+
+func (h *heldGet) GetCheckpoint(jobID string) (*Checkpoint, error) {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.gatedMem.GetCheckpoint(jobID)
+}
+
+// A cancel that lands after an attempt failed and before its retry is
+// queued is not lost: the job settles, frees its tenant slot, and is neither
+// left queued nor suspended by the drain for a restart to resume.
+func TestCancelBetweenFailureAndRetrySettles(t *testing.T) {
+	store := &heldGet{gatedMem: newGatedMem(), entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{Workers: 1, Store: store, JobRetries: 1, CheckpointEvery: 1,
+		Chaos: &runner.ChaosOptions{KillAfter: 12, Seed: 5}})
+	spec := quickSpec(100, 1)
+	spec.Tenant = "retry"
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, StateRunning)
+	store.open()
+	select { // the attempt failed; its retry reads the checkpoint
+	case <-store.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the failed attempt never asked for a retry")
+	}
+	if err := s.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	close(store.release)
+	j := jobOf(s, id)
+	waitFor(t, "the cancelled job to settle", func() bool { return doneClosed(j) })
+	if st, _ := s.Status(id); st.State != StateFailed {
+		t.Fatalf("state = %s, want %s", st.State, StateFailed)
+	}
+	if got := inFlightOf(s, "retry"); got != 0 {
+		t.Fatalf("tenant in-flight = %d after the job settled, want 0", got)
+	}
+	s.Close()
+	if cp, _ := store.gatedMem.GetCheckpoint(id); cp != nil {
+		t.Fatal("the settled job left its checkpoint for a restart to resume")
+	}
+}
+
 // Cancelling a queued job frees its queue slot at once: the queue bound
 // counts jobs that are actually waiting, not jobs a worker has yet to skip.
 func TestCancelQueuedFreesQueueSlot(t *testing.T) {

@@ -31,9 +31,11 @@
 // Two invariants, both held under the service mutex, carry it. (1) A job is
 // in a dispatcher lane iff its state is queued and it is not cancelled:
 // eviction and Close's drain take it out of its lane in the critical section
-// that settles it, and Cancel in the one that raises the job's cancelled
-// flag, so the queue bound counts waiting jobs only. The one gap is a worker
-// between dequeue and the mutex; its check of state and flag covers it. (2)
+// that settles it, Cancel in the one that raises the job's cancelled flag,
+// and a failed attempt's retry enters one only in a critical section that
+// finds the flag down, so the queue bound counts waiting jobs only. The one
+// gap is a worker between dequeue and the mutex; its check of state and flag
+// covers it. (2)
 // settleLocked is the only writer of a terminal state and runs once per job:
 // it owns the finish time, result, error text, the tenant's in-flight slot,
 // a success's cluster seconds, the duration histogram, the shed counter and

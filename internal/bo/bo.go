@@ -20,9 +20,10 @@
 // candidate-major in chunks of 64, the incumbent's neighbourhood first, where
 // the EI is likeliest to be high. Per chunk:
 //
-//   - one distance pass to the training rows, shared by every model that
-//     holds the same rows (gp.GP.SameRows; a model on other rows measures its
-//     own), then each model's kernel rows and exact means (gp.GP.KernelMeans);
+//   - one distance pass to the training rows (gp.Columns, loaded once per
+//     round), shared by every model that holds the same rows (gp.GP.SameRows;
+//     a model on other rows measures its own), then each model's kernel rows
+//     and exact means (gp.GP.KernelMeans);
 //   - each candidate's bound, Σ_m EI(μ_m, maxVar_m)/M, where maxVar_m is the
 //     model's prior variance in output units (gp.GP.MaxVariance);
 //   - a candidate is dropped iff bound + boundSlack < the best exact EI so
@@ -445,23 +446,24 @@ type eiWorkspace struct {
 	pool gp.PredictWorkspace // only its Inputs rows: the candidate pool
 	perm []int
 
-	d2     []float64 // chunk×n squared distances to the first model's rows
-	flat   []float64 // backs every model's ks, means and vars
-	models []eiModel // the round's models
-	sd     float64   // the largest model's √MaxVariance
-	best   float64   // the incumbent's objective, which EI improves on
-	ei     []float64 // the chunk's bounds, then the survivors' scores
-	keep   []int     // the chunk's survivors, chunk-relative
+	d2     []float64    // chunk×n squared distances to the first model's rows
+	cols   []gp.Columns // per model, its rows feature-major: the first model's, and any with rows of its own
+	flat   []float64    // backs every model's ks, means and vars
+	models []eiModel    // the round's models
+	sd     float64      // the largest model's √MaxVariance
+	best   float64      // the incumbent's objective, which EI improves on
+	ei     []float64    // the chunk's bounds, then the survivors' scores
+	keep   []int        // the chunk's survivors, chunk-relative
 }
 
 // eiModel is one posterior-sample model of a round and its chunk buffers.
 type eiModel struct {
 	*gp.GP
-	ks     []float64 // the chunk's kernel rows, then the survivors' solves
-	means  []float64 // the chunk's posterior means
-	vars   []float64 // the survivors' posterior variances
-	maxVar float64   // MaxVariance
-	own    bool      // holds other rows than the first model: measures its own distances
+	ks     []float64   // the chunk's kernel rows, then the survivors' solves
+	means  []float64   // the chunk's posterior means
+	vars   []float64   // the survivors' posterior variances
+	maxVar float64     // MaxVariance
+	cols   *gp.Columns // the rows it measures its own distances to; nil for the first model's rows
 }
 
 // reserve sizes the chunk buffers for k models of up to n training rows:
@@ -476,6 +478,9 @@ func (ws *eiWorkspace) reserve(k, n int) {
 	if cap(ws.keep) < chunkRows {
 		ws.ei, ws.keep = make([]float64, chunkRows), make([]int, 0, chunkRows)
 	}
+	if len(ws.cols) < k {
+		ws.cols = append(ws.cols, make([]gp.Columns, k-len(ws.cols))...)
+	}
 }
 
 // argmax returns the index of the candidate with the largest EI-MCMC score
@@ -489,10 +494,15 @@ func (ws *eiWorkspace) argmax(models []*gp.GP, xin [][]float64, refine int, best
 	}
 	ws.reserve(len(models), n)
 	ws.models, ws.sd, ws.best = ws.models[:0], 0, best
+	ws.cols[0].Load(models[0])
 	for k, g := range models {
 		buf := ws.flat[k*chunkRows*(n+2) : (k+1)*chunkRows*(n+2)]
 		m := eiModel{GP: g, ks: buf[:chunkRows*n], means: buf[chunkRows*n : chunkRows*(n+1)],
-			vars: buf[chunkRows*(n+1):], maxVar: g.MaxVariance(), own: !g.SameRows(models[0])}
+			vars: buf[chunkRows*(n+1):], maxVar: g.MaxVariance()}
+		if !g.SameRows(models[0]) {
+			m.cols = &ws.cols[k]
+			m.cols.Load(g)
+		}
 		ws.models = append(ws.models, m)
 		ws.sd = max(ws.sd, math.Sqrt(m.maxVar))
 	}
@@ -550,12 +560,12 @@ func (ws *eiWorkspace) chunk(rows [][]float64, from, bestI int, bestEI float64) 
 func (ws *eiWorkspace) kernelRows(rows [][]float64, lo, hi int) {
 	n0 := ws.models[0].N()
 	shared := ws.d2[lo*n0 : hi*n0]
-	ws.models[0].Distances(rows[lo:hi], shared)
+	ws.cols[0].Distances(rows[lo:hi], shared)
 	for _, m := range ws.models {
 		n := m.N()
 		ks, d2 := m.ks[lo*n:hi*n], shared
-		if m.own {
-			m.Distances(rows[lo:hi], ks)
+		if m.cols != nil {
+			m.cols.Distances(rows[lo:hi], ks)
 			d2 = ks
 		}
 		m.KernelMeans(d2, ks, m.means[lo:hi])

@@ -104,9 +104,9 @@ var (
 )
 
 // TestChunkPrimitivesMatchPredictOracle: the primitives an EI round is built
-// from — one Distances pass shared by the models with the same rows, each
-// model's KernelMeans, and Variances over a compacted subset of the kernel
-// rows — must reproduce the per-candidate Predict oracle exactly, the same
+// from — one Columns.Distances pass shared by the models with the same rows,
+// each model's KernelMeans, and Variances over a compacted subset of the
+// kernel rows — must reproduce the per-candidate Predict oracle exactly, the same
 // bits and not a tolerance, for models fitted on one TrainSet, a model grown
 // by appends and a model on different rows of equal count. Every variance
 // stays at or under MaxVariance.
@@ -151,12 +151,16 @@ func TestChunkPrimitivesMatchPredictOracle(t *testing.T) {
 		for _, m := range sharedBatchSizes {
 			cands, _ := batchTrainingSet(m, 7, rng)
 			shared := make([]float64, m*n)
-			models[0].Distances(cands, shared)
+			var cols Columns
+			cols.Load(models[0])
+			cols.Distances(cands, shared)
 			for k, g := range models {
 				d2 := shared
 				if !g.SameRows(models[0]) {
+					var own Columns
+					own.Load(g)
 					d2 = make([]float64, m*n)
-					g.Distances(cands, d2)
+					own.Distances(cands, d2)
 				}
 				ks, mus := make([]float64, m*n), make([]float64, m)
 				g.KernelMeans(d2, ks, mus)

@@ -155,6 +155,7 @@ func (g *GP) Predict(xs []float64) (mean, variance float64) {
 // batch seen and are then reused). A workspace must not be shared by
 // concurrent calls; batch prediction parallelizes internally.
 type PredictWorkspace struct {
+	cols       Columns   // the model's training rows, loaded once per batch
 	ks         []float64 // m×n squared distances, mapped in place to K(X*,X), then overwritten by the variance solve
 	mean, vari []float64
 	inFlat     []float64
@@ -191,10 +192,10 @@ func growFloats(buf []float64, n int) []float64 {
 // PredictBatch returns the posterior means and variances at every row of xs
 // — identical, bit for bit, to calling Predict per row, but batched: a
 // row-parallel pass measures each block of rows' squared distances to the
-// training rows (Distances), maps them in place through the kernel, four
-// values at a time where the vector kernel runs, and takes the means against
-// α (KernelMeans), then runs the variance forward-substitutions four rows at
-// a time in place over the cross-kernel rows (Variances), so no
+// training rows (Columns.Distances), maps them in place through the kernel,
+// four values at a time where the vector kernel runs, and takes the means
+// against α (KernelMeans), then runs the variance forward-substitutions four
+// rows at a time in place over the cross-kernel rows (Variances), so no
 // per-candidate scratch is ever allocated. ws supplies the reusable buffers
 // (nil allocates a private workspace for the call); the returned slices
 // belong to the workspace and are valid until its next use.
@@ -222,6 +223,7 @@ func (g *GP) predict(xs [][]float64, ws *PredictWorkspace, vars bool) {
 	n, m := len(g.x), len(xs)
 	ws.ks = growFloats(ws.ks, m*n)
 	ws.mean = growFloats(ws.mean, m)
+	ws.cols.Load(g)
 	// One processor takes the rows with a direct call: the parallel branch's
 	// closure escapes to ParRange's workers, and a serial batch must not allocate.
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -234,7 +236,7 @@ func (g *GP) predict(xs [][]float64, ws *PredictWorkspace, vars bool) {
 func (g *GP) predictRows(xs [][]float64, ws *PredictWorkspace, vars bool, lo, hi int) {
 	n := len(g.x)
 	ks := ws.ks[lo*n : hi*n]
-	g.Distances(xs[lo:hi], ks)
+	ws.cols.Distances(xs[lo:hi], ks)
 	g.KernelMeans(ks, ks, ws.mean[lo:hi])
 	if vars {
 		g.Variances(ks, ws.vari[lo:hi])
@@ -246,7 +248,7 @@ func (g *GP) predictRows(xs [][]float64, ws *PredictWorkspace, vars bool, lo, hi
 // That is how the models of one EI round hold them — fitted on one TrainSet
 // (or refitted from bo's own row slices) and grown by the same appends — and
 // rows are never written, so shared storage is equality with no need to read
-// it. Models with the same rows have the same Distances.
+// it. Models with the same rows have the same Distances, from one Load.
 func (g *GP) SameRows(h *GP) bool {
 	if len(g.x) != len(h.x) {
 		return false
@@ -260,21 +262,34 @@ func (g *GP) SameRows(h *GP) bool {
 	return true
 }
 
+// Columns is a feature-major copy of a model's training rows, the layout
+// Distances reads (see "Distances" in the package doc): feature f of row j
+// at x[f*n+j]. A caller's workspace owns it, so the model stays read-only.
+type Columns struct {
+	x    []float64
+	n, d int
+}
+
+// Load copies g's rows into c, reusing c's storage: O(n·d), once per batch
+// or round, against the O(m·n·d) of the distances it feeds.
+func (c *Columns) Load(g *GP) {
+	c.n, c.d = len(g.x), len(g.x[0])
+	c.x = growFloats(c.x, c.n*c.d)
+	for j, r := range g.x {
+		for f, v := range r {
+			c.x[f*c.n+j] = v
+		}
+	}
+}
+
 // Distances writes the squared distance from every row of xs to every
-// training row into d2 (row-major, N() per row), four training rows per sweep
-// of the features. No hyperparameter enters, so every model with the same
-// rows (SameRows) can map one pass through its own kernel.
-func (g *GP) Distances(xs [][]float64, d2 []float64) {
-	n, train := len(g.x), g.x
-	for i, xi := range xs {
-		row := d2[i*n : (i+1)*n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			row[j], row[j+1], row[j+2], row[j+3] = sqDist4(train[j], train[j+1], train[j+2], train[j+3], xi)
-		}
-		for ; j < n; j++ {
-			row[j] = sqDist(train[j], xi)
-		}
+// loaded row into d2 (row-major, n per row), sqDist's bit for bit. No
+// hyperparameter enters, so every model with the same rows (SameRows) can
+// map one pass through its own kernel.
+func (c *Columns) Distances(xs [][]float64, d2 []float64) {
+	for _, x := range xs {
+		distances(c.x, x[:c.d], d2[:c.n])
+		d2 = d2[c.n:]
 	}
 }
 

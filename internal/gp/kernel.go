@@ -15,7 +15,8 @@
 // in place; handing a GP to TrainSet.Fit gives all of it to the model that
 // comes back. Training rows are shared between models and never written. A
 // PredictWorkspace owns the rows Inputs hands out (valid until the next
-// Inputs) and a batch's outputs (valid until its next use), a FitWorkspace
+// Inputs), a batch's outputs (valid until its next use) and the model's
+// rows feature-major (Columns, reloaded by every batch), a FitWorkspace
 // one chain's kernel matrix, correlation cache and generator; neither may be
 // shared by concurrent calls. The factor is mat.Cholesky's U = Lᵀ, so the
 // kernel matrix is assembled, and the distance and correlation caches are
@@ -34,10 +35,22 @@
 // The vector path is decided once at start-up: mat.HasAVX2FMA (CPUID and
 // XGETBV) must show AVX2, FMA and YMM state, and a fixed probe must match
 // math.Exp bit for bit, which fails where math.Exp takes its SSE path
-// (GODEBUG=cpu.fma=off). Three cases go through math.Exp itself: a block of four with an argument outside
-// [-700, 700] or a NaN (math.Exp's underflow, denormal and overflow branches
-// live out there), a row's last len%4 values, and every row where the vector
-// path is off or the architecture is not amd64.
+// (GODEBUG=cpu.fma=off). Three cases go through math.Exp itself: a block of
+// four with an argument outside [-700, 700] or a NaN (math.Exp's underflow,
+// denormal and overflow branches live out there), a row's last len%4
+// values, and every row where the vector path is off or the architecture is
+// not amd64.
+//
+// Distances: the cross pass from candidates to training rows reads a
+// feature-major copy of the rows (Columns), which the caller's workspace
+// loads once per batch or round, so a model is never written and concurrent
+// passes over it are race-free. Where mat.HasAVX2FMA holds, kernel_amd64.s
+// gives each lane one training row, eight and then four rows at a time, the
+// rest one by one: per feature a broadcast of the candidate's value, then
+// VSUBPD, VMULPD and VADDPD, each rounded on its own and never fused, into
+// a sum that starts at zero. Those are sqDist's operations in its order, so
+// every distance is sqDist's bit for bit; elsewhere distancesGo runs the
+// same sums in Go, four rows per sweep of the features.
 package gp
 
 import "math"
@@ -105,34 +118,53 @@ func kernelRow(dst, d2 []float64, s2, tl2 float64) {
 	}
 }
 
-// sqDist is |a-b|², summed in feature order. Every distance in the package
-// — Predict, Append, the batched cross pass, TrainSet's cache — goes through
-// this one loop (sqDist4 four at a time), which is what keeps those paths
-// bit-identical to each other.
+// sqDist is |a-b|², summed in feature order from zero, each square rounded
+// on its own. Every distance in the package — Predict, Append, TrainSet's
+// cache and, through distances, the batched cross pass — takes these
+// operations in this order, which is what keeps those paths bit-identical to
+// each other.
 func sqDist(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
 		d := a[i] - b[i]
-		d2 += d * d
+		d2 += float64(d * d)
 	}
 	return d2
 }
 
-// sqDist4 is sqDist from each of four points to b in one sweep of the
-// features: four independent sums where sqDist has one chain of dependent
-// additions. Each sum adds its terms in feature order, so every result is
-// sqDist's, bit for bit.
-func sqDist4(a0, a1, a2, a3, b []float64) (d0, d1, d2, d3 float64) {
-	a1, a2, a3, b = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)], b[:len(a0)]
-	for i := range a0 {
-		v := b[i]
-		e0, e1, e2, e3 := a0[i]-v, a1[i]-v, a2[i]-v, a3[i]-v
-		d0 += e0 * e0
-		d1 += e1 * e1
-		d2 += e2 * e2
-		d3 += e3 * e3
+// distances writes into d2[j] the squared distance from x to row j of the
+// feature-major t (feature f of row j at t[f*len(d2)+j]): distancesGo, or
+// the lane kernel kernel_amd64.go puts here at start-up. Only tests change
+// it.
+var distances = distancesGo
+
+// distancesGo takes four rows per sweep of the features, four independent
+// sums where sqDist has one chain of dependent additions, then the rest one
+// at a time.
+func distancesGo(t, x, d2 []float64) {
+	n, j := len(d2), 0
+	for ; j+3 < n; j += 4 {
+		var s0, s1, s2, s3 float64
+		k := j
+		for _, v := range x {
+			c := t[k : k+4 : k+4]
+			e0, e1, e2, e3 := c[0]-v, c[1]-v, c[2]-v, c[3]-v
+			s0 += float64(e0 * e0)
+			s1 += float64(e1 * e1)
+			s2 += float64(e2 * e2)
+			s3 += float64(e3 * e3)
+			k += n
+		}
+		d2[j], d2[j+1], d2[j+2], d2[j+3] = s0, s1, s2, s3
 	}
-	return d0, d1, d2, d3
+	for ; j < n; j++ {
+		var s float64
+		for f, v := range x {
+			e := t[f*n+j] - v
+			s += float64(e * e)
+		}
+		d2[j] = s
+	}
 }
 
 // logPrior is a weakly-informative Gaussian prior over the log

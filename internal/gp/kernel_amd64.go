@@ -23,5 +23,17 @@ func probeMatchesExp() bool {
 	return ok
 }
 
-// kernelRow4 is written, and documented, in kernel_amd64.s.
+func init() {
+	if mat.HasAVX2FMA() {
+		distances = distancesLanes
+	}
+}
+
+// kernelRow4 and distancesLanes are written, and documented, in
+// kernel_amd64.s.
+//
+//go:noescape
 func kernelRow4(dst, d2 []float64, s2, tl2 float64) int
+
+//go:noescape
+func distancesLanes(t, x, d2 []float64)

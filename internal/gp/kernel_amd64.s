@@ -98,3 +98,113 @@ done:
 	VZEROUPPER
 	MOVQ AX, ret+64(FP)
 	RET
+
+// func distancesLanes(t, x, d2 []float64)
+//
+// Writes into d2[j], for every j < n = len(d2), the squared distance from x
+// to training row j, t holding the rows feature-major: feature f of row j
+// at t[f*n+j], f < len(x). Rows go eight lanes, then four, at a time, each
+// lane's sum held in a register through the whole feature loop, then one at
+// a time. Per feature a broadcast of x[f], then VSUBPD, VMULPD and VADDPD,
+// each rounded on its own and never fused, from a zeroed sum: sqDist's
+// operations in its order.
+TEXT ·distancesLanes(SB), NOSPLIT, $0-72
+	MOVQ t_base+0(FP), SI   // SI = &t[0][j]
+	MOVQ x_base+24(FP), DX
+	MOVQ x_len+32(FP), CX   // CX = features
+	MOVQ d2_base+48(FP), DI // DI = &d2[j]
+	MOVQ d2_len+56(FP), BX  // BX = rows left
+	MOVQ BX, R8
+	SHLQ $3, R8             // R8 = bytes from t[f][j] to t[f+1][j]
+
+block8:
+	CMPQ   BX, $8
+	JLT    block4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     store8
+
+loop8:
+	VBROADCASTSD (R10), Y2
+	VMOVUPD      (R9), Y3
+	VMOVUPD      32(R9), Y4
+	VSUBPD       Y2, Y3, Y3
+	VSUBPD       Y2, Y4, Y4
+	VMULPD       Y3, Y3, Y3
+	VMULPD       Y4, Y4, Y4
+	VADDPD       Y3, Y0, Y0
+	VADDPD       Y4, Y1, Y1
+	ADDQ         R8, R9
+	ADDQ         $8, R10
+	DECQ         R11
+	JNZ          loop8
+
+store8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, BX
+	JMP     block8
+
+block4:
+	CMPQ   BX, $4
+	JLT    block1
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     store4
+
+loop4:
+	VBROADCASTSD (R10), Y2
+	VMOVUPD      (R9), Y3
+	VSUBPD       Y2, Y3, Y3
+	VMULPD       Y3, Y3, Y3
+	VADDPD       Y3, Y0, Y0
+	ADDQ         R8, R9
+	ADDQ         $8, R10
+	DECQ         R11
+	JNZ          loop4
+
+store4:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, BX
+
+block1:
+	TESTQ  BX, BX
+	JZ     done
+	VXORPD X0, X0, X0
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     store1
+
+loop1:
+	VMOVSD (R9), X3
+	VSUBSD (R10), X3, X3
+	VMULSD X3, X3, X3
+	VADDSD X3, X0, X0
+	ADDQ   R8, R9
+	ADDQ   $8, R10
+	DECQ   R11
+	JNZ    loop1
+
+store1:
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   BX
+	JMP    block1
+
+done:
+	VZEROUPPER
+	RET

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,5 +113,15 @@ func TestVecKernelGateUnderGODEBUG(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "math.Exp takes its SSE path") {
 		t.Fatalf("child under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
+}
+
+// TestDistancesGate: the distance pass runs on the lane kernel exactly where
+// the processor has AVX2 (the lanes need no FMA, so GODEBUG=cpu.fma=off
+// leaves them on).
+func TestDistancesGate(t *testing.T) {
+	lanes := reflect.ValueOf(distances).Pointer() == reflect.ValueOf(distancesLanes).Pointer()
+	if lanes != mat.HasAVX2FMA() {
+		t.Fatalf("distance lanes on: %v, HasAVX2FMA: %v", lanes, mat.HasAVX2FMA())
 	}
 }

@@ -30,14 +30,16 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 // runs the update over 16, 4 and then single columns, keeping them in
 // registers for the whole k loop: per k a broadcast of U[k][j], one VMULPD
 // and one VSUBPD, never a fused multiply-add, then one VDIVPD by the pivot's
-// root. SolveLowerBatch runs a kernel of the same kind, four rows at a time.
-// On other hosts and architectures factorGo and solveLower4Go run the same
+// root. The forward solves, SolveLowerBatch and SolveLowerVecInto, run one
+// lane kernel over one to four right-hand sides at a time, along the rows of
+// U. On other hosts and architectures factorGo and solveLowerGo run the same
 // recurrences in Go. Either way every element subtracts its own products,
 // each rounded once, in ascending k, and is divided last: the operations,
 // and so the roundings, of the textbook dot-product loop
 // s −= L[i][k]·L[j][k] … s/L[j][j] over a row-major L. The factor and the
 // solves are therefore the same bit for bit on both paths, and the same as
-// that loop's (TestCholeskyLanesMatchPortable, FuzzCholeskyLanes).
+// that loop's (TestCholeskyLanesMatchPortable, FuzzCholeskyLanes,
+// TestSolveLowerMatchesDotForm).
 type Cholesky struct {
 	u *Dense // n rows of stride u.cols ≥ n; the upper triangle of the leading n×n block is U = Lᵀ
 }
@@ -61,10 +63,11 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{u: u}, nil
 }
 
-// factor and solveLower4 are this host's factorization and four-row solve:
-// the Go paths below, which chol_amd64.go replaces with the lane kernels at
-// start-up where the processor has them. Only tests change them.
-var factor, solveLower4 = factorGo, solveLower4Go
+// factor and solveLower are this host's factorization and forward solve of
+// one to four rows: the Go paths below, which chol_amd64.go replaces with the
+// lane kernels at start-up where the processor has them. Only tests change
+// them.
+var factor, solveLower = factorGo, solveLowerGo
 
 // factorUpper runs the row recurrences in place over the upper triangle of
 // u: on entry it holds A, on exit U. Row j reads rows k < j, which already
@@ -278,7 +281,7 @@ func (c *Cholesky) Extend(col []float64, diag float64) error {
 }
 
 // SolveVecInto solves A·x = b into dst and returns dst. dst may alias b:
-// the forward substitution only reads b[i] before writing dst[i], and the
+// the forward substitution copies b into dst before it starts, and the
 // back substitution rewrites dst from the tail using only entries it has
 // already produced. No scratch vector is allocated, which is what keeps the
 // per-step cost of gp's slice sampler allocation-free.
@@ -305,26 +308,22 @@ func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
 }
 
 // SolveLowerVecInto solves L·y = b (forward substitution only, the
-// predictive-variance solve v = L⁻¹·k*) into dst and returns dst, reading
-// L's row i down U's column i and rounding each product on its own, as
-// SolveLowerBatch's paths do on every architecture. dst may alias b (the
-// substitution only reads b[i] before writing dst[i]), which is what lets
-// batch prediction overwrite
-// cross-kernel rows in place instead of allocating a scratch vector per
-// candidate.
+// predictive-variance solve v = L⁻¹·k*) into dst and returns dst. It is the
+// one-row case of SolveLowerBatch's recurrence: b is copied into dst, and
+// once y[k] is known, U[k][k+1:]·y[k] is subtracted from the rest of dst
+// along row k of U, contiguous, in lanes where the processor has them. Every
+// entry still subtracts its own products in ascending k, each rounded once,
+// and is divided last, so y is the dot-product solve's, bit for bit. dst may
+// alias b, which is what lets batch prediction overwrite cross-kernel rows in
+// place instead of allocating a scratch vector per candidate.
 func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 	n, st := c.u.Dims()
 	if len(b) != n || len(dst) != n {
 		panic("mat: Cholesky.SolveLowerVecInto length mismatch")
 	}
-	ud := c.u.data
-	for i := 0; i < n; i++ {
-		s := b[i]
-		col := ud[i:]
-		for k, y := range dst[:i] {
-			s -= float64(col[k*st] * y)
-		}
-		dst[i] = s / col[i*st]
+	if n > 0 {
+		copy(dst, b)
+		solveLower(c.u.data, st, n, dst)
 	}
 	return dst
 }
@@ -332,22 +331,55 @@ func (c *Cholesky) SolveLowerVecInto(b, dst []float64) []float64 {
 // SolveLowerBatch solves L·y = b in place for every length-n row of the
 // row-major matrix b — the multi-right-hand-side form of SolveLowerVecInto
 // that batch prediction runs over its cross-kernel rows. Rows go four at a
-// time (solveLower4): once y_r[k] is known it is subtracted from the rest of
-// its row along row k of U, four rows per load of U. Every row still
-// subtracts its own terms in ascending k, so each row's result is
-// bit-identical to SolveLowerVecInto's wherever the row falls in b — the
-// output cannot depend on how callers chunk rows across workers. It keeps no
-// scratch, so concurrent calls on one factor are safe.
+// time, and the last one to three together (solveLower): once y_r[k] is
+// known it is subtracted from the rest of its row along row k of U, every
+// row per load of U. Every row still subtracts its own terms in ascending
+// k, so each row's result is bit-identical to SolveLowerVecInto's wherever
+// the row falls in b — the output cannot depend on how callers chunk rows
+// across workers. It keeps no scratch, so concurrent calls on one factor
+// are safe.
 func (c *Cholesky) SolveLowerBatch(b []float64) {
 	n, st := c.u.Dims()
 	if len(b)%n != 0 {
 		panic("mat: Cholesky.SolveLowerBatch length is not a multiple of n")
 	}
-	for ; len(b) >= 4*n; b = b[4*n:] {
-		solveLower4(c.u.data, st, n, b[:4*n])
+	for len(b) > 0 {
+		r := min(4*n, len(b))
+		solveLower(c.u.data, st, n, b[:r])
+		b = b[r:]
+	}
+}
+
+// solveLowerGo solves L·y = b in place for the one to four length-n rows of
+// b, L being the transpose of the upper triangle of u (stride st): four rows
+// through solveLower4Go, fewer one at a time in the same way, two rows of U
+// per sweep.
+func solveLowerGo(u []float64, st, n int, b []float64) {
+	if len(b) == 4*n {
+		solveLower4Go(u, st, n, b)
+		return
 	}
 	for ; len(b) > 0; b = b[n:] {
-		c.SolveLowerVecInto(b[:n], b[:n])
+		k := 0
+		for ; k+1 < n; k += 2 {
+			p, q := u[k*st+k:k*st+n], u[(k+1)*st+k+1:(k+1)*st+n]
+			x := b[k] / p[0]
+			y := (b[k+1] - float64(p[1]*x)) / q[0]
+			b[k], b[k+1] = x, y
+			subRow2(b[k+2:n], p[2:], q[1:], x, y)
+		}
+		if k < n {
+			b[k] /= u[k*st+k]
+		}
+	}
+}
+
+// subRow2 subtracts p·x and then q·y from a, over a's length, each product
+// rounded on its own, in a leaf function for the reason subRows4 is.
+func subRow2(a, p, q []float64, x, y float64) {
+	p, q = p[:len(a)], q[:len(a)]
+	for c, v := range p {
+		a[c] = a[c] - float64(v*x) - float64(q[c]*y)
 	}
 }
 

@@ -2,7 +2,7 @@ package mat
 
 func init() {
 	if HasAVX2FMA() {
-		factor, solveLower4 = factorLanes, solveLower4Lanes
+		factor, solveLower = factorLanes, solveLowerLanes
 	}
 }
 
@@ -16,13 +16,18 @@ func factorLanes(u []float64, st, n int) int {
 	return -1
 }
 
-// factorRowLanes, solveLower4Lanes and HasAVX2FMA are written, and
+// factorRowLanes, solveLowerLanes and HasAVX2FMA are written, and
 // documented, in chol_amd64.s.
+//
+//go:noescape
 func factorRowLanes(u []float64, st, j, n int) bool
 
-func solveLower4Lanes(u []float64, st, n int, b []float64)
+//go:noescape
+func solveLowerLanes(u []float64, st, n int, b []float64)
 
 // HasAVX2FMA reports whether the processor has AVX2 and FMA and the
 // operating system saves the YMM registers: the gate of this package's lane
-// kernel and of gp's kernel rows.
+// kernels and of gp's.
+//
+//go:noescape
 func HasAVX2FMA() bool

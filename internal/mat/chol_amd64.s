@@ -191,107 +191,205 @@ TEXT ·HasAVX2FMA(SB), NOSPLIT, $0-1
 no:
 	RET
 
-// func solveLower4Lanes(u []float64, st, n int, b []float64)
+// PAIR solves the two entries k and k+1 of the row at p, given U[k][k] in
+// X15, U[k][k+1] in X13 and U[k+1][k+1] in X14: x = b[k]/U[k][k], then
+// y = (b[k+1] − U[k][k+1]·x)/U[k+1][k+1], each operation rounded on its own.
+// It stores both and broadcasts them into xv and yv.
+#define PAIR(p, xs, ys, xv, yv) \
+	VMOVSD       (p), xs; \
+	VDIVSD       X15, xs, xs; \
+	VMULSD       X13, xs, X12; \
+	VMOVSD       8(p), ys; \
+	VSUBSD       X12, ys, ys; \
+	VDIVSD       X14, ys, ys; \
+	VMOVSD       xs, (p); \
+	VMOVSD       ys, 8(p); \
+	VBROADCASTSD xs, xv; \
+	VBROADCASTSD ys, yv
+
+// SUB4 subtracts from four columns of the row at p the product of x with
+// row k's columns in Y8, then the product of y with row k+1's in Y9: a
+// VMULPD and a VSUBPD each.
+#define SUB4(p, x, y) \
+	VMOVUPD (p)(AX*1), Y11; \
+	VMULPD  Y8, x, Y10; \
+	VSUBPD  Y10, Y11, Y11; \
+	VMULPD  Y9, y, Y10; \
+	VSUBPD  Y10, Y11, Y11; \
+	VMOVUPD Y11, (p)(AX*1)
+
+// SUB1 is SUB4 on the single column in X8 and X9.
+#define SUB1(p, x, y) \
+	VMOVSD (p)(AX*1), X11; \
+	VMULSD X8, x, X10; \
+	VSUBSD X10, X11, X11; \
+	VMULSD X9, y, X10; \
+	VSUBSD X10, X11, X11; \
+	VMOVSD X11, (p)(AX*1)
+
+// LAST divides the row's last entry, at p, by U[n-1][n-1] in X15.
+#define LAST(p) \
+	VMOVSD (p), X0; \
+	VDIVSD X15, X0, X0; \
+	VMOVSD X0, (p)
+
+// func solveLowerLanes(u []float64, st, n int, b []float64)
 //
-// Solves L·y = b in place for the four length-n rows of b, L being the
-// transpose of the upper triangle of the n×st row-major matrix u. As each
-// y_r[k] = b_r[k] / U[k][k] is found (four scalar divides), it is subtracted
-// from the rest of its row, b_r[k+1:n] −= U[k][k+1:n]·y_r[k], four columns
-// per instruction with a separate VMULPD and VSUBPD, then the row's tail one
-// column at a time. Every entry so takes its products in ascending k, each
-// rounded once, before its own division: the operations of the row-at-a-time
-// dot-product solve.
-TEXT ·solveLower4Lanes(SB), NOSPLIT, $0-64
+// Solves L·y = b in place for the one to four length-n rows of b, L being
+// the transpose of the upper triangle of the n×st row-major matrix u (n ≥ 1,
+// len(b) a multiple of n). It takes the rows of U two at a time, as
+// solveLower4Go does: y_r[k] and y_r[k+1] are solved with scalar
+// operations, then b_r[c] −= U[k][c]·y_r[k], and then −= U[k+1][c]·y_r[k+1],
+// for every c > k+1, first the (n−k−2) mod 4 columns after k+1 one at a
+// time, then four columns per instruction, each product a VMULPD and each
+// subtraction a VSUBPD of its own. The blocks of four so end at column n−1
+// at every step, and a load of a block reads what one store of the step
+// before wrote, which the processor forwards. Every entry thus takes its
+// products in ascending k, each rounded once, before its own division: the
+// operations of the row-at-a-time dot-product solve. Rows go from the last
+// to row 0; with four rows each step takes the straight path, and fewer
+// enter it at their last row (the *few stubs).
+TEXT ·solveLowerLanes(SB), NOSPLIT, $0-64
 	MOVQ u_base+0(FP), SI   // SI = &U[k][k]
 	MOVQ st+24(FP), R8
-	LEAQ 8(R8*8), R8        // R8 = bytes from U[k][k] to U[k+1][k+1]
+	LEAQ 8(R8*8), R9        // R9 = bytes from U[k][k] to U[k+1][k+1]
 	MOVQ n+32(FP), CX       // CX = n-k
 	MOVQ b_base+40(FP), DI  // DI, R10, R11, R12 = &b_r[k]
-	MOVQ CX, R9
-	SHLQ $3, R9
-	LEAQ (DI)(R9*1), R10
-	LEAQ (R10)(R9*1), R11
-	LEAQ (R11)(R9*1), R12
+	MOVQ b_len+48(FP), AX
+	XORQ R13, R13
 
-col:
+rows:
+	INCQ R13
+	SUBQ CX, AX
+	JGT  rows               // R13 = len(b)/n, the rows of b
+	MOVQ CX, R8
+	SHLQ $3, R8
+	LEAQ (DI)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+
+pair:
+	CMPQ   CX, $2
+	JLT    last
+	LEAQ   (SI)(R9*1), BX   // BX = &U[k+1][k+1]
 	VMOVSD (SI), X15
-	VMOVSD (DI), X0
-	VDIVSD X15, X0, X0
-	VMOVSD X0, (DI)
-	VMOVSD (R10), X1
-	VDIVSD X15, X1, X1
-	VMOVSD X1, (R10)
-	VMOVSD (R11), X2
-	VDIVSD X15, X2, X2
-	VMOVSD X2, (R11)
-	VMOVSD (R12), X3
-	VDIVSD X15, X3, X3
-	VMOVSD X3, (R12)
-	VBROADCASTSD X0, Y0
-	VBROADCASTSD X1, Y1
-	VBROADCASTSD X2, Y2
-	VBROADCASTSD X3, Y3
-	DECQ CX                 // CX = columns right of k
+	VMOVSD 8(SI), X13
+	VMOVSD (BX), X14
+	CMPQ   R13, $3
+	JLE    pfew
+	PAIR(R12, X3, X7, Y3, Y7)
+
+p2:
+	PAIR(R11, X2, X6, Y2, Y6)
+
+p1:
+	PAIR(R10, X1, X5, Y1, Y5)
+
+p0:
+	PAIR(DI, X0, X4, Y0, Y4)
+	SUBQ $2, CX             // CX = columns right of k+1
 	JZ   done
 	MOVQ CX, DX
-	MOVQ $8, AX             // AX = byte offset of the block from column k
+	ANDQ $3, DX             // DX = columns before the blocks of four
+	MOVQ $16, AX            // AX = byte offset of the column from column k
 
-axpy4:
-	CMPQ    DX, $4
-	JLT     axpy1
-	VMOVUPD (SI)(AX*1), Y4
-	VMULPD  Y4, Y0, Y5
-	VMOVUPD (DI)(AX*1), Y6
-	VSUBPD  Y5, Y6, Y6
-	VMOVUPD Y6, (DI)(AX*1)
-	VMULPD  Y4, Y1, Y5
-	VMOVUPD (R10)(AX*1), Y6
-	VSUBPD  Y5, Y6, Y6
-	VMOVUPD Y6, (R10)(AX*1)
-	VMULPD  Y4, Y2, Y5
-	VMOVUPD (R11)(AX*1), Y6
-	VSUBPD  Y5, Y6, Y6
-	VMOVUPD Y6, (R11)(AX*1)
-	VMULPD  Y4, Y3, Y5
-	VMOVUPD (R12)(AX*1), Y6
-	VSUBPD  Y5, Y6, Y6
-	VMOVUPD Y6, (R12)(AX*1)
-	ADDQ    $32, AX
-	SUBQ    $4, DX
-	JMP     axpy4
-
-axpy1:
+head:
 	TESTQ  DX, DX
-	JZ     next
-	VMOVSD (SI)(AX*1), X4
-	VMULSD X4, X0, X5
-	VMOVSD (DI)(AX*1), X6
-	VSUBSD X5, X6, X6
-	VMOVSD X6, (DI)(AX*1)
-	VMULSD X4, X1, X5
-	VMOVSD (R10)(AX*1), X6
-	VSUBSD X5, X6, X6
-	VMOVSD X6, (R10)(AX*1)
-	VMULSD X4, X2, X5
-	VMOVSD (R11)(AX*1), X6
-	VSUBSD X5, X6, X6
-	VMOVSD X6, (R11)(AX*1)
-	VMULSD X4, X3, X5
-	VMOVSD (R12)(AX*1), X6
-	VSUBSD X5, X6, X6
-	VMOVSD X6, (R12)(AX*1)
-	ADDQ   $8, AX
-	DECQ   DX
-	JMP    axpy1
+	JZ     blocks
+	VMOVSD (SI)(AX*1), X8
+	VMOVSD -8(BX)(AX*1), X9
+	CMPQ   R13, $3
+	JLE    hfew
+	SUB1(R12, X3, X7)
+
+h2:
+	SUB1(R11, X2, X6)
+
+h1:
+	SUB1(R10, X1, X5)
+
+h0:
+	SUB1(DI, X0, X4)
+	ADDQ $8, AX
+	DECQ DX
+	JMP  head
+
+blocks:
+	MOVQ CX, DX
+	SHRQ $2, DX             // DX = blocks of four, the last ending at column n-1
+
+block:
+	TESTQ   DX, DX
+	JZ      next
+	VMOVUPD (SI)(AX*1), Y8
+	VMOVUPD -8(BX)(AX*1), Y9
+	CMPQ    R13, $3
+	JLE     bfew
+	SUB4(R12, Y3, Y7)
+
+b2:
+	SUB4(R11, Y2, Y6)
+
+b1:
+	SUB4(R10, Y1, Y5)
+
+b0:
+	SUB4(DI, Y0, Y4)
+	ADDQ $32, AX
+	DECQ DX
+	JMP  block
 
 next:
-	ADDQ R8, SI
-	ADDQ $8, DI
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	JMP  col
+	LEAQ (BX)(R9*1), SI     // SI = &U[k+2][k+2]
+	ADDQ $16, DI
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $16, R12
+	JMP  pair
+
+last:
+	TESTQ  CX, CX
+	JZ     done
+	VMOVSD (SI), X15        // n is odd: one entry left in every row
+	CMPQ   R13, $3
+	JLE    lfew
+	LAST(R12)
+
+l2:
+	LAST(R11)
+
+l1:
+	LAST(R10)
+
+l0:
+	LAST(DI)
 
 done:
 	VZEROUPPER
 	RET
+
+// Fewer than four rows, with the flags of CMPQ R13, $3: three enter at
+// row 2, two at row 1, one at row 0.
+pfew:
+	JEQ  p2
+	CMPQ R13, $2
+	JEQ  p1
+	JMP  p0
+
+hfew:
+	JEQ  h2
+	CMPQ R13, $2
+	JEQ  h1
+	JMP  h0
+
+bfew:
+	JEQ  b2
+	CMPQ R13, $2
+	JEQ  b1
+	JMP  b0
+
+lfew:
+	JEQ  l2
+	CMPQ R13, $2
+	JEQ  l1
+	JMP  l0

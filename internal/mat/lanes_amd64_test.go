@@ -3,14 +3,26 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
+// TestLanesGate: the factorization and the forward solve run on the lane
+// kernels exactly where HasAVX2FMA holds.
+func TestLanesGate(t *testing.T) {
+	on := func(f, lanes any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(lanes).Pointer() }
+	if on(factor, factorLanes) != HasAVX2FMA() || on(solveLower, solveLowerLanes) != HasAVX2FMA() {
+		t.Fatalf("factor lanes on: %v, solve lanes on: %v, HasAVX2FMA: %v",
+			on(factor, factorLanes), on(solveLower, solveLowerLanes), HasAVX2FMA())
+	}
+}
+
 // checkLanes factors a on the lane kernel and on the Go path and requires
 // the same failing pivot, the same factor rows before it, and, for a factor
-// that exists, the same SolveLowerBatch over the rows of rhs (lane kernel
-// against Go path, each row equal to SolveLowerVecInto's) and the same
-// SolveVecInto of its first row, all bit for bit. The factor is held in
+// that exists, the same forward solves of the rows of rhs — SolveLowerBatch
+// over all of them and SolveLowerVecInto of each alone, on either path, all
+// equal to the textbook dot form — and the same SolveVecInto of its first
+// row, all bit for bit. The factor is held in
 // storage of stride n+3, so neither path may stray past a row's n columns.
 func checkLanes(t *testing.T, a *Dense, rhs []float64) {
 	t.Helper()
@@ -47,19 +59,19 @@ func checkLanes(t *testing.T, a *Dense, rhs []float64) {
 	}
 	cv, cp := &Cholesky{u: vec}, &Cholesky{u: port}
 	bv, bp := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
-	old := solveLower4
-	solveLower4 = solveLower4Lanes
-	cv.SolveLowerBatch(bv)
-	solveLower4 = solveLower4Go
-	cp.SolveLowerBatch(bp)
-	solveLower4 = old
-	one := make([]float64, n)
+	onPath(solveLowerLanes, func() { cv.SolveLowerBatch(bv) })
+	onPath(solveLowerGo, func() { cp.SolveLowerBatch(bp) })
+	ov, op := make([]float64, n), make([]float64, n)
 	for m := 0; m < len(rhs); m += n {
-		cp.SolveLowerVecInto(rhs[m:m+n], one)
-		for i := range one {
-			g, w, o := bv[m+i], bp[m+i], one[i]
-			if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(w) != math.Float64bits(o) {
-				t.Fatalf("n=%d: SolveLowerBatch row %d col %d: %v on the lane kernel, %v on the Go path, %v by SolveLowerVecInto", n, m/n, i, g, w, o)
+		onPath(solveLowerLanes, func() { cv.SolveLowerVecInto(rhs[m:m+n], ov) })
+		onPath(solveLowerGo, func() { cp.SolveLowerVecInto(rhs[m:m+n], op) })
+		dot := solveLowerDot(cp, rhs[m:m+n])
+		for i, w := range dot {
+			for _, g := range []float64{bv[m+i], bp[m+i], ov[i], op[i]} {
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("n=%d: row %d col %d: batch %v / %v and one-row %v / %v (lane kernel / Go path), dot form %v",
+						n, m/n, i, bv[m+i], bp[m+i], ov[i], op[i], w)
+				}
 			}
 		}
 	}
@@ -98,6 +110,14 @@ func TestCholeskyLanesMatchPortable(t *testing.T) {
 			checkLanes(t, seGram(pts, 0.4, 0), rhs)
 		}
 	}
+}
+
+// onPath runs f with solve as the forward solve.
+func onPath(solve func(u []float64, st, n int, b []float64), f func()) {
+	old := solveLower
+	solveLower = solve
+	defer func() { solveLower = old }()
+	f()
 }
 
 // FuzzCholeskyLanes: the table test's property over fuzzed points (three

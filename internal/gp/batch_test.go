@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"locat/internal/mat"
 )
 
 func batchTrainingSet(n, d int, rng *rand.Rand) ([][]float64, []float64) {
@@ -237,5 +239,69 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { g.PredictMeans(cands, &ws) }); allocs != 0 {
 		t.Fatalf("PredictMeans allocates %.0f objects per call on a warm workspace; want 0", allocs)
+	}
+}
+
+// TestKernelMeansMatchDot: for every chunk of up to nine rows (every
+// remainder of the four-row sweep) over models of 1 to 70 training rows,
+// KernelMeans' cross-kernel rows are s2·math.Exp(-d/tl2) of their distances
+// and its means mat.Dot(row, α)·yStd + yMean, bit for bit, under the vector
+// kernel and the forced fallback, with distances that take the map's tails
+// and blocks out of the vector path's range.
+func TestKernelMeansMatchDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, vec := range kernelModes(t) {
+		withVecKernel(t, vec)
+		for n := 1; n <= 70; n += 1 + n/8 {
+			xs, ys := batchTrainingSet(n, 3, rng)
+			g, err := Fit(xs, ys, Hyper{LogLen: math.Log(0.3), LogSignal: 0.2, LogNoise: math.Log(0.1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m <= 9; m++ {
+				d2 := make([]float64, m*n)
+				for j := range d2 {
+					d2[j] = rng.ExpFloat64()
+					if rng.Intn(40) == 0 {
+						d2[j] = []float64{math.NaN(), 1e300, 0}[rng.Intn(3)]
+					}
+				}
+				ks, means := make([]float64, m*n), make([]float64, m)
+				g.KernelMeans(d2, ks, means)
+				for i := range means {
+					row := ks[i*n : (i+1)*n]
+					for j, d := range d2[i*n : (i+1)*n] {
+						if w := g.kern.s2 * math.Exp(-d/g.kern.tl2); math.Float64bits(row[j]) != math.Float64bits(w) {
+							t.Fatalf("vec=%v n=%d m=%d: kernel[%d][%d] = %v, want %v", vec, n, m, i, j, row[j], w)
+						}
+					}
+					if w := mat.Dot(row, g.alpha)*g.yStd + g.yMean; math.Float64bits(means[i]) != math.Float64bits(w) {
+						t.Fatalf("vec=%v n=%d m=%d: mean %d = %v, mat.Dot gives %v", vec, n, m, i, means[i], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelMeans maps one EI chunk, 64 candidates against a
+// 60-observation model (the five-model round's shape), through the kernel
+// and takes its means, on this host's kernel path.
+func BenchmarkKernelMeans(b *testing.B) {
+	const m, n = 64, 60
+	rng := rand.New(rand.NewSource(15))
+	xs, ys := batchTrainingSet(n, 9, rng)
+	g, err := Fit(xs, ys, DefaultHyper())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d2 := make([]float64, m*n)
+	for j := range d2 {
+		d2[j] = rng.Float64() * 3
+	}
+	ks, means := make([]float64, m*n), make([]float64, m)
+	b.ReportAllocs()
+	for b.Loop() {
+		g.KernelMeans(d2, ks, means)
 	}
 }

@@ -54,12 +54,14 @@ func closeRel(a, b, tol float64) bool {
 
 // TestPosteriorMatchesBruteForce: for n = 1..6 training points, with and
 // without a near-duplicate of the first row (1e-7 away), under three
-// hyperparameter settings, Predict, PredictBatch and LogMarginalLikelihood
-// agree to 1e-10 relative with the posterior written out from an explicit
-// Gauss–Jordan inverse and determinant of K = k(X,X) + (σ_n² + 1e-8)·I:
-// mean k*ᵀK⁻¹z·yStd + yMean, variance (σ_f² − k*ᵀK⁻¹k*)·yStd² and evidence
+// hyperparameter settings, Predict, PredictBatch, LogMarginalLikelihood and
+// TrainSet.LogPosterior less the prior agree to 1e-10 relative with the
+// posterior written out from an explicit Gauss–Jordan inverse and
+// determinant of K = k(X,X) + (σ_n² + 1e-8)·I: mean k*ᵀK⁻¹z·yStd + yMean,
+// variance (σ_f² − k*ᵀK⁻¹k*)·yStd² and evidence
 // −½zᵀK⁻¹z − ½log|K| − n/2·log 2π over the standardized targets z, at the
-// training rows themselves and at fresh points.
+// training rows themselves and at fresh points. The evidence is the model's
+// and the sampler's, bit for bit.
 func TestPosteriorMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	hypers := []Hyper{
@@ -88,6 +90,11 @@ func TestPosteriorMatchesBruteForce(t *testing.T) {
 			for i, y := range ys {
 				z[i] = (y - yMean) / yStd
 			}
+			ts, err := NewTrainSet(xs, ys, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ws FitWorkspace
 			for _, h := range hypers {
 				g, err := Fit(xs, ys, h)
 				if err != nil {
@@ -117,8 +124,13 @@ func TestPosteriorMatchesBruteForce(t *testing.T) {
 					}
 				}
 				wantML := -0.5*quad - 0.5*math.Log(det) - 0.5*float64(n)*math.Log(2*math.Pi)
-				if got := g.LogMarginalLikelihood(); !closeRel(got, wantML, tol) {
+				got := g.LogMarginalLikelihood()
+				if !closeRel(got, wantML, tol) {
 					t.Fatalf("n=%d near=%v %+v: log evidence %v, brute force %v", n, near, h, got, wantML)
+				}
+				if post := ts.LogPosterior(h, &ws, 1); post != got+logPrior(h) || !closeRel(post-logPrior(h), wantML, tol) {
+					t.Fatalf("n=%d near=%v %+v: log posterior %v less the prior %v, model's evidence %v, brute force %v",
+						n, near, h, post, post-logPrior(h), got, wantML)
 				}
 				means, vars := g.PredictBatch(cands, nil)
 				for c, x := range cands {

@@ -298,13 +298,33 @@ func (c *Columns) Distances(xs [][]float64, d2 []float64) {
 // mean into means: PredictBatch's cross-kernel rows and means, bit for bit.
 // d2 and ks may be the same slice.
 func (g *GP) KernelMeans(d2, ks, means []float64) {
-	n := len(g.x)
-	k, alpha, yMean, yStd := g.kern, g.alpha, g.yMean, g.yStd
-	for i := range means {
-		row := ks[i*n : (i+1)*n]
-		kernelRow(row, d2[i*n:(i+1)*n], k.s2, k.tl2)
-		means[i] = mat.Dot(row, alpha)*yStd + yMean
+	n, m := len(g.x), len(means)
+	kernelRow(ks[:m*n], d2[:m*n], g.kern.s2, g.kern.tl2)
+	alpha, yMean, yStd := g.alpha, g.yMean, g.yStd
+	i := 0
+	for ; i+3 < m; i += 4 {
+		r := ks[i*n : (i+4)*n]
+		s0, s1, s2, s3 := dot4(r[:n], r[n:2*n], r[2*n:3*n], r[3*n:], alpha)
+		means[i], means[i+1] = s0*yStd+yMean, s1*yStd+yMean
+		means[i+2], means[i+3] = s2*yStd+yMean, s3*yStd+yMean
 	}
+	for ; i < m; i++ {
+		means[i] = mat.Dot(ks[i*n:(i+1)*n], alpha)*yStd + yMean
+	}
+}
+
+// dot4 returns mat.Dot of each of a0…a3 with b: four independent chains,
+// each adding a_r[j]·b[j] from zero in ascending j in mat.Dot's expression,
+// where one chain of dependent additions waits on every add.
+func dot4(a0, a1, a2, a3, b []float64) (s0, s1, s2, s3 float64) {
+	a0, a1, a2, a3 = a0[:len(b)], a1[:len(b)], a2[:len(b)], a3[:len(b)]
+	for j, v := range b {
+		s0 += a0[j] * v
+		s1 += a1[j] * v
+		s2 += a2[j] * v
+		s3 += a3[j] * v
+	}
+	return s0, s1, s2, s3
 }
 
 // Variances turns len(vars) cross-kernel rows from KernelMeans into posterior
@@ -337,7 +357,11 @@ func (g *GP) MaxVariance() float64 {
 
 // LogMarginalLikelihood returns the log evidence of the standardized
 // training targets under the GP prior — the quantity the slice sampler
-// explores.
+// explores, and TrainSet.LogPosterior's evidence bit for bit.
 func (g *GP) LogMarginalLikelihood() float64 {
-	return logMLInto(g.chol, g.alpha, make([]float64, len(g.alpha)))
+	z := make([]float64, len(g.y))
+	for i, v := range g.y {
+		z[i] = (v - g.yMean) / g.yStd
+	}
+	return logEvidence(g.chol, g.chol.SolveLowerVecInto(z, z))
 }

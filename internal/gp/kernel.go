@@ -15,18 +15,19 @@
 // in place; handing a GP to TrainSet.Fit gives all of it to the model that
 // comes back. Training rows are shared between models and never written. A
 // PredictWorkspace owns the rows Inputs hands out (valid until the next
-// Inputs), a batch's outputs (valid until its next use) and the model's
-// rows feature-major (Columns, reloaded by every batch), a FitWorkspace
-// one chain's kernel matrix, correlation cache and generator; neither may be
-// shared by concurrent calls. The factor is mat.Cholesky's U = Lᵀ, so the
-// kernel matrix is assembled, and the distance and correlation caches are
-// kept, as strict upper triangles plus the diagonal: row i holds columns
-// i..n-1, and the factorization reads nothing below it.
+// Inputs), a batch's outputs (valid until its next use) and the model's rows
+// feature-major (Columns, reloaded by every batch), a FitWorkspace one
+// chain's kernel matrix, forward solve, correlation cache and generator;
+// neither may be shared by concurrent calls. The factor is mat.Cholesky's
+// U = Lᵀ, so the kernel matrix is assembled, and the distance and
+// correlation caches are kept, as strict upper triangles plus the diagonal:
+// row i holds columns i..n-1, and the factorization reads nothing below it.
 //
 // Kernel rows: KernelMeans' cross-kernel rows and a TrainSet's fresh
 // exponentials map squared distances to σ_f²·exp(-d²/2ℓ²) through kernelRow.
-// On amd64 it takes four values per instruction (kernel_amd64.s), each lane
-// running the operations of math.Exp's FMA path
+// KernelMeans maps a whole chunk with one call, so a chunk has one tail. On
+// amd64 kernelRow takes four values per instruction (kernel_amd64.s), each
+// lane running the operations of math.Exp's FMA path
 // ($GOROOT/src/math/exp_amd64.s) in its order: the sign flip and division, k
 // through the int32 round trip, the two-step reduction by ln 2, ×1/16, the
 // seven-step polynomial, the squarings as r·(r+2), the final FMA, ×2^k, then
@@ -35,11 +36,12 @@
 // The vector path is decided once at start-up: mat.HasAVX2FMA (CPUID and
 // XGETBV) must show AVX2, FMA and YMM state, and a fixed probe must match
 // math.Exp bit for bit, which fails where math.Exp takes its SSE path
-// (GODEBUG=cpu.fma=off). Three cases go through math.Exp itself: a block of
-// four with an argument outside [-700, 700] or a NaN (math.Exp's underflow,
-// denormal and overflow branches live out there), a row's last len%4
-// values, and every row where the vector path is off or the architecture is
-// not amd64.
+// (GODEBUG=cpu.fma=off). A row's last len%4 values take the lanes on a
+// zero-padded block (kernelTail). Two cases go through math.Exp itself: a
+// block, padded or not, with an argument outside [-700, 700] or a NaN
+// (math.Exp's underflow, denormal and overflow branches live out there), and
+// every row where the vector path is off or the architecture is not amd64. A
+// TrainSet's rescale by σ_f² (scale) is one VMULPD per four values.
 //
 // Distances: the cross pass from candidates to training rows reads a
 // feature-major copy of the rows (Columns), which the caller's workspace
@@ -108,6 +110,9 @@ func kernelRow(dst, d2 []float64, s2, tl2 float64) {
 		if useVecKernel {
 			n := kernelRow4(dst, d2, s2, tl2)
 			dst, d2 = dst[n:], d2[n:]
+			if l := len(dst); l == 0 || l < 4 && kernelTail(dst, d2, s2, tl2) {
+				return
+			}
 		}
 		// The block kernelRow4 stopped at, or the tail of the row.
 		m := min(4, len(dst))
@@ -115,6 +120,30 @@ func kernelRow(dst, d2 []float64, s2, tl2 float64) {
 			dst[j] = s2 * math.Exp(-v/tl2)
 		}
 		dst, d2 = dst[m:], d2[m:]
+	}
+}
+
+// kernelTail maps a row's last len(dst) < 4 values through kernelRow4 on a
+// block padded with zeros, whose lanes are in range, and reports whether the
+// lanes took it: an argument out of range leaves it to math.Exp.
+func kernelTail(dst, d2 []float64, s2, tl2 float64) bool {
+	var in, out [4]float64
+	copy(in[:], d2)
+	if kernelRow4(out[:], in[:], s2, tl2) < 4 {
+		return false
+	}
+	copy(dst, out[:])
+	return true
+}
+
+// scale writes s·src[j] into dst[j] for every j < len(dst): scaleGo, or the
+// lane kernel kernel_amd64.go puts here at start-up. Only tests change it.
+var scale = scaleGo
+
+func scaleGo(dst, src []float64, s float64) {
+	src = src[:len(dst)]
+	for j, c := range src {
+		dst[j] = s * c
 	}
 }
 
@@ -167,17 +196,29 @@ func distancesGo(t, x, d2 []float64) {
 	}
 }
 
+// The constant logarithms of the evidence and the prior, taken once rather
+// than at every posterior evaluation.
+var (
+	log2Pi        = math.Log(2 * math.Pi)
+	halfLog2Pi    = 0.5 * log2Pi
+	priorLogLen   = math.Log(0.4)
+	priorLogNoise = math.Log(0.1)
+)
+
 // logPrior is a weakly-informative Gaussian prior over the log
 // hyperparameters, keeping the slice sampler in a numerically sane region.
 func logPrior(h Hyper) float64 {
 	lp := 0.0
-	lp += logNormPDF(h.LogLen, math.Log(0.4), 1.0)
-	lp += logNormPDF(h.LogSignal, 0, 1.0)
-	lp += logNormPDF(h.LogNoise, math.Log(0.1), 1.0)
+	lp += logNormPDF(h.LogLen, priorLogLen)
+	lp += logNormPDF(h.LogSignal, 0)
+	lp += logNormPDF(h.LogNoise, priorLogNoise)
 	return lp
 }
 
-func logNormPDF(x, mu, sigma float64) float64 {
-	d := (x - mu) / sigma
-	return -0.5*d*d - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
+// logNormPDF is the log density of N(mu, 1) at x. At σ = 1 the general
+// form's division by σ and subtraction of log σ = 0 change no bit, so the
+// value is that form's exactly (TestLogPriorMatchesGeneralForm).
+func logNormPDF(x, mu float64) float64 {
+	d := x - mu
+	return -0.5*d*d - halfLog2Pi
 }

@@ -25,11 +25,11 @@ func probeMatchesExp() bool {
 
 func init() {
 	if mat.HasAVX2FMA() {
-		distances = distancesLanes
+		distances, scale = distancesLanes, scaleLanes
 	}
 }
 
-// kernelRow4 and distancesLanes are written, and documented, in
+// kernelRow4, distancesLanes and scaleLanes are written, and documented, in
 // kernel_amd64.s.
 //
 //go:noescape
@@ -37,3 +37,6 @@ func kernelRow4(dst, d2 []float64, s2, tl2 float64) int
 
 //go:noescape
 func distancesLanes(t, x, d2 []float64)
+
+//go:noescape
+func scaleLanes(dst, src []float64, s float64)

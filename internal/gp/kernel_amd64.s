@@ -208,3 +208,37 @@ store1:
 done:
 	VZEROUPPER
 	RET
+
+// func scaleLanes(dst, src []float64, s float64)
+//
+// Writes s*src[j] into dst[j] for every j < len(dst): four lanes per VMULPD,
+// then the rest one VMULSD at a time, each product rounded once as the Go
+// product is. src must be at least as long as dst; the two may be the same
+// slice.
+TEXT ·scaleLanes(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Y1
+	XORQ AX, AX
+
+scale4:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JGT     scale1
+	VMULPD  (SI)(AX*8), Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	MOVQ    DX, AX
+	JMP     scale4
+
+scale1:
+	CMPQ   AX, CX
+	JGE    scaled
+	VMULSD (SI)(AX*8), X1, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    scale1
+
+scaled:
+	VZEROUPPER
+	RET

@@ -97,10 +97,21 @@ func TestVecKernelGate(t *testing.T) {
 	}
 }
 
+// builtForV3 is set in a GOAMD64=v3 build (kernel_v3_test.go).
+var builtForV3 bool
+
 // TestVecKernelGateUnderGODEBUG runs TestVecKernelGate again in a child with
 // math.Exp's FMA path switched off, which leaves the CPUID bits set: the gate
-// must see it through the probe.
+// must see it through the probe. A GOAMD64=v3 build cannot switch FMA off
+// (its runtime rejects GODEBUG=cpu.fma=off), so there the gate must be on by
+// construction.
 func TestVecKernelGateUnderGODEBUG(t *testing.T) {
+	if builtForV3 {
+		if !useVecKernel {
+			t.Fatal("vector kernel off in a GOAMD64=v3 build, where math.Exp always takes its FMA path")
+		}
+		return
+	}
 	if !mat.HasAVX2FMA() {
 		t.Skip("no AVX2 and FMA on this processor")
 	}

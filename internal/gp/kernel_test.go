@@ -124,3 +124,99 @@ func BenchmarkKernelRow(b *testing.B) {
 		})
 	}
 }
+
+// TestKernelTailMatchesExp: a row's last one to three values, after zero,
+// one and two blocks of four, go through the padded lane block and come out
+// as s2·math.Exp(-d/tl2) bit for bit, and a tail with a NaN or an argument
+// past the ±700 bound, which the lanes refuse, does too, through math.Exp.
+func TestKernelTailMatchesExp(t *testing.T) {
+	tails := [][]float64{
+		{0.3}, {0.3, 1.7}, {0.3, 1.7, 2.9}, {0}, {5e-324, 1e-300, 3},
+		{math.NaN()}, {0.3, math.NaN()}, {0.3, 1.7, 701 * 0.32},
+		{math.Inf(1), 1}, {-701 * 0.32}, {700 * 0.32, 1},
+	}
+	for _, vec := range kernelModes(t) {
+		withVecKernel(t, vec)
+		for _, blocks := range []int{0, 1, 2} {
+			for _, tail := range tails {
+				d2 := make([]float64, 4*blocks, 4*blocks+len(tail))
+				for j := range d2 {
+					d2[j] = 0.1 * float64(j+1)
+				}
+				checkKernelRow(t, append(d2, tail...), 1.3, 0.32)
+			}
+		}
+	}
+	if useVecKernel {
+		var dst [3]float64
+		if kernelTail(dst[:], []float64{0.3, 701 * 0.32, 1}, 1, 0.32) || kernelTail(dst[:1], []float64{math.NaN()}, 1, 1) {
+			t.Fatal("the padded lane block took an argument out of range")
+		}
+		if !kernelTail(dst[:], []float64{0.3, 700 * 0.32, 1}, 1, 0.32) {
+			t.Fatal("the padded lane block refused arguments in range")
+		}
+	}
+}
+
+// scalePaths returns the rescales a test can run: this host's (the lane
+// kernel where the processor has one) and the Go path.
+func scalePaths() []struct {
+	name string
+	f    func(dst, src []float64, s float64)
+} {
+	return []struct {
+		name string
+		f    func(dst, src []float64, s float64)
+	}{{"Host", scale}, {"Go", scaleGo}}
+}
+
+// TestScaleMatchesProduct: every length up to 19, in place and into another
+// slice, over ordinary, subnormal, huge, infinite and NaN values and
+// factors, both paths give s·src[j] bit for bit (NaN for NaN: its payload
+// depends on the operand order).
+func TestScaleMatchesProduct(t *testing.T) {
+	vals := []float64{0.7, -3, 5e-324, 1e-300, 1e300, math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), 1.0000000000000002}
+	rng := rand.New(rand.NewSource(12))
+	for _, p := range scalePaths() {
+		for n := 0; n <= 19; n++ {
+			for _, s := range []float64{1, 1.3, 5e-324, 1e300, math.Inf(-1), 0.1} {
+				src := make([]float64, n)
+				for j := range src {
+					src[j] = vals[rng.Intn(len(vals))] * (1 + rng.Float64())
+				}
+				into, inPlace := make([]float64, n), append([]float64(nil), src...)
+				p.f(into, src, s)
+				p.f(inPlace, inPlace, s)
+				for j, c := range src {
+					w := s * c
+					for _, g := range []float64{into[j], inPlace[j]} {
+						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+							t.Fatalf("%s path n=%d j=%d: %v × %v = %v, want %v", p.name, n, j, s, c, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLogPriorMatchesGeneralForm: the prior with its logarithms taken once
+// is the general N(μ, σ) form at σ = 1, with every logarithm taken at each
+// call, bit for bit.
+func TestLogPriorMatchesGeneralForm(t *testing.T) {
+	pdf := func(x, mu, sigma float64) float64 {
+		d := (x - mu) / sigma
+		return -0.5*d*d - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for range 2000 {
+		h := Hyper{LogLen: rng.NormFloat64() * 3, LogSignal: rng.NormFloat64() * 3, LogNoise: rng.NormFloat64() * 3}
+		want := 0.0
+		want += pdf(h.LogLen, math.Log(0.4), 1.0)
+		want += pdf(h.LogSignal, 0, 1.0)
+		want += pdf(h.LogNoise, math.Log(0.1), 1.0)
+		if got := logPrior(h); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%+v: logPrior %v, general form %v", h, got, want)
+		}
+	}
+}

@@ -19,10 +19,14 @@ type modelState struct {
 
 func stateOf(g *GP) modelState {
 	s := modelState{X: g.x, Y: g.y, Alpha: g.alpha, YMean: g.yMean, YStd: g.yStd, Hyp: g.hyp}
+	// mat exports no view of a factor's storage, which only its own tests
+	// read, so the rows of U = Lᵀ (stride cols) are read by reflection.
+	u := reflect.ValueOf(g.chol).Elem().FieldByName("u").Elem()
+	st, data := int(u.FieldByName("cols").Int()), u.FieldByName("data")
 	for i := range g.x {
 		row := make([]float64, i+1)
 		for j := range row {
-			row[j] = g.chol.U().At(j, i)
+			row[j] = data.Index(j*st + i).Float()
 		}
 		s.L = append(s.L, row)
 	}

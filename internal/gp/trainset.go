@@ -90,8 +90,8 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 }
 
 // FitWorkspace holds the grow-only scratch buffers one posterior evaluation
-// works in: the kernel/factor matrix, α, and the Lᵀα product of the evidence
-// computation. Buffers are sized on first use and reused afterwards, so a
+// works in: the kernel/factor matrix and the forward solve z = L⁻¹y of the
+// evidence. Buffers are sized on first use and reused afterwards, so a
 // whole MCMC chain runs with zero per-step allocations. A workspace must not
 // be shared by concurrent LogPosterior calls — the multi-chain sampler gives
 // every worker its own.
@@ -103,10 +103,9 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 // shrink probes — finds the length-scale it left and rescales the cached
 // matrix instead of taking n²/2 exponentials again.
 type FitWorkspace struct {
-	chol  mat.Cholesky // its reserved storage is the kernel matrix, refactored in place each evaluation
-	alpha []float64
-	w     []float64
-	rng   *rand.Rand // the chain stream, re-seeded for each chain the workspace runs
+	chol mat.Cholesky // its reserved storage is the kernel matrix, refactored in place each evaluation
+	z    []float64    // L⁻¹y, the forward solve of the evidence
+	rng  *rand.Rand   // the chain stream, re-seeded for each chain the workspace runs
 
 	// corr is exp(-d²/2ℓ²) (n×n, strict upper triangle) of corrTS at
 	// corrLogLen; a nil corrTS means it holds nothing. Keeping the pointer
@@ -130,7 +129,9 @@ func (ws *FitWorkspace) seeded(seed int64) *rand.Rand {
 
 // LogPosterior evaluates the unnormalized log posterior (log marginal
 // likelihood of the standardized targets + log prior) of hyperparameters h
-// over the cached training set, entirely inside ws. Returns -Inf when the
+// over the cached training set, entirely inside ws: the kernel matrix, its
+// factor, and one forward solve z = L⁻¹y, whose squared norm is the
+// evidence's yᵀK⁻¹y (logEvidence). Returns -Inf when the
 // covariance is not positive definite. workers parallelizes the elementwise
 // kernel map (≤0 selects GOMAXPROCS; the factorization itself is serial);
 // the result is bit-identical for every worker count, and matches the
@@ -139,8 +140,7 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 	n := ts.n
 	kern := ws.chol.Reserve(n)
 	ws.corr = growFloats(ws.corr, n*n) // regrown only for a larger set, so corrTS != ts below
-	ws.alpha = growFloats(ws.alpha, n)
-	ws.w = growFloats(ws.w, n)
+	ws.z = growFloats(ws.z, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -164,8 +164,7 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 	if err := ws.chol.FactorInPlace(kern); err != nil {
 		return math.Inf(-1)
 	}
-	ws.chol.SolveVecInto(ts.ys, ws.alpha)
-	return logMLInto(&ws.chol, ws.alpha, ws.w) + logPrior(h)
+	return logEvidence(&ws.chol, ws.chol.SolveLowerVecInto(ts.ys, ws.z)) + logPrior(h)
 }
 
 // Fit builds a ready-to-use GP under hyperparameters h, assembling the
@@ -205,8 +204,8 @@ func (ts *TrainSet) Fit(h Hyper, g *GP) (*GP, error) {
 // factorization reads nothing below the diagonal.
 // The exponentials are kernelRow's at σ_f² = 1 (a product with 1 is exact),
 // and the product with σ_f² and the diagonal's σ_f² + (σ_n² + jitter) are
-// seKernel.of's shapes, so the assembled matrix — and therefore the factor,
-// α and the evidence — is bit-identical whether or not the exponentials were
+// seKernel.of's shapes, so the assembled matrix — and therefore the factor
+// and the evidence — is bit-identical whether or not the exponentials were
 // reused; LogPosterior and TrainSet.Fit both build on this one helper so the
 // two paths cannot drift apart.
 func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h Hyper, lo, hi int) {
@@ -223,49 +222,15 @@ func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h 
 		if fresh {
 			kernelRow(crow, ts.d2[i*n+i+1:(i+1)*n], 1, k.tl2)
 		}
-		for j, c := range crow {
-			dst[j] = k.s2 * c
-		}
+		scale(dst, crow, k.s2)
 		row[0] = diag
 	}
 }
 
-// logMLInto computes the log evidence -½·yᵀα - ½·log|K| - n/2·log 2π from the
-// Cholesky factor and α = K⁻¹y, recovering yᵀα as αᵀKα = |Lᵀα|² in the
-// caller's buffer w, so it allocates nothing. Lᵀ is the factor's U, stored
-// by rows: w[i] is row i of U times α, its terms U[i][k]·α[k] added from
-// zero in ascending k, as a column-wise reduction over L adds them. Four
-// rows go per sweep of α, for four independent chains of additions; each
-// row first takes the terms left of the next row's diagonal on its own.
-func logMLInto(chol *mat.Cholesky, alpha, w []float64) float64 {
-	n, u := len(alpha), chol.U()
-	i := 0
-	for ; i+3 < n; i += 4 {
-		r0, r1, r2, r3 := u.RowView(i)[i:n], u.RowView(i + 1)[i+1:n], u.RowView(i + 2)[i+2:n], u.RowView(i + 3)[i+3:n]
-		a := alpha[i:n]
-		var s0, s1, s2, s3 float64
-		s0 += r0[0] * a[0]
-		s0 += r0[1] * a[1]
-		s1 += r1[0] * a[1]
-		s0 += r0[2] * a[2]
-		s1 += r1[1] * a[2]
-		s2 += r2[0] * a[2]
-		r0, r1, r2 = r0[3:], r1[2:], r2[1:]
-		for k, ak := range a[3:] {
-			s0 += r0[k] * ak
-			s1 += r1[k] * ak
-			s2 += r2[k] * ak
-			s3 += r3[k] * ak
-		}
-		w[i], w[i+1], w[i+2], w[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		var s float64
-		for k, v := range u.RowView(i)[i:n] {
-			s += v * alpha[i+k]
-		}
-		w[i] = s
-	}
-	quad := mat.Dot(w, w)
-	return -0.5*quad - 0.5*chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
+// logEvidence returns the log evidence −½‖z‖² − ½·log|K| − n/2·log 2π of
+// the standardized targets from the factor of K and z = L⁻¹y, which the
+// caller solved into its own buffer: yᵀK⁻¹y is zᵀz, so no back solve for
+// α = K⁻¹y is needed.
+func logEvidence(chol *mat.Cholesky, z []float64) float64 {
+	return -0.5*mat.Dot(z, z) - 0.5*chol.LogDet() - 0.5*float64(len(z))*log2Pi
 }

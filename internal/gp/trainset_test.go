@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -152,33 +153,6 @@ func TestLogPosteriorCorrelationCacheExact(t *testing.T) {
 		}
 		if hits < len(walk)/3 {
 			t.Fatalf("walk reused the correlations on %d of %d steps; the cache is not being exercised", hits, len(walk))
-		}
-	}
-}
-
-// TestLogMLMatchesColumnwiseReduction: the row-major accumulation of Lᵀα
-// must give the evidence of the column-at-a-time reduction it replaced,
-// exactly.
-func TestLogMLMatchesColumnwiseReduction(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for _, n := range []int{1, 2, 17, 64} {
-		xs, ys := trainSet(n, 4, rng)
-		g, err := Fit(xs, ys, DefaultHyper())
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := g.chol.U()
-		var quad float64
-		for i := 0; i < n; i++ {
-			var s float64
-			for k := i; k < n; k++ {
-				s += u.At(i, k) * g.alpha[k]
-			}
-			quad += s * s
-		}
-		want := -0.5*quad - 0.5*g.chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
-		if got := g.LogMarginalLikelihood(); got != want {
-			t.Fatalf("n=%d: row-major evidence %v, column-wise %v", n, got, want)
 		}
 	}
 }
@@ -372,5 +346,33 @@ func TestSampleHyperSerialUnchanged(t *testing.T) {
 	h := Hyper{LogLen: math.Log(0.4), LogSignal: -200, LogNoise: -200}
 	if !math.IsInf(logPosterior(degX, degY, h), -1) {
 		t.Skip("degenerate case unexpectedly PD on this platform")
+	}
+}
+
+// BenchmarkLogPosterior evaluates the posterior in one chain's workspace at
+// n = 49 (a cold session's mean) and n = 80 over 9 features, cycling through
+// hyperparameters of which one in three moves the length-scale, as a
+// slice-sampling sweep over the three coordinates does: the other two
+// rescale the cached correlations.
+func BenchmarkLogPosterior(b *testing.B) {
+	a, c := math.Log(0.3), math.Log(0.5)
+	hs := []Hyper{{a, 0, -2}, {a, 0.1, -2}, {a, 0.1, -2.5}, {c, 0.1, -2.5}, {c, 0.2, -2.5}, {c, 0.2, -2}}
+	for _, n := range []int{49, 80} {
+		xs, ys := trainSet(n, 9, rand.New(rand.NewSource(16)))
+		ts, err := NewTrainSet(xs, ys, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var ws FitWorkspace
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if math.IsInf(ts.LogPosterior(hs[i%len(hs)], &ws, 1), -1) {
+					b.Fatal("covariance not positive definite")
+				}
+				i++
+			}
+		})
 	}
 }

@@ -216,11 +216,6 @@ func (c *Cholesky) Reserve(n int) *Dense {
 	return c.u
 }
 
-// U returns the factor's own storage (not a copy): an n×stride matrix whose
-// leading n×n upper triangle is U = Lᵀ. Entries below the diagonal and
-// columns past n are unspecified.
-func (c *Cholesky) U() *Dense { return c.u }
-
 // Clone returns an independent copy of the factorization, reserve included.
 // Extending the clone leaves the original untouched, which is how
 // GP.AppendBatch keeps a model consistent when a mid-batch extension fails.
@@ -283,8 +278,8 @@ func (c *Cholesky) Extend(col []float64, diag float64) error {
 // SolveVecInto solves A·x = b into dst and returns dst. dst may alias b:
 // the forward substitution copies b into dst before it starts, and the
 // back substitution rewrites dst from the tail using only entries it has
-// already produced. No scratch vector is allocated, which is what keeps the
-// per-step cost of gp's slice sampler allocation-free.
+// already produced. No scratch vector is allocated, so a GP solves for its
+// α in the buffer it keeps, once per fit or append.
 func (c *Cholesky) SolveVecInto(b, dst []float64) []float64 {
 	n, st := c.u.Dims()
 	if len(b) != n || len(dst) != n {
@@ -422,12 +417,27 @@ func subRows2(b []float64, n int, p, q []float64, x0, x1, x2, x3, y0, y1, y2, y3
 	}
 }
 
-// LogDet returns log|A| = 2·Σ log U_ii.
+// LogDet returns log|A| = 2·Σ log U_ii, the logs added in ascending i.
 func (c *Cholesky) LogDet() float64 {
-	n, _ := c.u.Dims()
-	var s float64
-	for i := 0; i < n; i++ {
-		s += math.Log(c.u.At(i, i))
+	n, st := c.u.Dims()
+	s, ok := logSum(c.u.data, st+1, n)
+	if !ok {
+		s, _ = logSumGo(c.u.data, st+1, n)
 	}
 	return 2 * s
+}
+
+// logSum returns Σ_{i<n} math.Log(u[i*step]) added from zero in ascending i,
+// or false to leave it to logSumGo: logSumGo, or the lane kernel
+// chol_amd64.go puts here at start-up, which runs the amd64 math.Log's own
+// SSE2 sequence (no FMA, no CPUID branch) in each lane and so equals it bit
+// for bit. Only tests change it.
+var logSum = logSumGo
+
+func logSumGo(u []float64, step, n int) (float64, bool) {
+	var s float64
+	for i := 0; i < n; i++ {
+		s += math.Log(u[i*step])
+	}
+	return s, true
 }

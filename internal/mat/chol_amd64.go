@@ -2,7 +2,7 @@ package mat
 
 func init() {
 	if HasAVX2FMA() {
-		factor, solveLower = factorLanes, solveLowerLanes
+		factor, solveLower, logSum = factorLanes, solveLowerLanes, logSumLanes
 	}
 }
 
@@ -16,14 +16,17 @@ func factorLanes(u []float64, st, n int) int {
 	return -1
 }
 
-// factorRowLanes, solveLowerLanes and HasAVX2FMA are written, and
-// documented, in chol_amd64.s.
+// factorRowLanes, solveLowerLanes, logSumLanes and HasAVX2FMA are written,
+// and documented, in chol_amd64.s.
 //
 //go:noescape
 func factorRowLanes(u []float64, st, j, n int) bool
 
 //go:noescape
 func solveLowerLanes(u []float64, st, n int, b []float64)
+
+//go:noescape
+func logSumLanes(u []float64, step, n int) (s float64, ok bool)
 
 // HasAVX2FMA reports whether the processor has AVX2 and FMA and the
 // operating system saves the YMM registers: the gate of this package's lane

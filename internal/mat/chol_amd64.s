@@ -393,3 +393,156 @@ lfew:
 	CMPQ R13, $2
 	JEQ  l1
 	JMP  l0
+
+// Each constant four times over, one 32-byte YMM operand apiece. The values
+// are math.Log's (the defines of $GOROOT/src/math/log_amd64.s), written as
+// that file writes them.
+#define LANES(off, v) \
+	DATA lconst<>+(off)(SB)/8, v; \
+	DATA lconst<>+(off+8)(SB)/8, v; \
+	DATA lconst<>+(off+16)(SB)/8, v; \
+	DATA lconst<>+(off+24)(SB)/8, v
+
+LANES(0, $0x000FFFFFFFFFFFFF)     // mantissa bits
+LANES(32, $0.5)
+LANES(64, $0x7FF0000000000000)    // +Inf's bits
+LANES(96, $0x4330000000000000)    // 2**52's bits
+LANES(128, $4503599627371518.0)   // 2**52 + 0x3FE
+LANES(160, $7.07106781186547524401e-01) // HSqrt2
+LANES(192, $1.0)
+LANES(224, $2.0)
+LANES(256, $1.479819860511658591e-01)   // L7
+LANES(288, $1.818357216161805012e-01)   // L5
+LANES(320, $2.857142874366239149e-01)   // L3
+LANES(352, $6.666666666666735130e-01)   // L1
+LANES(384, $1.531383769920937332e-01)   // L6
+LANES(416, $2.222219843214978396e-01)   // L4
+LANES(448, $3.999999999940941908e-01)   // L2
+LANES(480, $1.90821492927058770002e-10) // Ln2Lo
+LANES(512, $6.93147180369123816490e-01) // Ln2Hi
+GLOBL lconst<>(SB), RODATA|NOPTR, $544
+
+// LOG4 replaces each lane of Y0, positive and finite (its bits, as an
+// int64, in (0, +Inf's)), by its logarithm in Y1, or jumps to fail unless
+// every lane is. Each lane runs math.Log's amd64 sequence (archLog in
+// $GOROOT/src/math/log_amd64.s) op for op: f1 and k from the bits, k -= 1
+// and f1 *= 2 where CMPSD's predicate 5 finds HSqrt2 not less than f1, then
+// the reduction and both polynomials with every VMULPD, VADDPD, VSUBPD and
+// VDIVPD rounded on its own, never fused, as archLog's SSE2 operations are.
+// k is exact either way: archLog converts an int32, the lanes subtract
+// 2**52 + 0x3FE from 2**52 + the biased exponent. Y2–Y8 are clobbered.
+#define LOG4 \
+	VPXOR     Y7, Y7, Y7; \
+	VPCMPGTQ  Y7, Y0, Y7; \
+	VMOVUPD   lconst<>+64(SB), Y8; \
+	VPCMPGTQ  Y0, Y8, Y8; \
+	VPAND     Y8, Y7, Y7; \
+	VMOVMSKPD Y7, AX; \
+	CMPQ      AX, $15; \
+	JNE       fail; \
+	VANDPD    lconst<>+0(SB), Y0, Y2; \
+	VORPD     lconst<>+32(SB), Y2, Y2; \
+	VPSRLQ    $52, Y0, Y1; \
+	VPOR      lconst<>+96(SB), Y1, Y1; \
+	VSUBPD    lconst<>+128(SB), Y1, Y1; \
+	VMOVUPD   lconst<>+160(SB), Y0; \
+	VCMPPD    $5, Y2, Y0, Y0; \
+	VANDPD    lconst<>+192(SB), Y0, Y3; \
+	VSUBPD    Y3, Y1, Y1; \
+	VADDPD    lconst<>+192(SB), Y3, Y3; \
+	VMULPD    Y3, Y2, Y2; \
+	VSUBPD    lconst<>+192(SB), Y2, Y2; \
+	VADDPD    lconst<>+224(SB), Y2, Y0; \
+	VDIVPD    Y0, Y2, Y3; \
+	VMULPD    Y3, Y3, Y4; \
+	VMULPD    Y4, Y4, Y5; \
+	VMULPD    lconst<>+256(SB), Y5, Y6; \
+	VADDPD    lconst<>+288(SB), Y6, Y6; \
+	VMULPD    Y5, Y6, Y6; \
+	VADDPD    lconst<>+320(SB), Y6, Y6; \
+	VMULPD    Y5, Y6, Y6; \
+	VADDPD    lconst<>+352(SB), Y6, Y6; \
+	VMULPD    Y6, Y4, Y4; \
+	VMULPD    lconst<>+384(SB), Y5, Y6; \
+	VADDPD    lconst<>+416(SB), Y6, Y6; \
+	VMULPD    Y5, Y6, Y6; \
+	VADDPD    lconst<>+448(SB), Y6, Y6; \
+	VMULPD    Y6, Y5, Y5; \
+	VADDPD    Y5, Y4, Y4; \
+	VMULPD    lconst<>+32(SB), Y2, Y0; \
+	VMULPD    Y2, Y0, Y0; \
+	VADDPD    Y0, Y4, Y4; \
+	VMULPD    Y4, Y3, Y3; \
+	VMULPD    lconst<>+480(SB), Y1, Y4; \
+	VADDPD    Y4, Y3, Y3; \
+	VSUBPD    Y3, Y0, Y0; \
+	VSUBPD    Y2, Y0, Y0; \
+	VMULPD    lconst<>+512(SB), Y1, Y1; \
+	VSUBPD    Y0, Y1, Y1
+
+// SUM4 adds Y1's lanes into X15 one at a time, lane 0 first.
+#define SUM4 \
+	VADDSD       X1, X15, X15; \
+	VUNPCKHPD    X1, X1, X2; \
+	VADDSD       X2, X15, X15; \
+	VEXTRACTF128 $1, Y1, X2; \
+	VADDSD       X2, X15, X15; \
+	VUNPCKHPD    X2, X2, X2; \
+	VADDSD       X2, X15, X15
+
+// func logSumLanes(u []float64, step, n int) (s float64, ok bool)
+//
+// Returns Σ_{i<n} math.Log(u[i*step]), added from zero in ascending i, and
+// true; or false unless every term is positive and finite, leaving those
+// to math.Log. The terms go four to a YMM register (LOG4), a short last
+// block filled up with ones, whose logarithms are +0 and leave the sum as
+// it was: it starts at +0 and never becomes −0. The lanes are math.Log's
+// bit for bit, so the sum is the scalar loop's.
+TEXT ·logSumLanes(SB), NOSPLIT, $0-49
+	MOVB   $0, ok+48(FP)
+	MOVQ   u_base+0(FP), SI
+	MOVQ   step+24(FP), R8
+	MOVQ   n+32(FP), CX
+	SHLQ   $3, R8              // R8 = bytes from one term to the next
+	LEAQ   (R8)(R8*2), R9      // R9 = three terms
+	VXORPD X15, X15, X15
+
+block:
+	CMPQ        CX, $4
+	JLT         tail
+	VMOVSD      (SI), X0
+	VMOVHPD     (SI)(R8*1), X0, X0
+	VMOVSD      (SI)(R8*2), X1
+	VMOVHPD     (SI)(R9*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	LOG4
+	SUM4
+	LEAQ        (SI)(R8*4), SI
+	SUBQ        $4, CX
+	JMP         block
+
+tail:
+	TESTQ   CX, CX
+	JZ      done
+	VMOVUPD lconst<>+192(SB), X0
+	VMOVUPD X0, X1
+	VMOVLPD (SI), X0, X0
+	CMPQ    CX, $2
+	JLT     last
+	VMOVHPD (SI)(R8*1), X0, X0
+	CMPQ    CX, $3
+	JLT     last
+	VMOVLPD (SI)(R8*2), X1, X1
+
+last:
+	VINSERTF128 $1, X1, Y0, Y0
+	LOG4
+	SUM4
+
+done:
+	VMOVSD X15, s+40(FP)
+	MOVB   $1, ok+48(FP)
+
+fail:
+	VZEROUPPER
+	RET

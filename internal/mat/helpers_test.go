@@ -16,6 +16,11 @@ func identity(n int) *Dense {
 // column returns a copy of column j of m.
 func column(m *Dense, j int) []float64 { return m.ColInto(j, make([]float64, m.rows)) }
 
+// U returns the factor's own storage (not a copy): an n×stride matrix whose
+// leading n×n upper triangle is U = Lᵀ. Entries below the diagonal and
+// columns past n are unspecified.
+func (c *Cholesky) U() *Dense { return c.u }
+
 // cloneDense returns a deep copy of m.
 func cloneDense(m *Dense) *Dense {
 	return NewDense(m.rows, m.cols, append([]float64(nil), m.data...))

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestLanesGate: the factorization and the forward solve run on the lane
-// kernels exactly where HasAVX2FMA holds.
+// TestLanesGate: the factorization, the forward solve and the log-sum run
+// on the lane kernels exactly where HasAVX2FMA holds.
 func TestLanesGate(t *testing.T) {
 	on := func(f, lanes any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(lanes).Pointer() }
-	if on(factor, factorLanes) != HasAVX2FMA() || on(solveLower, solveLowerLanes) != HasAVX2FMA() {
-		t.Fatalf("factor lanes on: %v, solve lanes on: %v, HasAVX2FMA: %v",
-			on(factor, factorLanes), on(solveLower, solveLowerLanes), HasAVX2FMA())
+	if on(factor, factorLanes) != HasAVX2FMA() || on(solveLower, solveLowerLanes) != HasAVX2FMA() || on(logSum, logSumLanes) != HasAVX2FMA() {
+		t.Fatalf("factor lanes on: %v, solve lanes on: %v, log lanes on: %v, HasAVX2FMA: %v",
+			on(factor, factorLanes), on(solveLower, solveLowerLanes), on(logSum, logSumLanes), HasAVX2FMA())
 	}
 }
 

@@ -52,11 +52,12 @@ func BenchmarkFactorInPlace(b *testing.B) {
 	}
 }
 
-// withGoPaths runs the rest of the test on the Go factorization and solve.
+// withGoPaths runs the rest of the test on the Go factorization, solve and
+// logarithms.
 func withGoPaths(t testing.TB) {
-	f, s := factor, solveLower
-	factor, solveLower = factorGo, solveLowerGo
-	t.Cleanup(func() { factor, solveLower = f, s })
+	f, s, l := factor, solveLower, logSum
+	factor, solveLower, logSum = factorGo, solveLowerGo, logSumGo
+	t.Cleanup(func() { factor, solveLower, logSum = f, s, l })
 }
 
 // solveLowerDot is the textbook forward substitution, a dot product down

@@ -8,7 +8,7 @@
 // error (mismatched shapes are bugs, not runtime conditions).
 //
 // Buffers: …Into functions write into storage the caller owns; a Cholesky
-// owns its storage, may hold more of it than n², and U returns it uncopied.
+// owns its storage and may hold more of it than n².
 package mat
 
 import (

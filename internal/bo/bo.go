@@ -147,7 +147,7 @@ type Options struct {
 	Workers int
 	// Stop, if non-nil, is polled before every evaluation; returning true
 	// aborts the loop immediately (the partial Result is still valid).
-	// LOCAT's tuning service uses it for cooperative job cancellation.
+	// LOCAT's tuner polls its session's halt check (core.Options.Halt) here.
 	Stop func() bool
 	// EvalBatch, if non-nil, evaluates a whole batch of points — LOCAT's
 	// tuner fans the batch over concurrent simulated cluster slots — and is

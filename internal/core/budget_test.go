@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +12,30 @@ import (
 	"locat/internal/workloads"
 )
 
+// errDeadline, budgetHalt and haltWhen stand in for the tuning service's
+// limits, which it builds into one Halt hook per job: the same causes, worded
+// the same.
+var errDeadline = errors.New("core: deadline exceeded")
+
+func budgetHalt(maxSec float64) func(float64) error {
+	return func(spentSec float64) error {
+		if spentSec >= maxSec {
+			return fmt.Errorf("core: cluster-second budget exhausted (%.0f s of %.0f s)", spentSec, maxSec)
+		}
+		return nil
+	}
+}
+
+// haltWhen answers cause whenever cond holds.
+func haltWhen(cause error, cond func() bool) func(float64) error {
+	return func(float64) error {
+		if cond() {
+			return cause
+		}
+		return nil
+	}
+}
+
 // A cluster-second budget too small for the full session must degrade to
 // the best observed configuration, not fail — and because overhead accrues
 // only between evaluation batches on the session goroutine, the cutoff
@@ -18,7 +44,7 @@ func TestClusterSecondBudgetDegradesDeterministically(t *testing.T) {
 	run := func(workers int) *Report {
 		t.Helper()
 		opts := quickOpts()
-		opts.MaxClusterSec = 1 // exhausted right after the first sampling batch
+		opts.Halt = budgetHalt(1) // exhausted right after the first sampling batch
 		opts.Workers = workers
 		rep, err := New(sparksim.New(sparksim.ARM(), 1), workloads.TPCH(), opts).Tune(100)
 		if err != nil {
@@ -65,7 +91,7 @@ func TestDeadlineExpiryDegrades(t *testing.T) {
 	opts := quickOpts()
 	// Deterministic stand-in for a wall clock: "expired" once three runs
 	// have been paid for.
-	opts.Expired = func() bool { runs, _ := tally.Snapshot(); return runs >= 3 }
+	opts.Halt = haltWhen(errDeadline, func() bool { runs, _ := tally.Snapshot(); return runs >= 3 })
 	rep, err := New(r, workloads.TPCH(), opts).Tune(100)
 	if err != nil {
 		t.Fatalf("deadline expiry failed the session: %v", err)
@@ -85,7 +111,7 @@ func TestDeadlineExpiryDegrades(t *testing.T) {
 // recommend: that stays an error.
 func TestDeadlineBeforeFirstRunFails(t *testing.T) {
 	opts := quickOpts()
-	opts.Expired = func() bool { return true }
+	opts.Halt = haltWhen(errDeadline, func() bool { return true })
 	if _, err := New(sparksim.New(sparksim.ARM(), 1), workloads.TPCH(), opts).Tune(100); err == nil {
 		t.Fatal("session with an instantly expired deadline produced a report")
 	}

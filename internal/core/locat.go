@@ -22,6 +22,9 @@
 // collection shrinks to a handful of anchor runs: the DAGP transfers the
 // retrieved cross-size observations to the current target size, which is
 // what the tuning service's history store exploits to warm-start sessions.
+//
+// A session ends early only on the backend's sticky failure or the caller's
+// Options.Halt hook: the core holds the mechanism, the caller the limits.
 package core
 
 import (
@@ -41,7 +44,7 @@ import (
 	"locat/internal/sparksim"
 )
 
-// ErrStopped is returned by Tune when the Stop hook interrupts the session
+// ErrStopped is returned by Tune when the Halt hook discards the session
 // between evaluations.
 var ErrStopped = errors.New("core: tuning stopped")
 
@@ -134,25 +137,13 @@ type Options struct {
 	// tuning trajectory — identical for every worker count; the knob only
 	// changes wall-clock time.
 	Workers int
-	// Stop, if non-nil, is polled before every evaluation and before every
-	// stage after the first (one input of the session's halt check, see
-	// halted); once it returns true the session is discarded and Tune returns
-	// ErrStopped. The tuning service uses it for cooperative job cancellation
-	// and for drain.
-	Stop func() bool
-	// Expired, if non-nil, is polled like Stop, but an expired session
-	// degrades instead of aborting: Tune returns the best configuration
-	// observed so far with Report.Degraded explaining the deadline. The
-	// service wires a context deadline here. Wall-clock-based, so where
-	// exactly the cutoff lands is not reproducible — use MaxClusterSec for a
-	// deterministic budget.
-	Expired func() bool
-	// MaxClusterSec, when positive, bounds the simulated cluster seconds the
-	// session may spend; past the budget it degrades like an expired
-	// deadline. Overhead accrues only between evaluation batches on the
-	// session goroutine, so the cutoff point — and therefore the degraded
-	// result — is bit-for-bit reproducible at any worker count.
-	MaxClusterSec float64
+	// Halt, if non-nil, is asked before every evaluation and every stage
+	// after the first whether the session may go on, given the cluster
+	// seconds spent so far (see halted). ErrStopped discards the session;
+	// any other error degrades it, with the error as Report.Degraded. Spent
+	// seconds accrue between evaluation batches on the session goroutine, so
+	// a cutoff on them is bit-for-bit reproducible at any worker count.
+	Halt func(spentSec float64) error
 	// Tracer, if non-nil, receives one span per session phase (phase-1
 	// sampling or warm anchors, QCSA, IICP, phase-2 search, final
 	// selection, plus one per GP hyperparameter resample), each charged
@@ -255,53 +246,24 @@ type Tuner struct {
 }
 
 // New returns a LOCAT tuner for the application on the given execution
-// backend — the simulator adapter, a trace recorder/replayer, or a REST
-// gateway (see internal/runner). *sparksim.Simulator satisfies the
-// interface directly, so simulator sessions read exactly as before.
+// backend (the simulator adapter, a trace recorder/replayer or a REST gateway;
+// see internal/runner). It takes opts as given: DefaultOptions holds defaults.
 func New(run runner.Runner, app *sparksim.Application, opts Options) *Tuner {
-	if opts.NQCSA <= 0 {
-		opts.NQCSA = 30
-	}
-	if opts.NIICP <= 0 || opts.NIICP > opts.NQCSA {
-		opts.NIICP = min(20, opts.NQCSA)
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 40
-	}
-	if opts.MinIter <= 0 {
-		opts.MinIter = 10
-	}
-	if opts.MCMCSamples <= 0 {
-		opts.MCMCSamples = 5
-	}
 	return &Tuner{run: run, app: app, opts: opts}
 }
 
 func (t *Tuner) logf(format string, args ...any) { progress.F(t.opts.Logf, format, args...) }
 
 // halted reports why the session cannot go past an evaluation boundary, or
-// nil to carry on. Four producers feed it — the backend's sticky failure
-// (tripped circuit breaker, dead gateway), the deterministic cluster-second
-// budget, the wall-clock deadline and the caller's cancellation hook
-// (ErrStopped) — checked in that order, so a session that already paid for
-// sample runs degrades to its best observation instead of discarding them.
-// The budget check reads rep.OverheadSec, which only the session goroutine
-// mutates between evaluation batches, so a budget cutoff is deterministic
-// across worker counts; the deadline is wall-clock and is not.
+// nil to carry on: the backend's sticky failure (tripped circuit breaker,
+// dead gateway) first, then the caller's Halt hook on the cluster seconds
+// spent. Either degrades a session that already paid for sample runs to its
+// best observation, unless the hook answers ErrStopped.
 func (t *Tuner) halted(rep *Report) error {
-	o := &t.opts
-	switch err := runner.BackendErr(t.run); {
-	case err != nil:
+	if err := runner.BackendErr(t.run); err != nil || t.opts.Halt == nil {
 		return err
-	case o.MaxClusterSec > 0 && rep.OverheadSec >= o.MaxClusterSec:
-		return fmt.Errorf("core: cluster-second budget exhausted (%.0f s of %.0f s)",
-			rep.OverheadSec, o.MaxClusterSec)
-	case o.Expired != nil && o.Expired():
-		return errors.New("core: deadline exceeded")
-	case o.Stop != nil && o.Stop():
-		return ErrStopped
 	}
-	return nil
+	return t.opts.Halt(rep.OverheadSec)
 }
 
 // warmPrior returns the usable prior, or nil when the session must run cold.
@@ -327,9 +289,9 @@ func querySecs(run sparksim.AppResult) map[string]float64 {
 // targetGB and reports the outcome. A session is five stages over one session
 // record — sample, reduce, restrict, search, finish — and this loop is the
 // only place it can end early: before every stage but the first it asks
-// halted whether the backend, the deadline, the cluster-second budget or the
-// caller still allow another one, and degrades to the best observation on a
-// cause.
+// halted whether the backend and the Halt hook still allow another one, and
+// degrades to the best observation on a cause (or discards the session on
+// ErrStopped).
 func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	if targetGB <= 0 {
 		return nil, errors.New("core: target data size must be positive")
@@ -373,7 +335,7 @@ type session struct {
 	prior *Prior
 	// fullRuns are the full-application sample runs — QCSA's input.
 	fullRuns []sparksim.AppResult
-	// cut reports that stop ended the warm anchor batch short of its runs.
+	// cut reports that halt ended the warm anchor batch short of its runs.
 	cut bool
 	// p1 is the phase-1 search result: the cold BO history, or the prior
 	// observations followed by the warm anchors.
@@ -721,7 +683,7 @@ func (s *session) finish() error {
 }
 
 // degrade finishes a session cut short mid-way — backend gone
-// sticky-faulty, deadline expired, or cluster-second budget exhausted: the
+// sticky-faulty, or the Halt hook's cause (a deadline, a budget): the
 // report keeps everything the session measured and recommends the best
 // full-application configuration actually observed (prior observations
 // included for warm sessions) rather than failing — cluster time already

@@ -459,8 +459,9 @@ type oracleCase struct {
 	// failAfter, when positive, puts a Chaos layer that dies after that many
 	// executions between the recorder and the simulator.
 	failAfter int
-	// stopAtRun / expireAtRun, when positive, make Stop / Expired answer true
-	// once that many runs have executed — wherever in the session that is.
+	// stopAtRun / expireAtRun, when positive, make Halt answer ErrStopped /
+	// the deadline once that many runs have executed — wherever in the
+	// session that is.
 	stopAtRun, expireAtRun int
 	// targetGB defaults to 140.
 	targetGB float64
@@ -515,10 +516,10 @@ func runOracleCase(t *testing.T, c oracleCase, tune func(*Tuner, float64) (*Repo
 		out.Logs = append(out.Logs, line)
 	}
 	if c.stopAtRun > 0 {
-		o.Stop = func() bool { return probe.runs.Load() >= int64(c.stopAtRun) }
+		o.Halt = haltWhen(ErrStopped, func() bool { return probe.runs.Load() >= int64(c.stopAtRun) })
 	}
 	if c.expireAtRun > 0 {
-		o.Expired = func() bool { return probe.runs.Load() >= int64(c.expireAtRun) }
+		o.Halt = haltWhen(errDeadline, func() bool { return probe.runs.Load() >= int64(c.expireAtRun) })
 	}
 	if c.opts != nil {
 		c.opts(&o)
@@ -610,24 +611,24 @@ func oracleCases(t *testing.T) []oracleCase {
 	if cold.SamplingSec != coldCum[cold.FullRuns] || cold.OverheadSec != coldCum[len(coldCum)-1] {
 		t.Fatal("cumulative overhead does not reproduce the report's accounting")
 	}
-	budget := func(sec float64) func(o *Options) { return func(o *Options) { o.MaxClusterSec = sec } }
-	// stopAfter lets k polls pass; flap answers true on poll k+1 only.
+	budget := func(sec float64) func(o *Options) { return func(o *Options) { o.Halt = budgetHalt(sec) } }
+	// stopAfter lets k polls pass; flap answers ErrStopped on poll k+1 only.
 	stopAfter := func(k int, flap bool) func(o *Options) {
 		return func(o *Options) {
 			polls := 0
-			o.Stop = func() bool {
+			o.Halt = haltWhen(ErrStopped, func() bool {
 				polls++
 				if flap {
 					return polls == k+1
 				}
 				return polls > k
-			}
+			})
 		}
 	}
 	expireAfter := func(k int) func(o *Options) {
 		return func(o *Options) {
 			polls := 0
-			o.Expired = func() bool { polls++; return polls > k }
+			o.Halt = haltWhen(errDeadline, func() bool { polls++; return polls > k })
 		}
 	}
 	schedule := func(o *Options) {
@@ -675,7 +676,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		cases = append(cases,
 			oracleCase{name: fmt.Sprintf("cold/workers=%d", w), opts: workers},
 			oracleCase{name: fmt.Sprintf("warm/workers=%d", w), opts: warm(nil, workers)},
-			oracleCase{name: fmt.Sprintf("cold/workers=%d/budget", w), opts: func(o *Options) { o.Workers = w; o.MaxClusterSec = 1 }})
+			oracleCase{name: fmt.Sprintf("cold/workers=%d/budget", w), opts: func(o *Options) { o.Workers = w; o.Halt = budgetHalt(1) }})
 	}
 	n1 := cold.FullRuns // phase-1 runs of the cold reference
 	type cut struct {

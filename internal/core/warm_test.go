@@ -147,7 +147,7 @@ func TestStopHook(t *testing.T) {
 	sim := sparksim.New(sparksim.ARM(), 51)
 	o := quickOpts()
 	calls := 0
-	o.Stop = func() bool { calls++; return calls > 3 }
+	o.Halt = haltWhen(ErrStopped, func() bool { calls++; return calls > 3 })
 	_, err := New(sim, workloads.TPCH(), o).Tune(100)
 	if err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)

@@ -27,9 +27,9 @@ const (
 )
 
 // JobSpec describes one tuning job: the wire format of the HTTP submit
-// endpoint and the one spec RunSession turns into core.Options. The public
-// locat.Options renames its fields (locat.specOf) and adds what only a direct
-// Tune call takes.
+// endpoint. RunSession turns its budgets and ablations into core.Options, and
+// a service job's limits into a Halt hook. The public locat.Options renames
+// its fields (locat.specOf) and adds what only a direct Tune call takes.
 type JobSpec struct {
 	// Tenant attributes the job to a tenant for per-tenant budget
 	// enforcement (Config.Tenants). Empty is the anonymous tenant; tenants

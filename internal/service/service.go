@@ -511,7 +511,7 @@ func (s *Service) worker() {
 				s.finish(j, StateFailed, nil, err, "[%s] failed: %v", j.id, err)
 			}
 		default:
-			// A cancellation that lands after the last Stop poll loses the
+			// A cancellation that lands after the last Halt poll loses the
 			// race: the session completed, so its result stands.
 			s.finish(j, StateSucceeded, res, nil, "[%s] succeeded: tuned %.0f s (default %.0f s), overhead %.0f s, warm=%v",
 				j.id, res.TunedSec, res.DefaultSec, res.OverheadSec, res.WarmStarted)

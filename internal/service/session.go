@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -96,12 +97,8 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	}
 
 	// The deadline clock starts before prior retrieval: reading history is
-	// part of the session the caller is waiting on.
-	var expired func() bool
-	if spec.DeadlineSec > 0 {
-		deadline := time.Now().Add(time.Duration(spec.DeadlineSec * float64(time.Second)))
-		expired = func() bool { return time.Now().After(deadline) }
-	}
+	// part of the session. The worker tells a cancel from a drain afterwards.
+	halt := limits(spec, time.Now(), func() bool { return j.cancelled.Load() || s.draining.Load() })
 
 	// Every warm start reads its prior here — plain, refine, fallback,
 	// retried or resumed — from the store as it stands now.
@@ -117,10 +114,7 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	}
 
 	res, rep, err := RunSession(run, spec, func(opts *core.Options) {
-		// Stop covers both user cancellation and the graceful-drain signal —
-		// the worker disambiguates on the way out.
-		opts.Stop = func() bool { return j.cancelled.Load() || s.draining.Load() }
-		opts.Expired = expired
+		opts.Halt = halt
 		opts.Logf = progress.Prefixed(s.cfg.Logf, "["+j.id+"] ")
 		opts.Tracer = j.timeline
 		opts.Prior = prior
@@ -151,13 +145,32 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	return res, nil
 }
 
+// limits builds a job's core.Options.Halt hook, the one home of the
+// service's limits on a session. It answers the cluster-second budget, then
+// the wall-clock deadline counted from start (both degrade the session), then
+// core.ErrStopped once stopped reports a cancel or a drain.
+func limits(spec JobSpec, start time.Time, stopped func() bool) func(spentSec float64) error {
+	deadline := start.Add(time.Duration(spec.DeadlineSec * float64(time.Second)))
+	return func(spentSec float64) error {
+		switch {
+		case spec.MaxClusterSec > 0 && spentSec >= spec.MaxClusterSec:
+			return fmt.Errorf("core: cluster-second budget exhausted (%.0f s of %.0f s)", spentSec, spec.MaxClusterSec)
+		case spec.DeadlineSec > 0 && time.Now().After(deadline):
+			return errors.New("core: deadline exceeded")
+		case stopped():
+			return core.ErrStopped
+		}
+		return nil
+	}
+}
+
 // RunSession is the session spine, shared by the service's workers and the
 // locat.Tune facade: the one place a JobSpec becomes core.Options, a backend
 // that failed without degrading the session becomes an error, and a
 // core.Report becomes a JobResult. adjust, when non-nil, runs after the spec
-// has been applied and sets what only the caller knows — stop and deadline
-// hooks, logger, tracer, warm-start prior, data schedule, worker count — so
-// nothing here depends on who called. Runs, ClusterSec, ResumedRuns and
+// has been applied and sets what only the caller knows — the Halt hook
+// (limits), logger, tracer, warm-start prior, data schedule, worker count —
+// so nothing here depends on who called. Runs, ClusterSec, ResumedRuns and
 // SeededFrom describe the caller's backend stack and retrieval; it fills them.
 func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*JobResult, *core.Report, error) {
 	app, err := workloads.ByName(spec.Benchmark)
@@ -175,10 +188,7 @@ func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*J
 	if spec.MaxIterations > 0 {
 		opts.MaxIter = spec.MaxIterations
 	}
-	opts.UseQCSA = !spec.DisableQCSA
-	opts.UseIICP = !spec.DisableIICP
-	opts.UseDAGP = !spec.DisableDAGP
-	opts.MaxClusterSec = spec.MaxClusterSec
+	opts.UseQCSA, opts.UseIICP, opts.UseDAGP = !spec.DisableQCSA, !spec.DisableIICP, !spec.DisableDAGP
 	if adjust != nil {
 		adjust(&opts)
 	}
@@ -199,7 +209,7 @@ func RunSession(run runner.Runner, spec JobSpec, adjust func(*core.Options)) (*J
 		BestConfig:   rep.Best.Clone(),
 		BestParams:   paramsToMap(rep.Best),
 		TunedSec:     rep.TunedSec,
-		DefaultSec:   run.NoiselessAppTime(app, run.Space().Default(), spec.DataSizeGB),
+		DefaultSec:   rep.BaselineSec,
 		OverheadSec:  rep.OverheadSec,
 		SamplingSec:  rep.SamplingSec,
 		SearchSec:    rep.SearchSec,

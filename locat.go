@@ -268,7 +268,6 @@ func Tune(o Options) (*Result, error) {
 	timeline := obs.NewTimeline()
 	start := time.Now()
 	jr, _, err := service.RunSession(run, specOf(o), func(opts *core.Options) {
-		opts.MaxClusterSec = 0 // a Service budget; Tune ignores it
 		opts.DataSchedule = o.Schedule
 		opts.Workers = o.Parallelism
 		if !o.Quiet {

@@ -21,7 +21,6 @@ import (
 	"locat/internal/gp"
 	"locat/internal/kpca"
 	"locat/internal/mat"
-	"locat/internal/ml"
 	"locat/internal/qcsa"
 	"locat/internal/runner"
 	"locat/internal/service"
@@ -460,32 +459,6 @@ func BenchmarkKPCAFit(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGBRTFit measures DAC's model fit: 150 boosted depth-4 trees over
-// 150 random TPC-DS samples, each row the 38 encoded parameters plus the data
-// size (which takes three values, as DAC's training sizes do).
-func BenchmarkGBRTFit(b *testing.B) {
-	cl := sparksim.X86()
-	sim := sparksim.New(cl, 5)
-	space := cl.Space()
-	app := workloads.TPCDS()
-	rng := newBenchRng(5)
-	xs := make([][]float64, 150)
-	ys := make([]float64, len(xs))
-	for i := range xs {
-		c := space.Random(rng)
-		gb := 150 * float64(1+i%3)
-		xs[i] = append(space.Encode(c), gb/1024)
-		ys[i] = sim.RunApp(app, c, gb).Sec
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ml.NewGBRT(ml.GBRTOptions{Trees: 150, MaxDepth: 4}).Fit(xs, ys); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkParallelSampling measures a phase-1-shaped batch — 16 independent

@@ -84,23 +84,24 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 	}
 
 	// Genetic search over the model (no cluster time consumed). Genomes are
-	// encoded unit-cube vectors of the search space.
+	// encoded unit-cube vectors of the search space, each scored once: a
+	// score draws no random number and the elite carry theirs forward.
 	dim := search.Dim()
 	pop := make([][]float64, d.Population)
-	for i := range pop {
-		pop[i] = search.Encode(search.Random(rng))
-	}
 	fitness := make([]float64, len(pop))
 	score := func(g []float64) float64 { return predict(search.Decode(g)) }
+	for i := range pop {
+		pop[i] = search.Encode(search.Random(rng))
+		fitness[i] = score(pop[i])
+	}
 	for g := 0; g < d.Generations; g++ {
-		for i, gg := range pop {
-			fitness[i] = score(gg)
-		}
 		idx := argsort(fitness)
 		elite := len(pop) / 4
 		next := make([][]float64, 0, len(pop))
+		nextFitness := make([]float64, 0, len(pop))
 		for i := 0; i < elite; i++ {
 			next = append(next, pop[idx[i]])
+			nextFitness = append(nextFitness, fitness[idx[i]])
 		}
 		for len(next) < len(pop) {
 			pa := pop[idx[rng.Intn(elite)]]
@@ -123,11 +124,9 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 				}
 			}
 			next = append(next, child)
+			nextFitness = append(nextFitness, score(child))
 		}
-		pop = next
-	}
-	for i, gg := range pop {
-		fitness[i] = score(gg)
+		pop, fitness = next, nextFitness
 	}
 	idx := argsort(fitness)
 

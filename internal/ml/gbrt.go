@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"slices"
 
 	"locat/internal/stat"
@@ -133,13 +134,22 @@ func (t tree) predict(x []float64) float64 {
 // node's rows stably into the children's: a node at any depth finds its rows
 // in every feature's order without sorting again. A node owns the window
 // [lo, hi) of each feature's list.
+//
+// A list holds words rank<<32 | row, where rank is the position in the sorted
+// list of the first row whose value equals (==) this row's: two rows share a
+// rank exactly when their values are equal, so ±0 share one and a NaN has one
+// of its own. Whether a split would fall between equal values is a test on
+// two adjacent words, and a partition moves one word per row.
 type treeBuilder struct {
 	n, d    int       // rows, features
 	cols    []float64 // column-major x: cols[f*n+i] = x[i][f]
-	presort []int32   // presort[f*n:(f+1)*n] is the rows ordered by (feature f, row)
-	order   []int32   // the tree in progress partitions this copy of presort
-	scratch []int32   // the right child's rows during a partition
+	presort []uint64  // presort[f*n:(f+1)*n] is the words ordered by (feature f, row)
+	order   []uint64  // the tree in progress partitions this copy of presort
+	scratch []uint64  // the right child's words during a partition
 	goLeft  []uint8   // by row, 1 if the split being partitioned sends it left
+	ls      []float64 // ls[k]: the residuals' sum over the scanned window's first k+1 rows
+	inv     []float64 // inv[j] = 1/j for 0 < j < n
+	rinv    []float64 // rinv[i] = 1/(n-i)
 	y       []float64 // the residuals the next tree fits
 	minLeaf int
 	gains   []float64 // split gains by feature, accumulated over all trees
@@ -148,37 +158,62 @@ type treeBuilder struct {
 
 func newTreeBuilder(x [][]float64, y []float64, minLeaf int, gains []float64) *treeBuilder {
 	n, d := len(x), len(x[0])
+	buf := make([]float64, (d+3)*n) // the columns, ls and the reciprocal tables
 	b := &treeBuilder{
 		n:       n,
 		d:       d,
-		cols:    make([]float64, d*n),
-		presort: make([]int32, d*n),
-		order:   make([]int32, d*n),
-		scratch: make([]int32, n),
+		cols:    buf[:d*n],
+		ls:      buf[d*n : (d+1)*n],
+		inv:     buf[(d+1)*n : (d+2)*n],
+		rinv:    buf[(d+2)*n:],
+		presort: make([]uint64, d*n),
+		order:   make([]uint64, d*n),
+		scratch: make([]uint64, n),
 		goLeft:  make([]uint8, n),
 		y:       y,
 		minLeaf: minLeaf,
 		gains:   gains,
 	}
+	for i := range b.rinv {
+		b.inv[i] = 1 / float64(i)
+		b.rinv[i] = 1 / float64(n-i)
+	}
 	for f := 0; f < d; f++ {
 		col := b.cols[f*n : (f+1)*n]
-		rows := b.presort[f*n : (f+1)*n]
+		words := b.presort[f*n : (f+1)*n]
+		nan := false
 		for i := range col {
 			col[i] = x[i][f]
-			rows[i] = int32(i)
+			words[i] = uint64(i)
+			nan = nan || col[i] != col[i]
 		}
 		// The row index makes the order total: equal values are the common
 		// case (boolean, categorical and integer features), and the order
 		// of tied rows decides the floating-point sums below.
-		slices.SortFunc(rows, func(a, b int32) int {
+		slices.SortFunc(words, func(a, b uint64) int {
 			switch {
 			case col[a] < col[b]:
 				return -1
 			case col[a] > col[b]:
 				return 1
 			}
-			return int(a - b)
+			return int(a) - int(b)
 		})
+		// A NaN equals nothing and leaves the order partial, so equal values
+		// need not be adjacent: then the first equal row is looked for.
+		rank := 0
+		for p, w := range words {
+			if v := col[w]; p > 0 && v != col[uint32(words[p-1])] {
+				rank = p
+				for q := 0; nan && q < p; q++ {
+					if col[uint32(words[q])] == v {
+						rank = q
+						break
+					}
+				}
+			}
+			words[p] |= uint64(rank) << 32
+		}
 	}
 	return b
 }
@@ -196,6 +231,27 @@ func (b *treeBuilder) build(depth int) tree {
 	return slices.Clone(b.nodes)
 }
 
+// split is a node's best split so far: after position idx of feature feat's
+// window, the left side's residuals summing to lsum.
+type split struct {
+	gain      float64
+	feat, idx int
+	lsum      float64
+}
+
+// screen is the lane kernel of gbrt_amd64.s where the host has AVX2, nil
+// elsewhere. It returns the offset of the first block of four positions
+// that may hold a split beating the bound lim, len(ls) if none does.
+var screen func(ls []float64, w []uint64, il, ir []float64, sum, lim float64) int
+
+// splitLimit is screen's bound for a node whose best gain so far is best and
+// whose own squared sum over its count is parent: a position screen does not
+// flag cannot pass replay's test (gbrt_amd64.s has the proof). The cap below
+// MaxFloat64 makes an overflowing q̃ flagged.
+func splitLimit(best, parent float64) float64 {
+	return min(best+1e-12+parent, math.MaxFloat64) * (1 - 1e-13)
+}
+
 // grow appends the subtree over window [lo, hi), whose residuals sum to sum,
 // and returns its root's position.
 func (b *treeBuilder) grow(lo, hi, depth int, sum float64) int32 {
@@ -207,85 +263,102 @@ func (b *treeBuilder) grow(lo, hi, depth int, sum float64) int32 {
 		return self
 	}
 
-	bestGain := 0.0
-	bestFeat, bestIdx := -1, -1
-	var bestLsum float64
+	// The split after position k sends the window's first k+1 rows left;
+	// positions [first, end) leave minLeaf rows on each side.
+	first, end := minLeaf-1, cnt-minLeaf
+	parent := sum * sum / float64(cnt)
+	il, ir := b.inv[1:], b.rinv[n-cnt+1:] // 1/(k+1) and 1/(cnt-1-k) at k
+	best := split{feat: -1}
 	for f := 0; f < b.d; f++ {
-		col := b.cols[f*n : (f+1)*n]
 		order := b.order[f*n+lo : f*n+hi]
-		// Prefix sums for O(n) split scan.
 		var lsum float64
-		var lcnt int
-		for k := 0; k < len(order)-1; k++ {
-			lsum += y[order[k]]
-			lcnt++
-			if lcnt < minLeaf || len(order)-lcnt < minLeaf {
-				continue
-			}
-			if col[order[k]] == col[order[k+1]] {
-				continue // cannot split between equal values
-			}
-			rsum := sum - lsum
-			rcnt := len(order) - lcnt
-			gain := lsum*lsum/float64(lcnt) + rsum*rsum/float64(rcnt) - sum*sum/float64(len(order))
-			if gain > bestGain+1e-12 {
-				bestGain = gain
-				bestFeat = f
-				bestIdx = k
-				bestLsum = lsum
+		for k, w := range order[:end] {
+			lsum += y[uint32(w)]
+			b.ls[k] = lsum
+		}
+		if screen == nil {
+			b.replay(&best, f, order, first, end, sum, parent)
+			continue
+		}
+		lim := splitLimit(best.gain, parent)
+		for k := first; k < end; k += 4 {
+			k += screen(b.ls[k:end], order[k:end+1], il[k:end], ir[k:end], sum, lim)
+			if k < end && b.replay(&best, f, order, k, min(k+4, end), sum, parent) {
+				lim = splitLimit(best.gain, parent)
 			}
 		}
 	}
-	if bestFeat < 0 {
+	if best.feat < 0 {
 		return self
 	}
-	b.gains[bestFeat] += bestGain
+	b.gains[best.feat] += best.gain
 
-	col := b.cols[bestFeat*n : (bestFeat+1)*n]
-	order := b.order[bestFeat*n+lo : bestFeat*n+hi]
-	thr := (col[order[bestIdx]] + col[order[bestIdx+1]]) / 2
+	col := b.cols[best.feat*n : (best.feat+1)*n]
+	order := b.order[best.feat*n+lo : best.feat*n+hi]
+	thr := (col[uint32(order[best.idx])] + col[uint32(order[best.idx+1])]) / 2
 	// A child's sum runs over its rows in the split feature's order; the
 	// left one is the scan's prefix sum at the split.
 	var rsum float64
-	for _, i := range order[bestIdx+1:] {
-		rsum += y[i]
+	for _, w := range order[best.idx+1:] {
+		rsum += y[uint32(w)]
 	}
-	mid := lo + bestIdx + 1
+	mid := lo + best.idx + 1
 	// Children that cannot split read no feature's list.
 	if depth > 1 && (mid-lo >= 2*minLeaf || hi-mid >= 2*minLeaf) {
-		b.partition(bestFeat, lo, mid, hi)
+		b.partition(best.feat, lo, mid, hi)
 	}
-	left := b.grow(lo, mid, depth-1, bestLsum)
+	left := b.grow(lo, mid, depth-1, best.lsum)
 	right := b.grow(mid, hi, depth-1, rsum)
-	b.nodes[self] = node{feature: int32(bestFeat), threshold: thr, left: left, right: right}
+	b.nodes[self] = node{feature: int32(best.feat), threshold: thr, left: left, right: right}
 	return self
 }
 
-// partition reorders window [lo, hi) of every feature's list so that the
-// rows feature split has in [lo, mid) come first, each side keeping its
-// (value, row) order.
-func (b *treeBuilder) partition(split, lo, mid, hi int) {
-	n := b.n
-	for _, i := range b.order[split*n+lo : split*n+mid] {
-		b.goLeft[i] = 1
+// replay tests the splits after positions [k0, k1) of feature f's window
+// order, whose residuals sum to sum and whose prefix sums are in ls, against
+// s in position order, and reports whether s moved. Its gain is the exact
+// expression every split is chosen by.
+func (b *treeBuilder) replay(s *split, f int, order []uint64, k0, k1 int, sum, parent float64) bool {
+	moved := false
+	for k := k0; k < k1; k++ {
+		if (order[k]^order[k+1])>>32 == 0 {
+			continue // cannot split between equal values
+		}
+		lsum := b.ls[k]
+		rsum := sum - lsum
+		gain := lsum*lsum/float64(k+1) + rsum*rsum/float64(len(order)-k-1) - parent
+		if gain > s.gain+1e-12 {
+			*s, moved = split{gain, f, k, lsum}, true
+		}
 	}
-	for _, i := range b.order[split*n+mid : split*n+hi] {
-		b.goLeft[i] = 0
+	return moved
+}
+
+// partition reorders window [lo, hi) of every feature's list so that the
+// rows feature feat has in [lo, mid) come first, each side keeping its
+// (value, row) order.
+func (b *treeBuilder) partition(feat, lo, mid, hi int) {
+	n := b.n
+	for _, w := range b.order[feat*n+lo : feat*n+mid] {
+		b.goLeft[uint32(w)] = 1
+	}
+	for _, w := range b.order[feat*n+mid : feat*n+hi] {
+		b.goLeft[uint32(w)] = 0
 	}
 	for f := 0; f < b.d; f++ {
-		if f == split {
+		if f == feat {
 			continue
 		}
 		order := b.order[f*n+lo : f*n+hi]
 		right := b.scratch[:len(order)]
-		// Each row is written to both sides and only its own side's cursor
+		// Each word is written to both sides and only its own side's cursor
 		// moves: the side of a row is a coin flip to the branch predictor.
-		// l never passes the read position, so no unread row is overwritten.
+		// l never passes the read position, so no unread word is overwritten.
 		l, r := 0, 0
-		for _, i := range order {
-			order[l], right[r] = i, i
-			l += int(b.goLeft[i])
-			r += 1 - int(b.goLeft[i])
+		for _, w := range order {
+			order[l], right[r] = w, w
+			side := int(b.goLeft[uint32(w)])
+			l += side
+			r += 1 - side
 		}
 		copy(order[l:], right[:r])
 	}

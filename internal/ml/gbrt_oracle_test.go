@@ -2,11 +2,14 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"locat/internal/sparksim"
 	"locat/internal/stat"
+	"locat/internal/workloads"
 )
 
 // refGBRT is the reference the production tree builder is held to: the
@@ -235,44 +238,111 @@ func exactnessCases(check func(name string, g *GBRT, x [][]float64, y []float64,
 	check("constant target", NewGBRT(GBRTOptions{Trees: 5}), x, y, nil)
 }
 
+// scanPaths returns the split scans a test can run under: "go", the exact
+// candidate loop alone, everywhere, and "lanes", the screen kernel before it,
+// where the start-up gate set screen.
+func scanPaths(t testing.TB) []string {
+	if screen == nil {
+		t.Log("lane screen off on this host; checking the Go path only")
+		return []string{"go"}
+	}
+	return []string{"lanes", "go"}
+}
+
+// withScanPath runs the rest of the test on the named scan path.
+func withScanPath(t testing.TB, path string) {
+	old := screen
+	if path == "go" {
+		screen = nil
+	}
+	t.Cleanup(func() { screen = old })
+}
+
+// onScanPaths runs test once per scan path, as a subtest named after it.
+func onScanPaths(t *testing.T, test func(t *testing.T)) {
+	for _, path := range scanPaths(t) {
+		t.Run(path, func(t *testing.T) {
+			withScanPath(t, path)
+			test(t)
+		})
+	}
+}
+
 func TestGBRTMatchesPerNodeSortReference(t *testing.T) {
-	exactnessCases(func(name string, g *GBRT, x [][]float64, y []float64, probe [][]float64) bool {
-		if m := mismatch(g, &refGBRT{opts: g.opts}, x, y, probe); m != "" {
-			t.Errorf("%s: %s", name, m)
-		}
-		return true
+	onScanPaths(t, func(t *testing.T) {
+		exactnessCases(func(name string, g *GBRT, x [][]float64, y []float64, probe [][]float64) bool {
+			if m := mismatch(g, &refGBRT{opts: g.opts}, x, y, probe); m != "" {
+				t.Errorf("%s: %s", name, m)
+			}
+			return true
+		})
 	})
 }
 
 // A second Fit on the same model must equal a first Fit on a fresh one:
 // nothing of the first fit's trees, gains or builder survives.
 func TestGBRTRefitLeaksNoState(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	g := NewGBRT(GBRTOptions{Trees: 25, MaxDepth: 4})
-	x1, y1 := tieHeavy(150, 39, rng)
-	if err := g.Fit(x1, y1); err != nil {
-		t.Fatal(err)
-	}
-	for _, shape := range [][2]int{{40, 7}, {150, 39}, {220, 2}} {
-		x, y := tieHeavy(shape[0], shape[1], rng)
-		probe, _ := tieHeavy(25, shape[1], rng)
-		if m := mismatch(g, &refGBRT{opts: g.opts}, x, y, probe); m != "" {
-			t.Fatalf("refit at n=%d d=%d: %s", shape[0], shape[1], m)
+	onScanPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		g := NewGBRT(GBRTOptions{Trees: 25, MaxDepth: 4})
+		x1, y1 := tieHeavy(150, 39, rng)
+		if err := g.Fit(x1, y1); err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, shape := range [][2]int{{40, 7}, {150, 39}, {220, 2}} {
+			x, y := tieHeavy(shape[0], shape[1], rng)
+			probe, _ := tieHeavy(25, shape[1], rng)
+			if m := mismatch(g, &refGBRT{opts: g.opts}, x, y, probe); m != "" {
+				t.Fatalf("refit at n=%d d=%d: %s", shape[0], shape[1], m)
+			}
+		}
+	})
 }
 
 // The suite must notice a builder whose tie order differs from the
 // reference's: with the reference's row-index tie-break dropped, its unstable
 // sort leaves tied rows in another order and some case has to disagree.
 func TestGBRTExactnessSuiteSeesTieOrder(t *testing.T) {
-	seen := false
-	exactnessCases(func(_ string, g *GBRT, x [][]float64, y []float64, probe [][]float64) bool {
-		seen = mismatch(g, &refGBRT{opts: g.opts, tiesUnordered: true}, x, y, probe) != ""
-		return !seen
+	onScanPaths(t, func(t *testing.T) {
+		seen := false
+		exactnessCases(func(_ string, g *GBRT, x [][]float64, y []float64, probe [][]float64) bool {
+			seen = mismatch(g, &refGBRT{opts: g.opts, tiesUnordered: true}, x, y, probe) != ""
+			return !seen
+		})
+		if !seen {
+			t.Fatal("no case distinguishes tie orders: the exactness suite has no ties that matter")
+		}
 	})
-	if !seen {
-		t.Fatal("no case distinguishes tie orders: the exactness suite has no ties that matter")
+}
+
+// Two rows share a rank exactly when their values are equal (==), ±0 alike
+// and every NaN apart, also where a NaN leaves the sort's order partial and
+// equal values lie apart in it: [1, NaN, 1] stays in row order.
+func TestGBRTRanksNameValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cols := [][]float64{{1, nan, 1}, {0, negZero, nan, 0, nan}}
+	for range 200 {
+		col := make([]float64, 1+rng.Intn(40))
+		for i := range col {
+			col[i] = []float64{nan, 0, negZero, 1, 2, rng.Float64()}[rng.Intn(6)]
+		}
+		cols = append(cols, col)
+	}
+	for _, col := range cols {
+		x := make([][]float64, len(col))
+		for i, v := range col {
+			x[i] = []float64{v}
+		}
+		b := newTreeBuilder(x, make([]float64, len(col)), 1, nil)
+		for _, p := range b.presort {
+			for _, q := range b.presort {
+				a, c := col[uint32(p)], col[uint32(q)]
+				if p != q && (p>>32 == q>>32) != (a == c) {
+					t.Fatalf("column %v: rows %d (%v) and %d (%v) have ranks %d and %d", col, uint32(p), a, uint32(q), c, p>>32, q>>32)
+				}
+			}
+		}
 	}
 }
 
@@ -290,4 +360,35 @@ func TestGBRTFitAllocations(t *testing.T) {
 		t.Fatalf("Fit made %v allocations, want at most %v", allocs, limit)
 	}
 	t.Logf("%v allocations per fit", allocs)
+}
+
+// BenchmarkGBRTFit measures DAC's model fit: 150 boosted depth-4 trees over
+// 150 random TPC-DS samples, each row the 38 encoded parameters plus the data
+// size (which takes three values, as DAC's training sizes do), on the lane
+// screen and on the Go candidate loop.
+func BenchmarkGBRTFit(b *testing.B) {
+	cl := sparksim.X86()
+	sim := sparksim.New(cl, 5)
+	space := cl.Space()
+	app := workloads.TPCDS()
+	rng := rand.New(rand.NewSource(5))
+	xs := make([][]float64, 150)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		c := space.Random(rng)
+		gb := 150 * float64(1+i%3)
+		xs[i] = append(space.Encode(c), gb/1024)
+		ys[i] = sim.RunApp(app, c, gb).Sec
+	}
+	for _, path := range scanPaths(b) {
+		b.Run(path, func(b *testing.B) {
+			withScanPath(b, path)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := NewGBRT(GBRTOptions{Trees: 150, MaxDepth: 4}).Fit(xs, ys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

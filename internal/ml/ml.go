@@ -11,6 +11,18 @@
 // no prediction or importance depends on how a sort algorithm happens to
 // leave ties — and ties are the common case here, since most Spark
 // parameters are boolean, categorical or integer.
+//
+// The split scan has a lane path. Where mat.HasAVX2FMA holds (checked once
+// at start-up; the kernel itself uses AVX2 and never FMA), gbrt_amd64.s
+// screens a feature's candidate splits four at a time: it computes
+// q̃ = ls²·(1/lcnt) + (sum−ls)²·(1/rcnt) from two reciprocal tables, sets
+// splits between equal values to −Inf, and stops at the first block with a
+// lane not at most lim = (best + 1e-12 + parent)·(1 − 1e-13). Go replays
+// only that block, with the exact gain expression and the `> best+1e-12`
+// rule, in (feature, position) order, so every tree, threshold, leaf and
+// importance is the one the Go loop alone builds. The margin covers q̃'s
+// extra roundings (the proof is in gbrt_amd64.s); a NaN or an overflow is
+// always flagged. Elsewhere the Go loop tests every candidate.
 package ml
 
 import (

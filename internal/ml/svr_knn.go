@@ -3,6 +3,8 @@ package ml
 import (
 	"math"
 	"sort"
+
+	"locat/internal/stat"
 )
 
 // The SVR's training constants: the insensitivity tube half-width on
@@ -38,16 +40,7 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 	}
 	s.dim = d
 	n := len(x)
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	var sd float64
-	for _, v := range y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(n))
+	mean, sd := stat.Mean(y), stat.StdDev(y)
 	if sd < 1e-12 {
 		sd = 1
 	}

@@ -56,13 +56,16 @@
 //
 // # Buffers
 //
-// A Minimize call owns an EI workspace, a hyperparameter-sampling workspace
-// and its live models, and an iteration runs inside them: the candidate pool
-// is drawn into the workspace's model-input rows (valid until the next
-// round), the chunk buffers are sized once for the largest training set the
-// run can reach, a resample refits in the storage of the models it discards,
-// an append grows each factor into its reserve. What leaves the loop is a
-// copy: Result.BestX and every History step own their slices.
+// A Minimize run works in a Workspace (Options.Workspace, or its own): the
+// candidate pool is drawn into its model-input rows (valid until the next
+// round), each history step's model input is assembled once, a resample
+// rebuilds the training set in the previous one's storage and refits the
+// workspace's models in place, and an append extends each factor into its
+// reserve. Minimize reserves all of it for the largest training set the run
+// can reach (the history, or the trim cap plus the appends between two
+// trims); core reserves a session's largest first, so both of its runs and
+// its dagp fits reuse one storage. What leaves the loop is a copy:
+// Result.BestX and every History step own their slices.
 package bo
 
 import (
@@ -157,6 +160,9 @@ type Options struct {
 	// The recorded history is identical to the serial Eval loop, whatever
 	// the evaluator's internal parallelism.
 	EvalBatch func(xs, ctxs [][]float64) []float64
+	// Workspace, if non-nil, holds the run's buffers; runs (and dagp fits)
+	// that share one must not overlap. Nil runs in one of its own.
+	Workspace *Workspace
 	// Tracer, if non-nil, receives one span per GP hyperparameter resample
 	// ("gp/hyper-resample"), recording how much wall time the surrogate
 	// refits cost relative to the evaluations they steer. Nil traces nothing
@@ -194,7 +200,11 @@ func Minimize(p Problem, opts Options) Result {
 	if opts.MCMCSamples <= 0 {
 		opts.MCMCSamples = 1
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	ws := opts.Workspace
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	rng := ws.start(opts)
 	tr := obs.OrNop(opts.Tracer)
 
 	var res Result
@@ -268,38 +278,25 @@ func Minimize(p Problem, opts Options) Result {
 	// refit, amortized over HyperEvery iterations.
 	var (
 		models    []*gp.GP    // live surrogates, one per usable hyper sample
-		retired   []*gp.GP    // the previous resample's models, refitted in place by the next
 		xs        [][]float64 // training inputs the live models hold
 		ys        []float64   // training targets the live models hold
 		modelMark int         // len(res.History) already folded into models
-		fitWS     gp.FitWorkspace
-		eiWS      = eiWorkspace{perm: make([]int, opts.Candidates)}
 	)
-	// The training set outgrows neither the history nor the cap by more than
-	// the appends between two trims: size the pool×train buffers once.
-	maxTrain := len(opts.Init) + opts.MaxIter
-	if opts.MaxModelPoints > 0 {
-		maxTrain = min(maxTrain, opts.MaxModelPoints+max(opts.HyperEvery-1, 0))
-	}
-	eiWS.reserve(opts.MCMCSamples, maxTrain)
 	iterSinceSample := 0
 	for res.Evals < opts.MaxIter && !stopped() {
+		ws.addRows(res.History)
 		if len(models) == 0 || opts.HyperEvery <= 1 || iterSinceSample >= opts.HyperEvery {
 			// Hyperparameter resample. The distance cache is built once and
 			// shared by every MCMC chain (each slice step is then an
 			// allocation-free refit in a per-chain workspace) and by the
 			// per-sample model fits that follow.
 			hs := tr.Start("gp/hyper-resample")
-			xs, ys = modelData(trimHistory(res.History, opts.MaxModelPoints))
+			xs, ys = ws.trainingSet(res.History, opts.MaxModelPoints)
 			iterSinceSample = 0
-			models, retired = retired[:0], models
-			if ts, err := gp.NewTrainSet(xs, ys, opts.Workers); err == nil {
-				for i, h := range ts.SampleHyperIn(&fitWS, opts.MCMCSamples, rng, opts.Workers) {
-					var old *gp.GP
-					if i < len(retired) {
-						old = retired[i]
-					}
-					if m, err := ts.Fit(h, old); err == nil {
+			models = models[:0]
+			if ts, err := ws.TrainSet(xs, ys, opts.Workers); err == nil {
+				for i, h := range ws.SampleHyper(ts, opts.MCMCSamples, rng, opts.Workers) {
+					if m, err := ws.Fit(ts, i, h); err == nil {
 						models = append(models, m)
 					}
 				}
@@ -307,9 +304,12 @@ func Minimize(p Problem, opts Options) Result {
 			modelMark = len(res.History)
 			hs.End()
 		} else if modelMark < len(res.History) {
-			newXs, newYs := modelData(res.History[modelMark:])
+			newXs := ws.rows[modelMark:len(res.History)]
 			xs = append(xs, newXs...)
-			ys = append(ys, newYs...)
+			for _, s := range res.History[modelMark:] {
+				ys = append(ys, s.Y)
+			}
+			newYs := ys[len(ys)-len(newXs):]
 			kept := models[:0]
 			for _, m := range models {
 				if err := m.AppendBatch(newXs, newYs); err == nil {
@@ -331,7 +331,7 @@ func Minimize(p Problem, opts Options) Result {
 		var bestCand []float64
 		bestEI := math.Inf(-1)
 		if len(models) > 0 {
-			bestCand, bestEI = proposeEI(models, res, p.Dim, ctx, opts, rng, &eiWS)
+			bestCand, bestEI = proposeEI(models, res, p.Dim, ctx, opts, rng, &ws.ei)
 		}
 		if bestCand == nil {
 			// Model failure: fall back to random search for this step. It
@@ -349,45 +349,92 @@ func Minimize(p Problem, opts Options) Result {
 	return res
 }
 
-// trimHistory bounds the GP training set: the best half (by objective) plus
-// the most recent half of the history survive.
-func trimHistory(hist []Step, cap int) []Step {
-	if cap <= 0 || len(hist) <= cap {
-		return hist
-	}
-	half := cap / 2
-	idx := make([]int, len(hist))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return hist[idx[a]].Y < hist[idx[b]].Y })
-	keep := make(map[int]bool, cap)
-	for i := 0; i < half; i++ {
-		keep[idx[i]] = true
-	}
-	for i := len(hist) - 1; i >= 0 && len(keep) < cap; i-- {
-		keep[i] = true
-	}
-	out := make([]Step, 0, len(keep))
-	for i := range hist {
-		if keep[i] {
-			out = append(out, hist[i])
-		}
-	}
-	return out
+// Workspace holds a Minimize run's buffers (see "Buffers" in the package
+// doc). Its owner may reserve it (gp.Workspace.Reserve) for the largest
+// training set of everything that will fit in it, and may reuse it for one
+// run or dagp fit after another, never two at once.
+type Workspace struct {
+	gp.Workspace
+	ei   eiWorkspace
+	rng  *rand.Rand
+	rows [][]float64 // history step i's model input: decision point, then context
+	flat []float64   // backs rows
+	hist int         // the run's largest history
+	xs   [][]float64 // the training set of the last resample, then its appends
+	ys   []float64
+	idx  []int // trimHistory's
 }
 
-// modelData assembles GP training data from history: inputs are decision
-// points with context appended.
-func modelData(hist []Step) (xs [][]float64, ys []float64) {
-	for _, s := range hist {
-		x := make([]float64, 0, len(s.X)+len(s.Ctx))
-		x = append(x, s.X...)
-		x = append(x, s.Ctx...)
-		xs = append(xs, x)
-		ys = append(ys, s.Y)
+// start reserves ws for a run of opts and returns the run's generator,
+// rand.New(rand.NewSource(opts.Seed))'s stream on a stat.Source.
+func (ws *Workspace) start(opts Options) *rand.Rand {
+	if ws.rng == nil {
+		ws.rng = rand.New(stat.NewSource(opts.Seed))
 	}
-	return xs, ys
+	ws.rng.Seed(opts.Seed)
+	// The training set outgrows neither the history nor the cap by more than
+	// the appends between two trims.
+	ws.hist = len(opts.Init) + opts.MaxIter
+	n := ws.hist
+	if opts.MaxModelPoints > 0 {
+		n = min(n, opts.MaxModelPoints+max(opts.HyperEvery-1, 0))
+	}
+	ws.ei.reserve(opts.MCMCSamples, ws.Reserve(n), opts.Candidates)
+	ws.rows, ws.flat = ws.rows[:0], ws.flat[:0]
+	return ws.rng
+}
+
+// addRows assembles the model input of every history step that has none yet.
+func (ws *Workspace) addRows(hist []Step) {
+	for _, s := range hist[len(ws.rows):] {
+		w := len(s.X) + len(s.Ctx)
+		if cap(ws.flat)-len(ws.flat) < w {
+			ws.flat = make([]float64, 0, max(w*(ws.hist-len(ws.rows)), w))
+		}
+		at := len(ws.flat)
+		ws.flat = append(append(ws.flat, s.X...), s.Ctx...)
+		ws.rows = append(ws.rows, ws.flat[at:len(ws.flat):len(ws.flat)])
+	}
+}
+
+// trainingSet returns the inputs and targets of the steps the trim keeps.
+func (ws *Workspace) trainingSet(hist []Step, cap int) ([][]float64, []float64) {
+	ws.idx = trimHistory(hist, cap, ws.idx)
+	ws.xs, ws.ys = ws.xs[:0], ws.ys[:0]
+	for _, i := range ws.idx {
+		ws.xs, ws.ys = append(ws.xs, ws.rows[i]), append(ws.ys, hist[i].Y)
+	}
+	return ws.xs, ws.ys
+}
+
+// trimHistory bounds the GP training set: the indices of the best half (by
+// objective) plus the most recent half of the history, ascending, in idx's
+// storage; every index when the history is within the cap.
+func trimHistory(hist []Step, cap int, idx []int) []int {
+	idx = idx[:0]
+	for i := range hist {
+		idx = append(idx, i)
+	}
+	if cap <= 0 || len(hist) <= cap {
+		return idx
+	}
+	sort.Slice(idx, func(a, b int) bool { return hist[idx[a]].Y < hist[idx[b]].Y })
+	keep := make([]bool, len(hist))
+	for _, i := range idx[:cap/2] {
+		keep[i] = true
+	}
+	for i, kept := len(hist)-1, cap/2; i >= 0 && kept < cap; i-- {
+		if !keep[i] {
+			keep[i], kept = true, kept+1
+		}
+	}
+	idx = idx[:0]
+	for i, k := range keep {
+		if k {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 const refinePoints = 64 // local-refinement candidates around the incumbent, per round
@@ -441,7 +488,8 @@ const chunkRows = 64
 // the stratification scratch, one chunk's distances, bounds and survivors,
 // and per model the chunk's kernel rows, means and variances —
 // O(models·chunkRows·n), not a whole pool's. A round allocates nothing per
-// candidate or per model. A workspace must not be shared by concurrent calls.
+// candidate or per model. Minimize reserves it with the rest of its
+// Workspace. A workspace must not be shared by concurrent calls.
 type eiWorkspace struct {
 	pool gp.PredictWorkspace // only its Inputs rows: the candidate pool
 	perm []int
@@ -466,9 +514,9 @@ type eiModel struct {
 	cols   *gp.Columns // the rows it measures its own distances to; nil for the first model's rows
 }
 
-// reserve sizes the chunk buffers for k models of up to n training rows:
-// Minimize knows how far its training set can grow and pays for them once.
-func (ws *eiWorkspace) reserve(k, n int) {
+// reserve sizes the chunk buffers for k models of up to n training rows and
+// the stratification scratch for cands candidates.
+func (ws *eiWorkspace) reserve(k, n, cands int) {
 	if cap(ws.d2) < chunkRows*n {
 		ws.d2 = make([]float64, chunkRows*n)
 	}
@@ -481,6 +529,10 @@ func (ws *eiWorkspace) reserve(k, n int) {
 	if len(ws.cols) < k {
 		ws.cols = append(ws.cols, make([]gp.Columns, k-len(ws.cols))...)
 	}
+	if cap(ws.perm) < cands {
+		ws.perm = make([]int, cands)
+	}
+	ws.perm = ws.perm[:cands]
 }
 
 // argmax returns the index of the candidate with the largest EI-MCMC score
@@ -492,7 +544,7 @@ func (ws *eiWorkspace) argmax(models []*gp.GP, xin [][]float64, refine int, best
 	for _, g := range models {
 		n = max(n, g.N())
 	}
-	ws.reserve(len(models), n)
+	ws.reserve(len(models), n, len(ws.perm))
 	ws.models, ws.sd, ws.best = ws.models[:0], 0, best
 	ws.cols[0].Load(models[0])
 	for k, g := range models {

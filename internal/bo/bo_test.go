@@ -188,14 +188,14 @@ func TestTrimHistory(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		hist = append(hist, Step{X: []float64{float64(i)}, Y: float64(20 - i)})
 	}
-	out := trimHistory(hist, 10)
+	out := trimHistory(hist, 10, nil)
 	if len(out) != 10 {
 		t.Fatalf("trimmed to %d; want 10", len(out))
 	}
 	// The global best (Y=1, last element) must survive.
 	found := false
-	for _, s := range out {
-		if s.Y == 1 {
+	for _, i := range out {
+		if hist[i].Y == 1 {
 			found = true
 		}
 	}
@@ -203,10 +203,10 @@ func TestTrimHistory(t *testing.T) {
 		t.Fatal("best observation dropped by trim")
 	}
 	// No trim when under the cap.
-	if got := trimHistory(hist, 0); len(got) != len(hist) {
+	if got := trimHistory(hist, 0, nil); len(got) != len(hist) {
 		t.Fatal("cap 0 should disable trimming")
 	}
-	if got := trimHistory(hist, 50); len(got) != len(hist) {
+	if got := trimHistory(hist, 50, nil); len(got) != len(hist) {
 		t.Fatal("cap above length should not trim")
 	}
 }

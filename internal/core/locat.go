@@ -36,6 +36,7 @@ import (
 	"locat/internal/bo"
 	"locat/internal/conf"
 	"locat/internal/dagp"
+	"locat/internal/gp"
 	"locat/internal/iicp"
 	"locat/internal/obs"
 	"locat/internal/progress"
@@ -296,12 +297,7 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	if targetGB <= 0 {
 		return nil, errors.New("core: target data size must be positive")
 	}
-	s := &session{
-		Tuner: t, space: t.run.Space(), targetGB: targetGB, rep: &Report{},
-		// Every stage opens a span on the injected tracer; the no-op default
-		// makes this free.
-		tr: obs.OrNop(t.opts.Tracer), prior: t.warmPrior(), target: t.app,
-	}
+	s := t.newSession(targetGB)
 	for i, stage := range []func() error{s.sample, s.reduce, s.restrict, s.search, s.finish} {
 		if i > 0 {
 			cause := t.halted(s.rep)
@@ -347,6 +343,41 @@ type session struct {
 	sub  *conf.Subspace
 	init []bo.Step
 	p2   bo.Result
+	// ws is the surrogate's storage: both BO runs and both DAGP selections
+	// fit in it, one after another.
+	ws bo.Workspace
+}
+
+// newSession opens a session record with its surrogate storage reserved for
+// phase 2's training set, the largest its BO runs and DAGP selections fit.
+func (t *Tuner) newSession(targetGB float64) *session {
+	s := &session{
+		Tuner: t, space: t.run.Space(), targetGB: targetGB, rep: &Report{},
+		// Every stage opens a span on the injected tracer; the no-op default
+		// makes this free.
+		tr: obs.OrNop(t.opts.Tracer), prior: t.warmPrior(), target: t.app,
+	}
+	s.ws.Reserve(s.initLen() + s.opts.MaxIter)
+	return s
+}
+
+// phase1Runs is how many runs phase 1 executes: N_QCSA samples cold, a few
+// fresh anchors warm.
+func (s *session) phase1Runs() int {
+	if s.prior == nil {
+		return s.opts.NQCSA
+	}
+	return min(warmFreshRuns, s.opts.NQCSA)
+}
+
+// initLen is len(s.init) as restrict builds it, before phase 1 runs: every
+// prior observation and phase-1 run (steps drops only unscalable ones).
+func (s *session) initLen() int {
+	n := s.phase1Runs()
+	if s.prior != nil {
+		n += len(s.prior.Obs)
+	}
+	return n
 }
 
 // begin opens the stage span the session charges runs to; the caller defers
@@ -488,6 +519,7 @@ func (s *session) sample() error {
 			Seed:        s.opts.Seed,
 			Stop:        s.halt,
 			Tracer:      s.opts.Tracer,
+			Workspace:   &s.ws,
 			EvalBatch: func(xs, ctxs [][]float64) []float64 {
 				cs := make([]conf.Config, len(xs))
 				for i, x := range xs {
@@ -501,7 +533,7 @@ func (s *session) sample() error {
 	}
 	s.rep.WarmStarted = true
 	s.rep.PriorObsUsed = len(s.prior.Obs)
-	fresh := min(warmFreshRuns, s.opts.NQCSA)
+	fresh := s.phase1Runs()
 	s.logf("phase 1: warm start from %d prior observations, %d fresh anchor runs",
 		len(s.prior.Obs), fresh)
 	defer s.begin("phase1/warm-anchors").End()
@@ -666,6 +698,7 @@ func (s *session) search() error {
 		Seed:        s.opts.Seed + 1,
 		Stop:        s.halt,
 		Tracer:      s.opts.Tracer,
+		Workspace:   &s.ws,
 	})
 	return nil
 }
@@ -750,7 +783,7 @@ func (s *session) conclude(best conf.Config) {
 // repeated cubic refits do not grow with the session length. workers bounds
 // the inference parallelism (Options.Workers; results are identical for every
 // worker count).
-func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers int) (best []float64, ok bool) {
+func dagpRank(ws *gp.Workspace, hist []bo.Step, warmN int, targetGB float64, seed int64, workers int) (best []float64, ok bool) {
 	rng := rand.New(rand.NewSource(seed))
 	var ds []dagp.Sample
 	for _, s := range hist {
@@ -760,13 +793,10 @@ func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers i
 		}
 		ds = append(ds, dagp.Sample{X: s.X, DataGB: size, Sec: s.Y})
 	}
-	var model *dagp.Model
-	var err error
-	if warmN > 0 && warmN < len(ds) {
-		model, err = dagp.FitTransferWorkers(ds[:warmN], ds[warmN:], rng, workers)
-	} else {
-		model, err = dagp.FitWorkers(ds, rng, workers)
+	if warmN >= len(ds) {
+		warmN = 0
 	}
+	model, err := dagp.FitIn(ws, ds[:warmN], ds[warmN:], rng, workers)
 	if err != nil {
 		return nil, false
 	}
@@ -776,7 +806,7 @@ func dagpRank(hist []bo.Step, warmN int, targetGB float64, seed int64, workers i
 	for i, s := range hist {
 		xs[i] = s.X
 	}
-	means := model.PredictBatch(xs, targetGB, nil)
+	means := model.PredictBatch(xs, targetGB, &ws.Predict)
 	bestPred := math.Inf(1)
 	for i, m := range means {
 		if m < bestPred {
@@ -802,7 +832,7 @@ func (s *session) rank(res bo.Result, warmN int, seedOffset int64) []float64 {
 		warmN = 0
 	}
 	if s.opts.UseDAGP {
-		if x, ok := dagpRank(res.History, warmN, s.targetGB, s.opts.Seed+seedOffset, s.opts.Workers); ok {
+		if x, ok := dagpRank(&s.ws.Workspace, res.History, warmN, s.targetGB, s.opts.Seed+seedOffset, s.opts.Workers); ok {
 			return x
 		}
 	}

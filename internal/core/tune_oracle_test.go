@@ -15,6 +15,7 @@ import (
 	"locat/internal/bo"
 	"locat/internal/conf"
 	"locat/internal/dagp"
+	"locat/internal/gp"
 	"locat/internal/iicp"
 	"locat/internal/obs"
 	"locat/internal/qcsa"
@@ -403,7 +404,7 @@ func oraclePickBest(t *Tuner, sub *conf.Subspace, res bo.Result, warmN int, targ
 	if mut.swapRankSeeds {
 		seed = t.opts.Seed + 3
 	}
-	if x, ok := dagpRank(res.History, warmN, targetGB, seed, t.opts.Workers); ok {
+	if x, ok := dagpRank(new(gp.Workspace), res.History, warmN, targetGB, seed, t.opts.Workers); ok {
 		return sub.Decode(x)
 	}
 	return sub.Decode(res.BestX)
@@ -417,7 +418,7 @@ func oracleBestOfHistory(t *Tuner, res bo.Result, warmN int, targetGB float64, m
 	if mut.swapRankSeeds {
 		seed = t.opts.Seed + 2
 	}
-	if x, ok := dagpRank(res.History, warmN, targetGB, seed, t.opts.Workers); ok {
+	if x, ok := dagpRank(new(gp.Workspace), res.History, warmN, targetGB, seed, t.opts.Workers); ok {
 		return x
 	}
 	return res.BestX

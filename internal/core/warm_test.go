@@ -153,3 +153,34 @@ func TestStopHook(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 }
+
+// TestSessionReservesPhaseTwo: the storage a session reserves before phase 1
+// is exactly phase 2's largest training set — the init steps restrict builds
+// plus MaxIter — cold and warm, so neither phase regrows it and no session
+// holds more than it uses. A change to how init is built that initLen does
+// not follow fails here.
+func TestSessionReservesPhaseTwo(t *testing.T) {
+	app := workloads.TPCH()
+	first, err := New(sparksim.New(sparksim.ARM(), 21), app, quickOpts()).Tune(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		o := quickOpts()
+		if warm {
+			o.Prior = priorFromReport(first)
+		}
+		s := New(sparksim.New(sparksim.ARM(), 22), app, o).newSession(140)
+		for _, stage := range []func() error{s.sample, s.reduce, s.restrict} {
+			if err := stage(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if (s.prior != nil) != warm {
+			t.Fatalf("warm %v: session prior %v", warm, s.prior != nil)
+		}
+		if got, want := s.ws.Reserve(0), len(s.init)+o.MaxIter; got != want {
+			t.Fatalf("warm %v: reserved %d rows, phase 2 trains on up to %d", warm, got, want)
+		}
+	}
+}

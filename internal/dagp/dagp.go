@@ -67,26 +67,28 @@ func encode(samples []Sample) (xs [][]float64, ys []float64) {
 // GOMAXPROCS, 1 runs serially; the fitted model is identical for every
 // worker count.
 func FitWorkers(samples []Sample, rng *rand.Rand, workers int) (*Model, error) {
+	return fit(new(gp.Workspace), samples, rng, workers)
+}
+
+// fit is FitWorkers in ws; the loser of each comparison is refitted in place.
+func fit(ws *gp.Workspace, samples []Sample, rng *rand.Rand, workers int) (*Model, error) {
 	if len(samples) < 2 {
 		return nil, errors.New("dagp: need at least 2 samples")
 	}
 	xs, ys := encode(samples)
-	ts, err := gp.NewTrainSet(xs, ys, workers)
+	ts, err := ws.TrainSet(xs, ys, workers)
 	if err != nil {
 		return nil, err
 	}
-	var best, loser *gp.GP // the loser of each comparison is refitted in place
-	bestML := 0.0
-	for _, h := range ts.SampleHyper(5, rng, workers) {
-		m, err := ts.Fit(h, loser) // consumes loser, even when it fails
-		loser = nil
+	var best *gp.GP
+	bestML, free := 0.0, 0 // free is the model the next sample is fitted in
+	for _, h := range ws.SampleHyper(ts, 5, rng, workers) {
+		m, err := ws.Fit(ts, free, h)
 		if err != nil {
 			continue
 		}
 		if ml := m.LogMarginalLikelihood(); best == nil || ml > bestML {
-			best, bestML, loser = m, ml, best
-		} else {
-			loser = m
+			best, bestML, free = m, ml, 1-free
 		}
 	}
 	if best == nil {
@@ -114,19 +116,25 @@ func (m *Model) Append(samples ...Sample) error {
 // too small to infer hyperparameters or the extension is numerically
 // rejected. workers bounds the inference's goroutines as in FitWorkers.
 func FitTransferWorkers(base, fresh []Sample, rng *rand.Rand, workers int) (*Model, error) {
+	return FitIn(new(gp.Workspace), base, fresh, rng, workers)
+}
+
+// FitIn is FitTransferWorkers in ws, a joint FitWorkers without base; the
+// model is valid until ws's next use.
+func FitIn(ws *gp.Workspace, base, fresh []Sample, rng *rand.Rand, workers int) (*Model, error) {
 	joint := func() (*Model, error) {
 		all := make([]Sample, 0, len(base)+len(fresh))
 		all = append(all, base...)
 		all = append(all, fresh...)
-		return FitWorkers(all, rng, workers)
+		return fit(ws, all, rng, workers)
 	}
 	if len(fresh) == 0 {
-		return FitWorkers(base, rng, workers)
+		return fit(ws, base, rng, workers)
 	}
 	if len(base) < 2 {
 		return joint()
 	}
-	m, err := FitWorkers(base, rng, workers)
+	m, err := fit(ws, base, rng, workers)
 	if err != nil {
 		return joint()
 	}

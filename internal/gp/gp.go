@@ -30,6 +30,8 @@ type GP struct {
 	chol  *mat.Cholesky
 	alpha []float64 // (K + σ_n² I)⁻¹ · y (standardized)
 	col   []float64 // AppendBatch's kernel column, reused across appends
+
+	capacity int // the training-set size its buffers are reserved for (TrainSet.Fit)
 }
 
 // Fit trains an exact GP on inputs x (rows, all the same length) and targets
@@ -51,7 +53,7 @@ func (g *GP) refreshAlpha() {
 	if g.yStd < 1e-12 {
 		g.yStd = 1
 	}
-	g.alpha = growFloats(g.alpha, len(g.y))
+	g.alpha = growFloats(g.alpha, len(g.y), g.reserved())
 	for i, v := range g.y {
 		g.alpha[i] = (v - g.yMean) / g.yStd
 	}
@@ -82,29 +84,23 @@ func (g *GP) AppendBatch(xs [][]float64, ys []float64) error {
 			return fmt.Errorf("gp: append row %d has %d features, want %d", i, len(xi), d)
 		}
 	}
-	// Extend a clone so a mid-batch failure cannot leave the model with a
-	// factor and training set of different sizes. A single-point batch — the
-	// BO loop's per-iteration shape — skips the defensive copy: Extend
-	// itself leaves the receiver unchanged on error.
-	chol := g.chol
-	if len(xs) > 1 {
-		chol = g.chol.Clone()
-	}
+	// A batch that fails part way truncates the factor back to the model's
+	// rows, which Extend never writes, so the model is left unchanged.
 	x2 := g.x
 	for i, xi := range xs {
-		g.col = growFloats(g.col, len(x2))
+		g.col = growFloats(g.col, len(x2), g.reserved())
 		for j, xj := range x2 {
 			g.col[j] = g.kern.of(sqDist(xj, xi))
 		}
 		diag := g.kern.of(0) + g.hyp.Noise2() + 1e-8
-		if err := chol.Extend(g.col, diag); err != nil {
+		if err := g.chol.Extend(g.col, diag); err != nil {
+			g.chol.Truncate(len(g.x))
 			return fmt.Errorf("gp: append point %d: %w", i, err)
 		}
 		x2 = append(x2, xi)
 	}
 	g.x = x2
 	g.y = append(g.y, ys...)
-	g.chol = chol
 	g.refreshAlpha()
 	return nil
 }
@@ -179,15 +175,18 @@ func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
 	return rows
 }
 
-// growFloats returns buf resliced to n, reallocating with half as much again
-// in reserve when it is too small: the BO loop's batches grow by one training
-// row per iteration, and an exact-fit buffer would be thrown away every time.
-func growFloats(buf []float64, n int) []float64 {
+// growFloats returns buf resliced to n, reallocating with room for capacity
+// values (or exactly n) when it is too small.
+func growFloats(buf []float64, n, capacity int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n, n+n/2)
+		return make([]float64, n, max(n, capacity))
 	}
 	return buf[:n]
 }
+
+// reserved is how many training rows g's buffers are sized for: its
+// capacity, or half as much again as it holds once it appends past that.
+func (g *GP) reserved() int { return max(g.capacity, len(g.x)+len(g.x)/2) }
 
 // PredictBatch returns the posterior means and variances at every row of xs
 // — identical, bit for bit, to calling Predict per row, but batched: a
@@ -203,7 +202,7 @@ func (g *GP) PredictBatch(xs [][]float64, ws *PredictWorkspace) (means, vars []f
 	if ws == nil {
 		ws = &PredictWorkspace{}
 	}
-	ws.vari = growFloats(ws.vari, len(xs))
+	ws.vari = growFloats(ws.vari, len(xs), len(xs)+len(xs)/2)
 	g.predict(xs, ws, true)
 	return ws.mean, ws.vari
 }
@@ -221,8 +220,8 @@ func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
 // predict fills ws.mean, and ws.vari if vars is set, for every row of xs.
 func (g *GP) predict(xs [][]float64, ws *PredictWorkspace, vars bool) {
 	n, m := len(g.x), len(xs)
-	ws.ks = growFloats(ws.ks, m*n)
-	ws.mean = growFloats(ws.mean, m)
+	ws.ks = growFloats(ws.ks, m*n, m*g.reserved())
+	ws.mean = growFloats(ws.mean, m, m+m/2)
 	ws.cols.Load(g)
 	// One processor takes the rows with a direct call: the parallel branch's
 	// closure escapes to ParRange's workers, and a serial batch must not allocate.
@@ -274,7 +273,7 @@ type Columns struct {
 // or round, against the O(m·n·d) of the distances it feeds.
 func (c *Columns) Load(g *GP) {
 	c.n, c.d = len(g.x), len(g.x[0])
-	c.x = growFloats(c.x, c.n*c.d)
+	c.x = growFloats(c.x, c.n*c.d, g.reserved()*c.d)
 	for j, r := range g.x {
 		for f, v := range r {
 			c.x[f*c.n+j] = v

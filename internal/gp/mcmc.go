@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"locat/internal/stat"
 )
 
 // Slice-sampler settings: the initial bracket width and the multi-chain
@@ -27,25 +29,26 @@ const (
 // marginalization step of the EI-MCMC acquisition (Snoek et al. 2012) that
 // the paper adopts (Section 3.4, "Acquisition function").
 func (ts *TrainSet) SampleHyper(n int, rng *rand.Rand, workers int) []Hyper {
-	return ts.SampleHyperIn(new(FitWorkspace), n, rng, workers)
+	return ts.SampleHyperIn(new([]FitWorkspace), n, rng, workers)
 }
 
 // SampleHyperIn draws n posterior samples by running n independent chains of
 // univariate slice sampling (Neal 2003), cycled over the three
 // log-hyperparameters, over the cached training set, fanned over a bounded
 // worker pool (workers ≤ 0 selects GOMAXPROCS). Chain c's randomness comes
-// from its own splitmix64-derived stream — the same per-run determinism
-// pattern sparksim uses — seeded by a single draw from rng, so for a fixed
+// from its own stream, seeded by stat.SplitSeed — the per-run determinism
+// pattern sparksim uses — from a single draw from rng, so for a fixed
 // rng state the returned samples are bit-identical at every worker count;
 // the pool size only changes wall-clock time. Each chain burns in
 // independently and contributes one sample, so the marginalized samples are
 // genuinely independent draws rather than the thinned, serially correlated
 // states a single chain emits.
 //
-// pws serves the pilot walk and, on one worker, every chain: a caller that
-// resamples over growing training sets (bo.Minimize) keeps one across calls
-// and the sampler stops allocating kernel buffers and generators.
-func (ts *TrainSet) SampleHyperIn(pws *FitWorkspace, n int, rng *rand.Rand, workers int) []Hyper {
+// *ws holds one fit workspace per worker of the chain pool, the first also
+// serving the pilot walk, and is grown to the pool: a caller that keeps it
+// across resamples (Workspace) stops allocating kernel buffers and
+// generators.
+func (ts *TrainSet) SampleHyperIn(ws *[]FitWorkspace, n int, rng *rand.Rand, workers int) []Hyper {
 	if n <= 0 {
 		return nil
 	}
@@ -54,13 +57,18 @@ func (ts *TrainSet) SampleHyperIn(pws *FitWorkspace, n int, rng *rand.Rand, work
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if pool := min(workers, n); len(*ws) < pool {
+		*ws = append(*ws, make([]FitWorkspace, pool-len(*ws))...)
+	}
+	fws := *ws
+	pws := &fws[0]
 
 	// Shared pilot walk: a few serial slice-sampling iterations from the
 	// prior default toward the posterior bulk, on its own derived stream
 	// (tag n — one past the chain indices). Every chain then forks from the
 	// pilot state. The exp map may use the full worker budget here: no chain
 	// runs yet.
-	pilotRng := pws.seeded(chainSeed(base, n))
+	pilotRng := pws.seeded(stat.SplitSeed(base, uint64(n)))
 	pilotPost := func(h Hyper) float64 { return ts.LogPosterior(h, pws, workers) }
 	start := DefaultHyper()
 	startLP := pilotPost(start)
@@ -83,7 +91,7 @@ func (ts *TrainSet) SampleHyperIn(pws *FitWorkspace, n int, rng *rand.Rand, work
 	}
 	if workers == 1 {
 		for c := range out {
-			out[c] = ts.sampleChain(chainSeed(base, c), start, startLP, pws, 1)
+			out[c] = ts.sampleChain(stat.SplitSeed(base, uint64(c)), start, startLP, pws, 1)
 		}
 		return out
 	}
@@ -93,13 +101,12 @@ func (ts *TrainSet) SampleHyperIn(pws *FitWorkspace, n int, rng *rand.Rand, work
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ws FitWorkspace // one workspace per worker, reused across chains
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= n {
 					return
 				}
-				out[c] = ts.sampleChain(chainSeed(base, c), start, startLP, &ws, 1)
+				out[c] = ts.sampleChain(stat.SplitSeed(base, uint64(c)), start, startLP, &fws[w], 1)
 			}
 		}()
 	}
@@ -120,16 +127,6 @@ func (ts *TrainSet) sampleChain(seed int64, start Hyper, startLP float64, ws *Fi
 		}
 	}
 	return cur
-}
-
-// chainSeed derives chain c's rng seed from the base seed by a
-// splitmix64-style mix (the decorrelation pattern of sparksim.runSeed), so
-// neighbouring chains get independent streams.
-func chainSeed(seed int64, chain int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(chain)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // sliceStep performs one univariate slice-sampling update of coordinate

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"locat/internal/stat"
 )
 
 // modelState is everything a fitted GP computes, with the factor read as L,
@@ -94,7 +96,7 @@ func oldSampleHyper(ts *TrainSet, n int, rng *rand.Rand) []Hyper {
 	base := rng.Int63()
 	out := make([]Hyper, n)
 	var pws FitWorkspace
-	pilotRng := rand.New(rand.NewSource(chainSeed(base, n)))
+	pilotRng := rand.New(rand.NewSource(stat.SplitSeed(base, uint64(n))))
 	pilotPost := func(h Hyper) float64 { return ts.LogPosterior(h, &pws, 1) }
 	start := DefaultHyper()
 	startLP := pilotPost(start)
@@ -104,7 +106,7 @@ func oldSampleHyper(ts *TrainSet, n int, rng *rand.Rand) []Hyper {
 		}
 	}
 	for c := range out {
-		rng := rand.New(rand.NewSource(chainSeed(base, c)))
+		rng := rand.New(rand.NewSource(stat.SplitSeed(base, uint64(c))))
 		logPost := func(h Hyper) float64 { return ts.LogPosterior(h, &pws, 1) }
 		cur, curLP := start, startLP
 		for it := 0; it <= chainBurn; it++ {
@@ -118,7 +120,8 @@ func oldSampleHyper(ts *TrainSet, n int, rng *rand.Rand) []Hyper {
 }
 
 // TestSampleHyperInKeptWorkspaceMatchesFresh: one workspace carried through
-// resamples over a growing, then a smaller, training set — its generator
+// resamples over a growing, then a smaller, training set rebuilt in place in
+// its storage, with one fit workspace per chain worker — its generators
 // re-seeded for every pilot and chain, its buffers regrown or reused — gives
 // the samples of the old sampler, at every worker count, and leaves the
 // caller's generator where the old one did.
@@ -126,15 +129,15 @@ func TestSampleHyperInKeptWorkspaceMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	xs, ys := trainSet(45, 6, rng)
 	for _, workers := range []int{1, 2, 4} {
-		var ws FitWorkspace
+		var w Workspace // its sets are rebuilt in place, its fit workspaces kept
 		oldRng, newRng := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 		for _, n := range []int{12, 15, 18, 45, 20} {
-			ts, err := NewTrainSet(xs[:n], ys[:n], 1)
+			ts, err := w.TrainSet(xs[:n], ys[:n], 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := oldSampleHyper(ts, 6, oldRng)
-			got := ts.SampleHyperIn(&ws, 6, newRng, workers)
+			got := w.SampleHyper(ts, 6, newRng, workers)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d n=%d: kept workspace %+v\nfresh %+v", workers, n, got, want)
 			}
@@ -169,5 +172,84 @@ func TestAppendWithinReserveAllocs(t *testing.T) {
 	add() // an exact first fit has no reserve: this append regrows the factor
 	if allocs := testing.AllocsPerRun(10, add); allocs > 1 {
 		t.Fatalf("AppendBatch of one point within reserve allocates %.0f objects; want ≤ 1", allocs)
+	}
+}
+
+// TestRebuiltSetMissesCorrelationCache: a FitWorkspace that served a set at
+// length-scale ℓ, then a different set built in that set's storage at the
+// same ℓ — of the same size, of fewer rows, of more — evaluates the new set
+// as a fresh workspace does, bit for bit. The rebuilt set is the same
+// *TrainSet, so only its generation tells it from the set the cached
+// correlations were taken on.
+func TestRebuiltSetMissesCorrelationCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	xs, ys := trainSet(70, 6, rng)
+	h := Hyper{LogLen: math.Log(0.35), LogSignal: 0.1, LogNoise: math.Log(0.05)}
+	moved := h
+	moved.LogSignal = -0.3 // same ℓ: a cache hit would only rescale
+	for _, next := range [][2]int{{30, 60}, {40, 60}, {10, 60}} {
+		var w Workspace
+		w.Reserve(60)
+		var fit FitWorkspace
+		ts, err := w.TrainSet(xs[:30], ys[:30], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.LogPosterior(h, &fit, 1)
+		rebuilt, err := w.TrainSet(xs[next[0]:next[1]], ys[next[0]:next[1]], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt != ts {
+			t.Fatal("the set was not rebuilt in place")
+		}
+		for _, hh := range []Hyper{h, moved} {
+			got := rebuilt.LogPosterior(hh, &fit, 1)
+			if want := rebuilt.LogPosterior(hh, new(FitWorkspace), 1); got != want {
+				t.Fatalf("rows %v: LogPosterior %v in the workspace that served the old set, %v fresh", next, got, want)
+			}
+		}
+	}
+}
+
+// TestFailedBatchLeavesModelUnchanged: a batch whose second point cannot
+// extend the factor (a NaN feature) leaves the model as it was — factor,
+// α, rows — in a factor with and without reserve, and the model then grows
+// exactly as one that never saw the batch.
+func TestFailedBatchLeavesModelUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	xs, ys := trainSet(30, 4, rng)
+	bad := append([]float64(nil), xs[27]...)
+	bad[2] = math.NaN()
+	for _, capacity := range []int{0, 30} {
+		var w Workspace
+		w.Reserve(capacity)
+		fit := func() *GP {
+			ts, err := w.TrainSet(xs[:25], ys[:25], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ts.Fit(DefaultHyper(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		g, want := fit(), fit()
+		before := stateOf(g)
+		if err := g.AppendBatch([][]float64{xs[25], bad}, []float64{ys[25], ys[27]}); err == nil {
+			t.Fatal("a batch with a NaN point was appended")
+		}
+		if !reflect.DeepEqual(stateOf(g), before) {
+			t.Fatalf("capacity %d: the failed batch changed the model", capacity)
+		}
+		for _, m := range []*GP{g, want} {
+			if err := m.AppendBatch(xs[25:27], ys[25:27]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(stateOf(g), stateOf(want)) {
+			t.Fatalf("capacity %d: after a failed batch the model grows differently", capacity)
+		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // hundreds of times per MCMC run, which is why this is the training-side hot
 // path of the whole tuner.
 //
-// A TrainSet is immutable after construction and safe for concurrent use;
-// per-evaluation mutable state lives in FitWorkspace (one per chain).
+// A TrainSet is immutable between builds (a Workspace rebuilds its set in
+// place) and then safe for concurrent use; per-evaluation mutable state
+// lives in FitWorkspace (one per chain).
 type TrainSet struct {
 	x  [][]float64
 	y  []float64
@@ -35,6 +36,8 @@ type TrainSet struct {
 
 	yMean, yStd float64
 	n           int
+	capacity    int    // the rows its storage, and the factors fitted on it, are reserved for
+	gen         uint64 // the build: FitWorkspace's correlation cache is keyed by it
 }
 
 // NewTrainSet validates the training data and precomputes the
@@ -43,22 +46,35 @@ type TrainSet struct {
 // output standardization. The inputs are copied shallowly (rows are shared,
 // never written).
 func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
+	ts := new(TrainSet)
+	if err := ts.build(x, y, 0, workers); err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+// build makes ts the set of x and y in its own storage, reserved for
+// max(len(x), capacity) rows when it must allocate, as a new generation.
+func (ts *TrainSet) build(x [][]float64, y []float64, capacity, workers int) error {
 	n := len(x)
 	if n == 0 || n != len(y) {
-		return nil, errors.New("gp: empty or mismatched training set")
+		return errors.New("gp: empty or mismatched training set")
 	}
 	d := len(x[0])
 	for i, xi := range x {
 		if len(xi) != d {
-			return nil, fmt.Errorf("gp: row %d has %d features, want %d", i, len(xi), d)
+			return fmt.Errorf("gp: row %d has %d features, want %d", i, len(xi), d)
 		}
 	}
-	ts := &TrainSet{
-		x:  append([][]float64(nil), x...),
-		y:  append([]float64(nil), y...),
-		d2: make([]float64, n*n),
-		n:  n,
+	c := max(n, capacity, ts.capacity)
+	if cap(ts.x) < n {
+		ts.x, ts.y = make([][]float64, 0, c), make([]float64, 0, c)
 	}
+	ts.x, ts.y = append(ts.x[:0], x...), append(ts.y[:0], y...)
+	ts.d2 = growFloats(ts.d2, n*n, c*c)
+	ts.ys = growFloats(ts.ys, n, c)
+	ts.n, ts.capacity = n, c
+	ts.gen++
 	// Pairwise squared distances, each row's entries computed by one worker
 	// (writes are disjoint by row, so the parallel result is deterministic).
 	// Only the strict upper triangle is filled — the kernel assembly never
@@ -82,19 +98,18 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 	if ts.yStd < 1e-12 {
 		ts.yStd = 1
 	}
-	ts.ys = make([]float64, n)
 	for i, v := range ts.y {
 		ts.ys[i] = (v - ts.yMean) / ts.yStd
 	}
-	return ts, nil
+	return nil
 }
 
 // FitWorkspace holds the grow-only scratch buffers one posterior evaluation
 // works in: the kernel/factor matrix and the forward solve z = L⁻¹y of the
-// evidence. Buffers are sized on first use and reused afterwards, so a
-// whole MCMC chain runs with zero per-step allocations. A workspace must not
-// be shared by concurrent LogPosterior calls — the multi-chain sampler gives
-// every worker its own.
+// evidence. Buffers are sized on first use, for the set's capacity, and
+// reused afterwards, so a whole MCMC chain runs with zero per-step
+// allocations. A workspace must not be shared by concurrent LogPosterior
+// calls — the multi-chain sampler gives every worker its own.
 //
 // The workspace also keeps the correlation matrix exp(-d²/2ℓ²) of the last
 // evaluation. It depends on the training set and the length-scale only, and
@@ -105,25 +120,25 @@ func NewTrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
 type FitWorkspace struct {
 	chol mat.Cholesky // its reserved storage is the kernel matrix, refactored in place each evaluation
 	z    []float64    // L⁻¹y, the forward solve of the evidence
-	rng  *rand.Rand   // the chain stream, re-seeded for each chain the workspace runs
+	rng  *rand.Rand   // the chain stream on a stat.Source, re-seeded in O(1) for each chain the workspace runs
 
-	// corr is exp(-d²/2ℓ²) (n×n, strict upper triangle) of corrTS at
-	// corrLogLen; a nil corrTS means it holds nothing. Keeping the pointer
-	// keeps that set alive, so no later TrainSet can be mistaken for it.
+	// corr is exp(-d²/2ℓ²) (n×n, strict upper triangle) of corrTS's build
+	// corrGen at corrLogLen; a nil corrTS means it holds nothing. Keeping the
+	// pointer keeps that set alive, so no later TrainSet can be mistaken for
+	// it, and a rebuild in its storage has another generation.
 	corr       []float64
 	corrTS     *TrainSet
+	corrGen    uint64
 	corrLogLen float64
 }
 
 // seeded returns the workspace's generator at the start of the stream
-// rand.New(rand.NewSource(seed)) yields: Seed rewrites the whole source
-// state, so one generator serves every chain a workspace runs.
+// rand.New(rand.NewSource(seed)) yields; a stat.Source's Seed is O(1).
 func (ws *FitWorkspace) seeded(seed int64) *rand.Rand {
 	if ws.rng == nil {
-		ws.rng = rand.New(rand.NewSource(seed))
-	} else {
-		ws.rng.Seed(seed)
+		ws.rng = rand.New(stat.NewSource(seed))
 	}
+	ws.rng.Seed(seed)
 	return ws.rng
 }
 
@@ -137,19 +152,19 @@ func (ws *FitWorkspace) seeded(seed int64) *rand.Rand {
 // the result is bit-identical for every worker count, and matches the
 // Fit-per-step evaluation this replaces exactly.
 func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64 {
-	n := ts.n
-	kern := ws.chol.Reserve(n)
-	ws.corr = growFloats(ws.corr, n*n) // regrown only for a larger set, so corrTS != ts below
-	ws.z = growFloats(ws.z, n)
+	n, c := ts.n, ts.capacity
+	kern := ws.chol.Reserve(n, c)
+	ws.corr = growFloats(ws.corr, n*n, c*c) // a regrown cache belongs to a larger set: another set or generation below
+	ws.z = growFloats(ws.z, n, c)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// The cached correlations are good for this set at this length-scale and
-	// nothing else: a workspace that last served another TrainSet — of the
-	// same size or not — or another LogLen takes the exponentials afresh.
-	fresh := ws.corrTS != ts || ws.corrLogLen != h.LogLen
-	ws.corrTS, ws.corrLogLen = ts, h.LogLen
+	// The cached correlations are good for this build of this set at this
+	// length-scale and nothing else: another TrainSet or build — of the same
+	// size or not — or another LogLen takes the exponentials afresh.
+	fresh := ws.corrTS != ts || ws.corrGen != ts.gen || ws.corrLogLen != h.LogLen
+	ws.corrTS, ws.corrGen, ws.corrLogLen = ts, ts.gen, h.LogLen
 
 	// The serial case maps the rows with a direct call: the parallel
 	// branch's closure escapes to ParRange's workers, and the chain hot path
@@ -177,15 +192,19 @@ func (ts *TrainSet) LogPosterior(h Hyper, ws *FitWorkspace, workers int) float64
 // g, if non-nil, is a model the caller is done with: it is consumed — its
 // factor, α and row storage back the returned model (which is g itself), on
 // failure they are lost — so a resample refits in the buffers, reserve
-// included, of the models it discards.
+// included, of the models it discards. The model's buffers are reserved for
+// the set's capacity, so appends up to it never copy them.
 func (ts *TrainSet) Fit(h Hyper, g *GP) (*GP, error) {
 	if g == nil {
 		g = &GP{chol: &mat.Cholesky{}}
 	}
+	if cap(g.x) < ts.capacity {
+		g.x, g.y = make([][]float64, 0, ts.capacity), make([]float64, 0, ts.capacity)
+	}
 	g.x = append(g.x[:0], ts.x...)
 	g.y = append(g.y[:0], ts.y...)
-	g.hyp, g.kern = h, h.kernel()
-	kern := g.chol.Reserve(ts.n)
+	g.hyp, g.kern, g.capacity = h, h.kernel(), ts.capacity
+	kern := g.chol.Reserve(ts.n, ts.capacity)
 	ts.assembleRows(kern, nil, true, h, 0, ts.n)
 	if err := g.chol.FactorInPlace(kern); err != nil {
 		return nil, fmt.Errorf("gp: covariance not PD: %w", err)
@@ -233,4 +252,45 @@ func (ts *TrainSet) assembleRows(kern *mat.Dense, corr []float64, fresh bool, h 
 // α = K⁻¹y is needed.
 func logEvidence(chol *mat.Cholesky, z []float64) float64 {
 	return -0.5*mat.Dot(z, z) - 0.5*chol.LogDet() - 0.5*float64(len(z))*log2Pi
+}
+
+// Workspace is the storage a session's surrogate fits work in (see
+// "Buffers" in the package doc): the training set, rebuilt in place, the
+// MCMC's fit workspace, the models refitted in place and the batch
+// prediction buffers. What it hands out is valid until its next use; it must
+// not be shared by concurrent calls.
+type Workspace struct {
+	ts      TrainSet
+	fit     []FitWorkspace // SampleHyperIn's, one per worker
+	models  []*GP
+	rows    int
+	Predict PredictWorkspace
+}
+
+// Reserve sizes the buffers, when they are next allocated, for training sets
+// of at least n rows, and returns the reservation, which only grows.
+func (w *Workspace) Reserve(n int) int {
+	w.rows = max(w.rows, n)
+	return w.rows
+}
+
+// TrainSet builds the set of x and y in the storage of the previous one.
+func (w *Workspace) TrainSet(x [][]float64, y []float64, workers int) (*TrainSet, error) {
+	if err := w.ts.build(x, y, w.rows, workers); err != nil {
+		return nil, err
+	}
+	return &w.ts, nil
+}
+
+// SampleHyper is ts.SampleHyperIn on the workspace's fit workspace.
+func (w *Workspace) SampleHyper(ts *TrainSet, n int, rng *rand.Rand, workers int) []Hyper {
+	return ts.SampleHyperIn(&w.fit, n, rng, workers)
+}
+
+// Fit refits the workspace's model i on ts under h (TrainSet.Fit).
+func (w *Workspace) Fit(ts *TrainSet, i int, h Hyper) (*GP, error) {
+	for len(w.models) <= i {
+		w.models = append(w.models, &GP{chol: &mat.Cholesky{}})
+	}
+	return ts.Fit(h, w.models[i])
 }

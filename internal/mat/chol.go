@@ -14,9 +14,9 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 // with stride ≥ n, row i holding U[i][i:n] (which is L's column i). Entries
 // below the diagonal are not part of the factor. A factor may hold more
 // storage than n²: spare columns, and spare capacity behind the last row, are
-// the reserve Extend writes the next column into without copying the factor.
-// The storage belongs to the factor from FactorInPlace or Reserve until the
-// next Reserve.
+// the reserve Extend writes the next column into without copying the factor
+// (Reserve's capacity sizes it). The storage belongs to the factor from
+// FactorInPlace or Reserve until the next Reserve.
 //
 // The layout is chosen for the factorization, which is most of the tuner's
 // own CPU time (gp's slice sampler refactors the kernel matrix at every
@@ -201,24 +201,33 @@ func (c *Cholesky) FactorInPlace(a *Dense) error {
 
 // Reserve gives up the current factor and returns the receiver's storage as
 // an n×stride matrix for the caller to assemble the next matrix's upper
-// triangle in and hand to FactorInPlace. A first reservation is exact; later
-// ones keep the storage while its stride covers n and otherwise reallocate
-// with half as much again, so a factor refitted at growing sizes, or extended
-// after the fit, rarely allocates.
-func (c *Cholesky) Reserve(n int) *Dense {
+// triangle in and hand to FactorInPlace. capacity is the largest size the
+// factor's owner will refit or Extend it to (gp: its TrainSet's capacity):
+// a reservation that must allocate sizes stride and rows for it, so no
+// later Reserve or Extend up to it allocates or copies. Past it, storage
+// is reallocated with half as much again.
+func (c *Cholesky) Reserve(n, capacity int) *Dense {
 	if c.u == nil {
-		c.u = &Dense{cols: n, data: make([]float64, 0, n*n)}
-	} else if c.u.cols < n || cap(c.u.data) < n*c.u.cols {
-		st := n + n/2
+		c.u = &Dense{}
+	}
+	if c.u.cols < n || cap(c.u.data) < n*c.u.cols {
+		st := max(n, capacity)
+		if c.u.data != nil {
+			st = max(st, n+n/2)
+		}
 		c.u.cols, c.u.data = st, make([]float64, 0, st*st)
 	}
 	c.u.rows, c.u.data = n, c.u.data[:n*c.u.cols]
 	return c.u
 }
 
+// Truncate keeps the factor of the leading n×n block, which Extend never
+// writes: how GP.AppendBatch leaves a model unchanged when a batch fails
+// part way.
+func (c *Cholesky) Truncate(n int) { c.u.rows, c.u.data = n, c.u.data[:n*c.u.cols] }
+
 // Clone returns an independent copy of the factorization, reserve included.
-// Extending the clone leaves the original untouched, which is how
-// GP.AppendBatch keeps a model consistent when a mid-batch extension fails.
+// Extending the clone leaves the original untouched.
 func (c *Cholesky) Clone() *Cholesky {
 	d := append(make([]float64, 0, cap(c.u.data)), c.u.data...)
 	return &Cholesky{u: &Dense{rows: c.u.rows, cols: c.u.cols, data: d}}

@@ -128,29 +128,47 @@ func TestExtendInPlaceMatchesCopyAndExtend(t *testing.T) {
 }
 
 // TestExtendWithinReserveAllocatesNothing: once a factor has reserve, a new
-// row is a solve into it.
+// row is a solve into it. A factor reserved with a capacity has that reserve
+// from the start: every Extend up to the capacity, the first included, writes
+// into the storage Reserve returned, and a refit at any size up to it
+// reserves that same storage again.
 func TestExtendWithinReserveAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	const n0 = 40
-	a := randomSPD(n0+14, rng)
-	var c Cholesky
-	k := c.Reserve(n0)
-	for i := 0; i < n0; i++ {
-		copy(k.RowView(i)[i:n0], a.RowView(i)[i:n0])
-	}
-	if err := c.FactorInPlace(k); err != nil {
-		t.Fatal(err)
-	}
-	n := n0
-	extend := func() {
-		if err := c.Extend(a.RowView(n)[:n], a.At(n, n)); err != nil {
+	const n0, capacity = 40, 54
+	a := randomSPD(capacity, rng)
+	for _, reserved := range []int{n0, capacity} {
+		var c Cholesky
+		k := c.Reserve(n0, reserved)
+		for i := 0; i < n0; i++ {
+			copy(k.RowView(i)[i:n0], a.RowView(i)[i:n0])
+		}
+		if err := c.FactorInPlace(k); err != nil {
 			t.Fatal(err)
 		}
-		n++
-	}
-	extend() // an exact first reservation has no reserve: this one regrows
-	if allocs := testing.AllocsPerRun(10, extend); allocs != 0 {
-		t.Fatalf("Extend within reserve allocates %.0f objects; want 0", allocs)
+		n := n0
+		extend := func() {
+			if err := c.Extend(a.RowView(n)[:n], a.At(n, n)); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if reserved == n0 {
+			extend() // an exact reservation has no reserve: this one regrows
+			if allocs := testing.AllocsPerRun(10, extend); allocs != 0 {
+				t.Fatalf("Extend within reserve allocates %.0f objects; want 0", allocs)
+			}
+			continue
+		}
+		first := &k.data[0]
+		if allocs := testing.AllocsPerRun(capacity-n0-1, extend); allocs != 0 {
+			t.Fatalf("Extend within a capacity reserve allocates %.0f objects; want 0", allocs)
+		}
+		if n != capacity || &c.u.data[0] != first {
+			t.Fatalf("factor at n=%d moved out of the storage reserved for %d", n, capacity)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { c.Reserve(capacity, capacity) }); allocs != 0 || &c.u.data[0] != first {
+			t.Fatalf("a refit within the capacity allocates %.0f objects or moves the storage", allocs)
+		}
 	}
 }
 
@@ -317,7 +335,7 @@ func TestExtendMatchesRefactorization(t *testing.T) {
 	}
 	// factor factors the leading n×n block of a into c's reserve.
 	factor := func(c *Cholesky, a *Dense, n int) error {
-		k := c.Reserve(n)
+		k := c.Reserve(n, n)
 		for i := 0; i < n; i++ {
 			copy(k.RowView(i)[i:n], a.RowView(i)[i:n])
 		}
@@ -397,7 +415,7 @@ func TestExtendMatchesRefactorization(t *testing.T) {
 				t.Fatal(err)
 			}
 			kept := full.U()
-			k := (&Cholesky{}).Reserve(n + 1)
+			k := (&Cholesky{}).Reserve(n+1, n+1)
 			for i := 0; i <= n; i++ {
 				copy(k.RowView(i)[i:n+1], a.RowView(i)[i:n+1])
 			}

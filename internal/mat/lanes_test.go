@@ -39,7 +39,7 @@ func BenchmarkFactorInPlace(b *testing.B) {
 				var c Cholesky
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					k := c.Reserve(n)
+					k := c.Reserve(n, n)
 					for r := 0; r < n; r++ {
 						copy(k.RowView(r)[:n], a.RowView(r))
 					}

@@ -59,7 +59,7 @@ type Breakdown struct {
 func (s *Simulator) Explain(q Query, c conf.Config, dataGB float64) Breakdown {
 	e := deriveEnv(s.cluster, c)
 	var bd Breakdown
-	simulateQuery(&e, q, c, dataGB, &bd)
+	simulateQuery(&e, &q, c, dataGB, &bd)
 	return bd
 }
 

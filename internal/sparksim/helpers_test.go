@@ -23,11 +23,11 @@ func runOneQueryAt(s *Simulator, idx uint64, q Query, c conf.Config, dataGB floa
 	rng := s.runRNG(idx)
 	defer rngPool.Put(rng)
 	e := deriveEnv(s.cluster, c)
-	return s.runQuery(rng, &e, q, c, dataGB)
+	return s.runQuery(rng, &e, &q, c, dataGB)
 }
 
 // noiselessQueryTime returns the noise-free latency of q under c.
 func noiselessQueryTime(s *Simulator, q Query, c conf.Config, dataGB float64) float64 {
 	e := deriveEnv(s.cluster, c)
-	return simulateQuery(&e, q, c, dataGB, nil).Sec
+	return simulateQuery(&e, &q, c, dataGB, nil).Sec
 }

@@ -59,7 +59,7 @@ func deriveEnv(cl *Cluster, c conf.Config) env {
 	var e env
 	e.instances = c[conf.PExecutorInstances]
 	e.cores = c[conf.PExecutorCores]
-	e.slots = math.Min(e.instances*e.cores, float64(cl.TotalCores()))
+	e.slots = min(e.instances*e.cores, float64(cl.TotalCores()))
 	e.coreSpeed = cl.CoreSpeed
 
 	e.heapMB = c[conf.PExecutorMemory] * 1024
@@ -76,14 +76,14 @@ func deriveEnv(cl *Cluster, c conf.Config) env {
 	if heapExec < 64 {
 		heapExec = 64
 	}
-	e.execMemPerTaskMB = (heapExec + 0.6*e.offHeapMB) / math.Max(1, e.cores)
+	e.execMemPerTaskMB = (heapExec + 0.6*e.offHeapMB) / max(1, e.cores)
 	e.heapShare = heapExec / (heapExec + 0.6*e.offHeapMB)
 
 	// Aggregate bandwidths. Small shuffle file buffers fragment writes and
 	// cost effective disk bandwidth; extra connections per peer help keep
 	// the pipes full.
 	fileBufKB := c[conf.PShuffleFileBuffer]
-	e.aggDiskMBps = float64(cl.SlaveNodes) * cl.DiskMBps * (0.80 + 0.20*math.Min(1, fileBufKB/64))
+	e.aggDiskMBps = float64(cl.SlaveNodes) * cl.DiskMBps * (0.80 + 0.20*min(1, fileBufKB/64))
 	numConn := c[conf.PShuffleNumConnections]
 	e.aggNetMBps = float64(cl.SlaveNodes) * cl.NetMBps * (0.88 + 0.03*(numConn-1))
 	e.crossNodeFrac = float64(cl.SlaveNodes-1) / float64(cl.SlaveNodes)
@@ -94,7 +94,7 @@ func deriveEnv(cl *Cluster, c conf.Config) env {
 	if c.Bool(conf.PShuffleCompress) {
 		lvl := c[conf.PZstdLevel]
 		e.comprRatio = 0.50 - 0.04*lvl
-		bufPenalty := 1.0 + 0.2*math.Max(0, (32-c[conf.PZstdBufferSize])/32)
+		bufPenalty := 1.0 + 0.2*max(0, (32-c[conf.PZstdBufferSize])/32)
 		e.comprCPUperMB = (0.0018 + 0.0008*lvl) * bufPenalty / e.coreSpeed
 	} else {
 		e.comprRatio = 1
@@ -113,7 +113,7 @@ func deriveEnv(cl *Cluster, c conf.Config) env {
 	// Driver-side fixed cost per query: planning, codegen, collecting
 	// results. More driver cores parse/schedule faster; tiny heaps make the
 	// driver GC during plan broadcast.
-	e.driverCores = math.Max(1, c[conf.PDriverCores])
+	e.driverCores = max(1, c[conf.PDriverCores])
 	driverFactor := 1.0 + 0.5/e.driverCores
 	if c[conf.PDriverMemory] < 8 {
 		driverFactor += 0.1
@@ -185,15 +185,15 @@ type stageCost struct {
 // scanStage models the leaf stage: columnar scan + filter + project.
 // Selections are bounded below by aggregate disk bandwidth, which is why
 // they are configuration-insensitive (Section 5.11).
-func scanStage(e *env, q Query, scanMB float64, maxFieldsPenalty float64) stageCost {
+func scanStage(e *env, q *Query, scanMB float64, maxFieldsPenalty float64) stageCost {
 	readMB := scanMB * e.columnarScanFactor
-	tasks := math.Max(math.Ceil(readMB/128), 1)
+	tasks := max(math.Ceil(readMB/128), 1)
 	if q.Class != Selection {
 		// Wide plans re-partition their scan output; default.parallelism
 		// bounds the parent RDD partition count.
-		tasks = math.Max(tasks, e.scanParallelism*0.25)
+		tasks = max(tasks, e.scanParallelism*0.25)
 	}
-	slotsEff := math.Min(e.slots, tasks)
+	slotsEff := min(e.slots, tasks)
 	diskT := readMB / e.aggDiskMBps
 	cpuAgg := readMB * e.scanCPUperMB * q.CPUWeight * maxFieldsPenalty * e.batchCPUFactor
 	waves := math.Ceil(tasks / e.slots)
@@ -201,7 +201,7 @@ func scanStage(e *env, q Query, scanMB float64, maxFieldsPenalty float64) stageC
 	// when the last wave is nearly empty, so CPU-bound stages waste the
 	// idle slots (the classic "partitions should be a small multiple of
 	// total cores" Spark guideline).
-	waveEff := tasks / (waves * math.Min(e.slots, tasks))
+	waveEff := tasks / (waves * min(e.slots, tasks))
 	if waveEff > 1 {
 		waveEff = 1
 	}
@@ -209,7 +209,7 @@ func scanStage(e *env, q Query, scanMB float64, maxFieldsPenalty float64) stageC
 		waveEff = 0.6 // the scheduler back-fills part of the idle wave
 	}
 	cpuT := cpuAgg / slotsEff / waveEff
-	t := math.Max(diskT, cpuT) + waves*e.waveOverheadSec
+	t := max(diskT, cpuT) + waves*e.waveOverheadSec
 	return stageCost{
 		sec: t, cpuWallSec: cpuT, diskSec: diskT,
 		overheadSec: waves * e.waveOverheadSec, waves: int(waves), thrashFactor: 1,
@@ -219,7 +219,7 @@ func scanStage(e *env, q Query, scanMB float64, maxFieldsPenalty float64) stageC
 // shuffleStage models one wide stage: map-side sort/compress/write, network
 // fetch, and reduce-side join/aggregate, with spill and memory thrash when
 // the per-task working set exceeds its execution-memory share.
-func shuffleStage(e *env, q Query, shufMB float64) stageCost {
+func shuffleStage(e *env, q *Query, shufMB float64) stageCost {
 	parts := e.shufflePartitions
 	taskMB := shufMB / parts
 
@@ -251,7 +251,7 @@ func shuffleStage(e *env, q Query, shufMB float64) stageCost {
 	// overcommit factor.
 	var spillMB float64
 	if pressure > 1 {
-		passes := math.Min(3, math.Log2(pressure)+1)
+		passes := min(3, math.Log2(pressure)+1)
 		spillMB = shufMB * passes * e.spillRatio
 	}
 
@@ -267,14 +267,14 @@ func shuffleStage(e *env, q Query, shufMB float64) stageCost {
 	netT := wireMB * e.crossNodeFrac / e.aggNetMBps
 	// Reducers with tiny in-flight windows cannot keep the network busy.
 	if e.maxInFlightMB < taskMB*e.comprRatio {
-		netT *= 1 + 0.25*math.Min(1, 1-e.maxInFlightMB/(taskMB*e.comprRatio))
+		netT *= 1 + 0.25*min(1, 1-e.maxInFlightMB/(taskMB*e.comprRatio))
 	}
 
 	cpuAgg := shufMB * (2*e.comprCPUperMB + sortCPU + procCPU)
 	if spillMB > 0 {
 		cpuAgg += spillMB * e.comprCPUperMB // re-serialize spilled runs
 	}
-	slotsEff := math.Min(e.slots, parts)
+	slotsEff := min(e.slots, parts)
 	waves := math.Ceil(parts / e.slots)
 	// Wave quantization (see scanStage): mismatched partition counts leave
 	// the last wave mostly idle.
@@ -291,7 +291,7 @@ func shuffleStage(e *env, q Query, shufMB float64) stageCost {
 	// over the driver cores — over-partitioning is not free.
 	dispatch := parts * 0.002 / e.driverCores
 
-	t := math.Max(diskT, math.Max(netT, cpuT)) + waves*e.waveOverheadSec + dispatch
+	t := max(diskT, max(netT, cpuT)) + waves*e.waveOverheadSec + dispatch
 
 	// Straggler tail: the stage ends when the most skewed task does. A
 	// skewed key's partition holds ≈(1 + 2.5·Skew)× the average bytes, and
@@ -313,7 +313,7 @@ func shuffleStage(e *env, q Query, shufMB float64) stageCost {
 	if hashJoin || q.Class == Aggregation {
 		coef = 0.60 // hash tables cannot spill incrementally; cliffs are steeper
 	}
-	thrash := 1 + math.Min(coef*pressure*pressure, 49)
+	thrash := 1 + min(coef*pressure*pressure, 49)
 	t *= thrash
 
 	return stageCost{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"locat/internal/conf"
+	"locat/internal/stat"
 )
 
 func testApp() *Application {
@@ -94,7 +95,7 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	}
 	sizes := func(i int) float64 { return 100 + 50*float64(i%3) }
 	const seed = 41
-	fresh := func(idx uint64) *rand.Rand { return rand.New(rand.NewSource(runSeed(seed, idx))) }
+	fresh := func(idx uint64) *rand.Rand { return rand.New(rand.NewSource(stat.SplitSeed(seed, idx))) }
 
 	oracle := New(cl, seed)
 	wantApp := make([]AppResult, len(cs))
@@ -102,7 +103,8 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	for i, c := range cs {
 		wantApp[i] = oracle.runApp(fresh(uint64(i)), app, c, sizes(i))
 		e := deriveEnv(cl, c)
-		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), &e, joinQuery(), c, sizes(i))
+		jq := joinQuery()
+		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), &e, &jq, c, sizes(i))
 	}
 	for _, workers := range []int{1, 2, 4} {
 		s := New(cl, seed)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"locat/internal/conf"
+	"locat/internal/stat"
 )
 
 // oracleRunApp and oracleRunQuery are runApp and runQuery as they stood
@@ -31,7 +32,7 @@ func oracleRunApp(s *Simulator, rng *rand.Rand, app *Application, c conf.Config,
 
 func oracleRunQuery(s *Simulator, rng *rand.Rand, q Query, c conf.Config, dataGB float64) QueryResult {
 	e := deriveEnv(s.cluster, c)
-	r := simulateQuery(&e, q, c, dataGB, nil)
+	r := simulateQuery(&e, &q, c, dataGB, nil)
 	if s.noise > 0 {
 		f := math.Exp(rng.NormFloat64() * s.noise)
 		r.Sec *= f
@@ -67,7 +68,7 @@ func TestRunAppMatchesPerQueryEnv(t *testing.T) {
 		big,
 	}
 	const seed = 29
-	fresh := func(idx uint64) *rand.Rand { return rand.New(rand.NewSource(runSeed(seed, idx))) }
+	fresh := func(idx uint64) *rand.Rand { return rand.New(rand.NewSource(stat.SplitSeed(seed, idx))) }
 	for _, cl := range []*Cluster{ARM(), X86()} {
 		space := cl.Space()
 		pick := rand.New(rand.NewSource(17))

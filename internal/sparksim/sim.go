@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"locat/internal/conf"
+	"locat/internal/stat"
 )
 
 // QueryResult is the outcome of executing one query once.
@@ -43,7 +44,7 @@ type AppResult struct {
 //
 // Every run draws its noise from a private deterministic stream seeded by
 // (simulator seed, run index) — the stream of a fresh
-// rand.NewSource(runSeed(seed, idx)), produced by a pooled runSource that
+// rand.NewSource(stat.SplitSeed(seed, idx)), produced by a pooled stat.Source that
 // computes a seed word only when a draw reads it; the run index is claimed
 // from an atomic counter (RunApp) or fixed explicitly (RunAppAt against a
 // ReserveRuns block). The i-th run of a simulator is therefore fully
@@ -105,30 +106,41 @@ func (s *Simulator) ReserveRuns(n int) uint64 {
 
 // rngPool recycles the generators runs draw their noise from: a source is
 // 7.3 KB, and a run would otherwise allocate one.
-var rngPool = sync.Pool{New: func() any { return rand.New(newRunSource(0)) }}
+var rngPool = sync.Pool{New: func() any { return rand.New(stat.NewSource(0)) }}
 
 // runRNG returns the private noise stream of run index idx, for the caller
-// to put back in rngPool once the run has drawn from it. Seeding a runSource
-// invalidates every word the previous run left, so the stream is that of a
-// fresh rand.NewSource(runSeed(seed, idx)) at the cost of the words read.
+// to put back in rngPool once the run has drawn from it. Seeding a
+// stat.Source invalidates every word the previous run left, so the stream is
+// that of a fresh rand.NewSource(stat.SplitSeed(seed, idx)) at the cost of
+// the words read.
 func (s *Simulator) runRNG(idx uint64) *rand.Rand {
 	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(runSeed(s.seed, idx))
+	rng.Seed(stat.SplitSeed(s.seed, idx))
 	return rng
 }
 
-// runSeed derives the seed of run idx from the simulator seed by a
-// splitmix64-style mix, so neighbouring indices get decorrelated streams.
-func runSeed(seed int64, idx uint64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(idx+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+// stageDecay is the share of a wide stage's bytes the next one shuffles;
+// decays[k] is math.Pow(stageDecay, k).
+const stageDecay = 0.45
+
+var decays = func() (p [8]float64) {
+	for k := range p {
+		p[k] = math.Pow(stageDecay, float64(k))
+	}
+	return p
+}()
+
+// decayPow returns math.Pow(stageDecay, k), from the table where it can.
+func decayPow(k int) float64 {
+	if k < len(decays) {
+		return decays[k]
+	}
+	return math.Pow(stageDecay, float64(k))
 }
 
 // runQuery executes one query in environment e, drawing task-level noise
 // from rng.
-func (s *Simulator) runQuery(rng *rand.Rand, e *env, q Query, c conf.Config, dataGB float64) QueryResult {
+func (s *Simulator) runQuery(rng *rand.Rand, e *env, q *Query, c conf.Config, dataGB float64) QueryResult {
 	r := simulateQuery(e, q, c, dataGB, nil)
 	if s.noise > 0 {
 		f := math.Exp(rng.NormFloat64() * s.noise)
@@ -164,8 +176,8 @@ func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, data
 		runFactor = math.Exp(rng.NormFloat64() * s.runNoise)
 	}
 	out := AppResult{Queries: make([]QueryResult, 0, len(app.Queries))}
-	for _, q := range app.Queries {
-		r := s.runQuery(rng, &e, q, c, dataGB)
+	for i := range app.Queries {
+		r := s.runQuery(rng, &e, &app.Queries[i], c, dataGB)
 		r.Sec *= runFactor
 		r.GCSec *= runFactor
 		out.Sec += r.Sec
@@ -179,8 +191,8 @@ func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, data
 func (s *Simulator) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
 	e := deriveEnv(s.cluster, c)
 	var t float64
-	for _, q := range app.Queries {
-		t += simulateQuery(&e, q, c, dataGB, nil).Sec
+	for i := range app.Queries {
+		t += simulateQuery(&e, &app.Queries[i], c, dataGB, nil).Sec
 	}
 	return t
 }
@@ -188,7 +200,7 @@ func (s *Simulator) NoiselessAppTime(app *Application, c conf.Config, dataGB flo
 // simulateQuery runs the analytical cost model for one query: the one walk
 // over its stages. A non-nil bd also receives the per-stage components
 // (Explain); runs pass nil.
-func simulateQuery(e *env, q Query, c conf.Config, dataGB float64, bd *Breakdown) QueryResult {
+func simulateQuery(e *env, q *Query, c conf.Config, dataGB float64, bd *Breakdown) QueryResult {
 	scanMB := dataGB * 1024 * q.InputFrac
 
 	// Codegen fallback penalty for wide plans with a small maxFields cap.
@@ -228,10 +240,9 @@ func simulateQuery(e *env, q Query, c conf.Config, dataGB float64, bd *Breakdown
 		}
 	}
 
-	const stageDecay = 0.45
 	shufMB := scanMB * q.ShuffleFrac
 	for st := 1; st < q.Stages; st++ {
-		mb := shufMB * math.Pow(stageDecay, float64(st-1))
+		mb := shufMB * decayPow(st-1)
 		if st == 1 && broadcast {
 			// The big side stays map-local; only partial aggregates move.
 			mb *= 0.12
@@ -253,7 +264,7 @@ func simulateQuery(e *env, q Query, c conf.Config, dataGB float64, bd *Breakdown
 	// term for very large heaps. Off-heap memory shields its share of the
 	// working set from the collector.
 	effPressure := maxPressure * e.heapShare
-	gcFrac := 0.03 + 0.11*math.Pow(math.Min(effPressure, 4), 1.8) + e.gcHeapPauseFactor
+	gcFrac := 0.03 + 0.11*math.Pow(min(effPressure, 4), 1.8) + e.gcHeapPauseFactor
 	gc := cpuWall * gcFrac
 
 	res.Sec = totalSec + gc + q.FixedSec + e.fixedPerQuery

@@ -1,4 +1,4 @@
-package sparksim
+package stat
 
 import "math/rand"
 
@@ -7,7 +7,7 @@ import "math/rand"
 // a Lehmer sequence x_k = 48271^k · x0 mod (2³¹−1): word i is x_{21+3i},
 // x_{22+3i} and x_{23+3i} packed at bits 40, 20 and 0, XORed with a fixed
 // "cooked" word. That is 1 841 Lehmer steps, and a simulator run reads two
-// words per draw for a few dozen draws. runSource is the same generator with
+// words per draw for a few dozen draws. Source is the same generator with
 // the fill deferred: a word is computed when a draw first reads it, jumping
 // into the Lehmer sequence through a table of powers.
 const (
@@ -84,12 +84,12 @@ func lehmerWord(i int, x0 uint64) int64 {
 	return int64(x)<<40 ^ int64(y)<<20 ^ int64(z)
 }
 
-// runSource is a rand.Source64 whose stream is, word for word, that of
+// Source is a rand.Source64 whose stream is, word for word, that of
 // rand.NewSource with the same seed, and whose Seed is O(1): it bumps an
 // epoch, and a word whose stamp is not the current epoch is materialised from
 // the seed when a draw first reads it. It holds no state shared with another
 // source beyond the two read-only tables above.
-type runSource struct {
+type Source struct {
 	vec       [rngLen]int64
 	stamp     [rngLen]uint32 // epoch in which vec[i] was last written
 	epoch     uint32
@@ -97,13 +97,14 @@ type runSource struct {
 	x0        uint64 // lehmerSeed of the current seed
 }
 
-func newRunSource(seed int64) *runSource {
-	r := new(runSource)
+// NewSource returns a Source seeded with seed.
+func NewSource(seed int64) *Source {
+	r := new(Source)
 	r.Seed(seed)
 	return r
 }
 
-func (r *runSource) Seed(seed int64) {
+func (r *Source) Seed(seed int64) {
 	r.tap, r.feed = 0, rngLen-rngTap
 	r.x0 = lehmerSeed(seed)
 	r.epoch++
@@ -114,7 +115,7 @@ func (r *runSource) Seed(seed int64) {
 	}
 }
 
-func (r *runSource) word(i int) int64 {
+func (r *Source) word(i int) int64 {
 	if r.stamp[i] != r.epoch {
 		r.stamp[i] = r.epoch
 		r.vec[i] = lehmerWord(i, r.x0) ^ rngCooked[i]
@@ -122,7 +123,7 @@ func (r *runSource) word(i int) int64 {
 	return r.vec[i]
 }
 
-func (r *runSource) Uint64() uint64 {
+func (r *Source) Uint64() uint64 {
 	if r.tap--; r.tap < 0 {
 		r.tap += rngLen
 	}
@@ -134,4 +135,13 @@ func (r *runSource) Uint64() uint64 {
 	return uint64(x)
 }
 
-func (r *runSource) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
+func (r *Source) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
+
+// SplitSeed derives the seed of stream idx (a simulator run, an MCMC chain)
+// by the splitmix64 mix, so neighbouring indices get decorrelated streams.
+func SplitSeed(seed int64, idx uint64) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*(idx+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
+}

@@ -41,6 +41,8 @@ type SearchSpace interface {
 	Dim() int
 	// Decode expands a unit-cube point into a valid full configuration.
 	Decode(u []float64) conf.Config
+	// DecodeInto is Decode writing into dst, a full-length configuration.
+	DecodeInto(dst conf.Config, u []float64)
 	// Encode projects a configuration onto the free dimensions.
 	Encode(c conf.Config) []float64
 	// Random draws a valid configuration uniformly.
@@ -78,17 +80,25 @@ func All() []Tuner {
 	return []Tuner{NewTuneful(), NewDAC(), NewGBORL(), NewQTune()}
 }
 
-// budgeted tracks execution accounting shared by all baselines.
+// budgeted tracks execution accounting shared by all baselines. Baselines
+// read a run's total only, so every run's per-query results go to one
+// buffer the session reuses.
 type budgeted struct {
 	r   runner.Runner
 	app *sparksim.Application
 	gb  float64
 	rep *Report
+	qs  []runner.QueryResult
 }
 
-// run executes the full application once and updates the accounting.
-func (b *budgeted) run(c conf.Config) float64 {
-	r := b.r.RunApp(b.app, c, b.gb)
+// run executes the full application once at the target size and updates
+// the accounting.
+func (b *budgeted) run(c conf.Config) float64 { return b.runAt(c, b.gb) }
+
+// runAt is run at data size gb. It claims the run index RunApp would.
+func (b *budgeted) runAt(c conf.Config, gb float64) float64 {
+	r := b.r.RunAppAt(b.r.ReserveRuns(1), b.app, c, gb, b.qs)
+	b.qs = r.Queries
 	b.rep.OverheadSec += r.Sec
 	b.rep.Runs++
 	return r.Sec

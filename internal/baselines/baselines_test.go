@@ -101,3 +101,31 @@ func TestDeterministicGivenSeeds(t *testing.T) {
 		}
 	}
 }
+
+// A full-budget session on the bare simulator allocates what it keeps (the
+// configurations it may return, DAC's training set and model, the
+// populations), not something per run: a run's per-query results go to the
+// session's one buffer, and genomes, episodes and candidates are decoded
+// into scratch configurations. Per-run allocation of any of those costs
+// DAC, GBO-RL and QTune 2 900, 680 and 2 000 allocations per session;
+// these bounds leave room for sync.Pool's dropped generators under -race.
+func TestSessionAllocs(t *testing.T) {
+	app := workloads.TPCH()
+	for _, tc := range []struct {
+		tuner func() Tuner
+		max   float64
+	}{
+		{func() Tuner { return NewDAC() }, 1000},
+		{func() Tuner { return NewGBORL() }, 400},
+		{func() Tuner { return NewQTune() }, 800},
+	} {
+		n := testing.AllocsPerRun(1, func() {
+			if _, err := tc.tuner().Tune(sparksim.New(sparksim.ARM(), 1), app, 100, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.max {
+			t.Errorf("%s session allocates %v times, want at most %v", tc.tuner().Name(), n, tc.max)
+		}
+	}
+}

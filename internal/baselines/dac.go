@@ -50,24 +50,26 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 	b := &budgeted{r: r, app: app, gb: targetGB, rep: &Report{Tuner: d.Name()}}
 
 	// Training-sample collection: random configurations at a mix of data
-	// sizes around the target (DAC's datasize-awareness).
+	// sizes around the target (DAC's datasize-awareness), each a model row
+	// of one array: the encoded configuration and the data size in TB.
 	sizes := []float64{targetGB * 0.5, targetGB, targetGB * 1.5}
-	var xs [][]float64
-	var ys []float64
+	w := space.Dim() + 1
+	flat := make([]float64, d.TrainRuns*w)
+	xs := make([][]float64, d.TrainRuns)
+	ys := make([]float64, d.TrainRuns)
 	var confs []conf.Config
 	var obs []float64
-	for i := 0; i < d.TrainRuns; i++ {
+	for i := range xs {
 		c := search.Random(rng)
 		gb := sizes[i%len(sizes)]
-		res := r.RunApp(app, c, gb)
-		b.rep.OverheadSec += res.Sec
-		b.rep.Runs++
-		row := append(space.Encode(c), gb/1024)
-		xs = append(xs, row)
-		ys = append(ys, res.Sec)
+		sec := b.runAt(c, gb)
+		xs[i] = flat[i*w : (i+1)*w]
+		space.EncodeInto(xs[i][:w-1], c)
+		xs[i][w-1] = gb / 1024
+		ys[i] = sec
 		if gb == targetGB {
 			confs = append(confs, c)
-			obs = append(obs, res.Sec)
+			obs = append(obs, sec)
 		}
 	}
 
@@ -85,28 +87,34 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 
 	// Genetic search over the model (no cluster time consumed). Genomes are
 	// encoded unit-cube vectors of the search space, each scored once: a
-	// score draws no random number and the elite carry theirs forward.
+	// score draws no random number and the elite carry theirs forward. A
+	// generation is bred from pop into next, two populations of rows that
+	// swap after each generation, and every genome is decoded into one
+	// scratch configuration to be scored.
 	dim := search.Dim()
-	pop := make([][]float64, d.Population)
+	pop, next := population(d.Population, dim), population(d.Population, dim)
 	fitness := make([]float64, len(pop))
-	score := func(g []float64) float64 { return predict(search.Decode(g)) }
+	nextFitness := make([]float64, len(pop))
+	scratch := make(conf.Config, conf.NumParams)
+	score := func(g []float64) float64 {
+		search.DecodeInto(scratch, g)
+		return predict(scratch)
+	}
 	for i := range pop {
-		pop[i] = search.Encode(search.Random(rng))
+		copy(pop[i], search.Encode(search.Random(rng)))
 		fitness[i] = score(pop[i])
 	}
 	for g := 0; g < d.Generations; g++ {
 		idx := argsort(fitness)
 		elite := len(pop) / 4
-		next := make([][]float64, 0, len(pop))
-		nextFitness := make([]float64, 0, len(pop))
 		for i := 0; i < elite; i++ {
-			next = append(next, pop[idx[i]])
-			nextFitness = append(nextFitness, fitness[idx[i]])
+			copy(next[i], pop[idx[i]])
+			nextFitness[i] = fitness[idx[i]]
 		}
-		for len(next) < len(pop) {
+		for n := elite; n < len(next); n++ {
 			pa := pop[idx[rng.Intn(elite)]]
 			pb := pop[idx[rng.Intn(len(pop)/2)]]
-			child := make([]float64, dim)
+			child := next[n]
 			for j := range child {
 				if rng.Intn(2) == 0 {
 					child[j] = pa[j]
@@ -123,10 +131,10 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 					}
 				}
 			}
-			next = append(next, child)
-			nextFitness = append(nextFitness, score(child))
+			nextFitness[n] = score(child)
 		}
-		pop, fitness = next, nextFitness
+		pop, next = next, pop
+		fitness, nextFitness = nextFitness, fitness
 	}
 	idx := argsort(fitness)
 
@@ -143,6 +151,16 @@ func (d *DAC) Tune(r runner.Runner, app *sparksim.Application, targetGB float64,
 		}
 	}
 	return b.finish(best)
+}
+
+// population returns n rows of dim values over one array.
+func population(n, dim int) [][]float64 {
+	flat := make([]float64, n*dim)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim]
+	}
+	return rows
 }
 
 func argsort(xs []float64) []int {

@@ -56,8 +56,9 @@ func (g *GBORL) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 	// prediction and probes them on the cluster.
 	best := space.Default()
 	bestSec := b.run(best)
+	probe := make(conf.Config, conf.NumParams)
 	for i := 0; i < g.MemProbes; i++ {
-		c := best.Clone()
+		copy(probe, best)
 		for _, j := range memoryParams {
 			r := space.RangeOf(j)
 			// The model prefers large heaps, low storage fractions and
@@ -67,31 +68,34 @@ func (g *GBORL) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 			if j == conf.PMemoryStorageFraction {
 				bias = 1 - bias
 			}
-			c[j] = r.Lo + bias*r.Width()
+			probe[j] = r.Lo + bias*r.Width()
 		}
-		c = space.Repair(c)
+		c := space.Repair(probe)
 		if sec := b.run(c); sec < bestSec {
 			bestSec = sec
 			best = c
 		}
 	}
 
-	// Stage 2 — ε-greedy RL over single-parameter actions.
+	// Stage 2 — ε-greedy RL over single-parameter actions. An exploiting
+	// candidate is built in scratch storage; the state and the best keep
+	// copies of the candidates that improve them.
 	var search SearchSpace = space
 	if g.Restrict != nil {
 		search = g.Restrict
 	}
 	cur := search.Encode(best)
 	curSec := bestSec
+	candX := make([]float64, len(cur))
+	nudged := make(conf.Config, conf.NumParams)
 	for step := 0; step < g.RLSteps; step++ {
-		var cand conf.Config
-		var candX []float64
+		cand := nudged
 		if rng.Float64() < gborlEpsilon {
 			cand = search.Random(rng) // explore
-			candX = search.Encode(cand)
+			copy(candX, search.Encode(cand))
 		} else {
 			// Exploit: nudge one random free dimension of the current state.
-			candX = append([]float64(nil), cur...)
+			copy(candX, cur)
 			j := rng.Intn(len(candX))
 			candX[j] += (rng.Float64() - 0.5) * 0.4
 			if candX[j] < 0 {
@@ -100,14 +104,15 @@ func (g *GBORL) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 			if candX[j] > 1 {
 				candX[j] = 1
 			}
-			cand = search.Decode(candX)
+			search.DecodeInto(cand, candX)
 		}
 		sec := b.run(cand)
 		if sec < curSec {
-			cur, curSec = candX, sec
+			copy(cur, candX)
+			curSec = sec
 		}
 		if sec < bestSec {
-			best, bestSec = cand, sec
+			best, bestSec = cand.Clone(), sec
 		}
 	}
 	return b.finish(best)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"locat/internal/conf"
 	"locat/internal/runner"
 	"locat/internal/sparksim"
 )
@@ -57,14 +58,14 @@ func (q *QTune) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 	if nElite < 2 {
 		nElite = 2
 	}
-	type ep struct {
-		x   []float64
-		sec float64
-	}
+	// A generation's episodes are rows of one array the search reuses, and
+	// each is run through one scratch configuration.
+	xs := population(q.Episodes, d)
+	secs := make([]float64, q.Episodes)
+	idx := make([]int, q.Episodes)
+	c := make(conf.Config, conf.NumParams)
 	for g := 0; g < q.Generations; g++ {
-		eps := make([]ep, q.Episodes)
-		for e := 0; e < q.Episodes; e++ {
-			x := make([]float64, d)
+		for e, x := range xs {
 			explore := rng.Float64() < 0.15 // DDPG-style exploration episodes
 			for j := range x {
 				if explore {
@@ -73,19 +74,17 @@ func (q *QTune) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 				}
 				x[j] = clamp01(mean[j] + rng.NormFloat64()*sigma[j])
 			}
-			c := search.Decode(x)
-			sec := b.run(c)
-			eps[e] = ep{x: x, sec: sec}
+			search.DecodeInto(c, x)
+			secs[e] = b.run(c)
 		}
 		// Refit the policy to the elite episodes.
-		idx := make([]int, len(eps))
 		for i := range idx {
 			idx[i] = i
 		}
 		for i := 0; i < len(idx); i++ { // selection sort is fine at n=12
 			m := i
 			for k := i + 1; k < len(idx); k++ {
-				if eps[idx[k]].sec < eps[idx[m]].sec {
+				if secs[idx[k]] < secs[idx[m]] {
 					m = k
 				}
 			}
@@ -94,11 +93,11 @@ func (q *QTune) Tune(r runner.Runner, app *sparksim.Application, targetGB float6
 		for j := 0; j < d; j++ {
 			var mu, v float64
 			for i := 0; i < nElite; i++ {
-				mu += eps[idx[i]].x[j]
+				mu += xs[idx[i]][j]
 			}
 			mu /= float64(nElite)
 			for i := 0; i < nElite; i++ {
-				dd := eps[idx[i]].x[j] - mu
+				dd := xs[idx[i]][j] - mu
 				v += dd * dd
 			}
 			v /= float64(nElite)

@@ -3,6 +3,7 @@ package conf
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -355,5 +356,53 @@ func TestConfigBoolClone(t *testing.T) {
 	cl[0] = 9
 	if c[0] != 0 {
 		t.Fatal("Clone aliases")
+	}
+}
+
+// kept holds a built configuration, so that it escapes as a caller's would.
+var kept Config
+
+// The builders repair the configuration they made in place: each allocates
+// exactly the Config it returns, DecodeInto none, and both decodes agree.
+// The exported Repair still leaves its argument alone.
+func TestDecodeAllocs(t *testing.T) {
+	s := NewSpace(ProfileX86, x86Limits())
+	ss, err := NewSubspace(s, s.Default(), []int{PExecutorCores, PExecutorMemory, PSQLShufflePartitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	u := s.Encode(s.Random(rng))
+	su := ss.Encode(s.Random(rng))
+	dst := make(Config, NumParams)
+	for _, tc := range []struct {
+		name  string
+		want  float64
+		build func()
+	}{
+		{"Space.Decode", 1, func() { kept = s.Decode(u) }},
+		{"Space.Random", 1, func() { kept = s.Random(rng) }},
+		{"Space.Default", 1, func() { kept = s.Default() }},
+		{"Subspace.Decode", 1, func() { kept = ss.Decode(su) }},
+		{"Space.DecodeInto", 0, func() { s.DecodeInto(dst, u) }},
+		{"Subspace.DecodeInto", 0, func() { ss.DecodeInto(dst, su) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.build); n != tc.want {
+			t.Errorf("%s allocates %v times, want %v", tc.name, n, tc.want)
+		}
+	}
+	s.DecodeInto(dst, u)
+	if !reflect.DeepEqual(dst, s.Decode(u)) {
+		t.Fatalf("Space.DecodeInto %v, Decode %v", dst, s.Decode(u))
+	}
+	ss.DecodeInto(dst, su)
+	if !reflect.DeepEqual(dst, ss.Decode(su)) {
+		t.Fatalf("Subspace.DecodeInto %v, Decode %v", dst, ss.Decode(su))
+	}
+	bad := s.Default()
+	bad[PExecutorMemory] = 1e6
+	before := bad.Clone()
+	if s.Repair(bad); !reflect.DeepEqual(bad, before) {
+		t.Fatal("Repair changed its argument")
 	}
 }

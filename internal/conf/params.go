@@ -41,6 +41,18 @@ func (r Range) Clamp(v float64) float64 {
 // Width returns Hi - Lo.
 func (r Range) Width() float64 { return r.Hi - r.Lo }
 
+// at returns the value the share v of the way from Lo to Hi, v clamped to
+// [0, 1]: a unit-cube coordinate decoded.
+func (r Range) at(v float64) float64 {
+	if v < 0 {
+		v = 0
+	}
+	if v > 1 {
+		v = 1
+	}
+	return r.Lo + v*r.Width()
+}
+
 // Param describes one tunable Spark or Spark SQL configuration parameter
 // (one row of the paper's Table 2).
 type Param struct {

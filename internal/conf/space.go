@@ -89,7 +89,8 @@ func (s *Space) Default() Config {
 	for i, p := range params {
 		c[i] = p.Default
 	}
-	return s.Repair(c)
+	s.repair(c)
+	return c
 }
 
 // Random returns a uniformly random valid configuration.
@@ -99,7 +100,8 @@ func (s *Space) Random(rng *rand.Rand) Config {
 		r := s.ranges[i]
 		c[i] = r.Lo + rng.Float64()*r.Width()
 	}
-	return s.Repair(c)
+	s.repair(c)
+	return c
 }
 
 // LHS returns n valid configurations drawn by Latin Hypercube Sampling over
@@ -139,22 +141,21 @@ func (s *Space) EncodeInto(u []float64, c Config) {
 // Decode maps a unit-cube point back to a valid configuration (rounding
 // integer parameters and repairing resource constraints).
 func (s *Space) Decode(u []float64) Config {
-	if len(u) != NumParams {
-		panic(fmt.Sprintf("conf: Decode point length %d", len(u)))
-	}
 	c := make(Config, NumParams)
-	for i := range u {
-		v := u[i]
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		r := s.ranges[i]
-		c[i] = r.Lo + v*r.Width()
+	s.DecodeInto(c, u)
+	return c
+}
+
+// DecodeInto is Decode writing into dst, which must have length 38: for
+// callers that score many points through one configuration.
+func (s *Space) DecodeInto(dst Config, u []float64) {
+	if len(u) != NumParams || len(dst) != NumParams {
+		panic(fmt.Sprintf("conf: Decode point length %d into %d", len(u), len(dst)))
 	}
-	return s.Repair(c)
+	for i, v := range u {
+		dst[i] = s.ranges[i].at(v)
+	}
+	s.repair(dst)
 }
 
 // procMemMB returns the total per-executor-process memory demand in MB:
@@ -225,9 +226,17 @@ func (s *Space) shrinkProcMem(c Config, capMB float64) {
 // Repair returns a valid configuration derived from c: values are clamped to
 // their ranges, integer parameters rounded, and resource constraints enforced
 // by scaling down memory components, cores and executor instances — mirroring
-// how the paper bounds the search space rather than rejecting samples.
+// how the paper bounds the search space rather than rejecting samples. c is
+// left as it was.
 func (s *Space) Repair(c Config) Config {
 	out := c.Clone()
+	s.repair(out)
+	return out
+}
+
+// repair is Repair in place, for the configurations this package has just
+// built.
+func (s *Space) repair(out Config) {
 	for i, p := range params {
 		out[i] = s.ranges[i].Clamp(out[i])
 		if p.Integer {
@@ -257,7 +266,6 @@ func (s *Space) Repair(c Config) Config {
 	if out[PExecutorInstances] > maxInst {
 		out[PExecutorInstances] = math.Max(minInst, maxInst)
 	}
-	return out
 }
 
 // Neighbor returns a valid configuration obtained by perturbing c with

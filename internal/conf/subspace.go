@@ -45,22 +45,21 @@ func (ss *Subspace) Space() *Space { return ss.space }
 // Decode expands a unit-cube point over the free dimensions into a full,
 // repaired configuration.
 func (ss *Subspace) Decode(u []float64) Config {
-	if len(u) != len(ss.indices) {
-		panic(fmt.Sprintf("conf: Subspace.Decode point length %d, want %d", len(u), len(ss.indices)))
+	c := make(Config, NumParams)
+	ss.DecodeInto(c, u)
+	return c
+}
+
+// DecodeInto is Decode writing into dst, which must have length 38.
+func (ss *Subspace) DecodeInto(dst Config, u []float64) {
+	if len(u) != len(ss.indices) || len(dst) != NumParams {
+		panic(fmt.Sprintf("conf: Subspace.Decode point length %d into %d, want %d", len(u), len(dst), len(ss.indices)))
 	}
-	c := ss.base.Clone()
+	copy(dst, ss.base)
 	for k, i := range ss.indices {
-		v := u[k]
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		r := ss.space.ranges[i]
-		c[i] = r.Lo + v*r.Width()
+		dst[i] = ss.space.ranges[i].at(u[k])
 	}
-	return ss.space.Repair(c)
+	ss.space.repair(dst)
 }
 
 // Encode projects a full configuration onto the free dimensions in [0,1].

@@ -440,9 +440,9 @@ func (p *backendProbe) RunApp(app *runner.Application, c conf.Config, dataGB flo
 	return p.Runner.RunApp(app, c, dataGB)
 }
 
-func (p *backendProbe) RunAppAt(idx uint64, app *runner.Application, c conf.Config, dataGB float64) runner.AppResult {
+func (p *backendProbe) RunAppAt(idx uint64, app *runner.Application, c conf.Config, dataGB float64, into []runner.QueryResult) runner.AppResult {
 	p.runs.Add(1)
-	return p.Runner.RunAppAt(idx, app, c, dataGB)
+	return p.Runner.RunAppAt(idx, app, c, dataGB, into)
 }
 
 func (p *backendProbe) NoiselessAppTime(app *runner.Application, c conf.Config, dataGB float64) float64 {

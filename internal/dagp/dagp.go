@@ -45,15 +45,19 @@ type Model struct {
 }
 
 // encode flattens samples into GP training data: configuration vector with
-// the normalized data size appended.
+// the normalized data size appended, every row a row of one array.
 func encode(samples []Sample) (xs [][]float64, ys []float64) {
 	xs = make([][]float64, len(samples))
 	ys = make([]float64, len(samples))
+	n := 0
+	for _, s := range samples {
+		n += len(s.X) + 1
+	}
+	flat := make([]float64, 0, n)
 	for i, s := range samples {
-		x := make([]float64, 0, len(s.X)+1)
-		x = append(x, s.X...)
-		x = append(x, s.DataGB/ScaleGB)
-		xs[i] = x
+		at := len(flat)
+		flat = append(append(flat, s.X...), s.DataGB/ScaleGB)
+		xs[i] = flat[at:len(flat):len(flat)]
 		ys[i] = s.Sec
 	}
 	return xs, ys

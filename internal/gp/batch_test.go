@@ -3,6 +3,7 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locat/internal/mat"
@@ -303,5 +304,38 @@ func BenchmarkKernelMeans(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		g.KernelMeans(d2, ks, means)
+	}
+}
+
+// A Workspace reserved for a session's largest set sizes its prediction
+// buffers for batches of that many rows, so a model ranking its own 30 rows
+// and then one ranking its own 60 (dagp's two selections in a cold session)
+// predict in the buffers the first batch allocated.
+func TestReservedPredictAllocatesOnce(t *testing.T) {
+	xs, ys := batchTrainingSet(60, 9, rand.New(rand.NewSource(5)))
+	var ws Workspace
+	ws.Reserve(len(xs))
+	var first []*float64
+	for _, n := range []int{30, 60} {
+		ts, err := ws.TrainSet(xs[:n], ys[:n], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ws.Fit(ts, 0, DefaultHyper())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := ws.Predict.Inputs(n, len(xs[0]))
+		for i := range in {
+			copy(in[i], xs[i])
+		}
+		g.PredictMeans(in, &ws.Predict)
+		p := &ws.Predict
+		arrays := []*float64{&p.ks[:1][0], &p.mean[:1][0], &p.inFlat[:1][0], &p.cols.x[:1][0]}
+		if first == nil {
+			first = arrays
+		} else if !slices.Equal(arrays, first) {
+			t.Fatalf("the %d-row batch reallocated the workspace's buffers", n)
+		}
 	}
 }

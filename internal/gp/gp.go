@@ -148,25 +148,27 @@ func (g *GP) Predict(xs []float64) (mean, variance float64) {
 // works in: the cross-kernel matrix, the mean/variance outputs, and a
 // reusable input-row matrix for callers that assemble model inputs per batch.
 // One workspace serves any sequence of batches (buffers grow to the largest
-// batch seen and are then reused). A workspace must not be shared by
-// concurrent calls; batch prediction parallelizes internally.
+// batch seen and are then reused; a Workspace's reservation sizes them at
+// once for batches and sets of its reserved rows). A workspace must not be
+// shared by concurrent calls; batch prediction parallelizes internally.
 type PredictWorkspace struct {
 	cols       Columns   // the model's training rows, loaded once per batch
 	ks         []float64 // m×n squared distances, mapped in place to K(X*,X), then overwritten by the variance solve
 	mean, vari []float64
 	inFlat     []float64
 	inRows     [][]float64
+	rows       int // batch and set size the buffers are sized for when they grow (Workspace.Reserve)
 }
 
 // Inputs returns an m×d row matrix backed by the workspace. Callers fill it
 // with model inputs (decision point + context) and pass it to PredictBatch;
 // the rows stay valid until the next Inputs call.
 func (w *PredictWorkspace) Inputs(m, d int) [][]float64 {
-	if cap(w.inFlat) < m*d { // exact: a caller's batches keep their shape
-		w.inFlat = make([]float64, m*d)
+	if cap(w.inFlat) < m*d { // exact, or reserved: a caller's batches keep their shape
+		w.inFlat = make([]float64, m*d, max(m, w.rows)*d)
 	}
 	if cap(w.inRows) < m {
-		w.inRows = make([][]float64, m)
+		w.inRows = make([][]float64, m, max(m, w.rows))
 	}
 	rows := w.inRows[:m]
 	for i := range rows {
@@ -220,8 +222,8 @@ func (g *GP) PredictMeans(xs [][]float64, ws *PredictWorkspace) []float64 {
 // predict fills ws.mean, and ws.vari if vars is set, for every row of xs.
 func (g *GP) predict(xs [][]float64, ws *PredictWorkspace, vars bool) {
 	n, m := len(g.x), len(xs)
-	ws.ks = growFloats(ws.ks, m*n, m*g.reserved())
-	ws.mean = growFloats(ws.mean, m, m+m/2)
+	ws.ks = growFloats(ws.ks, m*n, max(m, ws.rows)*max(n, ws.rows))
+	ws.mean = growFloats(ws.mean, m, max(m, ws.rows))
 	ws.cols.Load(g)
 	// One processor takes the rows with a direct call: the parallel branch's
 	// closure escapes to ParRange's workers, and a serial batch must not allocate.

@@ -268,9 +268,13 @@ type Workspace struct {
 }
 
 // Reserve sizes the buffers, when they are next allocated, for training sets
-// of at least n rows, and returns the reservation, which only grows.
+// of at least n rows, and returns the reservation, which only grows. The
+// prediction buffers are sized for a batch of as many rows against a set of
+// as many, so ranking a set's own rows (dagp) allocates once however the
+// set grows.
 func (w *Workspace) Reserve(n int) int {
 	w.rows = max(w.rows, n)
+	w.Predict.rows = w.rows
 	return w.rows
 }
 

@@ -68,7 +68,7 @@ func poolBatch(r Runner, app *Application, cs []conf.Config, dataGB func(i int) 
 			if stop != nil && stop() {
 				break
 			}
-			results[i] = r.RunAppAt(first+uint64(i), app, cs[i], dataGB(i))
+			results[i] = r.RunAppAt(first+uint64(i), app, cs[i], dataGB(i), nil)
 			completed[i] = true
 		}
 	} else {
@@ -107,7 +107,7 @@ func poolBatch(r Runner, app *Application, cs []conf.Config, dataGB func(i int) 
 					if stop != nil && stop() {
 						return
 					}
-					results[i] = r.RunAppAt(first+uint64(i), app, cs[i], dataGB(i))
+					results[i] = r.RunAppAt(first+uint64(i), app, cs[i], dataGB(i), nil)
 					completed[i] = true
 				}
 			}()

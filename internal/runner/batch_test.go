@@ -37,10 +37,10 @@ func (f *fakeBackend) ReserveRuns(n int) uint64 {
 }
 
 func (f *fakeBackend) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return f.RunAppAt(f.ReserveRuns(1), app, c, dataGB)
+	return f.RunAppAt(f.ReserveRuns(1), app, c, dataGB, nil)
 }
 
-func (f *fakeBackend) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+func (f *fakeBackend) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	cur := f.inFlight.Add(1)
 	for {
 		max := f.maxSeen.Load()
@@ -50,7 +50,7 @@ func (f *fakeBackend) RunAppAt(idx uint64, app *Application, c conf.Config, data
 	}
 	defer f.inFlight.Add(-1)
 	sec := float64(idx+1)*1000 + c[0] + dataGB
-	res := AppResult{Sec: sec, GCSec: sec * 0.1}
+	res := AppResult{Sec: sec, GCSec: sec * 0.1, Queries: into[:0]}
 	for _, q := range app.Queries {
 		res.Queries = append(res.Queries, QueryResult{Name: q.Name, Sec: sec / float64(len(app.Queries))})
 	}
@@ -189,7 +189,7 @@ func TestSimBatchHonorsStop(t *testing.T) {
 	}
 	ref := sparksim.New(cl, 5)
 	for i := 0; i < done; i++ {
-		want := ref.RunAppAt(uint64(i), app, cs[i], 100)
+		want := ref.RunAppAt(uint64(i), app, cs[i], 100, nil)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("prefix item %d invalid after stop", i)
 		}

@@ -67,19 +67,21 @@ func (c *Cache) lookup(k string, idx uint64, consume bool) *TraceEntry {
 // RunApp claims the next index and resolves it through the cache: cached
 // and fresh runs share the index sequence the original session used.
 func (c *Cache) RunApp(app *Application, cf conf.Config, dataGB float64) AppResult {
-	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
+	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB, nil)
 }
 
 // RunAppAt serves run idx from the prior entries when it was already paid —
 // cache hits intercept before the backend, which is why the native batch is
-// masked — executing (and reporting) it otherwise.
-func (c *Cache) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) AppResult {
+// masked — executing (and reporting) it otherwise. A hit copies the stored
+// per-query results into into[:0]; a reported run keeps a copy of its own,
+// so the caller may overwrite into afterwards.
+func (c *Cache) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64, into []QueryResult) AppResult {
 	q := entryOf(TraceApp, app, cf, dataGB)
 	if hit := c.lookup(q.key(), idx, true); hit != nil && hit.Result != nil {
 		c.hits.Add(1)
-		return cloneResult(*hit.Result)
+		return resultInto(*hit.Result, into)
 	}
-	res := c.inner.RunAppAt(idx, app, cf, dataGB)
+	res := c.inner.RunAppAt(idx, app, cf, dataGB, into)
 	if res.Sec > 0 {
 		c.onRun(q.stored(idx).withResult(res))
 	}

@@ -223,9 +223,9 @@ func (c *Chaos) noteExecuted() {
 
 // tryRunAppAt executes run idx unless the schedule faults it, reporting the
 // fault as an error (an *errChaosDrop for drops, sticky after FailAfter).
-func (c *Chaos) tryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) (res AppResult, err error) {
+func (c *Chaos) tryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64, into []QueryResult) (res AppResult, err error) {
 	if err = c.step(idx); err == nil {
-		res = c.inner.RunAppAt(idx, app, cf, dataGB)
+		res = c.inner.RunAppAt(idx, app, cf, dataGB, into)
 		c.noteExecuted()
 	}
 	return res, err
@@ -234,12 +234,12 @@ func (c *Chaos) tryRunAppAt(idx uint64, app *Application, cf conf.Config, dataGB
 // RunApp claims the next index and executes it through the fault schedule;
 // faulted runs report a zero result.
 func (c *Chaos) RunApp(app *Application, cf conf.Config, dataGB float64) AppResult {
-	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB)
+	return c.RunAppAt(c.inner.ReserveRuns(1), app, cf, dataGB, nil)
 }
 
 // RunAppAt executes run idx; faulted runs report a zero result.
-func (c *Chaos) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64) AppResult {
-	res, _ := c.tryRunAppAt(idx, app, cf, dataGB)
+func (c *Chaos) RunAppAt(idx uint64, app *Application, cf conf.Config, dataGB float64, into []QueryResult) AppResult {
+	res, _ := c.tryRunAppAt(idx, app, cf, dataGB, into)
 	return res
 }
 

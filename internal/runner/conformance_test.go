@@ -34,9 +34,9 @@ func (p *probe) RunApp(app *Application, c conf.Config, dataGB float64) AppResul
 	return p.Runner.RunApp(app, c, dataGB)
 }
 
-func (p *probe) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+func (p *probe) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	p.runs.Add(1)
-	return p.Runner.RunAppAt(idx, app, c, dataGB)
+	return p.Runner.RunAppAt(idx, app, c, dataGB, into)
 }
 
 func (p *probe) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
@@ -122,8 +122,8 @@ func conformanceDrive(t *testing.T, r Runner, workers int) conformanceResult {
 		out.Apps = append(out.Apps, r.RunApp(app, c, 100))
 	}
 	first := r.ReserveRuns(2)
-	out.Apps = append(out.Apps, r.RunAppAt(first+1, app, cs[2], 120))
-	out.Apps = append(out.Apps, r.RunAppAt(first, app, cs[3], 140))
+	out.Apps = append(out.Apps, r.RunAppAt(first+1, app, cs[2], 120, nil))
+	out.Apps = append(out.Apps, r.RunAppAt(first, app, cs[3], 140, nil))
 	batch, done := RunBatch(r, app, cs[4:], func(i int) float64 { return 100 + float64(i)*20 }, workers, nil)
 	if done != len(cs[4:]) {
 		t.Fatalf("batch incomplete: %d of %d", done, len(cs[4:]))
@@ -197,6 +197,78 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// TestConformanceInto holds RunAppAt's into rule through every stack: a
+// reused buffer gets what a nil call gets at the same index, in the buffer's
+// own array when its capacity suffices, and what a Cache layer keeps (its
+// onRun feed, the recorded trace, the entries a hit is served from) is a
+// copy that the caller's later writes to the buffer do not reach.
+func TestConformanceInto(t *testing.T) {
+	app := batchApp()
+	scribble := func(qs []QueryResult) {
+		for i := range qs {
+			qs[i] = QueryResult{Name: "scribbled", Sec: -1}
+		}
+	}
+	// run drives r over cs at fresh indices, through buf when it is not nil,
+	// and scribbles over buf after each run.
+	run := func(t *testing.T, r Runner, cs []conf.Config, buf []QueryResult) []AppResult {
+		t.Helper()
+		var out []AppResult
+		for i, c := range cs {
+			res := r.RunAppAt(r.ReserveRuns(1), app, c, 100+float64(i)*20, buf)
+			if buf != nil {
+				if len(res.Queries) == 0 || &res.Queries[0] != &buf[:1][0] {
+					t.Fatalf("run %d: result does not share the buffer's array", i)
+				}
+				out = append(out, resultInto(res, nil))
+				scribble(res.Queries)
+			} else {
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	for _, be := range conformanceBackends {
+		for _, st := range conformanceStacks {
+			t.Run(be.name+"/"+st.name, func(t *testing.T) {
+				ref, g := newRig(be.make, st.build), newRig(be.make, st.build)
+				cs := randomConfigs(g.top.Space(), 4, 33)
+				want := run(t, ref.top, cs, nil)
+				if got := run(t, g.top, cs, make([]QueryResult, 0, len(app.Queries))); !reflect.DeepEqual(got, want) {
+					t.Fatalf("runs into a reused buffer diverge from nil calls\n got %+v\nwant %+v", got, want)
+				}
+				if !reflect.DeepEqual(g.reported, ref.reported) {
+					t.Fatalf("cache kept %+v, want %+v", g.reported, ref.reported)
+				}
+				if got, want := decodeTrace(t, g), decodeTrace(t, ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("recorded trace %+v, want %+v", got, want)
+				}
+			})
+		}
+		t.Run(be.name+"/hit", func(t *testing.T) {
+			var paid []TraceEntry
+			cs := randomConfigs(be.make().Space(), 4, 33)
+			want := run(t, NewCache(be.make(), nil, func(e TraceEntry) { paid = append(paid, e) }), cs, nil)
+			kept := make([]AppResult, len(paid))
+			for i, e := range paid {
+				kept[i] = resultInto(*e.Result, nil)
+			}
+			replay := NewCache(be.make(), paid, nil)
+			if got := run(t, replay, cs, make([]QueryResult, 0, len(app.Queries))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("hits into a reused buffer diverge from the paid runs\n got %+v\nwant %+v", got, want)
+			}
+			if n := replay.ResumedRuns(); n != int64(len(cs)) {
+				t.Fatalf("served %d of %d runs from the entries", n, len(cs))
+			}
+			for i, e := range paid {
+				if !reflect.DeepEqual(*e.Result, kept[i]) {
+					t.Fatalf("entry %d changed under the caller's writes: %+v, want %+v", i, *e.Result, kept[i])
+				}
+			}
+		})
+	}
+}
+
 // conformanceNoiseless pins the deterministic-evaluation contract through a
 // driven stack: the bare value, no run index reserved, no observer reached,
 // one report/record per key.
@@ -257,14 +329,14 @@ func TestConformanceFaults(t *testing.T) {
 			chaos := NewChaos(p, ChaosOptions{DropRate: 1, MaxConsecutive: 1, Seed: 3})
 			c := chaos.Space().Default()
 			idx := chaos.ReserveRuns(1)
-			if res, err := chaos.tryRunAppAt(idx, app, c, 100); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
+			if res, err := chaos.tryRunAppAt(idx, app, c, 100, nil); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
 				t.Fatalf("first attempt: got %+v, %v; want a drop", res, err)
 			}
 			if n := p.runs.Load(); n != 0 {
 				t.Fatalf("dropped attempt reached the backend %d times", n)
 			}
 			want := be.make().RunApp(app, c, 100)
-			if res, err := chaos.tryRunAppAt(idx, app, c, 100); err != nil || !reflect.DeepEqual(res, want) {
+			if res, err := chaos.tryRunAppAt(idx, app, c, 100, nil); err != nil || !reflect.DeepEqual(res, want) {
 				t.Fatalf("healed attempt: got %+v, %v; want the bare result", res, err)
 			}
 			if n := p.runs.Load(); n != 1 {

@@ -93,14 +93,14 @@ func TestChaosDropNeverTouchesInner(t *testing.T) {
 
 	// First attempt of run 0 drops (rate 1) with the error Retrying
 	// retries; no execution below.
-	if res, err := chaos.tryRunAppAt(chaos.ReserveRuns(1), app, c, 100); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
+	if res, err := chaos.tryRunAppAt(chaos.ReserveRuns(1), app, c, 100, nil); !errors.As(err, new(*errChaosDrop)) || res.Sec != 0 {
 		t.Fatalf("want dropped first attempt, got %+v, %v", res, err)
 	}
 	if runs, _ := tally.Snapshot(); runs != 0 {
 		t.Fatalf("drop executed %d inner runs; want 0", runs)
 	}
 	// Second attempt of the same index clears (maxfail 1) and executes.
-	if _, err := chaos.tryRunAppAt(0, app, c, 100); err != nil {
+	if _, err := chaos.tryRunAppAt(0, app, c, 100, nil); err != nil {
 		t.Fatalf("second attempt should heal: %v", err)
 	}
 	if runs, _ := tally.Snapshot(); runs != 1 {

@@ -82,13 +82,13 @@ func (m *Observed) observe(kind string, wallSec, clusterSec float64) {
 
 // RunApp claims the next index and executes it observed.
 func (m *Observed) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return m.RunAppAt(m.inner.ReserveRuns(1), app, c, dataGB)
+	return m.RunAppAt(m.inner.ReserveRuns(1), app, c, dataGB, nil)
 }
 
 // RunAppAt executes and reports one application run at a pinned index.
-func (m *Observed) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+func (m *Observed) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	start := time.Now()
-	res := m.inner.RunAppAt(idx, app, c, dataGB)
+	res := m.inner.RunAppAt(idx, app, c, dataGB, into)
 	m.observe(KindApp, time.Since(start).Seconds(), res.Sec)
 	return res
 }

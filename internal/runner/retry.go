@@ -106,7 +106,7 @@ func (r *Retrying) noteRun(err error) {
 
 // RunApp claims the next index and executes it with retries.
 func (r *Retrying) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return r.RunAppAt(r.inner.ReserveRuns(1), app, c, dataGB)
+	return r.RunAppAt(r.inner.ReserveRuns(1), app, c, dataGB, nil)
 }
 
 // RunAppAt executes run idx with retries — the package's one retry loop;
@@ -114,12 +114,12 @@ func (r *Retrying) RunApp(app *Application, c conf.Config, dataGB float64) AppRe
 // contract: failed runs report zero). The deterministic backoff jitter
 // keeps chaotic-but-deterministic inner backends deterministic through the
 // retry layer.
-func (r *Retrying) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+func (r *Retrying) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	if r.open() {
 		return AppResult{}
 	}
 	for attempt := 1; ; attempt++ {
-		res, err := r.chaos.tryRunAppAt(idx, app, c, dataGB)
+		res, err := r.chaos.tryRunAppAt(idx, app, c, dataGB, into)
 		if err == nil {
 			r.noteRun(nil)
 			return res

@@ -74,11 +74,17 @@ type Runner interface {
 	// returns the first.
 	ReserveRuns(n int) uint64
 	// RunApp executes every query of the application in order under c and
-	// returns per-query and total results, claiming the next run index.
+	// returns per-query and total results, claiming the next run index. It
+	// is RunAppAt(ReserveRuns(1), app, c, dataGB, nil).
 	RunApp(app *Application, c conf.Config, dataGB float64) AppResult
 	// RunAppAt executes the application as run index idx without touching
-	// the run counter.
-	RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult
+	// the run counter, appending the per-query results to into[:0]: the
+	// result's Queries share into's array when its capacity suffices, and
+	// nil allocates a fresh slice. The caller owns the returned Queries and
+	// may pass them back as into for its next run; a backend or decorator
+	// that keeps a result past the call keeps a copy (Cache's withResult).
+	// Both methods borrow c for the call only.
+	RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult
 	// NoiselessAppTime returns the backend's best deterministic estimate of
 	// the application latency under c — the quantity tuned-vs-default
 	// comparisons report. The simulator evaluates its cost model noise-free;
@@ -109,17 +115,19 @@ func BackendErr(r Runner) error {
 // concurrency cap belong to the inner backend; its sticky failure shows
 // through (Chaos and Retrying report their own first). The pool routes
 // every run of a batch through the decorator's RunAppAt by index.
-// A decorator embeds forward and adds the two run methods:
+// A decorator embeds forward and adds the two run methods; RunAppAt hands
+// the caller's into down unchanged, so the inner backend fills the caller's
+// buffer:
 //
 //	type Logged struct{ forward }
 //
-//	func (l *Logged) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+//	func (l *Logged) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 //		log.Printf("run %d", idx)
-//		return l.inner.RunAppAt(idx, app, c, dataGB)
+//		return l.inner.RunAppAt(idx, app, c, dataGB, into)
 //	}
 //
 //	func (l *Logged) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-//		return l.RunAppAt(l.inner.ReserveRuns(1), app, c, dataGB)
+//		return l.RunAppAt(l.inner.ReserveRuns(1), app, c, dataGB, nil)
 //	}
 type forward struct {
 	inner Runner

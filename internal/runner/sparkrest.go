@@ -157,8 +157,9 @@ func (s *SparkRest) ReserveRuns(n int) uint64 {
 	return s.runs.Add(uint64(n)) - uint64(n)
 }
 
-// submit POSTs one submission and parses the event-log reply.
-func (s *SparkRest) submit(app *Application, c conf.Config, dataGB float64, noiseless bool) (AppResult, error) {
+// submit POSTs one submission and parses the event-log reply, its
+// per-query results into into[:0].
+func (s *SparkRest) submit(app *Application, c conf.Config, dataGB float64, noiseless bool, into []QueryResult) (AppResult, error) {
 	if err := s.Err(); err != nil {
 		return AppResult{}, err
 	}
@@ -178,16 +179,20 @@ func (s *SparkRest) submit(app *Application, c conf.Config, dataGB float64, nois
 	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
 		return AppResult{}, fmt.Errorf("runner: sparkrest bad event-log response: %w", err)
 	}
-	return eventLogToResult(&ev), nil
+	return eventLogToResult(&ev, into), nil
 }
 
 // eventLogToResult reduces the event-log reply to the tuner's result model
-// (milliseconds → seconds, bytes → MB).
-func eventLogToResult(ev *eventLogResponse) AppResult {
+// (milliseconds → seconds, bytes → MB), appending the per-query results to
+// into[:0] (nil allocates them).
+func eventLogToResult(ev *eventLogResponse, into []QueryResult) AppResult {
+	if into == nil {
+		into = make([]QueryResult, 0, len(ev.Queries))
+	}
 	out := AppResult{
 		Sec:     float64(ev.DurationMS) / 1000,
 		GCSec:   float64(ev.GCTimeMS) / 1000,
-		Queries: make([]QueryResult, 0, len(ev.Queries)),
+		Queries: into[:0],
 	}
 	var qSec, qGC float64
 	for _, q := range ev.Queries {
@@ -215,13 +220,13 @@ func eventLogToResult(ev *eventLogResponse) AppResult {
 
 // RunApp submits one application execution.
 func (s *SparkRest) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return s.RunAppAt(s.ReserveRuns(1), app, c, dataGB)
+	return s.RunAppAt(s.ReserveRuns(1), app, c, dataGB, nil)
 }
 
 // RunAppAt submits one application execution (the index is an opaque
 // sequence number on a live cluster).
-func (s *SparkRest) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB float64) AppResult {
-	res, err := s.submit(app, c, dataGB, false)
+func (s *SparkRest) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
+	res, err := s.submit(app, c, dataGB, false, into)
 	if err != nil {
 		s.fail(err)
 		return AppResult{}
@@ -232,7 +237,7 @@ func (s *SparkRest) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB f
 // NoiselessAppTime requests the gateway's deterministic estimate (a
 // model-based dry run; gateways without one execute a validation run).
 func (s *SparkRest) NoiselessAppTime(app *Application, c conf.Config, dataGB float64) float64 {
-	res, err := s.submit(app, c, dataGB, true)
+	res, err := s.submit(app, c, dataGB, true, nil)
 	if err != nil {
 		s.fail(err)
 		return 0

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,6 +131,11 @@ func TestSparkRestRunApp(t *testing.T) {
 	}
 	if res.GCSec != 0.24 {
 		t.Fatalf("GCSec=%.3f, want 0.24", res.GCSec)
+	}
+	// A run into the caller's buffer parses into its array.
+	buf := make([]QueryResult, 0, len(app.Queries))
+	if got := s.RunAppAt(s.ReserveRuns(1), app, space.Default(), 100, buf); !reflect.DeepEqual(got, res) || &got.Queries[0] != &buf[:1][0] {
+		t.Fatalf("RunAppAt into a buffer: %+v, want %+v in the buffer's array", got, res)
 	}
 
 	// Noiseless evaluations flag the submission and parse the same shape.

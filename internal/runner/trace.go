@@ -102,15 +102,16 @@ func (e TraceEntry) stored(idx uint64) TraceEntry {
 
 // withResult attaches a private copy of an application run's outcome.
 func (e TraceEntry) withResult(res AppResult) TraceEntry {
-	cp := cloneResult(res)
+	cp := resultInto(res, nil)
 	e.Result = &cp
 	return e
 }
 
-// cloneResult copies res down to its per-query slice, so a stored result
-// and the one handed to the caller never share memory.
-func cloneResult(res AppResult) AppResult {
-	res.Queries = append([]QueryResult(nil), res.Queries...)
+// resultInto copies res down to its per-query slice, appended to into[:0]
+// (nil allocates it), so a stored result and the one handed to the caller
+// never share memory.
+func resultInto(res AppResult, into []QueryResult) AppResult {
+	res.Queries = append(into[:0], res.Queries...)
 	return res
 }
 
@@ -405,16 +406,16 @@ func (m *miss) ReserveRuns(n int) uint64 {
 
 // RunApp answers the next application execution.
 func (m *miss) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return m.RunAppAt(m.ReserveRuns(1), app, c, dataGB)
+	return m.RunAppAt(m.ReserveRuns(1), app, c, dataGB, nil)
 }
 
 // RunAppAt answers an application execution the exact table missed — or
 // matched to an entry without its payload: a corrupted fixture, and
 // serving a phantom zero-second run would silently poison the replayed
 // session.
-func (m *miss) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+func (m *miss) RunAppAt(_ uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	q := entryOf(TraceApp, app, c, dataGB)
-	return cloneResult(*m.find(&q).Result)
+	return resultInto(*m.find(&q).Result, into)
 }
 
 // NoiselessAppTime answers a deterministic evaluation the table missed.

@@ -221,7 +221,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		for _, b := range backends {
 			cache := runner.NewCache(b, cp.Entries, nil)
 			cf := b.Space().Default()
-			cache.RunAppAt(0, app, cf, 100)
+			cache.RunAppAt(0, app, cf, 100, nil)
 			cache.NoiselessAppTime(app, cf, 100)
 		}
 	})

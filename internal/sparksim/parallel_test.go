@@ -54,10 +54,10 @@ func TestRunAppAtIsOrderIndependent(t *testing.T) {
 	fw := make([]AppResult, 6)
 	bw := make([]AppResult, 6)
 	for i := 0; i < 6; i++ {
-		fw[i] = forward.RunAppAt(uint64(i), app, c, 150)
+		fw[i] = forward.RunAppAt(uint64(i), app, c, 150, nil)
 	}
 	for i := 5; i >= 0; i-- {
-		bw[i] = backward.RunAppAt(uint64(i), app, c, 150)
+		bw[i] = backward.RunAppAt(uint64(i), app, c, 150, nil)
 	}
 	if !reflect.DeepEqual(fw, bw) {
 		t.Fatal("RunAppAt results depend on execution order")
@@ -101,7 +101,7 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	wantApp := make([]AppResult, len(cs))
 	wantQuery := make([]QueryResult, len(cs))
 	for i, c := range cs {
-		wantApp[i] = oracle.runApp(fresh(uint64(i)), app, c, sizes(i))
+		wantApp[i] = oracle.runApp(fresh(uint64(i)), app, c, sizes(i), nil)
 		e := deriveEnv(cl, c)
 		jq := joinQuery()
 		wantQuery[i] = oracle.runQuery(fresh(uint64(i)), &e, &jq, c, sizes(i))
@@ -117,7 +117,7 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := w; i < len(cs); i += workers {
-					gotApp[i] = s.RunAppAt(first+uint64(i), app, cs[i], sizes(i))
+					gotApp[i] = s.RunAppAt(first+uint64(i), app, cs[i], sizes(i), nil)
 					gotQuery[i] = runOneQueryAt(s, uint64(i), joinQuery(), cs[i], sizes(i))
 				}
 			}()
@@ -134,8 +134,17 @@ func TestPooledRNGMatchesFreshSource(t *testing.T) {
 	// What is left is the result's query slice (the fresh-source run made
 	// two more: the source and its rand.Rand).
 	s := New(cl, seed)
-	if allocs := testing.AllocsPerRun(100, func() { s.RunAppAt(3, app, cs[3], 100) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(100, func() { s.RunAppAt(3, app, cs[3], 100, nil) }); allocs > 1 {
 		t.Fatalf("RunAppAt allocates %v times per run, want at most 1", allocs)
+	}
+	// Handed that slice back, a run fills it in place and allocates nothing.
+	want := s.RunAppAt(3, app, cs[3], 100, nil)
+	buf := make([]QueryResult, 0, len(app.Queries))
+	if got := s.RunAppAt(3, app, cs[3], 100, buf); !reflect.DeepEqual(got, want) || &got.Queries[0] != &buf[:1][0] {
+		t.Fatalf("RunAppAt into a buffer: %+v, want %+v in the buffer's array", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.RunAppAt(3, app, cs[3], 100, buf).Queries }); allocs > 0 {
+		t.Fatalf("RunAppAt into a reused buffer allocates %v times per run, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { runOneQueryAt(s, 3, joinQuery(), cs[3], 100) }); allocs > 0 {
 		t.Fatalf("RunQueryAt allocates %v times per run, want 0", allocs)

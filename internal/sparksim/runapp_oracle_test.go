@@ -79,7 +79,7 @@ func TestRunAppMatchesPerQueryEnv(t *testing.T) {
 			for _, gb := range []float64{100, 300, 1000} {
 				for _, app := range apps {
 					want := oracleRunApp(s, fresh(idx), app, c, gb)
-					if got := s.RunAppAt(idx, app, c, gb); !reflect.DeepEqual(got, want) {
+					if got := s.RunAppAt(idx, app, c, gb, nil); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %s at %v GB, configuration %d: RunAppAt differs from the per-query-environment run", cl.Name, app.Name, gb, i)
 					}
 					idx++

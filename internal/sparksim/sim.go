@@ -155,27 +155,33 @@ func (s *Simulator) runQuery(rng *rand.Rand, e *env, q *Query, c conf.Config, da
 // cluster-state factor scales the whole execution on top of the per-query
 // noise. The call claims the next run index; safe for concurrent use.
 func (s *Simulator) RunApp(app *Application, c conf.Config, dataGB float64) AppResult {
-	return s.RunAppAt(s.ReserveRuns(1), app, c, dataGB)
+	return s.RunAppAt(s.ReserveRuns(1), app, c, dataGB, nil)
 }
 
 // RunAppAt executes the application as run index idx without touching the
 // run counter: the per-run cluster-state factor and every query's noise come
-// from the index's private stream. Safe for concurrent use.
-func (s *Simulator) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64) AppResult {
+// from the index's private stream. The per-query results are appended to
+// into[:0], so a caller that passes the previous result's Queries back runs
+// without allocating; nil allocates them. Safe for concurrent use.
+func (s *Simulator) RunAppAt(idx uint64, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	rng := s.runRNG(idx)
 	defer rngPool.Put(rng)
-	return s.runApp(rng, app, c, dataGB)
+	return s.runApp(rng, app, c, dataGB, into)
 }
 
-// runApp executes the application drawing all of its noise from rng. The
-// environment depends on the cluster and c only, so every query shares one.
-func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, dataGB float64) AppResult {
+// runApp executes the application drawing all of its noise from rng and
+// appends the per-query results to into[:0]. The environment depends on the
+// cluster and c only, so every query shares one.
+func (s *Simulator) runApp(rng *rand.Rand, app *Application, c conf.Config, dataGB float64, into []QueryResult) AppResult {
 	e := deriveEnv(s.cluster, c)
 	runFactor := 1.0
 	if s.runNoise > 0 {
 		runFactor = math.Exp(rng.NormFloat64() * s.runNoise)
 	}
-	out := AppResult{Queries: make([]QueryResult, 0, len(app.Queries))}
+	if into == nil {
+		into = make([]QueryResult, 0, len(app.Queries))
+	}
+	out := AppResult{Queries: into[:0]}
 	for i := range app.Queries {
 		r := s.runQuery(rng, &e, &app.Queries[i], c, dataGB)
 		r.Sec *= runFactor

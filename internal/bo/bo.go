@@ -63,9 +63,12 @@
 // workspace's models in place, and an append extends each factor into its
 // reserve. Minimize reserves all of it for the largest training set the run
 // can reach (the history, or the trim cap plus the appends between two
-// trims); core reserves a session's largest first, so both of its runs and
-// its dagp fits reuse one storage. What leaves the loop is a copy:
-// Result.BestX and every History step own their slices.
+// trims); core resets a session's reservation to its largest first
+// (gp.Workspace.Reset), so both of its runs and its dagp fits reuse one
+// storage, and keeps the workspace for the next session when Tune returns.
+// What leaves the loop is a copy: Result.BestX and every History step own
+// their slices, so nothing a run hands out aliases the workspace, which its
+// owner may give to anyone once the run returns.
 package bo
 
 import (
@@ -350,9 +353,9 @@ func Minimize(p Problem, opts Options) Result {
 }
 
 // Workspace holds a Minimize run's buffers (see "Buffers" in the package
-// doc). Its owner may reserve it (gp.Workspace.Reserve) for the largest
-// training set of everything that will fit in it, and may reuse it for one
-// run or dagp fit after another, never two at once.
+// doc). Its owner may reserve it (gp.Workspace.Reserve, or Reset for a new
+// owner) for the largest training set of everything that will fit in it, and
+// may reuse it for one run or dagp fit after another, never two at once.
 type Workspace struct {
 	gp.Workspace
 	ei   eiWorkspace

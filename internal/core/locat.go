@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"locat/internal/bo"
 	"locat/internal/conf"
@@ -297,10 +298,23 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	if targetGB <= 0 {
 		return nil, errors.New("core: target data size must be positive")
 	}
-	s := t.newSession(targetGB)
+	s := t.newSession(targetGB, workspaces.Get().(*bo.Workspace))
+	rep, err := s.stages()
+	// Not deferred: a session that panics drops its workspace.
+	workspaces.Put(s.ws)
+	return rep, err
+}
+
+// workspaces keeps the surrogate workspaces of ended sessions for the next
+// ones, so a process that tunes session after session (locat-serve's
+// dispatcher workers) allocates the surrogate's storage once, not per session.
+var workspaces = sync.Pool{New: func() any { return new(bo.Workspace) }}
+
+// stages runs the session's stages in order.
+func (s *session) stages() (*Report, error) {
 	for i, stage := range []func() error{s.sample, s.reduce, s.restrict, s.search, s.finish} {
 		if i > 0 {
-			cause := t.halted(s.rep)
+			cause := s.halted(s.rep)
 			if cause == nil && s.cut {
 				cause = ErrStopped // the hook that cut the batch short has let go since
 			}
@@ -344,20 +358,24 @@ type session struct {
 	init []bo.Step
 	p2   bo.Result
 	// ws is the surrogate's storage: both BO runs and both DAGP selections
-	// fit in it, one after another.
-	ws bo.Workspace
+	// fit in it, one after another. The session holds it from newSession
+	// until Tune returns and hands it to the next session (workspaces), so
+	// nothing the session reports may alias it: bo's results and the
+	// configurations decoded from them are copies.
+	ws *bo.Workspace
 }
 
-// newSession opens a session record with its surrogate storage reserved for
-// phase 2's training set, the largest its BO runs and DAGP selections fit.
-func (t *Tuner) newSession(targetGB float64) *session {
+// newSession opens a session record in ws, its surrogate storage reserved
+// for exactly phase 2's training set, the largest its BO runs and DAGP
+// selections fit, whatever the workspace's last session reserved.
+func (t *Tuner) newSession(targetGB float64, ws *bo.Workspace) *session {
 	s := &session{
 		Tuner: t, space: t.run.Space(), targetGB: targetGB, rep: &Report{},
 		// Every stage opens a span on the injected tracer; the no-op default
 		// makes this free.
-		tr: obs.OrNop(t.opts.Tracer), prior: t.warmPrior(), target: t.app,
+		tr: obs.OrNop(t.opts.Tracer), prior: t.warmPrior(), target: t.app, ws: ws,
 	}
-	s.ws.Reserve(s.initLen() + s.opts.MaxIter)
+	ws.Reset(s.initLen() + s.opts.MaxIter)
 	return s
 }
 
@@ -519,7 +537,7 @@ func (s *session) sample() error {
 			Seed:        s.opts.Seed,
 			Stop:        s.halt,
 			Tracer:      s.opts.Tracer,
-			Workspace:   &s.ws,
+			Workspace:   s.ws,
 			EvalBatch: func(xs, ctxs [][]float64) []float64 {
 				cs := make([]conf.Config, len(xs))
 				for i, x := range xs {
@@ -698,7 +716,7 @@ func (s *session) search() error {
 		Seed:        s.opts.Seed + 1,
 		Stop:        s.halt,
 		Tracer:      s.opts.Tracer,
-		Workspace:   &s.ws,
+		Workspace:   s.ws,
 	})
 	return nil
 }

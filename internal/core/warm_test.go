@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"locat/internal/bo"
 	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
@@ -156,21 +157,29 @@ func TestStopHook(t *testing.T) {
 
 // TestSessionReservesPhaseTwo: the storage a session reserves before phase 1
 // is exactly phase 2's largest training set — the init steps restrict builds
-// plus MaxIter — cold and warm, so neither phase regrows it and no session
-// holds more than it uses. A change to how init is built that initLen does
-// not follow fails here.
+// plus MaxIter — warm, then cold in the warm session's workspace, so neither
+// phase regrows it and no session holds more than it uses, whatever the
+// workspace's last session reserved. A change to how init is built that
+// initLen does not follow fails here, and so does a reservation the cold
+// session carries over from the larger warm one.
 func TestSessionReservesPhaseTwo(t *testing.T) {
+	singlePool(t)
 	app := workloads.TPCH()
 	first, err := New(sparksim.New(sparksim.ARM(), 21), app, quickOpts()).Tune(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, warm := range []bool{false, true} {
+	last := 0 // the reservation of the session that returned the workspace
+	for _, warm := range []bool{true, false} {
 		o := quickOpts()
 		if warm {
 			o.Prior = priorFromReport(first)
 		}
-		s := New(sparksim.New(sparksim.ARM(), 22), app, o).newSession(140)
+		ws := workspaces.Get().(*bo.Workspace)
+		if got := ws.Reserve(0); !warm && !raceEnabled && got != last {
+			t.Fatalf("the cold session found a workspace reserved for %d rows, the warm session's is %d", got, last)
+		}
+		s := New(sparksim.New(sparksim.ARM(), 22), app, o).newSession(140, ws)
 		for _, stage := range []func() error{s.sample, s.reduce, s.restrict} {
 			if err := stage(); err != nil {
 				t.Fatal(err)
@@ -179,8 +188,11 @@ func TestSessionReservesPhaseTwo(t *testing.T) {
 		if (s.prior != nil) != warm {
 			t.Fatalf("warm %v: session prior %v", warm, s.prior != nil)
 		}
-		if got, want := s.ws.Reserve(0), len(s.init)+o.MaxIter; got != want {
+		got, want := s.ws.Reserve(0), len(s.init)+o.MaxIter
+		if got != want {
 			t.Fatalf("warm %v: reserved %d rows, phase 2 trains on up to %d", warm, got, want)
 		}
+		last = got
+		workspaces.Put(s.ws)
 	}
 }

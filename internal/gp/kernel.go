@@ -20,13 +20,15 @@
 // feature-major (Columns, reloaded by every batch), a FitWorkspace one
 // chain's kernel matrix, forward solve, correlation cache and generator;
 // neither may be shared by concurrent calls. A tuning session reserves once:
-// core's session owns a Workspace and reserves it for its largest training
-// set, phase 2's (Reserve); every resample of both BO runs and both DAGP selections
-// rebuilds the TrainSet in that storage and refits the workspace's models,
-// whose factors, α and row lists TrainSet.Fit reserves at the set's
-// capacity, so no later resample or append regrows them. Only the one
-// session reuses it, one fit after another; what it hands out is valid until
-// its next use. The factor is mat.Cholesky's
+// core's session takes a Workspace and resets its reservation to its largest
+// training set, phase 2's (Reset); every resample of both BO runs and both
+// DAGP selections rebuilds the TrainSet in that storage and refits the
+// workspace's models, whose factors, α and row lists TrainSet.Fit reserves at
+// the set's capacity, so no later resample or append regrows them. One
+// session at a time holds it, one fit after another; what it hands out is
+// valid until its next use, and when the session ends the workspace, storage
+// and all, goes on to the next session, so nothing may alias it after that.
+// The factor is mat.Cholesky's
 // U = Lᵀ, so the kernel matrix is assembled, and the distance and
 // correlation caches are kept, as strict upper triangles plus the diagonal:
 // row i holds columns i..n-1, and the factorization reads nothing below it.

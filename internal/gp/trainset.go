@@ -268,14 +268,20 @@ type Workspace struct {
 }
 
 // Reserve sizes the buffers, when they are next allocated, for training sets
-// of at least n rows, and returns the reservation, which only grows. The
-// prediction buffers are sized for a batch of as many rows against a set of
-// as many, so ranking a set's own rows (dagp) allocates once however the
-// set grows.
-func (w *Workspace) Reserve(n int) int {
-	w.rows = max(w.rows, n)
-	w.Predict.rows = w.rows
-	return w.rows
+// of at least n rows, and returns the reservation, which only grows while
+// one owner holds the workspace. The prediction buffers are sized for a batch
+// of as many rows against a set of as many, so ranking a set's own rows
+// (dagp) allocates once however the set grows.
+func (w *Workspace) Reserve(n int) int { return w.Reset(max(w.rows, n)) }
+
+// Reset hands w to a new owner reserved for exactly n rows: the last owner's
+// reservation is dropped, the storage it allocated kept for reuse. A
+// workspace is reused from one owner to the next (core keeps each session's
+// for the next session), so nothing an owner hands on may alias it once the
+// owner lets go of it.
+func (w *Workspace) Reset(n int) int {
+	w.rows, w.Predict.rows = n, n
+	return n
 }
 
 // TrainSet builds the set of x and y in the storage of the previous one.

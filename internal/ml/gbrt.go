@@ -64,6 +64,7 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 		resid[i] = y[i] - g.base
 	}
 	b := newTreeBuilder(x, resid, g.opts.MinLeaf, g.gains)
+	b.all = make([]node, 0, g.opts.Trees*maxNodes(g.opts.MaxDepth, len(x), g.opts.MinLeaf))
 	for t := 0; t < g.opts.Trees; t++ {
 		tr := b.build(g.opts.MaxDepth)
 		g.trees = append(g.trees, tr)
@@ -104,28 +105,38 @@ func (g *GBRT) FeatureImportance() []float64 {
 type node struct {
 	// feature is the split feature, or -1 at a leaf.
 	feature int32
-	// left and right are the children's positions in the tree (rows with
-	// x[feature] <= threshold go left).
-	left, right int32
-	threshold   float64
-	// value is the leaf's prediction.
-	value float64
+	// right is the right child's position in the tree; the left child, in
+	// pre-order, follows its parent. Rows with x[feature] <= v go left.
+	right int32
+	// v is the split's threshold, or the leaf's prediction.
+	v float64
 }
 
 // tree is a binary regression tree over float features: its nodes in
-// pre-order, the root first.
+// pre-order, the root first. A fit's trees are windows of one array.
 type tree []node
 
 func (t tree) predict(x []float64) float64 {
-	nd := &t[0]
-	for nd.feature >= 0 {
-		if x[nd.feature] <= nd.threshold {
-			nd = &t[nd.left]
+	i := int32(0)
+	for t[i].feature >= 0 {
+		if x[t[i].feature] <= t[i].v {
+			i++
 		} else {
-			nd = &t[nd.right]
+			i = t[i].right
 		}
 	}
-	return nd.value
+	return t[i].v
+}
+
+// maxNodes bounds the nodes of one tree over n rows: a split leaves at least
+// minLeaf rows on each side, so there are at most n/minLeaf leaves (one, a
+// lone root, if fewer rows), and at most 2^depth.
+func maxNodes(depth, n, minLeaf int) int {
+	leaves := max(1, n/minLeaf)
+	if depth < 30 {
+		leaves = min(leaves, 1<<depth)
+	}
+	return 2*leaves - 1
 }
 
 // treeBuilder grows the trees of one Fit. The feature matrix does not change
@@ -153,7 +164,8 @@ type treeBuilder struct {
 	y       []float64 // the residuals the next tree fits
 	minLeaf int
 	gains   []float64 // split gains by feature, accumulated over all trees
-	nodes   []node    // the tree in progress
+	all     []node    // every tree's nodes so far, the fit's one array
+	nodes   []node    // the tree in progress, all's free tail
 }
 
 func newTreeBuilder(x [][]float64, y []float64, minLeaf int, gains []float64) *treeBuilder {
@@ -218,17 +230,18 @@ func newTreeBuilder(x [][]float64, y []float64, minLeaf int, gains []float64) *t
 	return b
 }
 
-// build grows one depth-limited tree on the current residuals, adding its
-// split gains to gains.
+// build grows one depth-limited tree on the current residuals in all's free
+// tail, adding its split gains to gains.
 func (b *treeBuilder) build(depth int) tree {
 	copy(b.order, b.presort)
-	b.nodes = b.nodes[:0]
+	b.nodes = b.all[len(b.all):]
 	var sum float64
 	for _, v := range b.y {
 		sum += v
 	}
 	b.grow(0, b.n, depth, sum)
-	return slices.Clone(b.nodes)
+	b.all = b.all[:len(b.all)+len(b.nodes)]
+	return b.nodes[:len(b.nodes):len(b.nodes)]
 }
 
 // split is a node's best split so far: after position idx of feature feat's
@@ -258,7 +271,7 @@ func (b *treeBuilder) grow(lo, hi, depth int, sum float64) int32 {
 	n, minLeaf, y := b.n, b.minLeaf, b.y
 	cnt := hi - lo
 	self := int32(len(b.nodes))
-	b.nodes = append(b.nodes, node{feature: -1, value: sum / float64(cnt)})
+	b.nodes = append(b.nodes, node{feature: -1, v: sum / float64(cnt)})
 	if depth == 0 || cnt < 2*minLeaf {
 		return self
 	}
@@ -307,9 +320,9 @@ func (b *treeBuilder) grow(lo, hi, depth int, sum float64) int32 {
 	if depth > 1 && (mid-lo >= 2*minLeaf || hi-mid >= 2*minLeaf) {
 		b.partition(best.feat, lo, mid, hi)
 	}
-	left := b.grow(lo, mid, depth-1, best.lsum)
+	b.grow(lo, mid, depth-1, best.lsum)
 	right := b.grow(mid, hi, depth-1, rsum)
-	b.nodes[self] = node{feature: int32(best.feat), threshold: thr, left: left, right: right}
+	b.nodes[self] = node{feature: int32(best.feat), right: right, v: thr}
 	return self
 }
 

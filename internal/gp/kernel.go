@@ -50,8 +50,7 @@
 // zero-padded block (kernelTail). Two cases go through math.Exp itself: a
 // block, padded or not, with an argument outside [-700, 700] or a NaN
 // (math.Exp's underflow, denormal and overflow branches live out there), and
-// every row where the vector path is off or the architecture is not amd64. A
-// TrainSet's rescale by σ_f² (scale) is one VMULPD per four values.
+// every row where the vector path is off or the architecture is not amd64.
 //
 // Distances: the cross pass from candidates to training rows reads a
 // feature-major copy of the rows (Columns), which the caller's workspace
@@ -146,11 +145,8 @@ func kernelTail(dst, d2 []float64, s2, tl2 float64) bool {
 	return true
 }
 
-// scale writes s·src[j] into dst[j] for every j < len(dst): scaleGo, or the
-// lane kernel kernel_amd64.go puts here at start-up. Only tests change it.
-var scale = scaleGo
-
-func scaleGo(dst, src []float64, s float64) {
+// scale writes s·src[j] into dst[j] for every j < len(dst).
+func scale(dst, src []float64, s float64) {
 	src = src[:len(dst)]
 	for j, c := range src {
 		dst[j] = s * c

@@ -158,41 +158,27 @@ func TestKernelTailMatchesExp(t *testing.T) {
 	}
 }
 
-// scalePaths returns the rescales a test can run: this host's (the lane
-// kernel where the processor has one) and the Go path.
-func scalePaths() []struct {
-	name string
-	f    func(dst, src []float64, s float64)
-} {
-	return []struct {
-		name string
-		f    func(dst, src []float64, s float64)
-	}{{"Host", scale}, {"Go", scaleGo}}
-}
-
 // TestScaleMatchesProduct: every length up to 19, in place and into another
 // slice, over ordinary, subnormal, huge, infinite and NaN values and
-// factors, both paths give s·src[j] bit for bit (NaN for NaN: its payload
+// factors, scale gives s·src[j] bit for bit (NaN for NaN: its payload
 // depends on the operand order).
 func TestScaleMatchesProduct(t *testing.T) {
 	vals := []float64{0.7, -3, 5e-324, 1e-300, 1e300, math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), 1.0000000000000002}
 	rng := rand.New(rand.NewSource(12))
-	for _, p := range scalePaths() {
-		for n := 0; n <= 19; n++ {
-			for _, s := range []float64{1, 1.3, 5e-324, 1e300, math.Inf(-1), 0.1} {
-				src := make([]float64, n)
-				for j := range src {
-					src[j] = vals[rng.Intn(len(vals))] * (1 + rng.Float64())
-				}
-				into, inPlace := make([]float64, n), append([]float64(nil), src...)
-				p.f(into, src, s)
-				p.f(inPlace, inPlace, s)
-				for j, c := range src {
-					w := s * c
-					for _, g := range []float64{into[j], inPlace[j]} {
-						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-							t.Fatalf("%s path n=%d j=%d: %v × %v = %v, want %v", p.name, n, j, s, c, g, w)
-						}
+	for n := 0; n <= 19; n++ {
+		for _, s := range []float64{1, 1.3, 5e-324, 1e300, math.Inf(-1), 0.1} {
+			src := make([]float64, n)
+			for j := range src {
+				src[j] = vals[rng.Intn(len(vals))] * (1 + rng.Float64())
+			}
+			into, inPlace := make([]float64, n), append([]float64(nil), src...)
+			scale(into, src, s)
+			scale(inPlace, inPlace, s)
+			for j, c := range src {
+				w := s * c
+				for _, g := range []float64{into[j], inPlace[j]} {
+					if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Fatalf("n=%d j=%d: %v × %v = %v, want %v", n, j, s, c, g, w)
 					}
 				}
 			}

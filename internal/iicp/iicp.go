@@ -104,10 +104,12 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 		times[i] = s.Sec
 	}
 
-	// CPS: Spearman of each parameter column against latency.
+	// CPS: Spearman of each parameter column against latency, the Pearson
+	// correlation of their ranks; the latencies are ranked once.
 	res := &Result{}
 	params := conf.Params()
 	col := make([]float64, n)
+	rt := stat.Ranks(times)
 	for j := 0; j < d; j++ {
 		for i := 0; i < n; i++ {
 			col[i] = enc[i][j]
@@ -115,7 +117,7 @@ func Analyze(space *conf.Space, samples []Sample, opts Options) (*Result, error)
 		res.Scores = append(res.Scores, ParamScore{
 			Index: j,
 			Name:  params[j].Name,
-			SCC:   stat.Spearman(col, times),
+			SCC:   stat.Pearson(stat.Ranks(col), rt),
 		})
 	}
 	sort.SliceStable(res.Scores, func(a, b int) bool {

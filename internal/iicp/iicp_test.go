@@ -9,6 +9,7 @@ import (
 	"locat/internal/conf"
 	"locat/internal/kpca"
 	"locat/internal/sparksim"
+	"locat/internal/stat"
 	"locat/internal/workloads"
 )
 
@@ -226,6 +227,21 @@ func TestAnalyzeImportantPinned(t *testing.T) {
 			lambdas, err := kpca.Fit(sub, opts.Kernel, kpca.Options{MinEigenFrac: minEigenFrac})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Every score is the Spearman correlation of its column with
+			// the latencies, each ranked afresh, bit for bit.
+			times := make([]float64, len(samples))
+			for i, s := range samples {
+				times[i] = s.Sec
+			}
+			for _, sc := range res.Scores {
+				col := make([]float64, len(samples))
+				for i, s := range samples {
+					col[i] = space.Encode(s.Conf)[sc.Index]
+				}
+				if want := stat.Pearson(stat.Ranks(col), stat.Ranks(times)); math.Float64bits(sc.SCC) != math.Float64bits(want) {
+					t.Errorf("%s: SCC %v, want Spearman %v", sc.Name, sc.SCC, want)
+				}
 			}
 			if !slices.Equal(res.Selected, tc.selected) || len(lambdas) != tc.kept || !slices.Equal(res.Important, tc.important) {
 				t.Errorf("selected %v, kept %d, important %v; want %v, %d, %v",

@@ -429,24 +429,10 @@ func subRows2(b []float64, n int, p, q []float64, x0, x1, x2, x3, y0, y1, y2, y3
 // LogDet returns log|A| = 2·Σ log U_ii, the logs added in ascending i.
 func (c *Cholesky) LogDet() float64 {
 	n, st := c.u.Dims()
-	s, ok := logSum(c.u.data, st+1, n)
-	if !ok {
-		s, _ = logSumGo(c.u.data, st+1, n)
-	}
-	return 2 * s
-}
-
-// logSum returns Σ_{i<n} math.Log(u[i*step]) added from zero in ascending i,
-// or false to leave it to logSumGo: logSumGo, or the lane kernel
-// chol_amd64.go puts here at start-up, which runs the amd64 math.Log's own
-// SSE2 sequence (no FMA, no CPUID branch) in each lane and so equals it bit
-// for bit. Only tests change it.
-var logSum = logSumGo
-
-func logSumGo(u []float64, step, n int) (float64, bool) {
+	d := c.u.data
 	var s float64
 	for i := 0; i < n; i++ {
-		s += math.Log(u[i*step])
+		s += math.Log(d[i*st+i])
 	}
-	return s, true
+	return 2 * s
 }

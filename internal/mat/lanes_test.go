@@ -52,12 +52,11 @@ func BenchmarkFactorInPlace(b *testing.B) {
 	}
 }
 
-// withGoPaths runs the rest of the test on the Go factorization, solve and
-// logarithms.
+// withGoPaths runs the rest of the test on the Go factorization and solve.
 func withGoPaths(t testing.TB) {
-	f, s, l := factor, solveLower, logSum
-	factor, solveLower, logSum = factorGo, solveLowerGo, logSumGo
-	t.Cleanup(func() { factor, solveLower, logSum = f, s, l })
+	f, s := factor, solveLower
+	factor, solveLower = factorGo, solveLowerGo
+	t.Cleanup(func() { factor, solveLower = f, s })
 }
 
 // solveLowerDot is the textbook forward substitution, a dot product down

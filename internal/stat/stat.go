@@ -1,12 +1,13 @@
 // Package stat provides the statistics toolkit used throughout the tuner:
 // descriptive statistics (mean, standard deviation, coefficient of variation),
-// rank correlation (Spearman), Pearson correlation, mean squared error, and
-// Latin Hypercube Sampling for Bayesian-optimization warm starts.
+// fractional ranks, Pearson correlation, mean squared error, and Latin
+// Hypercube Sampling for Bayesian-optimization warm starts.
 //
 // The coefficient of variation (CV) is the measure LOCAT's QCSA stage uses to
 // decide whether a query is configuration-sensitive (paper Section 3.2,
-// equation 3); Spearman correlation implements the CPS filter of IICP
-// (Section 3.3.2).
+// equation 3); the Spearman correlation of IICP's CPS filter (Section 3.3.2)
+// is the Pearson correlation of two rank vectors, Pearson(Ranks(x),
+// Ranks(y)), which lets CPS rank the latencies once for every parameter.
 package stat
 
 import (
@@ -140,17 +141,6 @@ func Pearson(x, y []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation coefficient between x and y:
-// the Pearson correlation of their fractional ranks. This is the association
-// measure used by LOCAT's CPS step; |SCC| < 0.2 marks a parameter as
-// unimportant (paper Section 3.3.2).
-func Spearman(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) == 0 {
-		panic("stat: Spearman length mismatch")
-	}
-	return Pearson(Ranks(x), Ranks(y))
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear

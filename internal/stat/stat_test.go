@@ -95,6 +95,16 @@ func TestPearsonPerfect(t *testing.T) {
 	}
 }
 
+// Spearman is the Spearman rank correlation coefficient between x and y:
+// the Pearson correlation of their fractional ranks, as IICP's CPS step
+// takes it.
+func Spearman(x, y []float64) float64 {
+	if len(x) != len(y) || len(x) == 0 {
+		panic("stat: Spearman length mismatch")
+	}
+	return Pearson(Ranks(x), Ranks(y))
+}
+
 func TestSpearmanMonotone(t *testing.T) {
 	// Spearman is 1 for any monotone-increasing relationship, even nonlinear.
 	x := []float64{1, 2, 3, 4, 5}

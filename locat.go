@@ -239,7 +239,7 @@ func Tune(o Options) (*Result, error) {
 		return nil, fmt.Errorf("locat: %w", err)
 	}
 	// Checked before a backend is opened: a recording one creates its file.
-	if _, err := workloads.ByName(o.Benchmark); err != nil {
+	if err := workloads.Check(o.Benchmark); err != nil {
 		return nil, err
 	}
 	factory, err := runner.ParseSpec(o.Backend)

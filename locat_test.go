@@ -1,6 +1,10 @@
 package locat
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -79,6 +83,15 @@ func TestTuneErrors(t *testing.T) {
 	}
 	if _, err := Tune(Options{Benchmark: "nope"}); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	// The name is checked before the backend opens: a recording one would
+	// create its file.
+	trace := filepath.Join(t.TempDir(), "x.trace.gz")
+	if _, err := Tune(Options{Benchmark: "nope", Backend: "record=" + trace}); err == nil {
+		t.Fatal("unknown benchmark accepted with a recording backend")
+	}
+	if _, err := os.Stat(trace); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("unknown benchmark left %s behind (stat: %v)", trace, err)
 	}
 	if _, err := Tune(Options{DataSizeGB: -1}); err == nil {
 		t.Fatal("negative size accepted")

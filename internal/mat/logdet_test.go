@@ -34,8 +34,13 @@ func logCases(rng *rand.Rand) []float64 {
 // TestLogDetMatchesLogs: LogDet is 2·Σ math.Log(U_ii), added in ascending
 // i, bit for bit, for every n up to 13 over diagonals drawn from logCases,
 // with and without a zero, negative, infinite or NaN term, and for real
-// factors.
+// factors. The one subtest, Go, names the path checked: LogDet is the Go
+// math.Log loop on every host.
 func TestLogDetMatchesLogs(t *testing.T) {
+	t.Run("Go", testLogDetMatchesLogs)
+}
+
+func testLogDetMatchesLogs(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	vs := logCases(rng)
 	for n := 1; n <= 13; n++ {

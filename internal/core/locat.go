@@ -298,6 +298,9 @@ func (t *Tuner) Tune(targetGB float64) (*Report, error) {
 	if targetGB <= 0 {
 		return nil, errors.New("core: target data size must be positive")
 	}
+	if math.IsNaN(targetGB) || math.IsInf(targetGB, 1) {
+		return nil, errors.New("core: target data size is not a finite number")
+	}
 	s := t.newSession(targetGB, workspaces.Get().(*bo.Workspace))
 	rep, err := s.stages()
 	// Not deferred: a session that panics drops its workspace.
@@ -345,6 +348,8 @@ type session struct {
 	prior *Prior
 	// fullRuns are the full-application sample runs — QCSA's input.
 	fullRuns []sparksim.AppResult
+	// into holds the per-query results of phase 2's latest run (runNext).
+	into []sparksim.QueryResult
 	// cut reports that halt ended the warm anchor batch short of its runs.
 	cut bool
 	// p1 is the phase-1 search result: the cold BO history, or the prior
@@ -456,9 +461,18 @@ func (s *session) record(c conf.Config, dataGB float64, run sparksim.AppResult, 
 }
 
 // runNext executes app under c as the session's next run and records it.
+// Every search run's per-query results go into the session's one buffer, into:
+// record has read the last run's before the next run overwrites them. A
+// sampling run's get a slice of their own, which fullRuns keeps for QCSA.
 func (s *session) runNext(app *sparksim.Application, c conf.Config, sampling bool) float64 {
 	dataGB := s.sizeOf(s.rep.Evaluations())
-	return s.record(c, dataGB, s.run.RunApp(app, c, dataGB), sampling)
+	if sampling {
+		return s.record(c, dataGB, s.run.RunApp(app, c, dataGB), true)
+	}
+	if s.into == nil {
+		s.into = make([]sparksim.QueryResult, 0, len(app.Queries))
+	}
+	return s.record(c, dataGB, s.run.RunAppAt(s.run.ReserveRuns(1), app, c, dataGB, s.into), false)
 }
 
 // sampleBatch fans independent full-application runs over the worker pool

@@ -2,8 +2,12 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
+	"unsafe"
 
+	"locat/internal/conf"
+	"locat/internal/runner"
 	"locat/internal/sparksim"
 	"locat/internal/workloads"
 )
@@ -161,6 +165,11 @@ func TestTuneErrors(t *testing.T) {
 	if _, err := tuner.Tune(-5); err == nil {
 		t.Fatal("negative data size accepted")
 	}
+	for _, gb := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := tuner.Tune(gb); err == nil {
+			t.Fatalf("data size %v accepted", gb)
+		}
+	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -233,5 +242,53 @@ func TestIICPSubspaceSmallerThanFull(t *testing.T) {
 	}
 	if n := rep.IICP.NumImportant(); n <= 0 || n >= 38 {
 		t.Fatalf("important-parameter count %d not a strict subset", n)
+	}
+}
+
+// intoProbe records the into of every run a session makes; RunApp passes
+// none.
+type intoProbe struct {
+	runner.Runner
+	mu    sync.Mutex
+	intos [][]runner.QueryResult
+}
+
+func (p *intoProbe) RunApp(app *runner.Application, c conf.Config, dataGB float64) runner.AppResult {
+	return p.RunAppAt(p.ReserveRuns(1), app, c, dataGB, nil)
+}
+
+func (p *intoProbe) RunAppAt(idx uint64, app *runner.Application, c conf.Config, dataGB float64, into []runner.QueryResult) runner.AppResult {
+	p.mu.Lock()
+	p.intos = append(p.intos, into)
+	p.mu.Unlock()
+	return p.Runner.RunAppAt(idx, app, c, dataGB, into)
+}
+
+// TestSearchRunsShareOneQueryBuffer: phase 1's sampling runs, whose results
+// fullRuns keeps for QCSA, get no buffer, and every phase-2 run gets the same
+// one, the session's.
+func TestSearchRunsShareOneQueryBuffer(t *testing.T) {
+	probe := &intoProbe{Runner: sparksim.New(sparksim.ARM(), 9)}
+	rep, err := New(probe, workloads.TPCH(), quickOpts()).Tune(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.intos) != rep.Evaluations() || rep.RQARuns == 0 {
+		t.Fatalf("%d runs for %d evaluations, %d of them phase 2's", len(probe.intos), rep.Evaluations(), rep.RQARuns)
+	}
+	sampling, search := probe.intos[:rep.FullRuns], probe.intos[rep.FullRuns:]
+	for i, into := range sampling {
+		if into != nil {
+			t.Fatalf("sampling run %d got a buffer", i)
+		}
+	}
+	buf := unsafe.SliceData(search[0])
+	if buf == nil {
+		t.Fatal("the first phase-2 run got no buffer")
+	}
+	for i, into := range search {
+		if unsafe.SliceData(into) != buf {
+			t.Fatalf("phase-2 run %d got buffer %p, the first got %p", i, unsafe.SliceData(into), buf)
+		}
 	}
 }

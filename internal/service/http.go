@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // maxRequestBody caps POST bodies (a JobSpec is a few hundred bytes; 1 MiB
@@ -264,13 +266,33 @@ func (s *Service) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
+// writeJSON writes v as the response body, indented by one space, in one
+// Write. The encoder and its buffer are reused from one response to the next.
+// A value that fails to encode leaves the buffer empty, so the response has
+// its status and no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.buf.Reset()
+	_ = e.enc.Encode(v)
+	_, _ = w.Write(e.buf.Bytes()) // a client gone away has no one to tell
+	jsonEncoders.Put(e)
 }
+
+// jsonEncoder is a response encoder: an indenting json.Encoder on its buffer.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonEncoders holds the response encoders writeJSON reuses.
+var jsonEncoders = sync.Pool{New: func() any {
+	e := new(jsonEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", " ")
+	return e
+}}
 
 // apiError is the uniform error envelope of every /v1 endpoint:
 // {"error":{"code":"...","message":"..."}}. The code is a stable

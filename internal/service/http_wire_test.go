@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -272,5 +274,69 @@ func TestSettledResultServedWhole(t *testing.T) {
 		if string(got) != string(want) || len(want) < len(full.SparkConf) {
 			t.Errorf("GET /v1/jobs/{id}%s =\n%s\nwant\n%s", route, got, want)
 		}
+	}
+}
+
+// writeCounter is a ResponseRecorder that counts the Write calls it is made.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestWriteJSONMatchesAFreshEncoder: the bodies writeJSON writes, one response
+// after another through its reused encoder, are byte for byte what a fresh
+// json.Encoder indenting by one space writes for a recommendation, a job
+// result and an error envelope, each in one Write; a value that cannot be
+// encoded gets its status and an empty body, and the next response is whole.
+func TestWriteJSONMatchesAFreshEncoder(t *testing.T) {
+	onePool(t)
+	rec := Recommendation{
+		Outcome:      "hit",
+		BestConfig:   conf.Config{4, 8192, 0.6},
+		BestParams:   map[string]float64{"spark.executor.cores": 4, "spark.executor.memory": 8192},
+		SparkConf:    "spark.executor.cores 4\nspark.executor.memory 8192m\n",
+		Confidence:   0.875,
+		EstimatedSec: 412.25,
+		Neighbors: []Neighbor{
+			{JobID: "job-000001", Key: "arm_TPC-H_b7_qid", Distance: 0.25, Weight: 0.6, TunedSec: 400, TargetGB: 120, Obs: 30},
+			{JobID: "job-000002", Key: "arm_TPC-H_b8_qid", Distance: 0.5, Weight: 0.4, TunedSec: 430, TargetGB: 250, Obs: 12},
+		},
+		RefineJobID: "job-000003",
+	}
+	bad := apiError{Error: apiErrorBody{Code: errorCode(http.StatusBadRequest), Message: `benchmark "<b>&co" is unknown`}}
+	for _, v := range []any{rec, apiResult{Schema: resultSchema, JobResult: fullJobResult()}, bad, &JobResult{}, rec} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+		writeJSON(w, http.StatusAccepted, v)
+		if w.Code != http.StatusAccepted || w.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%T: status %d, Content-Type %q", v, w.Code, w.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("%T: writeJSON wrote\n%s\na fresh encoder\n%s", v, w.Body.Bytes(), want.Bytes())
+		}
+		if w.writes != 1 {
+			t.Fatalf("%T: writeJSON made %d writes, want 1", v, w.writes)
+		}
+	}
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]float64{"sec": math.NaN()})
+	if w.Code != http.StatusOK || w.Body.Len() != 0 {
+		t.Fatalf("a value that fails to encode: status %d, body %q; want 200 and no body", w.Code, w.Body.Bytes())
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, bad)
+	var back apiError
+	if err := json.Unmarshal(w.Body.Bytes(), &back); err != nil || back != bad {
+		t.Fatalf("the response after a failed encode reads %+v, %v", back, err)
 	}
 }

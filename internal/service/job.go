@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -102,6 +103,9 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.DataSizeGB < 0 {
 		return errors.New("service: negative data size")
+	}
+	if math.IsNaN(s.DataSizeGB) || math.IsInf(s.DataSizeGB, 0) {
+		return errors.New("service: data size is not a finite number")
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

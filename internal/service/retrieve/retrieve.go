@@ -16,11 +16,14 @@ package retrieve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -220,30 +223,76 @@ func (ix *Index) Compact(alive func(Item) bool) int {
 // break on ID, so retrieval is deterministic regardless of insertion order
 // or map iteration. maxDist <= 0 disables the radius cut; k <= 0 returns
 // nothing.
+//
+// The scan keeps the best min(k, Len) matches so far on a max-heap ordered by
+// (Dist, ID), whose root is the one the next nearer item replaces, and sorts
+// them at the end: O(N log k) time over N items, and one allocation, the
+// min(k, Len) matches returned, whatever k a request asks for.
 func (ix *Index) Nearest(vec []float64, k int, maxDist float64) []Match {
 	if k <= 0 {
 		return nil
 	}
 	ix.mu.RLock()
-	matches := make([]Match, 0, len(ix.items))
+	h := make([]Match, 0, min(k, len(ix.items)))
 	for _, it := range ix.items {
 		d := Distance(vec, it.Vec)
 		if math.IsInf(d, 1) || (maxDist > 0 && d > maxDist) {
 			continue
 		}
-		matches = append(matches, Match{Item: it, Dist: d})
+		m := Match{Item: it, Dist: d}
+		switch {
+		case len(h) < k:
+			h = append(h, m)
+			siftUp(h, len(h)-1)
+		case nearer(m, h[0]):
+			h[0] = m
+			siftDown(h, 0)
+		}
 	}
 	ix.mu.RUnlock()
-	sort.Slice(matches, func(a, b int) bool {
-		if matches[a].Dist != matches[b].Dist {
-			return matches[a].Dist < matches[b].Dist
-		}
-		return matches[a].ID < matches[b].ID
-	})
-	if len(matches) > k {
-		matches = matches[:k]
+	slices.SortFunc(h, compareMatches)
+	return h
+}
+
+// compareMatches orders matches by distance, then ID.
+func compareMatches(a, b Match) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
 	}
-	return matches
+	return strings.Compare(a.ID, b.ID)
+}
+
+// nearer reports whether a comes before b in compareMatches' order.
+func nearer(a, b Match) bool { return compareMatches(a, b) < 0 }
+
+// siftUp restores the max-heap order of h from h[i] up.
+func siftUp(h []Match, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !nearer(h[p], h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDown restores the max-heap order of h from h[i] down.
+func siftDown(h []Match, i int) {
+	for {
+		far := 2*i + 1
+		if far >= len(h) {
+			return
+		}
+		if r := far + 1; r < len(h) && nearer(h[far], h[r]) {
+			far = r
+		}
+		if !nearer(h[i], h[far]) {
+			return
+		}
+		h[i], h[far] = h[far], h[i]
+		i = far
+	}
 }
 
 // IndexSchema versions the persisted index file. Bump it when the feature

@@ -1,10 +1,13 @@
 package retrieve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -62,6 +65,81 @@ func TestNearestDeterministicOrder(t *testing.T) {
 	}
 	if got := ix.Nearest([]float64{0, 0}, 0, 0); got != nil {
 		t.Fatalf("k=0 returned %+v", got)
+	}
+}
+
+// nearestFullSort is Nearest as a full sort: a match for every item within
+// the radius, all of them sorted by distance then ID, the first k kept. It is
+// the oracle of the bounded selection.
+func nearestFullSort(ix *Index, vec []float64, k int, maxDist float64) []Match {
+	if k <= 0 {
+		return nil
+	}
+	matches := make([]Match, 0, len(ix.items))
+	for _, it := range ix.items {
+		d := Distance(vec, it.Vec)
+		if math.IsInf(d, 1) || (maxDist > 0 && d > maxDist) {
+			continue
+		}
+		matches = append(matches, Match{Item: it, Dist: d})
+	}
+	sort.Slice(matches, func(a, b int) bool {
+		if matches[a].Dist != matches[b].Dist {
+			return matches[a].Dist < matches[b].Dist
+		}
+		return matches[a].ID < matches[b].ID
+	})
+	if len(matches) > k {
+		matches = matches[:k]
+	}
+	return matches
+}
+
+// TestNearestMatchesFullSort: on random indexes whose vectors sit on a small
+// grid, so that many items are equally far from the query, the bounded
+// selection returns what the full sort returns for k = 1, 5, len, len+3 and
+// an unbounded k, with and without a radius (one grid distances reach
+// exactly), in one allocation of min(k, len) matches.
+func TestNearestMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	grid := func(dim int) []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = float64(rng.Intn(4))
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 2, 7, 40, 200} {
+		ix := NewIndex()
+		for _, id := range rng.Perm(n) {
+			dim := 2
+			if id%9 == 4 {
+				dim = 3 // another schema's vector: never a match
+			}
+			ix.Upsert(Item{ID: fmt.Sprintf("k/%03d", id), Key: "k", Vec: grid(dim)})
+		}
+		for trial := 0; trial < 5; trial++ {
+			vec := grid(2)
+			for _, k := range []int{1, 5, n, n + 3, math.MaxInt} {
+				for _, maxDist := range []float64{0, 2} {
+					got, want := ix.Nearest(vec, k, maxDist), nearestFullSort(ix, vec, k, maxDist)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d k=%d maxDist=%v: Nearest = %v, the full sort %v", n, k, maxDist, got, want)
+					}
+					if k <= 0 {
+						continue
+					}
+					slots := min(k, n)
+					if cap(got) != slots {
+						t.Fatalf("n=%d k=%d: Nearest returned %d slots, want min(k, len) = %d", n, k, cap(got), slots)
+					}
+					allocs := testing.AllocsPerRun(5, func() { ix.Nearest(vec, k, maxDist) })
+					if wantAllocs := float64(min(slots, 1)); allocs != wantAllocs {
+						t.Fatalf("n=%d k=%d: Nearest makes %v allocations, want %v", n, k, allocs, wantAllocs)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -53,7 +53,10 @@
 //
 // A FileStore shard is one file per fingerprint key in JSON lines: each entry
 // one json.Marshal line, oldest first, at most 32. The store keeps nothing of
-// a shard in memory; every call decides from the file.
+// a shard in memory; every call decides from the file. A call reads the file
+// into a buffer from a pool (shardBufs) and hands it back when it is done: no
+// decoded entry aliases the buffer, since the decoder and encoding/json copy
+// every string, so a read allocates what it decodes, not the file again.
 //
 //   - Get (every warm-start retrieval, GET /v1/history/{key}):
 //     one read, then decodeShard line by line — no reflection, fingerprint

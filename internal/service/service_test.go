@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,6 +32,16 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{DataSizeGB: -4}); err == nil {
 		t.Fatal("negative size accepted")
+	}
+	// JSON carries no NaN or infinity, but the Go API does: a session at such
+	// a size panicked in its base selection.
+	for _, gb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Submit(quickSpec(gb, 1)); err == nil {
+			t.Fatalf("size %v accepted", gb)
+		}
+		if _, err := s.Recommend(RecommendRequest{JobSpec: quickSpec(gb, 1)}); err == nil {
+			t.Fatalf("size %v accepted for a recommendation", gb)
+		}
 	}
 	if _, err := s.Status("job-999999"); err == nil {
 		t.Fatal("unknown job status accepted")

@@ -252,7 +252,9 @@ func (s *FileStore) Put(e Entry) error {
 	if err != nil {
 		return err
 	}
-	data, err := readShard(p)
+	buf := shardBufs.Get().(*bytes.Buffer)
+	defer shardBufs.Put(buf)
+	data, err := readShard(p, buf)
 	if err != nil {
 		return err
 	}
@@ -361,7 +363,9 @@ func (s *FileStore) decode(key string, skip bool) ([]Entry, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := readShard(p)
+	buf := shardBufs.Get().(*bytes.Buffer)
+	defer shardBufs.Put(buf)
+	data, err := readShard(p, buf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -372,16 +376,30 @@ func (s *FileStore) decode(key string, skip bool) ([]Entry, []int, error) {
 	return entries, obs, nil
 }
 
-// readShard returns the bytes of the shard at p, nil when there is none.
-func readShard(p string) ([]byte, error) {
-	data, err := os.ReadFile(p)
+// shardBufs holds the buffers readShard reads into. No decoded entry aliases
+// one (decodeShard and encoding/json copy every string), so a caller puts its
+// buffer back as soon as it is done with the bytes.
+var shardBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readShard reads the shard at p into buf and returns its bytes, which stay
+// valid until buf's next use: nil when there is no shard, empty but not nil
+// when the file is empty (ReadFrom grows buf before its first read), so Put
+// can tell a shard it creates from one it extends.
+func readShard(p string, buf *bytes.Buffer) ([]byte, error) {
+	f, err := os.Open(p)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("service: read history: %w", err)
 	}
-	return data, nil
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	_ = f.Close() // read only: nothing to lose
+	if err != nil {
+		return nil, fmt.Errorf("service: read history: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // sortedByCreated reports whether the entries are in the order Put keeps.

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -859,5 +862,140 @@ func TestNewFileStoreSweepsStaleTmp(t *testing.T) {
 	}
 	if ids, err := fs.ListCheckpoints(); err != nil || len(ids) != 1 {
 		t.Fatalf("checkpoints after the sweep: %v, %v", ids, err)
+	}
+}
+
+// onePool makes sync.Pool hand back what was put last, so successive shard
+// reads share one buffer: one P, and no collection to clear the pool. Under
+// -race the pool still drops one Put in four at random.
+func onePool(t *testing.T) {
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	})
+}
+
+// TestFileStoreEntriesOutliveTheReadBuffer: the entries one read returns, whole
+// and as heads, are unchanged after reads of another shard have filled the
+// same buffer with other bytes at the places their strings came from.
+func TestFileStoreEntriesOutliveTheReadBuffer(t *testing.T) {
+	onePool(t)
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b is a byte for byte, with every lower-case letter but z moved one on:
+	// the same layout, a different byte wherever a string is.
+	shift := func(s string) string {
+		return strings.Map(func(r rune) rune {
+			if r >= 'a' && r < 'z' {
+				return r + 1
+			}
+			return r
+		}, s)
+	}
+	shiftAll := func(ss []string) []string {
+		out := make([]string, len(ss))
+		for i, s := range ss {
+			out[i] = shift(s)
+		}
+		return out
+	}
+	shiftKeys := func(m map[string]float64) map[string]float64 {
+		out := make(map[string]float64, len(m))
+		for k, v := range m {
+			out[shift(k)] = v
+		}
+		return out
+	}
+	a := testEntry("job-000001", 1000)
+	b := a
+	b.Fingerprint.Cluster, b.Fingerprint.Techniques = shift(a.Fingerprint.Cluster), shift(a.Fingerprint.Techniques)
+	b.JobID, b.BestParams = shift(a.JobID), shiftKeys(a.BestParams)
+	b.Sensitive, b.Important = shiftAll(a.Sensitive), shiftAll(a.Important)
+	b.Obs = []Observation{a.Obs[0]}
+	b.Obs[0].QuerySecs = shiftKeys(a.Obs[0].QuerySecs)
+	for _, e := range []Entry{a, b} {
+		if err := fs.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := fs.Get(a.Fingerprint.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads, _, err := fs.heads(a.Fingerprint.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if got, err := fs.Get(b.Fingerprint.Key()); err != nil || !reflect.DeepEqual(got, []Entry{b}) {
+			t.Fatalf("Get of the second shard = %+v, %v", got, err)
+		}
+		if _, _, err := fs.heads(b.Fingerprint.Key()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(whole, []Entry{a}) {
+		t.Fatalf("an entry read whole changed when another shard was read:\n got  %+v\n want %+v", whole, a)
+	}
+	if want := headsOf([]Entry{a}); !reflect.DeepEqual(heads, want) {
+		t.Fatalf("a head changed when another shard was read:\n got  %+v\n want %+v", heads, want)
+	}
+}
+
+// TestFileStoreWarmHeadsAllocateLessThanTheShard: once a read buffer is in the
+// pool, reading a shard's heads allocates the heads, not another copy of the
+// file; a read into a fresh buffer alone costs the shard's size.
+func TestFileStoreWarmHeadsAllocateLessThanTheShard(t *testing.T) {
+	onePool(t)
+	dir := t.TempDir()
+	shard := seedShard(t)
+	if err := os.WriteFile(filepath.Join(dir, "arm_TPC-H_b7_qid.json"), shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if heads, _, err := fs.heads("arm_TPC-H_b7_qid"); err != nil || len(heads) != 2 {
+			t.Fatalf("heads = %d entries, %v; want the seed's 2", len(heads), err)
+		}
+	}
+	read()
+	// The least of several reads: under -race the pool drops some buffers.
+	least := uint64(math.MaxUint64)
+	for range 8 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm heads read allocates %d bytes of a %d-byte shard", least, len(shard))
+	if least >= uint64(len(shard)) {
+		t.Fatalf("a warm heads read allocates %d bytes, not less than the %d-byte shard", least, len(shard))
+	}
+}
+
+// TestReadShardTellsMissingFromEmpty: readShard returns nil for a shard that
+// is not there and an empty, non-nil slice for an empty file, into a fresh
+// buffer or a used one. Put creates a shard, and enforces the key cap, only
+// on the nil.
+func TestReadShardTellsMissingFromEmpty(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range []*bytes.Buffer{new(bytes.Buffer), bytes.NewBufferString("a line left over\n")} {
+		if data, err := readShard(filepath.Join(dir, "missing.json"), buf); err != nil || data != nil {
+			t.Fatalf("a missing shard reads %q, %v; want nil", data, err)
+		}
+		if data, err := readShard(empty, buf); err != nil || data == nil || len(data) != 0 {
+			t.Fatalf("an empty shard reads %q (nil %t), %v; want empty and not nil", data, data == nil, err)
+		}
 	}
 }

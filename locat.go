@@ -34,6 +34,7 @@ package locat
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -221,6 +222,9 @@ func (o *Options) normalize() error {
 	}
 	if o.DataSizeGB < 0 {
 		return errors.New("locat: negative data size")
+	}
+	if math.IsNaN(o.DataSizeGB) || math.IsInf(o.DataSizeGB, 0) {
+		return errors.New("locat: data size is not a finite number")
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -3,6 +3,7 @@ package locat
 import (
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,6 +96,12 @@ func TestTuneErrors(t *testing.T) {
 	}
 	if _, err := Tune(Options{DataSizeGB: -1}); err == nil {
 		t.Fatal("negative size accepted")
+	}
+	// Such a size panicked in the session's base selection.
+	for _, gb := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Tune(Options{DataSizeGB: gb}); err == nil {
+			t.Fatalf("size %v accepted", gb)
+		}
 	}
 }
 
